@@ -33,7 +33,6 @@ from repro.adversaries.enumeration import RestrictedSpace
 from repro.core import OptMin
 from repro.model import Context
 from repro.runtime import CheckpointStore, RunReport, canonical_json, resilient_check
-from repro.runtime.runner import _check_report_payload
 from repro.verification import check_protocol
 
 from conftest import print_table, record_benchmark
@@ -81,8 +80,8 @@ def run_legs(tmp_path):
 
         # Crash-safety must be invisible in the product: byte-identical
         # serialized reports, every round.
-        assert canonical_json(_check_report_payload(outcome.value)) == canonical_json(
-            _check_report_payload(plain_report)
+        assert canonical_json(outcome.value.to_payload()) == canonical_json(
+            plain_report.to_payload()
         )
     return plain_times, checkpointed_times, plain_report, outcome, saves
 

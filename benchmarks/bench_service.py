@@ -38,7 +38,6 @@ import time as wall
 import pytest
 
 from repro.runtime import CheckpointStore, SupervisionPolicy, resilient_check
-from repro.runtime.runner import _check_report_payload
 from repro.service import JobQueue, JobRunner, job_id, normalize_spec
 from repro.store import ResultStore
 
@@ -72,7 +71,7 @@ def direct_leg(root: str, round_index: int):
     elapsed = (wall.process_time() - cpu0, wall.perf_counter() - wall0)
     result_store.close()
     assert outcome.completed
-    return elapsed, _check_report_payload(outcome.value)
+    return elapsed, outcome.value.to_payload()
 
 
 def job_leg(root: str, round_index: int):

@@ -32,11 +32,11 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
   list, over HTTP (``--url``) or directly against the queue database
   (``--queue``).
 
-``sweep`` and ``census`` also take the fault-tolerant runtime flags
-(``--checkpoint DIR``, ``--resume``, ``--deadline SECONDS``,
-``--max-retries N``, ``--store PATH``) which route the survey through
-:mod:`repro.runtime` — checkpointed batches, supervised workers, budget
-stops, and the durable cross-run result store (``--store``; administered by
+``sweep`` and ``census`` always run on the :mod:`repro.runtime` runners;
+the runtime flags only attach things to them (``--checkpoint DIR`` and
+``--resume``: checkpointed batches; ``--deadline SECONDS``: a budget stop;
+``sweep --max-retries N``: the supervised workers' retry budget;
+``--store PATH``: the durable cross-run result store, administered by
 the ``store`` subcommand: ``inspect`` / ``verify`` / ``gc`` / ``export``);
 see ``docs/robustness.md`` and ``docs/store.md``.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 budget stop (resumable), 130
@@ -67,7 +67,6 @@ from .core import Opt0, OptMin, UOpt0, UPMin
 from .engine import ENGINES
 from .model import Context, Run
 from .verification import (
-    check_protocol,
     check_run_for_protocol,
     compare_protocols,
     demonstrate_unbeatability_mechanism,
@@ -166,12 +165,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="wall-clock budget; on expiry the run checkpoints and exits 3 (resumable)",
     )
     parser.add_argument(
-        "--max-retries",
-        type=_retry_budget,
-        default=2,
-        help="per-chunk retry budget of the supervised executor (default 2)",
-    )
-    parser.add_argument(
         "--store",
         default=None,
         metavar="PATH",
@@ -181,23 +174,55 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resilient_requested(args: argparse.Namespace) -> bool:
-    """Whether any runtime flag routes the command through repro.runtime."""
-    return (
-        args.checkpoint is not None
-        or args.resume
-        or args.deadline is not None
-        or args.store is not None
+def _run_attached(args: argparse.Namespace, survey, *positional, **options):
+    """``survey(*positional, **options)`` with what the runtime flags attach.
+
+    Returns ``(outcome, runtime summary lines, seconds)``, or ``None`` once
+    an unusable checkpoint has been reported.  ``REPRO_FAULTS`` (a
+    FaultPlan JSON document) activates deterministic fault injection on a
+    real CLI run — the chaos CI job drives this; a command with a
+    ``--max-retries`` flag also gets the supervised worker pool.
+    """
+    from .runtime import (
+        CheckpointError,
+        CheckpointStore,
+        FaultPlan,
+        RunReport,
+        SupervisionPolicy,
     )
 
+    faults = FaultPlan.from_env()
+    if faults is not None:
+        faults.install()
+    events = RunReport()
+    result_store = None
+    if args.store is not None:
+        from .store import ResultStore
 
-def _result_store(args: argparse.Namespace, faults, events):
-    """The ``--store`` ResultStore (or ``None``), faults and report attached."""
-    if args.store is None:
+        result_store = ResultStore(args.store, faults=faults, report=events)
+    if hasattr(args, "max_retries"):
+        options["policy"] = SupervisionPolicy(max_retries=args.max_retries, faults=faults)
+    start = time.perf_counter()
+    try:
+        outcome = survey(
+            *positional,
+            store=CheckpointStore(args.checkpoint, faults=faults) if args.checkpoint else None,
+            resume=args.resume,
+            result_store=result_store,
+            deadline_seconds=args.deadline,
+            report=events,
+            **options,
+        )
+    except CheckpointError as error:
+        print(f"checkpoint error: {error}")
         return None
-    from .store import ResultStore
-
-    return ResultStore(args.store, faults=faults, report=events)
+    finally:
+        if result_store is not None:
+            result_store.close()
+    summaries = [events.summary()]
+    if result_store is not None:
+        summaries.append(result_store.summary())
+    return outcome, summaries, time.perf_counter() - start
 
 
 def _stopped_message(args: argparse.Namespace, outcome) -> str:
@@ -377,85 +402,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_failures=args.max_failures,
         limit=args.limit,
     )
-    if _resilient_requested(args):
-        return _sweep_resilient(args, protocol, space, context)
-    start = time.perf_counter()
-    report = check_protocol(
-        protocol,
-        space,
-        context.t,
-        engine=args.engine,
-        processes=args.processes,
-        symmetry=args.symmetry,
-    )
-    elapsed = time.perf_counter() - start
-    rate = report.runs_checked / elapsed if elapsed > 0 else float("inf")
-    print(
-        f"sweep of {protocol.name} over n={args.n}, t={args.t}, k={args.k} "
-        f"({args.receiver_policy} deliveries): {report.runs_checked} adversaries"
-    )
-    print(report.summary())
-    print(
-        f"engine={args.engine}, symmetry={args.symmetry}, "
-        f"{elapsed:.2f}s ({rate:,.0f} adversaries/s)"
-    )
-    if report.violations:
-        for index, violation in report.violations[:10]:
-            print(f"  adversary #{index}: {violation}")
-    if report.runs_checked == 0:
-        # An exhaustive-verification command must not succeed vacuously
-        # (e.g. a negative --max-failures empties the space).
-        print("no adversaries were enumerated — nothing was verified; check the restriction flags")
-        return 2
-    return 0 if report.ok else 1
+    from .runtime import resilient_check
 
-
-def _sweep_resilient(args: argparse.Namespace, protocol, space, context: Context) -> int:
-    """The checkpointed/supervised sweep path behind the runtime flags."""
-    from .runtime import (
-        CheckpointError,
-        CheckpointStore,
-        FaultPlan,
-        RunReport,
-        SupervisionPolicy,
-        resilient_check,
+    ran = _run_attached(
+        args, resilient_check, protocol, space, context.t,
+        symmetry=args.symmetry, engine=args.engine, processes=args.processes,
     )
-
-    if args.resume and args.checkpoint is None:
-        print("--resume requires --checkpoint DIR")
+    if ran is None:
         return 2
-    # REPRO_FAULTS (a FaultPlan JSON document) activates deterministic fault
-    # injection on a real CLI run — the chaos CI job drives this path.
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        faults.install()
-    events = RunReport()
-    store = CheckpointStore(args.checkpoint, faults=faults) if args.checkpoint else None
-    result_store = _result_store(args, faults, events)
-    policy = SupervisionPolicy(max_retries=args.max_retries, faults=faults)
-    start = time.perf_counter()
-    try:
-        outcome = resilient_check(
-            protocol,
-            space,
-            context.t,
-            symmetry=args.symmetry,
-            engine=args.engine,
-            processes=args.processes,
-            store=store,
-            resume=args.resume,
-            result_store=result_store,
-            policy=policy,
-            deadline_seconds=args.deadline,
-            report=events,
-        )
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}")
-        return 2
-    finally:
-        if result_store is not None:
-            result_store.close()
-    elapsed = time.perf_counter() - start
+    outcome, summaries, elapsed = ran
     report = outcome.value
     rate = report.runs_checked / elapsed if elapsed > 0 else float("inf")
     print(
@@ -468,16 +423,16 @@ def _sweep_resilient(args: argparse.Namespace, protocol, space, context: Context
         f"engine={args.engine}, symmetry={args.symmetry}, "
         f"{elapsed:.2f}s ({rate:,.0f} adversaries/s)"
     )
-    print(events.summary())
-    if result_store is not None:
-        print(result_store.summary())
-    if report.violations:
-        for index, violation in report.violations[:10]:
-            print(f"  adversary #{index}: {violation}")
+    for line in summaries:
+        print(line)
+    for index, violation in report.violations[:10]:
+        print(f"  adversary #{index}: {violation}")
     if not outcome.completed:
         print(_stopped_message(args, outcome))
         return 3
     if report.runs_checked == 0:
+        # An exhaustive-verification command must not succeed vacuously
+        # (e.g. a negative --max-failures empties the space).
         print("no adversaries were enumerated — nothing was verified; check the restriction flags")
         return 2
     return 0 if report.ok else 1
@@ -551,12 +506,14 @@ def cmd_surgery(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    """The Proposition 2 census; the complex is rebuilt on every invocation.
+
+    Building is the cheap part relative to the homology survey at scale;
+    a checkpoint cursor indexes the canonical class stream of the survey.
+    """
     from .engine import validate_engine_choice
-    from .topology import (
-        DEFAULT_HOMOLOGY_BACKEND,
-        build_restricted_complex,
-        capacity_connectivity_census,
-    )
+    from .runtime import resilient_census
+    from .topology import DEFAULT_HOMOLOGY_BACKEND, build_restricted_complex
 
     try:
         validate_engine_choice(args.engine, args.processes)
@@ -570,78 +527,13 @@ def cmd_census(args: argparse.Namespace) -> int:
         context, time=args.time, engine=args.engine, processes=args.processes
     )
     build_elapsed = time.perf_counter() - build_start
-    if _resilient_requested(args):
-        return _census_resilient(args, pc, context, backend, build_elapsed)
-    survey_start = time.perf_counter()
-    census = capacity_connectivity_census(
-        pc, context.k, symmetry=args.symmetry, backend=backend
+    ran = _run_attached(
+        args, resilient_census, pc, context.k, symmetry=args.symmetry, backend=backend,
+        spec_extra={"n": args.n, "t": args.t, "engine": args.engine},
     )
-    survey_elapsed = time.perf_counter() - survey_start
-    complex_ = pc.complex
-    print(
-        f"Proposition 2 census over n={args.n}, t={args.t}, k={args.k}, m={args.time} "
-        f"(backend={backend}, symmetry={args.symmetry})"
-    )
-    print(
-        f"  complex: {complex_.vertex_count} vertices, "
-        f"{len(complex_.facet_masks)} facets, dim {complex_.dimension} "
-        f"(built in {build_elapsed:.2f}s, engine={args.engine})"
-    )
-    print(f"  vertices             : {census.vertices}")
-    print(f"  capacity >= k        : {census.high_capacity}")
-    print(f"  ... with (k-1)-conn. : {census.consistent}")
-    print(f"  (k-1)-connected stars: {census.connected_stars}")
-    print(f"  ... with capacity>=k : {census.connected_high}")
-    print(
-        f"  survey: {census.classes} classes, {census.homology_runs} homology "
-        f"runs in {survey_elapsed:.2f}s"
-    )
-    holds = census.consistent == census.high_capacity
-    print(f"  Proposition 2 (capacity >= k ⇒ (k-1)-connected star): {'OK' if holds else 'VIOLATED'}")
-    return 0 if holds else 1
-
-
-def _census_resilient(
-    args: argparse.Namespace, pc, context: Context, backend: str, build_elapsed: float
-) -> int:
-    """The checkpointed census path behind the runtime flags.
-
-    The complex itself is rebuilt on every invocation (it is the cheap part
-    relative to the homology survey at scale); the checkpoint cursor indexes
-    the canonical class stream of the survey.
-    """
-    from .runtime import CheckpointError, CheckpointStore, FaultPlan, RunReport, resilient_census
-
-    if args.resume and args.checkpoint is None:
-        print("--resume requires --checkpoint DIR")
+    if ran is None:
         return 2
-    faults = FaultPlan.from_env()
-    if faults is not None:
-        faults.install()
-    events = RunReport()
-    store = CheckpointStore(args.checkpoint, faults=faults) if args.checkpoint else None
-    result_store = _result_store(args, faults, events)
-    survey_start = time.perf_counter()
-    try:
-        outcome = resilient_census(
-            pc,
-            context.k,
-            symmetry=args.symmetry,
-            backend=backend,
-            spec_extra={"n": args.n, "t": args.t, "engine": args.engine},
-            store=store,
-            resume=args.resume,
-            result_store=result_store,
-            deadline_seconds=args.deadline,
-            report=events,
-        )
-    except CheckpointError as error:
-        print(f"checkpoint error: {error}")
-        return 2
-    finally:
-        if result_store is not None:
-            result_store.close()
-    survey_elapsed = time.perf_counter() - survey_start
+    outcome, summaries, survey_elapsed = ran
     census = outcome.value
     complex_ = pc.complex
     print(
@@ -663,9 +555,8 @@ def _census_resilient(
         f"  survey: {census.classes} classes, {census.homology_runs} homology "
         f"runs in {survey_elapsed:.2f}s"
     )
-    print("  " + events.summary())
-    if result_store is not None:
-        print("  " + result_store.summary())
+    for line in summaries:
+        print("  " + line)
     if not outcome.completed:
         print("  " + _stopped_message(args, outcome))
         return 3
@@ -968,6 +859,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_symmetry_argument(sweep_parser)
     _add_runtime_arguments(sweep_parser)
+    sweep_parser.add_argument(
+        "--max-retries",
+        type=_retry_budget,
+        default=2,
+        help="per-chunk retry budget of the supervised executor (default 2)",
+    )
     sweep_parser.set_defaults(func=cmd_sweep)
 
     count_parser = subparsers.add_parser(

@@ -338,20 +338,6 @@ class SweepRunner:
         """Last (correct) decision time per adversary, in input order."""
         return [run.last_decision_time(correct_only=correct_only) for run in self.sweep(adversaries)]
 
-    def check(self, adversaries: Iterable[Adversary], enforce_paper_bound: bool = True):
-        """Sweep and fold every run through the property checkers.
-
-        Returns the same :class:`repro.verification.checker.CheckReport` the
-        reference checking path produces.
-        """
-        from ..verification.checker import CheckReport
-        from ..verification.properties import check_run_for_protocol
-
-        report = CheckReport(protocol=getattr(self.protocol, "name", "protocol"))
-        for run in self.sweep(adversaries):
-            report.record(run.index, run, check_run_for_protocol(run, enforce_paper_bound))
-        return report
-
 
 def sweep(
     protocol,

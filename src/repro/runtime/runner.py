@@ -1,18 +1,17 @@
-"""Resilient survey runners: checkpointed, supervised, budgeted sweeps.
+"""Resilient survey runners: checkpointed, supervised, budgeted surveys.
 
-The execution layer the CLI's ``sweep --checkpoint`` / ``census
---checkpoint`` run on, and the stepping stone to the survey-as-a-service
-store: each runner drives a *deterministic* stream (the constructive orbit
-stream of a :class:`repro.adversaries.RestrictedSpace`, a plain enumeration,
-or the canonical-class stream of a built protocol complex) in batches,
-folding each batch into the aggregate a consumer already knows
-(:class:`repro.verification.checker.CheckReport`,
-:class:`repro.topology.protocol_complex.CapacityCensus`) and flushing an
-atomic checkpoint after every batch.  Because the streams replay
+There is one survey pipeline per question — the checker's
+(:func:`repro.verification.checker.fold_checks`) and the census's
+(:func:`repro.topology.protocol_complex.fold_census`), both folding a
+deterministic stream through :func:`repro.pipeline.fold_stream`.  The
+runners here are those pipelines with attachments: a checkpoint store
+flushed at every batch boundary, the durable result store as a per-item
+memo, a supervised worker pool, and budgets.  With nothing attached a
+runner's result is the plain survey's.  Because the streams replay
 identically from their specs, a resumed run folds exactly the items an
 uninterrupted run would have folded, in the same order — results are
 byte-identical (``tests/test_resilience.py`` pins interrupted-at-every-
-batch-boundary == uninterrupted).
+batch-boundary == uninterrupted == plain).
 
 Budgets turn hard death into checkpoint-and-stop: a wall-clock
 ``deadline_seconds`` and a peak-RSS ``max_rss_kb`` are checked at batch
@@ -28,27 +27,19 @@ leaking pool workers and three hours of work.
 
 from __future__ import annotations
 
-import itertools
 import resource
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..pipeline import DEFAULT_BATCH_SIZE
 from .checkpoint import Checkpoint, CheckpointStore
 from .report import RunReport
 from .supervisor import DeadlineExceeded, SupervisionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store import ResultStore
-
-#: Stream items folded between checkpoint flushes.  Large enough that the
-#: trie keeps its prefix sharing inside one sweep call (smaller batches
-#: measurably re-compute shared round prefixes across batch boundaries) and
-#: the atomic-write cost stays <5% (gated by
-#: ``benchmarks/bench_resilience.py``), small enough that an interrupted
-#: hour-scale survey loses minutes, not hours.
-DEFAULT_BATCH_SIZE = 8192
 
 
 def peak_rss_kb() -> int:
@@ -76,17 +67,35 @@ class ResilientOutcome:
     resumed_from: Optional[int]
 
 
-class _BudgetGovernor:
-    """Shared deadline/RSS bookkeeping of one resilient run."""
+class _Attachments:
+    """The checkpoint store, result store and budgets of one resilient survey.
+
+    :meth:`open` fixes the stream's spec and resumes from the newest
+    checkpoint matching it; :meth:`fold` then drives the survey's pipeline
+    with a boundary hook that snapshots the aggregate, flushes the result
+    store and the checkpoint, and checks the budgets.
+    """
 
     def __init__(
-        self, deadline_seconds: Optional[float], max_rss_kb: Optional[int], report: RunReport
+        self,
+        store: Optional[CheckpointStore],
+        result_store: Optional["ResultStore"],
+        deadline_seconds: Optional[float],
+        max_rss_kb: Optional[int],
+        report: Optional[RunReport],
     ) -> None:
+        self.report = report if report is not None else RunReport()
+        for attached in (store, result_store):
+            if attached is not None and attached.report is None:
+                attached.report = self.report
+        self.store = store
+        self.result_store = result_store
         self.deadline = (
             time.monotonic() + deadline_seconds if deadline_seconds is not None else None
         )
         self.max_rss_kb = max_rss_kb
-        self.report = report
+        self.spec: Dict[str, Any] = {}
+        self.cursor, self.resumed_from = 0, None
 
     def arm(self, policy: Optional[SupervisionPolicy]) -> Optional[SupervisionPolicy]:
         """Give the supervised pool the same absolute deadline (mid-batch aborts)."""
@@ -94,68 +103,105 @@ class _BudgetGovernor:
             return policy
         return replace(policy, deadline=self.deadline)
 
-    def stop_reason(self, cursor: int) -> Optional[str]:
+    def open(self, spec: Dict[str, Any], resume: bool) -> Optional[Dict[str, Any]]:
+        """Fix the stream spec; the resumed aggregate payload, if any."""
+        self.spec = spec
+        checkpoint = self.store.latest(spec=spec) if self.store is not None and resume else None
+        if checkpoint is None:
+            return None
+        self.report.record("resume", cursor=checkpoint.cursor)
+        self.cursor = self.resumed_from = checkpoint.cursor
+        return checkpoint.payload
+
+    def stop_reason(self) -> Optional[str]:
         """The budget that tripped at this batch boundary, if any."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
-            self.report.record("deadline_stop", cursor=cursor)
+            self.report.record("deadline_stop", cursor=self.cursor)
             return "deadline"
         if self.max_rss_kb is not None and peak_rss_kb() > self.max_rss_kb:
-            self.report.record("rss_stop", cursor=cursor, peak_rss_kb=peak_rss_kb())
+            self.report.record("rss_stop", cursor=self.cursor, peak_rss_kb=peak_rss_kb())
             return "rss"
         return None
 
+    def fold(self, run_pipeline, aggregate, snapshot) -> "ResilientOutcome":
+        """Run ``run_pipeline(cursor=, on_boundary=)`` folding into ``aggregate``.
 
-def _batched(stream: Iterator, size: int) -> Iterator[List]:
-    while True:
-        batch = list(itertools.islice(stream, size))
-        if not batch:
-            return
-        yield batch
+        Checkpoints always describe a batch *boundary*: ``snapshot()`` is
+        taken right after a batch finishes folding, so a mid-batch
+        interrupt flushes the last boundary state, never a partially-folded
+        aggregate (which would double-count the partial batch on resume).
+        """
+        boundary_payload = snapshot()
+        stop_reason = None
+
+        def flush() -> None:
+            if self.result_store is not None:
+                self.result_store.flush()
+            if self.store is not None:
+                self.store.save(
+                    Checkpoint(spec=self.spec, cursor=self.cursor, payload=boundary_payload)
+                )
+
+        def on_boundary(cursor: int) -> bool:
+            nonlocal boundary_payload, stop_reason
+            self.cursor = cursor
+            boundary_payload = snapshot()
+            flush()
+            stop_reason = self.stop_reason()
+            return stop_reason is not None
+
+        try:
+            run_pipeline(cursor=self.cursor, on_boundary=on_boundary)
+        except DeadlineExceeded:
+            # Mid-batch deadline abort from the supervised pool: the batch
+            # was still being swept, so the boundary state is what we flush.
+            self.report.record("deadline_stop", cursor=self.cursor, mid_batch=True)
+            stop_reason = "deadline"
+            flush()
+        except KeyboardInterrupt:
+            self.report.record("interrupt", cursor=self.cursor)
+            flush()
+            raise
+        return ResilientOutcome(
+            aggregate, self.report, stop_reason is None, stop_reason, self.cursor, self.resumed_from
+        )
 
 
-def _resume_cursor(
-    store: Optional[CheckpointStore],
-    resume: bool,
-    spec: Dict[str, Any],
-    report: RunReport,
-) -> Tuple[int, Optional[Dict[str, Any]], Optional[int]]:
-    """(cursor, payload, resumed_from) off the newest valid checkpoint."""
-    if store is None or not resume:
-        return 0, None, None
-    checkpoint = store.latest(spec=spec)
-    if checkpoint is None:
-        return 0, None, None
-    report.record("resume", cursor=checkpoint.cursor)
-    return checkpoint.cursor, checkpoint.payload, checkpoint.cursor
+class _StoreMemo:
+    """The result-store attachment of a pipeline: verdicts keyed per stream item.
+
+    ``available`` is re-read every batch, so a store that degrades mid-run
+    falls back to pure compute from the next batch on.
+    """
+
+    def __init__(self, result_store: "ResultStore", kind: str, spec_hash: str, key, encode, decode):
+        self.result_store = result_store
+        self.kind = kind
+        self.spec_hash = spec_hash
+        self.key, self.encode, self.decode = key, encode, decode
+        self.keys: Optional[List[str]] = None
+
+    def lookup(self, items: List) -> Dict[int, Any]:
+        self.keys = [self.key(item) for item in items] if self.result_store.available else None
+        if self.keys is None:
+            return {}
+        found = self.result_store.get_many(self.kind, self.spec_hash, self.keys)
+        return {i: self.decode(found[key]) for i, key in enumerate(self.keys) if key in found}
+
+    def save(self, position: int, verdict) -> None:
+        if self.keys is not None:
+            self.result_store.put(
+                self.kind, self.spec_hash, self.keys[position], self.encode(verdict)
+            )
 
 
 # --------------------------------------------------------------- checker runs
-def _checker_stream(space, symmetry: str) -> Iterator[Tuple[int, Any, int]]:
-    """The deterministic ``(index, adversary, weight)`` stream of a space.
-
-    ``symmetry="constructive"`` generates canonical representatives (orbit
-    weights); ``"quotient"`` streams the hash-dedup orbit front (the oracle
-    ordering); ``"none"`` streams every member with weight 1.  All three
-    replay identically from the space description, which is what makes the
-    cursor meaningful across process lifetimes.
-    """
-    if symmetry in ("constructive", "quotient"):
-        mode = "constructive" if symmetry == "constructive" else "dedup"
-        for index, orbit in enumerate(space.orbits(symmetry=mode)):
-            yield index, orbit.representative, orbit.size
-    elif symmetry == "none":
-        for index, adversary in enumerate(space):
-            yield index, adversary, 1
-    else:  # pragma: no cover - validated upstream
-        raise ValueError(f"unknown symmetry {symmetry!r}")
-
-
 def checker_spec(
     protocol, space, t: int, symmetry: str, engine: str, enforce_paper_bound: bool
 ) -> Dict[str, Any]:
     """The stream-identity spec a checker checkpoint must match to resume."""
     context = space.context
-    return {
+    spec = {
         "kind": "check",
         "schema_note": "cursor counts stream items (orbits or adversaries)",
         "protocol": getattr(protocol, "name", type(protocol).__name__),
@@ -170,66 +216,12 @@ def checker_spec(
         "engine": engine,
         "enforce_paper_bound": enforce_paper_bound,
     }
-
-
-def _check_report_payload(report) -> Dict[str, Any]:
-    """Serialize a ``CheckReport`` losslessly (order-preserving histogram)."""
-    return {
-        "runs_checked": report.runs_checked,
-        "max_decision_time": report.max_decision_time,
-        "histogram": [[time_, count] for time_, count in report.decision_time_histogram.items()],
-        "violations": [
-            [index, violation.property_name, violation.message, violation.process]
-            for index, violation in report.violations
-        ],
-    }
-
-
-def _check_report_from_payload(protocol_name: str, payload: Dict[str, Any]):
-    from ..verification.checker import CheckReport
-    from ..verification.properties import Violation
-
-    report = CheckReport(protocol=protocol_name)
-    report.runs_checked = payload["runs_checked"]
-    report.max_decision_time = payload["max_decision_time"]
-    report.decision_time_histogram = {time_: count for time_, count in payload["histogram"]}
-    report.violations = [
-        (index, Violation(property_name, message, process))
-        for index, property_name, message, process in payload["violations"]
-    ]
-    return report
-
-
-def _check_verdict(run, run_violations) -> Dict[str, Any]:
-    """The memoizable outcome of checking one adversary (store payload)."""
-    return {
-        "decision_time": run.last_decision_time(correct_only=True),
-        "violations": [
-            [violation.property_name, violation.message, violation.process]
-            for violation in run_violations
-        ],
-    }
-
-
-def _fold_verdict(aggregate, index: int, verdict: Dict[str, Any], weight: int) -> None:
-    """Fold one memoized verdict into a ``CheckReport``.
-
-    Must mutate the aggregate exactly as ``CheckReport.record`` would for
-    the run the verdict was computed from — including histogram *insertion
-    order*, which the serialized form preserves — so store-enabled and
-    store-disabled sweeps stay byte-identical.
-    """
-    from ..verification.properties import Violation
-
-    aggregate.runs_checked += weight
-    for property_name, message, process in verdict["violations"]:
-        aggregate.violations.append((index, Violation(property_name, message, process)))
-    last = verdict["decision_time"]
-    if last is not None:
-        aggregate.decision_time_histogram[last] = (
-            aggregate.decision_time_histogram.get(last, 0) + weight
-        )
-        aggregate.max_decision_time = max(aggregate.max_decision_time, last)
+    if symmetry == "quotient":
+        # The quotient stream is the first-seen family quotient (``limit``
+        # caps members); checkpoints of the former orbit-stream order must
+        # not resume into it.
+        spec["stream"] = "quotient_family"
+    return spec
 
 
 def resilient_check(
@@ -252,56 +244,59 @@ def resilient_check(
     enforce_paper_bound: bool = True,
     report: Optional[RunReport] = None,
 ) -> ResilientOutcome:
-    """Checkpointed, supervised :func:`repro.verification.check_protocol`.
+    """:func:`repro.verification.check_protocol` with checkpoints, store, budgets, supervision.
 
     ``space`` must be a :class:`repro.adversaries.RestrictedSpace` (the spec
-    that makes the stream replayable).  A completed outcome's ``value`` is
-    the same :class:`CheckReport` the plain ``symmetry="constructive"``
-    checker path produces over the space.
-
-    ``result_store`` is the durable cross-run memo
-    (:class:`repro.store.ResultStore`): verdicts found there skip the engine
-    entirely, verdicts computed here are written back at the same batch
-    boundaries the checkpoint flushes at.  The store key excludes
-    engine/symmetry (a verdict is a property of the adversary), so quotient
-    and exhaustive sweeps share entries.  Folding order is the stream order
-    either way, so store-enabled output is byte-identical.
+    that makes the stream replayable).  This is the checker's pipeline
+    (:func:`repro.verification.checker.fold_checks`) with the attachments
+    given here, so a completed outcome's ``value`` is the
+    :class:`CheckReport` ``check_protocol(protocol, space, t,
+    symmetry=symmetry)`` produces; the constructive stream is generated
+    lazily (``space.orbits()``).  ``result_store`` is the durable cross-run
+    verdict memo (:class:`repro.store.ResultStore`), flushed at the same
+    batch boundaries as the checkpoint; its key excludes engine and
+    symmetry (a verdict is a property of the adversary), so any sweep warms
+    any other.
     """
     from ..engine import SweepRunner, validate_engine_choice
-    from ..model.run import Run
-    from ..symmetry import validate_symmetry_choice
-    from ..verification.properties import check_run_for_protocol
+    from ..verification.checker import CheckReport, check_stream, fold_checks
 
     validate_engine_choice(engine, processes)
-    validate_symmetry_choice(symmetry)
     if t is None:
         t = space.context.t
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    report = report if report is not None else RunReport()
-    if store is not None and store.report is None:
-        store.report = report
-    governor = _BudgetGovernor(deadline_seconds, max_rss_kb, report)
-    policy = governor.arm(policy)
-
+    if symmetry == "constructive":
+        stream = (
+            (index, orbit.representative, orbit.size)
+            for index, orbit in enumerate(space.orbits())
+        )
+    else:
+        stream = check_stream(space, symmetry)
     spec = checker_spec(protocol, space, t, symmetry, engine, enforce_paper_bound)
-    protocol_name = getattr(protocol, "name", "protocol")
-    store_spec_h = None
+    attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
+    payload = attachments.open(spec, resume)
+    name = getattr(protocol, "name", "protocol")
+    aggregate = CheckReport(protocol=name)
+    if payload is not None:
+        aggregate = CheckReport.from_payload(name, payload)
+    memo = None
     if result_store is not None:
         from ..store import adversary_key, check_store_spec, spec_hash
+        from ..verification.properties import Violation
 
-        if result_store.report is None:
-            result_store.report = report
-        store_spec_h = spec_hash(
-            check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)
+        memo = _StoreMemo(
+            result_store,
+            "check",
+            spec_hash(check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)),
+            lambda item: adversary_key(item[1]),
+            lambda verdict: {
+                "decision_time": verdict[0],
+                "violations": [[v.property_name, v.message, v.process] for v in verdict[1]],
+            },
+            lambda payload: (
+                payload["decision_time"],
+                [Violation(*violation) for violation in payload["violations"]],
+            ),
         )
-    cursor, payload, resumed_from = _resume_cursor(store, resume, spec, report)
-    aggregate = (
-        _check_report_from_payload(protocol_name, payload)
-        if payload is not None
-        else _check_report_from_payload(protocol_name, _EMPTY_CHECK_PAYLOAD)
-    )
-
     runner = None
     if engine == "batch":
         runner = SweepRunner(
@@ -310,92 +305,17 @@ def resilient_check(
             processes=processes,
             chunk_size=chunk_size,
             mp_context=mp_context,
-            supervision=policy,
-            runtime_report=report,
+            supervision=attachments.arm(policy),
+            runtime_report=attachments.report,
         )
-
-    stream = itertools.islice(_checker_stream(space, symmetry), cursor, None)
-    stop_reason = None
-    completed = False
-    # Checkpoints always describe a batch *boundary*: the payload snapshot is
-    # taken right after a batch finishes folding, so a mid-batch interrupt
-    # flushes the last boundary state, never a partially-folded aggregate
-    # (which would double-count the partial batch on resume).
-    boundary_payload = _check_report_payload(aggregate)
-
-    def flush() -> None:
-        if result_store is not None:
-            result_store.flush()
-        if store is not None:
-            store.save(Checkpoint(spec=spec, cursor=cursor, payload=boundary_payload))
-
-    try:
-        for batch in _batched(stream, batch_size):
-            # Consult the durable memo first: verdicts found there skip the
-            # engine; only the misses are swept.  ``available`` is re-read
-            # every batch so a store that degrades mid-run falls back to
-            # pure compute from the next batch on.
-            use_store = result_store is not None and result_store.available
-            if use_store:
-                keys = [adversary_key(adversary) for _index, adversary, _weight in batch]
-                found = result_store.get_many("check", store_spec_h, keys)
-            else:
-                keys, found = (), {}
-            if use_store and found:
-                representatives = [
-                    adversary
-                    for (_index, adversary, _weight), key in zip(batch, keys)
-                    if key not in found
-                ]
-            else:
-                representatives = [adversary for _index, adversary, _weight in batch]
-            if runner is not None:
-                runs = runner.sweep(representatives) if representatives else []
-            else:
-                runs = [Run(protocol, adversary, t) for adversary in representatives]
-            runs_iter = iter(runs)
-            for position, (index, _adversary, weight) in enumerate(batch):
-                hit = found.get(keys[position]) if use_store else None
-                if hit is not None:
-                    _fold_verdict(aggregate, index, hit, weight)
-                    continue
-                run = next(runs_iter)
-                run_violations = check_run_for_protocol(run, enforce_paper_bound)
-                aggregate.record(index, run, run_violations, weight=weight)
-                if use_store:
-                    result_store.put(
-                        "check",
-                        store_spec_h,
-                        keys[position],
-                        _check_verdict(run, run_violations),
-                    )
-            cursor += len(batch)
-            boundary_payload = _check_report_payload(aggregate)
-            flush()
-            stop_reason = governor.stop_reason(cursor)
-            if stop_reason is not None:
-                break
-        else:
-            completed = True
-    except DeadlineExceeded:
-        # Mid-batch deadline abort from the supervised pool: the aggregate is
-        # still at the last batch boundary, which is exactly what we flush.
-        report.record("deadline_stop", cursor=cursor, mid_batch=True)
-        stop_reason = "deadline"
-        flush()
-    except KeyboardInterrupt:
-        report.record("interrupt", cursor=cursor)
-        flush()
-        raise
-    return ResilientOutcome(aggregate, report, completed, stop_reason, cursor, resumed_from)
-
-
-_EMPTY_CHECK_PAYLOAD: Dict[str, Any] = {
-    "runs_checked": 0,
-    "max_decision_time": 0,
-    "histogram": [],
-    "violations": [],
-}
+    return attachments.fold(
+        lambda **hooks: fold_checks(
+            aggregate, protocol, stream, t, runner, enforce_paper_bound,
+            batch_size=batch_size, memo=memo, **hooks,
+        ),
+        aggregate,
+        aggregate.to_payload,
+    )
 
 
 # ---------------------------------------------------------------- census runs
@@ -437,14 +357,15 @@ def resilient_census(
     max_rss_kb: Optional[int] = None,
     report: Optional[RunReport] = None,
 ) -> ResilientOutcome:
-    """Checkpointed :func:`repro.topology.capacity_connectivity_census`.
+    """:func:`repro.topology.capacity_connectivity_census` with checkpoints, store, budgets.
 
-    The class stream and the per-class fold are shared with the plain census
-    (:func:`repro.topology.protocol_complex.census_classes`), so a completed
-    outcome's census *row* is byte-identical to the uninterrupted survey's.
-    ``homology_runs`` counts profiles computed in *this* process — a resumed
-    run re-misses its connectivity cache, so that bookkeeping field (and
-    only it) may exceed the uninterrupted run's.
+    This is the census's pipeline
+    (:func:`repro.topology.protocol_complex.fold_census` over
+    :func:`~repro.topology.protocol_complex.census_classes`) with the
+    attachments given here, so a completed outcome's census row is the
+    plain survey's.  ``homology_runs`` counts profiles computed in *this*
+    process — a resumed run re-misses its connectivity cache, so that
+    bookkeeping field (and only it) may exceed the uninterrupted run's.
 
     ``result_store`` adds the durable memo at three tiers: the whole census
     row (a completed survey's counters, keyed by the complex fingerprint
@@ -456,25 +377,13 @@ def resilient_census(
     that probes an isomorphic star).  Store hits do not count as
     ``homology_runs`` — like cache hits, they ran no homology.
     """
+    from ..topology import protocol_complex
     from ..topology.connectivity import DEFAULT_HOMOLOGY_BACKEND
-    from ..topology.protocol_complex import (
-        CapacityCensus,
-        census_classes,
-        vertex_capacity,
-    )
 
     if backend is None:
         backend = DEFAULT_HOMOLOGY_BACKEND
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    report = report if report is not None else RunReport()
-    if store is not None and store.report is None:
-        store.report = report
-    governor = _BudgetGovernor(deadline_seconds, max_rss_kb, report)
-
-    if result_store is not None and result_store.report is None:
-        result_store.report = report
-    class_spec_h = row_key = None
+    attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
+    memo = None
     if result_store is not None:
         from ..store import census_class_store_spec, census_row_key, spec_hash, vertex_key
 
@@ -488,94 +397,42 @@ def resilient_census(
             # to the per-class tier below (which heals it on completion).
             row_hit = result_store.get("census_row", class_spec_h, row_key)
             if row_hit is not None:
-                census = CapacityCensus(
-                    *row_hit["counters"], classes=row_hit["classes"], homology_runs=0
-                )
+                census = protocol_complex.CapacityCensus(*row_hit["counters"], row_hit["classes"])
                 return ResilientOutcome(
-                    census, report, True, None, row_hit["classes"], None
+                    census, attachments.report, True, None, row_hit["classes"], None
                 )
-    groups, profile, cache = census_classes(
+        memo = _StoreMemo(
+            result_store,
+            "census_class",
+            class_spec_h,
+            lambda item: vertex_key(item[0]),
+            lambda verdict: {"capacity": verdict[0], "level": verdict[1]},
+            lambda payload: (payload["capacity"], payload["level"]),
+        )
+    groups, profile, cache = protocol_complex.census_classes(
         pc, k, symmetry=symmetry, backend=backend, result_store=result_store
     )
     spec = census_spec(pc, k, symmetry, backend, spec_extra)
     spec["classes"] = len(groups)
-    cursor, payload, resumed_from = _resume_cursor(store, resume, spec, report)
-    counters = list(payload["counters"]) if payload is not None else [0, 0, 0, 0, 0]
-    homology_runs = payload["homology_runs"] if payload is not None else 0
-
-    # Snapshot taken at batch boundaries only — a mid-batch interrupt must
-    # not flush partially-updated counters against a boundary cursor.
-    boundary_payload = {"counters": list(counters), "homology_runs": homology_runs}
-
-    def flush() -> None:
-        if result_store is not None:
-            result_store.flush()
-        if store is not None:
-            store.save(Checkpoint(spec=spec, cursor=cursor, payload=boundary_payload))
-
-    def outcome(completed: bool, stop_reason: Optional[str]) -> ResilientOutcome:
-        census = CapacityCensus(*counters, classes=len(groups), homology_runs=homology_runs)
-        return ResilientOutcome(census, report, completed, stop_reason, cursor, resumed_from)
-
-    stop_reason = None
-    misses_before = cache.misses if cache is not None else 0
-    uncached = 0  # classes folded with no in-memory cache to count misses for
-    try:
-        while cursor < len(groups):
-            batch = groups[cursor : cursor + batch_size]
-            use_store = result_store is not None and result_store.available
-            if use_store:
-                keys = [vertex_key(representative) for representative, _weight in batch]
-                found = result_store.get_many("census_class", class_spec_h, keys)
-            else:
-                keys, found = (), {}
-            for position, (representative, weight) in enumerate(batch):
-                hit = found.get(keys[position]) if use_store else None
-                if hit is not None:
-                    capacity, level = hit["capacity"], hit["level"]
-                else:
-                    capacity = vertex_capacity(representative)
-                    level = profile(pc.complex.star(representative))
-                    if cache is None:
-                        uncached += 1
-                    if use_store:
-                        result_store.put(
-                            "census_class",
-                            class_spec_h,
-                            keys[position],
-                            {"capacity": capacity, "level": level},
-                        )
-                counters[0] += weight
-                if capacity >= k:
-                    counters[1] += weight
-                    if level >= k - 1:
-                        counters[2] += weight
-                if level >= k - 1:
-                    counters[3] += weight
-                    if capacity >= k:
-                        counters[4] += weight
-            cursor += len(batch)
-            if cache is not None:
-                homology_runs += cache.misses - misses_before
-                misses_before = cache.misses
-            else:
-                homology_runs += uncached
-                uncached = 0
-            boundary_payload = {"counters": list(counters), "homology_runs": homology_runs}
-            flush()
-            stop_reason = governor.stop_reason(cursor)
-            if stop_reason is not None:
-                return outcome(False, stop_reason)
-    except KeyboardInterrupt:
-        report.record("interrupt", cursor=cursor)
-        flush()
-        raise
-    if result_store is not None and result_store.available:
+    payload = attachments.open(spec, resume)
+    census = protocol_complex.CapacityCensus(
+        *(payload["counters"] if payload is not None else ()),
+        classes=len(groups),
+        homology_runs=payload["homology_runs"] if payload is not None else 0,
+    )
+    outcome = attachments.fold(
+        lambda **hooks: protocol_complex.fold_census(
+            pc, k, groups, profile, cache, census, batch_size=batch_size, memo=memo, **hooks
+        ),
+        census,
+        lambda: {"counters": list(census.row), "homology_runs": census.homology_runs},
+    )
+    if outcome.completed and result_store is not None and result_store.available:
         result_store.put(
             "census_row",
             class_spec_h,
             row_key,
-            {"counters": list(counters), "classes": len(groups)},
+            {"counters": list(census.row), "classes": len(groups)},
         )
         result_store.flush()
-    return outcome(True, None)
+    return outcome

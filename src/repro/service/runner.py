@@ -332,14 +332,8 @@ class JobRunner:
         excluded.
         """
         if spec["kind"] == "sweep":
-            from ..runtime.runner import _check_report_payload
-
             report = outcome.value
-            return {
-                "kind": "sweep",
-                "ok": not report.violations,
-                "report": _check_report_payload(report),
-            }
+            return {"kind": "sweep", "ok": report.ok, "report": report.to_payload()}
         census = outcome.value
         return {
             "kind": "census",

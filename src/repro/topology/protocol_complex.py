@@ -43,6 +43,7 @@ from ..model.failure_pattern import CrashEvent, FailurePattern
 from ..model.run import Run
 from ..model.types import ProcessId, Time, Value
 from ..model.view import view_key
+from ..pipeline import fold_stream
 from .complexes import SimplicialComplex, VertexPool
 
 #: A protocol-complex vertex: (process, canonical view key).
@@ -100,7 +101,7 @@ def vertex_capacity(vertex: ComplexVertex) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class CapacityCensus:
     """One Proposition 2 census row: capacity vs star connectivity over a complex.
 
@@ -115,13 +116,13 @@ class CapacityCensus:
     scratch (cache misses on the quotient path).
     """
 
-    vertices: int
-    high_capacity: int
-    consistent: int
-    connected_stars: int
-    connected_high: int
-    classes: int
-    homology_runs: int
+    vertices: int = 0
+    high_capacity: int = 0
+    consistent: int = 0
+    connected_stars: int = 0
+    connected_high: int = 0
+    classes: int = 0
+    homology_runs: int = 0
 
     @property
     def row(self) -> Tuple[int, int, int, int, int]:
@@ -133,6 +134,18 @@ class CapacityCensus:
             self.connected_stars,
             self.connected_high,
         )
+
+    def record(self, k: int, capacity: int, level: int, weight: int = 1) -> None:
+        """Fold one class verdict: ``weight`` vertices of this capacity and star level."""
+        self.vertices += weight
+        if capacity >= k:
+            self.high_capacity += weight
+            if level >= k - 1:
+                self.consistent += weight
+        if level >= k - 1:
+            self.connected_stars += weight
+            if capacity >= k:
+                self.connected_high += weight
 
 
 def census_classes(
@@ -153,10 +166,10 @@ def census_classes(
     :class:`repro.topology.connectivity.ConnectivityCache` (``None`` on the
     exhaustive path).
 
-    Exposed separately from :func:`capacity_connectivity_census` so the
-    resilient runtime (:func:`repro.runtime.resilient_census`) can fold the
-    same stream in checkpointed batches: a checkpoint cursor is an index
-    into ``groups``, which is why the list order must be deterministic — it
+    Exposed separately from :func:`fold_census` so the resilient runtime
+    (:func:`repro.runtime.resilient_census`) can fingerprint the stream
+    before folding it in checkpointed batches: a checkpoint cursor is an
+    index into ``groups``, which is why the list order must be deterministic — it
     follows ``pc.vertex_views`` generation order (first-seen order of the
     canonical classes on the symmetry paths).
 
@@ -211,7 +224,6 @@ def capacity_connectivity_census(
     k: int,
     symmetry: str = "none",
     backend: Optional[str] = None,
-    result_store=None,
 ) -> CapacityCensus:
     """Cross-tabulate hidden capacity against star ``(k-1)``-connectivity.
 
@@ -249,35 +261,35 @@ def capacity_connectivity_census(
     cannot catch every violation (equal counts, different homology), which
     is why closure remains a documented requirement.
     """
-    groups, profile, cache = census_classes(
-        pc, k, symmetry=symmetry, backend=backend, result_store=result_store
-    )
-    classes = len(groups)
+    groups, profile, cache = census_classes(pc, k, symmetry=symmetry, backend=backend)
+    census = CapacityCensus(classes=len(groups))
+    fold_census(pc, k, groups, profile, cache, census)
+    return census
 
-    vertices = high = consistent = connected = connected_high = 0
-    for representative, weight in groups:
-        capacity = vertex_capacity(representative)
-        level = profile(pc.complex.star(representative))
-        vertices += weight
-        if capacity >= k:
-            high += weight
-            if level >= k - 1:
-                consistent += weight
-        if level >= k - 1:
-            connected += weight
-            if capacity >= k:
-                connected_high += weight
-    if result_store is not None:
-        result_store.flush()
-    return CapacityCensus(
-        vertices,
-        high,
-        consistent,
-        connected,
-        connected_high,
-        classes,
-        classes if cache is None else cache.misses,
-    )
+
+def fold_census(pc: ProtocolComplex, k: int, groups, profile, cache, census, **attachments) -> None:
+    """The census's pipeline: fold the class stream of :func:`census_classes` into ``census``.
+
+    Class verdicts are ``(capacity, star level)``; ``census.homology_runs``
+    counts the profiles computed so far (cache misses, or every evaluated
+    class on the exhaustive path).
+    ``attachments`` pass through to :func:`repro.pipeline.fold_stream`.
+    """
+    resumed_runs = census.homology_runs
+    evaluated = 0
+
+    def evaluate(items):
+        nonlocal evaluated
+        evaluated += len(items)
+        return (
+            (vertex_capacity(vertex), profile(pc.complex.star(vertex))) for vertex, _weight in items
+        )
+
+    def fold(item, verdict):
+        census.record(k, verdict[0], verdict[1], item[1])
+        census.homology_runs = resumed_runs + (evaluated if cache is None else cache.misses)
+
+    fold_stream(groups, evaluate, fold, **attachments)
 
 
 def build_protocol_complex(

@@ -25,15 +25,21 @@ decision values are untouched), so the quotient report reproduces the
 exhaustive census exactly; ``tests/test_quotient_differential.py`` pins the
 identity.  Violations are reported once per orbit (the representative is the
 concrete counterexample; the rest of the orbit is its renamings).
+
+Every entry point only turns its family into an ``(index, adversary,
+weight)`` stream (:func:`check_stream`) and folds it through
+:func:`fold_checks`; :func:`repro.runtime.resilient_check` is the same
+pipeline with checkpoint, result-store and budget attachments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..model.run import Run
+from ..pipeline import fold_stream
 from .properties import Violation, check_run_for_protocol
 
 
@@ -55,24 +61,30 @@ class CheckReport:
         """Whether no violation was found."""
         return not self.violations
 
-    def record(self, index: int, run, run_violations: List[Violation], weight: int = 1) -> None:
-        """Fold one run's outcome into the report.
+    def record(
+        self,
+        index: int,
+        decision_time: Optional[int],
+        run_violations: List[Violation],
+        weight: int = 1,
+    ) -> None:
+        """Fold one adversary's verdict into the report.
 
-        ``run`` may be a reference :class:`repro.model.run.Run` or a batch
-        :class:`repro.engine.BatchRun`; only the shared read API is used.
-        ``weight`` is the orbit size of a quotient sweep's representative
-        (the number of family members sharing this outcome); violations stay
-        one entry per representative.
+        The verdict is the run's last correct decision time (``None`` when no
+        correct process decided) and its violations, whether the run was just
+        simulated or its verdict came from a result store.  ``weight`` is the
+        orbit size of a quotient sweep's representative (the number of family
+        members sharing this outcome); violations stay one entry per
+        representative.
         """
         self.runs_checked += weight
         for violation in run_violations:
             self.violations.append((index, violation))
-        last = run.last_decision_time(correct_only=True)
-        if last is not None:
-            self.decision_time_histogram[last] = (
-                self.decision_time_histogram.get(last, 0) + weight
+        if decision_time is not None:
+            self.decision_time_histogram[decision_time] = (
+                self.decision_time_histogram.get(decision_time, 0) + weight
             )
-            self.max_decision_time = max(self.max_decision_time, last)
+            self.max_decision_time = max(self.max_decision_time, decision_time)
 
     def summary(self) -> str:
         """One-line human-readable summary."""
@@ -84,6 +96,105 @@ class CheckReport:
             f"{self.protocol}: {status} over {self.runs_checked} runs "
             f"(decision-time histogram: {histogram or 'n/a'})"
         )
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The lossless JSON form (histogram in fold order) of checkpoints and job results."""
+        return {
+            "runs_checked": self.runs_checked,
+            "max_decision_time": self.max_decision_time,
+            "histogram": [[time, count] for time, count in self.decision_time_histogram.items()],
+            "violations": [
+                [index, violation.property_name, violation.message, violation.process]
+                for index, violation in self.violations
+            ],
+        }
+
+    @classmethod
+    def from_payload(cls, protocol: str, payload: Dict[str, Any]) -> "CheckReport":
+        """The report :meth:`to_payload` serialized."""
+        return cls(
+            protocol=protocol,
+            runs_checked=payload["runs_checked"],
+            violations=[
+                (index, Violation(property_name, message, process))
+                for index, property_name, message, process in payload["violations"]
+            ],
+            decision_time_histogram={time: count for time, count in payload["histogram"]},
+            max_decision_time=payload["max_decision_time"],
+        )
+
+
+def check_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, Adversary, int]]:
+    """The ``(index, adversary, weight)`` stream a check folds over a family.
+
+    ``symmetry="none"`` streams every member with weight 1.
+    ``symmetry="quotient"`` streams the first-seen member of each renaming
+    class (:func:`repro.symmetry.quotient_family`) at its family position,
+    weighted by the members in the class.  ``symmetry="constructive"``
+    streams the generated canonical representatives
+    (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
+    in generation order and weighted by orbit size.
+    """
+    from ..symmetry import validate_symmetry_choice
+
+    validate_symmetry_choice(symmetry)
+    if symmetry == "none":
+        return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
+    if symmetry == "constructive":
+        from ..adversaries.enumeration import constructive_quotient
+
+        representatives, weights, indices = constructive_quotient(adversaries)
+    else:
+        from ..symmetry import quotient_family
+
+        representatives, weights, indices = quotient_family(adversaries)
+    return zip(indices, representatives, weights)
+
+
+def fold_checks(
+    report: CheckReport,
+    protocol,
+    stream: Iterable[Tuple[int, Adversary, int]],
+    t: int,
+    runner=None,
+    enforce_paper_bound: bool = True,
+    **attachments,
+) -> None:
+    """The checker's pipeline: fold ``stream`` into ``report``.
+
+    ``runner`` is the batch engine's :class:`repro.engine.SweepRunner`;
+    ``None`` selects the reference engine, which simulates and folds one
+    :class:`repro.model.run.Run` at a time.  ``attachments`` pass through
+    to :func:`repro.pipeline.fold_stream`.
+    """
+
+    def evaluate(items):
+        adversaries = [adversary for _index, adversary, _weight in items]
+        if runner is not None:
+            runs = runner.sweep(adversaries)
+        else:
+            runs = (Run(protocol, adversary, t) for adversary in adversaries)
+        return (
+            (
+                run.last_decision_time(correct_only=True),
+                check_run_for_protocol(run, enforce_paper_bound),
+            )
+            for run in runs
+        )
+
+    def fold(item, verdict):
+        report.record(item[0], verdict[0], verdict[1], item[2])
+
+    fold_stream(stream, evaluate, fold, **attachments)
+
+
+def _check(protocol, stream, t, enforce_paper_bound, engine, processes) -> CheckReport:
+    from ..engine import SweepRunner
+
+    report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
+    runner = SweepRunner(protocol, t, processes=processes) if engine == "batch" else None
+    fold_checks(report, protocol, stream, t, runner, enforce_paper_bound)
+    return report
 
 
 def check_protocol(
@@ -107,63 +218,12 @@ def check_protocol(
     :func:`repro.adversaries.enumerate_orbits` stream), which is what makes
     spaces too large to enumerate checkable.
     """
-    from ..engine import SweepRunner, validate_engine_choice
-    from ..symmetry import validate_symmetry_choice
+    from ..engine import validate_engine_choice
 
     validate_engine_choice(engine, processes)
-    validate_symmetry_choice(symmetry)
-    if symmetry == "constructive":
-        from ..adversaries.enumeration import constructive_quotient
-
-        return _check_quotiented(
-            protocol,
-            constructive_quotient(adversaries),
-            t,
-            enforce_paper_bound,
-            engine,
-            processes,
-        )
-    if symmetry == "quotient":
-        from ..symmetry import quotient_family
-
-        return _check_quotiented(
-            protocol, quotient_family(adversaries), t, enforce_paper_bound, engine, processes
-        )
-    if engine == "reference":
-        report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-        for index, adversary in enumerate(adversaries):
-            run = Run(protocol, adversary, t)
-            report.record(index, run, check_run_for_protocol(run, enforce_paper_bound))
-        return report
-    runner = SweepRunner(protocol, t, processes=processes)
-    return runner.check(adversaries, enforce_paper_bound)
-
-
-def _check_quotiented(
-    protocol,
-    quotiented: Tuple[List[Adversary], List[int], List[int]],
-    t: int,
-    enforce_paper_bound: bool,
-    engine: str,
-    processes: Optional[int],
-) -> CheckReport:
-    """Fold one protocol's runs over pre-quotiented representatives.
-
-    Split out of :func:`check_protocol` so :func:`check_protocols` can
-    canonicalise the family once and reuse the quotient across protocols —
-    the canonical-form pass dominates the quotient sweep's cost on large
-    spaces, and it is protocol-independent.
-    """
-    from ..engine import runs_over_family
-
-    representatives, weights, first_indices = quotiented
-    report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-    runs = runs_over_family(protocol, representatives, t, engine, processes)
-    for run, weight, index in zip(runs, weights, first_indices):
-        report.record(
-            index, run, check_run_for_protocol(run, enforce_paper_bound), weight=weight
-        )
-    return report
+    return _check(
+        protocol, check_stream(adversaries, symmetry), t, enforce_paper_bound, engine, processes
+    )
 
 
 def check_protocols(
@@ -177,39 +237,17 @@ def check_protocols(
 ) -> Dict[str, CheckReport]:
     """Check several protocols over the same adversary family.
 
-    The quotient is computed once and shared across protocols (orbits do not
-    depend on the protocol under check); the constructive orbit stream is
-    likewise drained once.
+    The stream — and with it the quotient or the constructive orbit front —
+    is built once and shared across protocols (orbits do not depend on the
+    protocol under check).
     """
-    if symmetry in ("quotient", "constructive"):
-        from ..engine import validate_engine_choice
-        from ..symmetry import validate_symmetry_choice
+    from ..engine import validate_engine_choice
 
-        validate_engine_choice(engine, processes)
-        validate_symmetry_choice(symmetry)
-        if symmetry == "constructive":
-            from ..adversaries.enumeration import constructive_quotient
-
-            quotiented = constructive_quotient(adversaries)
-        else:
-            from ..symmetry import quotient_family
-
-            quotiented = quotient_family(adversaries)
-        return {
-            getattr(protocol, "name", repr(protocol)): _check_quotiented(
-                protocol, quotiented, t, enforce_paper_bound, engine, processes
-            )
-            for protocol in protocols
-        }
+    validate_engine_choice(engine, processes)
+    stream = list(check_stream(adversaries, symmetry))
     return {
-        getattr(protocol, "name", repr(protocol)): check_protocol(
-            protocol,
-            adversaries,
-            t,
-            enforce_paper_bound,
-            engine=engine,
-            processes=processes,
-            symmetry=symmetry,
+        getattr(protocol, "name", repr(protocol)): _check(
+            protocol, stream, t, enforce_paper_bound, engine, processes
         )
         for protocol in protocols
     }

@@ -24,7 +24,7 @@ class TestCheckReport:
     def test_record_and_summary(self):
         report = CheckReport(protocol="demo")
         run = Run(OptMin(1), Adversary([0, 1, 1], FailurePattern.failure_free(3)), t=1)
-        report.record(0, run, [])
+        report.record(0, run.last_decision_time(), [])
         assert report.runs_checked == 1
         assert report.ok
         assert report.decision_time_histogram == {1: 1}
@@ -36,7 +36,7 @@ class TestCheckReport:
         run = Run(AlwaysZero(1), Adversary([1, 1, 1], FailurePattern.failure_free(3)), t=1)
         from repro.verification import check_validity
 
-        report.record(0, run, check_validity(run))
+        report.record(0, run.last_decision_time(), check_validity(run))
         assert not report.ok
         assert "VIOLATIONS" in report.summary()
 

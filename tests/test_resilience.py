@@ -15,7 +15,8 @@ import pytest
 
 from repro.adversaries.enumeration import RestrictedSpace
 from repro.core import OptMin
-from repro.model import Context
+from repro.core.protocol import Protocol
+from repro.model import Context, RoundContext
 from repro.runtime import (
     CheckpointStore,
     FaultPlan,
@@ -25,9 +26,8 @@ from repro.runtime import (
     resilient_census,
     resilient_check,
 )
-from repro.runtime.runner import _check_report_payload
 from repro.topology import build_restricted_complex, capacity_connectivity_census
-from repro.verification import check_protocol
+from repro.verification import CheckReport, check_protocol
 
 CONTEXT = Context(n=4, t=2, k=2)
 
@@ -40,7 +40,7 @@ def small_space():
 
 def check_signature(report):
     """The byte-identity form of a CheckReport."""
-    return canonical_json(_check_report_payload(report))
+    return canonical_json(report.to_payload())
 
 
 class TestCheckerResume:
@@ -116,10 +116,10 @@ class TestCheckerResume:
         assert check_signature(outcome.value) == check_signature(plain)
 
     def test_keyboard_interrupt_flushes_then_reraises(self, tmp_path, monkeypatch):
-        from repro.verification import properties
+        from repro.verification import checker
 
         space = small_space()
-        real = properties.check_run_for_protocol
+        real = checker.check_run_for_protocol
         calls = {"n": 0}
 
         def interrupting(run, enforce_paper_bound=True):
@@ -128,7 +128,7 @@ class TestCheckerResume:
                 raise KeyboardInterrupt
             return real(run, enforce_paper_bound)
 
-        monkeypatch.setattr(properties, "check_run_for_protocol", interrupting)
+        monkeypatch.setattr(checker, "check_run_for_protocol", interrupting)
         report = RunReport()
         store = CheckpointStore(str(tmp_path))
         with pytest.raises(KeyboardInterrupt):
@@ -140,7 +140,7 @@ class TestCheckerResume:
         # The flush is at the last completed batch boundary.
         saved = store.latest()
         assert saved is not None and saved.cursor == 32
-        monkeypatch.setattr(properties, "check_run_for_protocol", real)
+        monkeypatch.setattr(checker, "check_run_for_protocol", real)
         resumed = resilient_check(
             OptMin(2), space, CONTEXT.t, symmetry="constructive",
             batch_size=16, store=CheckpointStore(str(tmp_path)), resume=True,
@@ -148,6 +148,77 @@ class TestCheckerResume:
         plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
         assert resumed.completed and resumed.resumed_from == 32
         assert check_signature(resumed.value) == check_signature(plain)
+
+
+class EagerMin(Protocol):
+    """Decides its minimum at time 1: breaks consensus whenever a crash hides a value."""
+
+    name = "EagerMin"
+
+    def decide(self, ctx: RoundContext):
+        return ctx.view.min_value() if ctx.time >= 1 else None
+
+    def max_decision_time(self, n, t):
+        return 1
+
+
+class TestPlainEqualsResilient:
+    """A plain check is the resilient runner's pipeline with nothing attached.
+
+    Same stream, same fold: indices, weights and the histogram's fold order
+    all match byte for byte, for every symmetry mode, engine and ``limit``
+    (which caps members on the quotient stream and orbits on the
+    constructive one), with violations in the report.
+    """
+
+    CONSENSUS = Context(n=4, t=2, k=1)
+
+    @pytest.mark.parametrize("protocol", [OptMin(1), EagerMin(1)], ids=["optmin", "eager"])
+    @pytest.mark.parametrize("limit", [None, 50])
+    @pytest.mark.parametrize("engine", ["batch", "reference"])
+    @pytest.mark.parametrize("symmetry", ["none", "quotient", "constructive"])
+    def test_check_payloads_identical(self, tmp_path, symmetry, engine, limit, protocol):
+        space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=limit)
+        plain = check_protocol(protocol, space, 2, engine=engine, symmetry=symmetry)
+        outcome = resilient_check(
+            protocol, space, 2, symmetry=symmetry, engine=engine, batch_size=16,
+            store=CheckpointStore(str(tmp_path)),
+        )
+        assert outcome.completed
+        assert check_signature(outcome.value) == check_signature(plain)
+        assert plain.ok == (protocol.name != "EagerMin")
+
+    @pytest.mark.parametrize("symmetry", ["none", "quotient"])
+    def test_census_identical(self, tmp_path, symmetry):
+        pc = build_restricted_complex(Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1)
+        plain = capacity_connectivity_census(pc, 2, symmetry=symmetry)
+        outcome = resilient_census(
+            pc, 2, symmetry=symmetry, batch_size=4, store=CheckpointStore(str(tmp_path))
+        )
+        assert outcome.completed
+        assert outcome.value.row == plain.row
+        assert outcome.value.classes == plain.classes
+        assert outcome.value.homology_runs == plain.homology_runs
+
+    def test_stale_quotient_checkpoint_is_rejected(self, tmp_path):
+        """A checkpoint of the former quotient stream order must not be resumed."""
+        from repro.runtime import Checkpoint, checker_spec
+
+        space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=50)
+        spec = checker_spec(OptMin(1), space, 2, "quotient", "batch", True)
+        stale = {key: value for key, value in spec.items() if key != "stream"}
+        store = CheckpointStore(str(tmp_path))
+        store.save(Checkpoint(spec=stale, cursor=16, payload=CheckReport("Optmin[k]").to_payload()))
+        report = RunReport()
+        outcome = resilient_check(
+            OptMin(1), space, 2, symmetry="quotient", batch_size=16,
+            store=CheckpointStore(str(tmp_path)), resume=True, report=report,
+        )
+        assert outcome.completed and outcome.resumed_from is None
+        assert report.count("checkpoint_rejected") == 1
+        plain = check_protocol(OptMin(1), space, 2, symmetry="quotient")
+        assert check_signature(outcome.value) == check_signature(plain)
+        assert plain.runs_checked == 50
 
 
 class TestCensusResume:
@@ -300,6 +371,23 @@ class TestCliRuntimeFlags:
         assert main(flags + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from cursor" in out
+
+    def test_max_retries_applies_without_other_runtime_flags(self, monkeypatch, capsys):
+        """Supervision is always attached: --max-retries and REPRO_FAULTS act alone."""
+        from repro.cli import main
+        from repro.runtime import FAULTS_ENV
+
+        monkeypatch.setenv(FAULTS_ENV, '{"fail_chunks": {"0": 1}}')
+        flags = [
+            "sweep", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "2",
+            "--symmetry", "constructive", "--processes", "2",
+        ]
+        assert main(flags + ["--max-retries", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "quarantine=1" in out and "retry" not in out
+        assert main(flags) == 0
+        out = capsys.readouterr().out
+        assert "retry=1" in out and "quarantine" not in out
 
     def test_census_checkpoint_round_trip(self, tmp_path, capsys):
         from repro.cli import main

@@ -22,7 +22,6 @@ from repro.adversaries.enumeration import RestrictedSpace
 from repro.core import OptMin
 from repro.model import Context
 from repro.runtime import FaultPlan, RunReport, canonical_json, resilient_census, resilient_check
-from repro.runtime.runner import _check_report_payload
 from repro.store import (
     PROFILE_SPEC_HASH,
     ResultStore,
@@ -45,7 +44,7 @@ def small_space():
 
 
 def check_signature(report):
-    return canonical_json(_check_report_payload(report))
+    return canonical_json(report.to_payload())
 
 
 # ------------------------------------------------------------------ unit layer
@@ -478,19 +477,19 @@ class TestCensusMemo:
         assert store.counts()["kinds"]["census_row"] == 2
         store.close()
 
-    def test_profile_tier_shared_through_plain_census(self, tmp_path):
+    def test_profile_tier_serves_without_row_and_class_tiers(self, tmp_path):
         pc = self.build()
         path = str(tmp_path / "census.sqlite")
         first = ResultStore(path)
-        one = capacity_connectivity_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=first
-        )
+        one = resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=first).value
         assert first.counts()["kinds"].get("profile") == one.homology_runs
         first.close()
+        conn = sqlite3.connect(path)
+        conn.execute("DELETE FROM results WHERE kind IN ('census_row', 'census_class')")
+        conn.commit()
+        conn.close()
         second = ResultStore(path)
-        two = capacity_connectivity_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=second
-        )
+        two = resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=second).value
         assert two.row == one.row
         # Every profile served from the store: no homology was re-run.
         assert two.homology_runs == 0 and second.hits == one.homology_runs

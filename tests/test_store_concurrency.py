@@ -20,7 +20,6 @@ from repro.adversaries.enumeration import RestrictedSpace
 from repro.core import OptMin
 from repro.model import Context
 from repro.runtime import canonical_json, resilient_check
-from repro.runtime.runner import _check_report_payload
 from repro.store import ResultStore
 
 CONTEXT = Context(n=4, t=2, k=2)
@@ -46,7 +45,7 @@ def _sweep_worker(store_path: str, queue) -> None:
         )
         queue.put(
             {
-                "signature": canonical_json(_check_report_payload(outcome.value)),
+                "signature": canonical_json(outcome.value.to_payload()),
                 "completed": outcome.completed,
                 "hits": store.hits,
                 "misses": store.misses,
@@ -65,7 +64,7 @@ class TestConcurrentStoreAccess:
         plain = resilient_check(
             OptMin(2), space, CONTEXT.t, symmetry="constructive", batch_size=8
         )
-        plain_signature = canonical_json(_check_report_payload(plain.value))
+        plain_signature = canonical_json(plain.value.to_payload())
         orbits = space.orbit_count()
 
         context = multiprocessing.get_context("spawn")
@@ -132,8 +131,8 @@ class TestConcurrentStoreAccess:
         plain = resilient_check(
             OptMin(2), _space(), CONTEXT.t, symmetry="constructive", batch_size=8
         )
-        assert canonical_json(_check_report_payload(outcome.value)) == canonical_json(
-            _check_report_payload(plain.value)
+        assert canonical_json(outcome.value.to_payload()) == canonical_json(
+            plain.value.to_payload()
         )
         assert store.misses == 0 and store.hits == _space().orbit_count()
         store.close()
