@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.failure_pattern import CrashEvent
 from ..model.run import evaluate_knows_persist
@@ -49,6 +49,11 @@ from ..model.types import ProcessId, ProcessTimeNode, Time, Value
 #: Any value larger than every reachable round works; it only ever enters
 #: ``<`` / ``<=`` comparisons against round numbers.
 NO_EVIDENCE_INT = 1 << 30
+
+
+def evidence_view(row: Tuple[int, ...]) -> Tuple[float, ...]:
+    """An ``earliest_evidence`` row in ``View`` conventions (``math.inf`` sentinel)."""
+    return tuple(math.inf if e >= NO_EVIDENCE_INT else e for e in row)
 
 
 class StructLayer:
@@ -133,93 +138,84 @@ class StructLayer:
         """Advance one round: apply the crash events of round ``time + 1``.
 
         Semantically identical to ``Run._simulate``'s inner loop, but for a
-        whole equivalence class of adversaries at once, without building
-        ``View`` objects, and with the per-element work done by C-level
-        kernels: the other processes are partitioned into round-``m`` senders
-        and silent processes once, then ``latest_seen`` is one
-        ``map(max, ...)`` pass over all sender rows and ``earliest_evidence``
-        one ``map(min, ...)`` pass over the *distinct* sender evidence rows
-        (copy-on-write makes most of them the same object, so identity
-        deduplication collapses the merge).
+        whole equivalence class of adversaries at once and without building
+        ``View`` objects: each surviving observer's round-``m`` sender set is
+        read off the events, and :meth:`observer_rows` merges its rows.
         """
         n = self.n
-        m = self.time + 1
         crashing: Dict[ProcessId, CrashEvent] = {e.process: e for e in events_at_round}
         inactive = self.inactive.union(crashing)
+        live = [j for j in range(n) if j not in self.inactive]
         rows_seen: List[Optional[Tuple[int, ...]]] = [None] * n
         rows_evidence: List[Optional[Tuple[int, ...]]] = [None] * n
-        parent_seen = self.rows_seen
-        parent_evidence = self.rows_evidence
-        parent_inactive = self.inactive
-        others = range(n)
-        threshold = m - 1
-
-        for i in others:
+        for i in range(n):
             if i in inactive:
                 continue
-            ev_row = parent_evidence[i]
-            # Partition: round-m senders vs silent processes.  A silent j is
-            # fresh direct evidence — either it crashed before this round (no
-            # message, e.g. a crasher that delivered its whole crashing round
-            # and only now falls silent) or its round-m message to i was lost.
-            senders: List[ProcessId] = []
-            sender_seen: List[Tuple[int, ...]] = []
-            evidence_rows: List[Tuple[int, ...]] = []
-            silent: List[ProcessId] = []
-            for j in others:
-                if j == i:
-                    continue
-                if j in parent_inactive:
-                    silent.append(j)
-                    continue
-                event = crashing.get(j)
-                if event is not None and i not in event.receivers:
-                    silent.append(j)
-                    continue
-                senders.append(j)
+            senders = {
+                j
+                for j in live
+                if j != i and (j not in crashing or i in crashing[j].receivers)
+            }
+            rows_seen[i], rows_evidence[i] = self.observer_rows(i, senders)
+        return StructLayer(
+            self.time + 1, n, self, rows_seen, rows_evidence, inactive, tuple(events_at_round)
+        )
+
+    def observer_rows(
+        self, process: ProcessId, senders: AbstractSet[ProcessId]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``process``'s ``(latest_seen, earliest_evidence)`` rows one round on.
+
+        In the full-information protocol an observer's time-``m`` state is
+        its own time-``m-1`` state plus those of its round-``m`` ``senders``
+        (processes with a state at this layer), so the rows depend on this
+        layer, the observer and the sender set alone.  Every other process
+        is silent to it in round ``m`` — fresh crash evidence: it crashed
+        earlier, or its round-``m`` message to the observer was lost.
+
+        ``latest_seen`` is one C-level ``map(max, ...)`` pass over the sender
+        rows (each already sees its sender at ``m-1``) and
+        ``earliest_evidence`` one ``map(min, ...)`` pass over the *distinct*
+        sender evidence rows: copy-on-write makes most of them the same
+        object, so identity deduplication collapses the merge, and the
+        observer's own row is shared when the round adds no evidence.
+        """
+        m = self.time + 1
+        parent_seen = self.rows_seen
+        parent_evidence = self.rows_evidence
+        ev_row = parent_evidence[process]
+        sender_seen: List[Tuple[int, ...]] = []
+        evidence_rows: Dict[int, Tuple[int, ...]] = {}
+        silent: List[ProcessId] = []
+        for j in range(self.n):
+            if j == process:
+                continue
+            if j in senders:
                 sender_seen.append(parent_seen[j])
                 sj_ev = parent_evidence[j]
                 if sj_ev is not ev_row:
-                    evidence_rows.append(sj_ev)
-
-            ls = list(parent_seen[i])
-            ls[i] = m
-            if sender_seen:
-                ls = list(map(max, ls, *sender_seen))
-                for j in senders:
-                    if ls[j] < threshold:
-                        ls[j] = threshold
-            rows_seen[i] = tuple(ls)
-
-            # Evidence merge over distinct rows only (COW shares most of them).
-            ev: Optional[List[int]] = None
-            if evidence_rows:
-                if len(evidence_rows) > 1:
-                    distinct: List[Tuple[int, ...]] = []
-                    seen_ids = set()
-                    for row in evidence_rows:
-                        row_id = id(row)
-                        if row_id not in seen_ids:
-                            seen_ids.add(row_id)
-                            distinct.append(row)
-                    evidence_rows = distinct
-                ev = list(map(min, ev_row, *evidence_rows))
-            for j in silent:
-                current = ev_row[j] if ev is None else ev[j]
-                if m < current:
-                    if ev is None:
-                        ev = list(ev_row)
-                    ev[j] = m
-            if ev is None:
-                # No sender carried foreign evidence and no fresh silence:
-                # share the parent's row.
-                rows_evidence[i] = ev_row
+                    evidence_rows[id(sj_ev)] = sj_ev
             else:
-                new_ev = tuple(ev)
-                # Copy-on-write: share the parent's evidence row when the
-                # round produced no new crash evidence for this observer.
-                rows_evidence[i] = ev_row if new_ev == ev_row else new_ev
-        return StructLayer(m, n, self, rows_seen, rows_evidence, inactive, tuple(events_at_round))
+                silent.append(j)
+
+        ls = list(parent_seen[process])
+        ls[process] = m
+        if sender_seen:
+            ls = list(map(max, ls, *sender_seen))
+
+        ev: Optional[List[int]] = None
+        if evidence_rows:
+            ev = list(map(min, ev_row, *evidence_rows.values()))
+        for j in silent:
+            current = ev_row[j] if ev is None else ev[j]
+            if m < current:
+                if ev is None:
+                    ev = list(ev_row)
+                ev[j] = m
+        if ev is None:
+            return tuple(ls), ev_row
+        new_ev = tuple(ev)
+        return tuple(ls), ev_row if new_ev == ev_row else new_ev
 
     # ------------------------------------------------------------- summaries
     def hidden_capacity(self, process: ProcessId) -> int:
@@ -273,10 +269,7 @@ class StructLayer:
             cache = self._ev_view = [None] * self.n
         cached = cache[process]
         if cached is None:
-            cached = cache[process] = tuple(
-                math.inf if e >= NO_EVIDENCE_INT else e
-                for e in self.rows_evidence[process]
-            )
+            cached = cache[process] = evidence_view(self.rows_evidence[process])
         return cached
 
     def min_seen_value(self, process: ProcessId, values: Tuple[Value, ...]) -> Value:

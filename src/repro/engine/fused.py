@@ -26,7 +26,14 @@ This module is the single traversal both products come from:
 * :func:`run_facets_pass` is the view-only specialisation the protocol
   complex builders consume: one traversal to a fixed time, one
   ``(representative position, keyed actives)`` facet payload per equivalence
-  class.
+  class.  The trie only advances to ``time - 1``; the last round is resolved
+  observer by observer (:func:`facet_groups`), because in the
+  full-information protocol a time-``m`` local state is the observer's
+  time-``m-1`` state plus those of its round-``m`` senders.  The cost is one
+  row merge per distinct (parent layer, input vector, observer, sender set),
+  not one layer per class: at n=6, m=2 no two of the ~260k adversaries share
+  a class, but their ~568k (class, observer) slots need only ~23k last-round
+  merges.
 
 Both passes shard across worker processes: contiguous chunks of the family
 are scheduled on per-worker tries and return pickled payloads — raw
@@ -47,12 +54,12 @@ builders) now sits on one scheduler pass implementation.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary
 from ..model.types import Decision, ProcessId, Time, Value
-from .arrays import BatchContext, StructLayer
-from .trie import Group, PrefixScheduler, prepare_adversaries
+from .arrays import BatchContext, StructLayer, evidence_view
+from .trie import Group, PrefixScheduler, PreparedAdversary, prepare_adversaries
 
 #: A finalised (position, decisions, stop_time) triple — the decision half of
 #: a fused payload, cheap to pickle back from worker processes.
@@ -91,6 +98,25 @@ def struct_view_key(layer: StructLayer, process: ProcessId, values: Tuple[Value,
     rows = layer.rows_seen[process]
     if rows is None:
         raise KeyError((process, layer.time))
+    return _view_key(
+        process,
+        layer.time,
+        rows,
+        layer.evidence_view_row(process),
+        values,
+        layer.round_senders_of(process),
+    )
+
+
+def _view_key(
+    process: ProcessId,
+    time: Time,
+    rows: Tuple[int, ...],
+    evidence: Tuple[float, ...],
+    values: Tuple[Value, ...],
+    round_senders: Tuple[FrozenSet[ProcessId], ...],
+) -> ViewKey:
+    """Assemble the :func:`repro.model.view.view_key` tuple from its parts."""
     # Observers that have seen everyone (the bulk of later layers on mostly
     # failure-free branches) share the input tuple itself instead of copying.
     seen_values = (
@@ -98,14 +124,7 @@ def struct_view_key(layer: StructLayer, process: ProcessId, values: Tuple[Value,
         if min(rows) >= 0
         else tuple(v if seen >= 0 else None for seen, v in zip(rows, values))
     )
-    return (
-        process,
-        layer.time,
-        rows,
-        layer.evidence_view_row(process),
-        seen_values,
-        layer.round_senders_of(process),
-    )
+    return (process, time, rows, evidence, seen_values, round_senders)
 
 
 class FusedOutcome:
@@ -457,32 +476,79 @@ def facet_groups(
     deduplicated into the vertex table.  Facets are sorted by smallest member
     position, which makes the builder's representative bookkeeping
     deterministic and chunk-independent.
+
+    The trie advances to ``time - 1`` only.  Each group's members are then
+    split by their round-``time`` events — the classes a last
+    :meth:`PrefixScheduler.advance` would build layers for — and every
+    surviving observer ``i`` of a class is resolved by its round-``time``
+    sender set ``S``: its local state is a function of the parent layer, the
+    inputs, ``i`` and ``S`` alone (:meth:`StructLayer.observer_rows`), so the
+    vertex id is memoised per group on ``(i, S)``.  A class costs one memo
+    lookup per observer; only a new ``(i, S)`` merges rows and builds a key.
+    The payload is identical, order included, to advancing all ``time``
+    levels and keying every class (``tests/test_fused_scheduler.py``).
     """
     n, prepared = prepare_adversaries(adversaries, t, n)
     table: List[FacetVertex] = []
     facets: List[Tuple[int, Tuple[int, ...]]] = []
     if not prepared:
         return table, facets
-    scheduler = PrefixScheduler(n, prepared)
-    for _ in range(time):
-        scheduler.advance()
     table_index: Dict[FacetVertex, int] = {}
+
+    def intern(vertex: FacetVertex) -> int:
+        vid = table_index.get(vertex)
+        if vid is None:
+            vid = table_index[vertex] = len(table)
+            table.append(vertex)
+        return vid
+
+    scheduler = PrefixScheduler(n, prepared)
+    if time == 0:
+        # No round has run: every process is active at the root.
+        for group in scheduler.groups.values():
+            keys = [struct_view_key(group.layer, i, group.values) for i in range(n)]
+            facets.append((group.members[0].pos, tuple(intern(v) for v in enumerate(keys))))
+        return table, facets
+    for _ in range(time - 1):
+        scheduler.advance()
     for group in scheduler.groups.values():
         layer = group.layer
-        rows_seen = layer.rows_seen
-        vids: List[int] = []
-        for i in range(layer.n):
-            if rows_seen[i] is None:
-                continue
-            vertex = (i, struct_view_key(layer, i, group.values))
-            vid = table_index.get(vertex)
-            if vid is None:
-                vid = table_index[vertex] = len(table)
-                table.append(vertex)
-            vids.append(vid)
-        if vids:
-            # Members arrive in sweep-input order, so the first is the smallest.
-            facets.append((group.members[0].pos, tuple(vids)))
+        live = [j for j in range(n) if layer.rows_seen[j] is not None]
+        live_mask = sum(1 << j for j in live)
+        # (observer, round-``time`` sender bitmask) -> vertex id.
+        vid_of: Dict[Tuple[ProcessId, int], int] = {}
+        # Each bucket is one time-``time`` class of the group (the split
+        # PrefixScheduler.advance makes).
+        buckets: Dict[Tuple, List[PreparedAdversary]] = {}
+        for item in group.members:
+            buckets.setdefault(item.events_by_round.get(time, ()), []).append(item)
+        for events, members in buckets.items():
+            crashed = {event.process for event in events}
+            vids: List[int] = []
+            for i in live:
+                if i in crashed:
+                    continue
+                senders = live_mask & ~(1 << i)
+                for event in events:
+                    if i not in event.receivers:
+                        senders &= ~(1 << event.process)
+                vid = vid_of.get((i, senders))
+                if vid is None:
+                    sender_set = frozenset(j for j in live if senders >> j & 1)
+                    rows, evidence = layer.observer_rows(i, sender_set)
+                    key = _view_key(
+                        i,
+                        time,
+                        rows,
+                        evidence_view(evidence),
+                        group.values,
+                        layer.round_senders_of(i) + (sender_set,),
+                    )
+                    vid = vid_of[(i, senders)] = intern((i, key))
+                vids.append(vid)
+            if vids:
+                # Members arrive in sweep-input order, so the first is the smallest.
+                facets.append((members[0].pos, tuple(vids)))
     facets.sort(key=lambda facet: facet[0])
     return table, facets
 

@@ -383,31 +383,38 @@ def per_round_crash_patterns(
     """
     from ..adversaries.enumeration import _receiver_subsets
 
-    def patterns_for_round(available: Tuple[ProcessId, ...], round_: int) -> Iterator[Tuple[CrashEvent, ...]]:
-        for count in range(min(max_crashes_per_round, len(available)) + 1):
-            for crashers in itertools.combinations(available, count):
-                receiver_choices = [
-                    list(_receiver_subsets(n, p, receiver_policy)) for p in crashers
-                ]
-                for receivers in itertools.product(*receiver_choices):
-                    yield tuple(
-                        CrashEvent(p, round_, r) for p, r in zip(crashers, receivers)
-                    )
+    #: (available, round) -> [(that round's events, processes still available
+    #: after it)], built once: every prefix with the same survivors shares
+    #: the (immutable) event tuples instead of rebuilding them.
+    RoundOption = Tuple[Tuple[CrashEvent, ...], Tuple[ProcessId, ...]]
+    options: Dict[Tuple[Tuple[ProcessId, ...], int], List[RoundOption]] = {}
+
+    def round_options(available: Tuple[ProcessId, ...], round_: int) -> List[RoundOption]:
+        cached = options.get((available, round_))
+        if cached is None:
+            cached = options[(available, round_)] = []
+            for count in range(min(max_crashes_per_round, len(available)) + 1):
+                for crashers in itertools.combinations(available, count):
+                    rest = tuple(p for p in available if p not in crashers)
+                    receiver_choices = [
+                        list(_receiver_subsets(n, p, receiver_policy)) for p in crashers
+                    ]
+                    for receivers in itertools.product(*receiver_choices):
+                        events = tuple(
+                            CrashEvent(p, round_, r) for p, r in zip(crashers, receivers)
+                        )
+                        cached.append((events, rest))
+        return cached
 
     def rec(round_: int, available: Tuple[ProcessId, ...], acc: Tuple[CrashEvent, ...]) -> Iterator[FailurePattern]:
         if round_ > rounds:
             if len(acc) <= n - 1:
                 yield FailurePattern(n, acc)
             return
-        for events in patterns_for_round(available, round_):
-            crashed = {e.process for e in events}
+        for events, rest in round_options(available, round_):
             if len(acc) + len(events) > n - 1:
                 continue
-            yield from rec(
-                round_ + 1,
-                tuple(p for p in available if p not in crashed),
-                acc + events,
-            )
+            yield from rec(round_ + 1, rest, acc + events)
 
     yield from rec(1, tuple(range(n)), ())
 

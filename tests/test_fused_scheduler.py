@@ -14,7 +14,9 @@ payloads.  This suite pins
   core (chunk sizes that split trie groups mid-class), the fork and spawn
   start methods, and the pickled payloads themselves;
 * the canonical-key fast path (:func:`repro.engine.struct_view_key`) against
-  the oracle ``view_key``, including the all-seen shortcut.
+  the oracle ``view_key``, including the all-seen shortcut;
+* the facet payload of the per-observer last round against a level-by-level
+  oracle, serial and sharded, byte for byte and in order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from repro.adversaries import AdversaryGenerator
 from repro.adversaries.enumeration import enumerate_adversaries
 from repro.core import Opt0, OptMin, UPMin
 from repro.engine import PrefixScheduler, SweepRunner, struct_view_key
-from repro.engine.fused import facet_groups, fused_serial, run_fused_pass
+from repro.engine.fused import facet_groups, fused_serial, run_facets_pass, run_fused_pass
+from repro.engine.trie import prepare_adversaries
 from repro.engine.views import LayerViews
 from repro.knowledge import System
 from repro.model import Adversary, Context, Run
@@ -236,6 +239,120 @@ class TestStructViewKey:
         )
         assert outcome.view_index is None
         assert len(outcome.raw) == 20
+
+
+def _oracle_facet_groups(adversaries, t, time, n=None):
+    """The facet payload as a full trie advance computes it: every level up
+    to ``time`` simulated as layers, then one ``struct_view_key`` per active
+    process per class.  :func:`facet_groups` resolves the last round per
+    observer instead and must agree with this exactly, order included."""
+    n, prepared = prepare_adversaries(adversaries, t, n)
+    table, facets, index = [], [], {}
+    if not prepared:
+        return table, facets
+    scheduler = PrefixScheduler(n, prepared)
+    for _ in range(time):
+        scheduler.advance()
+    for group in scheduler.groups.values():
+        vids = []
+        for i in range(n):
+            if group.layer.rows_seen[i] is None:
+                continue
+            vertex = (i, struct_view_key(group.layer, i, group.values))
+            if vertex not in index:
+                index[vertex] = len(table)
+                table.append(vertex)
+            vids.append(index[vertex])
+        if vids:
+            facets.append((group.members[0].pos, tuple(vids)))
+    facets.sort(key=lambda facet: facet[0])
+    return table, facets
+
+
+def _restricted_grid():
+    """(n, time, per-round cap, receiver policy) cases small enough for tier-1."""
+    cases = []
+    for n in (3, 4, 5):
+        for time in (0, 1, 2, 3):
+            for cap in (1, 2):
+                for policy in ("canonical", "all"):
+                    if (
+                        n == 3
+                        or time <= 1
+                        or (n == 4 and time == 2 and (policy == "canonical" or cap == 1))
+                        or (policy == "canonical" and cap == 1 and time <= 7 - n)
+                    ):
+                        cases.append((n, time, cap, policy))
+    return cases
+
+
+def _two_input_family(n, time, cap, policy):
+    """Every restricted pattern under two input vectors that differ wherever
+    they can: groups of one layer then differ only in the values they see."""
+    vectors = ([0] * n, list(range(n)))
+    return [
+        Adversary(values, pattern)
+        for pattern in per_round_crash_patterns(n, time, cap, policy)
+        for values in vectors
+    ]
+
+
+class TestFacetPayloadDifferential:
+    """The per-observer last round of :func:`facet_groups` against the
+    level-by-level oracle: identical ``(table, facets)``, order included."""
+
+    @pytest.mark.parametrize("n,time,cap,policy", _restricted_grid())
+    def test_restricted_families(self, n, time, cap, policy):
+        family = _two_input_family(n, time, cap, policy)
+        expected = _oracle_facet_groups(family, n - 1, time)
+        assert facet_groups(family, n - 1, time) == expected
+        assert run_facets_pass(family, n - 1, time) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("time", [1, 2, 3])
+    def test_random_families(self, seed, time):
+        """Random inputs and crash rounds past ``time`` (which the last round
+        must ignore), plus a repeated adversary whose class has two members."""
+        context = Context(n=5, t=3, k=2)
+        family = AdversaryGenerator(context, seed=seed, max_crash_round=3).sample(250)
+        family.append(family[17])
+        assert facet_groups(family, context.t, time) == _oracle_facet_groups(
+            family, context.t, time
+        )
+
+    @pytest.mark.parametrize("chunk_size", [7, 64])
+    def test_sharded_pass(self, monkeypatch, chunk_size):
+        """Sharded payloads merge identically: the oracle patched into the
+        (forked) workers sees the same chunks and merge as the real pass."""
+        import repro.engine.fused as fused
+
+        family = _two_input_family(4, 2, 1, "canonical")[:500]
+        options = dict(processes=2, chunk_size=chunk_size, mp_context="fork")
+        sharded = run_facets_pass(family, 3, 2, **options)
+        monkeypatch.setattr(fused, "facet_groups", _oracle_facet_groups)
+        assert sharded == run_facets_pass(family, 3, 2, **options)
+
+    def test_observer_rows_match_child_layers(self):
+        """``observer_rows(i, S)`` with the sender set the child layer reports
+        for ``i`` reproduces that layer's rows, for every active observer."""
+        n = 4
+        family = [Adversary([0] * n, pattern) for pattern in per_round_crash_patterns(n, 3, 1)]
+        _n, prepared = prepare_adversaries(family, n - 1)
+        scheduler = PrefixScheduler(n, prepared)
+        compared = 0
+        for _ in range(3):
+            scheduler.advance()
+            for group in scheduler.groups.values():
+                child = group.layer
+                for i in range(n):
+                    if child.rows_seen[i] is None:
+                        continue
+                    assert child.parent.observer_rows(i, child.senders_of(i)) == (
+                        child.rows_seen[i],
+                        child.rows_evidence[i],
+                    )
+                    compared += 1
+        assert compared > 1000
 
 
 class TestBatchRunOrderedDecisions:
