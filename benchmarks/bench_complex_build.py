@@ -8,11 +8,11 @@ star complex of *every* vertex — paid one fresh simulation per adversary
 during the build and another per vertex afterwards.  This benchmark times
 both phases on both paths:
 
-* **reference** — the seed pipeline: ``engine="reference"`` build (one
-  ``Run`` per adversary), then per-vertex star construction via a fresh
-  ``Run`` + ``view_key`` per lookup (exactly the seed ``star_of``);
-* **batch** — the PR pipeline: the shipped ``engine="batch"`` builder (one
-  :class:`repro.engine.ViewSource` pass materialising canonical keys and
+* **reference** — the seed pipeline: the :func:`repro.oracles.build_protocol_complex`
+  build (one ``Run`` per adversary), then per-vertex star construction via
+  a fresh ``Run`` + ``view_key`` per lookup (exactly the seed ``star_of``);
+* **batch** — the shipped builder (one view-only
+  :func:`repro.engine.run_facets_pass` materialising canonical keys and
   facets once per (prefix-class, input-class)), after which star
   construction is pure facet extraction and the capacities fall out of the
   canonical keys — no re-simulation at all.
@@ -35,6 +35,7 @@ import time
 
 import pytest
 
+from repro import oracles
 from repro.model import Adversary, Context, Run
 from repro.model.view import view_key
 from repro.topology import build_protocol_complex
@@ -59,7 +60,7 @@ def _family(rounds):
 def reference_pipeline(adversaries, m):
     """The seed path: per-adversary build, then one fresh Run per star lookup."""
     start = time.perf_counter()
-    pc = build_protocol_complex(adversaries, m, CONTEXT.t, engine="reference")
+    pc = oracles.build_protocol_complex(adversaries, m, CONTEXT.t)
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -89,7 +90,7 @@ def _capacity_from_key(key):
 def batch_pipeline(adversaries, m):
     """The shared path: the shipped batch builder, then simulation-free stars."""
     start = time.perf_counter()
-    pc = build_protocol_complex(adversaries, m, CONTEXT.t, engine="batch")
+    pc = build_protocol_complex(adversaries, m, CONTEXT.t)
     build_seconds = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -36,11 +36,8 @@ def run_grid():
             adversaries,
             context.t,
             bound_for=lambda protocol, adversary: proposition1_bound(k, adversary.num_failures),
-            engine="batch",
         )["Optmin[k]"]
-        violations = len(
-            check_protocol(OptMin(k), adversaries[:20], context.t, engine="batch").violations
-        )
+        violations = len(check_protocol(OptMin(k), adversaries[:20], context.t).violations)
         worst_case = figure2_scenario(k=k, depth=t // k)
         tight = Run(OptMin(k), worst_case.adversary, worst_case.context.t).last_decision_time()
         rows.append(

@@ -63,7 +63,6 @@ def direct_leg(root: str, round_index: int):
         build_space(SPEC),
         SPEC["t"],
         symmetry=SPEC["symmetry"],
-        engine=SPEC["engine"],
         store=store,
         result_store=result_store,
         policy=SupervisionPolicy(),

@@ -1,9 +1,10 @@
 """SYSTEM — engineering benchmark: fused vs two-pass knowledge-system construction.
 
-``System.from_family(engine="batch")`` used to compose two disjoint trie
-traversals — a ``SweepRunner`` pass for decisions and a layer-retaining
-``ViewSource`` pass (no early stopping) for the Definition 4 local-state
-index.  The fused scheduler pass (:mod:`repro.engine.fused`) produces both
+``System.from_family`` used to compose two disjoint trie traversals — a
+``SweepRunner`` pass for decisions and a layer-retaining ``ViewSource`` pass
+(no early stopping) for the Definition 4 local-state index; that
+construction is kept as :func:`repro.oracles.system_from_family_two_pass`.
+The fused scheduler pass (:mod:`repro.engine.fused`) produces both
 products from **one** traversal, snapshotting canonical view keys directly
 from the layer rows while the decision sweep advances and dropping branches
 the moment they stop contributing points.
@@ -33,6 +34,7 @@ import time
 
 import pytest
 
+from repro import oracles
 from repro.adversaries.enumeration import enumerate_adversaries
 from repro.core import OptMin, UPMin
 from repro.engine import PrefixScheduler
@@ -67,12 +69,12 @@ def run_comparison():
     rows = []
     for protocol in (OptMin(CONTEXT.k), UPMin(CONTEXT.k)):
         start = time.perf_counter()
-        two_pass = System._from_family_two_pass(protocol, adversaries, CONTEXT.t)
+        two_pass = oracles.system_from_family_two_pass(protocol, adversaries, CONTEXT.t)
         two_pass_seconds = time.perf_counter() - start
 
         passes_before = PrefixScheduler.passes_started
         start = time.perf_counter()
-        fused = System.from_family(protocol, adversaries, CONTEXT.t, engine="batch")
+        fused = System.from_family(protocol, adversaries, CONTEXT.t)
         fused_seconds = time.perf_counter() - start
         fused_passes = PrefixScheduler.passes_started - passes_before
 

@@ -9,19 +9,14 @@ laptop-sized system:
   of Proposition 2 (capacity >= k  ⇒  (k-1)-connected star);
 * the paper's ``Div σ`` subdivision (Fig. 5) and Sperner's lemma.
 
-Run with:  python examples/topology_tour.py [--engine batch|reference]
+Run with:  python examples/topology_tour.py
 
-The complex builders run on the batch engine by default (the whole adversary
-family is materialised on the prefix-sharing trie); pass
-``--engine reference`` to rebuild everything through per-adversary oracle
-runs — the resulting complexes are identical.
+The complex builders run on the batch engine (the whole adversary family is
+materialised on the prefix-sharing trie).
 """
 
 from __future__ import annotations
 
-import argparse
-
-from repro.engine import ENGINES
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.topology import (
     build_restricted_complex,
@@ -34,16 +29,15 @@ from repro.topology import (
 )
 
 
-def protocol_complex_tour(engine: str = "batch") -> None:
+def protocol_complex_tour() -> None:
     print("=" * 72)
     print("Protocol complex and star complexes (Proposition 2)")
     print("=" * 72)
     k = 2
     context = Context(n=5, t=4, k=k)
-    pc = build_restricted_complex(context, time=1, max_crashes_per_round=k, engine=engine)
+    pc = build_restricted_complex(context, time=1, max_crashes_per_round=k)
     print(
-        f"one-round protocol complex, n={context.n}, at most {k} crashes/round "
-        f"(engine={engine}): "
+        f"one-round protocol complex, n={context.n}, at most {k} crashes/round: "
         f"{len(pc.complex.vertices)} vertices, {len(pc.complex.facets)} facets, "
         f"dimension {pc.complex.dimension}"
     )
@@ -99,10 +93,5 @@ def sperner_tour() -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="complex-builder engine"
-    )
-    args = parser.parse_args()
-    protocol_complex_tour(engine=args.engine)
+    protocol_complex_tour()
     sperner_tour()

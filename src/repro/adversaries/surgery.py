@@ -21,17 +21,17 @@ failure pattern and input vector are what the external scheduler controls; the
 run is then re-simulated).  :func:`verify_surgery` re-simulates the surgered
 adversary and checks the lemma's guarantees, which is how the FIG2/FIG3
 benchmarks and the unbeatability tests exercise the combinatorial proof
-constructively.  The re-simulation runs on either engine
-(``engine="batch"`` materialises the surgered views on the copy-on-write
-layer chain via :class:`repro.engine.LayerViews`; ``engine="reference"``
-keeps the per-adversary oracle ``Run``) — the checks are view-only and both
-paths are pinned together by ``tests/test_complex_differential.py``.
+constructively.  The re-simulation materialises the surgered views on the
+copy-on-write layer chain (:class:`repro.engine.LayerViews`); the checks
+themselves (:func:`check_surgery`) are view-only, so the
+:func:`repro.oracles.verify_surgery` re-run on the oracle ``Run`` reaches
+the same verdicts (``tests/test_complex_differential.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..knowledge.hidden import disjoint_hidden_chains
 from ..model.adversary import Adversary
@@ -214,9 +214,27 @@ def verify_surgery(
     result: SurgeryResult,
     protocol=None,
     t: Optional[int] = None,
-    engine: str = "batch",
 ) -> SurgeryCheck:
     """Re-simulate the surgered adversary and check Lemma 2's guarantees.
+
+    The bare full-information exchange is re-simulated on the copy-on-write
+    layer chain.  Passing a ``protocol`` re-runs the surgered adversary
+    under it instead, including its early stopping.  The guarantees are
+    those of :func:`check_surgery`.
+    """
+    from ..engine.views import LayerViews
+
+    t = original.t if t is None else t
+    horizon = max(original.horizon, result.time)
+    if protocol is None:
+        surgered = LayerViews(result.adversary, t, horizon)
+    else:
+        surgered = Run(protocol, result.adversary, t, horizon=horizon)
+    return check_surgery(original, result, surgered)
+
+
+def check_surgery(original: Run, result: SurgeryResult, surgered) -> SurgeryCheck:
+    """Check Lemma 2's guarantees on an already re-simulated surgered run.
 
     Checks, with ``r`` the original run and ``r'`` the surgered one:
 
@@ -225,24 +243,10 @@ def verify_surgery(
     * ``Vals<i^ℓ_b, ℓ> \\ {values[b]} ⊆ Vals<i, ℓ>``;
     * ``HC<i^ℓ_b, ℓ> >= c - 1`` for every chain ``b`` and layer ``ℓ``.
 
-    ``engine="batch"`` (default) re-simulates on the copy-on-write layer
-    chain; passing a ``protocol`` forces the reference path (the batch chain
-    simulates bare views, and the pre-port behaviour of re-running under the
-    protocol — including its early stopping — is preserved for such
-    callers).  ``engine="reference"`` always re-runs the oracle ``Run``.
-    Indistinguishability is asserted through the canonical ``view_key``,
-    which is engine-agnostic.
+    ``surgered`` is anything with the ``view`` lookup surface (a ``Run`` or
+    a :class:`repro.engine.LayerViews`).  Indistinguishability is asserted
+    through the canonical ``view_key``, which is engine-agnostic.
     """
-    from ..engine.sweep import validate_engine_choice
-    from ..engine.views import LayerViews
-
-    validate_engine_choice(engine)
-    t = original.t if t is None else t
-    horizon = max(original.horizon, result.time)
-    if engine == "batch" and protocol is None:
-        surgered = LayerViews(result.adversary, t, horizon)
-    else:
-        surgered = Run(protocol, result.adversary, t, horizon=horizon)
     observer, time = result.observer, result.time
     c = len(result.chains)
 

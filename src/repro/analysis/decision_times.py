@@ -11,19 +11,19 @@ processes decide.  This module provides the shared machinery:
   :class:`ProtocolStatistics` per protocol;
 * :func:`speedup_table` — pairwise rounds-saved summary between protocols.
 
-Both experiment drivers run on the batch sweep engine (:mod:`repro.engine`)
-by default, which amortises simulation across the ensemble; pass
-``engine="reference"`` to fall back to one :class:`repro.model.run.Run` per
-adversary (the oracle path).
+Both experiment drivers run on the batch sweep engine (:mod:`repro.engine`),
+which amortises simulation across the ensemble; the per-adversary
+:class:`repro.model.run.Run` loop it is pinned to is
+:func:`repro.oracles.decision_time_table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
+from ..engine import SweepRunner
 from ..model.adversary import Adversary
-from ..model.run import Run
 from ..model.types import Time
 
 
@@ -79,27 +79,11 @@ class ProtocolStatistics:
         )
 
 
-def _last_decision_times(
-    protocol, adversaries: Sequence[Adversary], t: int, engine: str, processes: Optional[int]
-) -> List[Optional[Time]]:
-    """Last correct decision time per adversary, via the selected engine."""
-    from ..engine import SweepRunner, validate_engine_choice
-
-    validate_engine_choice(engine, processes)
-    if engine == "reference":
-        return [
-            Run(protocol, adversary, t).last_decision_time(correct_only=True)
-            for adversary in adversaries
-        ]
-    return SweepRunner(protocol, t, processes=processes).decision_times(adversaries)
-
-
 def collect(
     protocols: Sequence,
     adversaries: Sequence[Adversary],
     t: int,
     bound_for: Optional[Callable[[object, Adversary], int]] = None,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Dict[str, ProtocolStatistics]:
@@ -107,38 +91,21 @@ def collect(
 
     ``bound_for(protocol, adversary)`` may supply a per-run decision-time
     bound (e.g. Proposition 1's ``⌊f/k⌋ + 1``); violations are counted in the
-    returned statistics.  ``symmetry="quotient"`` sweeps one representative
-    per process-renaming orbit and orbit-weights the statistics — the
-    resulting histograms and means equal the exhaustive ones (paper bounds
-    depend only on ``f``, which is constant on orbits, so bound accounting
-    is exact too).  ``symmetry="constructive"`` generates the representatives
-    from a :class:`repro.adversaries.RestrictedSpace` (or an
-    :func:`repro.adversaries.enumerate_orbits` stream) instead of
-    deduplicating a materialised family.
+    returned statistics.  ``symmetry="quotient"`` / ``"constructive"`` sweep
+    one representative per renaming orbit (:func:`repro.pipeline.family_stream`)
+    and orbit-weight the statistics — histograms and means equal the
+    exhaustive ones (paper bounds depend only on ``f``, constant on orbits).
     """
-    from ..symmetry import validate_symmetry_choice
+    from ..pipeline import family_stream
 
-    validate_symmetry_choice(symmetry)
-    weights: Sequence[int]
-    if symmetry == "constructive":
-        from ..adversaries.enumeration import constructive_quotient
-
-        adversaries, weights, _indices = constructive_quotient(adversaries)
-    elif symmetry == "quotient":
-        from ..symmetry import quotient_family
-
-        adversaries, weights, _indices = quotient_family(adversaries)
-    else:
-        # Materialise once: the family is iterated per protocol and then
-        # zipped against its results, so a one-shot iterator must not be
-        # consumed early.
-        adversaries = list(adversaries)
-        weights = [1] * len(adversaries)
+    items = list(family_stream(adversaries, symmetry))
+    adversaries = [adversary for _index, adversary, _weight in items]
+    weights = [weight for _index, _adversary, weight in items]
     stats: Dict[str, ProtocolStatistics] = {}
     for protocol in protocols:
         name = getattr(protocol, "name", repr(protocol))
         entry = ProtocolStatistics(protocol=name)
-        times = _last_decision_times(protocol, adversaries, t, engine, processes)
+        times = SweepRunner(protocol, t, processes=processes).decision_times(adversaries)
         for adversary, last, weight in zip(adversaries, times, weights):
             bound = bound_for(protocol, adversary) if bound_for is not None else None
             entry.record(last, bound, weight=weight)
@@ -151,7 +118,6 @@ def speedup_table(
     references: Sequence,
     adversaries: Sequence[Adversary],
     t: int,
-    engine: str = "batch",
     processes: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """How much earlier ``candidate`` finishes than each reference protocol.
@@ -163,10 +129,12 @@ def speedup_table(
     """
     adversaries = list(adversaries)
     table: Dict[str, Dict[str, float]] = {}
-    candidate_times = _last_decision_times(candidate, adversaries, t, engine, processes)
+    candidate_times = SweepRunner(candidate, t, processes=processes).decision_times(adversaries)
     for reference in references:
         name = getattr(reference, "name", repr(reference))
-        reference_times = _last_decision_times(reference, adversaries, t, engine, processes)
+        reference_times = SweepRunner(reference, t, processes=processes).decision_times(
+            adversaries
+        )
         saved: List[int] = []
         faster = 0
         for candidate_time, reference_time in zip(candidate_times, reference_times):

@@ -6,11 +6,11 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
 * ``run``      — execute one protocol against a random or figure adversary and
   print the figure-style run rendering plus the specification check;
 * ``compare``  — decision-time statistics and domination verdicts for several
-  protocols over a random ensemble (``--engine`` / ``--processes`` select the
-  execution path, like ``sweep``);
+  protocols over a random ensemble (``--processes`` shards the sweeps, like
+  ``sweep``);
 * ``sweep``    — exhaustively verify a protocol over the enumerated adversary
-  space of a context on the batch engine (or the reference oracle), with an
-  optional multiprocessing executor; ``--symmetry constructive`` sweeps one
+  space of a context on the batch engine, with an optional multiprocessing
+  executor; ``--symmetry constructive`` sweeps one
   *generated* canonical representative per renaming orbit, which opens
   spaces whose full enumeration is intractable;
 * ``count``    — pre-flight tractability guard: closed-form member count plus
@@ -51,7 +51,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .adversaries import (
     AdversaryGenerator,
@@ -64,7 +64,6 @@ from .adversaries import (
 from .analysis import collect, render_run, statistics_report
 from .baselines import EarlyDecidingKSet, FloodMin, UniformEarlyDecidingKSet
 from .core import Opt0, OptMin, UOpt0, UPMin
-from .engine import ENGINES
 from .model import Context, Run
 from .verification import (
     check_run_for_protocol,
@@ -258,13 +257,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .engine import validate_engine_choice
-
-    try:
-        validate_engine_choice(args.engine, args.processes)
-    except ValueError as error:
-        print(error)
-        return 2
     context = Context(n=args.n, t=args.t, k=args.k)
     adversaries = AdversaryGenerator(context, seed=args.seed).sample(args.samples)
     symmetry = args.symmetry
@@ -284,7 +276,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 protocols,
                 adversaries,
                 context.t,
-                engine=args.engine,
                 processes=args.processes,
                 symmetry=symmetry,
             )
@@ -298,7 +289,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             reference,
             adversaries,
             context.t,
-            engine=args.engine,
             processes=args.processes,
             symmetry=symmetry,
         )
@@ -307,7 +297,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_figure4(args: argparse.Namespace) -> int:
-    from .engine import run_one
+    from .engine import sweep
 
     scenario = figure4_scenario(k=args.k, rounds=args.rounds)
     t = scenario.context.t
@@ -331,7 +321,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
         )
     for name in ("upmin", "optmin", "uearly", "early", "floodmin"):
         protocol = _protocol(name, args.k)
-        run = run_one(protocol, adversary, t, args.engine)
+        (run,) = sweep(protocol, [adversary], t)
         print(f"  {protocol.name:45s} last correct decision at time {run.last_decision_time()}")
     return 0
 
@@ -348,13 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         estimate_adversary_count,
         pattern_and_orbit_counts,
     )
-    from .engine import validate_engine_choice
 
-    try:
-        validate_engine_choice(args.engine, args.processes)
-    except ValueError as error:
-        print(error)
-        return 2
     context = Context(n=args.n, t=args.t, k=args.k)
     protocol = _protocol(args.protocol, args.k)
     if args.symmetry == "constructive":
@@ -406,7 +390,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     ran = _run_attached(
         args, resilient_check, protocol, space, context.t,
-        symmetry=args.symmetry, engine=args.engine, processes=args.processes,
+        symmetry=args.symmetry, processes=args.processes,
     )
     if ran is None:
         return 2
@@ -420,8 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(report.summary())
     print(
-        f"engine={args.engine}, symmetry={args.symmetry}, "
-        f"{elapsed:.2f}s ({rate:,.0f} adversaries/s)"
+        f"symmetry={args.symmetry}, {elapsed:.2f}s ({rate:,.0f} adversaries/s)"
     )
     for line in summaries:
         print(line)
@@ -480,22 +463,17 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .engine import LayerViews
 
-    # argparse's choices= already constrains --engine; verify_surgery
-    # re-validates for library callers.
     scenario = figure2_scenario(k=args.k, depth=args.depth)
-    if args.engine == "reference":
-        base = Run(None, scenario.adversary, scenario.context.t, horizon=args.depth)
-    else:
-        base = LayerViews(scenario.adversary, scenario.context.t, horizon=args.depth)
+    base = LayerViews(scenario.adversary, scenario.context.t, horizon=args.depth)
     result = lemma2_surgery(base, scenario.observer, args.depth, list(range(args.k)))
-    check = verify_surgery(base, result, engine=args.engine)
-    print(f"Lemma 2 surgery on the Fig. 2 adversary (engine={args.engine})")
+    check = verify_surgery(base, result)
+    print("Lemma 2 surgery on the Fig. 2 adversary")
     print(f"  chains: {[list(chain) for chain in result.chains]}")
     print(f"  observer view preserved : {check.observer_view_preserved}")
     print(f"  values delivered        : {check.values_delivered}")
     print(f"  no foreign values       : {check.no_foreign_values}")
     print(f"  residual capacity >= k-1: {check.residual_capacity}")
-    mechanism = demonstrate_unbeatability_mechanism(args.k, args.depth, engine=args.engine)
+    mechanism = demonstrate_unbeatability_mechanism(args.k, args.depth)
     print("\nLemma 3 confrontation (can the observer be made to decide earlier?)")
     print(f"  Optmin decides values {mechanism['optmin_decided_values']} — within k={args.k}")
     print(
@@ -511,25 +489,19 @@ def cmd_census(args: argparse.Namespace) -> int:
     Building is the cheap part relative to the homology survey at scale;
     a checkpoint cursor indexes the canonical class stream of the survey.
     """
-    from .engine import validate_engine_choice
     from .runtime import resilient_census
     from .topology import DEFAULT_HOMOLOGY_BACKEND, build_restricted_complex
 
-    try:
-        validate_engine_choice(args.engine, args.processes)
-    except ValueError as error:
-        print(error)
-        return 2
     backend = args.backend if args.backend is not None else DEFAULT_HOMOLOGY_BACKEND
     context = Context(n=args.n, t=args.t, k=args.k)
     build_start = time.perf_counter()
-    pc = build_restricted_complex(
-        context, time=args.time, engine=args.engine, processes=args.processes
-    )
+    pc = build_restricted_complex(context, time=args.time, processes=args.processes)
     build_elapsed = time.perf_counter() - build_start
     ran = _run_attached(
         args, resilient_census, pc, context.k, symmetry=args.symmetry, backend=backend,
-        spec_extra={"n": args.n, "t": args.t, "engine": args.engine},
+        # The engine field is fixed (there is one engine) so that census
+        # checkpoints written when it was an option still resume.
+        spec_extra={"n": args.n, "t": args.t, "engine": "batch"},
     )
     if ran is None:
         return 2
@@ -544,7 +516,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     print(
         f"  complex: {complex_.vertex_count} vertices, "
         f"{len(complex_.facet_masks)} facets, dim {complex_.dimension} "
-        f"(built in {build_elapsed:.2f}s, engine={args.engine})"
+        f"(built in {build_elapsed:.2f}s)"
     )
     print(f"  vertices             : {census.vertices}")
     print(f"  capacity >= k        : {census.high_capacity}")
@@ -828,13 +800,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(PROTOCOLS),
     )
     compare_parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="execution engine"
-    )
-    compare_parser.add_argument(
         "--processes",
         type=_worker_count,
         default=None,
-        help="multiprocessing workers, >= 1 (batch engine only)",
+        help="multiprocessing workers, >= 1",
     )
     _add_symmetry_argument(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
@@ -845,13 +814,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_arguments(sweep_parser)
     sweep_parser.add_argument("--protocol", default="optmin", choices=sorted(PROTOCOLS))
     sweep_parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="execution engine"
-    )
-    sweep_parser.add_argument(
         "--processes",
         type=_worker_count,
         default=None,
-        help="multiprocessing workers, >= 1 (batch engine only)",
+        help="multiprocessing workers, >= 1",
     )
     _add_restriction_arguments(sweep_parser)
     sweep_parser.add_argument(
@@ -879,18 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
     figure4_parser = subparsers.add_parser("figure4", help="regenerate the Fig. 4 comparison")
     figure4_parser.add_argument("-k", type=int, default=3)
     figure4_parser.add_argument("--rounds", type=int, default=4, help="the adversary's ⌊t/k⌋")
-    figure4_parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="execution engine"
-    )
     _add_symmetry_argument(figure4_parser)
     figure4_parser.set_defaults(func=cmd_figure4)
 
     surgery_parser = subparsers.add_parser("surgery", help="run the Lemma 2 surgery demonstration")
     surgery_parser.add_argument("-k", type=int, default=3)
     surgery_parser.add_argument("--depth", type=int, default=2)
-    surgery_parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="execution engine"
-    )
     surgery_parser.set_defaults(func=cmd_surgery)
 
     census_parser = subparsers.add_parser(
@@ -910,13 +870,10 @@ def build_parser() -> argparse.ArgumentParser:
         "the retained oracles)",
     )
     census_parser.add_argument(
-        "--engine", default=ENGINES[0], choices=list(ENGINES), help="complex-builder engine"
-    )
-    census_parser.add_argument(
         "--processes",
         type=_worker_count,
         default=None,
-        help="multiprocessing workers, >= 1 (batch engine only)",
+        help="multiprocessing workers, >= 1",
     )
     _add_symmetry_argument(census_parser)
     _add_runtime_arguments(census_parser)
@@ -1006,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--processes",
         type=_worker_count,
         default=None,
-        help="multiprocessing workers per survey, >= 1 (batch engine only)",
+        help="multiprocessing workers per survey, >= 1",
     )
     serve_parser.add_argument(
         "--max-retries",

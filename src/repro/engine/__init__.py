@@ -2,7 +2,7 @@
 
 The reference engine (:class:`repro.model.run.Run`) simulates one adversary
 at a time and is the semantic oracle of this library.  This package is the
-throughput path: it schedules a whole family of adversaries on a trie keyed
+one production path: it schedules a whole family of adversaries on a trie keyed
 by (input vector, crash-event round-prefix), simulates every shared round
 prefix exactly once on flat copy-on-write arrays, and evaluates decision
 rules once per equivalence class instead of once per adversary.
@@ -19,9 +19,8 @@ Public surface:
   the high-level entry point), sharded across workers when requested;
 * :class:`ArrayView`, :class:`BatchContext`, :class:`StructLayer` — the
   array-backed view layer (mostly useful for tests and instrumentation);
-* :class:`ViewSource` / :class:`GroupViews` / :class:`LayerViews` — canonical
-  view materialisation for view consumers (protocol complexes, surgery,
-  knowledge), one computation per (prefix-class, input-class);
+* :class:`LayerViews` — the ``Run`` view surface of one adversary on the
+  copy-on-write layer chain (what surgery re-simulates with);
 * :class:`RunCache` — the memoised front for reference-run view lookups;
 * :class:`PrefixScheduler` — the level-synchronous trie driver (its
   ``passes_started`` counter lets tests assert single-pass construction).
@@ -30,7 +29,7 @@ See ``docs/engine.md`` for the architecture notes (including the pass
 lifecycle: decision-only vs fused vs view-only) and
 ``tests/test_engine_differential.py`` / ``tests/test_exhaustive.py`` /
 ``tests/test_fused_scheduler.py`` for the differential harness pinning this
-engine to the oracle.
+engine to the oracle (the per-adversary paths live in :mod:`repro.oracles`).
 """
 
 from .arrays import ArrayView, BatchContext, StructLayer
@@ -41,26 +40,15 @@ from .fused import (
     run_fused_pass,
     struct_view_key,
 )
-from .sweep import (
-    ENGINES,
-    BatchRun,
-    SweepReport,
-    SweepRunner,
-    run_one,
-    runs_over_family,
-    sweep,
-    validate_engine_choice,
-)
+from .sweep import BatchRun, SweepReport, SweepRunner, sweep
 from .trie import PrefixScheduler, PreparedAdversary, batch_system_size, prepare_adversaries
-from .views import GroupViews, LayerViews, RunCache, ViewSource
+from .views import LayerViews, RunCache
 
 __all__ = [
-    "ENGINES",
     "ArrayView",
     "BatchContext",
     "BatchRun",
     "FusedOutcome",
-    "GroupViews",
     "LayerViews",
     "PrefixScheduler",
     "PreparedAdversary",
@@ -68,15 +56,11 @@ __all__ = [
     "StructLayer",
     "SweepReport",
     "SweepRunner",
-    "ViewSource",
     "batch_system_size",
     "prepare_adversaries",
     "resolve_mp_context",
     "run_facets_pass",
     "run_fused_pass",
-    "run_one",
-    "runs_over_family",
     "struct_view_key",
     "sweep",
-    "validate_engine_choice",
 ]

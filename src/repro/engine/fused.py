@@ -3,9 +3,9 @@
 Before this module, family-shaped consumers paid for two disjoint
 :class:`repro.engine.trie.PrefixScheduler` traversals when they needed both
 products of a sweep: :class:`repro.engine.sweep.SweepRunner` walked the trie
-once for *decisions*, and :class:`repro.engine.views.ViewSource`
-(``keep_layers=True``) walked it again — with no early stopping — for the
-*canonical views* of every layer.  ``System.from_family(engine="batch")``
+once for *decisions*, and a layer-retaining view pass (now the
+:class:`repro.oracles.ViewSource` fixture) walked it again — with no early
+stopping — for the *canonical views* of every layer.  ``System.from_family``
 composed exactly those two passes, recomputing every protocol-independent
 layer twice.
 
@@ -209,7 +209,7 @@ def fused_serial(
     through ``max(s, 1)`` — the reference engine checks the all-decided early
     stop only from time 1 on, so even a time-0 finaliser carries views through
     time 1 — and is dropped right after, never simulated to the horizon the
-    way the former two-pass ``ViewSource`` leg was.
+    way the two-pass oracle's ``ViewSource`` leg is.
     """
     n, prepared = prepare_adversaries(adversaries, t, n)
     results: List[Optional[RawOutcome]] = [None] * len(prepared)

@@ -7,12 +7,13 @@ decision rule once per trie group via the array-backed views of
 :mod:`repro.engine.arrays`, and reports one :class:`BatchRun` per adversary —
 a lightweight object exposing the read API of :class:`repro.model.run.Run`
 (decisions, decision times, decided values) so the property checkers and the
-analysis/benchmark layers consume either engine interchangeably.
+analysis/benchmark layers consume a ``BatchRun`` and a ``Run`` interchangeably.
 
-The reference engine remains the oracle: the batch engine is differentially
-tested against it (``tests/test_engine_differential.py``,
-``tests/test_exhaustive.py``) and must produce bit-identical decisions and
-decision times on every adversary.
+This is the only engine production code runs.  The reference engine
+(:class:`repro.model.run.Run`) remains the oracle: the batch engine is
+differentially tested against it (``tests/test_engine_differential.py``,
+``tests/test_exhaustive.py`` and the :mod:`repro.oracles` fixtures) and must
+produce bit-identical decisions and decision times on every adversary.
 
 An optional ``multiprocessing`` executor fans contiguous chunks of the
 adversary stream out to worker processes; chunks stay contiguous because
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary
-from ..model.run import Run, default_horizon
+from ..model.run import default_horizon
 from ..model.types import Decision, ProcessId, Time, Value
 from .fused import ViewIndex, run_fused_pass
 from .trie import batch_system_size
@@ -174,26 +175,6 @@ class SweepReport:
         )
 
 
-#: The engines every family-sweeping API can dispatch to.
-ENGINES = ("batch", "reference")
-
-
-def validate_engine_choice(engine: str, processes: Optional[int] = None) -> None:
-    """Validate an ``engine=`` selection (single owner of the dispatch rules).
-
-    Shared by :func:`repro.verification.checker.check_protocol`,
-    :func:`repro.analysis.decision_times.collect` / ``speedup_table`` and the
-    CLI, so a new engine or a changed constraint is added in one place.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose 'batch' or 'reference'")
-    if engine == "reference" and processes is not None:
-        raise ValueError(
-            "processes is only supported by the batch engine; "
-            "the reference engine runs one adversary at a time"
-        )
-
-
 class SweepRunner:
     """Batch execution of one protocol over many adversaries.
 
@@ -203,7 +184,7 @@ class SweepRunner:
     adversary — and in forked workers when ``processes`` is set, so
     protocols that accumulate side state in ``decide`` (e.g. the
     instrumented ``OptMinWithExplanation``) observe only group
-    representatives here and must use the reference engine instead.
+    representatives here; run those through :class:`repro.model.run.Run`.
 
     Parameters
     ----------
@@ -349,33 +330,3 @@ def sweep(
     """Convenience wrapper: batch-simulate ``protocol`` against ``adversaries``."""
     return SweepRunner(protocol, t, horizon=horizon, processes=processes).sweep(adversaries)
 
-
-def runs_over_family(
-    protocol,
-    adversaries: Iterable[Adversary],
-    t: int,
-    engine: str = "batch",
-    processes: Optional[int] = None,
-) -> Iterable:
-    """One run object per adversary via the selected engine, in input order.
-
-    The single owner of the run-level engine dispatch that every
-    family-sweeping consumer (domination, beatability, the CLI figures)
-    builds on.  The reference path yields lazily — one oracle
-    :class:`repro.model.run.Run` alive at a time, so streaming over a large
-    family keeps O(1) memory — while the batch path returns the materialised
-    sweep (:class:`BatchRun` objects are decision-sized, not view-sized).
-    """
-    validate_engine_choice(engine, processes)
-    if engine == "reference":
-        return (Run(protocol, adversary, t) for adversary in adversaries)
-    return SweepRunner(protocol, t, processes=processes).sweep(adversaries)
-
-
-def run_one(protocol, adversary: Adversary, t: int, engine: str = "batch"):
-    """The single-adversary convenience of :func:`runs_over_family`.
-
-    Used by entry points that execute one figure adversary under a selected
-    engine (``cli figure4``, the Lemma 3 confrontation).
-    """
-    return next(iter(runs_over_family(protocol, [adversary], t, engine)))

@@ -1,60 +1,26 @@
-"""Engine-agnostic view materialisation: canonical views from the trie.
+"""View surfaces on the layer chain, and the memoised reference-run front.
 
-The topological side of the paper (Section 4.3, Proposition 2) reasons about
-complexes whose vertices are canonical local states — exactly the state the
-prefix-sharing trie already computes once per equivalence class.  Before this
-module, every view consumer (protocol-complex builders, the knowledge
-operators, the Lemma 2 surgery verifier) re-instantiated one reference
-:class:`repro.model.run.Run` per adversary — and sometimes one per vertex
-lookup.  This module is the shared substrate they now sit on:
-
-* :class:`ViewSource` schedules a whole adversary family on the trie
-  (:class:`repro.engine.trie.PrefixScheduler`, no protocol, no decisions),
-  advances it to a fixed time and exposes one :class:`GroupViews` per
-  (prefix-class, input-class) equivalence class.  Canonical view keys,
-  per-layer hidden sets and hidden-capacity witness matrices are computed
-  once per class and shared by every member adversary.
-* :class:`LayerViews` is the single-adversary specialisation: the ``Run``
-  view surface (``view`` / ``has_view`` / ``views_at``) materialised on the
-  copy-on-write layer chain — what the batch path of
-  :func:`repro.adversaries.surgery.verify_surgery` re-simulates surgered
-  adversaries with.
-* :class:`RunCache` keeps the reference engine as the oracle: a memoised
-  front for the scattered ``Run(None, adversary, t, horizon=...)`` call
-  sites, so repeated vertex lookups against the same adversary re-simulate
-  nothing.
-
-The canonical key of a view is :func:`repro.model.view.view_key` — the batch
-layers track per-round sender sets precisely so that the *same* key function
-applies to either engine's views, making batch- and reference-built complexes
-vertex-for-vertex identical (pinned by ``tests/test_complex_differential.py``).
-
-Consumers that need decisions *and* views over one family no longer compose a
-``SweepRunner`` pass with a second ``ViewSource`` pass: the fused scheduler
-pass (:mod:`repro.engine.fused`) produces both in one traversal, and the
-protocol-complex builders consume its view-only specialisation.  ``ViewSource``
-remains the materialised, object-level view surface — ``GroupViews`` for
-class-shared structural summaries (hidden sets, witness matrices), the
-knowledge helpers, and everything that wants to *hold* a family's views rather
-than fold them into an index; the retained two-pass
-``System._from_family_two_pass`` baseline still builds on ``groups_at``.
+Families get their canonical views from the fused and view-only passes of
+:mod:`repro.engine.fused`.  :class:`LayerViews` is the single-adversary
+surface: the ``Run`` view read API (``view`` / ``has_view`` / ``views_at``)
+on the copy-on-write layer chain, which
+:func:`repro.adversaries.surgery.verify_surgery` re-simulates surgered
+adversaries with.  :class:`RunCache` keeps the reference engine as the lazy
+view oracle: a memoised front for ``Run(None, adversary, t, horizon=...)``,
+so repeated vertex lookups against one adversary re-simulate nothing.  The
+batch layers track per-round sender sets, so the one
+:func:`repro.model.view.view_key` applies to either engine's views.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..model.adversary import Adversary
 from ..model.run import Run, default_horizon
 from ..model.types import ProcessId, Time
-from ..model.view import view_key
 from .arrays import ArrayView, StructLayer
-from .trie import PrefixScheduler, PreparedAdversary, prepare_adversaries
-
-#: A canonical view key as produced by :func:`repro.model.view.view_key` —
-#: identical for a reference ``View`` and a batch ``ArrayView`` of the same
-#: local state.
-ViewKey = Tuple
+from .trie import PreparedAdversary
 
 
 class RunCache:
@@ -164,205 +130,3 @@ class LayerViews:
             for p in range(self.adversary.n)
             if layer.rows_seen[p] is not None
         }
-
-
-class GroupViews:
-    """The shared view surface of one (prefix-class, input-class) group.
-
-    Everything here is a function of the group's :class:`StructLayer` and
-    input vector alone, so it is computed once and reused by every adversary
-    of the class — canonical keys, the per-layer hidden sets and the witness
-    matrices of Definition 2.  (The protocol-complex builders assemble their
-    facets directly as bitsets over the keys served here.)
-    """
-
-    __slots__ = (
-        "layer",
-        "values",
-        "adversaries",
-        "positions",
-        "_keys",
-        "_active",
-        "_hidden",
-        "_witness",
-    )
-
-    def __init__(self, layer: StructLayer, values: Tuple, members: Sequence) -> None:
-        self.layer = layer
-        self.values = values
-        #: The member adversaries of the class, in sweep-input order.
-        self.adversaries: Tuple[Adversary, ...] = tuple(item.adversary for item in members)
-        #: Their positions in the sweep input.
-        self.positions: Tuple[int, ...] = tuple(item.pos for item in members)
-        self._keys: Dict[ProcessId, ViewKey] = {}
-        self._active: Optional[Tuple[ProcessId, ...]] = None
-        self._hidden: Dict[ProcessId, Tuple[FrozenSet[ProcessId], ...]] = {}
-        self._witness: Dict[Tuple[ProcessId, Optional[int]], List[Tuple[ProcessId, ...]]] = {}
-
-    @property
-    def time(self) -> Time:
-        return self.layer.time
-
-    def active_processes(self) -> Tuple[ProcessId, ...]:
-        """Processes with a local state at this group's time."""
-        cached = self._active
-        if cached is None:
-            rows = self.layer.rows_seen
-            cached = self._active = tuple(
-                i for i in range(self.layer.n) if rows[i] is not None
-            )
-        return cached
-
-    def view(self, process: ProcessId) -> ArrayView:
-        """The (lazily evaluated) view of an active process.
-
-        Raises ``KeyError`` for processes with no local state at this time —
-        the same lookup contract as ``Run.view`` / ``LayerViews.view``.
-        """
-        if not 0 <= process < self.layer.n or self.layer.rows_seen[process] is None:
-            raise KeyError((process, self.layer.time))
-        return ArrayView(self.layer, process, self.values)
-
-    def key(self, process: ProcessId) -> ViewKey:
-        """The canonical view key of an active process (cached per class).
-
-        The one :func:`repro.model.view.view_key` definition applies to the
-        batch view directly; its purely structural components (evidence row,
-        round senders) come from per-layer caches shared across input
-        classes.
-        """
-        cached = self._keys.get(process)
-        if cached is None:
-            cached = self._keys[process] = view_key(self.view(process))
-        return cached
-
-    # --------------------------------------------------- structural summaries
-    def hidden_sets(self, process: ProcessId) -> Tuple[FrozenSet[ProcessId], ...]:
-        """Per-layer hidden process sets w.r.t. the observer (layers 0..time),
-        computed once per class like the keys."""
-        cached = self._hidden.get(process)
-        if cached is None:
-            view = self.view(process)
-            cached = self._hidden[process] = tuple(
-                view.hidden_processes_at(layer) for layer in range(self.time + 1)
-            )
-        return cached
-
-    def hidden_capacity(self, process: ProcessId) -> int:
-        """``HC<process, time>`` — computed once per class, shared by members."""
-        if not 0 <= process < self.layer.n or self.layer.rows_seen[process] is None:
-            raise KeyError((process, self.layer.time))
-        return self.layer.hidden_capacity(process)
-
-    def witness_matrix(self, process: ProcessId, capacity: Optional[int] = None):
-        """Definition 2 witness rows (via :func:`repro.knowledge.hidden.witness_matrix`),
-        computed once per (class, capacity) request."""
-        cached = self._witness.get((process, capacity))
-        if cached is None:
-            from ..knowledge.hidden import witness_matrix
-
-            cached = self._witness[(process, capacity)] = witness_matrix(
-                self.view(process), capacity
-            )
-        return cached
-
-
-class ViewSource:
-    """Canonical views of a whole adversary family at a fixed time.
-
-    Schedules the family on the prefix-sharing trie with *no* protocol and
-    *no* early stopping, advances ``time`` rounds, and exposes the resulting
-    (prefix-class, input-class) groups.  This is the batch substrate the
-    protocol-complex builders (and anything else that consumes families of
-    views rather than decisions) materialise from.
-    """
-
-    def __init__(
-        self,
-        adversaries: Iterable[Adversary],
-        t: int,
-        time: Time,
-        n: Optional[int] = None,
-        keep_layers: bool = False,
-    ) -> None:
-        if time < 0:
-            raise ValueError(f"time must be >= 0, got {time}")
-        batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
-        self.t = t
-        self.time = time
-        self.adversaries: Tuple[Adversary, ...] = tuple(batch)
-        n, prepared = prepare_adversaries(batch, t, n)
-        self.n = n
-        snapshots: List[Tuple[GroupViews, ...]] = []
-
-        def snapshot(scheduler: PrefixScheduler) -> Tuple[GroupViews, ...]:
-            return tuple(
-                GroupViews(group.layer, group.values, group.members)
-                for group in scheduler.groups.values()
-            )
-
-        if prepared:
-            scheduler = PrefixScheduler(n, prepared)
-            if keep_layers:
-                snapshots.append(snapshot(scheduler))
-            for _ in range(time):
-                scheduler.advance()
-                if keep_layers:
-                    snapshots.append(snapshot(scheduler))
-            self._groups: Tuple[GroupViews, ...] = (
-                snapshots[-1] if keep_layers else snapshot(scheduler)
-            )
-            #: StructLayer simulations actually performed (sharing diagnostics).
-            self.layers_computed = scheduler.layers_computed
-        else:
-            self._groups = ()
-            snapshots = [() for _ in range(time + 1)] if keep_layers else []
-            self.layers_computed = 0
-        #: Per-time equivalence classes (times 0..time) when ``keep_layers``.
-        self._layer_groups: Optional[Tuple[Tuple[GroupViews, ...], ...]] = (
-            tuple(snapshots) if keep_layers else None
-        )
-        self._group_of: Optional[Dict[int, GroupViews]] = None
-
-    def groups(self) -> Tuple[GroupViews, ...]:
-        """All equivalence classes of the family at ``time``."""
-        return self._groups
-
-    def groups_at(self, time: Time) -> Tuple[GroupViews, ...]:
-        """The equivalence classes at an intermediate time ``0 .. time``.
-
-        Only available when the source was built with ``keep_layers=True``
-        (the knowledge-layer :meth:`repro.knowledge.System.from_family` path,
-        which indexes every point of every run, consumes all layers; the
-        complex builders only ever need the final one).
-        """
-        if self._layer_groups is None:
-            raise ValueError(
-                "per-layer groups were not retained; construct the ViewSource "
-                "with keep_layers=True"
-            )
-        if not 0 <= time <= self.time:
-            raise ValueError(f"time must be in 0..{self.time}, got {time}")
-        return self._layer_groups[time]
-
-    def group_of(self, pos: int) -> GroupViews:
-        """The class of the adversary at sweep-input position ``pos``."""
-        index = self._group_of
-        if index is None:
-            index = self._group_of = {
-                position: group
-                for group in self._groups
-                for position in group.positions
-            }
-        return index[pos]
-
-    def key(self, pos: int, process: ProcessId) -> ViewKey:
-        """Canonical view key of ``process`` under adversary ``pos``."""
-        return self.group_of(pos).key(process)
-
-    @property
-    def sharing_factor(self) -> float:
-        """Reference layer simulations each trie layer replaced (diagnostics)."""
-        if not self.layers_computed:
-            return 1.0
-        return len(self.adversaries) * (self.time + 1) / self.layers_computed

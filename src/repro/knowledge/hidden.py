@@ -22,8 +22,7 @@ Everything here operates on the *view read API* — the :class:`ViewLike`
 protocol below — not on the concrete :class:`repro.model.view.View` class,
 so the same helpers serve the reference engine's ``View`` objects and the
 batch engine's :class:`repro.engine.ArrayView` slices (as materialised by
-:class:`repro.engine.ViewSource` / :class:`repro.engine.LayerViews`)
-interchangeably.  Likewise the run-profile helpers only need the
+:class:`repro.engine.LayerViews`) interchangeably.  Likewise the run-profile helpers only need the
 ``has_view`` / ``view`` lookup surface, which both ``Run`` and
 ``LayerViews`` provide.
 """

@@ -129,16 +129,15 @@ class System:
         adversaries: Iterable,
         t: int,
         horizon: Optional[int] = None,
-        engine: str = "batch",
         processes: Optional[int] = None,
         symmetry: str = "none",
     ) -> "System":
         """Build the system of all runs of ``protocol`` over an adversary family.
 
-        ``engine="batch"`` (default) assembles the system from **one** fused
-        trie traversal (:meth:`repro.engine.SweepRunner.sweep_fused`): the
-        protocol's decisions are evaluated and the Definition 4 local-state
-        index is snapshotted as the same scheduler pass advances — every
+        The system is assembled from **one** fused trie traversal
+        (:meth:`repro.engine.SweepRunner.sweep_fused`): the protocol's
+        decisions are evaluated and the Definition 4 local-state index is
+        snapshotted as the same scheduler pass advances — every
         ``(process, time)`` point of every run is keyed once per
         (prefix-class, input-class), not once per adversary, and branches are
         dropped the moment they stop contributing points.  With
@@ -150,11 +149,8 @@ class System:
         actually queried (or of runs whose views a fact inspects) are ever
         re-simulated, at most once each — not the whole family up front.
 
-        ``engine="reference"`` is the seed path: one eager oracle ``Run`` per
-        adversary, indexed by direct view iteration.  The superseded
-        two-pass batch construction is retained as
-        :meth:`_from_family_two_pass` — the baseline the fused pass is
-        differentially tested and benchmarked against.
+        The fused pass is pinned to the eager ``Run`` system and the two-pass
+        construction it replaced (the :mod:`repro.oracles` fixtures).
 
         ``symmetry="quotient"`` builds the *quotient* system: the family is
         grouped by process-renaming orbit
@@ -169,50 +165,34 @@ class System:
         ``tests/test_quotient_differential.py``); :attr:`orbit_weights`
         records how many family members each run stands for.
 
-        ``symmetry="constructive"`` builds the same orbit-quotiented system
-        from a *space description*: ``adversaries`` must be a
-        :class:`repro.adversaries.RestrictedSpace` (or an
-        :func:`repro.adversaries.enumerate_orbits` stream), whose canonical
-        representatives are generated directly — the full family is never
-        enumerated, which is the only way to build systems over spaces
-        beyond enumeration reach.
+        ``symmetry="constructive"`` builds the same system from representatives
+        generated from a :class:`repro.adversaries.RestrictedSpace`
+        (:func:`repro.pipeline.family_stream`), never enumerating the family.
         """
-        from ..engine.sweep import SweepRunner, validate_engine_choice
+        from ..engine.sweep import SweepRunner
         from ..engine.views import RunCache
-        from ..symmetry import validate_symmetry_choice
+        from ..pipeline import family_stream
 
-        validate_engine_choice(engine, processes)
-        validate_symmetry_choice(symmetry)
-        weights: Optional[Tuple[int, ...]] = None
-        if symmetry == "constructive":
-            from ..adversaries.enumeration import constructive_quotient
-
-            batch, weight_list, _indices = constructive_quotient(adversaries)
-            weights = tuple(weight_list)
-        else:
-            batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
-            if symmetry == "quotient":
-                from ..symmetry import quotient_family
-
-                batch, weight_list, _indices = quotient_family(batch)
-                weights = tuple(weight_list)
-        if engine == "reference":
-            system = cls([Run(protocol, adversary, t, horizon=horizon) for adversary in batch])
-            if weights is not None:
-                system._quotient_index(weights, symmetry)
-            return system
+        items = list(family_stream(adversaries, symmetry))
+        batch = [adversary for _index, adversary, _weight in items]
         if not batch:
             raise ValueError("a system must contain at least one run")
         runner = SweepRunner(protocol, t, horizon=horizon, processes=processes)
         swept, index = runner.sweep_fused(batch)
         cache = RunCache()
+        system = cls._from_index(tuple(FamilyRun(run, cache) for run in swept), index)
+        if symmetry != "none":
+            system._quotient_index(tuple(weight for _i, _a, weight in items), symmetry)
+        return system
+
+    @classmethod
+    def _from_index(cls, runs: Tuple, index: Dict[Tuple, List[int]]) -> "System":
+        """A full system over ``runs`` whose Definition 4 index is already built."""
         system = cls.__new__(cls)
-        system._runs = tuple(FamilyRun(run, cache) for run in swept)
+        system._runs = runs
         system._index = index
         system._symmetry = "none"
         system._orbit_weights = None
-        if weights is not None:
-            system._quotient_index(weights, symmetry)
         return system
 
     def _quotient_index(self, weights: Tuple[int, ...], symmetry: str = "quotient") -> None:
@@ -244,55 +224,6 @@ class System:
     def orbit_weights(self) -> Optional[Tuple[int, ...]]:
         """Per-run orbit member counts of a quotient system (``None`` otherwise)."""
         return self._orbit_weights
-
-    @classmethod
-    def _from_family_two_pass(
-        cls, protocol, adversaries: Iterable, t: int, horizon: Optional[int] = None
-    ) -> "System":
-        """The superseded two-pass batch construction (kept as the baseline).
-
-        One :class:`repro.engine.SweepRunner` pass for decisions, then a
-        second, layer-retaining :class:`repro.engine.ViewSource` pass — with
-        no early stopping — for the Definition 4 index.  Exactly the
-        construction :meth:`from_family` fused into a single traversal;
-        retained verbatim so ``tests/test_fused_scheduler.py`` can pin the
-        fused system to it and ``benchmarks/bench_system_build.py`` can
-        measure the fusion (≥1.8x is the acceptance gate).
-        """
-        from ..engine.sweep import SweepRunner
-        from ..engine.views import RunCache, ViewSource
-
-        batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
-        if not batch:
-            raise ValueError("a system must contain at least one run")
-        runner = SweepRunner(protocol, t, horizon=horizon)
-        swept = runner.sweep(batch)
-        resolved_horizon = swept[0].horizon
-        cache = RunCache()
-        runs = tuple(FamilyRun(run, cache) for run in swept)
-        source = ViewSource(batch, t, resolved_horizon, keep_layers=True)
-        stop_times = [run.last_view_time for run in runs]
-        index: Dict[Tuple, List[int]] = {}
-        for time in range(resolved_horizon + 1):
-            for group in source.groups_at(time):
-                # A reference run ends once all its active processes decided;
-                # points past a member's stop time are not points of the
-                # system, exactly as in the eager per-run indexing.
-                live = [pos for pos in group.positions if stop_times[pos] >= time]
-                if not live:
-                    continue
-                for process in group.active_processes():
-                    index.setdefault(group.key(process), []).extend(live)
-        for indices in index.values():
-            # The reference constructor indexes in run order; one sort per
-            # class restores that order after the per-group extends.
-            indices.sort()
-        system = cls.__new__(cls)
-        system._runs = runs
-        system._index = index
-        system._symmetry = "none"
-        system._orbit_weights = None
-        return system
 
     @property
     def runs(self) -> Tuple[Run, ...]:

@@ -1,0 +1,335 @@
+"""Differential oracles: the per-adversary paths production is pinned to.
+
+Production runs one engine, the prefix-sharing batch engine of
+:mod:`repro.engine`.  This module keeps the direct paths that engine is
+differentially tested against: one :class:`repro.model.run.Run` per
+adversary for checks, domination, decision times, protocol complexes,
+Definition 4 systems and Lemma 2 surgery, plus the two-pass system
+construction the fused pass replaced (with its :class:`ViewSource` /
+:class:`GroupViews` trie views).  Only ``tests/`` and ``benchmarks/``
+import it — ``tests/test_oracle_boundary.py`` enforces that, and that no
+public survey callable has an ``engine`` parameter.  docs/engine.md
+("Oracles") maps each entry to the production path it pins and the battery
+that runs it.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+
+from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
+from .engine.arrays import ArrayView, StructLayer
+from .engine.sweep import SweepRunner
+from .engine.trie import PrefixScheduler, prepare_adversaries
+from .engine.views import RunCache
+from .knowledge.operators import FamilyRun, System
+from .model.adversary import Adversary, Context
+from .model.run import Run
+from .model.types import ProcessId, Time, Value
+from .model.view import view_key
+from .pipeline import family_stream
+from .topology.complexes import SimplicialComplex, VertexPool
+from .topology.protocol_complex import ComplexVertex, ProtocolComplex, restricted_adversaries
+from .verification.checker import CheckReport, fold_checks
+from .verification.domination import (
+    DominationReport,
+    compare_last_decisions,
+    compare_on_adversary,
+)
+
+#: A canonical view key as produced by :func:`repro.model.view.view_key`.
+ViewKey = Tuple
+
+
+def _name(protocol, default: str) -> str:
+    return getattr(protocol, "name", default)
+
+
+# ------------------------------------------------------- runs and decisions
+class ReferenceRunner:
+    """The :class:`repro.engine.SweepRunner` ``sweep`` surface, one ``Run`` each.
+
+    ``sweep`` yields lazily, so a fold keeps one oracle run alive at a time.
+    """
+
+    def __init__(self, protocol, t: int) -> None:
+        self.protocol = protocol
+        self.t = t
+
+    def sweep(self, adversaries: Iterable[Adversary]):
+        return (Run(self.protocol, adversary, self.t) for adversary in adversaries)
+
+
+def check_protocol(
+    protocol,
+    adversaries,
+    t: int,
+    enforce_paper_bound: bool = True,
+    symmetry: str = "none",
+) -> CheckReport:
+    """:func:`repro.verification.check_protocol` with one ``Run`` per stream item."""
+    report = CheckReport(protocol=_name(protocol, "protocol"))
+    stream = family_stream(adversaries, symmetry)
+    fold_checks(report, stream, ReferenceRunner(protocol, t), enforce_paper_bound)
+    return report
+
+
+def _compare(candidate, reference, adversaries, t, symmetry, compare, suffix=""):
+    report = DominationReport(
+        candidate=_name(candidate, "candidate") + suffix,
+        reference=_name(reference, "reference") + suffix,
+    )
+    for index, adversary, weight in family_stream(adversaries, symmetry):
+        candidate_run = Run(candidate, adversary, t)
+        reference_run = Run(reference, adversary, t)
+        compare(candidate_run, reference_run, index, report, weight)
+    return report
+
+
+def compare_protocols(candidate, reference, adversaries, t: int, symmetry: str = "none"):
+    """:func:`repro.verification.compare_protocols` with one ``Run`` pair per item."""
+    return _compare(candidate, reference, adversaries, t, symmetry, compare_on_adversary)
+
+
+def last_decider_compare(candidate, reference, adversaries, t: int, symmetry: str = "none"):
+    """:func:`repro.verification.last_decider_compare` with one ``Run`` pair per item."""
+    return _compare(
+        candidate, reference, adversaries, t, symmetry, compare_last_decisions, " [last-decider]"
+    )
+
+
+def decision_time_table(
+    protocols: Sequence, adversaries: Sequence[Adversary], t: int
+) -> Dict[str, List[Optional[Time]]]:
+    """:func:`repro.verification.decision_time_table` with one ``Run`` per adversary."""
+    return {
+        _name(protocol, repr(protocol)): [
+            Run(protocol, adversary, t).last_decision_time(correct_only=True)
+            for adversary in adversaries
+        ]
+        for protocol in protocols
+    }
+
+
+# ---------------------------------------------------------------- complexes
+def build_protocol_complex(
+    adversaries: Iterable[Adversary], time: Time, t: int
+) -> ProtocolComplex:
+    """:func:`repro.topology.build_protocol_complex` with one bare ``Run`` per adversary."""
+    pool = VertexPool()
+    masks: List[int] = []
+    vertex_views: Dict[ComplexVertex, Tuple[Adversary, ProcessId]] = {}
+    for adversary in adversaries:
+        run = Run(None, adversary, t, horizon=time)
+        mask = 0
+        for process, view in run.views_at(time).items():
+            vertex = (process, view_key(view))
+            vertex_views.setdefault(vertex, (adversary, process))
+            mask |= 1 << pool.intern(vertex)
+        if mask:
+            masks.append(mask)
+    return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
+
+
+def build_restricted_complex(
+    context: Context,
+    time: Time,
+    values: Optional[Sequence[Value]] = None,
+    max_crashes_per_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+) -> ProtocolComplex:
+    """:func:`repro.topology.build_restricted_complex` on :func:`build_protocol_complex`."""
+    adversaries = restricted_adversaries(
+        context, time, values, max_crashes_per_round, receiver_policy
+    )
+    return build_protocol_complex(adversaries, time, context.t)
+
+
+# ------------------------------------------------------------------ systems
+def system_from_family(
+    protocol,
+    adversaries,
+    t: int,
+    horizon: Optional[int] = None,
+    symmetry: str = "none",
+) -> System:
+    """:meth:`repro.knowledge.System.from_family` as one eager ``Run`` per stream item.
+
+    The quotient systems re-key the directly iterated index by canonical
+    view-key class, exactly as the production quotient does.
+    """
+    items = list(family_stream(adversaries, symmetry))
+    system = System([Run(protocol, adversary, t, horizon=horizon) for _i, adversary, _w in items])
+    if symmetry != "none":
+        system._quotient_index(tuple(weight for _i, _a, weight in items), symmetry)
+    return system
+
+
+def system_from_family_two_pass(
+    protocol, adversaries: Iterable[Adversary], t: int, horizon: Optional[int] = None
+) -> System:
+    """The two-pass system construction the fused pass replaced.
+
+    One :class:`repro.engine.SweepRunner` pass for decisions, then a second,
+    layer-retaining :class:`ViewSource` pass — with no early stopping — for
+    the Definition 4 index.  ``tests/test_fused_scheduler.py`` pins the fused
+    system to it and ``benchmarks/bench_system_build.py`` measures the
+    fusion (≥1.8x is the acceptance gate).
+    """
+    batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
+    if not batch:
+        raise ValueError("a system must contain at least one run")
+    swept = SweepRunner(protocol, t, horizon=horizon).sweep(batch)
+    resolved_horizon = swept[0].horizon
+    cache = RunCache()
+    runs = tuple(FamilyRun(run, cache) for run in swept)
+    source = ViewSource(batch, t, resolved_horizon)
+    stop_times = [run.last_view_time for run in runs]
+    index: Dict[Tuple, List[int]] = {}
+    for time in range(resolved_horizon + 1):
+        for group in source.groups_at(time):
+            # A reference run ends once all its active processes decided;
+            # points past a member's stop time are not points of the
+            # system, exactly as in the eager per-run indexing.
+            live = [pos for pos in group.positions if stop_times[pos] >= time]
+            if not live:
+                continue
+            for process in group.active_processes():
+                index.setdefault(group.key(process), []).extend(live)
+    for indices in index.values():
+        # The eager system indexes in run order; one sort per class restores
+        # that order after the per-group extends.
+        indices.sort()
+    return System._from_index(runs, index)
+
+
+# ------------------------------------------------------------------ surgery
+def verify_surgery(original, result: SurgeryResult, t: Optional[int] = None) -> SurgeryCheck:
+    """:func:`repro.adversaries.verify_surgery` re-simulated on a bare oracle ``Run``."""
+    t = original.t if t is None else t
+    horizon = max(original.horizon, result.time)
+    return check_surgery(original, result, Run(None, result.adversary, t, horizon=horizon))
+
+
+# ------------------------------------------------------------ trie views
+class GroupViews:
+    """The views of one (prefix-class, input-class) group of a trie layer.
+
+    Everything here is a function of the group's :class:`StructLayer` and
+    input vector alone, so it is computed once per class and shared by its
+    members: canonical keys, per-layer hidden sets and the witness matrices
+    of Definition 2.  (Construction costs what it did when the two-pass
+    system was production, so ``bench_system_build`` measures the fusion
+    against the same baseline.)
+    """
+
+    __slots__ = ("layer", "values", "adversaries", "positions", "_keys", "_active",
+                 "_hidden", "_witness")
+
+    def __init__(self, layer: StructLayer, values: Tuple, members: Sequence) -> None:
+        self.layer = layer
+        self.values = values
+        #: The member adversaries of the class and their family positions.
+        self.adversaries: Tuple[Adversary, ...] = tuple(item.adversary for item in members)
+        self.positions: Tuple[int, ...] = tuple(item.pos for item in members)
+        self._keys: Dict[ProcessId, ViewKey] = {}
+        self._active: Optional[Tuple[ProcessId, ...]] = None
+        self._hidden: Dict[ProcessId, Tuple[FrozenSet[ProcessId], ...]] = {}
+        self._witness: Dict[Tuple[ProcessId, Optional[int]], List] = {}
+
+    @property
+    def time(self) -> Time:
+        return self.layer.time
+
+    def active_processes(self) -> Tuple[ProcessId, ...]:
+        """Processes with a local state at this group's time."""
+        if self._active is None:
+            rows = self.layer.rows_seen
+            self._active = tuple(i for i in range(self.layer.n) if rows[i] is not None)
+        return self._active
+
+    def view(self, process: ProcessId) -> ArrayView:
+        """The view of an active process (``KeyError`` otherwise, like ``Run.view``)."""
+        if not 0 <= process < self.layer.n or self.layer.rows_seen[process] is None:
+            raise KeyError((process, self.layer.time))
+        return ArrayView(self.layer, process, self.values)
+
+    def key(self, process: ProcessId) -> ViewKey:
+        """The canonical view key of an active process (cached per class)."""
+        cached = self._keys.get(process)
+        if cached is None:
+            cached = self._keys[process] = view_key(self.view(process))
+        return cached
+
+    def hidden_sets(self, process: ProcessId) -> Tuple[FrozenSet[ProcessId], ...]:
+        """Per-layer hidden process sets w.r.t. the observer (layers 0..time)."""
+        if process not in self._hidden:
+            view = self.view(process)
+            self._hidden[process] = tuple(
+                view.hidden_processes_at(layer) for layer in range(self.time + 1)
+            )
+        return self._hidden[process]
+
+    def hidden_capacity(self, process: ProcessId) -> int:
+        """``HC<process, time>``, from the layer's structural summary."""
+        self.view(process)
+        return self.layer.hidden_capacity(process)
+
+    def witness_matrix(self, process: ProcessId, capacity: Optional[int] = None):
+        """Definition 2 witness rows (:func:`repro.knowledge.hidden.witness_matrix`)."""
+        from .knowledge.hidden import witness_matrix
+
+        if (process, capacity) not in self._witness:
+            self._witness[(process, capacity)] = witness_matrix(self.view(process), capacity)
+        return self._witness[(process, capacity)]
+
+
+class ViewSource:
+    """Canonical views of a whole adversary family at every time ``0..time``.
+
+    Schedules the family on the prefix-sharing trie with *no* protocol and
+    *no* early stopping, advances ``time`` rounds and keeps every layer's
+    (prefix-class, input-class) groups: the object-level view surface the
+    two-pass system construction (:func:`system_from_family_two_pass`)
+    indexes, pinned to the oracle ``Run`` views by
+    ``tests/test_complex_differential.py``.
+    """
+
+    def __init__(self, adversaries: Iterable[Adversary], t: int, time: Time) -> None:
+        if time < 0:
+            raise ValueError(f"time must be >= 0, got {time}")
+        batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
+        self.time = time
+        n, prepared = prepare_adversaries(batch, t)
+        self._layers: List[Tuple[GroupViews, ...]] = []
+        if not prepared:
+            self._layers = [() for _ in range(time + 1)]
+            return
+        scheduler = PrefixScheduler(n, prepared)
+        for level in range(time + 1):
+            if level:
+                scheduler.advance()
+            self._layers.append(
+                tuple(
+                    GroupViews(group.layer, group.values, group.members)
+                    for group in scheduler.groups.values()
+                )
+            )
+
+    def groups(self) -> Tuple[GroupViews, ...]:
+        """All equivalence classes of the family at ``time``."""
+        return self._layers[-1]
+
+    def groups_at(self, time: Time) -> Tuple[GroupViews, ...]:
+        """The equivalence classes at an intermediate time ``0 .. time``."""
+        if not 0 <= time <= self.time:
+            raise ValueError(f"time must be in 0..{self.time}, got {time}")
+        return self._layers[time]
+
+    def group_of(self, pos: int) -> GroupViews:
+        """The class of the adversary at family position ``pos`` at ``time``."""
+        return next(group for group in self.groups() if pos in group.positions)
+
+    def key(self, pos: int, process: ProcessId) -> ViewKey:
+        """Canonical view key of ``process`` under adversary ``pos`` at ``time``."""
+        return self.group_of(pos).key(process)

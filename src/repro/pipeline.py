@@ -15,13 +15,42 @@ stream produce byte-identical aggregates.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 #: Checker stream items per batch.  Large enough that the batch engine keeps
 #: its trie prefix sharing inside one sweep call and the checkpoint-write
 #: cost stays <5% (gated by ``benchmarks/bench_resilience.py``), small
 #: enough that an interrupted hour-scale survey loses minutes, not hours.
 DEFAULT_BATCH_SIZE = 8192
+
+
+def family_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, Any, int]]:
+    """The ``(index, adversary, weight)`` stream a survey folds over a family.
+
+    ``symmetry="none"`` streams every member with weight 1.
+    ``symmetry="quotient"`` streams the first-seen member of each renaming
+    class (:func:`repro.symmetry.quotient_family`) at its family position,
+    weighted by the members in the class.  ``symmetry="constructive"``
+    streams the generated canonical representatives
+    (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
+    in generation order and weighted by orbit size.  The checker, the
+    domination comparisons, ``collect`` and ``System.from_family`` all read
+    their families through it.
+    """
+    from .symmetry import validate_symmetry_choice
+
+    validate_symmetry_choice(symmetry)
+    if symmetry == "none":
+        return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
+    if symmetry == "constructive":
+        from .adversaries.enumeration import constructive_quotient
+
+        representatives, weights, indices = constructive_quotient(adversaries)
+    else:
+        from .symmetry import quotient_family
+
+        representatives, weights, indices = quotient_family(adversaries)
+    return zip(indices, representatives, weights)
 
 
 def fold_stream(

@@ -197,7 +197,7 @@ class _StoreMemo:
 
 # --------------------------------------------------------------- checker runs
 def checker_spec(
-    protocol, space, t: int, symmetry: str, engine: str, enforce_paper_bound: bool
+    protocol, space, t: int, symmetry: str, enforce_paper_bound: bool
 ) -> Dict[str, Any]:
     """The stream-identity spec a checker checkpoint must match to resume."""
     context = space.context
@@ -213,7 +213,9 @@ def checker_spec(
         "max_failures": space.max_failures,
         "limit": space.limit,
         "symmetry": symmetry,
-        "engine": engine,
+        # Fixed: there is one engine, but the field stays so that
+        # checkpoints written when the engine was an option still resume.
+        "engine": "batch",
         "enforce_paper_bound": enforce_paper_bound,
     }
     if symmetry == "quotient":
@@ -230,7 +232,6 @@ def resilient_check(
     t: Optional[int] = None,
     *,
     symmetry: str = "constructive",
-    engine: str = "batch",
     processes: Optional[int] = None,
     chunk_size: Optional[int] = None,
     mp_context: Optional[str] = None,
@@ -254,14 +255,13 @@ def resilient_check(
     symmetry=symmetry)`` produces; the constructive stream is generated
     lazily (``space.orbits()``).  ``result_store`` is the durable cross-run
     verdict memo (:class:`repro.store.ResultStore`), flushed at the same
-    batch boundaries as the checkpoint; its key excludes engine and
-    symmetry (a verdict is a property of the adversary), so any sweep warms
-    any other.
+    batch boundaries as the checkpoint; its key excludes symmetry (a
+    verdict is a property of the adversary), so any sweep warms any other.
     """
-    from ..engine import SweepRunner, validate_engine_choice
-    from ..verification.checker import CheckReport, check_stream, fold_checks
+    from ..engine import SweepRunner
+    from ..pipeline import family_stream
+    from ..verification.checker import CheckReport, fold_checks
 
-    validate_engine_choice(engine, processes)
     if t is None:
         t = space.context.t
     if symmetry == "constructive":
@@ -270,8 +270,8 @@ def resilient_check(
             for index, orbit in enumerate(space.orbits())
         )
     else:
-        stream = check_stream(space, symmetry)
-    spec = checker_spec(protocol, space, t, symmetry, engine, enforce_paper_bound)
+        stream = family_stream(space, symmetry)
+    spec = checker_spec(protocol, space, t, symmetry, enforce_paper_bound)
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     payload = attachments.open(spec, resume)
     name = getattr(protocol, "name", "protocol")
@@ -297,20 +297,18 @@ def resilient_check(
                 [Violation(*violation) for violation in payload["violations"]],
             ),
         )
-    runner = None
-    if engine == "batch":
-        runner = SweepRunner(
-            protocol,
-            t,
-            processes=processes,
-            chunk_size=chunk_size,
-            mp_context=mp_context,
-            supervision=attachments.arm(policy),
-            runtime_report=attachments.report,
-        )
+    runner = SweepRunner(
+        protocol,
+        t,
+        processes=processes,
+        chunk_size=chunk_size,
+        mp_context=mp_context,
+        supervision=attachments.arm(policy),
+        runtime_report=attachments.report,
+    )
     return attachments.fold(
         lambda **hooks: fold_checks(
-            aggregate, protocol, stream, t, runner, enforce_paper_bound,
+            aggregate, stream, runner, enforce_paper_bound,
             batch_size=batch_size, memo=memo, **hooks,
         ),
         aggregate,
@@ -324,8 +322,8 @@ def census_spec(pc, k: int, symmetry: str, backend: str, extra: Optional[Dict] =
 
     The class stream is derived from the built complex, so the spec
     fingerprints the complex (vertex/facet counts, round count) alongside
-    the survey knobs; ``extra`` lets the CLI add the build description
-    (context and engine) for defence in depth.
+    the survey knobs; ``extra`` lets the CLI and the service add the build
+    description (context) for defence in depth.
     """
     spec = {
         "kind": "census",

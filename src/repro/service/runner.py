@@ -289,7 +289,6 @@ class JobRunner:
                 space,
                 spec["t"],
                 symmetry=spec["symmetry"],
-                engine=spec["engine"],
                 processes=self.processes,
                 batch_size=self.batch_size,
                 store=store,
@@ -305,15 +304,16 @@ class JobRunner:
         from ..topology import build_restricted_complex
 
         context = Context(n=spec["n"], t=spec["t"], k=spec["k"])
-        pc = build_restricted_complex(
-            context, time=spec["time"], engine=spec["engine"], processes=self.processes
-        )
+        pc = build_restricted_complex(context, time=spec["time"], processes=self.processes)
         return resilient_census(
             pc,
             spec["k"],
+            # Census "constructive" normalizes to "quotient"; this fold keeps
+            # jobs queued before that normalization on their checkpoint spec.
             symmetry="none" if spec["symmetry"] == "none" else "quotient",
             backend=spec["backend"],
-            spec_extra={"n": spec["n"], "t": spec["t"], "engine": spec["engine"]},
+            # The fixed engine field keeps the CLI's census checkpoint spec.
+            spec_extra={"n": spec["n"], "t": spec["t"], "engine": "batch"},
             store=store,
             resume=True,
             result_store=result_store,

@@ -36,6 +36,9 @@ _SWEEP_DEFAULTS: Dict[str, Any] = {
     "max_failures": None,
     "limit": None,
     "symmetry": "constructive",
+    # Fixed, like the engine field of the checkpoint specs: there is one
+    # engine, but job ids hash the normalized spec, so the field stays and
+    # ids of jobs submitted when it was an option still match.
     "engine": "batch",
     "enforce_paper_bound": True,
 }
@@ -44,7 +47,7 @@ _CENSUS_DEFAULTS: Dict[str, Any] = {
     "time": 1,
     "symmetry": "quotient",
     "backend": None,
-    "engine": "batch",
+    "engine": "batch",  # fixed; see _SWEEP_DEFAULTS
 }
 
 
@@ -83,11 +86,12 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
     """The canonical form of a job spec: validated, defaults filled, fixed keys.
 
     Raises :class:`SpecError` on anything malformed — unknown kind, missing
-    context, unknown protocol/symmetry/engine, negative bounds, unexpected
+    context, unknown protocol/symmetry, an engine other than ``"batch"``,
+    negative bounds, a non-boolean ``enforce_paper_bound``, unexpected
     fields.  The returned dict is identity material: equal surveys, equal
-    dicts.
+    dicts — so a census asking for ``"constructive"`` symmetry, which the
+    census runs as ``"quotient"``, normalizes to ``"quotient"``.
     """
-    from ..engine import ENGINES
     from ..symmetry import SYMMETRIES
 
     if not isinstance(raw, dict):
@@ -110,7 +114,7 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
         Context(n=spec["n"], t=spec["t"], k=spec["k"])
     except (ValueError, AssertionError) as error:
         raise SpecError(f"invalid context n={spec['n']}, t={spec['t']}, k={spec['k']}: {error}")
-    _choice(spec, "engine", tuple(ENGINES))
+    _choice(spec, "engine", ("batch",))
     if kind == "sweep":
         _choice(spec, "protocol", protocol_names())
         _choice(spec, "symmetry", tuple(SYMMETRIES))
@@ -118,10 +122,15 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
         spec["max_crash_round"] = _optional_int(spec, "max_crash_round", minimum=0)
         spec["max_failures"] = _optional_int(spec, "max_failures", minimum=0)
         spec["limit"] = _optional_int(spec, "limit", minimum=1)
-        spec["enforce_paper_bound"] = bool(spec["enforce_paper_bound"])
+        if not isinstance(spec["enforce_paper_bound"], bool):
+            raise SpecError(
+                "spec field 'enforce_paper_bound' must be a JSON boolean, "
+                f"got {spec['enforce_paper_bound']!r}"
+            )
     else:
         spec["time"] = _require_int(spec, "time", minimum=1)
-        _choice(spec, "symmetry", tuple(SYMMETRIES))
+        if _choice(spec, "symmetry", tuple(SYMMETRIES)) == "constructive":
+            spec["symmetry"] = "quotient"
         if spec["backend"] is not None:
             _choice(spec, "backend", ("packed", "bigint", "dense"))
     return {key: spec[key] for key in sorted(spec)}

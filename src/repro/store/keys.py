@@ -105,9 +105,8 @@ def profile_key(signature_name: str, signature, max_q) -> str:
 def check_store_spec(protocol_name: str, t: int, k: int, enforce_paper_bound: bool) -> Dict:
     """What a checker verdict depends on besides the adversary itself.
 
-    Deliberately *excludes* the engine (batch == reference is pinned by the
-    differential suites), the symmetry mode (a verdict is a property of the
-    adversary, however the stream reached it) and the space restrictions
+    Deliberately *excludes* the symmetry mode (a verdict is a property of
+    the adversary, however the stream reached it) and the space restrictions
     (ditto) — so a quotient sweep warms the cache for an exhaustive one and
     restricted sweeps share verdicts with wider ones.  ``k`` is included
     explicitly because protocol ``name`` strings do not encode it.

@@ -18,13 +18,13 @@ the actual one.  Proposition 2: if ``<i, m>`` has hidden capacity at least
 Exhaustive protocol complexes are only tractable for small systems, which is
 all Proposition 2's illustration needs.  The builders below take either an
 explicit adversary family or the standard restricted family "at most ``k``
-crashes per round" used by the lower-bound literature ([15, 22]), plus an
-``engine`` selector and a worker count: ``"batch"`` (default) materialises
-the whole family's canonical views in one view-only scheduler pass
-(:func:`repro.engine.fused.run_facets_pass`) — one facet computation per
-(prefix-class, input-class) instead of one reference ``Run`` per adversary,
-sharded across worker processes when ``processes >= 2`` — while
-``"reference"`` keeps the per-adversary oracle path.  The paths produce
+crashes per round" used by the lower-bound literature ([15, 22]), plus a
+worker count.  They materialise the whole family's canonical views in one
+view-only scheduler pass (:func:`repro.engine.fused.run_facets_pass`) — one
+facet computation per (prefix-class, input-class) instead of one reference
+``Run`` per adversary, sharded across worker processes when
+``processes >= 2``.  The per-adversary builders are the
+:func:`repro.oracles.build_protocol_complex` fixtures; the two produce
 vertex-for-vertex, facet-for-facet identical complexes
 (``tests/test_complex_differential.py``, ``tests/test_fused_scheduler.py``).
 """
@@ -36,11 +36,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.fused import run_facets_pass
-from ..engine.sweep import validate_engine_choice
 from ..engine.views import RunCache
 from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import CrashEvent, FailurePattern
-from ..model.run import Run
 from ..model.types import ProcessId, Time, Value
 from ..model.view import view_key
 from ..pipeline import fold_stream
@@ -296,56 +294,20 @@ def build_protocol_complex(
     adversaries: Iterable[Adversary],
     time: Time,
     t: int,
-    engine: str = "batch",
     processes: Optional[int] = None,
 ) -> ProtocolComplex:
     """Build the ``time``-round protocol complex over an explicit adversary family.
 
-    Every adversary contributes the facet consisting of the local states at
-    ``time`` of its processes that are still active at ``time``.  With
-    ``engine="batch"`` the family is scheduled on the prefix-sharing trie and
-    each (prefix-class, input-class) equivalence class contributes its facet
-    exactly once — and with ``processes >= 2`` the pass shards contiguous
-    chunks of the family across worker processes, each returning its pickled
-    facet payloads (survey-scale families like the n=6 Proposition 2 census
-    build in parallel end to end).  ``engine="reference"`` simulates one
-    oracle ``Run`` per adversary.
-    """
-    validate_engine_choice(engine, processes)
-    if engine == "batch":
-        return _build_protocol_complex_batch(adversaries, time, t, processes)
-    pool = VertexPool()
-    masks: List[int] = []
-    vertex_views: Dict[ComplexVertex, Tuple[Adversary, ProcessId]] = {}
-    for adversary in adversaries:
-        run = Run(None, adversary, t, horizon=time)
-        mask = 0
-        for process, view in run.views_at(time).items():
-            vertex = (process, view_key(view))
-            vertex_views.setdefault(vertex, (adversary, process))
-            mask |= 1 << pool.intern(vertex)
-        if mask:
-            masks.append(mask)
-    return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
-
-
-def _build_protocol_complex_batch(
-    adversaries: Iterable[Adversary],
-    time: Time,
-    t: int,
-    processes: Optional[int] = None,
-) -> ProtocolComplex:
-    """The trie-shared builder: one facet per view equivalence class.
-
-    One view-only scheduler pass (:func:`repro.engine.fused.run_facets_pass`,
-    sharded across workers when ``processes >= 2``) yields each class's keyed
-    active processes; facets are then assembled directly as bitsets over one
-    shared :class:`VertexPool` — each ``(process, view key)`` vertex is
-    interned exactly once for the whole family, and every star complex later
-    derived from the result reuses the same pool and ids.  Payloads arrive
-    sorted by smallest member position, so every vertex's representative is
-    the first adversary (in family order) realising it, independent of
-    chunking.
+    Every adversary contributes the facet of the local states at ``time`` of
+    its processes still active at ``time``.  One view-only scheduler pass
+    (:func:`repro.engine.fused.run_facets_pass`, sharded across workers when
+    ``processes >= 2``) yields each (prefix-class, input-class) class's keyed
+    active processes once; facets are assembled as bitsets over one shared
+    :class:`VertexPool`, so each ``(process, view key)`` vertex is interned
+    once and every star complex derived later reuses the same pool and ids.
+    Payloads arrive sorted by smallest member position, so every vertex's
+    representative is the first adversary (in family order) realising it,
+    independent of chunking.
     """
     batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
     table, facets = run_facets_pass(batch, t, time, processes=processes)
@@ -425,24 +387,39 @@ def build_restricted_complex(
     values: Optional[Sequence[Value]] = None,
     max_crashes_per_round: Optional[int] = None,
     receiver_policy: str = "canonical",
-    engine: str = "batch",
     processes: Optional[int] = None,
 ) -> ProtocolComplex:
     """The ``time``-round protocol complex over "at most ``k`` crashes per round" adversaries.
 
-    ``values`` fixes the input vector (the complex factorises over inputs, and
-    for connectivity questions the inputs are irrelevant); it defaults to
-    everyone starting with ``k``.  ``engine`` / ``processes`` select the
-    construction path (see :func:`build_protocol_complex`).
+    The family is :func:`restricted_adversaries`; ``processes`` shards the
+    build (see :func:`build_protocol_complex`).
+    """
+    adversaries = restricted_adversaries(
+        context, time, values, max_crashes_per_round, receiver_policy
+    )
+    return build_protocol_complex(adversaries, time, context.t, processes=processes)
+
+
+def restricted_adversaries(
+    context: Context,
+    time: Time,
+    values: Optional[Sequence[Value]] = None,
+    max_crashes_per_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+) -> Iterator[Adversary]:
+    """The "at most ``k`` crashes per round" family over ``time`` rounds, lazily.
+
+    ``k`` is ``max_crashes_per_round`` (default ``context.k``); patterns with
+    more than ``context.t`` crashes are dropped.  ``values`` fixes the input
+    vector (the complex factorises over inputs, and for connectivity
+    questions the inputs are irrelevant); it defaults to everyone starting
+    with ``k``.
     """
     k = context.k if max_crashes_per_round is None else max_crashes_per_round
     if values is None:
         values = [context.k] * context.n
-    adversaries = (
+    return (
         Adversary(values, pattern)
-        for pattern in per_round_crash_patterns(
-            context.n, time, k, receiver_policy
-        )
+        for pattern in per_round_crash_patterns(context.n, time, k, receiver_policy)
         if pattern.num_failures <= context.t
     )
-    return build_protocol_complex(adversaries, time, context.t, engine=engine, processes=processes)

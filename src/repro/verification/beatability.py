@@ -29,12 +29,12 @@ This module implements exactly that confrontation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..adversaries.scenarios import figure2_scenario
 from ..core.optmin import OptMin
 from ..model.adversary import Adversary, Context
-from ..model.run import Run, RoundContext
+from ..model.run import RoundContext
 from ..model.types import Time, Value
 from .properties import check_agreement, check_uniform_agreement
 
@@ -141,18 +141,15 @@ def find_agreement_violation(
     adversaries: Iterable[Adversary],
     t: int,
     uniform: bool = False,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Optional[Tuple[int, Adversary]]:
     """Scan an adversary family for a (uniform) k-Agreement violation of ``protocol``.
 
     Returns the index and adversary of the first violation found, or ``None``
-    if the protocol survived the whole family.  ``engine="batch"`` (default)
-    sweeps the (possibly streaming) family through
-    :class:`repro.engine.SweepRunner` in bounded chunks, so the scan keeps
-    the trie's sharing *and* the early exit; ``"reference"`` runs one oracle
-    ``Run`` per adversary.
+    if the protocol survived the whole family.  The (possibly streaming)
+    family is swept through :class:`repro.engine.SweepRunner` in bounded
+    chunks, so the scan keeps the trie's sharing *and* the early exit.
 
     ``symmetry="quotient"`` deduplicates the stream to one first-seen member
     per process-renaming orbit before scanning
@@ -170,10 +167,9 @@ def find_agreement_violation(
     """
     import itertools
 
-    from ..engine import SweepRunner, validate_engine_choice
+    from ..engine import SweepRunner
     from ..symmetry import validate_symmetry_choice
 
-    validate_engine_choice(engine, processes)
     validate_symmetry_choice(symmetry)
     check = check_uniform_agreement if uniform else check_agreement
     if symmetry == "constructive":
@@ -189,12 +185,6 @@ def find_agreement_violation(
         indexed = iter_orbit_representatives(adversaries)
     else:
         indexed = enumerate(adversaries)
-    if engine == "reference":
-        for index, adversary in indexed:
-            run = Run(protocol, adversary, t)
-            if check(run, protocol.k):
-                return index, adversary
-        return None
     runner = SweepRunner(protocol, t, processes=processes)
     stream = iter(indexed)
     while True:
@@ -207,22 +197,20 @@ def find_agreement_violation(
 
 
 
-def demonstrate_unbeatability_mechanism(k: int, depth: int = 2, engine: str = "batch") -> dict:
+def demonstrate_unbeatability_mechanism(k: int, depth: int = 2) -> dict:
     """Run the whole Lemma 3 confrontation and return a structured summary.
 
     Executes Optmin[k] and its eager variant on the witness adversary and
     reports the decided value sets and decision times of both, so tests and
     the FIG3 benchmark can assert that (i) Optmin[k] is correct and (ii) the
-    eager variant violates k-Agreement on the very same adversary.  The
-    property checks consume only the shared run read API, so either engine
-    drives the confrontation.
+    eager variant violates k-Agreement on the very same adversary.
     """
-    from ..engine import run_one
+    from ..engine import sweep
 
     witness = beating_attempt_witness(k, depth)
     t = witness.context.t
-    baseline_run = run_one(OptMin(k), witness.adversary, t, engine)
-    eager_run = run_one(EagerOptMin(k, witness.eager_time), witness.adversary, t, engine)
+    (baseline_run,) = sweep(OptMin(k), [witness.adversary], t)
+    (eager_run,) = sweep(EagerOptMin(k, witness.eager_time), [witness.adversary], t)
     return {
         "witness": witness,
         "optmin_decided_values": sorted(baseline_run.decided_values(correct_only=True)),

@@ -7,15 +7,12 @@ checks of :mod:`repro.verification.properties`, and aggregates the outcome
 into a :class:`CheckReport` that the exhaustive tests and the PROP1/THM3
 benchmarks consume.
 
-Two execution engines are available (``engine=`` on every entry point):
+Every entry point runs on the prefix-sharing batch engine of
+:mod:`repro.engine`, which amortises simulation work across the family.  The
+per-adversary :class:`repro.model.run.Run` path it is differentially tested
+against is the :func:`repro.oracles.check_protocol` fixture.
 
-* ``"batch"`` (default) — the prefix-sharing batch engine of
-  :mod:`repro.engine`, which amortises simulation work across the family and
-  is the throughput path for exhaustive sweeps;
-* ``"reference"`` — one :class:`repro.model.run.Run` per adversary; the
-  semantic oracle the batch engine is differentially tested against.
-
-Orthogonally, ``symmetry="quotient"`` quotients the family by process
+``symmetry="quotient"`` quotients the family by process
 renaming before the sweep (:func:`repro.symmetry.quotient_family`): one
 representative per orbit is simulated and checked, and its outcome is folded
 into the report with the orbit size as weight.  Every recorded quantity —
@@ -27,7 +24,7 @@ identity.  Violations are reported once per orbit (the representative is the
 concrete counterexample; the rest of the orbit is its renamings).
 
 Every entry point only turns its family into an ``(index, adversary,
-weight)`` stream (:func:`check_stream`) and folds it through
+weight)`` stream (:func:`repro.pipeline.family_stream`) and folds it through
 :func:`fold_checks`; :func:`repro.runtime.resilient_check` is the same
 pipeline with checkpoint, result-store and budget attachments.
 """
@@ -35,11 +32,10 @@ pipeline with checkpoint, result-store and budget attachments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary, Context
-from ..model.run import Run
-from ..pipeline import fold_stream
+from ..pipeline import family_stream, fold_stream
 from .properties import Violation, check_run_for_protocol
 
 
@@ -124,56 +120,22 @@ class CheckReport:
         )
 
 
-def check_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, Adversary, int]]:
-    """The ``(index, adversary, weight)`` stream a check folds over a family.
-
-    ``symmetry="none"`` streams every member with weight 1.
-    ``symmetry="quotient"`` streams the first-seen member of each renaming
-    class (:func:`repro.symmetry.quotient_family`) at its family position,
-    weighted by the members in the class.  ``symmetry="constructive"``
-    streams the generated canonical representatives
-    (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
-    in generation order and weighted by orbit size.
-    """
-    from ..symmetry import validate_symmetry_choice
-
-    validate_symmetry_choice(symmetry)
-    if symmetry == "none":
-        return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
-    if symmetry == "constructive":
-        from ..adversaries.enumeration import constructive_quotient
-
-        representatives, weights, indices = constructive_quotient(adversaries)
-    else:
-        from ..symmetry import quotient_family
-
-        representatives, weights, indices = quotient_family(adversaries)
-    return zip(indices, representatives, weights)
-
-
 def fold_checks(
     report: CheckReport,
-    protocol,
     stream: Iterable[Tuple[int, Adversary, int]],
-    t: int,
-    runner=None,
+    runner,
     enforce_paper_bound: bool = True,
     **attachments,
 ) -> None:
     """The checker's pipeline: fold ``stream`` into ``report``.
 
-    ``runner`` is the batch engine's :class:`repro.engine.SweepRunner`;
-    ``None`` selects the reference engine, which simulates and folds one
-    :class:`repro.model.run.Run` at a time.  ``attachments`` pass through
-    to :func:`repro.pipeline.fold_stream`.
+    ``runner`` simulates each batch: a :class:`repro.engine.SweepRunner`, or
+    anything with its ``sweep(adversaries)`` surface.  ``attachments`` pass
+    through to :func:`repro.pipeline.fold_stream`.
     """
 
     def evaluate(items):
-        adversaries = [adversary for _index, adversary, _weight in items]
-        if runner is not None:
-            runs = runner.sweep(adversaries)
-        else:
-            runs = (Run(protocol, adversary, t) for adversary in adversaries)
+        runs = runner.sweep([adversary for _index, adversary, _weight in items])
         return (
             (
                 run.last_decision_time(correct_only=True),
@@ -188,12 +150,11 @@ def fold_checks(
     fold_stream(stream, evaluate, fold, **attachments)
 
 
-def _check(protocol, stream, t, enforce_paper_bound, engine, processes) -> CheckReport:
+def _check(protocol, stream, t, enforce_paper_bound, processes) -> CheckReport:
     from ..engine import SweepRunner
 
     report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-    runner = SweepRunner(protocol, t, processes=processes) if engine == "batch" else None
-    fold_checks(report, protocol, stream, t, runner, enforce_paper_bound)
+    fold_checks(report, stream, SweepRunner(protocol, t, processes=processes), enforce_paper_bound)
     return report
 
 
@@ -202,7 +163,6 @@ def check_protocol(
     adversaries: Iterable[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> CheckReport:
@@ -218,12 +178,7 @@ def check_protocol(
     :func:`repro.adversaries.enumerate_orbits` stream), which is what makes
     spaces too large to enumerate checkable.
     """
-    from ..engine import validate_engine_choice
-
-    validate_engine_choice(engine, processes)
-    return _check(
-        protocol, check_stream(adversaries, symmetry), t, enforce_paper_bound, engine, processes
-    )
+    return _check(protocol, family_stream(adversaries, symmetry), t, enforce_paper_bound, processes)
 
 
 def check_protocols(
@@ -231,7 +186,6 @@ def check_protocols(
     adversaries: List[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Dict[str, CheckReport]:
@@ -241,13 +195,10 @@ def check_protocols(
     is built once and shared across protocols (orbits do not depend on the
     protocol under check).
     """
-    from ..engine import validate_engine_choice
-
-    validate_engine_choice(engine, processes)
-    stream = list(check_stream(adversaries, symmetry))
+    stream = list(family_stream(adversaries, symmetry))
     return {
         getattr(protocol, "name", repr(protocol)): _check(
-            protocol, stream, t, enforce_paper_bound, engine, processes
+            protocol, stream, t, enforce_paper_bound, processes
         )
         for protocol in protocols
     }
@@ -260,7 +211,6 @@ def exhaustive_context_check(
     receiver_policy: str = "canonical",
     max_failures: Optional[int] = None,
     limit: Optional[int] = None,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> CheckReport:
@@ -283,6 +233,4 @@ def exhaustive_context_check(
         max_failures=max_failures,
         limit=limit,
     )
-    return check_protocol(
-        protocol, space, context.t, engine=engine, processes=processes, symmetry=symmetry
-    )
+    return check_protocol(protocol, space, context.t, processes=processes, symmetry=symmetry)

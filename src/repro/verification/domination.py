@@ -20,21 +20,16 @@ consensus by up to t-2 rounds"), and (ii) the per-adversary decision-time data
 that the DOM benchmark reports.  The complementary falsification-style
 evidence for unbeatability lives in :mod:`repro.verification.beatability`.
 
-Every comparison here is a family sweep, so all entry points take
-``engine="batch" | "reference"``: the default routes the family through
-:class:`repro.engine.SweepRunner` (decision times only, which is all
-domination consumes), ``"reference"`` streams one oracle ``Run`` per
-adversary.  The dispatch itself is owned by
-:func:`repro.engine.runs_over_family`.
-
-``symmetry="quotient"`` additionally quotients the family by process
-renaming (:func:`repro.symmetry.quotient_family`) and compares only orbit
-representatives.  Because both protocols are symmetric, a per-process
-comparison on a renamed adversary is the renamed comparison — so the
-domination verdict, ``adversaries_checked`` and ``rounds_saved`` are
-orbit-weighted back to exact full-family figures, while the
-``counterexamples`` / ``improvements`` lists carry one exemplar entry per
-orbit (indexed by the representative's position in the input family).
+Every comparison here is a family sweep on the batch engine
+(:class:`repro.engine.SweepRunner`), pinned to the per-adversary ``Run``
+loops of :mod:`repro.oracles`.  ``symmetry="quotient"`` /
+``"constructive"`` compare only orbit representatives
+(:func:`repro.pipeline.family_stream`).  Because both protocols are
+symmetric, a per-process comparison on a renamed adversary is the renamed
+comparison — so the domination verdict, ``adversaries_checked`` and
+``rounds_saved`` are orbit-weighted back to exact full-family figures, while
+the ``counterexamples`` / ``improvements`` lists carry one exemplar entry
+per orbit (indexed by the representative's position in the input family).
 """
 
 from __future__ import annotations
@@ -146,12 +141,51 @@ def compare_on_adversary(
             report.rounds_saved += weight * (reference_time - candidate_time)
 
 
+def compare_last_decisions(
+    candidate_run: Run,
+    reference_run: Run,
+    adversary_index: int,
+    report: DominationReport,
+    weight: int = 1,
+) -> None:
+    """Fold one adversary's last correct decision times into a last-decider report."""
+    report.adversaries_checked += weight
+    reference_last = reference_run.last_decision_time(correct_only=True)
+    candidate_last = candidate_run.last_decision_time(correct_only=True)
+    if reference_last is None:
+        return
+    if candidate_last is None or candidate_last > reference_last:
+        report.counterexamples.append((adversary_index, -1, candidate_last, reference_last))
+    elif candidate_last < reference_last:
+        report.improvements.append((adversary_index, -1, candidate_last, reference_last))
+        report.rounds_saved += weight * (reference_last - candidate_last)
+
+
+def _compare(candidate, reference, adversaries, t, processes, symmetry, compare, suffix=""):
+    """Sweep both protocols over :func:`repro.pipeline.family_stream` and fold each pair."""
+    from ..engine import SweepRunner
+    from ..pipeline import family_stream
+
+    report = DominationReport(
+        candidate=getattr(candidate, "name", "candidate") + suffix,
+        reference=getattr(reference, "name", "reference") + suffix,
+    )
+    items = list(family_stream(adversaries, symmetry))
+    family = [adversary for _index, adversary, _weight in items]
+    runs = zip(
+        SweepRunner(candidate, t, processes=processes).sweep(family),
+        SweepRunner(reference, t, processes=processes).sweep(family),
+    )
+    for (index, _adversary, weight), (candidate_run, reference_run) in zip(items, runs):
+        compare(candidate_run, reference_run, index, report, weight)
+    return report
+
+
 def compare_protocols(
     candidate,
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> DominationReport:
@@ -163,71 +197,8 @@ def compare_protocols(
     renaming orbit and orbit-weights the aggregate counters (see the module
     docstring).
     """
-    report = DominationReport(
-        candidate=getattr(candidate, "name", "candidate"),
-        reference=getattr(reference, "name", "reference"),
-    )
-    for index, weight, candidate_run, reference_run in _weighted_run_pairs(
-        candidate, reference, adversaries, t, engine, processes, symmetry
-    ):
-        compare_on_adversary(candidate_run, reference_run, index, report, weight=weight)
-    return report
-
-
-def _run_pairs(candidate, reference, adversaries, t, engine, processes):
-    """Paired runs of both protocols per adversary, in input order.
-
-    The reference path streams — both runs of one adversary are built and
-    dropped together, O(1) memory on generated families, exactly like the
-    pre-engine-dispatch loop — while the batch path materialises the family
-    once (it is consumed by two sweeps) and zips the results.
-    """
-    from ..engine import runs_over_family, validate_engine_choice
-
-    validate_engine_choice(engine, processes)
-    if engine == "reference":
-        return ((Run(candidate, a, t), Run(reference, a, t)) for a in adversaries)
-    adversaries = list(adversaries)
-    return zip(
-        runs_over_family(candidate, adversaries, t, engine, processes),
-        runs_over_family(reference, adversaries, t, engine, processes),
-    )
-
-
-def _weighted_run_pairs(candidate, reference, adversaries, t, engine, processes, symmetry):
-    """``(index, weight, candidate run, reference run)`` per compared adversary.
-
-    The symmetry dispatch shared by :func:`compare_protocols` and
-    :func:`last_decider_compare`: exhaustive comparisons stream every family
-    member with weight 1; quotient comparisons stream one representative per
-    renaming orbit, weighted by its member count and indexed by its original
-    family position; constructive comparisons stream one *generated*
-    representative per orbit of a :class:`repro.adversaries.RestrictedSpace`
-    (orbit-size weights, generation-order indices).
-    """
-    from ..symmetry import validate_symmetry_choice
-
-    validate_symmetry_choice(symmetry)
-    if symmetry in ("quotient", "constructive"):
-        if symmetry == "constructive":
-            from ..adversaries.enumeration import constructive_quotient
-
-            representatives, weights, first_indices = constructive_quotient(adversaries)
-        else:
-            from ..symmetry import quotient_family
-
-            representatives, weights, first_indices = quotient_family(adversaries)
-        pairs = _run_pairs(candidate, reference, representatives, t, engine, processes)
-        return (
-            (index, weight, candidate_run, reference_run)
-            for (index, weight, (candidate_run, reference_run)) in zip(
-                first_indices, weights, pairs
-            )
-        )
-    pairs = _run_pairs(candidate, reference, adversaries, t, engine, processes)
-    return (
-        (index, 1, candidate_run, reference_run)
-        for index, (candidate_run, reference_run) in enumerate(pairs)
+    return _compare(
+        candidate, reference, adversaries, t, processes, symmetry, compare_on_adversary
     )
 
 
@@ -236,36 +207,20 @@ def last_decider_compare(
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    engine: str = "batch",
     processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> DominationReport:
     """Definition 6: compare only the time of the last (correct) decision per run."""
-    report = DominationReport(
-        candidate=f"{getattr(candidate, 'name', 'candidate')} [last-decider]",
-        reference=f"{getattr(reference, 'name', 'reference')} [last-decider]",
+    return _compare(
+        candidate, reference, adversaries, t, processes, symmetry,
+        compare_last_decisions, " [last-decider]",
     )
-    for index, weight, candidate_run, reference_run in _weighted_run_pairs(
-        candidate, reference, adversaries, t, engine, processes, symmetry
-    ):
-        report.adversaries_checked += weight
-        reference_last = reference_run.last_decision_time(correct_only=True)
-        candidate_last = candidate_run.last_decision_time(correct_only=True)
-        if reference_last is None:
-            continue
-        if candidate_last is None or candidate_last > reference_last:
-            report.counterexamples.append((index, -1, candidate_last, reference_last))
-        elif candidate_last < reference_last:
-            report.improvements.append((index, -1, candidate_last, reference_last))
-            report.rounds_saved += weight * (reference_last - candidate_last)
-    return report
 
 
 def decision_time_table(
     protocols: Sequence,
     adversaries: Sequence[Adversary],
     t: int,
-    engine: str = "batch",
     processes: Optional[int] = None,
 ) -> Dict[str, List[Optional[Time]]]:
     """Last-correct-decision times of several protocols on each adversary.
@@ -273,12 +228,11 @@ def decision_time_table(
     Returns a mapping ``protocol name -> [time per adversary]``; the DOM
     benchmark prints this as the paper-style comparison table.
     """
-    from ..engine import runs_over_family
+    from ..engine import SweepRunner
 
-    table: Dict[str, List[Optional[Time]]] = {}
-    for protocol in protocols:
-        runs = runs_over_family(protocol, adversaries, t, engine, processes)
-        table[getattr(protocol, "name", repr(protocol))] = [
-            run.last_decision_time(correct_only=True) for run in runs
-        ]
-    return table
+    return {
+        getattr(protocol, "name", repr(protocol)): SweepRunner(
+            protocol, t, processes=processes
+        ).decision_times(adversaries)
+        for protocol in protocols
+    }

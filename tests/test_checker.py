@@ -1,8 +1,6 @@
 """Unit tests for bulk checking (CheckReport, exhaustive context checks)."""
 
-import pytest
-
-from repro import FloodMin, OptMin, UPMin
+from repro import FloodMin, OptMin, UPMin, oracles
 from repro.model import Adversary, Context, FailurePattern, Run, RoundContext
 from repro.core.protocol import Protocol
 from repro.verification import CheckReport, check_protocol, check_protocols, exhaustive_context_check
@@ -53,24 +51,11 @@ class TestCheckProtocol:
         assert not report.ok
 
     def test_engines_produce_identical_reports(self, small_context, random_adversaries):
-        batch = check_protocol(OptMin(2), random_adversaries[:30], small_context.t, engine="batch")
-        reference = check_protocol(
-            OptMin(2), random_adversaries[:30], small_context.t, engine="reference"
-        )
+        batch = check_protocol(OptMin(2), random_adversaries[:30], small_context.t)
+        reference = oracles.check_protocol(OptMin(2), random_adversaries[:30], small_context.t)
         assert batch.decision_time_histogram == reference.decision_time_histogram
         assert batch.runs_checked == reference.runs_checked
         assert batch.ok == reference.ok
-
-    def test_unknown_engine_rejected(self, small_context, random_adversaries):
-        with pytest.raises(ValueError, match="unknown engine"):
-            check_protocol(OptMin(2), random_adversaries[:5], small_context.t, engine="warp")
-
-    def test_processes_rejected_on_reference_engine(self, small_context, random_adversaries):
-        with pytest.raises(ValueError, match="only supported by the batch engine"):
-            check_protocol(
-                OptMin(2), random_adversaries[:5], small_context.t,
-                engine="reference", processes=2,
-            )
 
     def test_check_protocols_maps_by_name(self, small_context, random_adversaries):
         reports = check_protocols(

@@ -54,7 +54,7 @@ class TestSweepCommand:
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.protocol == "optmin"
-        assert args.engine == "batch"
+        assert "engine" not in vars(args)
         assert args.processes is None
 
     def test_batch_sweep_passes(self, capsys):
@@ -65,11 +65,14 @@ class TestSweepCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "OK over 1500 runs" in out
-        assert "engine=batch" in out
+        assert "symmetry=none" in out
+        assert "engine" not in out
 
-    def test_processes_rejected_on_reference_engine(self, capsys):
-        assert main(["sweep", "--engine", "reference", "--processes", "4"]) == 2
-        assert "only supported by the batch engine" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["compare", "sweep", "figure4", "surgery", "census"])
+    def test_engine_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "reference"])
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_nonpositive_worker_counts_rejected(self):
         for bad in ("0", "-8"):
@@ -146,19 +149,22 @@ class TestSweepCommand:
         assert code == 2
         assert "nothing was verified" in capsys.readouterr().out
 
-    def test_reference_engine_sweep(self, capsys):
+    def test_sweep_matches_reference_oracle(self, capsys):
+        """The CLI's report line is the per-adversary ``Run`` oracle's."""
+        from repro import oracles
+        from repro.adversaries import RestrictedSpace
+        from repro.core import UPMin
+        from repro.model import Context
+
         code = main(
             ["sweep", "-n", "3", "-t", "1", "-k", "1", "--protocol", "upmin",
              "--receiver-policy", "none", "--limit", "200"]
         )
         assert code == 0
-        assert "engine=batch" in capsys.readouterr().out
-        code = main(
-            ["sweep", "-n", "3", "-t", "1", "-k", "1", "--protocol", "upmin",
-             "--engine", "reference", "--receiver-policy", "none", "--limit", "200"]
-        )
-        assert code == 0
-        assert "engine=reference" in capsys.readouterr().out
+        space = RestrictedSpace(Context(n=3, t=1, k=1), receiver_policy="none", limit=200)
+        reference = oracles.check_protocol(UPMin(1), space, 1)
+        assert reference.runs_checked == 80
+        assert reference.summary() in capsys.readouterr().out.splitlines()
 
 
 class TestCountCommand:

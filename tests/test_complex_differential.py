@@ -1,12 +1,13 @@
 """Differential harness for the view-materialisation layer.
 
-PR 1 pinned the batch engine's *decisions* to the reference oracle; this
-suite pins its *views*: protocol and star complexes built on the trie
-(``engine="batch"``) must be vertex-for-vertex and facet-for-facet identical
-to reference-built ones over the exhaustive n=4, t=2 restricted family, the
-canonical ``view_key`` must agree across engines on every node of every run,
-and the Lemma 2 surgery verifier must reach the same verdicts on either
-engine.  Also covers the ``RunCache`` memoisation contract (one simulation
+The decision batteries pin the batch engine's *decisions* to the reference
+oracle; this suite pins its *views*: protocol and star complexes built on
+the trie must be vertex-for-vertex and facet-for-facet identical to the
+per-adversary builds of :mod:`repro.oracles` over the exhaustive n=4, t=2
+restricted family (and, for the census, the n=5 m=2 family), the canonical
+``view_key`` must agree across engines on every node of every run, and the
+Lemma 2 surgery verifier must reach the same verdicts on the layer chain as
+on the oracle ``Run``.  Also covers the ``RunCache`` memoisation contract (one simulation
 per distinct adversary, however many vertex lookups hit it).
 """
 
@@ -14,13 +15,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import AdversaryGenerator, figure2_scenario, lemma2_surgery, verify_surgery
-from repro.engine import LayerViews, RunCache, ViewSource
+from repro.engine import LayerViews, RunCache
+from repro.oracles import ViewSource
 from repro.knowledge import System, exists_value
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.model.view import view_key
-from repro.topology import build_protocol_complex, build_restricted_complex
-from repro.topology.protocol_complex import per_round_crash_patterns
+from repro.topology import (
+    build_protocol_complex,
+    build_restricted_complex,
+    capacity_connectivity_census,
+)
+from repro.topology.protocol_complex import per_round_crash_patterns, restricted_adversaries
 
 
 CONTEXT = Context(n=4, t=2, k=2)
@@ -40,8 +47,8 @@ class TestComplexesIdenticalAcrossEngines:
 
     @pytest.mark.parametrize("time", [0, 1, 2])
     def test_restricted_complex_identical(self, time):
-        reference = build_restricted_complex(CONTEXT, time=time, engine="reference")
-        batch = build_restricted_complex(CONTEXT, time=time, engine="batch")
+        reference = oracles.build_restricted_complex(CONTEXT, time=time)
+        batch = build_restricted_complex(CONTEXT, time=time)
         assert batch.complex.vertices == reference.complex.vertices
         assert set(batch.complex.facets) == set(reference.complex.facets)
         assert batch.time == reference.time == time
@@ -51,24 +58,54 @@ class TestComplexesIdenticalAcrossEngines:
     def test_mixed_input_vectors_identical(self):
         """The complex must also agree when the family crosses input classes."""
         adversaries = restricted_family(1, values=[0, 1, 2, 2]) + restricted_family(1)
-        reference = build_protocol_complex(adversaries, time=1, t=CONTEXT.t, engine="reference")
-        batch = build_protocol_complex(adversaries, time=1, t=CONTEXT.t, engine="batch")
+        reference = oracles.build_protocol_complex(adversaries, time=1, t=CONTEXT.t)
+        batch = build_protocol_complex(adversaries, time=1, t=CONTEXT.t)
         assert batch.complex.vertices == reference.complex.vertices
         assert set(batch.complex.facets) == set(reference.complex.facets)
 
     @pytest.mark.parametrize("time", [1, 2])
     def test_star_complexes_identical(self, time):
-        reference = build_restricted_complex(CONTEXT, time=time, engine="reference")
-        batch = build_restricted_complex(CONTEXT, time=time, engine="batch")
+        reference = oracles.build_restricted_complex(CONTEXT, time=time)
+        batch = build_restricted_complex(CONTEXT, time=time)
         for adversary, process in reference.vertex_views.values():
             star_ref = reference.star_of(adversary, process, CONTEXT.t)
             star_bat = batch.star_of(adversary, process, CONTEXT.t)
             assert star_ref == star_bat
 
     def test_empty_family(self):
-        batch = build_protocol_complex([], time=1, t=CONTEXT.t, engine="batch")
-        reference = build_protocol_complex([], time=1, t=CONTEXT.t, engine="reference")
+        batch = build_protocol_complex([], time=1, t=CONTEXT.t)
+        reference = oracles.build_protocol_complex([], time=1, t=CONTEXT.t)
         assert batch.complex.is_empty() and reference.complex.is_empty()
+
+
+class TestCensusAgainstOracleBuild:
+    """The n=5 t=2 k=2 m=2 census (1,501 adversaries) on both builds.
+
+    At ``processes=2`` the production build splits the family into two
+    chunks, so this also covers the sharded per-observer last round.
+    """
+
+    CONTEXT = Context(n=5, t=2, k=2)
+
+    @pytest.fixture(scope="class")
+    def builds(self):
+        assert sum(1 for _ in restricted_adversaries(self.CONTEXT, 2)) == 1501
+        reference = oracles.build_restricted_complex(self.CONTEXT, time=2)
+        serial = build_restricted_complex(self.CONTEXT, time=2)
+        sharded = build_restricted_complex(self.CONTEXT, time=2, processes=2)
+        return reference, serial, sharded
+
+    @pytest.mark.parametrize("symmetry", ["none", "quotient"])
+    def test_census_matches_oracle_build(self, builds, symmetry):
+        reference, *production = builds
+        expected = capacity_connectivity_census(reference, 2, symmetry=symmetry)
+        for pc in production:
+            assert pc.complex.vertex_count == reference.complex.vertex_count == 565
+            assert len(pc.complex.facet_masks) == len(reference.complex.facet_masks) == 751
+            assert pc.complex == reference.complex
+            census = capacity_connectivity_census(pc, 2, symmetry=symmetry)
+            assert census.row == expected.row
+            assert census.classes == expected.classes
 
 
 class TestViewSourceAgainstOracle:
@@ -174,7 +211,7 @@ class TestLayerViews:
 
 class TestRunCache:
     def test_vertex_lookups_simulate_each_adversary_once(self):
-        pc = build_restricted_complex(CONTEXT, time=1, engine="batch")
+        pc = build_restricted_complex(CONTEXT, time=1)
         adversary, process = next(iter(pc.vertex_views.values()))
         for _ in range(5):
             pc.star_of(adversary, process, CONTEXT.t)
@@ -199,8 +236,8 @@ class TestSurgeryAcrossEngines:
         scenario = figure2_scenario(k=k, depth=depth)
         run = Run(None, scenario.adversary, scenario.context.t, horizon=depth)
         result = lemma2_surgery(run, scenario.observer, depth, list(range(k)))
-        batch = verify_surgery(run, result, engine="batch")
-        reference = verify_surgery(run, result, engine="reference")
+        batch = verify_surgery(run, result)
+        reference = oracles.verify_surgery(run, result)
         assert batch == reference
         assert batch.ok
 
@@ -214,9 +251,7 @@ class TestSurgeryAcrossEngines:
                 if not run.has_view(0, time) or run.view(0, time).hidden_capacity() < 2:
                     continue
                 result = lemma2_surgery(run, 0, time, [0, 1])
-                assert verify_surgery(run, result, engine="batch") == verify_surgery(
-                    run, result, engine="reference"
-                )
+                assert verify_surgery(run, result) == oracles.verify_surgery(run, result)
                 compared += 1
         assert compared >= 5
 
@@ -225,18 +260,16 @@ class TestSurgeryAcrossEngines:
         scenario = figure2_scenario(k=3, depth=2)
         base = LayerViews(scenario.adversary, scenario.context.t, 2)
         result = lemma2_surgery(base, scenario.observer, 2, [0, 1, 2])
-        assert verify_surgery(base, result, engine="batch").ok
+        assert verify_surgery(base, result).ok
 
-    def test_explicit_protocol_forces_reference_path(self):
-        """Pre-port callers passing a protocol keep the oracle re-run semantics."""
+    def test_explicit_protocol_reruns_under_the_protocol(self):
+        """Passing a protocol re-runs the surgered adversary under it (a ``Run``)."""
         from repro.core import OptMin
 
         scenario = figure2_scenario(k=2, depth=2)
         run = Run(None, scenario.adversary, scenario.context.t, horizon=2)
         result = lemma2_surgery(run, scenario.observer, 2, [0, 1])
-        assert verify_surgery(run, result, OptMin(2)) == verify_surgery(
-            run, result, OptMin(2), engine="reference"
-        )
+        assert verify_surgery(run, result, OptMin(2)) == oracles.verify_surgery(run, result)
 
 
 class TestKnowledgeOnViewAPI:

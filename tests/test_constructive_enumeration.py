@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import (
     RestrictedSpace,
     count_adversaries,
@@ -199,10 +200,8 @@ class TestConsumerDifferentials:
 
     def test_checker_reference_engine(self):
         space = RestrictedSpace(CONTEXT, max_crash_round=1, receiver_policy="none")
-        exhaustive = check_protocol(OptMin(2), list(space), CONTEXT.t, engine="reference")
-        constructive = check_protocol(
-            OptMin(2), space, CONTEXT.t, engine="reference", symmetry="constructive"
-        )
+        exhaustive = oracles.check_protocol(OptMin(2), list(space), CONTEXT.t)
+        constructive = oracles.check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
         assert constructive.decision_time_histogram == exhaustive.decision_time_histogram
         assert constructive.runs_checked == exhaustive.runs_checked
 

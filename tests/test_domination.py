@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet
+from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet, oracles
 from repro.adversaries import AdversaryGenerator, figure4_scenario
 from repro.model import Adversary, Context, FailurePattern, Run
 from repro.verification import (
@@ -89,3 +89,32 @@ class TestDecisionTimeTable:
     def test_floodmin_column_is_constant(self, small_context, random_adversaries):
         table = decision_time_table([FloodMin(2)], random_adversaries[:15], small_context.t)
         assert set(table["FloodMin"]) == {small_context.t // 2 + 1}
+
+
+class TestAgainstReferenceOracle:
+    """The batch comparisons equal the per-adversary ``Run`` loops of ``repro.oracles``."""
+
+    @pytest.mark.parametrize("symmetry", ["none", "quotient"])
+    @pytest.mark.parametrize(
+        "compare",
+        ["compare_protocols", "last_decider_compare"],
+    )
+    def test_reports_identical(self, small_context, random_adversaries, compare, symmetry):
+        family = random_adversaries[:40]
+        production = {
+            "compare_protocols": compare_protocols,
+            "last_decider_compare": last_decider_compare,
+        }[compare]
+        batch = production(UPMin(2), FloodMin(2), family, small_context.t, symmetry=symmetry)
+        reference = getattr(oracles, compare)(
+            UPMin(2), FloodMin(2), family, small_context.t, symmetry=symmetry
+        )
+        assert batch == reference
+        assert batch.improvements
+
+    def test_decision_time_table_identical(self, small_context, random_adversaries):
+        protocols = [OptMin(2), UPMin(2), FloodMin(2)]
+        family = random_adversaries[:30]
+        assert decision_time_table(protocols, family, small_context.t) == (
+            oracles.decision_time_table(protocols, family, small_context.t)
+        )

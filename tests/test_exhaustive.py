@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries.enumeration import count_adversaries, enumerate_adversaries
 from repro.baselines import EarlyDecidingKSet, UniformEarlyDecidingKSet
 from repro.core import Opt0, OptMin, UOpt0, UPMin
@@ -67,9 +68,8 @@ class TestExhaustiveSpecifications:
         "protocol", [Opt0(), UOpt0(), OptMin(1), UPMin(1)], ids=lambda p: p.name
     )
     def test_consensus_protocols_over_full_space(self, consensus_adversaries, protocol, engine):
-        report = check_protocol(
-            protocol, consensus_adversaries, CONSENSUS.t, enforce_paper_bound=True, engine=engine
-        )
+        check = check_protocol if engine == "batch" else oracles.check_protocol
+        report = check(protocol, consensus_adversaries, CONSENSUS.t, enforce_paper_bound=True)
         assert report.ok, report.summary()
         assert report.runs_checked == len(consensus_adversaries)
 

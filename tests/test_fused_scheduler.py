@@ -26,6 +26,7 @@ import pickle
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import AdversaryGenerator
 from repro.adversaries.enumeration import enumerate_adversaries
 from repro.core import Opt0, OptMin, UPMin
@@ -64,26 +65,26 @@ def _ensure_child_import_path(monkeypatch):
 class TestSinglePassContract:
     def test_fused_system_is_one_traversal(self, family):
         before = PrefixScheduler.passes_started
-        System.from_family(OptMin(2), family, CONTEXT.t, engine="batch")
+        System.from_family(OptMin(2), family, CONTEXT.t)
         assert PrefixScheduler.passes_started - before == 1
 
     def test_two_pass_baseline_is_two_traversals(self, family):
         before = PrefixScheduler.passes_started
-        System._from_family_two_pass(OptMin(2), family, CONTEXT.t)
+        oracles.system_from_family_two_pass(OptMin(2), family, CONTEXT.t)
         assert PrefixScheduler.passes_started - before == 2
 
     def test_batch_complex_build_is_one_traversal(self, family):
         before = PrefixScheduler.passes_started
-        build_protocol_complex(family, time=2, t=CONTEXT.t, engine="batch")
+        build_protocol_complex(family, time=2, t=CONTEXT.t)
         assert PrefixScheduler.passes_started - before == 1
 
 
 class TestFusedSystemIdentity:
     @pytest.mark.parametrize("protocol_factory", [lambda: OptMin(2), lambda: UPMin(2), Opt0])
     def test_fused_equals_two_pass_and_reference(self, family, protocol_factory):
-        fused = System.from_family(protocol_factory(), family, CONTEXT.t, engine="batch")
-        two_pass = System._from_family_two_pass(protocol_factory(), family, CONTEXT.t)
-        reference = System.from_family(protocol_factory(), family, CONTEXT.t, engine="reference")
+        fused = System.from_family(protocol_factory(), family, CONTEXT.t)
+        two_pass = oracles.system_from_family_two_pass(protocol_factory(), family, CONTEXT.t)
+        reference = oracles.system_from_family(protocol_factory(), family, CONTEXT.t)
         assert fused._index == two_pass._index == reference._index
         for f, t, r in zip(fused.runs, two_pass.runs, reference.runs):
             assert f.decisions() == t.decisions() == r.decisions()
@@ -95,13 +96,9 @@ class TestFusedSystemIdentity:
             for pattern in per_round_crash_patterns(CONTEXT.n, 2, CONTEXT.k)
             if pattern.num_failures <= CONTEXT.t
         ]
-        fused = System.from_family(OptMin(2), adversaries, CONTEXT.t, engine="batch")
-        two_pass = System._from_family_two_pass(OptMin(2), adversaries, CONTEXT.t)
+        fused = System.from_family(OptMin(2), adversaries, CONTEXT.t)
+        two_pass = oracles.system_from_family_two_pass(OptMin(2), adversaries, CONTEXT.t)
         assert fused._index == two_pass._index
-
-    def test_processes_rejected_on_reference_engine(self, family):
-        with pytest.raises(ValueError, match="processes"):
-            System.from_family(OptMin(2), family, CONTEXT.t, engine="reference", processes=2)
 
 
 class TestParallelExecutor:
@@ -118,19 +115,15 @@ class TestParallelExecutor:
             assert [run.stop_time for run in runs] == [run.stop_time for run in serial_runs]
 
     def test_parallel_system_construction(self, family):
-        serial = System.from_family(OptMin(2), family, CONTEXT.t, engine="batch")
-        parallel = System.from_family(
-            OptMin(2), family, CONTEXT.t, engine="batch", processes=2
-        )
+        serial = System.from_family(OptMin(2), family, CONTEXT.t)
+        parallel = System.from_family(OptMin(2), family, CONTEXT.t, processes=2)
         assert serial._index == parallel._index
         assert [r.decisions() for r in serial.runs] == [r.decisions() for r in parallel.runs]
 
     def test_parallel_complex_build(self, family):
-        serial = build_protocol_complex(family, time=2, t=CONTEXT.t, engine="batch")
-        parallel = build_protocol_complex(
-            family, time=2, t=CONTEXT.t, engine="batch", processes=2
-        )
-        reference = build_protocol_complex(family, time=2, t=CONTEXT.t, engine="reference")
+        serial = build_protocol_complex(family, time=2, t=CONTEXT.t)
+        parallel = build_protocol_complex(family, time=2, t=CONTEXT.t, processes=2)
+        reference = oracles.build_protocol_complex(family, time=2, t=CONTEXT.t)
         assert parallel.complex == serial.complex == reference.complex
         # The compact payload keeps representative bookkeeping deterministic:
         # chunking must not change which adversary represents a vertex.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import AdversaryGenerator, figure2_scenario, figure4_scenario
 from repro.adversaries.enumeration import enumerate_adversaries
 from repro.analysis import collect
@@ -141,7 +142,8 @@ class TestProposition2Golden:
     def test_star_connectivity_census(self, time, engine):
         context = Context(n=4, t=2, k=2)
         golden_vertices, golden_facets, golden_census = self.GOLDEN[time]
-        pc = build_restricted_complex(context, time=time, engine=engine)
+        build = build_restricted_complex if engine == "batch" else oracles.build_restricted_complex
+        pc = build(context, time=time)
         assert len(pc.complex.vertices) == golden_vertices
         assert len(pc.complex.facets) == golden_facets
         census = {}

@@ -9,7 +9,7 @@ Proposition 2 actually runs: the exhaustive n=4, t=2 restricted family
 complex of **every** vertex, Betti numbers and connectivity profiles alike.
 
 The batch-built knowledge ``System`` rides the same contract:
-``System.from_family(..., engine="batch")`` must answer every Definition 4
+``System.from_family`` must answer every Definition 4
 query exactly like the seed eager-``Run`` system.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import enumerate_adversaries
 from repro.core import OptMin
 from repro.knowledge import (
@@ -120,7 +121,7 @@ class TestPackedBackendMatchesSeedHomology:
 
 
 class TestBatchSystemMatchesReference:
-    """System.from_family(engine="batch") == the seed eager-Run system."""
+    """System.from_family == the seed eager-Run system (the oracle fixture)."""
 
     @pytest.fixture(scope="class")
     def systems(self):
@@ -130,8 +131,8 @@ class TestBatchSystemMatchesReference:
         )
         from repro.core import Opt0
 
-        reference = System.from_family(Opt0(), adversaries, context.t, engine="reference")
-        batch = System.from_family(Opt0(), adversaries, context.t, engine="batch")
+        reference = oracles.system_from_family(Opt0(), adversaries, context.t)
+        batch = System.from_family(Opt0(), adversaries, context.t)
         return reference, batch, context
 
     def test_local_state_index_identical(self, systems):
@@ -185,7 +186,7 @@ class TestBatchSystemMatchesReference:
 
     def test_batch_system_rejects_empty_family(self):
         with pytest.raises(ValueError):
-            System.from_family(OptMin(2), [], 2, engine="batch")
+            System.from_family(OptMin(2), [], 2)
 
     def test_batch_system_over_restricted_family(self):
         """The Definition 4 path over the Prop2 family: one sweep, no eager runs."""
@@ -195,8 +196,8 @@ class TestBatchSystemMatchesReference:
             if pattern.num_failures <= CONTEXT.t
         ]
         protocol = OptMin(CONTEXT.k)
-        batch = System.from_family(protocol, adversaries, CONTEXT.t, engine="batch")
-        reference = System.from_family(protocol, adversaries, CONTEXT.t, engine="reference")
+        batch = System.from_family(protocol, adversaries, CONTEXT.t)
+        reference = oracles.system_from_family(protocol, adversaries, CONTEXT.t)
         assert batch._index == reference._index
         fact = at_most_low_values_decided(CONTEXT.k)
         for index in (0, len(adversaries) // 2, len(adversaries) - 1):

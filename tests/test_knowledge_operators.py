@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Opt0, OptMin
+from repro import oracles
 from repro.adversaries import enumerate_adversaries
 from repro.knowledge import (
     System,
@@ -37,10 +38,8 @@ class TestSystemMechanics:
             enumerate_adversaries(context, max_crash_round=1, receiver_policy="none")
         )
         batch = System.from_family(Opt0(), adversaries, context.t)
-        reference = System.from_family(Opt0(), adversaries, context.t, engine="reference")
+        reference = oracles.system_from_family(Opt0(), adversaries, context.t)
         assert len(batch.runs) == len(reference.runs) == len(adversaries)
-        with pytest.raises(ValueError):
-            System.from_family(Opt0(), adversaries, context.t, engine="bogus")
 
     def test_from_family_batch_answers_view_queries(self):
         context = Context(n=3, t=1, k=1, max_value=1)

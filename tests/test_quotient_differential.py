@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import enumerate_adversaries
 from repro.analysis import collect
 from repro.core import Opt0, OptMin, UPMin
@@ -69,10 +70,8 @@ class TestCheckerQuotient:
 
     def test_reference_engine_quotient(self, family):
         small = family[:400]
-        exhaustive = check_protocol(OptMin(2), small, CONTEXT.t, engine="reference")
-        quotient = check_protocol(
-            OptMin(2), small, CONTEXT.t, engine="reference", symmetry="quotient"
-        )
+        exhaustive = oracles.check_protocol(OptMin(2), small, CONTEXT.t)
+        quotient = oracles.check_protocol(OptMin(2), small, CONTEXT.t, symmetry="quotient")
         assert quotient.decision_time_histogram == exhaustive.decision_time_histogram
         assert quotient.runs_checked == exhaustive.runs_checked
 
@@ -216,10 +215,8 @@ class TestSystemQuotient:
     @pytest.mark.parametrize("fact_factory", [lambda: exists_value(0), lambda: at_most_low_values_decided(2)])
     def test_quotient_knowledge_matches_full(self, small_family, fact_factory):
         fact = fact_factory()
-        full = System.from_family(OptMin(2), small_family, CONTEXT.t, engine="batch")
-        quotient = System.from_family(
-            OptMin(2), small_family, CONTEXT.t, engine="batch", symmetry="quotient"
-        )
+        full = System.from_family(OptMin(2), small_family, CONTEXT.t)
+        quotient = System.from_family(OptMin(2), small_family, CONTEXT.t, symmetry="quotient")
         assert sum(quotient.orbit_weights) == len(small_family)
         by_adversary = {run.adversary: run for run in full.runs}
         checked = 0
@@ -236,11 +233,9 @@ class TestSystemQuotient:
         assert checked > 100
 
     def test_quotient_system_reference_engine(self, small_family):
-        batch = System.from_family(
-            OptMin(2), small_family, CONTEXT.t, engine="batch", symmetry="quotient"
-        )
-        reference = System.from_family(
-            OptMin(2), small_family, CONTEXT.t, engine="reference", symmetry="quotient"
+        batch = System.from_family(OptMin(2), small_family, CONTEXT.t, symmetry="quotient")
+        reference = oracles.system_from_family(
+            OptMin(2), small_family, CONTEXT.t, symmetry="quotient"
         )
         assert batch._index == reference._index
         assert batch.orbit_weights == reference.orbit_weights

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracles
 from repro.adversaries.enumeration import RestrictedSpace
 from repro.core import OptMin
 from repro.core.protocol import Protocol
@@ -30,6 +31,9 @@ from repro.topology import build_restricted_complex, capacity_connectivity_censu
 from repro.verification import CheckReport, check_protocol
 
 CONTEXT = Context(n=4, t=2, k=2)
+
+#: The production checker and the per-adversary ``Run`` oracle it is pinned to.
+CHECKERS = {"batch": check_protocol, "reference": oracles.check_protocol}
 
 
 def small_space():
@@ -166,9 +170,10 @@ class TestPlainEqualsResilient:
     """A plain check is the resilient runner's pipeline with nothing attached.
 
     Same stream, same fold: indices, weights and the histogram's fold order
-    all match byte for byte, for every symmetry mode, engine and ``limit``
+    all match byte for byte, for every symmetry mode and ``limit``
     (which caps members on the quotient stream and orbits on the
-    constructive one), with violations in the report.
+    constructive one), with violations in the report.  The plain leg runs
+    on the batch engine and on the per-adversary ``Run`` oracle.
     """
 
     CONSENSUS = Context(n=4, t=2, k=1)
@@ -179,9 +184,9 @@ class TestPlainEqualsResilient:
     @pytest.mark.parametrize("symmetry", ["none", "quotient", "constructive"])
     def test_check_payloads_identical(self, tmp_path, symmetry, engine, limit, protocol):
         space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=limit)
-        plain = check_protocol(protocol, space, 2, engine=engine, symmetry=symmetry)
+        plain = CHECKERS[engine](protocol, space, 2, symmetry=symmetry)
         outcome = resilient_check(
-            protocol, space, 2, symmetry=symmetry, engine=engine, batch_size=16,
+            protocol, space, 2, symmetry=symmetry, batch_size=16,
             store=CheckpointStore(str(tmp_path)),
         )
         assert outcome.completed
@@ -205,7 +210,7 @@ class TestPlainEqualsResilient:
         from repro.runtime import Checkpoint, checker_spec
 
         space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=50)
-        spec = checker_spec(OptMin(1), space, 2, "quotient", "batch", True)
+        spec = checker_spec(OptMin(1), space, 2, "quotient", True)
         stale = {key: value for key, value in spec.items() if key != "stream"}
         store = CheckpointStore(str(tmp_path))
         store.save(Checkpoint(spec=stale, cursor=16, payload=CheckReport("Optmin[k]").to_payload()))

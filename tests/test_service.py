@@ -73,12 +73,37 @@ class TestSpecs:
             ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "limit": 0}, "limit"),
             ({"kind": "census", "n": 3, "t": 1, "k": 1, "time": 0}, "time"),
             ({"kind": "sweep", "n": "3", "t": 1, "k": 1}, "must be an integer"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": "false"},
+             "enforce_paper_bound"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": 0},
+             "enforce_paper_bound"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": "yes"},
+             "enforce_paper_bound"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "engine": "reference"}, "engine"),
+            ({"kind": "census", "n": 3, "t": 1, "k": 1, "engine": "reference"}, "engine"),
             ([1, 2], "JSON object"),
         ],
     )
     def test_malformed_specs_are_rejected(self, raw, complaint):
         with pytest.raises(SpecError, match=complaint):
             normalize_spec(raw)
+
+    def test_enforce_paper_bound_keeps_the_requested_boolean(self):
+        assert sweep_spec(enforce_paper_bound=False)["enforce_paper_bound"] is False
+        assert sweep_spec()["enforce_paper_bound"] is True
+
+    def test_constructive_census_is_the_quotient_census(self, tmp_path):
+        """The census runs "constructive" as "quotient": one survey, one job row."""
+        census = {"kind": "census", "n": 3, "t": 1, "k": 1}
+        constructive = normalize_spec(dict(census, symmetry="constructive"))
+        quotient = normalize_spec(dict(census, symmetry="quotient"))
+        assert constructive == quotient == normalize_spec(census)
+        with JobQueue(tmp_path / "q.sqlite") as queue:
+            first = queue.submit(job_id(constructive), constructive)
+            second = queue.submit(job_id(quotient), quotient)
+            assert first["created"] and not second["created"]
+            assert first["id"] == second["id"]
+            assert queue.counts()["queued"] == 1
 
     def test_admission_admits_tractable_and_rejects_intractable(self):
         small = admission(sweep_spec())
@@ -452,6 +477,12 @@ class TestServiceApi:
         with _ServiceHarness(tmp_path, runners=0, max_depth=1) as harness:
             status, payload = harness.request("POST", "/jobs", {"kind": "bogus"})
             assert status == 400 and "kind" in payload["error"]
+
+            status, payload = harness.request(
+                "POST", "/jobs",
+                {"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": "false"},
+            )
+            assert status == 400 and "enforce_paper_bound" in payload["error"]
 
             status, payload = harness.request(
                 "POST", "/jobs",
