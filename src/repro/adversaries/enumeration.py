@@ -289,12 +289,7 @@ def _enumerate_orbits_constructive(
     limit: Optional[int],
 ) -> Iterator[AdversaryOrbit]:
     """The canonical-augmentation orbit stream (see :func:`enumerate_orbits`)."""
-    from ..symmetry import (
-        identity_permutation,
-        iter_canonical_patterns,
-        iter_canonical_vectors,
-        vector_orbit_size,
-    )
+    from ..symmetry import identity_permutation, iter_canonical_patterns, iter_canonical_vectors
 
     max_round, failures = _resolve_restrictions(context, max_crash_round, max_failures)
     domain = tuple(context.values_domain)
@@ -302,10 +297,8 @@ def _enumerate_orbits_constructive(
     produced = 0
     for node in iter_canonical_patterns(context.n, max_round, receiver_policy, failures):
         pattern = node.pattern()
-        for values in iter_canonical_vectors(node, domain):
-            yield AdversaryOrbit(
-                Adversary(values, pattern), vector_orbit_size(node, values), identity
-            )
+        for values, size in iter_canonical_vectors(node, domain):
+            yield AdversaryOrbit(Adversary(values, pattern), size, identity)
             produced += 1
             if limit is not None and produced >= limit:
                 return

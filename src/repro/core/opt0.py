@@ -49,6 +49,10 @@ class Opt0(Protocol):
         """Worst case ``t + 1`` rounds (the f+1 early-stopping bound with f = t)."""
         return t + 1
 
+    def decision_bound(self, f: int) -> int:
+        """Proposition 1 with ``k = 1``: every process decides by time ``f + 1``."""
+        return f + 1
+
 
 class UOpt0(Protocol):
     """The unbeatable uniform binary consensus protocol ``u-Opt0`` (= u-Pmin[1])."""
@@ -77,3 +81,7 @@ class UOpt0(Protocol):
     def max_decision_time(self, n: int, t: int) -> int:
         """Worst case ``t + 1`` rounds (Theorem 3 with ``k = 1``)."""
         return t + 1
+
+    def decision_bound(self, t: int, f: int) -> int:
+        """Theorem 3 with ``k = 1``: every process decides by ``min(t + 1, f + 2)``."""
+        return min(t + 1, f + 2)

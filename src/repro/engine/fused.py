@@ -37,11 +37,11 @@ This module is the single traversal both products come from:
 
 Both passes shard across worker processes: contiguous chunks of the family
 are scheduled on per-worker tries and return pickled payloads — raw
-``(position, decisions, stop_time)`` outcomes plus the chunk's keyed layer
-snapshot (the view index, or the facet payloads) — which the parent merges
-by offsetting positions.  Chunk-local equivalence classes are subsets of the
-global ones and canonical keys are intrinsic to (prefix, inputs, process,
-time), so the merged products are identical to the serial pass
+``(position, decision summary, stop_time)`` outcomes plus the chunk's keyed
+layer snapshot (the view index, or the facet payloads) — which the parent
+merges by offsetting positions.  Chunk-local equivalence classes are subsets
+of the global ones and canonical keys are intrinsic to (prefix, inputs,
+process, time), so the merged products are identical to the serial pass
 (``tests/test_fused_scheduler.py`` pins both the chunk-boundary identity and
 payload pickling on spawn contexts).
 
@@ -57,13 +57,15 @@ import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary
+from ..model.run import DecisionSummary, summarize_decisions
 from ..model.types import Decision, ProcessId, Time, Value
 from .arrays import BatchContext, StructLayer, evidence_view
 from .trie import Group, PrefixScheduler, PreparedAdversary, prepare_adversaries
 
-#: A finalised (position, decisions, stop_time) triple — the decision half of
-#: a fused payload, cheap to pickle back from worker processes.
-RawOutcome = Tuple[int, Tuple[Decision, ...], int]
+#: A finalised (position, decision summary, stop_time) triple — the decision
+#: half of a fused payload.  Members of one group share one summary object,
+#: which pickling back from worker processes ships once per group.
+RawOutcome = Tuple[int, DecisionSummary, int]
 
 #: A canonical view key (:func:`repro.model.view.view_key` layout).
 ViewKey = Tuple
@@ -219,10 +221,12 @@ def fused_serial(
     scheduler = PrefixScheduler(n, prepared)
 
     def finalize(key, group: Group) -> None:
-        decisions = tuple(group.decisions[p] for p in sorted(group.decisions))
+        summary = summarize_decisions(
+            tuple(group.decisions[p] for p in sorted(group.decisions)), group.values
+        )
         stop_time = group.layer.time
         for item in group.members:
-            results[item.pos] = (item.pos, decisions, stop_time)
+            results[item.pos] = (item.pos, summary, stop_time)
         # View-collecting passes keep a time-0 finaliser scheduled one more
         # round (its time-1 views are points of the system); its children are
         # recognised below by their already-recorded outcomes and dropped
@@ -449,7 +453,7 @@ def run_fused_pass(
     layers = 0
     index: Optional[ViewIndex] = {} if collect_views else None
     for (offset, _end), (chunk_raw, chunk_layers, chunk_index) in chunk_results:
-        raw.extend((offset + pos, decisions, stop) for pos, decisions, stop in chunk_raw)
+        raw.extend((offset + pos, summary, stop) for pos, summary, stop in chunk_raw)
         layers += chunk_layers
         if collect_views:
             setdefault = index.setdefault

@@ -29,10 +29,10 @@ single pass.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary
-from ..model.run import default_horizon
+from ..model.run import DecisionSummary, default_horizon
 from ..model.types import Decision, ProcessId, Time, Value
 from .fused import ViewIndex, run_fused_pass
 from .trie import batch_system_size
@@ -44,18 +44,11 @@ class BatchRun:
     Exposes exactly the accessors the verification / analysis layers use on
     :class:`repro.model.run.Run` — not the per-view introspection API, which
     only exists on the reference engine (use a ``Run`` when you need views).
+    Its decisions live in its trie group's :class:`DecisionSummary`, which
+    every member of the group shares.
     """
 
-    __slots__ = (
-        "_protocol",
-        "_adversary",
-        "_t",
-        "_horizon",
-        "_decisions",
-        "_ordered",
-        "index",
-        "stop_time",
-    )
+    __slots__ = ("_protocol", "_adversary", "_t", "_horizon", "_summary", "index", "stop_time")
 
     def __init__(
         self,
@@ -63,7 +56,7 @@ class BatchRun:
         adversary: Adversary,
         t: int,
         horizon: int,
-        decisions: Tuple[Decision, ...],
+        summary: DecisionSummary,
         index: int,
         stop_time: int,
     ) -> None:
@@ -71,12 +64,7 @@ class BatchRun:
         self._adversary = adversary
         self._t = t
         self._horizon = horizon
-        self._decisions: Dict[ProcessId, Decision] = {d.process: d for d in decisions}
-        # The fused core finalises decisions sorted by process, so the
-        # checker-facing ordered tuple is fixed at construction instead of
-        # being re-sorted on every decisions() call (the hot path of every
-        # property check over every adversary of a sweep).
-        self._ordered: Tuple[Decision, ...] = decisions
+        self._summary = summary
         #: Position of the adversary in the sweep input.
         self.index = index
         #: The time at which the trie branch of this adversary finalised.
@@ -103,26 +91,32 @@ class BatchRun:
     def horizon(self) -> int:
         return self._horizon
 
+    def decision_summary(self) -> DecisionSummary:
+        return self._summary
+
     def decisions(self) -> Tuple[Decision, ...]:
-        return self._ordered
+        return self._summary.decisions
 
     def decision(self, process: ProcessId) -> Optional[Decision]:
-        return self._decisions.get(process)
+        for d in self._summary.decisions:
+            if d.process == process:
+                return d
+        return None
 
     def decision_value(self, process: ProcessId) -> Optional[Value]:
-        d = self._decisions.get(process)
+        d = self.decision(process)
         return None if d is None else d.value
 
     def decision_time(self, process: ProcessId) -> Optional[Time]:
-        d = self._decisions.get(process)
+        d = self.decision(process)
         return None if d is None else d.time
 
     def decided_values(self, correct_only: bool = False) -> FrozenSet[Value]:
         pattern = self._adversary.pattern
         return frozenset(
             d.value
-            for p, d in self._decisions.items()
-            if not correct_only or not pattern.is_faulty(p)
+            for d in self._summary.decisions
+            if not correct_only or not pattern.is_faulty(d.process)
         )
 
     def correct_processes(self) -> FrozenSet[ProcessId]:
@@ -130,19 +124,18 @@ class BatchRun:
 
     def last_decision_time(self, correct_only: bool = True) -> Optional[Time]:
         pattern = self._adversary.pattern
-        times = [
-            d.time
-            for p, d in self._decisions.items()
-            if not correct_only or not pattern.is_faulty(p)
-        ]
-        return max(times) if times else None
+        for d in self._summary.latest_first:
+            if not correct_only or not pattern.is_faulty(d.process):
+                return d.time
+        return None
 
     def all_correct_decided(self) -> bool:
-        return all(p in self._decisions for p in self.correct_processes())
+        decided = self._summary.decided
+        return all(decided >> p & 1 for p in self.correct_processes())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"BatchRun(#{self.index}, n={self.n}, decisions={len(self._decisions)}, "
+            f"BatchRun(#{self.index}, n={self.n}, decisions={len(self._summary.decisions)}, "
             f"stop_time={self.stop_time})"
         )
 
@@ -299,8 +292,8 @@ class SweepRunner:
             report=self.runtime_report,
         )
         runs = [
-            BatchRun(self.protocol, batch[pos], self.t, horizon, decisions, pos, stop_time)
-            for pos, decisions, stop_time in outcome.raw
+            BatchRun(self.protocol, batch[pos], self.t, horizon, summary, pos, stop_time)
+            for pos, summary, stop_time in outcome.raw
         ]
         reference_layers = sum(run.stop_time + 1 for run in runs)
         self.last_report = SweepReport(len(runs), outcome.layers_computed, reference_layers)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary
-from ..model.failure_pattern import CrashEvent
+from ..model.failure_pattern import CrashEvent, FailurePattern
 from ..model.types import Decision, ProcessId, Value
 from .arrays import StructLayer
 
@@ -35,27 +35,32 @@ from .arrays import StructLayer
 PrefixKey = Tuple[CrashEvent, ...]
 
 
+def events_by_round(pattern: FailurePattern) -> Dict[int, Tuple[CrashEvent, ...]]:
+    """A pattern's crash events by crashing round, each bucket sorted by process."""
+    by_round: Dict[int, List[CrashEvent]] = {}
+    # ``pattern.crashes`` is ordered by process id, so every bucket is too.
+    for event in pattern.crashes:
+        by_round.setdefault(event.round, []).append(event)
+    return {round_: tuple(events) for round_, events in by_round.items()}
+
+
 class PreparedAdversary:
     """An adversary preprocessed for trie scheduling.
 
     ``pos`` is the adversary's position in the sweep input (results are
-    reported in this order); ``events_by_round`` indexes its crash events by
-    crashing round, each bucket sorted by process id for canonical keys.
+    reported in this order); ``events_by_round`` is :func:`events_by_round`
+    of its pattern, shared read-only by the members of one pattern.
     """
 
     __slots__ = ("pos", "adversary", "values", "events_by_round")
 
-    def __init__(self, pos: int, adversary: Adversary) -> None:
+    def __init__(
+        self, pos: int, adversary: Adversary, events: Dict[int, Tuple[CrashEvent, ...]]
+    ) -> None:
         self.pos = pos
         self.adversary = adversary
         self.values: Tuple[Value, ...] = adversary.values
-        by_round: Dict[int, List[CrashEvent]] = {}
-        for event in adversary.pattern.crashes:
-            by_round.setdefault(event.round, []).append(event)
-        self.events_by_round: Dict[int, Tuple[CrashEvent, ...]] = {
-            round_: tuple(sorted(events, key=lambda e: e.process))
-            for round_, events in by_round.items()
-        }
+        self.events_by_round = events
 
 
 def batch_system_size(adversaries: Sequence[Adversary]) -> int:
@@ -87,13 +92,21 @@ def prepare_adversaries(
     the reference ``Run`` constructor does.  ``n`` may be supplied by a
     caller that already ran :func:`batch_system_size`; otherwise it is
     established (and homogeneity enforced) here.
+
+    Orbit streams emit the vectors of one pattern consecutively, so a run of
+    members sharing a pattern object is checked and bucketed once; only the
+    previous pattern is remembered, never a table of them.
     """
     if n is None:
         n = batch_system_size(adversaries)
     prepared: List[PreparedAdversary] = []
+    previous = events = None
     for pos, adversary in enumerate(adversaries):
-        adversary.pattern.check_crash_bound(t)
-        prepared.append(PreparedAdversary(pos, adversary))
+        pattern = adversary.pattern
+        if pattern is not previous:
+            pattern.check_crash_bound(t)
+            previous, events = pattern, events_by_round(pattern)
+        prepared.append(PreparedAdversary(pos, adversary, events))
     return n, prepared
 
 

@@ -20,7 +20,7 @@ from ..model.adversary import Adversary
 from ..model.run import Run, default_horizon
 from ..model.types import ProcessId, Time
 from .arrays import ArrayView, StructLayer
-from .trie import PreparedAdversary
+from .trie import events_by_round
 
 
 class RunCache:
@@ -90,9 +90,9 @@ class LayerViews:
         # policy is owned by default_horizon), so the two lookup surfaces
         # agree at horizon <= 0 too.
         self.horizon = default_horizon(None, adversary.n, t, horizon)
-        # The trie's PreparedAdversary owns the canonical per-round event
-        # keying; reusing it keeps this chain and the scheduler's identical.
-        events = PreparedAdversary(0, adversary).events_by_round
+        # The trie owns the canonical per-round event keying; reusing it
+        # keeps this chain and the scheduler's identical.
+        events = events_by_round(adversary.pattern)
         layer = StructLayer.root(adversary.n)
         layers = [layer]
         for round_ in range(1, self.horizon + 1):

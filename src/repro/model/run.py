@@ -20,7 +20,17 @@ throughout the tests, examples and benchmarks.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .adversary import Adversary
 from .types import Decision, ProcessId, ProcessTimeNode, Time, Value
@@ -132,6 +142,44 @@ def default_horizon(protocol, n: int, t: int, horizon: Optional[int] = None) -> 
     return max(horizon, 1)
 
 
+class DecisionSummary(NamedTuple):
+    """The faulty-set-independent facts of one run's decisions.
+
+    Every member of a batch-engine trie group shares its decisions and its
+    input vector, so the fused pass builds one summary per group; the
+    property verdicts (:func:`repro.verification.properties.summary_verdict`)
+    need only this plus the member's correct set and time bound.
+    """
+
+    #: The decision events, ordered by process id.
+    decisions: Tuple[Decision, ...]
+    #: Bitmask of the processes that decided.
+    decided: int
+    #: Whether every decided value is some process's input.
+    valid: bool
+    #: The number of distinct decided values (faulty deciders included).
+    distinct: int
+    #: The decision events ordered by time, latest first.
+    latest_first: Tuple[Decision, ...]
+
+
+def summarize_decisions(
+    decisions: Tuple[Decision, ...], values: Sequence[Value]
+) -> DecisionSummary:
+    """The :class:`DecisionSummary` of ``decisions`` under input vector ``values``."""
+    decided = 0
+    for decision in decisions:
+        decided |= 1 << decision.process
+    decided_values = {decision.value for decision in decisions}
+    return DecisionSummary(
+        decisions,
+        decided,
+        decided_values.issubset(values),
+        len(decided_values),
+        tuple(sorted(decisions, key=lambda decision: decision.time, reverse=True)),
+    )
+
+
 class Run:
     """A run ``r = P[α]``: the execution of a protocol against an adversary.
 
@@ -217,6 +265,10 @@ class Run:
     def decisions(self) -> Tuple[Decision, ...]:
         """All decision events, ordered by process id."""
         return tuple(self._decisions[p] for p in sorted(self._decisions))
+
+    def decision_summary(self) -> DecisionSummary:
+        """The :class:`DecisionSummary` of this run's decisions."""
+        return summarize_decisions(self.decisions(), self._adversary.values)
 
     def decision(self, process: ProcessId) -> Optional[Decision]:
         """The decision event of ``process`` (``None`` if it never decides)."""

@@ -271,36 +271,61 @@ def _assembly(node: CanonicalPatternNode) -> Tuple[Tuple[Tuple[int, ...], ...], 
 
 def iter_canonical_vectors(
     node: CanonicalPatternNode, domain: Sequence[int]
-) -> Iterator[Tuple[int, ...]]:
-    """One input vector per ``Aut(pattern)``-orbit, each in canonical form.
+) -> Iterator[Tuple[Tuple[int, ...], int]]:
+    """``(vector, orbit size)`` per ``Aut(pattern)``-orbit of input vectors.
 
     Candidates are the fixed points of the within-twin-class sort (weakly
     increasing per twin cell, free on the entangled positions); a candidate
     is the orbit's canonical vector iff no kernel element twin-sorts below it
     — the exact minimisation :func:`repro.symmetry.canonical_adversary`
     performs, restricted to the candidates that can win it.  With a trivial
-    kernel (the common case) every candidate is emitted with no test at all.
+    kernel (the common case) every candidate is emitted with no test at all,
+    and its adversary orbit has ``n! / ∏ multiplicity!`` members (the
+    stabiliser is the product over twin cells of the permutations among
+    equal values); each cell's factor is computed once per multiset, not once
+    per vector.  A non-trivial kernel takes :func:`vector_orbit_size`.
     """
     domain = tuple(domain)
     twin_classes, active = _assembly(node)
     identity = identity_permutation(node.n)
     kernel = [k for k in node.kernel if k != identity]
+    # Candidate parts are concatenated cell by cell, then the entangled
+    # positions; process ``p`` reads its value from slot ``slot_of[p]``.
+    order = [position for cell in twin_classes for position in cell] + active
+    slot_of = [0] * node.n
+    for slot, position in enumerate(order):
+        slot_of[position] = slot
     cell_choices = [
-        list(itertools.combinations_with_replacement(domain, len(cell)))
+        [
+            (values, _multiset_fixings(values))
+            for values in itertools.combinations_with_replacement(domain, len(cell))
+        ]
         for cell in twin_classes
     ]
-    active_choices = [domain] * len(active)
-    for parts in itertools.product(*cell_choices, *active_choices):
-        vector = [0] * node.n
-        for cell, values in zip(twin_classes, parts):
-            for position, value in zip(cell, values):
-                vector[position] = value
-        for position, value in zip(active, parts[len(twin_classes):]):
-            vector[position] = value
-        candidate = tuple(vector)
-        if kernel and not _is_kernel_minimal(candidate, node, kernel):
-            continue
-        yield candidate
+    tails = list(itertools.product(domain, repeat=len(active)))
+    members = math.factorial(node.n)
+    for cells in itertools.product(*cell_choices):
+        fixings = 1
+        prefix: Tuple[int, ...] = ()
+        for values, factor in cells:
+            prefix += values
+            fixings *= factor
+        size = members // fixings
+        for tail in tails:
+            flat = prefix + tail
+            candidate = tuple([flat[slot] for slot in slot_of])
+            if not kernel:
+                yield candidate, size
+            elif _is_kernel_minimal(candidate, node, kernel):
+                yield candidate, vector_orbit_size(node, candidate)
+
+
+def _multiset_fixings(values: Sequence[int]) -> int:
+    """``∏ multiplicity!`` of a sorted value multiset: the renamings fixing it."""
+    fixings = 1
+    for _value, run in itertools.groupby(values):
+        fixings *= math.factorial(sum(1 for _ in run))
+    return fixings
 
 
 def _is_kernel_minimal(

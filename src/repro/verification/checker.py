@@ -36,7 +36,9 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..pipeline import family_stream, fold_stream
-from .properties import Violation, check_run_for_protocol
+# ``check_run_for_protocol`` is re-exported: the repository benchmark's
+# tracer (perfbench/layers.py) wraps it under this module too.
+from .properties import Violation, batch_verdicts, check_run_for_protocol  # noqa: F401
 
 
 @dataclass
@@ -130,19 +132,15 @@ def fold_checks(
     """The checker's pipeline: fold ``stream`` into ``report``.
 
     ``runner`` simulates each batch: a :class:`repro.engine.SweepRunner`, or
-    anything with its ``sweep(adversaries)`` surface.  ``attachments`` pass
-    through to :func:`repro.pipeline.fold_stream`.
+    anything with its ``sweep(adversaries)`` surface whose runs offer
+    ``decision_summary()``.  Verdicts come from
+    :func:`repro.verification.properties.batch_verdicts`.  ``attachments``
+    pass through to :func:`repro.pipeline.fold_stream`.
     """
 
     def evaluate(items):
         runs = runner.sweep([adversary for _index, adversary, _weight in items])
-        return (
-            (
-                run.last_decision_time(correct_only=True),
-                check_run_for_protocol(run, enforce_paper_bound),
-            )
-            for run in runs
-        )
+        return batch_verdicts(runs, enforce_paper_bound)
 
     def fold(item, verdict):
         report.record(item[0], verdict[0], verdict[1], item[2])

@@ -19,10 +19,10 @@ benchmark logs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..model.run import Run
-from ..model.types import ProcessId, Value
+from ..model.run import DecisionSummary, Run
+from ..model.types import ProcessId, Time
 
 
 @dataclass(frozen=True)
@@ -157,28 +157,99 @@ def theorem3_bound(k: int, t: int, f: int) -> int:
     return min(t // k + 1, f // k + 2)
 
 
+def time_bound(protocol, n: int, t: int, f: int, enforce_paper_bound: bool = True) -> int:
+    """The decision-time bound a run with ``f`` failures is checked against.
+
+    When ``enforce_paper_bound`` is set and the protocol declares an
+    early-deciding bound via ``decision_bound`` (as Optmin[k], u-Pmin[k],
+    Opt0, u-Opt0 and the early-deciding baselines do), that bound is used;
+    otherwise the protocol's worst-case ``max_decision_time``.
+    """
+    if protocol is None:
+        raise ValueError("the run was executed without a protocol; nothing to check")
+    if enforce_paper_bound and hasattr(protocol, "decision_bound"):
+        try:
+            return protocol.decision_bound(f)
+        except TypeError:
+            return protocol.decision_bound(t, f)
+    return protocol.max_decision_time(n, t)
+
+
 def check_run_for_protocol(run: Run, enforce_paper_bound: bool = True) -> List[Violation]:
     """Check a run against the specification appropriate for its protocol.
 
     Uniform protocols are checked for Uniform k-Agreement, nonuniform ones
-    for plain k-Agreement.  When ``enforce_paper_bound`` is set and the
-    protocol declares an early-deciding bound via ``decision_bound`` (as
-    Optmin[k], u-Pmin[k] and the early-deciding baselines do), that bound —
-    which depends on the run's actual failure count ``f`` — is enforced;
-    otherwise the protocol's worst-case ``max_decision_time`` is used.
+    for plain k-Agreement, and decision times against :func:`time_bound`
+    (which depends on the run's actual failure count ``f``).
     """
     protocol = run.protocol
-    if protocol is None:
-        raise ValueError("the run was executed without a protocol; nothing to check")
-    k = protocol.k
-    f = run.adversary.num_failures
-    if enforce_paper_bound and hasattr(protocol, "decision_bound"):
-        try:
-            bound = protocol.decision_bound(f)
-        except TypeError:
-            bound = protocol.decision_bound(run.t, f)
-    else:
-        bound = protocol.max_decision_time(run.n, run.t)
+    bound = time_bound(protocol, run.n, run.t, run.adversary.num_failures, enforce_paper_bound)
     if protocol.uniform:
-        return check_uniform_run(run, k, bound)
-    return check_nonuniform_run(run, k, bound)
+        return check_uniform_run(run, protocol.k, bound)
+    return check_nonuniform_run(run, protocol.k, bound)
+
+
+def summary_verdict(
+    run: Run,
+    summary: DecisionSummary,
+    correct: int,
+    bound: int,
+    enforce_paper_bound: bool = True,
+) -> Tuple[Optional[Time], List[Violation]]:
+    """``(last correct decision time, violations)`` of a run, from its decision summary.
+
+    ``correct`` is the bitmask of the run's correct processes and ``bound``
+    its :func:`time_bound`.  Validity and the distinct-value count are facts
+    of the decisions and inputs alone; decision, agreement, the time bound
+    and the last correct decision time add only the correct set — so every
+    member of a trie group is judged from the group's one summary.  A run
+    any property flags is re-checked by :func:`check_run_for_protocol`, which
+    words its violations.
+    """
+    protocol = run.protocol
+    k = protocol.k
+    last = None
+    for decision in summary.latest_first:
+        if correct >> decision.process & 1:
+            last = decision.time
+            break
+    if protocol.uniform:
+        disagree = summary.distinct > k
+        latest = summary.latest_first[0].time if summary.latest_first else None
+    else:
+        disagree = summary.distinct > k and len(
+            {d.value for d in summary.decisions if correct >> d.process & 1}
+        ) > k
+        latest = last
+    if (
+        summary.valid
+        and not correct & ~summary.decided
+        and not disagree
+        and (latest is None or latest <= bound)
+    ):
+        return last, []
+    return last, check_run_for_protocol(run, enforce_paper_bound)
+
+
+def batch_verdicts(
+    runs: Iterable[Run], enforce_paper_bound: bool = True
+) -> Iterator[Tuple[Optional[Time], List[Violation]]]:
+    """:func:`summary_verdict` of each run of one batch, in order.
+
+    The runs come from one sweep, so they share a protocol, ``n`` and ``t``:
+    the correct mask is computed once per run of consecutive members sharing
+    a pattern object and the bound once per failure count.
+    """
+    pattern = None
+    bounds: Dict[int, int] = {}
+    for run in runs:
+        if run.adversary.pattern is not pattern:
+            pattern = run.adversary.pattern
+            correct = sum(1 << p for p in pattern.correct)
+            f = pattern.num_failures
+            bound = bounds.get(f)
+            if bound is None:
+                bound = bounds[f] = time_bound(
+                    run.protocol, run.n, run.t, f, enforce_paper_bound
+                )
+        yield summary_verdict(run, run.decision_summary(), correct, bound, enforce_paper_bound)

@@ -36,8 +36,15 @@ from repro.analysis import collect
 from repro.baselines import FloodMin
 from repro.core import OptMin, UPMin
 from repro.knowledge import System
-from repro.model import Context
-from repro.symmetry import adversary_orbit_size, apply_to_adversary, canonical_adversary
+from repro.model import Adversary, Context
+from repro.symmetry import (
+    adversary_orbit_size,
+    apply_to_adversary,
+    canonical_adversary,
+    iter_canonical_patterns,
+    iter_canonical_vectors,
+    vector_orbit_size,
+)
 from repro.verification import check_protocol, compare_protocols, find_agreement_violation
 
 CONTEXT = Context(n=4, t=2, k=2)
@@ -110,6 +117,41 @@ class TestStreamIdentity:
                 == orbit.representative
             )
             assert tuple(orbit.certificate) == tuple(range(CONTEXT.n))
+
+
+#: (n, t, k) of the certification grid: every n <= 5, each at a crash bound
+#: whose whole space a direct count still reaches.
+CERTIFIED_CONTEXTS = [(2, 1, 2), (3, 2, 2), (4, 2, 2), (5, 2, 1)]
+
+
+def certify_orbit_sizes(n, t, k, receiver_policy, max_crash_round):
+    """Check every generated size against both oracles and the partition
+    invariant; return how many nodes had a non-trivial kernel."""
+    context = Context(n=n, t=t, k=k)
+    total = kernel_nodes = 0
+    for node in iter_canonical_patterns(n, max_crash_round, receiver_policy, t):
+        pattern = node.pattern()
+        kernel_nodes += len(node.kernel) > 1
+        for vector, size in iter_canonical_vectors(node, context.values_domain):
+            assert size == vector_orbit_size(node, vector)
+            assert size == adversary_orbit_size(Adversary(vector, pattern))
+            total += size
+    assert total == count_adversaries(context, max_crash_round, receiver_policy)
+    return kernel_nodes
+
+
+class TestOrbitSizeCertification:
+    """The generated orbit sizes (``n! / ∏ multiplicity!`` on a trivial
+    kernel) against both orbit-stabiliser oracles, vector by vector."""
+
+    @pytest.mark.parametrize("max_crash_round", [1, 2])
+    @pytest.mark.parametrize("receiver_policy", ["none", "canonical", "all"])
+    @pytest.mark.parametrize("n, t, k", CERTIFIED_CONTEXTS)
+    def test_sizes_match_both_oracles(self, n, t, k, receiver_policy, max_crash_round):
+        certify_orbit_sizes(n, t, k, receiver_policy, max_crash_round)
+
+    def test_a_non_trivial_kernel_is_certified(self):
+        assert certify_orbit_sizes(4, 2, 2, "canonical", 1) > 0
 
 
 class TestCountsAndLimits:

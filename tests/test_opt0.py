@@ -3,9 +3,14 @@
 import pytest
 
 from repro import Opt0, OptMin, UOpt0, UPMin
-from repro.adversaries import AdversaryGenerator, figure1_scenario
+from repro.adversaries import AdversaryGenerator, RestrictedSpace, figure1_scenario
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
-from repro.verification import check_nonuniform_run, check_uniform_run
+from repro.verification import (
+    check_nonuniform_run,
+    check_protocol,
+    check_run_for_protocol,
+    check_uniform_run,
+)
 
 
 class TestOpt0Rule:
@@ -95,3 +100,52 @@ class TestCorrectness:
         # One crash whose only hidden effect disappears by time 2.
         assert run.last_decision_time() <= 2
         assert run.last_decision_time() < t + 1
+
+
+class LateOpt0(Opt0):
+    """Opt0's decision one round late: every decision misses ``f + 1`` by one."""
+
+    name = "Opt0-late"
+
+    def decide(self, ctx):
+        previous = ctx.previous_view
+        if previous is None:
+            return None
+        if previous.knows_value(0):
+            return 0
+        if any(previous.hidden_count_at(layer) == 0 for layer in range(previous.time + 1)):
+            return previous.min_value()
+        return None
+
+    def max_decision_time(self, n, t):
+        return t + 2
+
+
+class TestPaperBounds:
+    """The paper's bounds with ``k = 1``, checked over whole constructive spaces."""
+
+    def test_declared_bounds(self):
+        assert [Opt0().decision_bound(f) for f in range(4)] == [1, 2, 3, 4]
+        assert [UOpt0().decision_bound(3, f) for f in range(4)] == [2, 3, 4, 4]
+
+    @pytest.mark.parametrize("n, t", [(4, 2), (5, 3)])
+    @pytest.mark.parametrize("protocol", [Opt0(), UOpt0()], ids=["opt0", "uopt0"])
+    def test_exhaustive_constructive(self, protocol, n, t):
+        space = RestrictedSpace(Context(n=n, t=t, k=1))
+        report = check_protocol(protocol, space, t, symmetry="constructive")
+        assert report.ok, report.summary()
+        assert report.runs_checked == space.estimated_size()
+        assert report.max_decision_time == t + 1
+
+    def test_late_opt0_is_flagged(self):
+        context = Context(n=4, t=2, k=1)
+        report = check_protocol(
+            LateOpt0(), RestrictedSpace(context), context.t, symmetry="constructive"
+        )
+        assert not report.ok
+        assert {v.property_name for _index, v in report.violations} == {"decision-time"}
+        # The worst-case bound t + 2 alone would not catch it.
+        run = Run(LateOpt0(), Adversary([1] * 4, FailurePattern.failure_free(4)), context.t)
+        assert run.last_decision_time() == 2
+        assert check_run_for_protocol(run, enforce_paper_bound=False) == []
+        assert [v.property_name for v in check_run_for_protocol(run)] == ["decision-time"] * 4

@@ -123,16 +123,16 @@ class TestCheckerResume:
         from repro.verification import checker
 
         space = small_space()
-        real = checker.check_run_for_protocol
+        real = checker.batch_verdicts
         calls = {"n": 0}
 
-        def interrupting(run, enforce_paper_bound=True):
+        def interrupting(runs, enforce_paper_bound=True):
             calls["n"] += 1
-            if calls["n"] > 40:  # past the second 16-orbit batch boundary
+            if calls["n"] == 3:  # the third 16-orbit batch, past the second boundary
                 raise KeyboardInterrupt
-            return real(run, enforce_paper_bound)
+            return real(runs, enforce_paper_bound)
 
-        monkeypatch.setattr(checker, "check_run_for_protocol", interrupting)
+        monkeypatch.setattr(checker, "batch_verdicts", interrupting)
         report = RunReport()
         store = CheckpointStore(str(tmp_path))
         with pytest.raises(KeyboardInterrupt):
@@ -144,7 +144,7 @@ class TestCheckerResume:
         # The flush is at the last completed batch boundary.
         saved = store.latest()
         assert saved is not None and saved.cursor == 32
-        monkeypatch.setattr(checker, "check_run_for_protocol", real)
+        monkeypatch.setattr(checker, "batch_verdicts", real)
         resumed = resilient_check(
             OptMin(2), space, CONTEXT.t, symmetry="constructive",
             batch_size=16, store=CheckpointStore(str(tmp_path)), resume=True,
