@@ -23,9 +23,9 @@ quotient-vs-exhaustive identity is gated by
 ``tests/test_quotient_differential.py``; wall times per case are recorded to
 ``BENCH_prop2_connectivity.json``.
 
-Homology runs on the word-packed backend (``backend="packed"`` — the
-post-PR6 default); on the flagship n=6, k=2, m=2 case the benchmark
-re-runs the census on the retained ``bigint`` oracle and asserts the two
+Homology runs on the production kernel; on the flagship n=6, k=2, m=2 case
+the benchmark re-runs the census on the ``bigint`` homology oracle
+(:func:`repro.oracles.capacity_connectivity_census`) and asserts the two
 rows byte-identical (the packed-kernel acceptance identity).
 """
 
@@ -36,6 +36,7 @@ import time as wall
 
 import pytest
 
+from repro import oracles
 from repro.model import Context
 from repro.topology import build_restricted_complex, capacity_connectivity_census
 
@@ -72,14 +73,14 @@ def run_survey():
         )
         build_seconds = wall.perf_counter() - start
         start = wall.perf_counter()
-        census = capacity_connectivity_census(pc, k, symmetry="quotient", backend="packed")
+        census = capacity_connectivity_census(pc, k, symmetry="quotient")
         survey_seconds = wall.perf_counter() - start
         if (n, k, time) == (6, 2, 2):
-            # The packed-kernel acceptance identity: the packed backend must
+            # The packed-kernel acceptance identity: the kernel must
             # reproduce the bigint oracle's census row byte-for-byte on the
             # flagship n=6, k=2, m=2 survey.
-            oracle = capacity_connectivity_census(
-                pc, k, symmetry="quotient", backend="bigint"
+            oracle = oracles.capacity_connectivity_census(
+                pc, k, symmetry="quotient", homology="bigint"
             )
             assert census.row == oracle.row, (census.row, oracle.row)
             assert census.classes == oracle.classes

@@ -1,30 +1,31 @@
-"""STARCONN — engineering benchmark: per-star connectivity across homology backends.
+"""STARCONN — engineering benchmark: per-star connectivity, kernel vs oracles.
 
 The Proposition 2 surveys probe ``connectivity_profile(star, max_q=k-1)`` on
-the star complex of **every** vertex of a protocol complex.  Three backends
-answer the same question:
+the star complex of **every** vertex of a protocol complex.  The production
+kernel and two :mod:`repro.oracles` homology paths answer the same question:
 
-* ``packed`` — the word-packed GF(2) kernel of :mod:`repro.topology.gf2`
-  plus its structural shortcuts.  Star complexes are cones (the star's
-  vertex is in every facet), so the survey's hot path is the O(facets)
-  cone test on the global facet masks — no re-basing, no chain groups, no
-  elimination;
-* ``bigint`` — the previous sparse kernel: big-int chain-group masks,
-  dict-pivot elimination, rank reuse (this PR's predecessor and first
-  oracle);
+* ``packed`` — the kernel of :mod:`repro.topology.connectivity` with its
+  structural shortcuts.  Star complexes are cones (the star's vertex is in
+  every facet), so the survey's hot path is the O(facets) cone test on the
+  global facet masks — no re-basing, no chain groups, no elimination;
+* ``bigint`` — the shortcut-free oracle: big-int chain-group masks,
+  dict-pivot elimination, rank reuse (the kernel's predecessor);
 * ``dense`` — the seed algorithm: full face-lattice enumeration over
   frozensets, one complete Betti recomputation per probed ``q``.
 
-The benchmark sweeps every star of two families on all three backends,
+The benchmark sweeps every star of two families on all three paths,
 asserts the profiles identical, and gates **packed >= 3x over bigint** (the
 acceptance criterion of the packed-kernel port; the old bigint-vs-dense
 ratio is reported alongside).  Wall-clock ratios are noisy on shared
 runners, so CI lowers the gate via ``STAR_CONNECTIVITY_MIN_SPEEDUP`` while
 local/acceptance runs keep the 3x target.
 
-A second, ungated section reports the backends on *non-cone* spaces (whole
-protocol complexes and spheres), where the packed path has no shortcut and
-must run its packed elimination — the honest "no structural gift" number.
+A second, ungated section reports kernel and ``bigint`` oracle on
+*non-cone* spaces (whole protocol complexes and spheres), where the kernel
+has no cone shortcut and must run its elimination — the honest "no
+structural gift" number.  Its last row is the kernel alone on the whole
+n=6, k=2, m=2 complex (5316 vertices, 32298 facets): ``b̃_0, b̃_1`` =
+``[21, 25633]``, with ∂₂ eliminated in full.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import time
 
 import pytest
 
+from repro import oracles
 from repro.model import Context
 from repro.topology import (
     build_restricted_complex,
@@ -54,7 +56,8 @@ CASES = [
 ]
 MIN_SPEEDUP = float(os.environ.get("STAR_CONNECTIVITY_MIN_SPEEDUP", "3.0"))
 
-BACKENDS = ("packed", "bigint", "dense")
+#: ``(reduced_betti_numbers, connectivity_profile)`` of the kernel and its oracles.
+HOMOLOGY = {"packed": (reduced_betti_numbers, connectivity_profile), **oracles.HOMOLOGY_ORACLES}
 
 
 def run_sweeps():
@@ -67,23 +70,20 @@ def run_sweeps():
 
         profiles = {}
         seconds = {}
-        for backend in BACKENDS:
+        for backend, (_, profile) in HOMOLOGY.items():
             start = time.perf_counter()
-            profiles[backend] = [
-                connectivity_profile(star, max_q=k - 1, backend=backend)
-                for star in stars
-            ]
+            profiles[backend] = [profile(star, max_q=k - 1) for star in stars]
             seconds[backend] = time.perf_counter() - start
 
-        # The differential contract, embedded in the benchmark: the backends
-        # must agree on every star of the sweep.
+        # The differential contract, embedded in the benchmark: kernel and
+        # oracles must agree on every star of the sweep.
         assert profiles["packed"] == profiles["bigint"] == profiles["dense"]
         rows.append((n, k, m, len(stars), seconds))
     return rows
 
 
 def run_noncone_section():
-    """Whole complexes and spheres: no cone apex, real packed elimination."""
+    """Whole complexes and spheres: no cone apex, real elimination."""
     spaces = [
         ("P(n=4,m=2)", build_restricted_complex(Context(n=4, t=2, k=2), time=2).complex),
         ("S^3", sphere_complex(3)),
@@ -95,17 +95,37 @@ def run_noncone_section():
         seconds = {}
         for backend in ("packed", "bigint"):
             start = time.perf_counter()
-            betti[backend] = reduced_betti_numbers(complex_, backend=backend)
+            betti[backend] = HOMOLOGY[backend][0](complex_)
             seconds[backend] = time.perf_counter() - start
         assert betti["packed"] == betti["bigint"]
         rows.append((label, complex_.vertex_count, seconds))
     return rows
 
 
+def run_full_complex_row():
+    """The kernel alone on the whole n=6, k=2, m=2 complex, through dimension 1."""
+    context = Context(n=6, t=5, k=2)
+    complex_ = build_restricted_complex(context, time=2, max_crashes_per_round=2).complex
+    start = time.perf_counter()
+    betti = reduced_betti_numbers(complex_, max_dimension=1)
+    seconds = time.perf_counter() - start
+    assert betti == [21, 25633], betti
+    return {
+        "space": "P(n=6,m=2)",
+        "vertices": complex_.vertex_count,
+        "facets": len(complex_.facet_masks),
+        "max_dimension": 1,
+        "betti": betti,
+        "packed_seconds": seconds,
+    }
+
+
 @pytest.mark.benchmark(group="star-connectivity")
 def test_packed_star_connectivity_speedup(benchmark):
-    rows, noncone = benchmark.pedantic(
-        lambda: (run_sweeps(), run_noncone_section()), rounds=1, iterations=1
+    rows, noncone, full = benchmark.pedantic(
+        lambda: (run_sweeps(), run_noncone_section(), run_full_complex_row()),
+        rounds=1,
+        iterations=1,
     )
     print_table(
         "STARCONN — per-star connectivity_profile sweep: packed vs bigint vs dense",
@@ -137,7 +157,8 @@ def test_packed_star_connectivity_speedup(benchmark):
                 f"{s['bigint'] / s['packed']:.2f}x",
             )
             for label, vertices, s in noncone
-        ],
+        ]
+        + [("P(n=6,m=2) b0..b1", full["vertices"], f"{full['packed_seconds']:.4f}", "-", "-")],
     )
     record_benchmark(
         "star_connectivity",
@@ -166,6 +187,7 @@ def test_packed_star_connectivity_speedup(benchmark):
                 }
                 for label, vertices, s in noncone
             ],
+            "noncone_full_complex": full,
         },
     )
     for n, k, m, _stars, s in rows:

@@ -16,11 +16,11 @@ orbit-weighted census rows are **identical** to the exhaustive rows, and
 gates the quotient survey at ``>= 3x`` over the exhaustive survey on the
 n=6, k=2, m=2 case (``SYMMETRY_QUOTIENT_MIN_SPEEDUP`` lowers the gate on
 noisy shared runners; the measured number is recorded to
-``BENCH_symmetry_quotient.json``).  Both paths are pinned to the ``bigint``
-homology backend: the gate isolates the survey-engine collapse, and the
-packed backend's cone shortcut (gated separately in
-``bench_star_connectivity``) would otherwise make even the exhaustive sweep
-near-free and the ratio meaningless.
+``BENCH_symmetry_quotient.json``).  Both paths run the census on the
+``bigint`` homology oracle (:func:`repro.oracles.capacity_connectivity_census`):
+the gate isolates the survey-engine collapse, and the kernel's cone shortcut
+(gated separately in ``bench_star_connectivity``) would otherwise make even
+the exhaustive sweep near-free and the ratio meaningless.
 
 A second, ungated section records the verification-layer quotient for
 context: the exhaustive checker sweep vs ``symmetry="quotient"`` on a small
@@ -35,10 +35,11 @@ import time as wall
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import enumerate_adversaries
 from repro.core import OptMin
 from repro.model import Context
-from repro.topology import build_restricted_complex, capacity_connectivity_census
+from repro.topology import build_restricted_complex
 from repro.verification import check_protocol
 
 from conftest import print_table, record_benchmark
@@ -67,18 +68,22 @@ def run_surveys():
         pc = build_restricted_complex(context, time=m, max_crashes_per_round=k)
         build_seconds = wall.perf_counter() - start
 
-        # Both paths run on the retained bigint backend: this benchmark gates
+        # Both paths run on the bigint homology oracle: this benchmark gates
         # the *survey engine* (quotient grouping vs per-vertex sweeps), so it
-        # measures against real per-star homology cost.  On the packed
-        # backend the cone shortcut makes even the exhaustive sweep O(facets)
+        # measures against real per-star homology cost.  On the kernel the
+        # cone shortcut makes even the exhaustive sweep O(facets)
         # per star and the engines nearly tie — that regime is covered by
         # bench_star_connectivity / bench_prop2_connectivity instead.
         start = wall.perf_counter()
-        exhaustive = capacity_connectivity_census(pc, k, symmetry="none", backend="bigint")
+        exhaustive = oracles.capacity_connectivity_census(
+            pc, k, symmetry="none", homology="bigint"
+        )
         exhaustive_seconds = wall.perf_counter() - start
 
         start = wall.perf_counter()
-        quotient = capacity_connectivity_census(pc, k, symmetry="quotient", backend="bigint")
+        quotient = oracles.capacity_connectivity_census(
+            pc, k, symmetry="quotient", homology="bigint"
+        )
         quotient_seconds = wall.perf_counter() - start
 
         # The acceptance identity: orbit-weighted census rows must reproduce

@@ -21,9 +21,8 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
 * ``surgery``  — apply the Lemma 2 surgery on the Fig. 2 adversary and print
   the verification outcome and the Lemma 3 confrontation;
 * ``census``   — the Proposition 2 capacity-vs-connectivity census over the
-  restricted protocol complex, with ``--backend`` selecting the homology
-  backend (``packed`` kernel or the ``bigint`` / ``dense`` oracles) and
-  ``--symmetry quotient`` collapsing the survey to canonical vertex classes;
+  restricted protocol complex, with ``--symmetry quotient`` collapsing the
+  survey to canonical vertex classes;
 * ``serve``    — the survey service: a crash-safe job queue plus a stdlib
   async HTTP API (submit/status/result/cancel/events) over the resilient
   runtime; drains gracefully on SIGTERM/SIGINT (exit 130) or ``--deadline``
@@ -191,8 +190,6 @@ def _run_attached(args: argparse.Namespace, survey, *positional, **options):
     )
 
     faults = FaultPlan.from_env()
-    if faults is not None:
-        faults.install()
     events = RunReport()
     result_store = None
     if args.store is not None:
@@ -490,15 +487,14 @@ def cmd_census(args: argparse.Namespace) -> int:
     a checkpoint cursor indexes the canonical class stream of the survey.
     """
     from .runtime import resilient_census
-    from .topology import DEFAULT_HOMOLOGY_BACKEND, build_restricted_complex
+    from .topology import build_restricted_complex
 
-    backend = args.backend if args.backend is not None else DEFAULT_HOMOLOGY_BACKEND
     context = Context(n=args.n, t=args.t, k=args.k)
     build_start = time.perf_counter()
     pc = build_restricted_complex(context, time=args.time, processes=args.processes)
     build_elapsed = time.perf_counter() - build_start
     ran = _run_attached(
-        args, resilient_census, pc, context.k, symmetry=args.symmetry, backend=backend,
+        args, resilient_census, pc, context.k, symmetry=args.symmetry,
         # The engine field is fixed (there is one engine) so that census
         # checkpoints written when it was an option still resume.
         spec_extra={"n": args.n, "t": args.t, "engine": "batch"},
@@ -510,7 +506,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     complex_ = pc.complex
     print(
         f"Proposition 2 census over n={args.n}, t={args.t}, k={args.k}, m={args.time} "
-        f"(backend={backend}, symmetry={args.symmetry})"
+        f"(symmetry={args.symmetry})"
         + (f" (resumed from cursor {outcome.resumed_from})" if outcome.resumed_from else "")
     )
     print(
@@ -861,13 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     census_parser.add_argument("-k", type=int, default=2, help="agreement parameter (default 2)")
     census_parser.add_argument(
         "-m", "--time", type=int, default=1, help="protocol-complex round count (default 1)"
-    )
-    census_parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["packed", "bigint", "dense"],
-        help="homology backend (default: the packed kernel; bigint/dense are "
-        "the retained oracles)",
     )
     census_parser.add_argument(
         "--processes",

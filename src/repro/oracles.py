@@ -6,16 +6,20 @@ differentially tested against: one :class:`repro.model.run.Run` per
 adversary for checks, domination, decision times, protocol complexes,
 Definition 4 systems and Lemma 2 surgery, plus the two-pass system
 construction the fused pass replaced (with its :class:`ViewSource` /
-:class:`GroupViews` trie views).  Only ``tests/`` and ``benchmarks/``
-import it — ``tests/test_oracle_boundary.py`` enforces that, and that no
-public survey callable has an ``engine`` parameter.  docs/engine.md
+:class:`GroupViews` trie views).  Homology has one production kernel
+(:mod:`repro.topology.connectivity`); its oracles here are the
+shortcut-free big-int Betti stream and the seed's dense face-lattice
+algorithm, plus a census that runs on either.  Only ``tests/`` and
+``benchmarks/`` import this module — ``tests/test_oracle_boundary.py``
+enforces that, and that no public callable of the production packages has
+an ``engine`` or ``backend`` parameter.  docs/engine.md
 ("Oracles") maps each entry to the production path it pins and the battery
 that runs it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
 from .engine.arrays import ArrayView, StructLayer
@@ -28,8 +32,22 @@ from .model.run import Run
 from .model.types import ProcessId, Time, Value
 from .model.view import view_key
 from .pipeline import family_stream
-from .topology.complexes import SimplicialComplex, VertexPool
-from .topology.protocol_complex import ComplexVertex, ProtocolComplex, restricted_adversaries
+from .symmetry import renaming_star_signature
+from .topology.complexes import Simplex, SimplicialComplex, VertexPool
+from .topology.connectivity import (
+    _local_facets,
+    _masks_at_dimension,
+    boundary_rank,
+    rank_of_int_rows,
+)
+from .topology.protocol_complex import (
+    CapacityCensus,
+    ComplexVertex,
+    ProtocolComplex,
+    census_classes,
+    fold_census,
+    restricted_adversaries,
+)
 from .verification.checker import CheckReport, fold_checks
 from .verification.domination import (
     DominationReport,
@@ -143,6 +161,182 @@ def build_restricted_complex(
         context, time, values, max_crashes_per_round, receiver_policy
     )
     return build_protocol_complex(adversaries, time, context.t)
+
+
+# ----------------------------------------------------------------- homology
+def gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) by textbook row reduction, independent of the kernel.
+
+    Pivots on the lowest set bit of one row at a time and clears that column
+    from every remaining row — no pivot index, no leading-bit order — so it
+    checks :func:`repro.topology.connectivity.rank_of_int_rows` from outside.
+    """
+    remaining = [row for row in rows if row]
+    rank = 0
+    while remaining:
+        pivot = remaining.pop()
+        low = pivot & -pivot
+        remaining = [r for r in (row ^ pivot if row & low else row for row in remaining) if r]
+        rank += 1
+    return rank
+
+
+def _bigint_betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]:
+    """The shortcut-free Betti stream: every boundary rank by elimination.
+
+    The production stream without its cone test and union-find pass:
+    dimension 0 starts from the augmented boundary (every vertex maps to the
+    generator of ``C_{-1}``) and each ``rank ∂_{q+1}`` is eliminated, then
+    reused as the down-rank of dimension ``q + 1``.
+    """
+    facet_masks, _ = _local_facets(complex_)
+    dimension = complex_.dimension
+    current = _masks_at_dimension(facet_masks, 0)
+    rank_down = 1 if current else 0
+    for q in range(top + 1):
+        above = _masks_at_dimension(facet_masks, q + 1) if q < dimension else []
+        rank_up = boundary_rank(current, above)
+        yield len(current) - rank_down - rank_up
+        current = above
+        rank_down = rank_up
+
+
+def bigint_reduced_betti_numbers(
+    complex_: SimplicialComplex, max_dimension: Optional[int] = None
+) -> List[int]:
+    """:func:`repro.topology.reduced_betti_numbers` on the shortcut-free stream."""
+    if complex_.is_empty():
+        return []
+    top = complex_.dimension if max_dimension is None else min(max_dimension, complex_.dimension)
+    return list(_bigint_betti_stream(complex_, top)) if top >= 0 else []
+
+
+def bigint_connectivity_profile(
+    complex_: SimplicialComplex, max_q: Optional[int] = None
+) -> int:
+    """:func:`repro.topology.connectivity_profile` on the shortcut-free stream."""
+    if complex_.is_empty():
+        return -2
+    limit = complex_.dimension if max_q is None else max_q
+    if limit < 0:
+        return -1
+    for q, betti in enumerate(_bigint_betti_stream(complex_, min(limit, complex_.dimension))):
+        if betti != 0:
+            return q - 1
+    return limit
+
+
+def _dense_simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simplex]]:
+    """The seed grouping: the full face lattice, materialised as frozensets."""
+    grouped: Dict[int, List[Simplex]] = {}
+    for s in complex_.simplices():
+        grouped.setdefault(len(s) - 1, []).append(s)
+    for dim in grouped:
+        grouped[dim].sort(key=lambda s: tuple(sorted(map(repr, s))))
+    return grouped
+
+
+def _dense_boundary_rank(lower: Sequence[Simplex], upper: Sequence[Simplex]) -> int:
+    """The seed boundary rank: face lookups by frozenset difference."""
+    if not upper or not lower:
+        return 0
+    index_of = {s: i for i, s in enumerate(lower)}
+    rows: List[int] = []
+    for s in upper:
+        row = 0
+        for vertex in s:
+            position = index_of.get(s - {vertex})
+            if position is not None:
+                row |= 1 << position
+        rows.append(row)
+    return rank_of_int_rows(rows)
+
+
+def dense_reduced_betti_numbers(
+    complex_: SimplicialComplex, max_dimension: int | None = None
+) -> List[int]:
+    """The seed homology algorithm, kept as the differential-testing oracle.
+
+    Materialises **every** face of every facet as a frozenset before any
+    elimination, recomputes each boundary rank twice (once as up-rank, once
+    as down-rank) — exactly the dense path the bitset kernel replaced, and
+    the baseline ``bench_star_connectivity`` measures against.
+    """
+    if complex_.is_empty():
+        return []
+    grouped = _dense_simplices_by_dimension(complex_)
+    top = complex_.dimension if max_dimension is None else min(max_dimension, complex_.dimension)
+    betti: List[int] = []
+    for q in range(top + 1):
+        current = grouped.get(q, [])
+        below = grouped.get(q - 1, [])
+        above = grouped.get(q + 1, [])
+        n_q = len(current)
+        if q == 0:
+            rank_down = 1 if n_q > 0 else 0
+        else:
+            rank_down = _dense_boundary_rank(below, current)
+        rank_up = _dense_boundary_rank(current, above)
+        betti.append(n_q - rank_down - rank_up)
+    return betti
+
+
+def dense_connectivity_profile(complex_: SimplicialComplex, max_q: int | None = None) -> int:
+    """The seed profile scan: one full Betti recomputation per probed ``q``."""
+    if complex_.is_empty():
+        return -2
+    limit = complex_.dimension if max_q is None else max_q
+    level = -1
+    for q in range(limit + 1):
+        betti = dense_reduced_betti_numbers(complex_, max_dimension=q)
+        if all(b == 0 for b in betti[: q + 1]):
+            level = q
+        else:
+            break
+    return level
+
+
+#: The homology oracles by name: ``(reduced_betti_numbers, connectivity_profile)`` twins.
+HOMOLOGY_ORACLES = {
+    "bigint": (bigint_reduced_betti_numbers, bigint_connectivity_profile),
+    "dense": (dense_reduced_betti_numbers, dense_connectivity_profile),
+}
+
+
+class _OracleProfileCache:
+    """The :class:`repro.topology.ConnectivityCache` memo, misses run an oracle."""
+
+    def __init__(self, profile) -> None:
+        self._profile = profile
+        self._profiles: Dict[Tuple, int] = {}
+        self.misses = 0
+
+    def profile(self, star: SimplicialComplex, max_q: int) -> int:
+        key = (renaming_star_signature(star), max_q)
+        if key not in self._profiles:
+            self.misses += 1
+            self._profiles[key] = self._profile(star, max_q=max_q)
+        return self._profiles[key]
+
+
+def capacity_connectivity_census(
+    pc: ProtocolComplex, k: int, symmetry: str = "none", homology: str = "bigint"
+) -> CapacityCensus:
+    """:func:`repro.topology.capacity_connectivity_census` on a homology oracle.
+
+    The production class stream and fold, with every star profile computed
+    by the ``homology`` oracle (``"bigint"`` or ``"dense"``) — memoised on
+    the quotient paths under the production cache key, so ``classes`` and
+    ``homology_runs`` match the production census along with its row.
+    """
+    profile_of = HOMOLOGY_ORACLES[homology][1]
+    groups, _profile, cache = census_classes(pc, k, symmetry=symmetry)
+    if cache is not None:
+        cache = _OracleProfileCache(profile_of)
+        profile_of = cache.profile
+    census = CapacityCensus(classes=len(groups))
+    fold_census(pc, k, groups, lambda star: profile_of(star, max_q=k - 1), cache, census)
+    return census
 
 
 # ------------------------------------------------------------------ systems

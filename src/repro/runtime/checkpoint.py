@@ -7,8 +7,8 @@ from their *descriptions*.  That turns crash safety into bookkeeping — a
 checkpoint is just
 
 * the **spec**: a JSON description of the stream (context, restriction
-  flags, symmetry/backend choices, RNG seeds where a stream uses
-  them) that resume validates before trusting a stored cursor;
+  flags, symmetry choice, RNG seeds where a stream uses them) that resume
+  validates before trusting a stored cursor;
 * the **cursor**: how many stream items have been folded into the
   aggregates;
 * the **payload**: the partial aggregates themselves (a

@@ -14,10 +14,7 @@ reproducible by seed*:
   model exercising per-chunk timeouts);
 * **checkpoint sabotage** — a just-written checkpoint file is truncated or
   bit-flipped (the torn-write / bad-disk model exercising checksum
-  rejection and fallback to the previous checkpoint);
-* **numpy absence** — the GF(2) kernel is pinned to its pure-Python
-  ``array('Q')`` word backend for the run, so the chaos battery covers the
-  dependency-free configuration without a separate interpreter.
+  rejection and fallback to the previous checkpoint).
 
 Faults keyed by chunk index carry an *attempt budget*: ``{3: 1}`` kills
 chunk 3's first attempt only, so its retry succeeds — which is exactly the
@@ -56,8 +53,7 @@ class FaultPlan:
     to sabotage (attempts beyond the budget run clean); ``delay_chunks``
     maps chunk index → ``(seconds, attempts)``.  ``truncate_checkpoints`` /
     ``corrupt_checkpoints`` name checkpoint-save ordinals (0-based, counted
-    per store) to damage after the atomic write completes.  ``no_numpy``
-    pins the GF(2) word backend to ``array`` for the run.
+    per store) to damage after the atomic write completes.
     """
 
     seed: Optional[int] = None
@@ -66,7 +62,6 @@ class FaultPlan:
     delay_chunks: Dict[int, Tuple[float, int]] = field(default_factory=dict)
     truncate_checkpoints: Tuple[int, ...] = ()
     corrupt_checkpoints: Tuple[int, ...] = ()
-    no_numpy: bool = False
     #: Result-store sabotage: row-write ordinals to damage after commit
     #: (``corrupt`` = bit-flip a payload char, ``torn`` = truncate the
     #: payload mid-document) and commit ordinals to fault (``busy`` = one
@@ -107,17 +102,6 @@ class FaultPlan:
             raise InjectedFault(
                 f"injected failure on chunk {chunk_id} attempt {attempt}"
             )
-
-    def install(self) -> None:
-        """Apply process-wide fault configuration (worker init and run start)."""
-        if self.no_numpy:
-            # Pin the packed GF(2) kernel to its pure-Python word store: the
-            # closest in-process simulation of numpy being uninstallable
-            # (same dispatch decision the import-time probe makes).
-            from ..topology import gf2
-
-            gf2.BACKEND = "array"
-            os.environ[gf2.BACKEND_ENV] = "array"
 
     # ------------------------------------------------------- checkpoint side
     def sabotage_checkpoint(self, ordinal: int, path: str) -> Optional[str]:
@@ -243,6 +227,7 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        """The plan of a JSON payload; unknown keys (e.g. a retired ``no_numpy``) are ignored."""
         payload = json.loads(text)
         return cls(
             seed=payload.get("seed"),
@@ -254,7 +239,6 @@ class FaultPlan:
             },
             truncate_checkpoints=tuple(payload.get("truncate_checkpoints", ())),
             corrupt_checkpoints=tuple(payload.get("corrupt_checkpoints", ())),
-            no_numpy=bool(payload.get("no_numpy", False)),
             corrupt_store_rows=tuple(payload.get("corrupt_store_rows", ())),
             torn_store_rows=tuple(payload.get("torn_store_rows", ())),
             busy_store_commits=tuple(payload.get("busy_store_commits", ())),

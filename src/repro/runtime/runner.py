@@ -317,20 +317,22 @@ def resilient_check(
 
 
 # ---------------------------------------------------------------- census runs
-def census_spec(pc, k: int, symmetry: str, backend: str, extra: Optional[Dict] = None) -> Dict:
+def census_spec(pc, k: int, symmetry: str, extra: Optional[Dict] = None) -> Dict:
     """The stream-identity spec of a census run.
 
     The class stream is derived from the built complex, so the spec
     fingerprints the complex (vertex/facet counts, round count) alongside
     the survey knobs; ``extra`` lets the CLI and the service add the build
-    description (context) for defence in depth.
+    description (context) for defence in depth.  ``backend`` is fixed: there
+    is one homology kernel, and the field stays so that checkpoints written
+    when it was an option still resume.
     """
     spec = {
         "kind": "census",
         "schema_note": "cursor counts canonical vertex classes",
         "k": k,
         "symmetry": symmetry,
-        "backend": backend,
+        "backend": "packed",
         "time": pc.time,
         "vertices": pc.complex.vertex_count,
         "facets": len(pc.complex.facet_masks),
@@ -345,7 +347,6 @@ def resilient_census(
     k: int,
     *,
     symmetry: str = "quotient",
-    backend: Optional[str] = None,
     spec_extra: Optional[Dict[str, Any]] = None,
     batch_size: int = 64,
     store: Optional[CheckpointStore] = None,
@@ -376,10 +377,7 @@ def resilient_census(
     ``homology_runs`` — like cache hits, they ran no homology.
     """
     from ..topology import protocol_complex
-    from ..topology.connectivity import DEFAULT_HOMOLOGY_BACKEND
 
-    if backend is None:
-        backend = DEFAULT_HOMOLOGY_BACKEND
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     memo = None
     if result_store is not None:
@@ -408,9 +406,9 @@ def resilient_census(
             lambda payload: (payload["capacity"], payload["level"]),
         )
     groups, profile, cache = protocol_complex.census_classes(
-        pc, k, symmetry=symmetry, backend=backend, result_store=result_store
+        pc, k, symmetry=symmetry, result_store=result_store
     )
-    spec = census_spec(pc, k, symmetry, backend, spec_extra)
+    spec = census_spec(pc, k, symmetry, spec_extra)
     spec["classes"] = len(groups)
     payload = attachments.open(spec, resume)
     census = protocol_complex.CapacityCensus(

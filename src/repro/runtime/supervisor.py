@@ -87,8 +87,6 @@ def _worker_main(conn, worker_fn, initializer, initargs, faults) -> None:
     """
     if initializer is not None:
         initializer(*initargs)
-    if faults is not None:
-        faults.install()
     try:
         while True:
             task = conn.recv()
@@ -191,7 +189,6 @@ def run_supervised(
     report = report if report is not None else RunReport()
     if policy.faults is not None:
         report.record("fault_installed", plan=policy.faults.to_json())
-        policy.faults.install()
     state = _PassState(tasks)
     if not tasks:
         return []

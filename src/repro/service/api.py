@@ -1,7 +1,7 @@
 """The survey service: a stdlib-only async HTTP front end over the job queue.
 
 Hand-rolled HTTP/1.1 on :func:`asyncio.start_server` — no web framework,
-because the repo's dependency contract is "stdlib + optional numpy" and a
+because the repo's dependency contract is "stdlib only" and a
 survey API needs exactly six endpoints:
 
 ====== ============================ ==========================================
@@ -210,7 +210,6 @@ class SurveyService:
     # ---------------------------------------------------------------- lifecycle
     async def start(self) -> None:
         if self.faults is not None:
-            self.faults.install()
             self.report.record("fault_installed", plan=self.faults.to_json())
         self.queue = JobQueue(
             self.queue_path,

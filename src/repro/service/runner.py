@@ -311,7 +311,6 @@ class JobRunner:
             # Census "constructive" normalizes to "quotient"; this fold keeps
             # jobs queued before that normalization on their checkpoint spec.
             symmetry="none" if spec["symmetry"] == "none" else "quotient",
-            backend=spec["backend"],
             # The fixed engine field keeps the CLI's census checkpoint spec.
             spec_extra={"n": spec["n"], "t": spec["t"], "engine": "batch"},
             store=store,

@@ -46,6 +46,8 @@ _SWEEP_DEFAULTS: Dict[str, Any] = {
 _CENSUS_DEFAULTS: Dict[str, Any] = {
     "time": 1,
     "symmetry": "quotient",
+    # One homology kernel: null or "packed" is kept as given (job ids hash
+    # it), anything else is rejected.
     "backend": None,
     "engine": "batch",  # fixed; see _SWEEP_DEFAULTS
 }
@@ -86,7 +88,8 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
     """The canonical form of a job spec: validated, defaults filled, fixed keys.
 
     Raises :class:`SpecError` on anything malformed — unknown kind, missing
-    context, unknown protocol/symmetry, an engine other than ``"batch"``,
+    context, unknown protocol/symmetry, an engine other than ``"batch"``, a
+    census backend other than ``"packed"``,
     negative bounds, a non-boolean ``enforce_paper_bound``, unexpected
     fields.  The returned dict is identity material: equal surveys, equal
     dicts — so a census asking for ``"constructive"`` symmetry, which the
@@ -132,7 +135,7 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
         if _choice(spec, "symmetry", tuple(SYMMETRIES)) == "constructive":
             spec["symmetry"] = "quotient"
         if spec["backend"] is not None:
-            _choice(spec, "backend", ("packed", "bigint", "dense"))
+            _choice(spec, "backend", ("packed",))
     return {key: spec[key] for key in sorted(spec)}
 
 

@@ -126,9 +126,8 @@ def census_class_store_spec(pc, k: int) -> Dict:
     A vertex's star — and therefore its connectivity level — depends on the
     *whole* complex the vertex lives in, so the spec fingerprints the
     complex (round count, vertex and facet counts) alongside ``k``.
-    Symmetry and homology backend are excluded: grouping does not change a
-    class's ``(capacity, level)`` pair and the backends are observationally
-    identical.
+    Symmetry is excluded: grouping does not change a class's
+    ``(capacity, level)`` pair.
     """
     return {
         "kind": "census_class",

@@ -15,19 +15,13 @@ from .complexes import (
     sphere_complex,
 )
 from .connectivity import (
-    DEFAULT_HOMOLOGY_BACKEND,
-    HOMOLOGY_BACKENDS,
     ConnectivityCache,
     connectivity_profile,
-    dense_connectivity_profile,
-    dense_reduced_betti_numbers,
     euler_characteristic,
     is_homologically_q_connected,
     reduced_betti_numbers,
     simplices_by_dimension,
-    validate_homology_backend,
 )
-from .gf2 import GF2Matrix, available_backends as available_gf2_backends
 from .protocol_complex import (
     CapacityCensus,
     ProtocolComplex,
@@ -57,14 +51,10 @@ from .subdivision import (
 __all__ = [
     "CapacityCensus",
     "ConnectivityCache",
-    "DEFAULT_HOMOLOGY_BACKEND",
-    "GF2Matrix",
-    "HOMOLOGY_BACKENDS",
     "ProtocolComplex",
     "SimplicialComplex",
     "SubdividedSimplex",
     "VertexPool",
-    "available_gf2_backends",
     "barycentric_subdivision",
     "boundary_of_simplex",
     "build_protocol_complex",
@@ -75,8 +65,6 @@ __all__ = [
     "coloring_from_decisions",
     "connectivity_profile",
     "count_top_simplices",
-    "dense_connectivity_profile",
-    "dense_reduced_betti_numbers",
     "euler_characteristic",
     "first_vertex_coloring",
     "full_simplex",
@@ -92,7 +80,6 @@ __all__ = [
     "simplex",
     "simplices_by_dimension",
     "sperner_lemma_holds",
-    "validate_homology_backend",
     "vertex_capacity",
     "sphere_complex",
 ]

@@ -26,35 +26,22 @@ of :mod:`repro.topology.complexes`:
   first non-vanishing Betti number; the rank of ``∂_{q+1}`` is reused as the
   down-rank of dimension ``q + 1`` instead of being recomputed.
 
-Three interchangeable homology backends sit behind a ``backend`` knob on
-:func:`reduced_betti_numbers` / :func:`connectivity_profile` /
-:func:`is_homologically_q_connected` / :class:`ConnectivityCache` (and,
-threaded through, on :func:`repro.topology.capacity_connectivity_census`
-and the CLI's ``census`` subcommand):
+One production kernel answers every question.  Two structural shortcuts
+bypass elimination where the survey workload lives: a **cone test** (a
+vertex common to every facet makes the complex a cone, hence contractible —
+*every* star complex is such a cone with its own apex, so the Proposition 2
+surveys answer in O(facets) per star), and a **union-find pass** over the
+facet masks that yields ``b̃_0 = c - 1`` and ``rank ∂_1 = |V| - c`` without
+enumerating a single edge row.  Higher boundary matrices are assembled
+straight from the facet bitmasks into integer rows and eliminated by
+:func:`rank_of_int_rows`.
 
-* ``"packed"`` (the default) — the word-packed pipeline built on
-  :mod:`repro.topology.gf2`.  Boundary matrices are assembled straight from
-  the facet bitmasks into packed rows (no per-simplex Python objects) and
-  eliminated by the backend-dispatched rank kernel; on top of that sit two
-  structural shortcuts that bypass elimination entirely where the survey
-  workload lives: a **cone test** (a vertex common to every facet makes the
-  complex a cone, hence contractible — *every* star complex is such a cone
-  with its own apex, so the Proposition 2 surveys answer in O(facets) per
-  star), and a **union-find pass** over the facet masks that yields
-  ``b̃_0 = c - 1`` and ``rank ∂_1 = |V| - c`` without enumerating a single
-  edge row.
-* ``"bigint"`` — the previous sparse kernel (big-int rows, dict-pivot
-  elimination), retained verbatim as the first differential oracle.
-* ``"dense"`` — the seed's dense algorithm (full face-lattice enumeration
-  over frozensets, one complete Betti recomputation per probed ``q``),
-  retained verbatim as :func:`dense_reduced_betti_numbers` /
-  :func:`dense_connectivity_profile` — the second oracle and the baseline
-  ``bench_star_connectivity`` measures against.
-
-All three are observationally identical — pinned on golden spaces and the
-randomized differential battery (``tests/test_homology_fuzz.py``), on the
-exhaustive n=4, t=2 star family (``tests/test_homology_differential.py``)
-and byte-identically on census rows (``benchmarks/bench_prop2_connectivity``).
+Its differential oracles — the shortcut-free big-int stream and the seed's
+dense face-lattice algorithm — live in :mod:`repro.oracles`; they are pinned
+equal to this kernel on golden spaces and the randomized differential
+battery (``tests/test_homology_fuzz.py``), on the exhaustive n=4, t=2 star
+family (``tests/test_homology_differential.py``) and byte-identically on
+census rows (``benchmarks/bench_prop2_connectivity``).
 
 Homology is additionally invariant under vertex relabelling, and survey
 consumers probe families of pairwise-isomorphic stars;
@@ -79,35 +66,20 @@ DESIGN.md §2 and EXPERIMENTS.md (PROP2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .complexes import SimplicialComplex, Simplex, iter_bits
-from .gf2 import boundary_rank as _packed_boundary_rank
-
-#: The interchangeable homology backends (see the module docstring).
-HOMOLOGY_BACKENDS: Tuple[str, ...] = ("packed", "bigint", "dense")
-
-#: The backend consumers get when they do not ask for one.
-DEFAULT_HOMOLOGY_BACKEND = "packed"
 
 
-def validate_homology_backend(backend: str) -> None:
-    """Raise ``ValueError`` unless ``backend`` names a homology backend."""
-    if backend not in HOMOLOGY_BACKENDS:
-        raise ValueError(
-            f"unknown homology backend {backend!r}: expected one of "
-            f"{', '.join(HOMOLOGY_BACKENDS)}"
-        )
-
-
-def _gf2_rank(rows: List[int]) -> int:
-    """Rank of a GF(2) matrix whose rows are given as Python integers (bitsets).
+def rank_of_int_rows(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of a matrix whose rows are Python integers (bitsets).
 
     Incremental Gaussian elimination: pivots live in a dict keyed by their
     leading-bit index (``int.bit_length() - 1``), so reducing a new row costs
     one dict lookup per XOR instead of a scan over the accepted pivots; the
     row either becomes a new pivot (raising the rank) or vanishes (linearly
-    dependent).
+    dependent).  CPython integers are themselves packed word arrays with
+    C-speed XOR, so the rows need no other packing.
     """
     pivots: Dict[int, int] = {}
     rank = 0
@@ -171,59 +143,44 @@ def _masks_at_dimension(facet_masks: Sequence[int], dimension: int) -> List[int]
     return sorted(out)
 
 
-def _boundary_rank_masks(lower: Sequence[int], upper: Sequence[int]) -> int:
-    """Rank over GF(2) of the boundary map from ``upper`` masks to ``lower`` ones.
+def boundary_rank(
+    lower: Sequence[int],
+    upper: Sequence[int],
+    position_of: Optional[Dict[int, int]] = None,
+) -> int:
+    """Rank over GF(2) of the simplicial boundary map ``upper -> lower``.
 
-    Each upper simplex contributes one column: its codimension-1 faces are
-    the masks with one bit cleared, looked up in the lower basis by value.
-    The elimination consumes the columns incrementally (see
-    :func:`_gf2_rank`), so the matrix is never materialised densely.
+    Bases are bitset masks (one bit per vertex).  Each upper simplex
+    contributes one matrix row: its codimension-1 faces are the masks with
+    one bit cleared, looked up by value in ``position_of`` (the lower
+    basis's mask -> position index, built here when not supplied — the
+    Betti stream supplies it to reuse the index across adjacent dimensions).
+    The rows are eliminated incrementally by :func:`rank_of_int_rows`, so
+    the matrix is never materialised densely.
     """
     if not upper or not lower:
         return 0
-    # Map each lower-basis mask straight to its row bit: one dict hit per
-    # face lookup, no per-face shift re-derivation.
-    bit_of = {mask: 1 << position for position, mask in enumerate(lower)}
+    if position_of is None:
+        position_of = {mask: position for position, mask in enumerate(lower)}
     rows: List[int] = []
     for mask in upper:
         row = 0
         remaining = mask
         while remaining:
             low = remaining & -remaining
-            row |= bit_of[mask ^ low]
+            row |= 1 << position_of[mask ^ low]
             remaining ^= low
         rows.append(row)
-    return _gf2_rank(rows)
+    return rank_of_int_rows(rows)
 
 
-def _betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]:
-    """Yield ``b̃_0, b̃_1, ..`` up to dimension ``top``, lazily.
-
-    Dimension ``q + 1`` is enumerated only when ``b̃_q`` is actually pulled,
-    so an early-exiting consumer (:func:`connectivity_profile`) touches
-    nothing above the first non-vanishing dimension plus one.  The rank of
-    ``∂_{q+1}`` flows forward as the down-rank of dimension ``q + 1``.
-    """
-    facet_masks, _ = _local_facets(complex_)
-    dimension = complex_.dimension
-    current = _masks_at_dimension(facet_masks, 0)
-    # Augmented boundary: every vertex maps to the generator of C_{-1}.
-    rank_down = 1 if current else 0
-    for q in range(top + 1):
-        above = _masks_at_dimension(facet_masks, q + 1) if q < dimension else []
-        rank_up = _boundary_rank_masks(current, above)
-        yield len(current) - rank_down - rank_up
-        current = above
-        rank_down = rank_up
-
-
-# --------------------------------------------------------------- packed kernel
+# ------------------------------------------------------------ shortcuts
 def _facet_component_count(facet_masks: Sequence[int]) -> int:
     """Number of connected components, by union-find over the facet bit lists.
 
     Every facet is itself connected, so unioning each facet's vertices
     (first bit with the rest) computes the components of the whole complex
-    without enumerating a single edge — the packed pipeline reads
+    without enumerating a single edge — the Betti stream reads
     ``b̃_0 = c - 1`` and ``rank ∂_1 = |V| - c`` straight off the count.
     """
     parent: Dict[int, int] = {}
@@ -272,16 +229,18 @@ def _common_apex(facet_masks: Sequence[int]) -> int:
     return apex
 
 
-def _packed_betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]:
-    """The packed backend's lazy Betti stream (same contract as :func:`_betti_stream`).
+def _betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]:
+    """Yield ``b̃_0, b̃_1, ..`` up to dimension ``top``, lazily.
 
     Structural shortcuts first — the cone test answers contractible
     complexes outright, and union-find over the facet masks settles
     dimension 0 (``b̃_0 = c - 1``) while seeding ``rank ∂_1 = |V| - c`` as
-    the first reused down-rank.  Higher boundary ranks are computed by
-    :func:`repro.topology.gf2.boundary_rank` on word-packed rows assembled
-    directly from the dimension's bit-combination masks, with each basis's
-    position index built once and shared between its upper and lower roles.
+    the first reused down-rank.  Dimension ``q + 1`` is enumerated only when
+    ``b̃_q`` is actually pulled, so an early-exiting consumer
+    (:func:`connectivity_profile`) touches nothing above the first
+    non-vanishing dimension plus one.  The rank of ``∂_{q+1}`` flows forward
+    as the down-rank of dimension ``q + 1``, and each basis's position index
+    is built once and shared between its upper and lower roles.
     """
     # The cone test runs on the *global* facet masks: re-basing is monotone,
     # so a common apex exists locally iff it exists globally — and a star
@@ -302,20 +261,11 @@ def _packed_betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]
     index = {mask: position for position, mask in enumerate(current)}
     for q in range(1, top + 1):
         above = _masks_at_dimension(facet_masks, q + 1) if q < dimension else []
-        rank_up = _packed_boundary_rank(current, above, position_of=index)
+        rank_up = boundary_rank(current, above, position_of=index)
         yield len(current) - rank_down - rank_up
         current = above
         index = {mask: position for position, mask in enumerate(above)}
         rank_down = rank_up
-
-
-def _betti_stream_for(
-    complex_: SimplicialComplex, top: int, backend: str
-) -> Iterator[int]:
-    """The chosen backend's Betti stream (``dense`` has no stream — see callers)."""
-    if backend == "packed":
-        return _packed_betti_stream(complex_, top)
-    return _betti_stream(complex_, top)
 
 
 def simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simplex]]:
@@ -340,30 +290,22 @@ def simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simple
 def reduced_betti_numbers(
     complex_: SimplicialComplex,
     max_dimension: int | None = None,
-    backend: str = DEFAULT_HOMOLOGY_BACKEND,
 ) -> List[int]:
     """Reduced GF(2) Betti numbers ``b̃_0 .. b̃_D`` of the complex.
 
     ``D`` defaults to the complex's dimension.  The empty complex has no
     Betti numbers (an empty list is returned).  With ``max_dimension = q``
     only the skeleton up to dimension ``q + 1`` is ever enumerated.
-    ``backend`` selects the homology backend (see the module docstring);
-    all three return identical lists.
     """
-    validate_homology_backend(backend)
-    if backend == "dense":
-        return dense_reduced_betti_numbers(complex_, max_dimension=max_dimension)
     if complex_.is_empty():
         return []
     top = complex_.dimension if max_dimension is None else min(max_dimension, complex_.dimension)
     if top < 0:
         return []
-    return list(_betti_stream_for(complex_, top, backend))
+    return list(_betti_stream(complex_, top))
 
 
-def is_homologically_q_connected(
-    complex_: SimplicialComplex, q: int, backend: str = DEFAULT_HOMOLOGY_BACKEND
-) -> bool:
+def is_homologically_q_connected(complex_: SimplicialComplex, q: int) -> bool:
     """The homological proxy for ``q``-connectivity.
 
     ``True`` iff the complex is non-empty and its reduced GF(2) homology
@@ -371,39 +313,30 @@ def is_homologically_q_connected(
     non-emptiness (the usual convention); for ``q = 0`` it coincides with
     path-connectedness.
     """
-    validate_homology_backend(backend)
     if complex_.is_empty():
         return False
     if q < 0:
         return True
-    return connectivity_profile(complex_, max_q=q, backend=backend) >= q
+    return connectivity_profile(complex_, max_q=q) >= q
 
 
-def connectivity_profile(
-    complex_: SimplicialComplex,
-    max_q: int | None = None,
-    backend: str = DEFAULT_HOMOLOGY_BACKEND,
-) -> int:
+def connectivity_profile(complex_: SimplicialComplex, max_q: int | None = None) -> int:
     """The largest ``q`` (up to ``max_q``) for which the homological proxy holds.
 
     Returns ``-2`` for the empty complex, ``-1`` for a non-empty but
     disconnected complex, and otherwise the largest ``q`` with vanishing
     reduced homology through dimension ``q``.  The Betti stream is consumed
     incrementally and abandoned at the first non-vanishing dimension, so a
-    ``max_q = k - 1`` star survey pays for the ``k``-skeleton only — and on
-    the packed backend a star complex (always a cone) pays only the O(facets)
-    cone test.  All backends return identical profiles.
+    ``max_q = k - 1`` star survey pays for the ``k``-skeleton only — and a
+    star complex (always a cone) pays only the O(facets) cone test.
     """
-    validate_homology_backend(backend)
-    if backend == "dense":
-        return dense_connectivity_profile(complex_, max_q=max_q)
     if complex_.is_empty():
         return -2
     limit = complex_.dimension if max_q is None else max_q
     if limit < 0:
         return -1
     top = min(limit, complex_.dimension)
-    for q, betti in enumerate(_betti_stream_for(complex_, top, backend)):
+    for q, betti in enumerate(_betti_stream(complex_, top)):
         if betti != 0:
             return q - 1
     # Dimensions above the complex's own dimension contribute nothing, so a
@@ -438,10 +371,6 @@ class ConnectivityCache:
     nothing about higher dimensions.  ``hits`` / ``misses`` expose the
     collapse factor for benchmarks.
 
-    ``backend`` selects the homology backend misses are computed with; since
-    the backends are observationally identical, it does not enter the cache
-    key — it only decides what a miss costs.
-
     ``store`` adds a persistent tier (:class:`repro.store.ResultStore`):
     an in-memory miss consults the store before running homology, and a
     computed profile is written back (committed at the caller's next batch
@@ -456,21 +385,16 @@ class ConnectivityCache:
         "_profiles",
         "_signature",
         "_signature_name",
-        "backend",
         "hits",
         "misses",
         "store",
         "store_hits",
     )
 
-    def __init__(
-        self, signature=None, backend: str = DEFAULT_HOMOLOGY_BACKEND, store=None
-    ) -> None:
-        validate_homology_backend(backend)
+    def __init__(self, signature=None, store=None) -> None:
         self._profiles: Dict[Tuple, int] = {}
         self._signature = signature
         self._signature_name = None
-        self.backend = backend
         self.hits = 0
         self.misses = 0
         self.store = store
@@ -505,12 +429,12 @@ class ConnectivityCache:
                 self._profiles[key] = stored
                 return stored
             self.misses += 1
-            level = connectivity_profile(complex_, max_q=max_q, backend=self.backend)
+            level = connectivity_profile(complex_, max_q=max_q)
             self._profiles[key] = level
             self.store.put("profile", PROFILE_SPEC_HASH, row_key, level)
             return level
         self.misses += 1
-        level = connectivity_profile(complex_, max_q=max_q, backend=self.backend)
+        level = connectivity_profile(complex_, max_q=max_q)
         self._profiles[key] = level
         return level
 
@@ -522,74 +446,3 @@ def euler_characteristic(complex_: SimplicialComplex) -> int:
         ((-1) ** dim) * len(_masks_at_dimension(facet_masks, dim))
         for dim in range(complex_.dimension + 1)
     )
-
-
-# ------------------------------------------------------------------ dense oracle
-def _dense_simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simplex]]:
-    """The seed grouping: the full face lattice, materialised as frozensets."""
-    grouped: Dict[int, List[Simplex]] = {}
-    for s in complex_.simplices():
-        grouped.setdefault(len(s) - 1, []).append(s)
-    for dim in grouped:
-        grouped[dim].sort(key=lambda s: tuple(sorted(map(repr, s))))
-    return grouped
-
-
-def _dense_boundary_rank(lower: Sequence[Simplex], upper: Sequence[Simplex]) -> int:
-    """The seed boundary rank: face lookups by frozenset difference."""
-    if not upper or not lower:
-        return 0
-    index_of = {s: i for i, s in enumerate(lower)}
-    rows: List[int] = []
-    for s in upper:
-        row = 0
-        for vertex in s:
-            position = index_of.get(s - {vertex})
-            if position is not None:
-                row |= 1 << position
-        rows.append(row)
-    return _gf2_rank(rows)
-
-
-def dense_reduced_betti_numbers(
-    complex_: SimplicialComplex, max_dimension: int | None = None
-) -> List[int]:
-    """The seed homology algorithm, kept as the differential-testing oracle.
-
-    Materialises **every** face of every facet as a frozenset before any
-    elimination, recomputes each boundary rank twice (once as up-rank, once
-    as down-rank) — exactly the dense path the sparse kernel replaced, and
-    the baseline ``bench_star_connectivity`` measures against.
-    """
-    if complex_.is_empty():
-        return []
-    grouped = _dense_simplices_by_dimension(complex_)
-    top = complex_.dimension if max_dimension is None else min(max_dimension, complex_.dimension)
-    betti: List[int] = []
-    for q in range(top + 1):
-        current = grouped.get(q, [])
-        below = grouped.get(q - 1, [])
-        above = grouped.get(q + 1, [])
-        n_q = len(current)
-        if q == 0:
-            rank_down = 1 if n_q > 0 else 0
-        else:
-            rank_down = _dense_boundary_rank(below, current)
-        rank_up = _dense_boundary_rank(current, above)
-        betti.append(n_q - rank_down - rank_up)
-    return betti
-
-
-def dense_connectivity_profile(complex_: SimplicialComplex, max_q: int | None = None) -> int:
-    """The seed profile scan: one full Betti recomputation per probed ``q``."""
-    if complex_.is_empty():
-        return -2
-    limit = complex_.dimension if max_q is None else max_q
-    level = -1
-    for q in range(limit + 1):
-        betti = dense_reduced_betti_numbers(complex_, max_dimension=q)
-        if all(b == 0 for b in betti[: q + 1]):
-            level = q
-        else:
-            break
-    return level

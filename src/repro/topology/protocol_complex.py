@@ -150,7 +150,6 @@ def census_classes(
     pc: ProtocolComplex,
     k: int,
     symmetry: str = "none",
-    backend: Optional[str] = None,
     result_store=None,
 ):
     """The deterministic class stream a Proposition 2 census folds over.
@@ -177,12 +176,8 @@ def census_classes(
     one level up, in the per-class rows of :func:`resilient_census`).
     """
     from ..symmetry import canonical_view_key, validate_symmetry_choice
-    from .connectivity import DEFAULT_HOMOLOGY_BACKEND, validate_homology_backend
 
     validate_symmetry_choice(symmetry)
-    if backend is None:
-        backend = DEFAULT_HOMOLOGY_BACKEND
-    validate_homology_backend(backend)
     cache = None
     if symmetry == "none":
         from .connectivity import connectivity_profile
@@ -190,9 +185,7 @@ def census_classes(
         groups: List[Tuple[ComplexVertex, int]] = [
             (vertex, 1) for vertex in pc.vertex_views
         ]
-        profile = lambda star: connectivity_profile(  # noqa: E731
-            star, max_q=k - 1, backend=backend
-        )
+        profile = lambda star: connectivity_profile(star, max_q=k - 1)  # noqa: E731
     else:
         from ..symmetry import renaming_star_signature
         from .connectivity import ConnectivityCache
@@ -210,27 +203,21 @@ def census_classes(
                     f"({sorted(facet_counts)} facets) in this complex"
                 )
         groups = [(members[0], len(members)) for members in grouped.values()]
-        cache = ConnectivityCache(
-            signature=renaming_star_signature, backend=backend, store=result_store
-        )
+        cache = ConnectivityCache(signature=renaming_star_signature, store=result_store)
         profile = lambda star: cache.profile(star, max_q=k - 1)  # noqa: E731
     return groups, profile, cache
 
 
 def capacity_connectivity_census(
-    pc: ProtocolComplex,
-    k: int,
-    symmetry: str = "none",
-    backend: Optional[str] = None,
+    pc: ProtocolComplex, k: int, symmetry: str = "none"
 ) -> CapacityCensus:
     """Cross-tabulate hidden capacity against star ``(k-1)``-connectivity.
 
-    The Proposition 2 survey over a protocol complex.  ``backend`` selects
-    the homology backend every star profile is computed with
-    (``"packed"`` / ``"bigint"`` / ``"dense"``, default the package default:
-    the packed kernel) — the census counts are backend-independent
-    (``benchmarks/bench_prop2_connectivity.py`` pins packed == bigint rows
-    byte-for-byte at survey scale).  ``symmetry="none"``
+    The Proposition 2 survey over a protocol complex.  Every star profile
+    comes from :func:`repro.topology.connectivity_profile`; the census rows
+    equal those of the :func:`repro.oracles.capacity_connectivity_census`
+    homology oracles (``benchmarks/bench_prop2_connectivity.py`` pins the
+    big-int oracle's row byte-for-byte at survey scale).  ``symmetry="none"``
     probes every vertex's star (the exhaustive path).  ``symmetry="quotient"``
     groups the vertices by their canonical view-key class
     (:func:`repro.symmetry.canonical_view_key` — exact orbit ids, valid
@@ -259,7 +246,7 @@ def capacity_connectivity_census(
     cannot catch every violation (equal counts, different homology), which
     is why closure remains a documented requirement.
     """
-    groups, profile, cache = census_classes(pc, k, symmetry=symmetry, backend=backend)
+    groups, profile, cache = census_classes(pc, k, symmetry=symmetry)
     census = CapacityCensus(classes=len(groups))
     fold_census(pc, k, groups, profile, cache, census)
     return census

@@ -74,6 +74,12 @@ class TestSweepCommand:
             build_parser().parse_args([command, "--engine", "reference"])
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    def test_backend_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["census", "-n", "3", "-t", "1", "-k", "1", "--backend", "packed"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
     def test_nonpositive_worker_counts_rejected(self):
         for bad in ("0", "-8"):
             with pytest.raises(SystemExit):

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
+from repro import oracles
+from repro.oracles import dense_connectivity_profile, dense_reduced_betti_numbers
 from repro.topology import (
-    HOMOLOGY_BACKENDS,
     SimplicialComplex,
     boundary_of_simplex,
     connectivity_profile,
-    dense_connectivity_profile,
-    dense_reduced_betti_numbers,
     euler_characteristic,
     full_simplex,
     is_homologically_q_connected,
@@ -20,6 +19,9 @@ from repro.topology import (
     simplices_by_dimension,
     sphere_complex,
 )
+
+#: ``(reduced_betti_numbers, connectivity_profile)`` of the kernel and its oracles.
+HOMOLOGY = {"packed": (reduced_betti_numbers, connectivity_profile), **oracles.HOMOLOGY_ORACLES}
 
 
 def random_complex(rng: random.Random, vertices: int = 7, facets: int = 8) -> SimplicialComplex:
@@ -89,49 +91,53 @@ class TestGF2SensitiveSpaces:
 
     RP² and the Klein bottle have 2-torsion in integral homology, so over
     GF(2) they grow Betti numbers a kernel silently computing over Q (or Z)
-    would miss — run on every backend, together with the degenerate edge
-    cases, to pin field and convention at once.
+    would miss — run on the kernel and both oracles, together with the
+    degenerate edge cases, to pin field and convention at once.
     """
 
-    @pytest.mark.parametrize("backend", HOMOLOGY_BACKENDS)
+    @pytest.mark.parametrize("backend", list(HOMOLOGY))
     def test_projective_plane(self, backend):
+        betti, profile = HOMOLOGY[backend]
         rp2 = projective_plane_complex()
         # Minimal triangulation: K₆ 1-skeleton, 10 triangles, χ = 1.
         assert rp2.vertex_count == 6
         assert len(rp2.facet_masks) == 10
         assert euler_characteristic(rp2) == 1
-        assert reduced_betti_numbers(rp2, backend=backend) == [0, 1, 1]
-        assert connectivity_profile(rp2, backend=backend) == 0
+        assert betti(rp2) == [0, 1, 1]
+        assert profile(rp2) == 0
 
-    @pytest.mark.parametrize("backend", HOMOLOGY_BACKENDS)
+    @pytest.mark.parametrize("backend", list(HOMOLOGY))
     def test_klein_bottle(self, backend):
+        betti, profile = HOMOLOGY[backend]
         klein = klein_bottle_complex()
         assert klein.vertex_count == 16
         assert len(klein.facet_masks) == 32
         assert euler_characteristic(klein) == 0
-        assert reduced_betti_numbers(klein, backend=backend) == [0, 2, 1]
-        assert connectivity_profile(klein, backend=backend) == 0
+        assert betti(klein) == [0, 2, 1]
+        assert profile(klein) == 0
 
-    @pytest.mark.parametrize("backend", HOMOLOGY_BACKENDS)
+    @pytest.mark.parametrize("backend", list(HOMOLOGY))
     def test_degenerate_edge_cases(self, backend):
+        betti, profile = HOMOLOGY[backend]
         empty = SimplicialComplex()
-        assert reduced_betti_numbers(empty, backend=backend) == []
-        assert connectivity_profile(empty, backend=backend) == -2
+        assert betti(empty) == []
+        assert profile(empty) == -2
         point = SimplicialComplex([{0}])
-        assert reduced_betti_numbers(point, backend=backend) == [0]
-        assert connectivity_profile(point, backend=backend) == 0
-        assert connectivity_profile(point, max_q=3, backend=backend) == 3
+        assert betti(point) == [0]
+        assert profile(point) == 0
+        assert profile(point, max_q=3) == 3
         single_facet = SimplicialComplex([{0, 1, 2}])
-        assert reduced_betti_numbers(single_facet, backend=backend) == [0, 0, 0]
-        assert connectivity_profile(single_facet, backend=backend) == 2
+        assert betti(single_facet) == [0, 0, 0]
+        assert profile(single_facet) == 2
         two_points = SimplicialComplex([{0}, {1}])
-        assert reduced_betti_numbers(two_points, backend=backend) == [1]
-        assert connectivity_profile(two_points, backend=backend) == -1
+        assert betti(two_points) == [1]
+        assert profile(two_points) == -1
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        """One kernel: the retired ``backend`` keyword is not accepted at all."""
+        with pytest.raises(TypeError):
             reduced_betti_numbers(sphere_complex(1), backend="sparse")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             connectivity_profile(sphere_complex(1), backend="")
 
 
@@ -223,7 +229,7 @@ class TestGrouping:
 
 
 class TestDenseOracle:
-    """The retained seed algorithm agrees with the sparse kernel everywhere."""
+    """The seed algorithm (:mod:`repro.oracles`) agrees with the kernel everywhere."""
 
     def assert_agree(self, complex_):
         assert dense_reduced_betti_numbers(complex_) == reduced_betti_numbers(complex_)

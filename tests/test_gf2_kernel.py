@@ -1,13 +1,12 @@
-"""Property tests for the word-packed GF(2) kernel (`repro.topology.gf2`).
+"""Property tests for the GF(2) rank kernel of `repro.topology.connectivity`.
 
-The packed rank kernels sit under every Betti number the packed homology
-backend produces, so they are pinned two ways: *algebraically* (rank is
-invariant under row permutation and row XOR, bounded by min(rows, cols),
-additive on block-diagonal sums) and *observationally* (the numpy and
-``array('Q')`` word backends, and the block-wise and dict-pivot
-eliminations, return identical ranks on the same random matrices — with
-:func:`repro.topology.gf2.rank_of_int_rows`, the seed elimination, as the
-reference).  All randomness is seeded.
+:func:`~repro.topology.connectivity.rank_of_int_rows` sits under every Betti
+number the homology kernel produces, so it is pinned two ways:
+*algebraically* (rank is invariant under row permutation and row XOR,
+bounded by min(rows, cols), additive on block-diagonal sums) and
+*observationally* (it returns the ranks of :func:`repro.oracles.gf2_rank`,
+an independent textbook row reduction, on the same random matrices).  Every
+algebraic property runs on both.  All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -16,24 +15,11 @@ import random
 
 import pytest
 
-from repro.topology.gf2 import (
-    BACKEND_ENV,
-    GF2Matrix,
-    WORD_BITS,
-    _resolve_backend,
-    available_backends,
-    boundary_rank,
-    chain_boundary_ranks,
-    rank_of_int_rows,
-)
+from repro import oracles
+from repro.topology.connectivity import boundary_rank, rank_of_int_rows
 
-try:
-    import numpy
-except ImportError:
-    numpy = None
-
-
-BACKENDS = available_backends()
+#: The rank implementations under test: the production kernel and its oracle.
+RANKS = {"kernel": rank_of_int_rows, "oracle": oracles.gf2_rank}
 
 
 def random_int_rows(rng: random.Random, nrows: int, ncols: int) -> list:
@@ -48,48 +34,44 @@ def random_int_rows(rng: random.Random, nrows: int, ncols: int) -> list:
     return rows
 
 
-def rank_via(rows, ncols, backend):
-    return GF2Matrix.from_int_rows(rows, ncols, backend=backend).rank()
-
-
 class TestRankAlgebra:
     """The defining algebraic properties of matrix rank over GF(2)."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rank_bounded_by_shape(self, backend):
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_rank_bounded_by_shape(self, rank):
         rng = random.Random(101)
         for _ in range(50):
             nrows, ncols = rng.randint(0, 24), rng.randint(0, 90)
             rows = random_int_rows(rng, nrows, ncols) if nrows else []
-            assert 0 <= rank_via(rows, ncols, backend) <= min(nrows, ncols)
+            assert 0 <= RANKS[rank](rows) <= min(nrows, ncols)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rank_invariant_under_row_permutation(self, backend):
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_rank_invariant_under_row_permutation(self, rank):
         rng = random.Random(202)
         for _ in range(40):
             nrows, ncols = rng.randint(1, 20), rng.randint(1, 90)
             rows = random_int_rows(rng, nrows, ncols)
-            reference = rank_via(rows, ncols, backend)
+            reference = RANKS[rank](rows)
             shuffled = rows[:]
             rng.shuffle(shuffled)
-            assert rank_via(shuffled, ncols, backend) == reference
+            assert RANKS[rank](shuffled) == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rank_invariant_under_row_xor(self, backend):
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_rank_invariant_under_row_xor(self, rank):
         """Adding one row into another is an elementary operation: rank-preserving."""
         rng = random.Random(303)
         for _ in range(40):
             nrows, ncols = rng.randint(2, 20), rng.randint(1, 90)
             rows = random_int_rows(rng, nrows, ncols)
-            reference = rank_via(rows, ncols, backend)
+            reference = RANKS[rank](rows)
             mutated = rows[:]
             for _ in range(5):
                 target, source = rng.sample(range(nrows), 2)
                 mutated[target] ^= mutated[source]
-            assert rank_via(mutated, ncols, backend) == reference
+            assert RANKS[rank](mutated) == reference
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_block_diagonal_rank_additivity(self, backend):
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_block_diagonal_rank_additivity(self, rank):
         """rank(A ⊕ B) = rank A + rank B for the block-diagonal sum."""
         rng = random.Random(404)
         for _ in range(30):
@@ -97,131 +79,47 @@ class TestRankAlgebra:
             rows_a = random_int_rows(rng, rng.randint(1, 12), ncols_a)
             rows_b = random_int_rows(rng, rng.randint(1, 12), ncols_b)
             combined = rows_a + [row << ncols_a for row in rows_b]
-            assert rank_via(combined, ncols_a + ncols_b, backend) == (
-                rank_via(rows_a, ncols_a, backend) + rank_via(rows_b, ncols_b, backend)
-            )
+            assert RANKS[rank](combined) == RANKS[rank](rows_a) + RANKS[rank](rows_b)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_known_ranks(self, backend):
-        identity = [1 << i for i in range(8)]
-        assert rank_via(identity, 8, backend) == 8
-        assert rank_via([0] * 5, 8, backend) == 0
-        assert rank_via([], 8, backend) == 0
-        assert rank_via([0b11, 0b10, 0b01], 2, backend) == 2  # third row dependent
+    @pytest.mark.parametrize("rank", sorted(RANKS))
+    def test_known_ranks(self, rank):
+        rank_of = RANKS[rank]
+        assert rank_of([1 << i for i in range(8)]) == 8
+        assert rank_of([0] * 5) == 0
+        assert rank_of([]) == 0
+        assert rank_of([0b11, 0b10, 0b01]) == 2  # third row dependent
         # A word-boundary-straddling pivot (column 64 lives in the second word).
-        assert rank_via([1 << 63 | 1 << 64, 1 << 64], 65, backend) == 2
+        assert rank_of([1 << 63 | 1 << 64, 1 << 64]) == 2
 
-
-class TestBackendIdentity:
-    """numpy and array('Q') backends are observationally the same kernel."""
-
-    def test_roundtrip_is_lossless(self):
-        rng = random.Random(505)
-        for backend in BACKENDS:
-            for _ in range(25):
-                ncols = rng.randint(0, 3 * WORD_BITS)
-                rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 10))]
-                matrix = GF2Matrix.from_int_rows(rows, ncols, backend=backend)
-                assert matrix.to_int_rows() == rows
-                for index, row in enumerate(rows):
-                    assert matrix.row_int(index) == row
-
-    def test_set_matches_from_int_rows(self):
-        rng = random.Random(606)
-        for backend in BACKENDS:
-            nrows, ncols = 6, 130
-            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
-            by_bits = GF2Matrix(nrows, ncols, backend=backend)
-            for r, row in enumerate(rows):
-                for c in range(ncols):
-                    if row >> c & 1:
-                        by_bits.set(r, c)
-            assert by_bits.to_int_rows() == rows
-            with pytest.raises(IndexError):
-                by_bits.set(nrows, 0)
-            with pytest.raises(IndexError):
-                by_bits.set(0, ncols)
-
-    @pytest.mark.skipif(numpy is None, reason="numpy backend unavailable")
-    def test_numpy_equals_array_on_random_matrices(self):
-        """The tentpole identity: both word backends, same matrices, same ranks."""
+    def test_kernel_equals_oracle_on_random_matrices(self):
         rng = random.Random(707)
         for _ in range(60):
-            nrows, ncols = rng.randint(0, 25), rng.randint(0, 200)
+            nrows, ncols = rng.randint(0, 120), rng.randint(0, 260)
             rows = random_int_rows(rng, nrows, ncols) if nrows else []
-            assert rank_via(rows, ncols, "numpy") == rank_via(rows, ncols, "array")
-
-    @pytest.mark.skipif(numpy is None, reason="numpy backend unavailable")
-    def test_block_elimination_equals_dict_pivot(self):
-        """The deferred-update block sweep == the seed dict-pivot elimination."""
-        from repro.topology.gf2 import _numpy_block_rank
-
-        rng = random.Random(808)
-        for _ in range(40):
-            nrows, ncols = rng.randint(1, 120), rng.randint(1, 260)
-            rows = random_int_rows(rng, nrows, ncols)
-            matrix = GF2Matrix.from_int_rows(rows, ncols, backend="numpy")
-            assert _numpy_block_rank(matrix._words.copy()) == rank_of_int_rows(rows)
-
-    def test_backend_resolution(self):
-        assert _resolve_backend("array") == "array"
-        assert _resolve_backend(None) in BACKENDS
-        assert _resolve_backend("auto") in BACKENDS
-        with pytest.raises(ValueError):
-            _resolve_backend("bogus")
-        if numpy is None:
-            assert _resolve_backend("auto") == "array"
-            with pytest.raises(RuntimeError):
-                _resolve_backend("numpy")
-        else:
-            assert _resolve_backend("numpy") == "numpy"
-            assert _resolve_backend("auto") == "numpy"
-
-    def test_env_var_forces_fallback(self):
-        """REPRO_GF2_BACKEND=array must pin the import-time default."""
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.topology import gf2; "
-            "assert gf2.BACKEND == 'array', gf2.BACKEND; "
-            "m = gf2.GF2Matrix.from_int_rows([3, 2, 1], 2); "
-            "assert m.backend == 'array'; assert m.rank() == 2"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**__import__("os").environ, BACKEND_ENV: "array"},
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stderr
+            assert rank_of_int_rows(rows) == oracles.gf2_rank(rows)
 
 
 class TestBoundaryHelpers:
-    """The boundary assemblers against hand-computed simplicial ranks."""
+    """The boundary assembler against hand-built boundary matrices."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_triangle_boundary(self, backend):
+    def test_triangle_boundary(self):
         # Bd of the full triangle {0,1,2}: vertices {1,2,4}, edges {3,5,6}.
         vertices = [1, 2, 4]
         edges = [3, 5, 6]
-        assert boundary_rank(vertices, edges, backend=backend) == 2
+        assert boundary_rank(vertices, edges) == 2
+        # The same ∂₁ by hand: each edge's row marks its two vertex positions.
+        assert oracles.gf2_rank([0b011, 0b101, 0b110]) == 2
         # The solid triangle's ∂₂: one face row, independent.
-        assert boundary_rank(edges, [7], backend=backend) == 1
+        assert boundary_rank(edges, [7]) == oracles.gf2_rank([0b111]) == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_bases(self, backend):
-        assert boundary_rank([], [7], backend=backend) == 0
-        assert boundary_rank([1, 2], [], backend=backend) == 0
+    def test_empty_bases(self):
+        assert boundary_rank([], [7]) == 0
+        assert boundary_rank([1, 2], []) == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_chain_matches_single_calls(self, backend):
+    def test_shared_position_index(self):
         vertices = [1, 2, 4]
         edges = [3, 5, 6]
-        faces = [7]
-        chained = chain_boundary_ranks([vertices, edges, faces], backend=backend)
-        assert chained == [
-            boundary_rank(vertices, edges, backend=backend),
-            boundary_rank(edges, faces, backend=backend),
-        ]
-        assert chain_boundary_ranks([vertices], backend=backend) == []
+        index = {mask: position for position, mask in enumerate(vertices)}
+        assert boundary_rank(vertices, edges, position_of=index) == (
+            boundary_rank(vertices, edges)
+        )

@@ -2,8 +2,8 @@
 
 The dimension-bounded bitset kernel of ``repro.topology.connectivity`` must
 be *observationally identical* to the seed algorithm it replaced — the dense
-full-face-lattice path retained as ``dense_reduced_betti_numbers`` /
-``dense_connectivity_profile``.  This suite pins the two on the workload
+full-face-lattice path kept as ``repro.oracles.dense_reduced_betti_numbers``
+/ ``dense_connectivity_profile``.  This suite pins the two on the workload
 Proposition 2 actually runs: the exhaustive n=4, t=2 restricted family
 ("at most k=2 crashes per round"), whole protocol complexes and the star
 complex of **every** vertex, Betti numbers and connectivity profiles alike.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import pytest
 
 from repro import oracles
+from repro.oracles import dense_connectivity_profile, dense_reduced_betti_numbers
 from repro.adversaries import enumerate_adversaries
 from repro.core import OptMin
 from repro.knowledge import (
@@ -31,11 +32,12 @@ from repro.model import Adversary, Context
 from repro.topology import (
     build_restricted_complex,
     connectivity_profile,
-    dense_connectivity_profile,
-    dense_reduced_betti_numbers,
     reduced_betti_numbers,
 )
 from repro.topology.protocol_complex import per_round_crash_patterns
+
+#: ``(reduced_betti_numbers, connectivity_profile)`` of the kernel and its oracles.
+HOMOLOGY = {"packed": (reduced_betti_numbers, connectivity_profile), **oracles.HOMOLOGY_ORACLES}
 
 
 CONTEXT = Context(n=4, t=2, k=2)
@@ -80,10 +82,9 @@ class TestSparseKernelMatchesSeedHomology:
 class TestPackedBackendMatchesSeedHomology:
     """Packed == dense (and == bigint), explicitly, on the same star family.
 
-    ``reduced_betti_numbers`` / ``connectivity_profile`` now default to the
-    word-packed backend, so the class above already exercises it; this class
-    pins each backend *by name* so the contract survives any future change
-    of default.
+    ``reduced_betti_numbers`` / ``connectivity_profile`` are the packed
+    kernel, so the class above already exercises it; this class pins it and
+    the shortcut-free ``bigint`` oracle to the dense one *by name*.
     """
 
     def test_every_star_packed_equals_oracles(self, protocol_complex):
@@ -94,9 +95,10 @@ class TestPackedBackendMatchesSeedHomology:
             dense_betti = dense_reduced_betti_numbers(star)
             dense_profile = dense_connectivity_profile(star)
             for backend in ("packed", "bigint"):
-                assert reduced_betti_numbers(star, backend=backend) == dense_betti
-                assert connectivity_profile(star, backend=backend) == dense_profile
-                assert connectivity_profile(star, max_q=CONTEXT.k - 1, backend=backend) == (
+                betti, profile = HOMOLOGY[backend]
+                assert betti(star) == dense_betti
+                assert profile(star) == dense_profile
+                assert profile(star, max_q=CONTEXT.k - 1) == (
                     dense_connectivity_profile(star, max_q=CONTEXT.k - 1)
                 )
             checked += 1
@@ -104,7 +106,7 @@ class TestPackedBackendMatchesSeedHomology:
 
     def test_whole_complex_packed_equals_dense(self, protocol_complex):
         complex_ = protocol_complex.complex
-        assert reduced_betti_numbers(complex_, backend="packed") == (
+        assert reduced_betti_numbers(complex_) == (
             dense_reduced_betti_numbers(complex_)
         )
 
@@ -112,11 +114,12 @@ class TestPackedBackendMatchesSeedHomology:
         from repro.topology import capacity_connectivity_census
 
         rows = {
-            backend: capacity_connectivity_census(
-                protocol_complex, CONTEXT.k, backend=backend
+            backend: oracles.capacity_connectivity_census(
+                protocol_complex, CONTEXT.k, homology=backend
             ).row
-            for backend in ("packed", "bigint", "dense")
+            for backend in ("bigint", "dense")
         }
+        rows["packed"] = capacity_connectivity_census(protocol_complex, CONTEXT.k).row
         assert rows["packed"] == rows["bigint"] == rows["dense"]
 
 

@@ -1,8 +1,9 @@
-"""Randomized differential battery for the three homology backends.
+"""Randomized differential battery for the homology kernel and its oracles.
 
-The ``packed`` kernel (word-packed GF(2) matrices, cone and union-find
-shortcuts), the ``bigint`` kernel (big-int rows, dict-pivot elimination) and
-the ``dense`` seed algorithm must be *observationally identical*: same
+The production kernel (``packed``: cone and union-find shortcuts, then
+dict-pivot elimination of integer rows) and the :mod:`repro.oracles`
+homology — the shortcut-free ``bigint`` stream and the ``dense`` seed
+algorithm — must be *observationally identical*: same
 reduced Betti numbers, same connectivity profiles at every truncation, and
 an Euler characteristic consistent with the alternating Betti sum — on
 every complex we can throw at them.  The corpus mixes three seeded
@@ -12,8 +13,8 @@ generators:
 * constructed spaces — joins, cones and disjoint unions of spheres and
   simplex boundaries (including the GF(2)-sensitive RP² and Klein bottle);
 * star complexes of random vertices of real ``n <= 5`` protocol complexes
-  (the Proposition 2 workload: always cones, exercising the packed
-  backend's apex shortcut against the oracles).
+  (the Proposition 2 workload: always cones, exercising the kernel's apex
+  shortcut against the oracles).
 
 A fast slice runs in tier-1; the extended slice (more trials, bigger
 complexes, deeper protocol complexes) is marked ``slow`` and runs with
@@ -27,9 +28,9 @@ import random
 
 import pytest
 
+from repro import oracles
 from repro.model import Context
 from repro.topology import (
-    HOMOLOGY_BACKENDS,
     SimplicialComplex,
     boundary_of_simplex,
     build_restricted_complex,
@@ -41,21 +42,20 @@ from repro.topology import (
     sphere_complex,
 )
 
+#: ``(reduced_betti_numbers, connectivity_profile)`` of the kernel and its oracles.
+HOMOLOGY = {"packed": (reduced_betti_numbers, connectivity_profile), **oracles.HOMOLOGY_ORACLES}
+
 
 def assert_backends_agree(complex_: SimplicialComplex, label: str = "") -> None:
-    """The battery's core oracle: all backends, all truncations, plus Euler."""
-    betti_by_backend = {
-        backend: reduced_betti_numbers(complex_, backend=backend)
-        for backend in HOMOLOGY_BACKENDS
-    }
+    """The battery's core oracle: kernel and oracles, all truncations, plus Euler."""
+    betti_by_backend = {backend: betti(complex_) for backend, (betti, _) in HOMOLOGY.items()}
     reference = betti_by_backend["dense"]
     for backend, betti in betti_by_backend.items():
         assert betti == reference, (label, backend, betti, reference)
     probes = [None] + sorted({0, 1, complex_.dimension, complex_.dimension + 2})
     for max_q in probes:
         profiles = {
-            backend: connectivity_profile(complex_, max_q=max_q, backend=backend)
-            for backend in HOMOLOGY_BACKENDS
+            backend: profile(complex_, max_q=max_q) for backend, (_, profile) in HOMOLOGY.items()
         }
         assert len(set(profiles.values())) == 1, (label, max_q, profiles)
     # Euler consistency: χ = 1 + Σ (-1)^q b̃_q (reduced homology) for any
@@ -68,10 +68,8 @@ def assert_backends_agree(complex_: SimplicialComplex, label: str = "") -> None:
         assert chi == 1 + alternating, (label, chi, reference)
     for max_dimension in (0, 1, complex_.dimension):
         truncated = {
-            backend: reduced_betti_numbers(
-                complex_, max_dimension=max_dimension, backend=backend
-            )
-            for backend in HOMOLOGY_BACKENDS
+            backend: betti(complex_, max_dimension=max_dimension)
+            for backend, (betti, _) in HOMOLOGY.items()
         }
         assert len({tuple(b) for b in truncated.values()}) == 1, (
             label,
@@ -134,7 +132,7 @@ def protocol_star_corpus(rng: random.Random, configs, stars_per_complex: int):
 
 
 class TestFuzzFastSlice:
-    """The tier-1 slice: small corpus, every backend, every probe."""
+    """The tier-1 slice: small corpus, kernel and every oracle, every probe."""
 
     def test_degenerate_complexes(self):
         assert_backends_agree(SimplicialComplex(), "empty")

@@ -30,6 +30,10 @@ DEFAULT_JOB_IDS = {
     "census": "038c1cf6d1f74090bb32c247c10fabe712d727f57248d5b820ee07c9539441b7",
 }
 
+#: A census spec naming the homology kernel explicitly, and its job id.
+PACKED_CENSUS_SPEC = {"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "packed"}
+PACKED_CENSUS_JOB_ID = "36d2305b0039d4af922039b06a87ad17cae0373fb3547fa870cc8e0fe5505745"
+
 #: The job-mix specs of the end-to-end benchmark, and their job ids.
 BENCHMARK_JOB_SPECS = {
     "cold-optmin-n5t2": {"kind": "sweep", "n": 5, "t": 2, "k": 2, "protocol": "optmin"},
@@ -77,6 +81,9 @@ class TestJobIds:
     def test_default_spec(self, kind):
         spec = normalize_spec({"kind": kind, "n": 4, "t": 2, "k": 2})
         assert job_id(spec) == DEFAULT_JOB_IDS[kind]
+
+    def test_packed_census_spec(self):
+        assert job_id(normalize_spec(PACKED_CENSUS_SPEC)) == PACKED_CENSUS_JOB_ID
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_JOB_SPECS))
     def test_benchmark_job_spec(self, name):

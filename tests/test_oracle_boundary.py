@@ -3,7 +3,9 @@
 Production runs one engine.  The per-adversary paths it is pinned to live in
 :mod:`repro.oracles`, which only tests and benchmarks import.  This suite
 enforces both halves: no production module imports the oracles, and no
-public callable of the survey packages offers an ``engine`` parameter.
+public callable of the production packages offers an ``engine`` or a
+``backend`` parameter.  Production is also stdlib-only: importing it never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,8 @@ import repro
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 
-#: The packages whose public surface must not offer an engine choice.
+#: The packages (and the CLI module) whose public surface must not offer an
+#: engine or a homology backend choice.
 SURVEY_PACKAGES = (
     "repro.verification",
     "repro.analysis",
@@ -28,6 +34,8 @@ SURVEY_PACKAGES = (
     "repro.topology",
     "repro.adversaries",
     "repro.runtime",
+    "repro.service",
+    "repro.cli",
 )
 
 
@@ -94,7 +102,7 @@ def public_callables(package_name: str):
     package = importlib.import_module(package_name)
     modules = [package] + [
         importlib.import_module(info.name)
-        for info in pkgutil.walk_packages(package.__path__, package_name + ".")
+        for info in pkgutil.walk_packages(getattr(package, "__path__", ()), package_name + ".")
     ]
     for module in modules:
         for name, obj in vars(module).items():
@@ -111,13 +119,36 @@ def public_callables(package_name: str):
                         yield f"{module.__name__}.{name}.{attr}", function
 
 
-@pytest.mark.parametrize("package_name", SURVEY_PACKAGES)
-def test_no_public_callable_offers_an_engine(package_name):
+def callables_offering(package_name: str, parameter: str):
     callables = list(public_callables(package_name))
     assert callables, f"found no public callables in {package_name}"
-    offering = [
+    return [
         name
         for name, function in callables
-        if "engine" in inspect.signature(function).parameters
+        if parameter in inspect.signature(function).parameters
     ]
-    assert offering == []
+
+
+@pytest.mark.parametrize("package_name", SURVEY_PACKAGES)
+def test_no_public_callable_offers_an_engine(package_name):
+    assert callables_offering(package_name, "engine") == []
+
+
+@pytest.mark.parametrize("package_name", SURVEY_PACKAGES)
+def test_no_public_callable_offers_a_backend(package_name):
+    assert callables_offering(package_name, "backend") == []
+
+
+def test_production_imports_leave_numpy_out():
+    code = (
+        "import sys, repro, repro.topology, repro.cli, repro.service; "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr or "importing repro loaded numpy"

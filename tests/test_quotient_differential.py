@@ -36,7 +36,6 @@ from repro.topology import (
     ConnectivityCache,
     build_restricted_complex,
     capacity_connectivity_census,
-    dense_connectivity_profile,
 )
 from repro.symmetry import renaming_star_signature
 from repro.verification import (
@@ -171,9 +170,8 @@ class TestHomologyCacheDifferential:
         cache = ConnectivityCache(signature=signature)
         for vertex in complex_.vertex_views:
             star = complex_.complex.star(vertex)
-            assert cache.profile(star, max_q=CONTEXT.k - 1) == dense_connectivity_profile(
-                star, max_q=CONTEXT.k - 1
-            )
+            expected = oracles.dense_connectivity_profile(star, max_q=CONTEXT.k - 1)
+            assert cache.profile(star, max_q=CONTEXT.k - 1) == expected
         # The cache must actually collapse the family, not degenerate to a
         # per-star recomputation.
         assert cache.hits > 0

@@ -187,9 +187,15 @@ class TestFaultPlanSerialization:
             delay_chunks={1: (0.25, 1)},
             truncate_checkpoints=(0,),
             corrupt_checkpoints=(3,),
-            no_numpy=True,
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
+
+    def test_retired_no_numpy_key_still_parses(self, monkeypatch):
+        """Older fault strings may still carry the retired ``no_numpy`` key."""
+        from repro.runtime import FAULTS_ENV
+
+        monkeypatch.setenv(FAULTS_ENV, '{"kill_chunks": {"1": 1}, "no_numpy": true}')
+        assert FaultPlan.from_env() == FaultPlan(kill_chunks={1: 1})
 
     def test_from_env(self, monkeypatch):
         from repro.runtime import FAULTS_ENV

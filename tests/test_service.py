@@ -81,12 +81,23 @@ class TestSpecs:
              "enforce_paper_bound"),
             ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "engine": "reference"}, "engine"),
             ({"kind": "census", "n": 3, "t": 1, "k": 1, "engine": "reference"}, "engine"),
+            ({"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "bigint"}, "backend"),
+            ({"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "dense"}, "backend"),
+            ({"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "array"}, "backend"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "backend": "packed"}, "unknown spec fields"),
             ([1, 2], "JSON object"),
         ],
     )
     def test_malformed_specs_are_rejected(self, raw, complaint):
         with pytest.raises(SpecError, match=complaint):
             normalize_spec(raw)
+
+    def test_census_backend_is_kept_as_given(self):
+        """``null`` and ``"packed"`` both normalize to themselves, as before."""
+        census = {"kind": "census", "n": 3, "t": 1, "k": 1}
+        assert normalize_spec(census)["backend"] is None
+        assert normalize_spec(dict(census, backend=None))["backend"] is None
+        assert normalize_spec(dict(census, backend="packed"))["backend"] == "packed"
 
     def test_enforce_paper_bound_keeps_the_requested_boolean(self):
         assert sweep_spec(enforce_paper_bound=False)["enforce_paper_bound"] is False
@@ -483,6 +494,11 @@ class TestServiceApi:
                 {"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": "false"},
             )
             assert status == 400 and "enforce_paper_bound" in payload["error"]
+
+            status, payload = harness.request(
+                "POST", "/jobs", {"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "bigint"},
+            )
+            assert status == 400 and "backend" in payload["error"]
 
             status, payload = harness.request(
                 "POST", "/jobs",

@@ -218,12 +218,3 @@ class TestResolveMpContext:
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         )
         assert resolve_mp_context().get_start_method() == expected
-
-    def test_no_numpy_fault_pins_array_backend(self, monkeypatch):
-        from repro.topology import gf2
-
-        monkeypatch.setattr(gf2, "BACKEND", gf2.BACKEND)
-        monkeypatch.setenv(gf2.BACKEND_ENV, os.environ.get(gf2.BACKEND_ENV, ""))
-        FaultPlan(no_numpy=True).install()
-        assert gf2.BACKEND == "array"
-        assert os.environ[gf2.BACKEND_ENV] == "array"
