@@ -19,7 +19,7 @@ that runs it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
 from .engine.arrays import ArrayView, StructLayer
@@ -395,6 +395,20 @@ def system_from_family_two_pass(
         # that order after the per-group extends.
         indices.sort()
     return System._from_index(runs, index)
+
+
+# -------------------- store keys: the reference walk of repro.store.stable_key
+def _jsonable(value: Any) -> Any:
+    """Map nested tuples/frozensets onto JSON-representable structures."""
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_jsonable(item) for item in value)
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
+        return value
+    raise TypeError(f"cannot build a stable store key from {type(value).__name__}: {value!r}")
 
 
 # ------------------------------------------------------------------ surgery

@@ -35,6 +35,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..store.keys import stable_key as canonical_json
 from .faults import FaultPlan
 from .report import RunReport
 
@@ -47,11 +48,6 @@ _CHECKPOINT_NAME = re.compile(r"^ckpt-(\d{12})\.json$")
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be trusted (corrupt, truncated, wrong stream)."""
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical (sorted, compact) JSON form used for hashing and specs."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -174,15 +174,17 @@ class _StoreMemo:
     falls back to pure compute from the next batch on.
     """
 
-    def __init__(self, result_store: "ResultStore", kind: str, spec_hash: str, key, encode, decode):
+    def __init__(
+        self, result_store: "ResultStore", kind: str, spec_hash: str, batch_keys, encode, decode
+    ):
         self.result_store = result_store
         self.kind = kind
         self.spec_hash = spec_hash
-        self.key, self.encode, self.decode = key, encode, decode
+        self.batch_keys, self.encode, self.decode = batch_keys, encode, decode
         self.keys: Optional[List[str]] = None
 
     def lookup(self, items: List) -> Dict[int, Any]:
-        self.keys = [self.key(item) for item in items] if self.result_store.available else None
+        self.keys = self.batch_keys(items) if self.result_store.available else None
         if self.keys is None:
             return {}
         found = self.result_store.get_many(self.kind, self.spec_hash, self.keys)
@@ -280,14 +282,14 @@ def resilient_check(
         aggregate = CheckReport.from_payload(name, payload)
     memo = None
     if result_store is not None:
-        from ..store import adversary_key, check_store_spec, spec_hash
+        from ..store import adversary_keys, check_store_spec, spec_hash
         from ..verification.properties import Violation
 
         memo = _StoreMemo(
             result_store,
             "check",
             spec_hash(check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)),
-            lambda item: adversary_key(item[1]),
+            lambda items: adversary_keys(item[1] for item in items),
             lambda verdict: {
                 "decision_time": verdict[0],
                 "violations": [[v.property_name, v.message, v.process] for v in verdict[1]],
@@ -401,7 +403,7 @@ def resilient_census(
             result_store,
             "census_class",
             class_spec_h,
-            lambda item: vertex_key(item[0]),
+            lambda items: [vertex_key(item[0]) for item in items],
             lambda verdict: {"capacity": verdict[0], "level": verdict[1]},
             lambda payload: (payload["capacity"], payload["level"]),
         )

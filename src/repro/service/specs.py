@@ -3,9 +3,10 @@
 A job payload is a plain JSON object — ``{"kind": "sweep", ...}`` or
 ``{"kind": "census", ...}`` — because the queue's idempotence contract
 requires that *the spec is the identity*: :func:`normalize_spec` maps
-every equivalent request (omitted defaults, key order, int-ish strings)
-onto one canonical dict, and :func:`job_id` hashes that canonical form
-with the store's :func:`repro.store.keys.spec_hash`.  Two clients asking
+every equivalent request (omitted defaults, key order) onto one canonical
+dict — converting no types: ``"n": "5"`` is a :class:`SpecError`, not ``5``
+— and :func:`job_id` hashes that canonical form with the store's
+:func:`repro.store.keys.spec_hash`.  Two clients asking
 for the same survey therefore compute the same job id before the queue is
 ever touched, which is what makes concurrent duplicate submits collapse
 onto one row.

@@ -4,6 +4,7 @@ from .keys import (
     PROFILE_SPEC_HASH,
     PROFILE_STORE_SPEC,
     adversary_key,
+    adversary_keys,
     census_class_store_spec,
     census_row_key,
     check_store_spec,
@@ -20,6 +21,7 @@ __all__ = [
     "ResultStore",
     "STORE_SCHEMA",
     "adversary_key",
+    "adversary_keys",
     "census_class_store_spec",
     "census_row_key",
     "check_store_spec",

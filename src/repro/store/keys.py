@@ -20,35 +20,35 @@ hits.  Three layers of identity:
   over ``(schema, kind, spec, key, payload)`` verified on every read, so a
   corrupt or misfiled row is detected, never served.
 
-Keys are produced by :func:`stable_key`, a canonical JSON form that maps
-tuples and frozensets onto deterministically ordered lists — ``repr`` is
-not used anywhere, so the keys are independent of hash randomization and
-interpreter version.
+Keys are produced by :func:`stable_key`, one pass of the stdlib C JSON
+encoder mapping tuples and sets onto ordered lists — ``repr`` is not used
+anywhere, so the keys are independent of hash randomization and interpreter
+version.  Dict keys must be ``str`` (audit: tests/test_store_keys_differential.py).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict
+from itertools import groupby
+from operator import attrgetter
+from typing import Any, Dict, Iterable, List
 
 
-def _jsonable(value: Any) -> Any:
-    """Map nested tuples/frozensets onto JSON-representable structures."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_jsonable(item) for item in value)
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    raise TypeError(f"cannot build a stable store key from {type(value).__name__}: {value!r}")
+def _json_form(value: Any) -> Any:
+    """The encoder's ``default`` hook: a set as the sorted JSON forms of its members."""
+    if not isinstance(value, (list, tuple, set, frozenset)):
+        raise TypeError(f"cannot build a stable store key from {type(value).__name__}: {value!r}")
+    parts = [_json_form(x) if isinstance(x, (list, tuple, set, frozenset)) else x for x in value]
+    return parts if isinstance(value, (list, tuple)) else sorted(parts)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_form)
 
 
 def stable_key(value: Any) -> str:
-    """The canonical (sorted, compact) JSON form used for keys and payloads."""
-    return json.dumps(_jsonable(value), sort_keys=True, separators=(",", ":"))
+    """The canonical (sorted, compact) JSON form of keys, payloads, specs and checkpoints."""
+    return _ENCODER.encode(value)
 
 
 def spec_hash(spec: Dict[str, Any]) -> str:
@@ -57,6 +57,18 @@ def spec_hash(spec: Dict[str, Any]) -> str:
 
 
 # ------------------------------------------------------------------ item keys
+def adversary_keys(adversaries: Iterable) -> List[str]:
+    """:func:`adversary_key` of each adversary; a run of consecutive equal
+    patterns (an orbit stream's shape) encodes its crash events once."""
+    keys: List[str] = []
+    for pattern, members in groupby(adversaries, attrgetter("pattern")):
+        crashes = _ENCODER.encode(
+            [[event.process, event.round, sorted(event.receivers)] for event in pattern.crashes]
+        )
+        keys.extend([f"[{_ENCODER.encode(member.values)},{crashes}]" for member in members])
+    return keys
+
+
 def adversary_key(adversary) -> str:
     """The canonical form of one adversary: input vector + crash events.
 
@@ -66,15 +78,7 @@ def adversary_key(adversary) -> str:
     key.  On the constructive stream the adversary is already its orbit's
     canonical representative, which makes this the orbit's canonical form.
     """
-    return stable_key(
-        [
-            list(adversary.values),
-            [
-                [event.process, event.round, sorted(event.receivers)]
-                for event in adversary.pattern.crashes
-            ],
-        ]
-    )
+    return adversary_keys((adversary,))[0]
 
 
 def vertex_key(vertex) -> str:

@@ -1,11 +1,13 @@
-"""Identity pins: job ids and checkpoint spec hashes that must not drift.
+"""Identity pins: job ids, checkpoint spec hashes and store rows that must not drift.
 
-A job id is the hash of a normalized job spec, and a checkpoint resumes
-only into a run whose stream spec hashes the same.  Queue rows, checkpoint
-directories and store rows written by earlier versions therefore keep
-working only while these hashes stay put.  Every hash below was recorded
-once and is compared verbatim; a change here is an identity migration and
-must be called out in CHANGES.md.
+A job id is the hash of a normalized job spec, a checkpoint resumes only
+into a run whose stream spec hashes the same, and a result-store row is
+found only under the item key (and verified only against the row digest)
+it was written with.  Queue rows, checkpoint directories and store rows
+written by earlier versions therefore keep working only while these
+strings stay put.  Every value below was recorded once and is compared
+verbatim; a change here is an identity migration and must be called out
+in CHANGES.md.
 
 The checkpoint specs are read back from real checkpoint files written by
 the public entry points (``resilient_check``, ``cli census``, the job
@@ -14,15 +16,30 @@ runner), so the pins hold whatever the internal helpers' signatures are.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.adversaries import RestrictedSpace
 from repro.cli import main
 from repro.core import OptMin
-from repro.model import Context
+from repro.model import Adversary, Context, CrashEvent, FailurePattern
 from repro.runtime import CheckpointStore, resilient_check
 from repro.service import JobQueue, JobRunner, job_id, normalize_spec
-from repro.store import spec_hash
+from repro.store import (
+    PROFILE_SPEC_HASH,
+    adversary_key,
+    census_class_store_spec,
+    census_row_key,
+    check_store_spec,
+    profile_key,
+    row_digest,
+    spec_hash,
+    stable_key,
+    vertex_key,
+)
+from repro.symmetry import renaming_star_signature
+from repro.topology import build_restricted_complex
 
 #: Normalized job ids of the default sweep and census specs.
 DEFAULT_JOB_IDS = {
@@ -67,6 +84,75 @@ CHECKER_SPEC_HASHES = {
 CENSUS_SPEC_HASHES = {
     "cli": "ac971dbba01e5241ea8d45a218c8778efb1f809f78156396e7338d227eab46d5",
     "service": "ac971dbba01e5241ea8d45a218c8778efb1f809f78156396e7338d227eab46d5",
+}
+
+
+#: Result-store rows: ``(kind, spec hash, item key, payload text, row digest)``.
+#: The check spec is Optmin[2] at t=2 k=2 with the paper bound enforced; the
+#: census class spec fingerprints the n=3 t=1 one-round complex at k=1.
+CHECK_SPEC_HASH = "3650193497931479c1abc6c2bf9601b7269f490c689f008cdd38b86ae606cb9b"
+CENSUS_CLASS_SPEC_HASH = "c629ed93f5aa844c9a2878e2682307d8375365fae5dde559c43a2b54bef00348"
+CRASH_FREE = Adversary((0, 1, 2, 1), FailurePattern(4))
+MULTI_CRASH = Adversary(
+    (2, 0, 1, 0),
+    FailurePattern(4, [CrashEvent(0, 1, frozenset({2, 1})), CrashEvent(3, 2, frozenset())]),
+)
+#: A vertex of that complex: process 0 after one round, evidence row with
+#: ``inf`` entries and a frozenset sender row.
+CENSUS_VERTEX = (0, (0, 1, (1, -1, 0), (math.inf, 1, math.inf), (1, None, 1), (frozenset({2}),)))
+CHECK_VIOLATIONS = {
+    "decision_time": 3,
+    "violations": [
+        ["k-agreement", "correct processes decided 3 distinct values [0, 1, 2] > k=2", None],
+        ["decision-time", "process 1 decided at time 3, exceeding the bound 2 \u2264 ok", 1],
+    ],
+}
+STORE_ROWS = {
+    "crash-free": (
+        "check",
+        CHECK_SPEC_HASH,
+        "[[0,1,2,1],[]]",
+        '{"decision_time":2,"violations":[]}',
+        "ead8b8ba292117d31532d30754eb780ed8cc447e0f01c8f01d4e21ea49611ffe",
+    ),
+    "multi-crash": (
+        "check",
+        CHECK_SPEC_HASH,
+        "[[2,0,1,0],[[0,1,[1,2]],[3,2,[]]]]",
+        '{"decision_time":2,"violations":[]}',
+        "6555d273c231c3a939db3e458395383b84f8f90518beb38ad290ceb3c9fbad96",
+    ),
+    "check-violations": (
+        "check",
+        CHECK_SPEC_HASH,
+        "[[2,0,1,0],[[0,1,[1,2]],[3,2,[]]]]",
+        '{"decision_time":3,"violations":[["k-agreement","correct processes decided 3 '
+        'distinct values [0, 1, 2] > k=2",null],["decision-time","process 1 decided at '
+        'time 3, exceeding the bound 2 \\u2264 ok",1]]}',
+        "96e2784099127afe6d18f6d3415da8bde6c7ff45c0921707b69828c5648570ca",
+    ),
+    "profile": (
+        "profile",
+        PROFILE_SPEC_HASH,
+        '["renaming_star_signature",[[[1,1,[0,2,1]],[2,1,[0,1,2]],[2,1,[1,1,2]]],'
+        "[[0,1],[0,2]]],0]",
+        "1",
+        "c3c2358fc244021ae16d47f38d3268f99a03a46cb825af8bfa428812c6e58be2",
+    ),
+    "census-class": (
+        "census_class",
+        CENSUS_CLASS_SPEC_HASH,
+        "[0,[0,1,[1,-1,0],[Infinity,1,Infinity],[1,null,1],[[2]]]]",
+        '{"capacity":1,"level":-1}',
+        "83a59c9bccf87e23eae414fa13206e1ce8880978035d3d2d4c2313ce1ea24e0f",
+    ),
+    "census-row": (
+        "census_row",
+        CENSUS_CLASS_SPEC_HASH,
+        '["census_row","quotient"]',
+        '{"classes":4,"counters":[12,6,6,9,6]}',
+        "5c15c18b474f1770064bd8c607b6582704576ffad93c5371322ea60d7fb2f029",
+    ),
 }
 
 
@@ -115,3 +201,40 @@ class TestCheckpointSpecs:
             assert latest_spec_hash(runner.checkpoint_dir(job_id(spec))) == (
                 CENSUS_SPEC_HASHES["service"]
             )
+
+
+class TestStoreRows:
+    @pytest.fixture(scope="class")
+    def complex_(self):
+        return build_restricted_complex(Context(n=3, t=1, k=1), 1)
+
+    def rows(self, complex_):
+        """Every pinned row, rebuilt from live objects through the public key API."""
+        assert CENSUS_VERTEX in complex_.complex.vertices
+        star = complex_.complex.star(CENSUS_VERTEX)
+        return {
+            "crash-free": (adversary_key(CRASH_FREE), {"decision_time": 2, "violations": []}),
+            "multi-crash": (adversary_key(MULTI_CRASH), {"decision_time": 2, "violations": []}),
+            "check-violations": (adversary_key(MULTI_CRASH), CHECK_VIOLATIONS),
+            "profile": (
+                profile_key("renaming_star_signature", renaming_star_signature(star), 0),
+                1,
+            ),
+            "census-class": (vertex_key(CENSUS_VERTEX), {"capacity": 1, "level": -1}),
+            "census-row": (
+                census_row_key("quotient"),
+                {"counters": [12, 6, 6, 9, 6], "classes": 4},
+            ),
+        }
+
+    def test_spec_hashes(self, complex_):
+        assert spec_hash(check_store_spec("Optmin[2]", 2, 2, True)) == CHECK_SPEC_HASH
+        assert spec_hash(census_class_store_spec(complex_, 1)) == CENSUS_CLASS_SPEC_HASH
+
+    @pytest.mark.parametrize("name", sorted(STORE_ROWS))
+    def test_row(self, complex_, name):
+        kind, spec_h, item_key, payload_text, digest = STORE_ROWS[name]
+        key, payload = self.rows(complex_)[name]
+        assert key == item_key
+        assert stable_key(payload) == payload_text
+        assert row_digest(kind, spec_h, key, payload_text) == digest

@@ -5,7 +5,9 @@ Production runs one engine.  The per-adversary paths it is pinned to live in
 enforces both halves: no production module imports the oracles, and no
 public callable of the production packages offers an ``engine`` or a
 ``backend`` parameter.  Production is also stdlib-only: importing it never
-loads numpy.
+loads numpy.  The result store's reference key encoder (the recursive
+``_jsonable`` walk) is one of those fixtures: production neither defines
+nor names it.
 """
 
 from __future__ import annotations
@@ -95,6 +97,44 @@ def test_only_the_oracles_module_imports_the_oracles():
         if path.name != "oracles.py" and imports_oracles(path.read_text(), package_of(path))
     )
     assert offenders == []
+
+
+def names_the_walk(source: str) -> bool:
+    """Whether ``source`` defines, imports or refers to ``_jsonable``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_jsonable":
+            return True
+        if isinstance(node, ast.Name) and node.id == "_jsonable":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "_jsonable":
+            return True
+        if isinstance(node, ast.alias) and node.name.rpartition(".")[2] == "_jsonable":
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def _jsonable(value):\n    return value",
+        "from repro.oracles import _jsonable",
+        "from ..oracles import _jsonable as walk",
+        "from repro import oracles\nwalk = oracles._jsonable",
+    ],
+)
+def test_walk_scan_resolves_every_form(source):
+    assert names_the_walk(source)
+    assert not names_the_walk("from .keys import stable_key\njsonable = stable_key")
+
+
+def test_production_never_names_the_reference_key_walk():
+    offenders = sorted(
+        module_name(path)
+        for path in PACKAGE_ROOT.rglob("*.py")
+        if path.name != "oracles.py" and names_the_walk(path.read_text())
+    )
+    assert offenders == []
+    assert not hasattr(importlib.import_module("repro.store.keys"), "_jsonable")
 
 
 def public_callables(package_name: str):

@@ -92,6 +92,20 @@ class TestSpecs:
         with pytest.raises(SpecError, match=complaint):
             normalize_spec(raw)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"kind": "sweep", "n": "5", "t": 2, "k": 2},
+            {"kind": "sweep", "n": 5, "t": "2", "k": 2},
+            {"kind": "sweep", "n": 5, "t": 2, "k": 2, "max_crash_round": "2"},
+            {"kind": "census", "n": 3, "t": 1, "k": 1, "time": "1"},
+        ],
+    )
+    def test_int_ish_strings_are_rejected_not_converted(self, raw):
+        """Normalization fills defaults and sorts keys; it never parses strings."""
+        with pytest.raises(SpecError, match="must be an integer"):
+            normalize_spec(raw)
+
     def test_census_backend_is_kept_as_given(self):
         """``null`` and ``"packed"`` both normalize to themselves, as before."""
         census = {"kind": "census", "n": 3, "t": 1, "k": 1}
@@ -494,6 +508,11 @@ class TestServiceApi:
                 {"kind": "sweep", "n": 3, "t": 1, "k": 1, "enforce_paper_bound": "false"},
             )
             assert status == 400 and "enforce_paper_bound" in payload["error"]
+
+            status, payload = harness.request(
+                "POST", "/jobs", {"kind": "sweep", "n": "5", "t": 2, "k": 2},
+            )
+            assert status == 400 and "must be an integer" in payload["error"]
 
             status, payload = harness.request(
                 "POST", "/jobs", {"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "bigint"},
