@@ -1,11 +1,11 @@
 """ORBITGEN — constructive orbit generation vs the hash-dedup oracle.
 
 The n=6, t=2, k=2, max_crash_round=2 canonical space has 2,205,225 members
-but only 8,011 process-renaming orbits.  The retained oracle
-(:func:`repro.adversaries.enumerate_orbits` with ``symmetry="dedup"``)
-reaches them by streaming every member through canonical-form hashing — cost
-and memory proportional to the *space*.  The constructive path
-(``symmetry="constructive"``, the default) *generates* one object per orbit:
+but only 8,011 process-renaming orbits.  The oracle
+(:func:`repro.oracles.dedup_orbits`) reaches them by streaming every member
+through canonical-form hashing — cost and memory proportional to the
+*space*.  The production path (:func:`repro.adversaries.enumerate_orbits`)
+*generates* one object per orbit:
 canonical failure patterns by canonical augmentation (McKay orderly
 generation) and, per pattern, input vectors up to the pattern's factored
 stabiliser — cost proportional to the number of *orbits*, memory bounded by
@@ -32,6 +32,7 @@ import time as wall
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import (
     enumerate_orbits,
     estimate_adversary_count,
@@ -74,7 +75,6 @@ def run_cases():
             for orbit in enumerate_orbits(
                 context,
                 max_crash_round=max_crash_round,
-                symmetry="constructive",
                 **RESTRICTIONS,
             )
         }
@@ -83,10 +83,9 @@ def run_cases():
         start = wall.perf_counter()
         dedup = {
             orbit.representative: orbit.size
-            for orbit in enumerate_orbits(
+            for orbit in oracles.dedup_orbits(
                 context,
                 max_crash_round=max_crash_round,
-                symmetry="dedup",
                 **RESTRICTIONS,
             )
         }

@@ -1,7 +1,6 @@
 """Adversary construction: random generators, the paper's figures, Lemma 2 surgery, enumeration."""
 
 from .enumeration import (
-    ORBIT_MODES,
     AdversaryOrbit,
     RestrictedSpace,
     constructive_orbit_stream,
@@ -26,7 +25,6 @@ from .scenarios import Scenario, figure1_scenario, figure2_scenario, figure4_sce
 from .surgery import SurgeryCheck, SurgeryResult, lemma2_surgery, verify_surgery
 
 __all__ = [
-    "ORBIT_MODES",
     "AdversaryGenerator",
     "AdversaryOrbit",
     "RestrictedSpace",

@@ -14,6 +14,13 @@ tractable while preserving the interesting structure:
   hidden-path/hidden-capacity structure), or ``"none"`` (silent crashes only);
 * ``max_failures`` optionally lowers the number of crashes below ``t``.
 
+Every restriction is renaming-invariant, so each space is a union of
+process-renaming orbits.  :func:`enumerate_orbits` and the counts generate
+those orbits constructively (one canonical representative each, sized in
+closed form); that is the only production orbit front.  The hash-dedup
+front it is pinned to streams the whole space and lives in
+:mod:`repro.oracles` (``dedup_orbits``, ``dedup_pattern_and_orbit_counts``).
+
 The exhaustive model-checking tests (``tests/test_exhaustive.py``) and the
 verification helpers in :mod:`repro.verification.checker` are the primary
 consumers.
@@ -175,32 +182,10 @@ class AdversaryOrbit:
     size:
         The number of distinct adversaries in the orbit, which is exactly the
         number of space members the representative stands for.
-    certificate:
-        The permutation ``π`` with ``representative = π · first member``,
-        where *first member* is the first orbit member the underlying
-        enumeration produced; decision times and views lift back through it.
-        On the constructive path the representative *is* the first (and only)
-        member produced, so the certificate is the identity.
     """
 
     representative: Adversary
     size: int
-    certificate: Tuple[int, ...]
-
-
-#: How ``enumerate_orbits``/``count_orbits`` produce the orbit stream:
-#: ``"constructive"`` (default) generates one canonical object per orbit by
-#: canonical augmentation; ``"dedup"`` is the retained hash-dedup oracle that
-#: canonicalises every space member.
-ORBIT_MODES = ("constructive", "dedup")
-
-
-def _validate_orbit_mode(symmetry: str) -> None:
-    if symmetry not in ORBIT_MODES:
-        raise ValueError(
-            f"unknown orbit-enumeration mode {symmetry!r}; choose 'constructive' "
-            f"(generate one object per orbit) or 'dedup' (the hash-dedup oracle)"
-        )
 
 
 def _resolve_restrictions(
@@ -220,85 +205,34 @@ def enumerate_orbits(
     receiver_policy: str = "canonical",
     max_failures: Optional[int] = None,
     limit: Optional[int] = None,
-    symmetry: str = "constructive",
 ) -> Iterator[AdversaryOrbit]:
     """One :class:`AdversaryOrbit` per process-renaming orbit of the space.
 
-    ``symmetry="constructive"`` (default) *generates* the canonical
-    representatives directly: canonical failure patterns by canonical
-    augmentation and, per pattern, input vectors up to the pattern stabiliser
-    (:mod:`repro.symmetry.constructive`).  The work is proportional to the
-    number of orbits — no member of the space outside the representatives is
-    ever built, no canonical-key ``seen`` set is kept (memory is the
-    augmentation depth) — and orbit sizes come in closed form from the
-    factored stabiliser.
-
-    ``symmetry="dedup"`` is the retained oracle: the full space is streamed
-    through canonical-form hashing and each orbit is yielded the first time
-    it is met, with its size from the orbit–stabiliser theorem
-    (:func:`repro.symmetry.adversary_orbit_size`).  Both modes emit identical
-    representatives and sizes (pinned by
-    ``tests/test_constructive_enumeration.py``); they may differ in orbit
-    *order* and in the certificate (constructive representatives are their
-    own first member, so their certificates are the identity).
+    The canonical representatives are *generated* directly: canonical
+    failure patterns by canonical augmentation and, per pattern, input
+    vectors up to the pattern stabiliser (:mod:`repro.symmetry.constructive`).
+    The work is proportional to the number of orbits — no member of the
+    space outside the representatives is ever built, no canonical-key
+    ``seen`` set is kept (memory is the augmentation depth) — and orbit
+    sizes come in closed form from the factored stabiliser.  The hash-dedup
+    stream this is pinned to is :func:`repro.oracles.dedup_orbits`.
 
     The orbits partition the space: ``sum(orbit.size) ==
     count_adversaries(...)`` under the same restrictions.  ``limit`` caps the
     number of *orbits* yielded (a smoke-run device, like the adversary-level
     ``limit``).
     """
-    _validate_orbit_mode(symmetry)
     if limit is not None and limit <= 0:
         return
-    if symmetry == "constructive":
-        yield from _enumerate_orbits_constructive(
-            context, max_crash_round, receiver_policy, max_failures, limit
-        )
-        return
-
-    from ..symmetry import adversary_orbit_size, canonical_adversary
-
-    produced = 0
-    seen = set()
-    # One pattern-canonicalisation per distinct failure pattern: the
-    # enumeration iterates input vectors in the inner loop, so the cache
-    # amortises the graph search across every vector sharing the pattern.
-    pattern_cache: dict = {}
-    for adversary in enumerate_adversaries(
-        context, max_crash_round, receiver_policy, max_failures
-    ):
-        canonical = canonical_adversary(adversary, pattern_cache=pattern_cache)
-        if canonical.key in seen:
-            continue
-        seen.add(canonical.key)
-        yield AdversaryOrbit(
-            canonical.representative,
-            adversary_orbit_size(canonical.representative),
-            canonical.permutation,
-        )
-        produced += 1
-        if limit is not None and produced >= limit:
-            return
-
-
-def _enumerate_orbits_constructive(
-    context: Context,
-    max_crash_round: Optional[int],
-    receiver_policy: str,
-    max_failures: Optional[int],
-    limit: Optional[int],
-) -> Iterator[AdversaryOrbit]:
-    """The canonical-augmentation orbit stream (see :func:`enumerate_orbits`)."""
-    from ..symmetry import identity_permutation, iter_canonical_patterns, iter_canonical_vectors
+    from ..symmetry import iter_canonical_patterns, iter_canonical_vectors
 
     max_round, failures = _resolve_restrictions(context, max_crash_round, max_failures)
     domain = tuple(context.values_domain)
-    identity = identity_permutation(context.n)
     produced = 0
     for node in iter_canonical_patterns(context.n, max_round, receiver_policy, failures):
         pattern = node.pattern()
         for values, size in iter_canonical_vectors(node, domain):
-            yield AdversaryOrbit(Adversary(values, pattern), size, identity)
+            yield AdversaryOrbit(Adversary(values, pattern), size)
             produced += 1
             if limit is not None and produced >= limit:
                 return
@@ -309,21 +243,17 @@ def count_orbits(
     max_crash_round: Optional[int] = None,
     receiver_policy: str = "canonical",
     max_failures: Optional[int] = None,
-    symmetry: str = "constructive",
 ) -> int:
     """The number of process-renaming orbits of the restricted space.
 
-    ``symmetry="constructive"`` (default) walks only the canonical-pattern
-    augmentation tree and counts each pattern's vector orbits in closed form
-    (binomial multiset counts per twin cell) — cost proportional to the
-    number of *pattern* orbits, usable as a pre-flight tractability guard
-    even on spaces whose full enumeration is out of reach.
-    ``symmetry="dedup"`` counts through the lazy hash-dedup front
-    (:func:`repro.symmetry.iter_orbit_representatives`) — the oracle, with
-    cost proportional to the space.
+    Walks only the canonical-pattern augmentation tree and counts each
+    pattern's vector orbits in closed form (binomial multiset counts per
+    twin cell) — cost proportional to the number of *pattern* orbits,
+    usable as a pre-flight tractability guard even on spaces whose full
+    enumeration is out of reach.
     """
     return pattern_and_orbit_counts(
-        context, max_crash_round, receiver_policy, max_failures, symmetry
+        context, max_crash_round, receiver_policy, max_failures
     )[1]
 
 
@@ -332,48 +262,26 @@ def pattern_and_orbit_counts(
     max_crash_round: Optional[int] = None,
     receiver_policy: str = "canonical",
     max_failures: Optional[int] = None,
-    symmetry: str = "constructive",
     ceiling: Optional[int] = None,
 ) -> Tuple[int, int]:
     """``(pattern orbit count, adversary orbit count)`` in one pass.
 
-    The constructive pass visits each canonical pattern once and sums its
-    closed-form vector-orbit count; the dedup pass streams the whole space
-    and counts distinct pattern/adversary keys (the oracle).  ``ceiling``
-    turns the count into a bounded tractability probe: counting stops as
-    soon as the orbit total exceeds it (the returned total is then a lower
-    bound ``> ceiling``, which is all a guard needs).
+    Visits each canonical pattern once and sums its closed-form vector-orbit
+    count.  ``ceiling`` turns the count into a bounded tractability probe:
+    counting stops as soon as the orbit total exceeds it (the returned total
+    is then a lower bound ``> ceiling``, which is all a guard needs).
     """
-    _validate_orbit_mode(symmetry)
-    if symmetry == "constructive":
-        from ..symmetry import count_canonical_vectors, iter_canonical_patterns
+    from ..symmetry import count_canonical_vectors, iter_canonical_patterns
 
-        max_round, failures = _resolve_restrictions(
-            context, max_crash_round, max_failures
-        )
-        domain_size = len(context.values_domain)
-        patterns = orbits = 0
-        for node in iter_canonical_patterns(
-            context.n, max_round, receiver_policy, failures
-        ):
-            patterns += 1
-            orbits += count_canonical_vectors(node, domain_size)
-            if ceiling is not None and orbits > ceiling:
-                break
-        return patterns, orbits
-
-    from ..symmetry import canonical_adversary, iter_orbit_representatives
-
-    pattern_keys = set()
-    orbits = 0
-    for _index, adversary in iter_orbit_representatives(
-        enumerate_adversaries(context, max_crash_round, receiver_policy, max_failures)
-    ):
-        orbits += 1
-        pattern_keys.add(canonical_adversary(adversary).key[0])
+    max_round, failures = _resolve_restrictions(context, max_crash_round, max_failures)
+    domain_size = len(context.values_domain)
+    patterns = orbits = 0
+    for node in iter_canonical_patterns(context.n, max_round, receiver_policy, failures):
+        patterns += 1
+        orbits += count_canonical_vectors(node, domain_size)
         if ceiling is not None and orbits > ceiling:
             break
-    return len(pattern_keys), orbits
+    return patterns, orbits
 
 
 # ------------------------------------------------------- space descriptions
@@ -386,7 +294,7 @@ class RestrictedSpace:
     of a space instead of a materialised family.  Iterating yields the
     space's adversaries (streaming; ``limit`` truncates exactly like the
     enumerator's); :meth:`orbits` yields one :class:`AdversaryOrbit` per
-    renaming orbit, constructively by default — which is what lets
+    renaming orbit, generated constructively — which is what lets
     ``symmetry="constructive"`` consumers sweep spaces whose full enumeration
     is intractable (``limit`` then caps *orbits*, mirroring
     :func:`enumerate_orbits`).
@@ -407,7 +315,7 @@ class RestrictedSpace:
             limit=self.limit,
         )
 
-    def orbits(self, symmetry: str = "constructive") -> Iterator[AdversaryOrbit]:
+    def orbits(self) -> Iterator[AdversaryOrbit]:
         """One orbit per renaming class of the space (``limit`` caps orbits)."""
         return enumerate_orbits(
             self.context,
@@ -415,7 +323,6 @@ class RestrictedSpace:
             receiver_policy=self.receiver_policy,
             max_failures=self.max_failures,
             limit=self.limit,
-            symmetry=symmetry,
         )
 
     def estimated_size(self) -> int:
@@ -427,14 +334,13 @@ class RestrictedSpace:
             max_failures=self.max_failures,
         )
 
-    def orbit_count(self, symmetry: str = "constructive") -> int:
+    def orbit_count(self) -> int:
         """Orbit count of the (un-truncated) space."""
         return count_orbits(
             self.context,
             max_crash_round=self.max_crash_round,
             receiver_policy=self.receiver_policy,
             max_failures=self.max_failures,
-            symmetry=symmetry,
         )
 
 

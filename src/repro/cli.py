@@ -38,7 +38,8 @@ the runtime flags only attach things to them (``--checkpoint DIR`` and
 ``--store PATH``: the durable cross-run result store, administered by
 the ``store`` subcommand: ``inspect`` / ``verify`` / ``gc`` / ``export``);
 see ``docs/robustness.md`` and ``docs/store.md``.  Exit codes: 0 success,
-1 verification failure, 2 usage error, 3 budget stop (resumable), 130
+1 verification failure, 2 usage error (a bad flag, or a parameter out of
+range such as ``-t`` >= ``-n`` or ``-k 0``), 3 budget stop (resumable), 130
 interrupted.
 
 The CLI is a thin veneer over the library; every command prints exactly what
@@ -64,6 +65,7 @@ from .analysis import collect, render_run, statistics_report
 from .baselines import EarlyDecidingKSet, FloodMin, UniformEarlyDecidingKSet
 from .core import Opt0, OptMin, UOpt0, UPMin
 from .model import Context, Run
+from .service.specs import DEFAULT_ADMISSION_CEILING
 from .verification import (
     check_run_for_protocol,
     compare_protocols,
@@ -102,6 +104,20 @@ def _protocol(name: str, k: int):
         return PROTOCOLS[name](k)
     except KeyError:
         raise SystemExit(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
+
+
+def _checked(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with an out-of-range parameter a usage error.
+
+    Contexts and scenarios reject parameters outside the paper's constraints
+    with ``ValueError``; the CLI prints that constraint on one stderr line
+    and exits 2, so exit 1 keeps meaning a failed verification.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        print(f"repro-set-consensus: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
@@ -230,17 +246,17 @@ def _stopped_message(args: argparse.Namespace, outcome) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    context = Context(n=args.n, t=args.t, k=args.k)
+    context = _checked(Context, n=args.n, t=args.t, k=args.k)
     if args.scenario == "random":
         adversary = AdversaryGenerator(context, seed=args.seed).random_adversary(args.failures)
     elif args.scenario == "fig1":
-        scenario = figure1_scenario(chain_length=max(args.k, 2))
+        scenario = _checked(figure1_scenario, chain_length=max(args.k, 2))
         adversary, context = scenario.adversary, scenario.context
     elif args.scenario == "fig2":
-        scenario = figure2_scenario(k=args.k, depth=2)
+        scenario = _checked(figure2_scenario, k=args.k, depth=2)
         adversary, context = scenario.adversary, scenario.context
     else:
-        scenario = figure4_scenario(k=max(args.k, 2), rounds=4)
+        scenario = _checked(figure4_scenario, k=max(args.k, 2), rounds=4)
         adversary, context = scenario.adversary, scenario.context
     protocol = _protocol(args.protocol, context.k)
     run = Run(protocol, adversary, context.t)
@@ -254,7 +270,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    context = Context(n=args.n, t=args.t, k=args.k)
+    context = _checked(Context, n=args.n, t=args.t, k=args.k)
     adversaries = AdversaryGenerator(context, seed=args.seed).sample(args.samples)
     symmetry = args.symmetry
     if symmetry == "constructive":
@@ -296,7 +312,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_figure4(args: argparse.Namespace) -> int:
     from .engine import sweep
 
-    scenario = figure4_scenario(k=args.k, rounds=args.rounds)
+    scenario = _checked(figure4_scenario, k=args.k, rounds=args.rounds)
     t = scenario.context.t
     adversary = scenario.adversary
     print(
@@ -323,70 +339,42 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Refuse unbounded sweeps larger than this (the batch engine does tens of
-#: thousands of adversaries per second; beyond this the user should restrict
-#: the space or cap it explicitly with --limit).
-MAX_UNBOUNDED_SWEEP = 200_000
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .adversaries.enumeration import (
-        RestrictedSpace,
-        estimate_adversary_count,
-        pattern_and_orbit_counts,
-    )
+    from .service.specs import admission, build_space
 
-    context = Context(n=args.n, t=args.t, k=args.k)
+    context = _checked(Context, n=args.n, t=args.t, k=args.k)
     protocol = _protocol(args.protocol, args.k)
-    if args.symmetry == "constructive":
-        # The constructive path only ever touches one object per orbit, so
-        # the tractability guard is on the orbit count (a bounded probe over
-        # canonical patterns), not on the full-space size — this is exactly
-        # what lets it sweep spaces the other modes must refuse.
-        _patterns, orbits = pattern_and_orbit_counts(
-            context,
-            max_crash_round=args.max_crash_round,
-            receiver_policy=args.receiver_policy,
-            max_failures=args.max_failures,
-            ceiling=MAX_UNBOUNDED_SWEEP,
+    spec = {
+        "kind": "sweep", "n": args.n, "t": args.t, "k": args.k,
+        "protocol": args.protocol, "symmetry": args.symmetry,
+        "max_crash_round": args.max_crash_round,
+        "receiver_policy": args.receiver_policy,
+        "max_failures": args.max_failures, "limit": args.limit,
+    }
+    verdict = admission(spec)
+    if not verdict["admit"]:
+        restrict = (
+            "restrict it with --max-crash-round / --max-failures / "
+            "--receiver-policy none"
         )
-        if args.limit is None and orbits > MAX_UNBOUNDED_SWEEP:
+        if verdict["unit"] == "orbit representatives":
             print(
-                f"refusing to sweep >{MAX_UNBOUNDED_SWEEP:,} orbit representatives "
+                f"refusing to sweep >{verdict['ceiling']:,} orbit representatives "
                 f"without --limit; size the space first with "
-                f"`repro-set-consensus count`, restrict it with "
-                f"--max-crash-round / --max-failures / --receiver-policy none, "
-                f"or cap it with --limit"
+                f"`repro-set-consensus count`, {restrict}, or cap it with --limit"
             )
-            return 2
-    else:
-        estimate = estimate_adversary_count(
-            context,
-            max_crash_round=args.max_crash_round,
-            receiver_policy=args.receiver_policy,
-            max_failures=args.max_failures,
-        )
-        if args.limit is None and estimate > MAX_UNBOUNDED_SWEEP:
+        else:
             print(
-                f"refusing to enumerate ~{estimate:,} adversaries without --limit "
-                f"(threshold {MAX_UNBOUNDED_SWEEP:,}); size the space with "
-                f"`repro-set-consensus count`, restrict it with "
-                f"--max-crash-round / --max-failures / --receiver-policy none, "
-                f"cap it with --limit, or sweep its orbits with "
-                f"--symmetry constructive"
+                f"refusing to enumerate ~{verdict['workload']:,} adversaries without "
+                f"--limit (threshold {verdict['ceiling']:,}); size the space with "
+                f"`repro-set-consensus count`, {restrict}, cap it with --limit, "
+                f"or sweep its orbits with --symmetry constructive"
             )
-            return 2
-    space = RestrictedSpace(
-        context,
-        max_crash_round=args.max_crash_round,
-        receiver_policy=args.receiver_policy,
-        max_failures=args.max_failures,
-        limit=args.limit,
-    )
+        return 2
     from .runtime import resilient_check
 
     ran = _run_attached(
-        args, resilient_check, protocol, space, context.t,
+        args, resilient_check, protocol, build_space(spec), context.t,
         symmetry=args.symmetry, processes=args.processes,
     )
     if ran is None:
@@ -421,7 +409,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     from .adversaries.enumeration import estimate_adversary_count, pattern_and_orbit_counts
 
-    context = Context(n=args.n, t=args.t, k=args.k)
+    context = _checked(Context, n=args.n, t=args.t, k=args.k)
     restrictions = dict(
         max_crash_round=args.max_crash_round,
         receiver_policy=args.receiver_policy,
@@ -442,17 +430,17 @@ def cmd_count(args: argparse.Namespace) -> int:
     if orbits:
         print(f"  orbit reduction factor  : {members / orbits:,.1f}x")
     print(f"  counted in {elapsed:.2f}s (constructive; no members materialised)")
-    exhaustive_ok = members <= MAX_UNBOUNDED_SWEEP
-    constructive_ok = orbits <= MAX_UNBOUNDED_SWEEP
+    exhaustive_ok = members <= DEFAULT_ADMISSION_CEILING
+    constructive_ok = orbits <= DEFAULT_ADMISSION_CEILING
     print(
         f"  sweep (exhaustive)      : "
         f"{'tractable' if exhaustive_ok else 'needs --limit'} "
-        f"(threshold {MAX_UNBOUNDED_SWEEP:,} members)"
+        f"(threshold {DEFAULT_ADMISSION_CEILING:,} members)"
     )
     print(
         f"  sweep --symmetry constructive: "
         f"{'tractable' if constructive_ok else 'needs --limit'} "
-        f"(threshold {MAX_UNBOUNDED_SWEEP:,} orbits)"
+        f"(threshold {DEFAULT_ADMISSION_CEILING:,} orbits)"
     )
     return 0
 
@@ -460,7 +448,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_surgery(args: argparse.Namespace) -> int:
     from .engine import LayerViews
 
-    scenario = figure2_scenario(k=args.k, depth=args.depth)
+    scenario = _checked(figure2_scenario, k=args.k, depth=args.depth)
     base = LayerViews(scenario.adversary, scenario.context.t, horizon=args.depth)
     result = lemma2_surgery(base, scenario.observer, args.depth, list(range(args.k)))
     check = verify_surgery(base, result)
@@ -489,7 +477,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     from .runtime import resilient_census
     from .topology import build_restricted_complex
 
-    context = Context(n=args.n, t=args.t, k=args.k)
+    context = _checked(Context, n=args.n, t=args.t, k=args.k)
     build_start = time.perf_counter()
     pc = build_restricted_complex(context, time=args.time, processes=args.processes)
     build_elapsed = time.perf_counter() - build_start
@@ -927,9 +915,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--ceiling",
         type=int,
-        default=MAX_UNBOUNDED_SWEEP,
+        default=DEFAULT_ADMISSION_CEILING,
         help="admission ceiling: reject specs whose closed-form workload "
-        f"exceeds this (default {MAX_UNBOUNDED_SWEEP:,})",
+        f"exceeds this (default {DEFAULT_ADMISSION_CEILING:,})",
     )
     serve_parser.add_argument(
         "--deadline",
@@ -1011,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_parser.add_argument(
         "--ceiling",
         type=int,
-        default=MAX_UNBOUNDED_SWEEP,
+        default=DEFAULT_ADMISSION_CEILING,
         help="submit --queue: admission ceiling (the service applies its own)",
     )
     jobs_parser.add_argument(
@@ -1035,7 +1023,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the console script.
 
-    Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
+    Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
+    flag, or a parameter out of range for the paper's model), 3 budget
     stop (progress checkpointed, resumable), 130 interrupted (Ctrl-C; pool
     workers are torn down by the executors' ``finally`` blocks and the last
     completed batch is already checkpointed when ``--checkpoint`` is given).

@@ -9,18 +9,26 @@ construction the fused pass replaced (with its :class:`ViewSource` /
 :class:`GroupViews` trie views).  Homology has one production kernel
 (:mod:`repro.topology.connectivity`); its oracles here are the
 shortcut-free big-int Betti stream and the seed's dense face-lattice
-algorithm, plus a census that runs on either.  Only ``tests/`` and
+algorithm, plus a census that runs on either.  Orbits have one production
+front, the constructive stream of :func:`repro.adversaries.enumerate_orbits`;
+its hash-dedup twin (:func:`dedup_orbits`,
+:func:`dedup_pattern_and_orbit_counts`) and the orbit–stabiliser sizes
+(:func:`adversary_orbit_size`, :func:`automorphism_count`,
+:func:`view_key_orbit_size`) live here.  Only ``tests/`` and
 ``benchmarks/`` import this module — ``tests/test_oracle_boundary.py``
 enforces that, and that no public callable of the production packages has
-an ``engine`` or ``backend`` parameter.  docs/engine.md
+an ``engine`` or ``backend`` parameter, nor one of :mod:`repro.adversaries`
+a ``symmetry`` parameter.  docs/engine.md
 ("Oracles") maps each entry to the production path it pins and the battery
 that runs it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from .adversaries.enumeration import AdversaryOrbit, enumerate_adversaries
 from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
 from .engine.arrays import ArrayView, StructLayer
 from .engine.sweep import SweepRunner
@@ -32,7 +40,15 @@ from .model.run import Run
 from .model.types import ProcessId, Time, Value
 from .model.view import view_key
 from .pipeline import family_stream
-from .symmetry import renaming_star_signature
+from .symmetry import canonical_adversary, iter_orbit_representatives, renaming_star_signature
+from .symmetry.canonical import (
+    _initial_colors,
+    _normal_events,
+    _refine,
+    _twin_fixing_automorphisms,
+    _twin_partition,
+    _view_key_rows,
+)
 from .topology.complexes import Simplex, SimplicialComplex, VertexPool
 from .topology.connectivity import (
     _local_facets,
@@ -395,6 +411,121 @@ def system_from_family_two_pass(
         # that order after the per-group extends.
         indices.sort()
     return System._from_index(runs, index)
+
+
+# ------------------------------------------- orbits: hash-dedup and sizes
+def automorphism_count(adversary: Adversary) -> int:
+    """``|Aut(α)|`` under process renaming (the stabiliser of the orbit map).
+
+    Factored as ``∏ |twin cell|!`` over the interchangeable cells of the
+    stable refined partition, times a backtracking count of the
+    automorphisms fixing those cells pointwise (the structurally-entangled
+    processes — crashers and asymmetric receivers — are always few).
+    """
+    n = adversary.n
+    events = _normal_events(adversary)
+    colors, in_from, receivers, value_classes = _initial_colors(adversary, "process")
+    colors = _refine(n, colors, in_from, receivers, value_classes)
+    # The value-coloured refinement already separates unequal values, so the
+    # value-free twin test of the shared partition is exact here too.
+    twin_classes, active_cells = _twin_partition(n, events, colors)
+    count = 1
+    for cell in twin_classes:
+        count *= math.factorial(len(cell))
+    return count * sum(1 for _ in _twin_fixing_automorphisms(n, events, active_cells))
+
+
+def adversary_orbit_size(adversary: Adversary) -> int:
+    """The size of the process-renaming orbit: ``n! / |Aut(α)|``.
+
+    This is the number of *distinct* adversaries in the orbit, which equals
+    the within-space class size on every enumeration of
+    :mod:`repro.adversaries.enumeration` (those spaces are closed under
+    renaming).
+    """
+    return math.factorial(adversary.n) // automorphism_count(adversary)
+
+
+def view_key_orbit_size(key: ViewKey) -> int:
+    """The number of distinct renamings of a view key: ``n! / ∏ |row class|!``.
+
+    The stabiliser fixes the observer and permutes only within classes of
+    identical attribute rows, so its order is the product of the non-observer
+    row-multiplicity factorials.
+    """
+    _time, _observer_row, other_rows = _view_key_rows(key)
+    n = len(other_rows) + 1
+    stabiliser = 1
+    run = 1
+    for previous, current in zip(other_rows, other_rows[1:]):
+        if current == previous:
+            run += 1
+            stabiliser *= run
+        else:
+            run = 1
+    return math.factorial(n) // stabiliser
+
+
+def dedup_orbits(
+    context: Context,
+    max_crash_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+    max_failures: Optional[int] = None,
+    limit: Optional[int] = None,
+) -> Iterator[AdversaryOrbit]:
+    """:func:`repro.adversaries.enumerate_orbits` by hash-dedup.
+
+    The full space is streamed through canonical-form hashing and each orbit
+    is yielded the first time it is met, with its size from the
+    orbit–stabiliser theorem (:func:`adversary_orbit_size`).  Representatives
+    and sizes equal the constructive stream's; the orbit *order* may differ.
+    """
+    if limit is not None and limit <= 0:
+        return
+    produced = 0
+    seen = set()
+    # One pattern-canonicalisation per distinct failure pattern: the
+    # enumeration iterates input vectors in the inner loop, so the cache
+    # amortises the graph search across every vector sharing the pattern.
+    pattern_cache: dict = {}
+    for adversary in enumerate_adversaries(
+        context, max_crash_round, receiver_policy, max_failures
+    ):
+        canonical = canonical_adversary(adversary, pattern_cache=pattern_cache)
+        if canonical.key in seen:
+            continue
+        seen.add(canonical.key)
+        yield AdversaryOrbit(
+            canonical.representative,
+            adversary_orbit_size(canonical.representative),
+        )
+        produced += 1
+        if limit is not None and produced >= limit:
+            return
+
+
+def dedup_pattern_and_orbit_counts(
+    context: Context,
+    max_crash_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+    max_failures: Optional[int] = None,
+    ceiling: Optional[int] = None,
+) -> Tuple[int, int]:
+    """:func:`repro.adversaries.pattern_and_orbit_counts` by hash-dedup.
+
+    Streams the whole space and counts distinct pattern/adversary keys;
+    ``ceiling`` stops counting once the orbit total exceeds it.
+    """
+    pattern_keys = set()
+    orbits = 0
+    for _index, adversary in iter_orbit_representatives(
+        enumerate_adversaries(context, max_crash_round, receiver_policy, max_failures)
+    ):
+        orbits += 1
+        pattern_keys.add(canonical_adversary(adversary).key[0])
+        if ceiling is not None and orbits > ceiling:
+            break
+    return len(pattern_keys), orbits
 
 
 # -------------------- store keys: the reference walk of repro.store.stable_key

@@ -48,6 +48,8 @@ import time
 import uuid
 from typing import Any, Dict, List, Optional
 
+from ..store.keys import stable_key
+
 #: Version of the jobs-table layout; a database recording another version
 #: is refused (the queue is authoritative state — no silent degradation).
 JOBS_SCHEMA = 1
@@ -281,7 +283,7 @@ class JobQueue:
         are.  The returned dict is the job row plus the ``created`` /
         ``requeued`` flags.
         """
-        spec_text = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        spec_text = stable_key(spec)
         now = time.time()
 
         def operation(conn) -> Dict[str, Any]:
@@ -433,7 +435,7 @@ class JobQueue:
         this owner; with deterministic jobs the reclaimer's result is
         byte-identical, so the loser simply discards its copy.
         """
-        result_text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+        result_text = stable_key(result)
         return self._conditional_transition(
             "complete", job_id, owner, "job_completed",
             "state = 'done', result = ?, finished_at = ?, owner = NULL, "

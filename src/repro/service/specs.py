@@ -25,9 +25,10 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..model import Context
 
-#: Default ceiling on admitted work, matching the CLI's unbounded-sweep
-#: refusal threshold: orbit representatives for constructive sweeps,
-#: closed-form members otherwise.
+#: Default ceiling on admitted work: orbit representatives for constructive
+#: sweeps, closed-form members otherwise.  The one tractability threshold —
+#: ``cli sweep`` refuses through :func:`admission`, and ``cli count`` and the
+#: ``--ceiling`` defaults of ``serve`` / ``jobs`` read it too.
 DEFAULT_ADMISSION_CEILING = 200_000
 
 _SWEEP_DEFAULTS: Dict[str, Any] = {

@@ -24,19 +24,22 @@ This package provides:
   :func:`apply_to_view_key`) and certificate permutations;
 * :func:`canonical_adversary` — canonical orbit representative plus the
   certificate ``π`` with ``rep = π·α``;
-* :func:`automorphism_count` / :func:`adversary_orbit_size` — exact orbit
-  sizes via the orbit-stabiliser theorem;
 * :func:`quotient_family` — streaming canonical-form grouping of an
   arbitrary adversary family (first-seen representatives + member counts);
 * :mod:`repro.symmetry.constructive` — canonical augmentation: generate one
   canonical pattern per orbit directly (no dedup set) and enumerate input
-  vectors up to the pattern stabiliser, the engine behind
-  ``symmetry="constructive"``;
-* :func:`canonical_view_key` / :func:`view_key_orbit_size` — the induced
-  action on canonical view keys (protocol-complex vertices);
+  vectors up to the pattern stabiliser, sized in closed form — the one
+  production orbit front, behind :func:`repro.adversaries.enumerate_orbits`
+  and ``symmetry="constructive"``;
+* :func:`canonical_view_key` — the induced action on canonical view keys
+  (protocol-complex vertices);
 * :func:`star_signature` — an exact canonical form of a simplicial
   complex's facet structure under vertex relabelling, the cache key of
   :class:`repro.topology.connectivity.ConnectivityCache`.
+
+The orbit–stabiliser size functions (``adversary_orbit_size``,
+``automorphism_count``, ``view_key_orbit_size``) and the hash-dedup orbit
+stream are test fixtures in :mod:`repro.oracles`.
 
 See ``docs/symmetry.md`` for the architecture notes and the soundness
 argument per consumer.
@@ -47,12 +50,10 @@ from .canonical import (
     SYMMETRIES,
     CanonicalAdversary,
     PatternCanon,
-    adversary_orbit_size,
     apply_to_adversary,
     apply_to_pattern,
     apply_to_values,
     apply_to_view_key,
-    automorphism_count,
     canonical_adversary,
     canonical_pattern,
     canonical_view_key,
@@ -61,7 +62,6 @@ from .canonical import (
     iter_orbit_representatives,
     quotient_family,
     validate_symmetry_choice,
-    view_key_orbit_size,
 )
 from .constructive import (
     CanonicalPatternNode,
@@ -80,12 +80,10 @@ __all__ = [
     "CanonicalAdversary",
     "CanonicalPatternNode",
     "PatternCanon",
-    "adversary_orbit_size",
     "apply_to_adversary",
     "apply_to_pattern",
     "apply_to_values",
     "apply_to_view_key",
-    "automorphism_count",
     "canonical_adversary",
     "canonical_pattern",
     "canonical_view_key",

@@ -21,19 +21,17 @@ this library (``n <= 8``, a handful of crash events):
    turn a private colour and recursing; the minimal leaf encoding is the
    canonical form and the permutation reaching it is the certificate.
 
-Orbit sizes come from the orbit–stabiliser theorem: ``|orbit| = n! / |Aut|``
-with the automorphism count factored as ``∏ |twin cell|!`` times a
-backtracking count over the (few) structurally-entangled processes.  The
-enumerated adversary spaces of :mod:`repro.adversaries.enumeration` are
-closed under renaming (every restriction — crash-round caps, receiver
-policies, failure caps — is renaming-invariant), so these set-theoretic
-orbit sizes are exactly the within-space class sizes the censuses weight by.
+The automorphism group of a canonical pattern factors as ``∏ Sym(twin
+cell)`` times a backtracked kernel over the (few) structurally-entangled
+processes; :mod:`repro.symmetry.constructive` sizes its generated orbits
+from that factorisation.  The orbit–stabiliser size functions it is pinned
+to (``adversary_orbit_size``, ``automorphism_count``, ``view_key_orbit_size``)
+are test fixtures in :mod:`repro.oracles`, built on the private helpers here.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -315,7 +313,7 @@ class PatternCanon:
     """The canonical form of a failure pattern plus its automorphism structure.
 
     ``Aut`` of the canonical pattern factors as ``∏ Sym(twin class) · kernel``
-    (see :func:`automorphism_count`), which is everything needed to reduce a
+    (see :func:`_automorphism_structure`), which is everything needed to reduce a
     value vector over the pattern's orbit in ``O(|kernel| · n log n)`` — the
     per-member cost of a quotient sweep, amortising the search below over all
     input vectors sharing the pattern.
@@ -386,8 +384,9 @@ def _twin_fixing_automorphisms(
 
     Backtracks over cell-constrained images of the active processes and
     yields every permutation (identity outside the cells) that preserves the
-    event set — the single owner of the kernel enumeration shared by
-    :func:`automorphism_count` and :func:`_automorphism_structure`.
+    event set — the single owner of the kernel enumeration, shared by
+    :func:`_automorphism_structure` and the orbit-size oracle
+    :func:`repro.oracles.automorphism_count`.
     """
     if not active_cells:
         yield identity_permutation(n)
@@ -555,39 +554,6 @@ def canonical_adversary(
     return CanonicalAdversary(representative, certificate, (canon.events, best_values))
 
 
-# -------------------------------------------------------------- orbit sizes
-def automorphism_count(adversary: Adversary) -> int:
-    """``|Aut(α)|`` under process renaming (the stabiliser of the orbit map).
-
-    Factored as ``∏ |twin cell|!`` over the interchangeable cells of the
-    stable refined partition, times a backtracking count of the
-    automorphisms fixing those cells pointwise (the structurally-entangled
-    processes — crashers and asymmetric receivers — are always few).
-    """
-    n = adversary.n
-    events = _normal_events(adversary)
-    colors, in_from, receivers, value_classes = _initial_colors(adversary, "process")
-    colors = _refine(n, colors, in_from, receivers, value_classes)
-    # The value-coloured refinement already separates unequal values, so the
-    # value-free twin test of the shared partition is exact here too.
-    twin_classes, active_cells = _twin_partition(n, events, colors)
-    count = 1
-    for cell in twin_classes:
-        count *= math.factorial(len(cell))
-    return count * sum(1 for _ in _twin_fixing_automorphisms(n, events, active_cells))
-
-
-def adversary_orbit_size(adversary: Adversary) -> int:
-    """The size of the process-renaming orbit: ``n! / |Aut(α)|``.
-
-    This is the number of *distinct* adversaries in the orbit, which equals
-    the within-space class size on every enumeration of
-    :mod:`repro.adversaries.enumeration` (those spaces are closed under
-    renaming).
-    """
-    return math.factorial(adversary.n) // automorphism_count(adversary)
-
-
 # ---------------------------------------------------------- family quotients
 def iter_orbit_representatives(
     adversaries: Iterable[Adversary], group: str = "process"
@@ -692,23 +658,3 @@ def canonical_view_key(key: Tuple) -> Tuple:
     """
     time, observer_row, other_rows = _view_key_rows(key)
     return (time, observer_row, tuple(other_rows))
-
-
-def view_key_orbit_size(key: Tuple) -> int:
-    """The number of distinct renamings of a view key: ``n! / ∏ |row class|!``.
-
-    The stabiliser fixes the observer and permutes only within classes of
-    identical attribute rows, so its order is the product of the non-observer
-    row-multiplicity factorials.
-    """
-    _time, _observer_row, other_rows = _view_key_rows(key)
-    n = len(other_rows) + 1
-    stabiliser = 1
-    run = 1
-    for previous, current in zip(other_rows, other_rows[1:]):
-        if current == previous:
-            run += 1
-            stabiliser *= run
-        else:
-            run = 1
-    return math.factorial(n) // stabiliser

@@ -40,9 +40,10 @@ Soundness leans on the same closure fact as the rest of the symmetry layer:
 every enumeration restriction (crash-round cap, receiver policy, failure
 cap) is renaming-invariant, so deleting the canonically-chosen event of a
 canonical member of the restricted space lands back inside the space and the
-augmentation tree reaches every class.  The hash-dedup path is retained as
-the oracle; ``tests/test_constructive_enumeration.py`` pins the two streams
-to identical key sets, representatives and sizes on every restriction combo.
+augmentation tree reaches every class.  The hash-dedup orbit stream is
+retained as the oracle (:func:`repro.oracles.dedup_orbits`);
+``tests/test_constructive_enumeration.py`` pins the two streams to identical
+key sets, representatives and sizes on every restriction combo.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ def vector_orbit_size(node: CanonicalPatternNode, vector: Tuple[int, ...]) -> in
     (the twin part must undo ``k``'s damage cell by cell, possible iff the
     per-cell multisets — and the entangled positions pointwise — survive
     ``k``), and each qualifying ``k`` admits ``∏ multiplicity!`` twin parts.
-    Matches :func:`repro.symmetry.adversary_orbit_size` without re-running
+    Matches :func:`repro.oracles.adversary_orbit_size` without re-running
     the refinement or the kernel backtrack.
     """
     fixing_kernel = 0

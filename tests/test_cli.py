@@ -173,6 +173,74 @@ class TestSweepCommand:
         assert reference.summary() in capsys.readouterr().out.splitlines()
 
 
+#: The spaces of the CLI/admission agreement test: the default n=7 t=4
+#: context, and n=5 t=2 mcr=2 (364,743 members, 4,926 orbits), each with the
+#: symmetries whose verdicts differ there.
+ADMISSION_CASES = [
+    ({"n": 7, "t": 4, "k": 2, "max_crash_round": None}, "none"),
+    ({"n": 7, "t": 4, "k": 2, "max_crash_round": None}, "constructive"),
+    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "none"),
+    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "quotient"),
+    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "constructive"),
+]
+
+
+class TestSweepAdmission:
+    @pytest.mark.parametrize("limit", [None, 10])
+    @pytest.mark.parametrize(
+        "space, symmetry",
+        ADMISSION_CASES,
+        ids=[f"n{space['n']}t{space['t']}-{symmetry}" for space, symmetry in ADMISSION_CASES],
+    )
+    def test_refuses_exactly_when_admission_rejects(self, space, symmetry, limit, capsys):
+        from repro.service import admission
+
+        verdict = admission(
+            {
+                "kind": "sweep", **space, "protocol": "optmin", "symmetry": symmetry,
+                "receiver_policy": "canonical", "max_failures": None, "limit": limit,
+            }
+        )
+        argv = ["sweep", "-n", str(space["n"]), "-t", str(space["t"]), "-k", str(space["k"])]
+        argv += ["--symmetry", symmetry]
+        if space["max_crash_round"] is not None:
+            argv += ["--max-crash-round", str(space["max_crash_round"])]
+        if limit is not None:
+            argv += ["--limit", str(limit)]
+        code = main(argv)
+        out = capsys.readouterr().out
+        if verdict["admit"]:
+            assert code == 0 and "refusing" not in out
+        else:
+            assert code == 2 and "refusing" in out
+
+
+#: Out-of-range parameters, and the constraint each must name.
+USAGE_ERRORS = [
+    (["sweep", "-n", "3", "-t", "5"], "0 <= t <= n-1"),
+    (["sweep", "-n", "3", "-t", "1", "-k", "0"], "k must be >= 1"),
+    (["census", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
+    (["count", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
+    (["run", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
+    (["compare", "-n", "3", "-t", "3", "--samples", "2"], "0 <= t <= n-1"),
+    (["figure4", "-k", "0"], "k >= 2"),
+    (["surgery", "-k", "0"], "k and depth must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, constraint", USAGE_ERRORS, ids=[" ".join(argv) for argv, _ in USAGE_ERRORS]
+)
+def test_out_of_range_parameters_are_usage_errors(argv, constraint, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert constraint in line
+
+
 class TestCountCommand:
     def test_count_reports_members_and_orbits(self, capsys):
         assert main(["count", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "2"]) == 0

@@ -2,14 +2,14 @@
 
 The constructive enumerator's contract is *identity with the hash-dedup
 oracle*: canonical augmentation over failure patterns plus stabiliser-aware
-vector enumeration must emit exactly the representatives and orbit sizes the
-retained ``symmetry="dedup"`` path finds by streaming the whole space — on
+vector enumeration must emit exactly the representatives and orbit sizes
+:func:`repro.oracles.dedup_orbits` finds by streaming the whole space — on
 every tractable restriction combination.  This suite pins
 
 * the orbit streams themselves: representative sets, per-orbit sizes, the
-  partition invariant ``sum(sizes) == count_adversaries(...)``, canonicity
-  of every representative, and the certificate contract;
-* the ``limit`` and argument-validation behaviour of
+  partition invariant ``sum(sizes) == count_adversaries(...)`` and
+  canonicity of every representative;
+* the ``limit`` behaviour of
   :func:`repro.adversaries.enumerate_orbits` / ``count_orbits``;
 * :class:`repro.adversaries.RestrictedSpace` as a space description (its
   iterator vs the enumerator, its counts vs the closed forms);
@@ -37,9 +37,8 @@ from repro.baselines import FloodMin
 from repro.core import OptMin, UPMin
 from repro.knowledge import System
 from repro.model import Adversary, Context
+from repro.oracles import adversary_orbit_size
 from repro.symmetry import (
-    adversary_orbit_size,
-    apply_to_adversary,
     canonical_adversary,
     iter_canonical_patterns,
     iter_canonical_vectors,
@@ -63,9 +62,9 @@ COMBOS = [
 SPACE = RestrictedSpace(CONTEXT, max_crash_round=2, receiver_policy="canonical")
 
 
-def orbit_map(context, symmetry, **restrictions):
+def orbit_map(orbits):
     mapping = {}
-    for orbit in enumerate_orbits(context, symmetry=symmetry, **restrictions):
+    for orbit in orbits:
         assert orbit.representative not in mapping, "orbit emitted twice"
         mapping[orbit.representative] = orbit
     return mapping
@@ -74,8 +73,8 @@ def orbit_map(context, symmetry, **restrictions):
 class TestStreamIdentity:
     @pytest.mark.parametrize("combo", COMBOS, ids=[str(c) for c in COMBOS])
     def test_constructive_equals_dedup(self, combo):
-        constructive = orbit_map(CONTEXT, "constructive", **combo)
-        dedup = orbit_map(CONTEXT, "dedup", **combo)
+        constructive = orbit_map(enumerate_orbits(CONTEXT, **combo))
+        dedup = orbit_map(oracles.dedup_orbits(CONTEXT, **combo))
         assert constructive.keys() == dedup.keys()
         for representative, orbit in constructive.items():
             assert orbit.size == dedup[representative].size
@@ -105,18 +104,6 @@ class TestStreamIdentity:
     def test_sizes_match_orbit_stabiliser_theorem(self):
         for orbit in enumerate_orbits(CONTEXT, max_crash_round=2, limit=300):
             assert orbit.size == adversary_orbit_size(orbit.representative)
-
-    def test_certificate_contract(self):
-        # The certificate maps the orbit's first-emitted member onto the
-        # representative; constructively the representative IS that member,
-        # so the certificate is the identity — but the contract is checked
-        # through the group action, not by assuming identity.
-        for orbit in enumerate_orbits(CONTEXT, max_crash_round=2, limit=300):
-            assert (
-                apply_to_adversary(orbit.representative, orbit.certificate)
-                == orbit.representative
-            )
-            assert tuple(orbit.certificate) == tuple(range(CONTEXT.n))
 
 
 #: (n, t, k) of the certification grid: every n <= 5, each at a crash bound
@@ -157,9 +144,9 @@ class TestOrbitSizeCertification:
 class TestCountsAndLimits:
     @pytest.mark.parametrize("combo", COMBOS, ids=[str(c) for c in COMBOS])
     def test_count_orbits_modes_agree(self, combo):
-        constructive = count_orbits(CONTEXT, symmetry="constructive", **combo)
-        assert constructive == count_orbits(CONTEXT, symmetry="dedup", **combo)
-        assert constructive == len(orbit_map(CONTEXT, "constructive", **combo))
+        constructive = count_orbits(CONTEXT, **combo)
+        assert constructive == oracles.dedup_pattern_and_orbit_counts(CONTEXT, **combo)[1]
+        assert constructive == len(orbit_map(enumerate_orbits(CONTEXT, **combo)))
 
     def test_limit_caps_orbits(self):
         assert len(list(enumerate_orbits(CONTEXT, max_crash_round=2, limit=7))) == 7
@@ -177,12 +164,6 @@ class TestCountsAndLimits:
         )
         assert len(orbits) == count_orbits(CONTEXT, max_crash_round=0)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="orbit-enumeration mode"):
-            list(enumerate_orbits(CONTEXT, symmetry="orbit"))
-        with pytest.raises(ValueError, match="orbit-enumeration mode"):
-            count_orbits(CONTEXT, symmetry="quotient")
-
 
 class TestRestrictedSpace:
     def test_iteration_matches_enumerator(self):
@@ -198,7 +179,9 @@ class TestRestrictedSpace:
         assert SPACE.orbit_count() == count_orbits(
             CONTEXT, max_crash_round=2, receiver_policy="canonical"
         )
-        assert SPACE.orbit_count() == SPACE.orbit_count(symmetry="dedup")
+        assert SPACE.orbit_count() == oracles.dedup_pattern_and_orbit_counts(
+            CONTEXT, max_crash_round=2, receiver_policy="canonical"
+        )[1]
 
     def test_limit_truncates_members_and_orbits(self):
         space = RestrictedSpace(CONTEXT, max_crash_round=2, limit=11)
@@ -272,7 +255,6 @@ class TestConsumerDifferentials:
         witness_orbit = AdversaryOrbit(
             canonical.representative,
             adversary_orbit_size(canonical.representative),
-            canonical.permutation,
         )
         space = RestrictedSpace(
             witness.context, max_crash_round=1, max_failures=1, limit=50

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import oracles
 from repro.adversaries import (
     count_adversaries,
     enumerate_adversaries,
@@ -239,8 +240,8 @@ class TestBurnside:
         context = Context(n=3, t=2, k=1, max_value=1)
         restrictions = dict(max_crash_round=max_crash_round, receiver_policy=policy)
         expected = self._burnside_count(context, **restrictions)
-        assert count_orbits(context, symmetry="constructive", **restrictions) == expected
-        assert count_orbits(context, symmetry="dedup", **restrictions) == expected
+        assert count_orbits(context, **restrictions) == expected
+        assert oracles.dedup_pattern_and_orbit_counts(context, **restrictions)[1] == expected
 
     @pytest.mark.parametrize("max_failures", [0, 1, 2])
     def test_orbit_counts_match_burnside_with_max_failures(self, max_failures):
@@ -251,13 +252,13 @@ class TestBurnside:
             max_crash_round=1, receiver_policy="canonical", max_failures=max_failures
         )
         expected = self._burnside_count(context, **restrictions)
-        assert count_orbits(context, symmetry="constructive", **restrictions) == expected
-        assert count_orbits(context, symmetry="dedup", **restrictions) == expected
+        assert count_orbits(context, **restrictions) == expected
+        assert oracles.dedup_pattern_and_orbit_counts(context, **restrictions)[1] == expected
 
     def test_burnside_on_the_full_unrestricted_space(self):
         from repro.adversaries import count_orbits
 
         context = Context(n=3, t=1, k=1, max_value=2)
         expected = self._burnside_count(context)
-        assert count_orbits(context, symmetry="constructive") == expected
-        assert count_orbits(context, symmetry="dedup") == expected
+        assert count_orbits(context) == expected
+        assert oracles.dedup_pattern_and_orbit_counts(context)[1] == expected

@@ -17,6 +17,8 @@ runner), so the pins hold whatever the internal helpers' signatures are.
 from __future__ import annotations
 
 import math
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -40,6 +42,16 @@ from repro.store import (
 )
 from repro.symmetry import renaming_star_signature
 from repro.topology import build_restricted_complex
+
+#: The queue's ``spec`` and ``result`` column texts of a completed
+#: n=3 t=1 k=1 sweep job.
+QUEUE_SWEEP_ROW = (
+    '{"enforce_paper_bound":true,"engine":"batch","k":1,"kind":"sweep","limit":null,'
+    '"max_crash_round":null,"max_failures":null,"n":3,"protocol":"optmin",'
+    '"receiver_policy":"canonical","symmetry":"constructive","t":1}',
+    '{"kind":"sweep","ok":true,"report":{"histogram":[[0,73],[1,205],[2,18]],'
+    '"max_decision_time":2,"runs_checked":296,"violations":[]}}',
+)
 
 #: Normalized job ids of the default sweep and census specs.
 DEFAULT_JOB_IDS = {
@@ -174,6 +186,21 @@ class TestJobIds:
     @pytest.mark.parametrize("name", sorted(BENCHMARK_JOB_SPECS))
     def test_benchmark_job_spec(self, name):
         assert job_id(normalize_spec(BENCHMARK_JOB_SPECS[name])) == BENCHMARK_JOB_IDS[name]
+
+
+class TestQueueRows:
+    def test_completed_sweep_job(self, tmp_path):
+        spec = normalize_spec({"kind": "sweep", "n": 3, "t": 1, "k": 1})
+        path = str(tmp_path / "queue.sqlite")
+        with JobQueue(path) as queue:
+            runner = JobRunner(queue, str(tmp_path / "work"), store_path=None)
+            queue.submit(job_id(spec), spec)
+            assert runner.run_once() == {"job": job_id(spec), "outcome": "done"}
+        with closing(sqlite3.connect(path)) as conn:
+            row = conn.execute(
+                "SELECT spec, result FROM jobs WHERE id = ?", (job_id(spec),)
+            ).fetchone()
+        assert row == QUEUE_SWEEP_ROW
 
 
 class TestCheckpointSpecs:

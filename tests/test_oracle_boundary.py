@@ -4,7 +4,10 @@ Production runs one engine.  The per-adversary paths it is pinned to live in
 :mod:`repro.oracles`, which only tests and benchmarks import.  This suite
 enforces both halves: no production module imports the oracles, and no
 public callable of the production packages offers an ``engine`` or a
-``backend`` parameter.  Production is also stdlib-only: importing it never
+``backend`` parameter.  Orbits have one production front: no public
+callable of :mod:`repro.adversaries` offers a ``symmetry`` parameter, and
+the orbit–stabiliser size functions live in the oracles, not in
+:mod:`repro.symmetry`.  Production is also stdlib-only: importing it never
 loads numpy.  The result store's reference key encoder (the recursive
 ``_jsonable`` walk) is one of those fixtures: production neither defines
 nor names it.
@@ -177,6 +180,23 @@ def test_no_public_callable_offers_an_engine(package_name):
 @pytest.mark.parametrize("package_name", SURVEY_PACKAGES)
 def test_no_public_callable_offers_a_backend(package_name):
     assert callables_offering(package_name, "backend") == []
+
+
+def test_no_orbit_enumerator_offers_a_symmetry():
+    assert callables_offering("repro.adversaries", "symmetry") == []
+
+
+@pytest.mark.parametrize(
+    "name", ["adversary_orbit_size", "automorphism_count", "view_key_orbit_size"]
+)
+def test_orbit_sizes_are_oracles(name):
+    package = importlib.import_module("repro.symmetry")
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, "repro.symmetry.")
+    ]
+    assert [module.__name__ for module in modules if hasattr(module, name)] == []
+    assert callable(getattr(importlib.import_module("repro.oracles"), name))
 
 
 def test_production_imports_leave_numpy_out():

@@ -21,17 +21,15 @@ from repro.adversaries import (
     enumerate_orbits,
 )
 from repro.model import Adversary, Context, CrashEvent, FailurePattern
+from repro.oracles import adversary_orbit_size, automorphism_count, view_key_orbit_size
 from repro.symmetry import (
-    adversary_orbit_size,
     apply_to_adversary,
     apply_to_view_key,
-    automorphism_count,
     canonical_adversary,
     canonical_view_key,
     quotient_family,
     star_signature,
     validate_symmetry_choice,
-    view_key_orbit_size,
 )
 from repro.topology import SimplicialComplex, build_restricted_complex, sphere_complex
 
