@@ -55,7 +55,17 @@ CASES = [
     # dimension-bounded homology and the symmetry-quotient survey keep the
     # whole census tractable.
     (6, 2, 2),
+    # The first two-round case where Proposition 2 is not vacuous: n=6 and
+    # n=5 have no vertex with HC >= 2 after two rounds.  973,169 members;
+    # the build walks their crash-option tree instead of building them.
+    (7, 2, 2),
 ]
+
+#: Census rows pinned for the two-round cases.
+EXPECTED_ROWS = {
+    (6, 2, 2): (5316, 0, 0, 5316, 0),
+    (7, 2, 2): (14070, 630, 630, 14070, 630),
+}
 
 #: Worker processes for the complex-build pass (0 = serial).  The sharded
 #: pass only pays off with real cores; single-core CI boxes keep the default.
@@ -84,6 +94,8 @@ def run_survey():
             )
             assert census.row == oracle.row, (census.row, oracle.row)
             assert census.classes == oracle.classes
+        if (n, k, time) in EXPECTED_ROWS:
+            assert census.row == EXPECTED_ROWS[(n, k, time)], census.row
         rows.append((n, k, time) + census.row)
         timings.append(
             (n, k, time, census.vertices, census.classes, build_seconds, survey_seconds)
@@ -93,8 +105,9 @@ def run_survey():
 
 @pytest.mark.benchmark(group="prop2")
 def test_prop2_capacity_implies_connectivity(benchmark):
-    # One round, one iteration: the n=6, m=2 case sweeps a quarter-million
-    # adversaries; calibrated re-runs would multiply minutes, not precision.
+    # One round, one iteration: the m=2 cases cover a quarter-million and a
+    # million adversaries; calibrated re-runs would multiply minutes, not
+    # precision.
     rows, timings = benchmark.pedantic(run_survey, rounds=1, iterations=1)
     print_table(
         "PROP2 — hidden capacity vs (k-1)-connectivity of the star complex",

@@ -1,4 +1,5 @@
-"""Adversary construction: random generators, the paper's figures, Lemma 2 surgery, enumeration."""
+"""Adversary construction: random generators, the paper's figures, Lemma 2 surgery, enumeration,
+and the per-round crash family of the Proposition 2 complexes."""
 
 from .enumeration import (
     AdversaryOrbit,
@@ -21,12 +22,14 @@ from .generators import (
     crash_chain_events,
     failure_free_adversaries,
 )
+from .per_round import PerRoundCrashFamily
 from .scenarios import Scenario, figure1_scenario, figure2_scenario, figure4_scenario
 from .surgery import SurgeryCheck, SurgeryResult, lemma2_surgery, verify_surgery
 
 __all__ = [
     "AdversaryGenerator",
     "AdversaryOrbit",
+    "PerRoundCrashFamily",
     "RestrictedSpace",
     "Scenario",
     "SurgeryCheck",

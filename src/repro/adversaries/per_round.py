@@ -1,0 +1,253 @@
+"""The "at most ``k`` crashes per round" family as a sized, lazy sequence.
+
+Proposition 2's protocol complexes are built over the adversary family of
+the topological lower-bound literature ([15, 22]): every failure pattern
+with at most ``k`` crashes in each of ``m`` rounds and at most
+``max_failures`` in all, under one fixed input vector.  The family is a
+tree.  A node is a round together with the processes still up before it;
+its children are that round's *crash options*, each a set of at most ``k``
+of those processes crashing, with one receiver set per crasher for its
+crashing-round message.  Members are the leaves, in depth-first order.
+
+:class:`PerRoundCrashFamily` describes the family by that tree alone.  The
+options of a node are generated once per (processes up, round) and grouped
+into blocks by crash count.  Every option of a block roots a subtree of the
+same size, which depends only on the round and on how many processes are
+up, so ``len()`` is a closed form and ``family[i]`` unranks in a few steps
+per round.  A slice with step 1 is the same tree with a narrower window of
+member positions.  Consumers that only need the tree, like the
+protocol-complex walk of :func:`repro.engine.fused.facet_groups`, read
+:meth:`PerRoundCrashFamily.branches` and never build one
+:class:`Adversary` per member.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import operator
+from collections.abc import Sequence
+from typing import Dict, Iterator, List, Tuple
+
+from ..model.adversary import Adversary
+from ..model.failure_pattern import CrashEvent, FailurePattern
+from ..model.types import ProcessId, Round, Value, validate_crash_bound
+from .enumeration import _receiver_subsets
+
+#: The receiver policies of :func:`repro.adversaries.enumerate_failure_patterns`.
+RECEIVER_POLICIES = ("none", "canonical", "all")
+
+#: One crash option of a round: its crash events (sorted by process) and the
+#: processes still up after it.
+CrashOption = Tuple[Tuple[CrashEvent, ...], Tuple[ProcessId, ...]]
+
+#: The options of one node with one crash count, after the number of members
+#: below each of them.
+OptionBlock = Tuple[int, List[CrashOption]]
+
+
+class PerRoundCrashFamily(Sequence):
+    """Adversaries with at most ``max_crashes_per_round`` crashes in each round.
+
+    Members are ``Adversary(values, pattern)`` for every failure pattern over
+    ``rounds`` rounds with at most ``max_crashes_per_round`` crashes per
+    round and at most ``max_failures`` (default ``n - 1``) in all, in
+    depth-first order of the crash-option tree: fewer crashers first, then
+    crasher sets in lexicographic order, then receiver sets in
+    ``receiver_policy`` order (the order of
+    :func:`repro.adversaries.enumerate_failure_patterns`).  The parameters
+    and the input vector are validated once, here, with the errors
+    :class:`Adversary` and :class:`FailurePattern` would raise.
+    """
+
+    __slots__ = (
+        "n",
+        "rounds",
+        "max_crashes_per_round",
+        "receiver_policy",
+        "max_failures",
+        "values",
+        "start",
+        "stop",
+        "_receivers",
+        "_options",
+        "_sizes",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        rounds: int,
+        max_crashes_per_round: int,
+        values: Sequence[Value],
+        receiver_policy: str = "canonical",
+        max_failures: int | None = None,
+    ) -> None:
+        max_failures = n - 1 if max_failures is None else max_failures
+        validate_crash_bound(n, max_failures)
+        if rounds < 0:
+            raise ValueError(f"the round count must be >= 0, got {rounds}")
+        if max_crashes_per_round < 0:
+            raise ValueError(
+                f"the per-round crash cap must be >= 0, got {max_crashes_per_round}"
+            )
+        if receiver_policy not in RECEIVER_POLICIES:
+            raise ValueError(f"unknown receiver policy {receiver_policy!r}")
+        values = tuple(int(v) for v in values)
+        if len(values) != n:
+            raise ValueError(
+                f"input vector has {len(values)} entries but the failure pattern has n={n}"
+            )
+        if any(v < 0 for v in values):
+            raise ValueError(f"initial values must be non-negative, got {values}")
+        self.n = n
+        self.rounds = rounds
+        self.max_crashes_per_round = max_crashes_per_round
+        self.receiver_policy = receiver_policy
+        self.max_failures = max_failures
+        self.values = values
+        self._receivers = [list(_receiver_subsets(n, p, receiver_policy)) for p in range(n)]
+        #: (processes up, round) -> that node's option blocks.
+        self._options: Dict[Tuple[Tuple[ProcessId, ...], Round], List[OptionBlock]] = {}
+        #: (round, number of processes up) -> members below such a node.
+        self._sizes: Dict[Tuple[Round, int], int] = {}
+        #: The window of member positions this sequence covers.
+        self.start = 0
+        self.stop = self._subtree(1, n)
+
+    # ------------------------------------------------------------ the tree
+    def _crash_counts(self, up: int) -> range:
+        """How many of ``up`` processes one round may crash."""
+        crashed = self.n - up
+        return range(min(self.max_crashes_per_round, up, self.max_failures - crashed) + 1)
+
+    def _subtree(self, round_: Round, up: int) -> int:
+        """Members below a node that picks round ``round_``'s crashes with ``up`` processes up."""
+        if round_ > self.rounds:
+            return 1
+        size = self._sizes.get((round_, up))
+        if size is None:
+            choices = len(self._receivers[0])
+            size = self._sizes[(round_, up)] = sum(
+                math.comb(up, count) * choices**count * self._subtree(round_ + 1, up - count)
+                for count in self._crash_counts(up)
+            )
+        return size
+
+    def options(self, up: Tuple[ProcessId, ...], round_: Round) -> List[OptionBlock]:
+        """Round ``round_``'s crash options with processes ``up``, one block per crash count."""
+        blocks = self._options.get((up, round_))
+        if blocks is None:
+            blocks = self._options[(up, round_)] = []
+            for count in self._crash_counts(len(up)):
+                block: List[CrashOption] = []
+                for crashers in itertools.combinations(up, count):
+                    rest = tuple(p for p in up if p not in crashers)
+                    for receivers in itertools.product(*(self._receivers[p] for p in crashers)):
+                        events = tuple(
+                            CrashEvent(p, round_, r) for p, r in zip(crashers, receivers)
+                        )
+                        block.append((events, rest))
+                blocks.append((self._subtree(round_ + 1, len(up) - count), block))
+        return blocks
+
+    def branches(
+        self, up: Tuple[ProcessId, ...], round_: Round, first: int
+    ) -> Iterator[Tuple[int, Tuple[CrashEvent, ...], Tuple[ProcessId, ...]]]:
+        """The options of one node whose subtrees meet the window, in order.
+
+        ``first`` is the position of the node's first member; each option
+        comes as ``(position of its first member, events, processes up
+        after it)``.  Positions are absolute, as :attr:`start` is.
+        """
+        start, stop = self.start, self.stop
+        for size, block in self.options(up, round_):
+            span = size * len(block)
+            if first < stop and first + span > start:
+                # The options whose subtrees meet [start, stop): ceil on the right.
+                lo = max(0, (start - first) // size)
+                hi = min(len(block), -((first - stop) // size))
+                for q in range(lo, hi):
+                    events, rest = block[q]
+                    yield first + q * size, events, rest
+            first += span
+
+    def check_crash_bound(self, t: int) -> None:
+        """Raise unless every pattern of the family is in ``Crash(t)``.
+
+        The check :func:`repro.engine.prepare_adversaries` makes member by
+        member, made once for the whole family: its largest patterns crash
+        the cap in every round until ``max_failures`` is reached.
+        """
+        validate_crash_bound(self.n, t)
+        most = min(self.max_failures, self.rounds * self.max_crashes_per_round)
+        if most > t:
+            raise ValueError(
+                f"the family has patterns with {most} crashes, exceeding the bound t={t}"
+            )
+
+    # ------------------------------------------------------------ members
+    def patterns(self) -> Iterator[FailurePattern]:
+        """The failure patterns of the window's members, in member order."""
+        n = self.n
+
+        def walk(up, round_, first, events):
+            if round_ > self.rounds:
+                yield FailurePattern(n, events)
+                return
+            for position, more, rest in self.branches(up, round_, first):
+                yield from walk(rest, round_ + 1, position, events + more)
+
+        # With no rounds the root is the only member, below any window check.
+        return walk(tuple(range(n)), 1, 0, ()) if len(self) else iter(())
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self) -> Iterator[Adversary]:
+        values = self.values
+        return (Adversary(values, pattern) for pattern in self.patterns())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            positions = range(self.start, self.stop)[index]
+            if positions.step != 1:
+                return [self[i - self.start] for i in positions]
+            window = object.__new__(PerRoundCrashFamily)
+            for name in PerRoundCrashFamily.__slots__:
+                setattr(window, name, getattr(self, name))
+            window.start, window.stop = positions.start, max(positions.start, positions.stop)
+            return window
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(f"family index {index} out of range for {len(self)} members")
+        offset = self.start + index
+        up, events = tuple(range(self.n)), ()
+        for round_ in range(1, self.rounds + 1):
+            for size, block in self.options(up, round_):
+                span = size * len(block)
+                if offset < span:
+                    q, offset = divmod(offset, size)
+                    more, up = block[q]
+                    events += more
+                    break
+                offset -= span
+        return Adversary(self.values, FailurePattern(self.n, events))
+
+    def __reduce__(self):
+        # Workers rebuild the option table instead of unpickling it.
+        family = (
+            self.n,
+            self.rounds,
+            self.max_crashes_per_round,
+            self.values,
+            self.receiver_policy,
+            self.max_failures,
+        )
+        return _restore, (family, self.start, self.stop)
+
+
+def _restore(family, start: int, stop: int) -> PerRoundCrashFamily:
+    return PerRoundCrashFamily(*family)[start:stop]

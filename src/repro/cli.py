@@ -475,9 +475,14 @@ def cmd_census(args: argparse.Namespace) -> int:
     a checkpoint cursor indexes the canonical class stream of the survey.
     """
     from .runtime import resilient_census
+    from .service.specs import normalize_spec
     from .topology import build_restricted_complex
 
     context = _checked(Context, n=args.n, t=args.t, k=args.k)
+    # -m takes the job service's census rule (time >= 1).
+    _checked(
+        normalize_spec, {"kind": "census", "n": args.n, "t": args.t, "k": args.k, "time": args.time}
+    )
     build_start = time.perf_counter()
     pc = build_restricted_complex(context, time=args.time, processes=args.processes)
     build_elapsed = time.perf_counter() - build_start

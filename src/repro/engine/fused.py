@@ -27,16 +27,25 @@ This module is the single traversal both products come from:
   complex builders consume: one traversal to a fixed time, one
   ``(representative position, keyed actives)`` facet payload per equivalence
   class.  The trie only advances to ``time - 1``; the last round is resolved
-  observer by observer (:func:`facet_groups`), because in the
+  observer by observer (:class:`_LastRound`), because in the
   full-information protocol a time-``m`` local state is the observer's
   time-``m-1`` state plus those of its round-``m`` senders.  The cost is one
   row merge per distinct (parent layer, input vector, observer, sender set),
-  not one layer per class: at n=6, m=2 no two of the ~260k adversaries share
-  a class, but their ~568k (class, observer) slots need only ~23k last-round
-  merges.
+  not one layer per class.
+* A :class:`repro.adversaries.PerRoundCrashFamily` — the "at most ``k``
+  crashes per round" family of the Proposition 2 complexes — is not
+  scheduled member by member at all.  Its members are the leaves of a
+  crash-option tree whose nodes *are* the trie's groups, so
+  :func:`facet_groups` walks that tree depth first
+  (:func:`_walk_family`): one :meth:`StructLayer.child` per node of rounds
+  ``1 .. time - 1``, then one memo lookup per surviving observer of each
+  last-round option.  No :class:`Adversary`, failure pattern or
+  :class:`PreparedAdversary` is built per member, and the facets come out
+  in member order.
 
 Both passes shard across worker processes: contiguous chunks of the family
-are scheduled on per-worker tries and return pickled payloads — raw
+(position-range slices; a slice of a per-round family is a window on the
+same tree) are scheduled on per-worker tries and return pickled payloads — raw
 ``(position, decision summary, stop_time)`` outcomes plus the chunk's keyed
 layer snapshot (the view index, or the facet payloads) — which the parent
 merges by offsetting positions.  Chunk-local equivalence classes are subsets
@@ -54,9 +63,10 @@ builders) now sits on one scheduler pass implementation.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary
+from ..model.failure_pattern import CrashEvent
 from ..model.run import DecisionSummary, summarize_decisions
 from ..model.types import Decision, ProcessId, Time, Value
 from .arrays import BatchContext, StructLayer, evidence_view
@@ -469,6 +479,78 @@ def run_fused_pass(
 
 
 # ------------------------------------------------------------- view-only pass
+def _interner(table: List[FacetVertex]) -> Callable[[FacetVertex], int]:
+    """``intern(vertex)`` -> its index in ``table``, appending it on first sight."""
+    index: Dict[FacetVertex, int] = {}
+
+    def intern(vertex: FacetVertex) -> int:
+        vid = index.get(vertex)
+        if vid is None:
+            vid = index[vertex] = len(table)
+            table.append(vertex)
+        return vid
+
+    return intern
+
+
+class _LastRound(dict):
+    """``(observer, last-round sender bitmask)`` -> vertex id, one round below ``layer``.
+
+    In the full-information protocol an observer ``i``'s local state one
+    round on is a function of the parent layer, the inputs, ``i`` and its
+    sender set ``S`` alone (:meth:`StructLayer.observer_rows`), so the
+    vertex id of every class below ``layer`` is memoised on ``(i, S)``.  A
+    class costs one lookup per surviving observer (:meth:`facet`); only a
+    new ``(i, S)`` merges rows, builds a key and interns it.
+    """
+
+    __slots__ = ("layer", "values", "intern", "live", "live_mask")
+
+    def __init__(
+        self, layer: StructLayer, values: Tuple[Value, ...], intern: Callable[[FacetVertex], int]
+    ) -> None:
+        super().__init__()
+        self.layer = layer
+        self.values = values
+        self.intern = intern
+        self.live = [j for j in range(layer.n) if layer.rows_seen[j] is not None]
+        self.live_mask = sum(1 << j for j in self.live)
+
+    def slots(self, events: Sequence[CrashEvent]) -> Tuple[Tuple[ProcessId, int], ...]:
+        """The ``(i, S)`` of each observer surviving a last round that crashes ``events``."""
+        crashed = {event.process for event in events}
+        out = []
+        for i in self.live:
+            if i in crashed:
+                continue
+            senders = self.live_mask & ~(1 << i)
+            for event in events:
+                if i not in event.receivers:
+                    senders &= ~(1 << event.process)
+            out.append((i, senders))
+        return tuple(out)
+
+    def facet(self, slots: Tuple[Tuple[ProcessId, int], ...]) -> Tuple[int, ...]:
+        """The vertex ids of one class, interning new vertices in observer order."""
+        return tuple(map(self.__getitem__, slots))
+
+    def __missing__(self, slot: Tuple[ProcessId, int]) -> int:
+        i, senders = slot
+        layer = self.layer
+        sender_set = frozenset(j for j in self.live if senders >> j & 1)
+        rows, evidence = layer.observer_rows(i, sender_set)
+        key = _view_key(
+            i,
+            layer.time + 1,
+            rows,
+            evidence_view(evidence),
+            self.values,
+            layer.round_senders_of(i) + (sender_set,),
+        )
+        vid = self[slot] = self.intern((i, key))
+        return vid
+
+
 def facet_groups(
     adversaries: Sequence[Adversary], t: int, time: Time, n: Optional[int] = None
 ) -> FacetPayload:
@@ -483,29 +565,25 @@ def facet_groups(
 
     The trie advances to ``time - 1`` only.  Each group's members are then
     split by their round-``time`` events — the classes a last
-    :meth:`PrefixScheduler.advance` would build layers for — and every
-    surviving observer ``i`` of a class is resolved by its round-``time``
-    sender set ``S``: its local state is a function of the parent layer, the
-    inputs, ``i`` and ``S`` alone (:meth:`StructLayer.observer_rows`), so the
-    vertex id is memoised per group on ``(i, S)``.  A class costs one memo
-    lookup per observer; only a new ``(i, S)`` merges rows and builds a key.
-    The payload is identical, order included, to advancing all ``time``
-    levels and keying every class (``tests/test_fused_scheduler.py``).
+    :meth:`PrefixScheduler.advance` would build layers for — and each class
+    is resolved observer by observer (:class:`_LastRound`).  The payload is
+    identical, order included, to advancing all ``time`` levels and keying
+    every class (``tests/test_fused_scheduler.py``).
+
+    A :class:`repro.adversaries.PerRoundCrashFamily` simulated to its own
+    round count is not scheduled member by member: :func:`_walk_family`
+    walks its crash-option tree instead, with the same payload.
     """
+    from ..adversaries.per_round import PerRoundCrashFamily
+
+    if isinstance(adversaries, PerRoundCrashFamily) and adversaries.rounds == time:
+        return _walk_family(adversaries, t, time)
     n, prepared = prepare_adversaries(adversaries, t, n)
     table: List[FacetVertex] = []
     facets: List[Tuple[int, Tuple[int, ...]]] = []
     if not prepared:
         return table, facets
-    table_index: Dict[FacetVertex, int] = {}
-
-    def intern(vertex: FacetVertex) -> int:
-        vid = table_index.get(vertex)
-        if vid is None:
-            vid = table_index[vertex] = len(table)
-            table.append(vertex)
-        return vid
-
+    intern = _interner(table)
     scheduler = PrefixScheduler(n, prepared)
     if time == 0:
         # No round has run: every process is active at the root.
@@ -516,44 +594,69 @@ def facet_groups(
     for _ in range(time - 1):
         scheduler.advance()
     for group in scheduler.groups.values():
-        layer = group.layer
-        live = [j for j in range(n) if layer.rows_seen[j] is not None]
-        live_mask = sum(1 << j for j in live)
-        # (observer, round-``time`` sender bitmask) -> vertex id.
-        vid_of: Dict[Tuple[ProcessId, int], int] = {}
+        last = _LastRound(group.layer, group.values, intern)
         # Each bucket is one time-``time`` class of the group (the split
         # PrefixScheduler.advance makes).
         buckets: Dict[Tuple, List[PreparedAdversary]] = {}
         for item in group.members:
             buckets.setdefault(item.events_by_round.get(time, ()), []).append(item)
         for events, members in buckets.items():
-            crashed = {event.process for event in events}
-            vids: List[int] = []
-            for i in live:
-                if i in crashed:
-                    continue
-                senders = live_mask & ~(1 << i)
-                for event in events:
-                    if i not in event.receivers:
-                        senders &= ~(1 << event.process)
-                vid = vid_of.get((i, senders))
-                if vid is None:
-                    sender_set = frozenset(j for j in live if senders >> j & 1)
-                    rows, evidence = layer.observer_rows(i, sender_set)
-                    key = _view_key(
-                        i,
-                        time,
-                        rows,
-                        evidence_view(evidence),
-                        group.values,
-                        layer.round_senders_of(i) + (sender_set,),
-                    )
-                    vid = vid_of[(i, senders)] = intern((i, key))
-                vids.append(vid)
-            if vids:
+            facet = last.facet(last.slots(events))
+            if facet:
                 # Members arrive in sweep-input order, so the first is the smallest.
-                facets.append((members[0].pos, tuple(vids)))
+                facets.append((members[0].pos, facet))
     facets.sort(key=lambda facet: facet[0])
+    return table, facets
+
+
+def _walk_family(family, t: int, time: Time) -> FacetPayload:
+    """:func:`facet_groups` of a per-round crash family, by walking its option tree.
+
+    Every node of the tree is one trie group: its crash events of rounds
+    ``1 .. r`` are the path to it, and the family has one input vector.  The
+    walk goes depth first, so :meth:`StructLayer.child` runs once per node of
+    rounds ``1 .. time - 1``, and each node of round ``time - 1`` resolves its
+    options — one class, one member each — with :class:`_LastRound`.  Facets
+    come out in member order, with positions relative to the family's
+    window, and the vertex table in the order the trie interns it.  The
+    crash bound is checked once for the family.
+    """
+    family.check_crash_bound(t)
+    table: List[FacetVertex] = []
+    facets: List[Tuple[int, Tuple[int, ...]]] = []
+    if not len(family):
+        return table, facets
+    intern = _interner(table)
+    n, values, start = family.n, family.values, family.start
+    root = StructLayer.root(n)
+    if time == 0:
+        facets.append((0, tuple(intern((i, struct_view_key(root, i, values))) for i in range(n))))
+        return table, facets
+
+    # Processes up -> the (i, S) slots of each last-round option, in option
+    # order.  Every last-round option is one member, so an option's index in
+    # this list is its position minus the node's first position.
+    slot_rows: Dict[Tuple[ProcessId, ...], List[Tuple[Tuple[ProcessId, int], ...]]] = {}
+
+    def visit(layer: StructLayer, up: Tuple[ProcessId, ...], first: int) -> None:
+        round_ = layer.time + 1
+        if round_ < time:
+            for position, events, rest in family.branches(up, round_, first):
+                visit(layer.child(events), rest, position)
+            return
+        last = _LastRound(layer, values, intern)
+        rows = slot_rows.get(up)
+        if rows is None:
+            rows = slot_rows[up] = [
+                last.slots(events)
+                for _size, block in family.options(up, round_)
+                for events, _rest in block
+            ]
+        lo, hi = max(0, start - first), min(len(rows), family.stop - first)
+        positions = range(first + lo - start, first + hi - start)
+        facets.extend(zip(positions, map(last.facet, rows[lo:hi])))
+
+    visit(root, tuple(range(n)), 0)
     return table, facets
 
 
@@ -598,16 +701,10 @@ def run_facets_pass(
         report=report,
     )
     table: List[FacetVertex] = []
-    table_index: Dict[FacetVertex, int] = {}
+    intern = _interner(table)
     facets: List[Tuple[int, Tuple[int, ...]]] = []
     for (offset, _end), (chunk_table, chunk_facets) in chunk_results:
-        remap: List[int] = []
-        for vertex in chunk_table:
-            vid = table_index.get(vertex)
-            if vid is None:
-                vid = table_index[vertex] = len(table)
-                table.append(vertex)
-            remap.append(vid)
+        remap = [intern(vertex) for vertex in chunk_table]
         facets.extend(
             (offset + pos, tuple(remap[vid] for vid in vids)) for pos, vids in chunk_facets
         )

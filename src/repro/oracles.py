@@ -6,7 +6,10 @@ differentially tested against: one :class:`repro.model.run.Run` per
 adversary for checks, domination, decision times, protocol complexes,
 Definition 4 systems and Lemma 2 surgery, plus the two-pass system
 construction the fused pass replaced (with its :class:`ViewSource` /
-:class:`GroupViews` trie views).  Homology has one production kernel
+:class:`GroupViews` trie views).  The "at most ``k`` crashes per round"
+family is enumerated here by plain recursion into a list
+(:func:`restricted_adversaries`), against the option tree of
+:class:`repro.adversaries.PerRoundCrashFamily`.  Homology has one production kernel
 (:mod:`repro.topology.connectivity`); its oracles here are the
 shortcut-free big-int Betti stream and the seed's dense face-lattice
 algorithm, plus a census that runs on either.  Orbits have one production
@@ -25,10 +28,11 @@ that runs it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .adversaries.enumeration import AdversaryOrbit, enumerate_adversaries
+from .adversaries.enumeration import AdversaryOrbit, _receiver_subsets, enumerate_adversaries
 from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
 from .engine.arrays import ArrayView, StructLayer
 from .engine.sweep import SweepRunner
@@ -36,6 +40,7 @@ from .engine.trie import PrefixScheduler, prepare_adversaries
 from .engine.views import RunCache
 from .knowledge.operators import FamilyRun, System
 from .model.adversary import Adversary, Context
+from .model.failure_pattern import CrashEvent, FailurePattern
 from .model.run import Run
 from .model.types import ProcessId, Time, Value
 from .model.view import view_key
@@ -62,7 +67,6 @@ from .topology.protocol_complex import (
     ProtocolComplex,
     census_classes,
     fold_census,
-    restricted_adversaries,
 )
 from .verification.checker import CheckReport, fold_checks
 from .verification.domination import (
@@ -163,6 +167,57 @@ def build_protocol_complex(
         if mask:
             masks.append(mask)
     return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
+
+
+def per_round_crash_patterns(
+    n: int,
+    rounds: int,
+    max_crashes_per_round: int,
+    receiver_policy: str = "canonical",
+    max_failures: Optional[int] = None,
+) -> Iterator[FailurePattern]:
+    """:func:`repro.topology.per_round_crash_patterns` by plain recursion.
+
+    Every round's options are rebuilt at every node and patterns past
+    ``max_failures`` (default ``n - 1``) crashes are pruned one option at a
+    time; no option table, no subtree sizes, no window.
+    """
+    cap = n - 1 if max_failures is None else max_failures
+
+    def rec(round_: int, available: Tuple[int, ...], acc: Tuple[CrashEvent, ...]):
+        if round_ > rounds:
+            yield FailurePattern(n, acc)
+            return
+        for count in range(min(max_crashes_per_round, len(available)) + 1):
+            for crashers in itertools.combinations(available, count):
+                if len(acc) + count > cap:
+                    continue
+                rest = tuple(p for p in available if p not in crashers)
+                receiver_choices = [
+                    list(_receiver_subsets(n, p, receiver_policy)) for p in crashers
+                ]
+                for receivers in itertools.product(*receiver_choices):
+                    events = tuple(CrashEvent(p, round_, r) for p, r in zip(crashers, receivers))
+                    yield from rec(round_ + 1, rest, acc + events)
+
+    return rec(1, tuple(range(n)), ())
+
+
+def restricted_adversaries(
+    context: Context,
+    time: Time,
+    values: Optional[Sequence[Value]] = None,
+    max_crashes_per_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+) -> List[Adversary]:
+    """:func:`repro.topology.restricted_adversaries` as a plain list, by recursion."""
+    k = context.k if max_crashes_per_round is None else max_crashes_per_round
+    if values is None:
+        values = [context.k] * context.n
+    return [
+        Adversary(values, pattern)
+        for pattern in per_round_crash_patterns(context.n, time, k, receiver_policy, context.t)
+    ]
 
 
 def build_restricted_complex(

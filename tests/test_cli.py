@@ -220,6 +220,8 @@ USAGE_ERRORS = [
     (["sweep", "-n", "3", "-t", "5"], "0 <= t <= n-1"),
     (["sweep", "-n", "3", "-t", "1", "-k", "0"], "k must be >= 1"),
     (["census", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
+    (["census", "-n", "3", "-t", "1", "-m", "-1"], "'time' must be an integer >= 1"),
+    (["census", "-n", "3", "-t", "1", "-m", "0"], "'time' must be an integer >= 1"),
     (["count", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
     (["run", "-n", "3", "-t", "3"], "0 <= t <= n-1"),
     (["compare", "-n", "3", "-t", "3", "--samples", "2"], "0 <= t <= n-1"),

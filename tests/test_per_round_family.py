@@ -1,0 +1,186 @@
+"""The "at most k crashes per round" family as a lazy sequence, and the walk over it.
+
+:func:`repro.topology.restricted_adversaries` returns a
+:class:`repro.adversaries.PerRoundCrashFamily`: a sized sequence over the
+crash-option tree, which :func:`repro.engine.fused.facet_groups` walks
+instead of scheduling one adversary at a time.  Over a grid of small
+families (n 2-5, every t, m 0-3, cap 1-2, every receiver policy) this suite
+pins
+
+* the sequence: ``len`` is the member count, iteration is the plain
+  recursive enumeration of :func:`repro.oracles.restricted_adversaries`,
+  ``family[i]`` and slices unrank to the same members, and out-of-range
+  indices raise ``IndexError``;
+* the walk: its ``(table, facets)`` payload is the trie's payload over the
+  listed members, order included, for whole families and for windows;
+* the build: the complex, its vertex ids and its ``vertex_views`` are those
+  of the per-adversary :func:`repro.oracles.build_restricted_complex`;
+* sharding: chunks that cut subtrees in the middle merge to the serial
+  payload;
+* the checks: crash bound, parameters and input vector fail as the
+  per-adversary path fails.
+
+Families above a few thousand members are left to the benchmarks: the
+oracle build simulates one ``Run`` per member.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+
+import pytest
+
+import repro
+from repro import oracles
+from repro.adversaries import PerRoundCrashFamily
+from repro.engine.fused import facet_groups, run_facets_pass
+from repro.model import Context
+from repro.topology import build_restricted_complex
+from repro.topology.protocol_complex import per_round_crash_patterns, restricted_adversaries
+
+#: Largest family the sequence and walk checks run on (310 of the 336 cases).
+WALK_LIMIT = 3000
+#: Largest family the oracle build runs on (one ``Run`` per member).
+ORACLE_LIMIT = 1000
+
+
+def _size(n, t, m, cap, policy):
+    return len(PerRoundCrashFamily(n, m, cap, [0] * n, policy, max_failures=t))
+
+
+GRID = [
+    (n, t, m, cap, policy)
+    for n in range(2, 6)
+    for t in range(n)
+    for m in range(4)
+    for cap in (1, 2)
+    for policy in ("none", "canonical", "all")
+]
+WALK_GRID = [case for case in GRID if _size(*case) <= WALK_LIMIT]
+ORACLE_GRID = [case for case in GRID if _size(*case) <= ORACLE_LIMIT]
+#: Multi-round families big enough for three chunks of two workers.
+SHARD_GRID = [
+    case for case in WALK_GRID if case[2] >= 2 and case[4] != "none" and _size(*case) >= 100
+]
+
+
+def _ids(grid):
+    return ["n{}-t{}-m{}-cap{}-{}".format(*case) for case in grid]
+
+
+def _args(n, t, m, cap, policy):
+    """``restricted_adversaries`` arguments: distinct inputs, so seen values vary."""
+    return (Context(n=n, t=t, k=cap), m, list(range(n)), cap, policy)
+
+
+class TestSequence:
+    @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
+    def test_members_len_index_and_slices(self, case):
+        family = restricted_adversaries(*_args(*case))
+        members = list(family)
+        assert members == oracles.restricted_adversaries(*_args(*case))
+        assert len(family) == len(members) == sum(1 for _ in family)
+        assert [family[i] for i in range(len(family))] == members
+        assert family[-1] == members[-1]
+        third = len(members) // 3
+        for window in (slice(third, 2 * third + 1), slice(None, third), slice(-third, None)):
+            assert list(family[window]) == members[window]
+            assert len(family[window]) == len(members[window])
+        assert list(family[1::3]) == members[1::3]
+        assert list(family[5:2]) == []
+        inner = family[third:]
+        assert [inner[i] for i in range(len(inner))] == members[third:]
+        for sequence in (family, inner):
+            for index in (len(sequence), -len(sequence) - 1):
+                with pytest.raises(IndexError):
+                    sequence[index]
+
+    def test_patterns_are_the_per_round_patterns(self):
+        for n, m, cap, policy in ((3, 2, 1, "all"), (4, 2, 2, "canonical"), (5, 1, 2, "none")):
+            assert list(per_round_crash_patterns(n, m, cap, policy)) == list(
+                oracles.per_round_crash_patterns(n, m, cap, policy)
+            )
+
+    def test_pickles_as_its_window(self):
+        family = restricted_adversaries(Context(n=4, t=3, k=2), 2)[100:400]
+        clone = pickle.loads(pickle.dumps(family))
+        assert len(clone) == 300 and list(clone) == list(family)
+
+    def test_spawned_workers_walk_their_windows(self, monkeypatch):
+        """Spawn-context workers get the family pickled (threaded parents use spawn)."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        family = restricted_adversaries(Context(n=4, t=3, k=2), 2)
+        sharded = run_facets_pass(family, 3, 2, processes=2, chunk_size=301, mp_context="spawn")
+        assert sharded == facet_groups(family, 3, 2)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
+    def test_payload_is_the_trie_payload(self, case):
+        n, t, m, _cap, _policy = case
+        family = restricted_adversaries(*_args(*case))
+        members = list(family)
+        assert facet_groups(family, t, m) == facet_groups(members, t, m)
+        start, stop = len(members) // 3, 2 * len(members) // 3 + 1
+        assert facet_groups(family[start:stop], t, m) == facet_groups(members[start:stop], t, m)
+
+    @pytest.mark.parametrize("case", ORACLE_GRID, ids=_ids(ORACLE_GRID))
+    def test_complex_is_the_oracle_complex(self, case):
+        production = build_restricted_complex(*_args(*case))
+        reference = oracles.build_restricted_complex(*_args(*case))
+        assert production.complex == reference.complex
+        assert production.complex.facet_masks == reference.complex.facet_masks
+        pool, reference_pool = production.complex.pool, reference.complex.pool
+        assert [pool.vertex_at(i) for i in range(len(pool))] == [
+            reference_pool.vertex_at(i) for i in range(len(reference_pool))
+        ]
+        assert list(production.vertex_views.items()) == list(reference.vertex_views.items())
+
+    @pytest.mark.parametrize("case", SHARD_GRID, ids=_ids(SHARD_GRID))
+    def test_sharded_is_serial(self, case):
+        n, t, m, _cap, _policy = case
+        family = restricted_adversaries(*_args(*case))
+        # An odd chunk a little over a third: three chunks, each boundary
+        # inside some subtree of the first round.
+        chunk_size = len(family) // 3 + 1
+        sharded = run_facets_pass(
+            family, t, m, processes=2, chunk_size=chunk_size, mp_context="fork"
+        )
+        assert sharded == facet_groups(family, t, m)
+
+
+class TestChecks:
+    CONTEXT = Context(n=3, t=1, k=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(time=-1), "round count must be >= 0"),
+            (dict(time=1, max_crashes_per_round=-1), "per-round crash cap must be >= 0"),
+            (dict(time=1, receiver_policy="some"), "unknown receiver policy"),
+            (dict(time=1, values=[0, 0]), "input vector has 2 entries"),
+            (dict(time=1, values=[0, -1, 0]), "initial values must be non-negative"),
+        ],
+    )
+    def test_bad_parameters_raise(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            restricted_adversaries(self.CONTEXT, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            build_restricted_complex(self.CONTEXT, **kwargs)
+
+    def test_crash_bound_is_checked_like_the_members(self):
+        family = restricted_adversaries(Context(n=4, t=3, k=2), 2)
+        for t in (1, 2):
+            for members in (family, list(family)):
+                with pytest.raises(ValueError, match="exceeding the bound t="):
+                    facet_groups(members, t, 2)
+        with pytest.raises(ValueError, match="0 <= t <= n-1"):
+            facet_groups(family, 4, 2)
+
+    def test_other_time_falls_back_to_the_trie(self):
+        """A family simulated past (or short of) its rounds is scheduled member by member."""
+        family = restricted_adversaries(Context(n=4, t=3, k=2), 1)
+        for time in (0, 2):
+            assert facet_groups(family, 3, time) == facet_groups(list(family), 3, time)
