@@ -67,6 +67,12 @@ EXPECTED_ROWS = {
     (7, 2, 2): (14070, 630, 630, 14070, 630),
 }
 
+#: (vertices, facets) of the two-round complexes, pinned next to their rows.
+EXPECTED_SHAPES = {
+    (6, 2, 2): (5316, 32298),
+    (7, 2, 2): (14070, 166713),
+}
+
 #: Worker processes for the complex-build pass (0 = serial).  The sharded
 #: pass only pays off with real cores; single-core CI boxes keep the default.
 PROCESSES = int(os.environ.get("PROP2_PROCESSES", "0")) or None
@@ -96,6 +102,8 @@ def run_survey():
             assert census.classes == oracle.classes
         if (n, k, time) in EXPECTED_ROWS:
             assert census.row == EXPECTED_ROWS[(n, k, time)], census.row
+            shape = (pc.complex.vertex_count, len(pc.complex.facet_masks))
+            assert shape == EXPECTED_SHAPES[(n, k, time)], shape
         rows.append((n, k, time) + census.row)
         timings.append(
             (n, k, time, census.vertices, census.classes, build_seconds, survey_seconds)

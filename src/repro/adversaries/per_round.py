@@ -72,6 +72,7 @@ class PerRoundCrashFamily(Sequence):
         "_receivers",
         "_options",
         "_sizes",
+        "_runs",
     )
 
     def __init__(
@@ -111,6 +112,8 @@ class PerRoundCrashFamily(Sequence):
         self._options: Dict[Tuple[Tuple[ProcessId, ...], Round], List[OptionBlock]] = {}
         #: (round, number of processes up) -> members below such a node.
         self._sizes: Dict[Tuple[Round, int], int] = {}
+        #: Processes up -> crashing runs by length (:meth:`_crashing_runs`).
+        self._runs = self._crashing_runs()
         #: The window of member positions this sequence covers.
         self.start = 0
         self.stop = self._subtree(1, n)
@@ -121,16 +124,38 @@ class PerRoundCrashFamily(Sequence):
         crashed = self.n - up
         return range(min(self.max_crashes_per_round, up, self.max_failures - crashed) + 1)
 
+    def _crashing_runs(self) -> Dict[int, List[int]]:
+        """Processes up -> entry ``j``: the sequences of ``j`` crash options that
+        each crash someone, starting with that many processes up."""
+        choices = len(self._receivers[0])
+        floor = self.n - self.max_failures
+        runs: Dict[int, List[int]] = {}
+        for up in range(floor, self.n + 1):
+            counts = range(1, len(self._crash_counts(up)))
+            # Each crashing option takes someone down: at most up - floor of them.
+            runs[up] = [1] + [
+                sum(
+                    math.comb(up, count) * choices**count * runs[up - count][j]
+                    for count in counts
+                    if j < len(runs[up - count])
+                )
+                for j in range(up - floor)
+            ]
+        return runs
+
     def _subtree(self, round_: Round, up: int) -> int:
-        """Members below a node that picks round ``round_``'s crashes with ``up`` processes up."""
-        if round_ > self.rounds:
-            return 1
+        """Members below a node that picks round ``round_``'s crashes with ``up`` processes up.
+
+        Such a member crashes someone in ``j`` of the ``R`` rounds left and
+        no one in the others: ``C(R, j)`` ways to place those rounds times
+        the ``j``-option crashing runs to fill them.  A closed form in ``R``,
+        so sizing a family costs nothing per round.
+        """
         size = self._sizes.get((round_, up))
         if size is None:
-            choices = len(self._receivers[0])
+            left = max(0, self.rounds - round_ + 1)
             size = self._sizes[(round_, up)] = sum(
-                math.comb(up, count) * choices**count * self._subtree(round_ + 1, up - count)
-                for count in self._crash_counts(up)
+                math.comb(left, j) * runs for j, runs in enumerate(self._runs[up])
             )
         return size
 

@@ -25,13 +25,15 @@ This module is the single traversal both products come from:
   shared across input classes.
 * :func:`run_facets_pass` is the view-only specialisation the protocol
   complex builders consume: one traversal to a fixed time, one
-  ``(representative position, keyed actives)`` facet payload per equivalence
-  class.  The trie only advances to ``time - 1``; the last round is resolved
-  observer by observer (:class:`_LastRound`), because in the
-  full-information protocol a time-``m`` local state is the observer's
-  time-``m-1`` state plus those of its round-``m`` senders.  The cost is one
-  row merge per distinct (parent layer, input vector, observer, sender set),
-  not one layer per class.
+  ``(representative position, keyed actives)`` facet per *distinct* facet,
+  at the smallest position realising it.  The trie only advances to
+  ``time - 1``; the last round is resolved observer by observer
+  (:class:`_LastRound`), because in the full-information protocol a
+  time-``m`` local state is the observer's time-``m-1`` state plus those of
+  its round-``m`` senders.  A new local state is named by the ids of the
+  rows it merges, so rows are merged once per distinct merged state and a
+  view key is built once per distinct vertex, not once per (parent layer,
+  observer, sender set).
 * A :class:`repro.adversaries.PerRoundCrashFamily` — the "at most ``k``
   crashes per round" family of the Proposition 2 complexes — is not
   scheduled member by member at all.  Its members are the leaves of a
@@ -88,11 +90,13 @@ ViewIndex = Dict[ViewKey, List[int]]
 FacetVertex = Tuple[ProcessId, ViewKey]
 
 #: The compact facet payload of a view-only pass: a deduplicated vertex table
-#: plus one ``(smallest member position, vertex-table indices)`` facet per
-#: equivalence class.  Vertices repeat across thousands of facets (the n=6
-#: Proposition 2 family has ~260k classes over ~6k distinct local states), so
-#: shipping each distinct key once and the facets as small int tuples is what
-#: keeps the sharded pass's pickling cost below its simulation savings.
+#: plus one ``(smallest member position, vertex-table indices)`` pair per
+#: distinct facet, in position order.  Vertices repeat across thousands of
+#: facets and facets across many classes (the n=6 Proposition 2 family has
+#: 260,275 classes, 56,559 distinct facets and 5,316 distinct local states),
+#: so shipping each distinct key and facet once, as small int tuples, keeps
+#: both the sharded pass's pickling and the builder's memory per distinct
+#: object rather than per member.
 FacetPayload = Tuple[List[FacetVertex], List[Tuple[int, Tuple[int, ...]]]]
 
 
@@ -493,28 +497,57 @@ def _interner(table: List[FacetVertex]) -> Callable[[FacetVertex], int]:
     return intern
 
 
+#: ``(latest_seen, earliest_evidence)`` row pair -> its id, pass-wide.
+RowIds = Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]
+
+
 class _LastRound(dict):
     """``(observer, last-round sender bitmask)`` -> vertex id, one round below ``layer``.
 
     In the full-information protocol an observer ``i``'s local state one
-    round on is a function of the parent layer, the inputs, ``i`` and its
-    sender set ``S`` alone (:meth:`StructLayer.observer_rows`), so the
-    vertex id of every class below ``layer`` is memoised on ``(i, S)``.  A
-    class costs one lookup per surviving observer (:meth:`facet`); only a
-    new ``(i, S)`` merges rows, builds a key and interns it.
+    round on is its own state at ``layer`` merged with those of its
+    round-``m`` senders ``S``: :meth:`StructLayer.observer_rows` reads only
+    their rows and ``S``, and the view key adds ``i``'s earlier sender sets
+    and the inputs.  So the vertex id of every class below ``layer`` is
+    memoised on ``(i, S)``, and a class costs one lookup per surviving
+    observer (:meth:`facet`).
+
+    Other nodes reach the same vertices by other paths, so a new ``(i, S)``
+    is resolved pass-wide, per input vector, in two steps:
+
+    * ``states`` maps the merged state — ``(i, S)``, the ids of the rows it
+      merges (:data:`RowIds`) and ``i``'s earlier sender sets
+      (:meth:`merged`) — to its vertex id; only a merged state seen for the
+      first time merges rows;
+    * ``merges`` maps the merged rows to the vertex id, since distinct
+      merged states can merge to the same rows (a sender's news is absorbed
+      when another sender or the observer already has it); only merged rows
+      seen for the first time build a view key and intern it.
     """
 
-    __slots__ = ("layer", "values", "intern", "live", "live_mask")
+    __slots__ = ("layer", "values", "ids", "states", "merges", "intern", "live", "live_mask")
 
     def __init__(
-        self, layer: StructLayer, values: Tuple[Value, ...], intern: Callable[[FacetVertex], int]
+        self,
+        layer: StructLayer,
+        values: Tuple[Value, ...],
+        row_ids: RowIds,
+        states: Dict[Tuple, int],
+        merges: Dict[Tuple, int],
+        intern: Callable[[FacetVertex], int],
     ) -> None:
         super().__init__()
         self.layer = layer
         self.values = values
+        self.states = states
+        self.merges = merges
         self.intern = intern
         self.live = [j for j in range(layer.n) if layer.rows_seen[j] is not None]
         self.live_mask = sum(1 << j for j in self.live)
+        self.ids = [
+            None if pair[0] is None else row_ids.setdefault(pair, len(row_ids))
+            for pair in zip(layer.rows_seen, layer.rows_evidence)
+        ]
 
     def slots(self, events: Sequence[CrashEvent]) -> Tuple[Tuple[ProcessId, int], ...]:
         """The ``(i, S)`` of each observer surviving a last round that crashes ``events``."""
@@ -530,24 +563,40 @@ class _LastRound(dict):
             out.append((i, senders))
         return tuple(out)
 
+    def merged(self, slot: Tuple[ProcessId, int]) -> Tuple:
+        """The merged state of ``slot``: ``(i, S)``, the row ids of ``i`` and of its
+        senders in process order, and ``i``'s earlier sender sets."""
+        i, senders = slot
+        ids = self.ids
+        return (
+            slot,
+            ids[i],
+            tuple(ids[j] for j in self.live if senders >> j & 1),
+            self.layer.round_senders_of(i),
+        )
+
     def facet(self, slots: Tuple[Tuple[ProcessId, int], ...]) -> Tuple[int, ...]:
         """The vertex ids of one class, interning new vertices in observer order."""
         return tuple(map(self.__getitem__, slots))
 
     def __missing__(self, slot: Tuple[ProcessId, int]) -> int:
-        i, senders = slot
-        layer = self.layer
-        sender_set = frozenset(j for j in self.live if senders >> j & 1)
-        rows, evidence = layer.observer_rows(i, sender_set)
-        key = _view_key(
-            i,
-            layer.time + 1,
-            rows,
-            evidence_view(evidence),
-            self.values,
-            layer.round_senders_of(i) + (sender_set,),
-        )
-        vid = self[slot] = self.intern((i, key))
+        state = self.merged(slot)
+        vid = self.states.get(state)
+        if vid is None:
+            i, senders = slot
+            layer = self.layer
+            sender_set = frozenset(j for j in self.live if senders >> j & 1)
+            rows, evidence = layer.observer_rows(i, sender_set)
+            round_senders = layer.round_senders_of(i) + (sender_set,)
+            merge = (i, rows, evidence, round_senders)
+            vid = self.merges.get(merge)
+            if vid is None:
+                key = _view_key(
+                    i, layer.time + 1, rows, evidence_view(evidence), self.values, round_senders
+                )
+                vid = self.merges[merge] = self.intern((i, key))
+            self.states[state] = vid
+        self[slot] = vid
         return vid
 
 
@@ -558,17 +607,19 @@ def facet_groups(
 
     The protocol-complex specialisation of the fused pass: no protocol, no
     early stopping (the builders need the equivalence classes *at* ``time``),
-    one facet per (prefix-class, input-class) with its keyed active processes
-    deduplicated into the vertex table.  Facets are sorted by smallest member
-    position, which makes the builder's representative bookkeeping
-    deterministic and chunk-independent.
+    keyed active processes deduplicated into the vertex table.  Each distinct
+    facet appears once, at the smallest position of a member realising it,
+    and facets are sorted by that position, which makes the builder's
+    representative bookkeeping deterministic and chunk-independent.
 
     The trie advances to ``time - 1`` only.  Each group's members are then
     split by their round-``time`` events — the classes a last
     :meth:`PrefixScheduler.advance` would build layers for — and each class
-    is resolved observer by observer (:class:`_LastRound`).  The payload is
-    identical, order included, to advancing all ``time`` levels and keying
-    every class (``tests/test_fused_scheduler.py``).
+    is resolved observer by observer (:class:`_LastRound`, with its merged
+    states resolved pass-wide per input vector).  The payload is identical,
+    order included, to advancing all ``time`` levels, keying every class
+    and keeping each distinct facet at its first position
+    (``tests/test_fused_scheduler.py``).
 
     A :class:`repro.adversaries.PerRoundCrashFamily` simulated to its own
     round count is not scheduled member by member: :func:`_walk_family`
@@ -580,33 +631,41 @@ def facet_groups(
         return _walk_family(adversaries, t, time)
     n, prepared = prepare_adversaries(adversaries, t, n)
     table: List[FacetVertex] = []
-    facets: List[Tuple[int, Tuple[int, ...]]] = []
     if not prepared:
-        return table, facets
+        return table, []
     intern = _interner(table)
     scheduler = PrefixScheduler(n, prepared)
+    # Distinct facet -> the smallest member position realising it.
+    first: Dict[Tuple[int, ...], int] = {}
+
+    def emit(position: int, facet: Tuple[int, ...]) -> None:
+        if facet and first.setdefault(facet, position) > position:
+            first[facet] = position
+
     if time == 0:
         # No round has run: every process is active at the root.
         for group in scheduler.groups.values():
             keys = [struct_view_key(group.layer, i, group.values) for i in range(n)]
-            facets.append((group.members[0].pos, tuple(intern(v) for v in enumerate(keys))))
-        return table, facets
+            emit(group.members[0].pos, tuple(intern(v) for v in enumerate(keys)))
+        return table, sorted((pos, vids) for vids, pos in first.items())
     for _ in range(time - 1):
         scheduler.advance()
+    row_ids: RowIds = {}
+    # Input vector -> its (states, merges) maps (see _LastRound).
+    resolved: Dict[Tuple[Value, ...], Tuple[Dict[Tuple, int], Dict[Tuple, int]]] = {}
     for group in scheduler.groups.values():
-        last = _LastRound(group.layer, group.values, intern)
+        values = group.values
+        states, merges = resolved.setdefault(values, ({}, {}))
+        last = _LastRound(group.layer, values, row_ids, states, merges, intern)
         # Each bucket is one time-``time`` class of the group (the split
         # PrefixScheduler.advance makes).
         buckets: Dict[Tuple, List[PreparedAdversary]] = {}
         for item in group.members:
             buckets.setdefault(item.events_by_round.get(time, ()), []).append(item)
         for events, members in buckets.items():
-            facet = last.facet(last.slots(events))
-            if facet:
-                # Members arrive in sweep-input order, so the first is the smallest.
-                facets.append((members[0].pos, facet))
-    facets.sort(key=lambda facet: facet[0])
-    return table, facets
+            # Members arrive in sweep-input order, so the first is the smallest.
+            emit(members[0].pos, last.facet(last.slots(events)))
+    return table, sorted((pos, vids) for vids, pos in first.items())
 
 
 def _walk_family(family, t: int, time: Time) -> FacetPayload:
@@ -615,11 +674,13 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     Every node of the tree is one trie group: its crash events of rounds
     ``1 .. r`` are the path to it, and the family has one input vector.  The
     walk goes depth first, so :meth:`StructLayer.child` runs once per node of
-    rounds ``1 .. time - 1``, and each node of round ``time - 1`` resolves its
-    options — one class, one member each — with :class:`_LastRound`.  Facets
-    come out in member order, with positions relative to the family's
-    window, and the vertex table in the order the trie interns it.  The
-    crash bound is checked once for the family.
+    rounds ``1 .. time - 1``, and each node of round ``time - 1`` resolves
+    its options — one class, one member each — with :class:`_LastRound`,
+    whose merged states are resolved across the whole walk.  Members are
+    visited in order, so a facet is emitted the first time a member
+    realises it, at a position relative to the family's window; the vertex
+    table comes out in the order the trie interns it.  The crash bound is
+    checked once for the family.
     """
     family.check_crash_bound(t)
     table: List[FacetVertex] = []
@@ -637,6 +698,10 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     # order.  Every last-round option is one member, so an option's index in
     # this list is its position minus the node's first position.
     slot_rows: Dict[Tuple[ProcessId, ...], List[Tuple[Tuple[ProcessId, int], ...]]] = {}
+    row_ids: RowIds = {}
+    states: Dict[Tuple, int] = {}
+    merges: Dict[Tuple, int] = {}
+    seen = set()
 
     def visit(layer: StructLayer, up: Tuple[ProcessId, ...], first: int) -> None:
         round_ = layer.time + 1
@@ -644,7 +709,7 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
             for position, events, rest in family.branches(up, round_, first):
                 visit(layer.child(events), rest, position)
             return
-        last = _LastRound(layer, values, intern)
+        last = _LastRound(layer, values, row_ids, states, merges, intern)
         rows = slot_rows.get(up)
         if rows is None:
             rows = slot_rows[up] = [
@@ -654,7 +719,10 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
             ]
         lo, hi = max(0, start - first), min(len(rows), family.stop - first)
         positions = range(first + lo - start, first + hi - start)
-        facets.extend(zip(positions, map(last.facet, rows[lo:hi])))
+        for position, facet in zip(positions, map(last.facet, rows[lo:hi])):
+            if facet not in seen:
+                seen.add(facet)
+                facets.append((position, facet))
 
     visit(root, tuple(range(n)), 0)
     return table, facets
@@ -679,12 +747,13 @@ def run_facets_pass(
 ) -> FacetPayload:
     """The facet payload of a family, serial or sharded across workers.
 
-    Chunk-local equivalence classes are subsets of the global ones, so the
-    merged facet list may mention one class several times — with identical
-    vertex sets, which the complex constructor's dedup/maximality filter
-    collapses; chunk-local vertex tables are re-deduplicated into one global
-    table, and representatives resolve to the globally smallest position
-    because facets are re-sorted after the merge.
+    Either way every distinct facet appears once, at the smallest position
+    of a member realising it, with positions strictly increasing.  Chunks
+    cover increasing position ranges and each chunk's payload already holds
+    its distinct facets in position order, so the merge re-deduplicates the
+    chunk-local vertex tables into one global table and keeps a facet only
+    the first time a chunk brings it: that is its globally smallest
+    position, and no re-sort is needed.
     """
     if processes is None or processes <= 1 or len(adversaries) <= 1:
         return facet_groups(adversaries, t, time)
@@ -703,10 +772,12 @@ def run_facets_pass(
     table: List[FacetVertex] = []
     intern = _interner(table)
     facets: List[Tuple[int, Tuple[int, ...]]] = []
+    seen = set()
     for (offset, _end), (chunk_table, chunk_facets) in chunk_results:
         remap = [intern(vertex) for vertex in chunk_table]
-        facets.extend(
-            (offset + pos, tuple(remap[vid] for vid in vids)) for pos, vids in chunk_facets
-        )
-    facets.sort(key=lambda facet: facet[0])
+        for pos, vids in chunk_facets:
+            facet = tuple(remap[vid] for vid in vids)
+            if facet not in seen:
+                seen.add(facet)
+                facets.append((offset + pos, facet))
     return table, facets

@@ -157,9 +157,12 @@ def admission(
     "unit": str, "ceiling": int}``.  The workload is what the job would
     actually fold: constructive sweeps are measured in orbit
     representatives (the bounded ``pattern_and_orbit_counts`` probe stops
-    as soon as the ceiling is exceeded), everything else in closed-form
-    members.  An explicit ``limit`` caps the stream and always admits.
-    Nothing is enumerated either way.
+    as soon as the ceiling is exceeded), other sweeps in closed-form
+    members, and censuses in members of the family their complex is built
+    over (``len`` of
+    :func:`repro.topology.protocol_complex.restricted_adversaries`, also a
+    closed form).  An explicit ``limit`` caps a sweep's stream and always
+    admits.  Nothing is enumerated either way.
     """
     from ..adversaries.enumeration import estimate_adversary_count, pattern_and_orbit_counts
 
@@ -183,19 +186,34 @@ def admission(
         else:
             workload = estimate_adversary_count(context, **restrictions)
             unit = "enumerated members"
-    else:
-        # The census folds the m-round complex; its size is governed by the
-        # same closed form, restricted to crashes within the first m rounds.
-        workload = estimate_adversary_count(
-            context, max_crash_round=spec["time"], receiver_policy="canonical"
+        shown = f"{workload:,}+"
+        remedy = (
+            "restrict the space (max_crash_round / max_failures / receiver_policy), "
+            "cap it with 'limit', or sweep orbits with symmetry='constructive'"
         )
+    else:
+        from ..topology.protocol_complex import restricted_adversaries
+
+        # The census builds its m-round complex over restricted_adversaries:
+        # one input vector, at most k crashes per round.  Each first-round
+        # crash option (the one-round space with at most k crashes, over one
+        # input vector) roots members of its own, so their O(t) count bounds
+        # the family below and refuses a huge n before its option table is
+        # built.
+        first_round = estimate_adversary_count(
+            context, max_crash_round=1, max_failures=min(context.k, context.t)
+        ) // len(context.values_domain) ** context.n
+        if first_round > ceiling:
+            workload, shown = first_round, f"{first_round:,}+"
+        else:
+            # stop, not len(): a huge time overflows len()'s machine word.
+            workload = restricted_adversaries(context, spec["time"]).stop
+            shown = f"{workload:,}"
         unit = "complex-building members"
+        remedy = "lower the census 'time', or n, t or k"
     if workload > ceiling:
         reason = (
-            f"intractable: {workload:,}+ {unit} exceeds the admission ceiling "
-            f"of {ceiling:,}; restrict the space (max_crash_round / "
-            f"max_failures / receiver_policy), cap it with 'limit', or sweep "
-            f"orbits with symmetry='constructive'"
+            f"intractable: {shown} {unit} exceeds the admission ceiling of {ceiling:,}; {remedy}"
         )
         return {
             "admit": False, "reason": reason, "workload": workload,

@@ -8,8 +8,9 @@ hits.  Three layers of identity:
   was computed *from*: an adversary (values + crash events), a
   protocol-complex vertex (process + canonical view key), or a star
   complex's exact isomorphism signature.  The constructive enumerator's
-  stream items are canonical orbit representatives with identity
-  certificates, so their serialization *is* the orbit's canonical form;
+  stream items are the canonical representatives of their process-renaming
+  orbits (each carrying its orbit size), so a representative's
+  serialization *is* the orbit's canonical form;
 * the **spec identity hash** — a SHA-256 over the canonical JSON of the
   parameters the value additionally depends on (the protocol and its ``k``
   for checker verdicts; the complex fingerprint and ``k`` for census

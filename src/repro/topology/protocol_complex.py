@@ -22,8 +22,8 @@ crashes per round" used by the lower-bound literature ([15, 22]), plus a
 worker count.  They materialise the whole family's canonical views in one
 view-only scheduler pass (:func:`repro.engine.fused.run_facets_pass`) — one
 facet computation per (prefix-class, input-class) instead of one reference
-``Run`` per adversary, sharded across worker processes when
-``processes >= 2``.  The restricted family is a lazy, sized sequence
+``Run`` per adversary, each distinct facet kept once, sharded across worker
+processes when ``processes >= 2``.  The restricted family is a lazy, sized sequence
 (:class:`repro.adversaries.PerRoundCrashFamily`) over its crash-option
 tree: the pass walks that tree depth first instead of scheduling members,
 and the builder fetches a member only when one of its facets brings in a
@@ -296,12 +296,15 @@ def build_protocol_complex(
     active processes once; facets are assembled as bitsets over one shared
     :class:`VertexPool`, so each ``(process, view key)`` vertex is interned
     once and every star complex derived later reuses the same pool and ids.
-    Payloads arrive sorted by smallest member position, so every vertex's
+    The payload holds each distinct facet once, at the smallest position of
+    a member realising it and in position order, so every vertex's
     representative is the first adversary (in family order) realising it,
-    independent of chunking.  A sequence is not copied, and a member is
-    fetched only for a facet that brings in a new vertex, so a lazy family
+    independent of chunking, and each facet becomes one mask.  Nothing is
+    kept per member: a sequence is not copied, a member is fetched only for
+    a facet that brings in a new vertex — so a lazy family
     (:func:`restricted_adversaries`) builds a few thousand adversaries, not
-    one per member.
+    one per member — and the payload is freed before the maximality filter
+    runs over the masks.
     """
     family = adversaries if isinstance(adversaries, abc.Sequence) else list(adversaries)
     table, facets = run_facets_pass(family, t, time, processes=processes)
@@ -311,7 +314,9 @@ def build_protocol_complex(
     bit_of = [1 << pool.intern(vertex) for vertex in table]
     unseen = set(range(len(table)))
     vertex_views: Dict[ComplexVertex, Tuple[Adversary, ProcessId]] = {}
+    masks = []
     for position, vids in facets:
+        masks.append(sum(bit_of[vid] for vid in vids))
         if unseen.isdisjoint(vids):
             continue
         representative = family[position]
@@ -320,11 +325,7 @@ def build_protocol_complex(
                 unseen.discard(vid)
                 vertex = table[vid]
                 vertex_views[vertex] = (representative, vertex[0])
-        if not unseen:
-            break
-    # Many classes share a facet; each distinct one becomes one mask.
-    distinct = dict.fromkeys(vids for _, vids in facets)
-    masks = [sum(bit_of[vid] for vid in vids) for vids in distinct]
+    del table, facets, bit_of
     return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
 
 

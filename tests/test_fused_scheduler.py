@@ -237,8 +237,9 @@ class TestStructViewKey:
 def _oracle_facet_groups(adversaries, t, time, n=None):
     """The facet payload as a full trie advance computes it: every level up
     to ``time`` simulated as layers, then one ``struct_view_key`` per active
-    process per class.  :func:`facet_groups` resolves the last round per
-    observer instead and must agree with this exactly, order included."""
+    process per class, and each distinct facet kept at its first (smallest)
+    position.  :func:`facet_groups` resolves the last round per observer
+    instead and must agree with this exactly, order included."""
     n, prepared = prepare_adversaries(adversaries, t, n)
     table, facets, index = [], [], {}
     if not prepared:
@@ -259,7 +260,10 @@ def _oracle_facet_groups(adversaries, t, time, n=None):
         if vids:
             facets.append((group.members[0].pos, tuple(vids)))
     facets.sort(key=lambda facet: facet[0])
-    return table, facets
+    first = {}
+    for pos, vids in facets:
+        first.setdefault(vids, pos)
+    return table, [(pos, vids) for vids, pos in first.items()]
 
 
 def _restricted_grid():

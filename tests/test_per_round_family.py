@@ -12,7 +12,8 @@ pins
   ``family[i]`` and slices unrank to the same members, and out-of-range
   indices raise ``IndexError``;
 * the walk: its ``(table, facets)`` payload is the trie's payload over the
-  listed members, order included, for whole families and for windows;
+  listed members, order included, for whole families and for windows, and
+  holds each distinct facet once, at its smallest position;
 * the build: the complex, its vertex ids and its ``vertex_views`` are those
   of the per-adversary :func:`repro.oracles.build_restricted_complex`;
 * sharding: chunks that cut subtrees in the middle merge to the serial
@@ -116,15 +117,41 @@ class TestSequence:
         assert sharded == facet_groups(family, 3, 2)
 
 
+def _assert_distinct_in_order(payload):
+    """The payload contract: each distinct facet once, positions strictly increasing."""
+    _table, facets = payload
+    positions = [position for position, _vids in facets]
+    assert positions == sorted(set(positions))
+    assert len({vids for _position, vids in facets}) == len(facets)
+
+
 class TestWalk:
     @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
     def test_payload_is_the_trie_payload(self, case):
         n, t, m, _cap, _policy = case
         family = restricted_adversaries(*_args(*case))
         members = list(family)
-        assert facet_groups(family, t, m) == facet_groups(members, t, m)
+        payload = facet_groups(family, t, m)
+        _assert_distinct_in_order(payload)
+        assert payload == facet_groups(members, t, m)
         start, stop = len(members) // 3, 2 * len(members) // 3 + 1
         assert facet_groups(family[start:stop], t, m) == facet_groups(members[start:stop], t, m)
+
+    def test_n6_walk_is_per_distinct_facet_and_vertex(self, monkeypatch):
+        """The n=6 two-round census family: 260,275 members, but the payload
+        holds its 56,559 distinct facets once each, and the walk builds one
+        view key per vertex (5,316), not one per (node, observer, sender set)."""
+        import repro.engine.fused as fused
+
+        built = []
+        view_key = fused._view_key
+        monkeypatch.setattr(fused, "_view_key", lambda *parts: built.append(1) or view_key(*parts))
+        family = restricted_adversaries(Context(n=6, t=5, k=2), 2)
+        payload = facet_groups(family, 5, 2)
+        _assert_distinct_in_order(payload)
+        table, facets = payload
+        assert (len(family), len(table), len(facets)) == (260275, 5316, 56559)
+        assert len(built) == len(table)
 
     @pytest.mark.parametrize("case", ORACLE_GRID, ids=_ids(ORACLE_GRID))
     def test_complex_is_the_oracle_complex(self, case):
@@ -148,6 +175,7 @@ class TestWalk:
         sharded = run_facets_pass(
             family, t, m, processes=2, chunk_size=chunk_size, mp_context="fork"
         )
+        _assert_distinct_in_order(sharded)
         assert sharded == facet_groups(family, t, m)
 
 

@@ -145,6 +145,45 @@ class TestSpecs:
         assert huge["workload"] > huge["ceiling"]
         assert "intractable" in huge["reason"]
 
+    def test_census_admission_counts_the_complex_family(self):
+        """A census is sized by the family its complex is built over — one
+        input vector, at most k crashes per round — not the whole space."""
+        from repro.model import Context
+        from repro.topology.protocol_complex import restricted_adversaries
+
+        for n in (2, 3, 4):
+            for t in range(n):
+                for k in (1, 2):
+                    for m in (1, 2, 3):
+                        verdict = admission(
+                            normalize_spec({"kind": "census", "n": n, "t": t, "k": k, "time": m})
+                        )
+                        family = restricted_adversaries(Context(n=n, t=t, k=k), m)
+                        assert verdict["workload"] == len(family), (n, t, k, m)
+
+    @pytest.mark.parametrize("n, t, k, m, members", [(4, 3, 2, 2, 3641), (6, 5, 2, 1, 778)])
+    def test_tractable_censuses_are_admitted(self, n, t, k, m, members):
+        verdict = admission(normalize_spec({"kind": "census", "n": n, "t": t, "k": k, "time": m}))
+        assert verdict["admit"] and verdict["workload"] == members
+
+    def test_intractable_census_is_refused_with_census_advice(self):
+        start = time.perf_counter()
+        verdict = admission(normalize_spec({"kind": "census", "n": 7, "t": 6, "k": 2, "time": 2}))
+        assert time.perf_counter() - start < 5.0
+        assert not verdict["admit"] and verdict["workload"] == 973169
+        assert "973,169 complex-building members" in verdict["reason"]
+        for sweep_only in ("max_crash_round", "limit", "constructive"):
+            assert sweep_only not in verdict["reason"]
+
+    @pytest.mark.parametrize("n, t, m", [(10**5, 3, 1), (3, 2, 5000), (2, 1, 10**30)])
+    def test_census_admission_is_cheap_at_any_size(self, n, t, m):
+        """A huge n is refused on its first round's options alone; a huge
+        time is sized in closed form, without one step per round."""
+        start = time.perf_counter()
+        verdict = admission(normalize_spec({"kind": "census", "n": n, "t": t, "k": 1, "time": m}))
+        assert time.perf_counter() - start < 5.0
+        assert not verdict["admit"] and verdict["workload"] > verdict["ceiling"]
+
     def test_admission_always_admits_capped_streams(self):
         capped = admission(
             normalize_spec(
@@ -551,6 +590,17 @@ class TestServiceApi:
                 "POST", "/jobs", {"kind": "sweep", "n": 3, "t": 1, "k": 1}
             )
             assert status == 200 and duplicate["job"] == first["job"]
+
+    def test_census_admission_at_the_ceiling(self, tmp_path):
+        """The n=4 t=3 k=2 two-round census has 3,641 members: admitted at a
+        ceiling of 3,641, and its three-round census refused with a 422."""
+        census = {"kind": "census", "n": 4, "t": 3, "k": 2, "time": 2}
+        with _ServiceHarness(tmp_path, runners=0, ceiling=3641) as harness:
+            status, payload = harness.request("POST", "/jobs", census)
+            assert status == 202 and payload["created"]
+            status, payload = harness.request("POST", "/jobs", dict(census, time=3))
+            assert status == 422
+            assert payload["admission"]["workload"] > payload["admission"]["ceiling"] == 3641
 
     def test_result_409_cancel_and_error_routes(self, tmp_path):
         with _ServiceHarness(tmp_path, runners=0) as harness:
