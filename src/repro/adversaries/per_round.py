@@ -213,18 +213,32 @@ class PerRoundCrashFamily(Sequence):
 
     # ------------------------------------------------------------ members
     def patterns(self) -> Iterator[FailurePattern]:
-        """The failure patterns of the window's members, in member order."""
-        n = self.n
+        """The failure patterns of the window's members, in member order.
 
-        def walk(up, round_, first, events):
-            if round_ > self.rounds:
-                yield FailurePattern(n, events)
+        The tree is walked depth first with an explicit stack (entry ``r - 1``
+        branches round ``r``), not one Python frame per round.
+        """
+        n, rounds = self.n, self.rounds
+
+        def walk():
+            if not rounds:
+                yield FailurePattern(n, ())
                 return
-            for position, more, rest in self.branches(up, round_, first):
-                yield from walk(rest, round_ + 1, position, events + more)
+            stack = [((), self.branches(tuple(range(n)), 1, 0))]
+            while stack:
+                events, branches = stack[-1]
+                branch = next(branches, None)
+                if branch is None:
+                    stack.pop()
+                    continue
+                position, more, rest = branch
+                if len(stack) < rounds:
+                    stack.append((events + more, self.branches(rest, len(stack) + 1, position)))
+                else:
+                    yield FailurePattern(n, events + more)
 
         # With no rounds the root is the only member, below any window check.
-        return walk(tuple(range(n)), 1, 0, ()) if len(self) else iter(())
+        return walk() if len(self) else iter(())
 
     def __len__(self) -> int:
         return self.stop - self.start

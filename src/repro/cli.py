@@ -638,8 +638,10 @@ def cmd_jobs(args: argparse.Namespace) -> int:
         admission,
         job_id,
         normalize_spec,
-        request_json,
     )
+
+    if args.url is not None:
+        from .service.api import request_json
 
     def render(payload) -> None:
         print(_json.dumps(payload, indent=2, sort_keys=True))

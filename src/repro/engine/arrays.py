@@ -359,18 +359,24 @@ class StructLayer:
     def round_senders_of(self, process: ProcessId) -> Tuple[FrozenSet[ProcessId], ...]:
         """``View.round_senders`` for an active process: entry ``r-1`` is the
         sender set of round ``r``, accumulated along the parent chain (and
-        cached per layer, so shared prefixes pay for it once)."""
-        cache = self._round_senders
-        if cache is None:
-            cache = self._round_senders = [None] * self.n
-        cached = cache[process]
-        if cached is None:
-            parent = self.parent
-            if parent is None:
-                cached = ()
-            else:
-                cached = parent.round_senders_of(process) + (self.senders_of(process),)
-            cache[process] = cached
+        cached per layer, so shared prefixes pay for it once).  The chain is
+        walked in a loop, so a long horizon needs no Python frame per round."""
+        pending: List[StructLayer] = []
+        layer = self
+        while True:
+            cache = layer._round_senders
+            if cache is None:
+                cache = layer._round_senders = [None] * layer.n
+            cached = cache[process]
+            if cached is not None:
+                break
+            if layer.parent is None:
+                cached = cache[process] = ()
+                break
+            pending.append(layer)
+            layer = layer.parent
+        for layer in reversed(pending):
+            cached = layer._round_senders[process] = cached + (layer.senders_of(process),)
         return cached
 
 

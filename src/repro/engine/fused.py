@@ -703,11 +703,14 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     merges: Dict[Tuple, int] = {}
     seen = set()
 
+    # The nodes that branch rounds 1 .. time - 1, each with the branches it
+    # has left: a loop, not one Python frame per round of the horizon.
+    stack = []
+
     def visit(layer: StructLayer, up: Tuple[ProcessId, ...], first: int) -> None:
         round_ = layer.time + 1
         if round_ < time:
-            for position, events, rest in family.branches(up, round_, first):
-                visit(layer.child(events), rest, position)
+            stack.append((layer, family.branches(up, round_, first)))
             return
         last = _LastRound(layer, values, row_ids, states, merges, intern)
         rows = slot_rows.get(up)
@@ -725,6 +728,14 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
                 facets.append((position, facet))
 
     visit(root, tuple(range(n)), 0)
+    while stack:
+        layer, branches = stack[-1]
+        branch = next(branches, None)
+        if branch is None:
+            stack.pop()
+        else:
+            position, events, rest = branch
+            visit(layer.child(events), rest, position)
     return table, facets
 
 

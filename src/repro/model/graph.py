@@ -1,5 +1,9 @@
 """Communication graphs ``Gα`` as explicit (networkx) graph objects.
 
+networkx is optional (the ``graph`` extra): nothing in the package needs
+it at import, and each helper that builds or queries a graph imports it on
+first use, so ``import repro`` never loads it.
+
 The run engine keeps views in a compact summary form for speed; for analysis,
 visualisation and cross-checking it is often convenient to materialise the
 paper's layered communication graph ``Gα`` explicitly:
@@ -22,12 +26,13 @@ The exported graph supports two consumers:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Set, Tuple
 
 from .adversary import Adversary
 from .types import ProcessTimeNode, Time
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def communication_graph(adversary: Adversary, horizon: Time) -> "nx.DiGraph":
@@ -39,6 +44,8 @@ def communication_graph(adversary: Adversary, horizon: Time) -> "nx.DiGraph":
     """
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    import networkx as nx
+
     pattern = adversary.pattern
     graph = nx.DiGraph()
     for process in range(adversary.n):
@@ -76,6 +83,8 @@ def view_subgraph(graph: "nx.DiGraph", node: ProcessTimeNode) -> "nx.DiGraph":
     key = (node.process, node.time)
     if key not in graph:
         raise KeyError(f"{node} is not a node of the communication graph")
+    import networkx as nx
+
     ancestors: Set[Tuple[int, int]] = nx.ancestors(graph, key)
     ancestors.add(key)
     return graph.subgraph(ancestors).copy()
@@ -105,6 +114,8 @@ def message_chain_exists(
         return False
     if source_key == target_key:
         return True
+    import networkx as nx
+
     return nx.has_path(graph, source_key, target_key)
 
 

@@ -4,12 +4,15 @@ The service layer composes the repo's resilience stack into a long-running
 daemon: :mod:`repro.service.jobs` is the durable lease/heartbeat queue,
 :mod:`repro.service.specs` the validated job identity and the O(1)
 admission guard, :mod:`repro.service.runner` the supervised executor
-driving the PR 8 resilient runners, and :mod:`repro.service.api` the
+driving the resilient runners, and :mod:`repro.service.api` the
 stdlib-only async HTTP front end (``repro.cli serve`` / ``repro.cli
 jobs``).
+
+The front end's names (``SurveyService``, ``serve``, ``request_json``,
+``DEFAULT_MAX_DEPTH``) resolve on first access (PEP 562), so a queue or
+runner user never loads asyncio or ``urllib.request``.
 """
 
-from .api import DEFAULT_MAX_DEPTH, SurveyService, request_json, serve
 from .jobs import JOB_STATES, JOBS_SCHEMA, JobQueue, JobQueueError, default_owner
 from .runner import DrainRequested, JobRunner
 from .specs import (
@@ -19,6 +22,17 @@ from .specs import (
     job_id,
     normalize_spec,
 )
+
+_API_NAMES = frozenset({"DEFAULT_MAX_DEPTH", "SurveyService", "request_json", "serve"})
+
+
+def __getattr__(name: str):
+    if name in _API_NAMES:
+        from . import api
+
+        return getattr(api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_ADMISSION_CEILING",

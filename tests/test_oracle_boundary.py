@@ -7,10 +7,11 @@ public callable of the production packages offers an ``engine`` or a
 ``backend`` parameter.  Orbits have one production front: no public
 callable of :mod:`repro.adversaries` offers a ``symmetry`` parameter, and
 the orbit–stabiliser size functions live in the oracles, not in
-:mod:`repro.symmetry`.  Production is also stdlib-only: importing it never
-loads numpy.  The result store's reference key encoder (the recursive
-``_jsonable`` walk) is one of those fixtures: production neither defines
-nor names it.
+:mod:`repro.symmetry`.  Production is also stdlib-only at import: no entry
+point loads numpy, networkx, sympy or the HTTP front end's asyncio and
+``urllib.request``; networkx and the front end load on first use.  The
+result store's reference key encoder (the recursive ``_jsonable`` walk) is
+one of those fixtures: production neither defines nor names it.
 """
 
 from __future__ import annotations
@@ -199,16 +200,56 @@ def test_orbit_sizes_are_oracles(name):
     assert callable(getattr(importlib.import_module("repro.oracles"), name))
 
 
-def test_production_imports_leave_numpy_out():
-    code = (
-        "import sys, repro, repro.topology, repro.cli, repro.service; "
-        "sys.exit('numpy' in sys.modules)"
-    )
+#: Each entry point, imported in a fresh interpreter of its own.
+ENTRY_POINTS = (
+    ("repro",),
+    ("repro.core", "repro.verification.checker"),
+    ("repro.topology.protocol_complex",),
+    ("repro.service", "repro.store"),
+    ("repro.cli",),
+)
+
+#: Modules no entry point may load at import: numpy (production is
+#: stdlib-only), networkx (the optional graph export loads it on first use),
+#: sympy, and the HTTP front end's asyncio and ``urllib.request`` (loaded on
+#: first use of ``repro.service.serve`` and its siblings).
+FORBIDDEN_AT_IMPORT = ("numpy", "networkx", "sympy", "asyncio", "urllib.request")
+
+
+def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
-    assert result.returncode == 0, result.stderr or "importing repro loaded numpy"
+
+
+def test_production_imports_leave_numpy_out():
+    for modules in ENTRY_POINTS:
+        code = (
+            f"import sys; import {', '.join(modules)}; "
+            f"loaded = [m for m in {FORBIDDEN_AT_IMPORT!r} if m in sys.modules]; "
+            "print(' '.join(loaded)); sys.exit(bool(loaded))"
+        )
+        result = _fresh_interpreter(code)
+        assert "numpy" not in result.stdout, f"importing {modules} loaded numpy"
+        assert result.returncode == 0, result.stderr or f"importing {modules} loaded {result.stdout}"
+
+
+def test_optional_dependencies_load_on_first_use():
+    code = """
+import sys
+import repro.service
+from repro.model import Adversary, FailurePattern, communication_graph
+assert "asyncio" not in sys.modules and "urllib.request" not in sys.modules
+from repro.service import serve
+assert callable(serve)
+assert "asyncio" in sys.modules and "urllib.request" in sys.modules
+assert "networkx" not in sys.modules
+graph = communication_graph(Adversary([0, 1, 1], FailurePattern(3, [])), horizon=1)
+assert graph.number_of_nodes() == 6 and "networkx" in sys.modules
+"""
+    result = _fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +154,25 @@ class TestWalk:
         table, facets = payload
         assert (len(family), len(table), len(facets)) == (260275, 5316, 56559)
         assert len(built) == len(table)
+
+    def test_long_horizon_needs_no_frame_per_round(self):
+        """The walk, the pattern stream and the view keys' round-sender chains
+        are loops: a 150-round build runs under a recursion limit of 150."""
+        code = """
+import sys
+from repro.model import Context
+from repro.topology import build_restricted_complex
+from repro.topology.protocol_complex import restricted_adversaries
+sys.setrecursionlimit(150)
+family = restricted_adversaries(Context(n=2, t=1, k=1), 150)
+pc = build_restricted_complex(Context(n=2, t=1, k=1), 150)
+print(len(family), len(list(family.patterns())), len(pc.complex.vertices), len(pc.complex.facets))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.split() == ["601", "601", "302", "301"]
 
     @pytest.mark.parametrize("case", ORACLE_GRID, ids=_ids(ORACLE_GRID))
     def test_complex_is_the_oracle_complex(self, case):
