@@ -7,18 +7,27 @@ acceptance configuration of the engine).  Asserts both that the two engines
 produce identical decisions and that the batch path is at least 3x faster;
 the trie typically delivers well above that on enumeration-ordered streams,
 so the assertion has a wide safety margin against timer noise.
+
+It also records one ungated row: the constructive Optmin[2] sweep over
+n=6, t=3, crash rounds <= 2 (the repository benchmark's sweep-n6), with
+its wall time and the cyclic garbage collector's work during it — full
+(generation-2) collections and collector seconds, read through
+``gc.callbacks``.  The survey loop collects only the young generation at
+batch boundaries, so full collections per sweep stay near zero.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
 import pytest
 
 from repro import OptMin, Run, SweepRunner, UPMin
-from repro.adversaries.enumeration import enumerate_adversaries
+from repro.adversaries.enumeration import RestrictedSpace, enumerate_adversaries
 from repro.model import Context
+from repro.verification import check_protocol
 
 from conftest import print_table, record_benchmark
 
@@ -31,6 +40,11 @@ SWEEP_LIMIT = 6000
 #: CI lowers the gate via this env var while local/acceptance runs keep the
 #: full 3x target.  Decision equality is always asserted regardless.
 MIN_SPEEDUP = float(os.environ.get("SWEEP_ENGINE_MIN_SPEEDUP", "3.0"))
+
+#: The ungated collector row's sweep: sweep-n6's space.
+SWEEP_N6 = RestrictedSpace(
+    Context(n=6, t=3, k=2), max_crash_round=2, max_failures=3, receiver_policy="canonical"
+)
 
 
 def _adversaries():
@@ -80,9 +94,43 @@ def run_comparison():
     return rows
 
 
+def run_constructive_sweep():
+    """The sweep-n6 constructive sweep's wall time and the collector's work during it."""
+    collections = [0, 0, 0]
+    collector_seconds = 0.0
+    started = 0.0
+
+    def count(phase, info):
+        nonlocal collector_seconds, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            collector_seconds += time.perf_counter() - started
+            collections[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        start = time.perf_counter()
+        report = check_protocol(OptMin(2), SWEEP_N6, SWEEP_N6.context.t, symmetry="constructive")
+        wall_seconds = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(count)
+    assert report.ok
+    return {
+        "orbits": SWEEP_N6.orbit_count(),
+        "runs_checked": report.runs_checked,
+        "wall_seconds": wall_seconds,
+        "collector_seconds": collector_seconds,
+        "collections": collections,
+        "full_collections": collections[2],
+    }
+
+
 @pytest.mark.benchmark(group="sweep-engine")
 def test_batch_engine_speedup(benchmark):
     rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
+    collector = run_constructive_sweep()
     print_table(
         f"SWEEP — batch vs reference engine on exhaustive n={CONTEXT.n}, t={CONTEXT.t} sweeps",
         ["protocol", "adversaries", "reference s", "batch s", "speedup", "layer sharing"],
@@ -91,10 +139,24 @@ def test_batch_engine_speedup(benchmark):
             for name, count, ref, batch, share in rows
         ],
     )
+    print_table(
+        "SWEEP — constructive Optmin[2] sweep, n=6 t=3 crash rounds <= 2 (ungated)",
+        ["orbits", "runs", "wall s", "collector s", "collections (gen 0/1/2)"],
+        [
+            (
+                collector["orbits"],
+                collector["runs_checked"],
+                f"{collector['wall_seconds']:.2f}",
+                f"{collector['collector_seconds']:.3f}",
+                "/".join(map(str, collector["collections"])),
+            )
+        ],
+    )
     record_benchmark(
         "sweep_engine",
         {
             "context": {"n": CONTEXT.n, "t": CONTEXT.t, "k": CONTEXT.k},
+            "constructive_sweep": collector,
             "min_speedup_gate": MIN_SPEEDUP,
             "results": [
                 {

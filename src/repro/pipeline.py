@@ -10,10 +10,28 @@ and budgets, :mod:`repro.runtime`), a resume ``cursor`` — and a plain
 survey attaches nothing.  Items fold in stream order whether their verdict
 was evaluated or memoized, so plain, memoized and resumed folds of one
 stream produce byte-identical aggregates.
+
+Collector policy: the cyclic garbage collector is paused while a batch is
+built, evaluated and folded, and one young-generation ``gc.collect(0)``
+runs at each batch boundary.  A batch's objects (prepared adversaries,
+trie groups, runs, verdicts) live for exactly one batch and are freed by
+reference counting when the next one replaces them; left to its
+allocation-count trigger, the collector would instead promote them and
+rescan every live object — the whole orbit front — in a full collection
+almost once per batch.  Cyclic garbage an ``evaluate`` or ``fold`` might
+make is held back by at most one batch (the repo's own code makes none,
+``tests/test_gc_policy.py``).  The collector's prior state is restored
+however the loop ends; if it was already off on entry (a nested
+:func:`fold_stream`, or a caller's choice), the loop neither collects nor
+re-enables it; the switch is process-wide, so concurrent folds in
+threads share it and leave it on once all have ended.  Workers forked
+inside a batch (``processes=N``) inherit the paused collector for their
+single pass.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -35,13 +53,19 @@ def family_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, An
     (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
     in generation order and weighted by orbit size.  The checker, the
     domination comparisons, ``collect`` and ``System.from_family`` all read
-    their families through it.
+    their families through it.  Every stream is lazy: a quotient is
+    computed on the first ``next()``, so a survey computes it inside
+    :func:`fold_stream`'s first batch, with the collector paused.
     """
     from .symmetry import validate_symmetry_choice
 
     validate_symmetry_choice(symmetry)
     if symmetry == "none":
         return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
+    return _quotient_stream(adversaries, symmetry)
+
+
+def _quotient_stream(adversaries, symmetry: str) -> Iterator[Tuple[int, Any, int]]:
     if symmetry == "constructive":
         from .adversaries.enumeration import constructive_quotient
 
@@ -50,7 +74,7 @@ def family_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, An
         from .symmetry import quotient_family
 
         representatives, weights, indices = quotient_family(adversaries)
-    return zip(indices, representatives, weights)
+    yield from zip(indices, representatives, weights)
 
 
 def fold_stream(
@@ -69,27 +93,47 @@ def fold_stream(
     likes); ``fold(item, verdict)`` folds one into the aggregate.
     ``memo.lookup(items)`` returns ``{position: verdict}`` for the batch
     positions it knows; ``memo.save(position, verdict)`` gets every verdict
-    evaluated here.
+    evaluated here.  The cyclic collector is paused inside the loop and
+    runs once per batch boundary (see the module docstring).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    items = itertools.islice(stream, cursor, None)
-    while True:
-        batch = list(itertools.islice(items, batch_size))
-        if not batch:
-            return
-        found = memo.lookup(batch) if memo is not None else {}
-        pending = batch
-        if found:
-            pending = [item for position, item in enumerate(batch) if position not in found]
-        verdicts = iter(evaluate(pending) if pending else ())
-        for position, item in enumerate(batch):
-            verdict = found.get(position)
-            if verdict is None:
-                verdict = next(verdicts)
-                if memo is not None:
-                    memo.save(position, verdict)
-            fold(item, verdict)
-        cursor += len(batch)
-        if on_boundary is not None and on_boundary(cursor):
-            return
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        items = itertools.islice(stream, cursor, None)
+        while True:
+            folded = _fold_batch(list(itertools.islice(items, batch_size)), evaluate, fold, memo)
+            if not folded:
+                return
+            cursor += folded
+            if on_boundary is not None and on_boundary(cursor):
+                return
+            if collecting:
+                gc.collect(0)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _fold_batch(batch: List, evaluate, fold, memo) -> int:
+    """Evaluate and fold one batch; returns its size.
+
+    The batch's objects die with this frame, before the boundary collection,
+    which therefore scans only what outlives the batch.
+    """
+    if not batch:
+        return 0
+    found = memo.lookup(batch) if memo is not None else {}
+    pending = batch
+    if found:
+        pending = [item for position, item in enumerate(batch) if position not in found]
+    verdicts = iter(evaluate(pending) if pending else ())
+    for position, item in enumerate(batch):
+        verdict = found.get(position)
+        if verdict is None:
+            verdict = next(verdicts)
+            if memo is not None:
+                memo.save(position, verdict)
+        fold(item, verdict)
+    return len(batch)

@@ -8,13 +8,15 @@ driving the resilient runners, and :mod:`repro.service.api` the
 stdlib-only async HTTP front end (``repro.cli serve`` / ``repro.cli
 jobs``).
 
-The front end's names (``SurveyService``, ``serve``, ``request_json``,
-``DEFAULT_MAX_DEPTH``) resolve on first access (PEP 562), so a queue or
-runner user never loads asyncio or ``urllib.request``.
+The job stack's names (``JobQueue``, ``JobRunner`` and their siblings,
+which load sqlite3, multiprocessing, :mod:`repro.store` and
+:mod:`repro.runtime`) and the front end's names (``SurveyService``,
+``serve``, ``request_json``, ``DEFAULT_MAX_DEPTH``) resolve on first
+access (PEP 562).  ``repro --help`` and the admission constant in
+:mod:`repro.service.specs` therefore load neither, and a queue or runner
+user never loads asyncio or ``urllib.request``.
 """
 
-from .jobs import JOB_STATES, JOBS_SCHEMA, JobQueue, JobQueueError, default_owner
-from .runner import DrainRequested, JobRunner
 from .specs import (
     DEFAULT_ADMISSION_CEILING,
     SpecError,
@@ -23,14 +25,27 @@ from .specs import (
     normalize_spec,
 )
 
-_API_NAMES = frozenset({"DEFAULT_MAX_DEPTH", "SurveyService", "request_json", "serve"})
+#: Lazily resolved names, by the submodule that defines them.
+_LAZY_NAMES = {
+    "JOBS_SCHEMA": "jobs",
+    "JOB_STATES": "jobs",
+    "JobQueue": "jobs",
+    "JobQueueError": "jobs",
+    "default_owner": "jobs",
+    "DrainRequested": "runner",
+    "JobRunner": "runner",
+    "DEFAULT_MAX_DEPTH": "api",
+    "SurveyService": "api",
+    "request_json": "api",
+    "serve": "api",
+}
 
 
 def __getattr__(name: str):
-    if name in _API_NAMES:
-        from . import api
+    if name in _LAZY_NAMES:
+        from importlib import import_module
 
-        return getattr(api, name)
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

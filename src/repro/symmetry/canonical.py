@@ -334,30 +334,34 @@ def _search_canonical(
     receivers,
     value_classes,
     group: str,
+    best: Optional[Tuple[Tuple, Permutation]] = None,
 ) -> Tuple[Tuple, Permutation]:
-    """Individualisation–refinement search for the minimal encoding."""
-    best: List[Optional[Tuple[Tuple, Permutation]]] = [None]
+    """Individualisation–refinement search for the minimal encoding.
 
-    def recurse(colors: List[int]) -> None:
-        cells = _cells(colors)
-        branch_cell = None
-        for cell in cells:
-            if len(cell) > 1 and not _is_twin_cell(cell, values, events, n):
-                branch_cell = cell
-                break
-        if branch_cell is None:
-            perm = _perm_from_cells(cells)
-            encoding = _encode(values, events, perm, group)
-            if best[0] is None or encoding < best[0][0]:
-                best[0] = (encoding, perm)
-            return
-        for chosen in branch_cell:
-            individualised = list(colors)
-            individualised[chosen] = n + colors[chosen]
-            recurse(_refine(n, individualised, in_from, receivers, value_classes))
-
-    recurse(colors)
-    return best[0]
+    Depth-first over the branch cell's choices; ``best`` is the smallest
+    ``(encoding, permutation)`` found so far, and the first leaf reaching
+    the minimum keeps it.
+    """
+    cells = _cells(colors)
+    branch_cell = None
+    for cell in cells:
+        if len(cell) > 1 and not _is_twin_cell(cell, values, events, n):
+            branch_cell = cell
+            break
+    if branch_cell is None:
+        perm = _perm_from_cells(cells)
+        encoding = _encode(values, events, perm, group)
+        if best is None or encoding < best[0]:
+            return encoding, perm
+        return best
+    for chosen in branch_cell:
+        individualised = list(colors)
+        individualised[chosen] = n + colors[chosen]
+        refined = _refine(n, individualised, in_from, receivers, value_classes)
+        best = _search_canonical(
+            n, values, events, refined, in_from, receivers, value_classes, group, best
+        )
+    return best
 
 
 def _pattern_tables(n: int, events: Iterable[NormalEvent]):
@@ -392,25 +396,34 @@ def _twin_fixing_automorphisms(
         yield identity_permutation(n)
         return
     active = [p for cell in active_cells for p in cell]
-    cell_of = {p: index for index, cell in enumerate(active_cells) for p in cell}
-    perm = list(range(n))
+    images = [cell for cell in active_cells for _ in cell]
+    yield from _extend_kernel(events, active, images, list(range(n)), 0)
 
-    def extend(position: int) -> Iterator[Permutation]:
-        if position == len(active):
-            candidate = tuple(perm)
-            if _map_events(events, candidate) == events:
-                yield candidate
-            return
-        p = active[position]
-        used = {perm[active[i]] for i in range(position)}
-        for q in active_cells[cell_of[p]]:
-            if q in used:
-                continue
-            perm[p] = q
-            yield from extend(position + 1)
-        perm[p] = p
 
-    yield from extend(0)
+def _extend_kernel(
+    events: FrozenSet[NormalEvent],
+    active: List[int],
+    images: List[Sequence[int]],
+    perm: List[int],
+    position: int,
+) -> Iterator[Permutation]:
+    """Backtrack ``perm`` (in place) over images of ``active[position:]``.
+
+    ``images[i]`` is the cell ``active[i]`` may map into.
+    """
+    if position == len(active):
+        candidate = tuple(perm)
+        if _map_events(events, candidate) == events:
+            yield candidate
+        return
+    p = active[position]
+    used = {perm[active[i]] for i in range(position)}
+    for q in images[position]:
+        if q in used:
+            continue
+        perm[p] = q
+        yield from _extend_kernel(events, active, images, perm, position + 1)
+    perm[p] = p
 
 
 def _twin_partition(

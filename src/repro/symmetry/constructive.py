@@ -251,15 +251,18 @@ def iter_canonical_patterns(
     if max_failures < 0:
         return
     max_failures = min(max_failures, n - 1)
+    yield from _walk(root_pattern_node(n), max_failures, max_round, receiver_policy)
 
-    def walk(node: CanonicalPatternNode, remaining: int) -> Iterator[CanonicalPatternNode]:
-        yield node
-        if remaining <= 0 or max_round < 1:
-            return
-        for child in _augmentations(node, max_round, receiver_policy):
-            yield from walk(child, remaining - 1)
 
-    yield from walk(root_pattern_node(n), max_failures)
+def _walk(
+    node: CanonicalPatternNode, remaining: int, max_round: int, receiver_policy: str
+) -> Iterator[CanonicalPatternNode]:
+    """``node``, then the subtrees of its accepted augmentations, depth first."""
+    yield node
+    if remaining <= 0 or max_round < 1:
+        return
+    for child in _augmentations(node, max_round, receiver_policy):
+        yield from _walk(child, remaining - 1, max_round, receiver_policy)
 
 
 # ------------------------------------------------------- vectors per pattern

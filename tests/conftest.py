@@ -7,7 +7,14 @@ behaviour rather than setup.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.adversaries import (
     AdversaryGenerator,
@@ -79,3 +86,20 @@ def single_silent_crash() -> Adversary:
         [0, 1, 1, 1, 1],
         FailurePattern(5, [CrashEvent(0, 1, frozenset())]),
     )
+
+
+@pytest.fixture
+def fresh_interpreter():
+    """Run ``python -c code`` in a new interpreter that imports this checkout's ``repro``."""
+    source_root = str(Path(repro.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+
+    def run(code: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+
+    return run

@@ -19,10 +19,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -200,45 +197,47 @@ def test_orbit_sizes_are_oracles(name):
     assert callable(getattr(importlib.import_module("repro.oracles"), name))
 
 
-#: Each entry point, imported in a fresh interpreter of its own.
-ENTRY_POINTS = (
-    ("repro",),
-    ("repro.core", "repro.verification.checker"),
-    ("repro.topology.protocol_complex",),
-    ("repro.service", "repro.store"),
-    ("repro.cli",),
-)
-
 #: Modules no entry point may load at import: numpy (production is
 #: stdlib-only), networkx (the optional graph export loads it on first use),
 #: sympy, and the HTTP front end's asyncio and ``urllib.request`` (loaded on
 #: first use of ``repro.service.serve`` and its siblings).
 FORBIDDEN_AT_IMPORT = ("numpy", "networkx", "sympy", "asyncio", "urllib.request")
 
+#: The job stack, which ``repro --help`` and ``import repro.cli`` leave out:
+#: it loads with the subcommand (or the ``repro.service`` name) that uses it.
+JOB_STACK = (
+    "sqlite3",
+    "multiprocessing",
+    "repro.service.jobs",
+    "repro.service.runner",
+    "repro.store",
+    "repro.runtime",
+)
 
-def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT.parent), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+#: Each entry point, imported in a fresh interpreter of its own, with the
+#: modules it may not load.
+ENTRY_POINTS = (
+    (("repro",), FORBIDDEN_AT_IMPORT),
+    (("repro.core", "repro.verification.checker"), FORBIDDEN_AT_IMPORT),
+    (("repro.topology.protocol_complex",), FORBIDDEN_AT_IMPORT),
+    (("repro.service", "repro.store"), FORBIDDEN_AT_IMPORT),
+    (("repro.cli",), FORBIDDEN_AT_IMPORT + JOB_STACK),
+)
 
 
-def test_production_imports_leave_numpy_out():
-    for modules in ENTRY_POINTS:
+def test_production_imports_leave_numpy_out(fresh_interpreter):
+    for modules, forbidden in ENTRY_POINTS:
         code = (
             f"import sys; import {', '.join(modules)}; "
-            f"loaded = [m for m in {FORBIDDEN_AT_IMPORT!r} if m in sys.modules]; "
+            f"loaded = [m for m in {forbidden!r} if m in sys.modules]; "
             "print(' '.join(loaded)); sys.exit(bool(loaded))"
         )
-        result = _fresh_interpreter(code)
+        result = fresh_interpreter(code)
         assert "numpy" not in result.stdout, f"importing {modules} loaded numpy"
         assert result.returncode == 0, result.stderr or f"importing {modules} loaded {result.stdout}"
 
 
-def test_optional_dependencies_load_on_first_use():
+def test_optional_dependencies_load_on_first_use(fresh_interpreter):
     code = """
 import sys
 import repro.service
@@ -251,5 +250,5 @@ assert "networkx" not in sys.modules
 graph = communication_graph(Adversary([0, 1, 1], FailurePattern(3, [])), horizon=1)
 assert graph.number_of_nodes() == 6 and "networkx" in sys.modules
 """
-    result = _fresh_interpreter(code)
+    result = fresh_interpreter(code)
     assert result.returncode == 0, result.stderr
