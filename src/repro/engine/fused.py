@@ -41,7 +41,8 @@ This module is the single traversal both products come from:
   :func:`facet_groups` walks that tree depth first
   (:func:`_walk_family`): one :meth:`StructLayer.child` per node of rounds
   ``1 .. time - 1``, then one memo lookup per surviving observer of each
-  last-round option.  No :class:`Adversary`, failure pattern or
+  undominated last-round option (a dominated one only realises a
+  non-maximal facet).  No :class:`Adversary`, failure pattern or
   :class:`PreparedAdversary` is built per member, and the facets come out
   in member order.
 
@@ -93,10 +94,10 @@ FacetVertex = Tuple[ProcessId, ViewKey]
 #: plus one ``(smallest member position, vertex-table indices)`` pair per
 #: distinct facet, in position order.  Vertices repeat across thousands of
 #: facets and facets across many classes (the n=6 Proposition 2 family has
-#: 260,275 classes, 56,559 distinct facets and 5,316 distinct local states),
-#: so shipping each distinct key and facet once, as small int tuples, keeps
-#: both the sharded pass's pickling and the builder's memory per distinct
-#: object rather than per member.
+#: 260,275 classes, 5,316 distinct local states and 32,298 distinct maximal
+#: facets, the only ones its walk emits), so shipping each distinct key and
+#: facet once, as small int tuples, keeps both the sharded pass's pickling
+#: and the builder's memory per distinct object rather than per member.
 FacetPayload = Tuple[List[FacetVertex], List[Tuple[int, Tuple[int, ...]]]]
 
 
@@ -623,7 +624,8 @@ def facet_groups(
 
     A :class:`repro.adversaries.PerRoundCrashFamily` simulated to its own
     round count is not scheduled member by member: :func:`_walk_family`
-    walks its crash-option tree instead, with the same payload.
+    walks its crash-option tree instead, with the same payload minus the
+    non-maximal facets (:func:`_dominated`).
     """
     from ..adversaries.per_round import PerRoundCrashFamily
 
@@ -678,9 +680,13 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     its options — one class, one member each — with :class:`_LastRound`,
     whose merged states are resolved across the whole walk.  Members are
     visited in order, so a facet is emitted the first time a member
-    realises it, at a position relative to the family's window; the vertex
-    table comes out in the order the trie interns it.  The crash bound is
-    checked once for the family.
+    realises it, at a position relative to the family's window.  Dominated
+    options (:func:`_dominated`) are skipped: their facets are exactly the
+    non-maximal ones, so the payload is the trie's minus those facets, and
+    the vertex table of a whole family comes out in the order the trie
+    interns it (each vertex first appears at an undominated member).  The
+    family stays closed when one last-round crash is dropped, which an
+    explicit list need not.  The crash bound is checked once for the family.
     """
     family.check_crash_bound(t)
     table: List[FacetVertex] = []
@@ -695,9 +701,10 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
         return table, facets
 
     # Processes up -> the (i, S) slots of each last-round option, in option
-    # order.  Every last-round option is one member, so an option's index in
-    # this list is its position minus the node's first position.
-    slot_rows: Dict[Tuple[ProcessId, ...], List[Tuple[Tuple[ProcessId, int], ...]]] = {}
+    # order, or None for a dominated option (see _dominated).  Every
+    # last-round option is one member, so an option's index in this list is
+    # its position minus the node's first position.
+    slot_rows: Dict[Tuple[ProcessId, ...], List[Optional[Tuple[Tuple[ProcessId, int], ...]]]] = {}
     row_ids: RowIds = {}
     states: Dict[Tuple, int] = {}
     merges: Dict[Tuple, int] = {}
@@ -716,16 +723,17 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
         rows = slot_rows.get(up)
         if rows is None:
             rows = slot_rows[up] = [
-                last.slots(events)
+                None if _dominated(events, rest) else last.slots(events)
                 for _size, block in family.options(up, round_)
-                for events, _rest in block
+                for events, rest in block
             ]
         lo, hi = max(0, start - first), min(len(rows), family.stop - first)
-        positions = range(first + lo - start, first + hi - start)
-        for position, facet in zip(positions, map(last.facet, rows[lo:hi])):
-            if facet not in seen:
-                seen.add(facet)
-                facets.append((position, facet))
+        for position, slots in enumerate(rows[lo:hi], first + lo - start):
+            if slots is not None:
+                facet = last.facet(slots)
+                if facet not in seen:
+                    seen.add(facet)
+                    facets.append((position, facet))
 
     visit(root, tuple(range(n)), 0)
     while stack:
@@ -737,6 +745,20 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
             position, events, rest = branch
             visit(layer.child(events), rest, position)
     return table, facets
+
+
+def _dominated(events: Sequence[CrashEvent], rest: Tuple[ProcessId, ...]) -> bool:
+    """Whether a last-round option's facet is a strict face of another member's.
+
+    It is when some crasher's last message reached every process still up
+    after the option (``rest``): dropping that crash leaves every survivor's
+    view unchanged and adds the crasher's vertex, and that member comes
+    earlier in the family, one crash fewer in the last round.  Conversely a
+    facet strictly inside another is always of this form, so the walk
+    emits exactly the maximal facets (``docs/topology.md``, "Dominated
+    last-round options").
+    """
+    return any(event.receivers.issuperset(rest) for event in events)
 
 
 def _facets_chunk(bounds) -> FacetPayload:

@@ -26,11 +26,15 @@ however the loop ends; if it was already off on entry (a nested
 re-enables it; the switch is process-wide, so concurrent folds in
 threads share it and leave it on once all have ended.  Workers forked
 inside a batch (``processes=N``) inherit the paused collector for their
-single pass.
+single pass.  :func:`collector_paused` is that pause and restore; the
+protocol-complex build (:func:`repro.topology.build_protocol_complex`)
+runs under it too, with no collection of its own: almost everything it
+allocates lives until it returns.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
@@ -77,6 +81,23 @@ def _quotient_stream(adversaries, symmetry: str) -> Iterator[Tuple[int, Any, int
     yield from zip(indices, representatives, weights)
 
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[bool]:
+    """Pause the cyclic collector for the block; yields whether it was on.
+
+    The prior state is restored however the block ends.  A collector that
+    was off on entry stays off: the caller should not collect either (the
+    yielded ``False``).
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield collecting
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def fold_stream(
     stream: Iterable,
     evaluate: Callable[[List], Iterable],
@@ -98,9 +119,7 @@ def fold_stream(
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    with collector_paused() as collecting:
         items = itertools.islice(stream, cursor, None)
         while True:
             folded = _fold_batch(list(itertools.islice(items, batch_size)), evaluate, fold, memo)
@@ -111,9 +130,6 @@ def fold_stream(
                 return
             if collecting:
                 gc.collect(0)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _fold_batch(batch: List, evaluate, fold, memo) -> int:

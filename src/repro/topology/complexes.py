@@ -18,9 +18,9 @@ into a :class:`VertexPool` (vertex → small consecutive integer) and every
 simplex is a Python-int **bitset** over those ids.  Containment, star/link
 extraction, induced subcomplexes, skeleta and joins are then single-word-ish
 mask operations, and the maximality filter applied at construction only
-compares a candidate against already-accepted facets that share one of its
-vertices (near-linear in practice, instead of the quadratic all-pairs scan
-of the dense set-of-frozensets representation this replaces).
+compares a candidate against already-accepted, larger facets that share one
+of its vertices (near-linear in practice, instead of the quadratic all-pairs
+scan of the dense set-of-frozensets representation this replaces).
 
 Pools are shared downward: a star, link, induced subcomplex or skeleton
 reuses its parent's pool, so a survey that extracts thousands of stars from
@@ -122,12 +122,24 @@ def _maximal_masks(masks: Iterable[int]) -> List[int]:
     of a candidate is already accepted when the candidate is tested, and each
     test only scans the accepted facets sharing the candidate's least-starred
     vertex — the star-indexed filter that replaces the all-pairs scan.
-    Ties are broken by mask value, making the facet order deterministic.
+    Distinct masks of equal popcount are never strict supersets of each
+    other, so the star index only holds facets of strictly larger popcount:
+    a size class's facets join it when the popcount drops.  Ties are broken
+    by mask value, making the facet order deterministic.
     """
     ordered = sorted(masks, key=lambda m: (-m.bit_count(), m))
     star: Dict[int, List[int]] = {}
     facets: List[int] = []
+    # facets[indexed:] are the accepted facets of the current popcount.
+    indexed, size = 0, None
     for mask in ordered:
+        if mask.bit_count() != size:
+            size = mask.bit_count()
+            # The popcount dropped: index the larger facets accepted so far.
+            for facet in facets[indexed:]:
+                for vid in iter_bits(facet):
+                    star.setdefault(vid, []).append(facet)
+            indexed = len(facets)
         carriers: Optional[List[int]] = None
         for vid in iter_bits(mask):
             bucket = star.get(vid)
@@ -139,8 +151,6 @@ def _maximal_masks(masks: Iterable[int]) -> List[int]:
         if carriers is not None and any(mask & facet == mask for facet in carriers):
             continue  # a strict subset of an accepted facet (masks are distinct)
         facets.append(mask)
-        for vid in iter_bits(mask):
-            star.setdefault(vid, []).append(mask)
     return facets
 
 

@@ -45,7 +45,7 @@ from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import FailurePattern
 from ..model.types import ProcessId, Time, Value
 from ..model.view import view_key
-from ..pipeline import fold_stream
+from ..pipeline import collector_paused, fold_stream
 from .complexes import SimplicialComplex, VertexPool
 
 #: A protocol-complex vertex: (process, canonical view key).
@@ -304,29 +304,33 @@ def build_protocol_complex(
     a facet that brings in a new vertex — so a lazy family
     (:func:`restricted_adversaries`) builds a few thousand adversaries, not
     one per member — and the payload is freed before the maximality filter
-    runs over the masks.
+    runs over the masks.  A :class:`repro.adversaries.PerRoundCrashFamily`'s
+    walk emits only maximal facets, so there the filter removes nothing.
+    The cyclic collector is paused for the build
+    (:func:`repro.pipeline.collector_paused`).
     """
-    family = adversaries if isinstance(adversaries, abc.Sequence) else list(adversaries)
-    table, facets = run_facets_pass(family, t, time, processes=processes)
-    pool = VertexPool()
-    # The table is already deduplicated, so each distinct vertex is hashed
-    # into the pool exactly once; facet masks assemble from plain int lookups.
-    bit_of = [1 << pool.intern(vertex) for vertex in table]
-    unseen = set(range(len(table)))
-    vertex_views: Dict[ComplexVertex, Tuple[Adversary, ProcessId]] = {}
-    masks = []
-    for position, vids in facets:
-        masks.append(sum(bit_of[vid] for vid in vids))
-        if unseen.isdisjoint(vids):
-            continue
-        representative = family[position]
-        for vid in vids:
-            if vid in unseen:
-                unseen.discard(vid)
-                vertex = table[vid]
-                vertex_views[vertex] = (representative, vertex[0])
-    del table, facets, bit_of
-    return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
+    with collector_paused():
+        family = adversaries if isinstance(adversaries, abc.Sequence) else list(adversaries)
+        table, facets = run_facets_pass(family, t, time, processes=processes)
+        pool = VertexPool()
+        # The table is already deduplicated, so each distinct vertex is hashed
+        # into the pool exactly once; facet masks assemble from plain int lookups.
+        bit_of = [1 << pool.intern(vertex) for vertex in table]
+        unseen = set(range(len(table)))
+        vertex_views: Dict[ComplexVertex, Tuple[Adversary, ProcessId]] = {}
+        masks = []
+        for position, vids in facets:
+            masks.append(sum(bit_of[vid] for vid in vids))
+            if unseen.isdisjoint(vids):
+                continue
+            representative = family[position]
+            for vid in vids:
+                if vid in unseen:
+                    unseen.discard(vid)
+                    vertex = table[vid]
+                    vertex_views[vertex] = (representative, vertex[0])
+        del table, facets, bit_of
+        return ProtocolComplex(SimplicialComplex.from_masks(pool, masks), time, vertex_views)
 
 
 def per_round_crash_patterns(

@@ -12,6 +12,7 @@ from repro.topology import (
     simplex,
     sphere_complex,
 )
+from repro.topology.complexes import _maximal_masks
 
 
 class TestConstruction:
@@ -183,6 +184,38 @@ class TestBitsetKernel:
                 if not any(s < other for other in candidates)
             }
             assert set(SimplicialComplex(candidates).facets) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_maximal_masks_is_the_all_pairs_filter_in_order(self, seed):
+        """The star-indexed filter, which indexes a popcount's facets only once
+        the popcount drops, keeps exactly the masks no other mask strictly
+        contains, in (descending popcount, mask value) order.  The families
+        mix equal-popcount masks with chains nested several levels deep."""
+        rng = random.Random(seed)
+        width = rng.randint(3, 12)
+        masks = set()
+        for _ in range(rng.randint(1, 40)):
+            mask = rng.getrandbits(width) or 1
+            masks.add(mask)
+            # A chain below it: drop one set bit at a time.
+            for _ in range(rng.randint(0, 3)):
+                bits = [1 << b for b in range(width) if mask >> b & 1]
+                if len(bits) < 2:
+                    break
+                mask &= ~rng.choice(bits)
+                masks.add(mask)
+            # Same-popcount siblings: move one bit.
+            for _ in range(rng.randint(0, 2)):
+                ones = [b for b in range(width) if mask >> b & 1]
+                zeros = [b for b in range(width) if not mask >> b & 1]
+                if ones and zeros:
+                    masks.add(mask & ~(1 << rng.choice(ones)) | 1 << rng.choice(zeros))
+        expected = sorted(
+            (m for m in masks if not any(m != o and m & o == m for o in masks)),
+            key=lambda m: (-m.bit_count(), m),
+        )
+        assert _maximal_masks(list(masks)) == expected
+        assert _maximal_masks(sorted(masks, reverse=True)) == expected
 
     def test_nested_chain_collapses_to_top(self):
         chain = [frozenset(range(size)) for size in range(1, 7)]

@@ -6,6 +6,8 @@ and restores the collector's prior state however the loop ends.  Cyclic
 garbage a survey makes would wait for a collection in that scheme, so the
 repo's surveys must make none: each is run in a fresh interpreter with
 the collector off, and a final ``gc.collect()`` must find nothing.
+:func:`repro.topology.build_protocol_complex` runs under the same pause
+(:func:`repro.pipeline.collector_paused`), with no collection of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ import threading
 
 import pytest
 
+import repro.topology.protocol_complex as protocol_complex
+from repro.model import Context
 from repro.pipeline import fold_stream
+from repro.topology import build_protocol_complex
+from repro.topology.protocol_complex import restricted_adversaries
 
 
 # ------------------------------------------------------- no cyclic garbage
@@ -206,3 +212,58 @@ def test_a_fold_outlived_by_a_fold_it_paused_leaves_the_collector_on(collections
     assert not first.is_alive() and not second.is_alive()
     assert a_done.is_set()
     assert gc.isenabled()
+
+
+# ------------------------------------------------- the protocol-complex build
+@pytest.fixture
+def every_collection():
+    """Collections of any generation started while the test runs; restores the collector."""
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if enabled else gc.disable)()
+
+
+def _build(t=3):
+    # 3,641 members with up to 3 crashes; t < 3 fails the crash bound.
+    return build_protocol_complex(restricted_adversaries(Context(n=4, t=3, k=2), 2), 2, t)
+
+
+def test_build_pauses_the_collector_and_restores_it(monkeypatch, every_collection):
+    paused = []
+    run_facets_pass = protocol_complex.run_facets_pass
+
+    def probe(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return run_facets_pass(*args, **kwargs)
+
+    monkeypatch.setattr(protocol_complex, "run_facets_pass", probe)
+    gc.enable()
+    assert len(_build().complex.facet_masks) > 0
+    assert paused == [True]
+    assert gc.isenabled()
+
+
+def test_build_that_raises_restores_the_collector(every_collection):
+    gc.enable()
+    with pytest.raises(ValueError, match="exceeding the bound t=2"):
+        _build(t=2)
+    assert gc.isenabled()
+
+
+def test_build_with_the_collector_off_keeps_it_off_and_never_collects(every_collection):
+    gc.disable()
+    _build()
+    with pytest.raises(ValueError, match="exceeding the bound t=2"):
+        _build(t=2)
+    assert not gc.isenabled()
+    assert every_collection == []

@@ -12,8 +12,14 @@ pins
   ``family[i]`` and slices unrank to the same members, and out-of-range
   indices raise ``IndexError``;
 * the walk: its ``(table, facets)`` payload is the trie's payload over the
-  listed members, order included, for whole families and for windows, and
-  holds each distinct facet once, at its smallest position;
+  listed members, order included, minus exactly the facets whose
+  representative member is *dominated* (a round-``m`` crasher's last
+  message reached every process up at time ``m``), for whole families and
+  for windows, and holds each distinct facet once, at its smallest
+  position;
+* the theorem behind that pruning, on the trie path alone: a member's
+  facet is non-maximal in the complex exactly when the member is
+  dominated;
 * the build: the complex, its vertex ids and its ``vertex_views`` are those
   of the per-adversary :func:`repro.oracles.build_restricted_complex`;
 * sharding: chunks that cut subtrees in the middle merge to the serial
@@ -37,9 +43,11 @@ import pytest
 import repro
 from repro import oracles
 from repro.adversaries import PerRoundCrashFamily
+from repro.engine import PrefixScheduler, struct_view_key
 from repro.engine.fused import facet_groups, run_facets_pass
+from repro.engine.trie import prepare_adversaries
 from repro.model import Context
-from repro.topology import build_restricted_complex
+from repro.topology import SimplicialComplex, build_restricted_complex
 from repro.topology.protocol_complex import per_round_crash_patterns, restricted_adversaries
 
 #: Largest family the sequence and walk checks run on (310 of the 336 cases).
@@ -127,22 +135,81 @@ def _assert_distinct_in_order(payload):
     assert len({vids for _position, vids in facets}) == len(facets)
 
 
+def _dominated(adversary, m):
+    """Whether a member has a round-``m`` crasher whose round-``m`` message
+    reached every process still up at time ``m``, read off its pattern."""
+    pattern = adversary.pattern
+    alive = pattern.active_processes(m)
+    return any(event.round == m and event.receivers >= alive for event in pattern.crashes)
+
+
+def _resolved(payload):
+    """A payload's facets with vertex-table indices replaced by the vertices."""
+    table, facets = payload
+    return [(position, tuple(table[vid] for vid in vids)) for position, vids in facets]
+
+
 class TestWalk:
     @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
     def test_payload_is_the_trie_payload(self, case):
+        """The walk's payload is the trie's over the listed members, minus the
+        facets whose representative is dominated.  A whole family keeps the
+        trie's vertex table: every vertex first appears at an undominated
+        member.  A window's table holds the vertices of its facets in
+        first-appearance order (one of them may first appear, in the
+        window, at a dominated member whose undominated twin precedes it)."""
         n, t, m, _cap, _policy = case
         family = restricted_adversaries(*_args(*case))
         members = list(family)
         payload = facet_groups(family, t, m)
         _assert_distinct_in_order(payload)
-        assert payload == facet_groups(members, t, m)
+        table, facets = facet_groups(members, t, m)
+        kept = [(pos, vids) for pos, vids in facets if not _dominated(members[pos], m)]
+        assert payload == (table, kept)
         start, stop = len(members) // 3, 2 * len(members) // 3 + 1
-        assert facet_groups(family[start:stop], t, m) == facet_groups(members[start:stop], t, m)
+        window = facet_groups(family[start:stop], t, m)
+        _assert_distinct_in_order(window)
+        expected = [
+            (pos, facet)
+            for pos, facet in _resolved(facet_groups(members[start:stop], t, m))
+            if not _dominated(members[start + pos], m)
+        ]
+        assert _resolved(window) == expected
+        assert window[0] == list(dict.fromkeys(v for _pos, facet in expected for v in facet))
+
+    @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
+    def test_dominated_members_are_the_non_maximal_facets(self, case):
+        """The theorem the walk's pruning rests on, checked without the walk:
+        every member's facet comes from a full trie advance to time ``m``,
+        and it is a strict face of another facet exactly when the member is
+        dominated."""
+        n, t, m, _cap, _policy = case
+        members = list(restricted_adversaries(*_args(*case)))
+        n, prepared = prepare_adversaries(members, t)
+        scheduler = PrefixScheduler(n, prepared)
+        for _ in range(m):
+            scheduler.advance()
+        facet_of = [None] * len(members)
+        for group in scheduler.groups.values():
+            layer = group.layer
+            facet = frozenset(
+                (i, struct_view_key(layer, i, group.values))
+                for i in range(n)
+                if layer.rows_seen[i] is not None
+            )
+            for item in group.members:
+                facet_of[item.pos] = facet
+        maximal = set(SimplicialComplex(facet_of).facets)
+        assert [facet not in maximal for facet in facet_of] == [
+            _dominated(member, m) for member in members
+        ]
 
     def test_n6_walk_is_per_distinct_facet_and_vertex(self, monkeypatch):
         """The n=6 two-round census family: 260,275 members, but the payload
-        holds its 56,559 distinct facets once each, and the walk builds one
-        view key per vertex (5,316), not one per (node, observer, sender set)."""
+        holds only its 32,298 maximal facets, once each (the members realise
+        56,559 distinct facets; the walk skips the dominated ones), and the
+        walk builds one view key per vertex (5,316), not one per (node,
+        observer, sender set)."""
         import repro.engine.fused as fused
 
         built = []
@@ -152,7 +219,7 @@ class TestWalk:
         payload = facet_groups(family, 5, 2)
         _assert_distinct_in_order(payload)
         table, facets = payload
-        assert (len(family), len(table), len(facets)) == (260275, 5316, 56559)
+        assert (len(family), len(table), len(facets)) == (260275, 5316, 32298)
         assert len(built) == len(table)
 
     def test_long_horizon_needs_no_frame_per_round(self):
