@@ -18,6 +18,12 @@ flagship n=6, k=2, m=2 census (the 5316-vertex / 32298-facet complex of
   store not at all, so the gate bounds the real user-facing cost of
   leaving ``--store`` always on.
 
+An ungated **cold-sweep row** records what the store costs a checker sweep
+(the n=5 t=3 mcr=2 Optmin[2] job, 45,708 orbits): the storeless and the
+cold-store sweep, and the microseconds per orbit spent building item keys,
+in ``ResultStore.put`` and in ``ResultStore.flush`` (each call timed by a
+wrapping subclass, so the ``put`` figure includes ~0.1 µs of wrapper).
+
 The gates are on CPU time (min of three interleaved rounds), mirroring
 ``bench_resilience.py``: the costs being resolved — key serialisation,
 SHA-256 digests, SQLite commits — are CPU/syscall work, and wall clock on
@@ -34,9 +40,12 @@ import time as wall
 
 import pytest
 
+from repro.adversaries import RestrictedSpace
+from repro.core import OptMin
 from repro.model import Context
-from repro.runtime import resilient_census
-from repro.store import ResultStore
+from repro.pipeline import DEFAULT_BATCH_SIZE
+from repro.runtime import resilient_census, resilient_check
+from repro.store import ResultStore, adversary_keys
 from repro.topology import build_restricted_complex
 
 from conftest import print_table, record_benchmark
@@ -101,11 +110,69 @@ def run_legs(tmp_path):
     return (build_cpu, build_wall), base_times, cold_times, warm_times, base.value
 
 
+#: The cold-sweep row: the largest cold job of the repository benchmark.
+SWEEP_SPACE = RestrictedSpace(Context(n=5, t=3, k=2), max_crash_round=2)
+
+
+class TimedStore(ResultStore):
+    """A result store that sums the wall time of its ``put`` and ``flush`` calls."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.put_seconds = self.flush_seconds = 0.0
+
+    def put(self, *args):
+        start = wall.perf_counter()
+        super().put(*args)
+        self.put_seconds += wall.perf_counter() - start
+
+    def flush(self):
+        start = wall.perf_counter()
+        rows = super().flush()
+        self.flush_seconds += wall.perf_counter() - start
+        return rows
+
+
+def run_sweep_legs(tmp_path):
+    """Interleaved storeless / cold-store sweeps, plus the per-orbit split."""
+    t = SWEEP_SPACE.context.t
+    base_times, cold_times, splits = [], [], []
+    for round_index in range(ROUNDS):
+        start = wall.perf_counter()
+        base = resilient_check(OptMin(2), SWEEP_SPACE, t)
+        base_times.append(wall.perf_counter() - start)
+
+        store = TimedStore(os.path.join(str(tmp_path), f"sweep-{round_index}.sqlite"))
+        start = wall.perf_counter()
+        cold = resilient_check(OptMin(2), SWEEP_SPACE, t, result_store=store)
+        cold_times.append(wall.perf_counter() - start)
+        store.close()
+        assert cold.value.to_payload() == base.value.to_payload()
+        assert store.row_writes == cold.cursor
+        splits.append((store.put_seconds, store.flush_seconds))
+
+    orbits = [orbit.representative for orbit in SWEEP_SPACE.orbits()]
+    start = wall.perf_counter()
+    for begin in range(0, len(orbits), DEFAULT_BATCH_SIZE):
+        adversary_keys(orbits[begin : begin + DEFAULT_BATCH_SIZE])
+    keys_seconds = wall.perf_counter() - start
+    per_orbit = 1e6 / len(orbits)
+    return {
+        "orbits": len(orbits),
+        "storeless_seconds": min(base_times),
+        "cold_store_seconds": min(cold_times),
+        "keys_us_per_orbit": keys_seconds * per_orbit,
+        "put_us_per_orbit": min(put for put, _ in splits) * per_orbit,
+        "flush_us_per_orbit": min(flush for _, flush in splits) * per_orbit,
+    }
+
+
 @pytest.mark.benchmark(group="store")
 def test_store_speedup_and_overhead(benchmark, tmp_path):
     build, base_times, cold_times, warm_times, census = benchmark.pedantic(
         lambda: run_legs(tmp_path), rounds=1, iterations=1
     )
+    sweep = run_sweep_legs(tmp_path)
     build_cpu, build_wall = build
     base_cpu = min(cpu for cpu, _ in base_times)
     cold_cpu = min(cpu for cpu, _ in cold_times)
@@ -146,6 +213,19 @@ def test_store_speedup_and_overhead(benchmark, tmp_path):
         f"\ncold survey overhead (cpu): {overhead * 100:+.2f}% "
         f"(gate: <= {MAX_OVERHEAD * 100:.0f}%)"
     )
+    print_table(
+        f"STORE — cold sweep, Optmin[2] n=5 t=3 mcr=2 ({sweep['orbits']} orbits, "
+        f"best of {ROUNDS} wall, ungated)",
+        ["storeless (s)", "cold store (s)", "keys (µs/orbit)", "put (µs/orbit)",
+         "flush (µs/orbit)"],
+        [(
+            f"{sweep['storeless_seconds']:.3f}",
+            f"{sweep['cold_store_seconds']:.3f}",
+            f"{sweep['keys_us_per_orbit']:.2f}",
+            f"{sweep['put_us_per_orbit']:.2f}",
+            f"{sweep['flush_us_per_orbit']:.2f}",
+        )],
+    )
     record_benchmark(
         "store",
         {
@@ -162,6 +242,7 @@ def test_store_speedup_and_overhead(benchmark, tmp_path):
             "warm_cpu_seconds": warm_cpu,
             "overhead_fraction": overhead,
             "speedup": speedup,
+            "cold_sweep": sweep,
         },
     )
     assert speedup >= MIN_SPEEDUP, (

@@ -39,12 +39,12 @@ class Adversary:
     __slots__ = ("_values", "_pattern", "_hash")
 
     def __init__(self, values: Sequence[Value], pattern: FailurePattern) -> None:
-        values = tuple(int(v) for v in values)
+        values = tuple(map(int, values))
         if len(values) != pattern.n:
             raise ValueError(
                 f"input vector has {len(values)} entries but the failure pattern has n={pattern.n}"
             )
-        if any(v < 0 for v in values):
+        if min(values) < 0:
             raise ValueError(f"initial values must be non-negative, got {values}")
         self._values: Tuple[Value, ...] = values
         self._pattern = pattern

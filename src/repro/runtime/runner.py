@@ -171,17 +171,28 @@ class _StoreMemo:
     """The result-store attachment of a pipeline: verdicts keyed per stream item.
 
     ``available`` is re-read every batch, so a store that degrades mid-run
-    falls back to pure compute from the next batch on.
+    falls back to pure compute from the next batch on.  ``text_key(verdict)``
+    names the verdicts that share one payload (``None``: encode this one
+    afresh); each such payload is encoded once per run, not once per item.
     """
 
     def __init__(
-        self, result_store: "ResultStore", kind: str, spec_hash: str, batch_keys, encode, decode
+        self,
+        result_store: "ResultStore",
+        kind: str,
+        spec_hash: str,
+        batch_keys,
+        encode,
+        decode,
+        text_key,
     ):
         self.result_store = result_store
         self.kind = kind
         self.spec_hash = spec_hash
         self.batch_keys, self.encode, self.decode = batch_keys, encode, decode
+        self.text_key = text_key
         self.keys: Optional[List[str]] = None
+        self.texts: Dict[Any, Any] = {}
 
     def lookup(self, items: List) -> Dict[int, Any]:
         self.keys = self.batch_keys(items) if self.result_store.available else None
@@ -191,10 +202,64 @@ class _StoreMemo:
         return {i: self.decode(found[key]) for i, key in enumerate(self.keys) if key in found}
 
     def save(self, position: int, verdict) -> None:
-        if self.keys is not None:
-            self.result_store.put(
-                self.kind, self.spec_hash, self.keys[position], self.encode(verdict)
-            )
+        if self.keys is None:
+            return
+        text_key = self.text_key(verdict)
+        if text_key is None:
+            payload = self.encode(verdict)
+        else:
+            payload = self.texts.get(text_key)
+            if payload is None:
+                from ..store import EncodedPayload
+
+                payload = self.texts[text_key] = EncodedPayload(self.encode(verdict))
+        self.result_store.put(self.kind, self.spec_hash, self.keys[position], payload)
+
+
+def _check_memo(result_store: "ResultStore", spec_h: str) -> _StoreMemo:
+    """The checker's memo: a ``check`` row per ``(index, adversary, weight)`` item.
+
+    A verdict is ``(last correct decision time, violations)``.  A clean one
+    is its decision time, so its payload is encoded once per decision time;
+    one with violations is encoded afresh, never cached.
+    """
+    from ..store import adversary_keys
+    from ..verification.properties import Violation
+
+    return _StoreMemo(
+        result_store,
+        "check",
+        spec_h,
+        lambda items: adversary_keys(item[1] for item in items),
+        lambda verdict: {
+            "decision_time": verdict[0],
+            "violations": [[v.property_name, v.message, v.process] for v in verdict[1]],
+        },
+        lambda payload: (
+            payload["decision_time"],
+            [Violation(*violation) for violation in payload["violations"]],
+        ),
+        lambda verdict: None if verdict[1] else (verdict[0],),
+    )
+
+
+def _census_class_memo(result_store: "ResultStore", spec_h: str) -> _StoreMemo:
+    """The census's memo: a ``census_class`` row per ``(vertex, weight)`` class.
+
+    A verdict is the ``(capacity, level)`` pair, which is also its payload's
+    cache key.
+    """
+    from ..store import vertex_key
+
+    return _StoreMemo(
+        result_store,
+        "census_class",
+        spec_h,
+        lambda items: [vertex_key(item[0]) for item in items],
+        lambda verdict: {"capacity": verdict[0], "level": verdict[1]},
+        lambda payload: (payload["capacity"], payload["level"]),
+        tuple,
+    )
 
 
 # --------------------------------------------------------------- checker runs
@@ -282,22 +347,11 @@ def resilient_check(
         aggregate = CheckReport.from_payload(name, payload)
     memo = None
     if result_store is not None:
-        from ..store import adversary_keys, check_store_spec, spec_hash
-        from ..verification.properties import Violation
+        from ..store import check_store_spec, spec_hash
 
-        memo = _StoreMemo(
+        memo = _check_memo(
             result_store,
-            "check",
             spec_hash(check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)),
-            lambda items: adversary_keys(item[1] for item in items),
-            lambda verdict: {
-                "decision_time": verdict[0],
-                "violations": [[v.property_name, v.message, v.process] for v in verdict[1]],
-            },
-            lambda payload: (
-                payload["decision_time"],
-                [Violation(*violation) for violation in payload["violations"]],
-            ),
         )
     runner = SweepRunner(
         protocol,
@@ -383,7 +437,7 @@ def resilient_census(
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     memo = None
     if result_store is not None:
-        from ..store import census_class_store_spec, census_row_key, spec_hash, vertex_key
+        from ..store import census_class_store_spec, census_row_key, spec_hash
 
         class_spec_h = spec_hash(census_class_store_spec(pc, k))
         row_key = census_row_key(symmetry)
@@ -399,14 +453,7 @@ def resilient_census(
                 return ResilientOutcome(
                     census, attachments.report, True, None, row_hit["classes"], None
                 )
-        memo = _StoreMemo(
-            result_store,
-            "census_class",
-            class_spec_h,
-            lambda items: [vertex_key(item[0]) for item in items],
-            lambda verdict: {"capacity": verdict[0], "level": verdict[1]},
-            lambda payload: (payload["capacity"], payload["level"]),
-        )
+        memo = _census_class_memo(result_store, class_spec_h)
     groups, profile, cache = protocol_complex.census_classes(
         pc, k, symmetry=symmetry, result_store=result_store
     )

@@ -3,6 +3,7 @@
 from .keys import (
     PROFILE_SPEC_HASH,
     PROFILE_STORE_SPEC,
+    EncodedPayload,
     adversary_key,
     adversary_keys,
     census_class_store_spec,
@@ -18,6 +19,7 @@ from .sqlite import STORE_SCHEMA, ResultStore, row_digest
 __all__ = [
     "PROFILE_SPEC_HASH",
     "PROFILE_STORE_SPEC",
+    "EncodedPayload",
     "ResultStore",
     "STORE_SCHEMA",
     "adversary_key",

@@ -22,9 +22,11 @@ hits.  Three layers of identity:
   corrupt or misfiled row is detected, never served.
 
 Keys are produced by :func:`stable_key`, one pass of the stdlib C JSON
-encoder mapping tuples and sets onto ordered lists — ``repr`` is not used
-anywhere, so the keys are independent of hash randomization and interpreter
-version.  Dict keys must be ``str`` (audit: tests/test_store_keys_differential.py).
+encoder mapping tuples and sets onto ordered lists (adversary keys join
+``str`` of plain ints, their JSON form, onto encoder text) — ``repr`` is
+not used anywhere, so the keys are independent of hash randomization and
+interpreter version.  Dict keys must be ``str`` (audit:
+tests/test_store_keys_differential.py).
 """
 
 from __future__ import annotations
@@ -52,6 +54,21 @@ def stable_key(value: Any) -> str:
     return _ENCODER.encode(value)
 
 
+class EncodedPayload:
+    """A payload already in its :func:`stable_key` text form.
+
+    :meth:`repro.store.ResultStore.put` stores ``text`` as it is instead of
+    encoding the payload again, so a writer that meets one value many times
+    (a sweep's clean verdicts) encodes it once.  ``text`` is a plain ``str``:
+    SQLite binds a ``str`` subclass through its adapter lookup, per row.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, payload: Any) -> None:
+        self.text = stable_key(payload)
+
+
 def spec_hash(spec: Dict[str, Any]) -> str:
     """The spec identity hash: SHA-256 hex over the canonical JSON of ``spec``."""
     return hashlib.sha256(stable_key(spec).encode("utf-8")).hexdigest()
@@ -60,13 +77,25 @@ def spec_hash(spec: Dict[str, Any]) -> str:
 # ------------------------------------------------------------------ item keys
 def adversary_keys(adversaries: Iterable) -> List[str]:
     """:func:`adversary_key` of each adversary; a run of consecutive equal
-    patterns (an orbit stream's shape) encodes its crash events once."""
+    patterns (an orbit stream's shape) encodes its crash events once.
+
+    An adversary's values are plain non-negative ints (its constructor
+    coerces them), whose ``str`` is their JSON form.  Each distinct input
+    vector of the call is written out once and joined onto the run's crash
+    text: the same bytes as ``stable_key([list(values), crashes])``.
+    """
     keys: List[str] = []
+    vectors: Dict[tuple, str] = {}
     for pattern, members in groupby(adversaries, attrgetter("pattern")):
-        crashes = _ENCODER.encode(
+        crashes = "]," + _ENCODER.encode(
             [[event.process, event.round, sorted(event.receivers)] for event in pattern.crashes]
-        )
-        keys.extend([f"[{_ENCODER.encode(member.values)},{crashes}]" for member in members])
+        ) + "]"
+        for member in members:
+            values = member.values
+            vector = vectors.get(values)
+            if vector is None:
+                vector = vectors[values] = "[[" + ",".join(map(str, values))
+            keys.append(vector + crashes)
     return keys
 
 

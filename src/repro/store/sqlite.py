@@ -46,7 +46,7 @@ import time
 from json import loads as _json_loads
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .keys import stable_key, spec_hash
+from .keys import EncodedPayload, stable_key, spec_hash
 
 #: Version of the logical row layout.  Bump on any incompatible change to
 #: the payload conventions; rows recording another version are quarantined
@@ -140,6 +140,8 @@ class ResultStore:
         self._writable = not read_only
         self._warned_read_only = False
         self._pending: List[Tuple[str, str, str, str, str]] = []
+        #: ``put``'s SHA-256 state over each ``(kind, spec hash)`` row prefix.
+        self._digest_prefixes: Dict[Tuple[str, str], Any] = {}
         self._conn: Optional[sqlite3.Connection] = None
         try:
             self._conn = self._open(read_only)
@@ -359,7 +361,13 @@ class ResultStore:
 
     # ----------------------------------------------------------------- writes
     def put(self, kind: str, spec: Any, key: str, payload: Any) -> None:
-        """Buffer one row; it is committed by the next :meth:`flush`."""
+        """Buffer one row; it is committed by the next :meth:`flush`.
+
+        ``payload`` may be an :class:`repro.store.EncodedPayload`, whose
+        text is stored as it is.  The row digest is :func:`row_digest`,
+        computed from a SHA-256 state over the ``(schema, kind, spec)``
+        prefix that is hashed once per ``(kind, spec)`` and copied per row.
+        """
         if self._conn is None:
             return
         if not self._writable:
@@ -371,10 +379,15 @@ class ResultStore:
                 )
             return
         spec_h = spec if isinstance(spec, str) else spec_hash(spec)
-        payload_text = stable_key(payload)
-        self._pending.append(
-            (kind, spec_h, key, payload_text, row_digest(kind, spec_h, key, payload_text))
-        )
+        payload_text = payload.text if type(payload) is EncodedPayload else stable_key(payload)
+        prefix = self._digest_prefixes.get((kind, spec_h))
+        if prefix is None:
+            prefix = self._digest_prefixes[kind, spec_h] = hashlib.sha256(
+                f"{STORE_SCHEMA}\n{kind}\n{spec_h}\n".encode("utf-8")
+            )
+        digest = prefix.copy()
+        digest.update(f"{key}\n{payload_text}".encode("utf-8"))
+        self._pending.append((kind, spec_h, key, payload_text, digest.hexdigest()))
 
     def flush(self) -> int:
         """Commit buffered rows in one ``BEGIN IMMEDIATE`` transaction.

@@ -52,6 +52,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, List, Sequence, Tuple
 
 from ..model.failure_pattern import CrashEvent, FailurePattern
@@ -308,6 +309,10 @@ def iter_canonical_vectors(
     ]
     tails = list(itertools.product(domain, repeat=len(active)))
     members = math.factorial(node.n)
+    # One C-level gather per candidate; none when the slots are in process
+    # order.  A non-identity order has n >= 2 slots, so ``itemgetter``
+    # returns a tuple.
+    permute = None if slot_of == list(range(node.n)) else itemgetter(*slot_of)
     for cells in itertools.product(*cell_choices):
         fixings = 1
         prefix: Tuple[int, ...] = ()
@@ -316,8 +321,9 @@ def iter_canonical_vectors(
             fixings *= factor
         size = members // fixings
         for tail in tails:
-            flat = prefix + tail
-            candidate = tuple([flat[slot] for slot in slot_of])
+            candidate = prefix + tail
+            if permute is not None:
+                candidate = permute(candidate)
             if not kernel:
                 yield candidate, size
             elif _is_kernel_minimal(candidate, node, kernel):

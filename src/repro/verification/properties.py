@@ -238,10 +238,17 @@ def batch_verdicts(
 
     The runs come from one sweep, so they share a protocol, ``n`` and ``t``:
     the correct mask is computed once per run of consecutive members sharing
-    a pattern object and the bound once per failure count.
+    a pattern object and the bound once per failure count.  A clean verdict
+    is a function of ``(summary, correct mask, bound)`` alone, so it is
+    computed once per such triple (trie group members share one summary
+    object) and each member gets its own empty violations list; a flagged
+    run is re-checked on its own by :func:`check_run_for_protocol`.
     """
     pattern = None
     bounds: Dict[int, int] = {}
+    # (id(summary), correct, bound) -> (summary, last clean decision time);
+    # the entry keeps its summary alive, so the id cannot be reused.
+    clean: Dict[Tuple[int, int, int], Tuple[DecisionSummary, Optional[Time]]] = {}
     for run in runs:
         if run.adversary.pattern is not pattern:
             pattern = run.adversary.pattern
@@ -252,4 +259,13 @@ def batch_verdicts(
                 bound = bounds[f] = time_bound(
                     run.protocol, run.n, run.t, f, enforce_paper_bound
                 )
-        yield summary_verdict(run, run.decision_summary(), correct, bound, enforce_paper_bound)
+        summary = run.decision_summary()
+        key = (id(summary), correct, bound)
+        hit = clean.get(key)
+        if hit is not None:
+            yield hit[1], []
+            continue
+        verdict = summary_verdict(run, summary, correct, bound, enforce_paper_bound)
+        if not verdict[1]:
+            clean[key] = (summary, verdict[0])
+        yield verdict

@@ -22,6 +22,29 @@ class TestAdversary:
         with pytest.raises(ValueError):
             Adversary([0, -1, 2], FailurePattern.failure_free(3))
 
+    def test_rejection_messages(self):
+        with pytest.raises(ValueError) as length:
+            Adversary([0, 1], FailurePattern.failure_free(3))
+        assert str(length.value) == "input vector has 2 entries but the failure pattern has n=3"
+        with pytest.raises(ValueError) as negative:
+            Adversary([0, -1, 2], FailurePattern.failure_free(3))
+        assert str(negative.value) == "initial values must be non-negative, got (0, -1, 2)"
+
+    def test_values_are_coerced_to_int_before_the_checks(self):
+        pattern = FailurePattern.failure_free(3)
+        adversary = Adversary([True, 1.9, False], pattern)
+        assert adversary.values == (1, 1, 0)
+        assert all(type(value) is int for value in adversary.values)
+        assert adversary == Adversary((1, 1, 0), pattern)
+        assert hash(adversary) == hash(Adversary((1, 1, 0), pattern))
+        assert Adversary(iter([2, 0, 1]), pattern).values == (2, 0, 1)
+        # Truncation toward zero happens first: -0.5 is 0, -1.5 is -1.
+        assert Adversary([-0.5, 0, 0], pattern).values == (0, 0, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            Adversary([0, -1.5, 0], pattern)
+        with pytest.raises(ValueError, match="2 entries"):
+            Adversary((v for v in [0.0, 1.0]), pattern)
+
     def test_initial_value_and_value_set(self):
         adversary = Adversary([2, 0, 2], FailurePattern.failure_free(3))
         assert adversary.initial_value(1) == 0

@@ -22,6 +22,9 @@ every tractable restriction combination.  This suite pins
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
 from repro import oracles
@@ -44,6 +47,8 @@ from repro.symmetry import (
     iter_canonical_vectors,
     vector_orbit_size,
 )
+from repro.symmetry.canonical import identity_permutation
+from repro.symmetry.constructive import _assembly, _is_kernel_minimal, _multiset_fixings
 from repro.verification import check_protocol, compare_protocols, find_agreement_violation
 
 CONTEXT = Context(n=4, t=2, k=2)
@@ -139,6 +144,89 @@ class TestOrbitSizeCertification:
 
     def test_a_non_trivial_kernel_is_certified(self):
         assert certify_orbit_sizes(4, 2, 2, "canonical", 1) > 0
+
+
+def reference_canonical_vectors(node, domain):
+    """The ``(vector, size)`` stream with each candidate gathered slot by slot.
+
+    The list-comprehension form :func:`iter_canonical_vectors` used before
+    it permuted candidates with one ``itemgetter``, kept here verbatim
+    apart from the hoisted per-cell factors.
+    """
+    domain = tuple(domain)
+    twin_classes, active = _assembly(node)
+    identity = identity_permutation(node.n)
+    kernel = [k for k in node.kernel if k != identity]
+    order = [position for cell in twin_classes for position in cell] + active
+    slot_of = [0] * node.n
+    for slot, position in enumerate(order):
+        slot_of[position] = slot
+    cell_choices = [
+        list(itertools.combinations_with_replacement(domain, len(cell))) for cell in twin_classes
+    ]
+    for cells in itertools.product(*cell_choices):
+        prefix = tuple(value for values in cells for value in values)
+        fixings = math.prod(_multiset_fixings(values) for values in cells)
+        size = math.factorial(node.n) // fixings
+        for tail in itertools.product(domain, repeat=len(active)):
+            flat = prefix + tail
+            candidate = tuple([flat[slot] for slot in slot_of])
+            if not kernel:
+                yield candidate, size
+            elif _is_kernel_minimal(candidate, node, kernel):
+                yield candidate, vector_orbit_size(node, candidate)
+
+
+def slot_order_is_identity(node):
+    twin_classes, active = _assembly(node)
+    return [position for cell in twin_classes for position in cell] + active == list(
+        range(node.n)
+    )
+
+
+#: Every canonical pattern of these grids, n <= 5, over a three-value
+#: domain (two values at n=5, whose domain-3 streams are ~1M vectors).  The
+#: n=5 two-round "all"-receivers grid is left out: its 49,415 patterns take
+#: ~20 s to enumerate.  Non-identity slot orders first occur at n=5.
+VECTOR_GRIDS = [
+    (n, receiver_policy, max_round)
+    for n in (2, 3, 4, 5)
+    for receiver_policy in ("none", "canonical", "all")
+    for max_round in (1, 2)
+    if (n, receiver_policy, max_round) != (5, "all", 2)
+]
+
+
+class TestVectorStreamPin:
+    """:func:`iter_canonical_vectors` emits the reference stream, in order."""
+
+    @pytest.mark.parametrize(
+        "n, receiver_policy, max_round", VECTOR_GRIDS, ids=[str(g) for g in VECTOR_GRIDS]
+    )
+    def test_stream_is_the_reference_stream(self, n, receiver_policy, max_round):
+        domain = range(3 if n < 5 else 2)
+        for node in iter_canonical_patterns(n, max_round, receiver_policy, n - 1):
+            assert list(iter_canonical_vectors(node, domain)) == list(
+                reference_canonical_vectors(node, domain)
+            ), node.events
+
+    @pytest.fixture(scope="class")
+    def permuted(self):
+        """The n=5 patterns whose slots are not in process order."""
+        return [
+            node
+            for node in iter_canonical_patterns(5, 1, "all", 4)
+            if not slot_order_is_identity(node)
+        ]
+
+    @pytest.mark.parametrize("domain_size", [3, 4])
+    def test_permuted_slot_orders(self, permuted, domain_size):
+        assert len(permuted) == 26
+        assert any(len(node.kernel) > 1 for node in permuted)
+        for node in permuted:
+            stream = list(iter_canonical_vectors(node, range(domain_size)))
+            assert stream == list(reference_canonical_vectors(node, range(domain_size)))
+            assert all(type(vector) is tuple and len(vector) == 5 for vector, _size in stream)
 
 
 class TestCountsAndLimits:

@@ -171,3 +171,38 @@ def test_broken_protocols_violate_their_property(case):
     flagged = [violations for _index, _time, violations in verdicts if violations]
     assert property_name in {v.property_name for violations in flagged for v in violations}
     assert 0 < len(flagged) < len(verdicts)
+
+
+def test_clean_verdicts_are_judged_once_per_group(monkeypatch):
+    """``batch_verdicts`` judges a clean ``(summary, correct mask, bound)``
+    once, and gives every run its own violations list."""
+    from repro.verification import properties
+
+    calls = []
+    judge = properties.summary_verdict
+
+    def counting(run, summary, correct, bound, enforce_paper_bound=True):
+        calls.append((id(summary), correct, bound))
+        return judge(run, summary, correct, bound, enforce_paper_bound)
+
+    monkeypatch.setattr(properties, "summary_verdict", counting)
+    # Two-round spaces: members that differ only in a crash nobody acts on
+    # share a summary and a correct set.
+    for protocol, space in (
+        (OptMin(2), RestrictedSpace(Context(n=4, t=1, k=2), max_crash_round=2)),
+        (EagerMin(1), RestrictedSpace(Context(n=3, t=2, k=1), max_crash_round=2)),
+    ):
+        runs = SweepRunner(protocol, space.context.t).sweep(list(space))
+        verdicts = list(properties.batch_verdicts(runs))
+        expected = [
+            (run.last_decision_time(correct_only=True), check_run_for_protocol(run))
+            for run in runs
+        ]
+        assert verdicts == expected
+        assert len({id(violations) for _time, violations in verdicts}) == len(verdicts)
+        keys = {
+            (id(run.decision_summary()), sum(1 << p for p in run.adversary.pattern.correct))
+            for run in runs
+        }
+        assert len(keys) <= len(calls) < len(runs)
+        calls.clear()

@@ -12,6 +12,8 @@ in CHANGES.md.
 The checkpoint specs are read back from real checkpoint files written by
 the public entry points (``resilient_check``, ``cli census``, the job
 runner), so the pins hold whatever the internal helpers' signatures are.
+The store rows are also written the way the runners write them (their
+memos, then ``ResultStore.put`` and ``flush``) and read back from SQLite.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from repro.cli import main
 from repro.core import OptMin
 from repro.model import Adversary, Context, CrashEvent, FailurePattern
 from repro.runtime import CheckpointStore, resilient_check
+from repro.runtime.runner import _census_class_memo, _check_memo
 from repro.service import JobQueue, JobRunner, job_id, normalize_spec
 from repro.store import (
     PROFILE_SPEC_HASH,
+    ResultStore,
     adversary_key,
     census_class_store_spec,
     census_row_key,
@@ -42,6 +46,7 @@ from repro.store import (
 )
 from repro.symmetry import renaming_star_signature
 from repro.topology import build_restricted_complex
+from repro.verification.properties import Violation
 
 #: The queue's ``spec`` and ``result`` column texts of a completed
 #: n=3 t=1 k=1 sweep job.
@@ -265,3 +270,47 @@ class TestStoreRows:
         assert key == item_key
         assert stable_key(payload) == payload_text
         assert row_digest(kind, spec_h, key, payload_text) == digest
+
+    def write(self, store, complex_, name):
+        """Write one pinned row the way its production writer does.
+
+        Checker verdicts and census classes go through the runners' memos
+        (keys from the stream item, payload text from the verdict);
+        profiles and census rows are single ``put`` calls.
+        """
+        kind, spec_h, _key, _text, _digest = STORE_ROWS[name]
+        if kind == "check":
+            adversary = CRASH_FREE if name == "crash-free" else MULTI_CRASH
+            payload = CHECK_VIOLATIONS if name == "check-violations" else {
+                "decision_time": 2, "violations": [],
+            }
+            verdict = (
+                payload["decision_time"],
+                [Violation(*violation) for violation in payload["violations"]],
+            )
+            memo = _check_memo(store, spec_h)
+            assert memo.lookup([(0, adversary, 1)]) == {}
+            memo.save(0, verdict)
+        elif kind == "census_class":
+            memo = _census_class_memo(store, spec_h)
+            assert memo.lookup([(CENSUS_VERTEX, 1)]) == {}
+            memo.save(0, (1, -1))
+        else:
+            key, payload = self.rows(complex_)[name]
+            store.put(kind, spec_h, key, payload)
+        assert store.flush() == 1
+
+    @pytest.mark.parametrize("name", sorted(STORE_ROWS))
+    def test_committed_row(self, complex_, tmp_path, name):
+        """The row SQLite commits through the production write path is the pin."""
+        kind, spec_h, item_key, payload_text, digest = STORE_ROWS[name]
+        path = str(tmp_path / "store.sqlite")
+        with ResultStore(path) as store:
+            self.write(store, complex_, name)
+        with closing(sqlite3.connect(path)) as conn:
+            rows = conn.execute(
+                "SELECT kind, spec_hash, item_key, payload, sha256 FROM results"
+            ).fetchall()
+        assert rows == [(kind, spec_h, item_key, payload_text, digest)]
+        with ResultStore(path) as store:
+            assert store.verify() == {"checked": 1, "corrupt": 0}

@@ -13,7 +13,10 @@ every orbit representative of the n=4 spaces and of n=5 t=2 mcr=2 (keyed a
 batch at a time by :func:`repro.store.adversary_keys`, in stream order,
 shuffled, and with equal-but-not-identical pattern objects), every vertex
 and star-profile key of the n=4 two-round complex, the three payload kinds,
-and seeded random nested values.
+and seeded random nested values.  The write path is checked the same way:
+the digest ``ResultStore.put`` commits against :func:`repro.store.row_digest`
+on seeded keys and payloads (non-ASCII, newlines), and the checker memo's
+payload texts (one per distinct clean verdict) against ``stable_key``.
 
 The contract is narrower than the walk's on one point: **dict keys must be
 ``str``**.  The walk applied ``str()`` to every key; the encoder leaves
@@ -44,6 +47,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -51,7 +56,16 @@ from repro import oracles
 from repro.adversaries import RestrictedSpace
 from repro.model import Adversary, Context, FailurePattern
 from repro.runtime import canonical_json
-from repro.store import adversary_key, adversary_keys, profile_key, stable_key, vertex_key
+from repro.store import (
+    EncodedPayload,
+    ResultStore,
+    adversary_key,
+    adversary_keys,
+    profile_key,
+    row_digest,
+    stable_key,
+    vertex_key,
+)
 from repro.symmetry import renaming_star_signature, star_signature
 from repro.topology import build_restricted_complex
 
@@ -236,3 +250,122 @@ class TestContract:
         assert stable_key({True: 1}) == '{"true":1}'
         assert reference_key({True: 1}) == '{"True":1}'
         assert stable_key({None: 1}) == '{"null":1}'
+
+
+class TestWritePath:
+    """``ResultStore.put``'s digest and the memo's payload texts against the references.
+
+    ``put`` hashes each ``(kind, spec)`` row prefix once and copies the
+    state per row; the committed digest must still be :func:`row_digest`
+    (which reads, ``verify()`` and ``export()`` check against).  The
+    checker memo encodes one payload text per distinct clean verdict.
+    """
+
+    KINDS = ["check", "census_class", "profile", "kind\nwith newline", "ké∞"]
+
+    @staticmethod
+    def committed(path):
+        with closing(sqlite3.connect(path)) as conn:
+            return conn.execute(
+                "SELECT kind, spec_hash, item_key, payload, sha256 FROM results ORDER BY rowid"
+            ).fetchall()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_put_digest_is_row_digest(self, tmp_path, seed):
+        rng = random.Random(seed)
+        alphabet = "aZ0 _\"\\\n\r\té∞Ωλ≤\U0001f600"
+        path = str(tmp_path / "store.sqlite")
+        specs = [random_text(rng, alphabet, 8) for _ in range(3)] + ["", "a" * 64]
+        written = {}
+        with ResultStore(path) as store:
+            for _ in range(300):
+                kind, spec_h = rng.choice(self.KINDS), rng.choice(specs)
+                key = random_text(rng, alphabet, 12)
+                payload = random_value(rng)
+                if rng.random() < 0.5:
+                    store.put(kind, spec_h, key, EncodedPayload(payload))
+                else:
+                    store.put(kind, spec_h, key, payload)
+                written.setdefault((kind, spec_h, key), stable_key(payload))
+            store.flush()
+            assert store.verify() == {"checked": len(written), "corrupt": 0}
+        rows = self.committed(path)
+        assert len(rows) == len(written)
+        for kind, spec_h, key, payload_text, digest in rows:
+            assert payload_text == written[kind, spec_h, key]
+            assert digest == row_digest(kind, spec_h, key, payload_text)
+
+    def test_encoded_payload_is_stored_as_its_text(self, tmp_path):
+        path = str(tmp_path / "store.sqlite")
+        payload = {"decision_time": 2, "violations": [["v", "é\nΩ", None]]}
+        with ResultStore(path) as store:
+            store.put("check", "s", "plain", payload)
+            store.put("check", "s", "encoded", EncodedPayload(payload))
+            # A plain str payload is still a JSON string, not pre-encoded text.
+            store.put("check", "s", "string", stable_key(payload))
+            store.flush()
+            assert store.get("check", "s", "encoded") == payload
+        texts = {row[2]: row[3] for row in self.committed(path)}
+        assert texts["plain"] == texts["encoded"] == stable_key(payload)
+        assert texts["string"] == stable_key(stable_key(payload))
+
+    def test_memo_texts_are_per_distinct_clean_verdict(self, tmp_path):
+        from repro.runtime.runner import _check_memo
+        from repro.verification.properties import Violation
+
+        members = representatives(SPACES[-1])[:400]
+        rng = random.Random(7)
+        verdicts = []
+        for _ in members:
+            if rng.random() < 0.2:
+                verdicts.append(
+                    (rng.choice([1, 2]), [Violation("decision", f"process {rng.randrange(5)}", 1)])
+                )
+            else:
+                verdicts.append((rng.choice([None, 0, 1, 2, 3]), []))
+        path = str(tmp_path / "store.sqlite")
+        with ResultStore(path) as store:
+            memo = _check_memo(store, "spec")
+            memo.lookup([(i, adversary, 1) for i, adversary in enumerate(members)])
+            for position, verdict in enumerate(verdicts):
+                memo.save(position, verdict)
+            store.flush()
+            # Only clean verdicts are cached, one text per decision time.
+            clean_times = {time for time, violations in verdicts if not violations}
+            assert sorted(memo.texts, key=repr) == sorted(
+                ((time,) for time in clean_times), key=repr
+            )
+            texts = [payload.text for payload in memo.texts.values()]
+            assert len(set(texts)) == len(texts)
+        expected = [
+            stable_key({
+                "decision_time": time,
+                "violations": [[v.property_name, v.message, v.process] for v in violations],
+            })
+            for time, violations in verdicts
+        ]
+        rows = self.committed(path)
+        assert [row[2] for row in rows] == adversary_keys(members)
+        assert [row[3] for row in rows] == expected
+        for kind, spec_h, key, payload_text, digest in rows:
+            assert digest == row_digest(kind, spec_h, key, payload_text)
+
+    def test_census_memo_texts_are_per_distinct_verdict(self, tmp_path):
+        from repro.runtime.runner import _census_class_memo
+
+        rng = random.Random(11)
+        vertices = [(p, (i, frozenset({p}))) for p in range(3) for i in range(60)]
+        verdicts = [(rng.randrange(4), rng.choice([-1, 0, 1, None])) for _ in vertices]
+        path = str(tmp_path / "store.sqlite")
+        with ResultStore(path) as store:
+            memo = _census_class_memo(store, "spec")
+            memo.lookup([(vertex, 1) for vertex in vertices])
+            for position, verdict in enumerate(verdicts):
+                memo.save(position, verdict)
+            store.flush()
+            assert set(memo.texts) == set(verdicts)
+        rows = self.committed(path)
+        assert [row[2] for row in rows] == [vertex_key(vertex) for vertex in vertices]
+        assert [row[3] for row in rows] == [
+            stable_key({"capacity": capacity, "level": level}) for capacity, level in verdicts
+        ]
