@@ -13,7 +13,11 @@ n=6, t=3, crash rounds <= 2 (the repository benchmark's sweep-n6), with
 its wall time and the cyclic garbage collector's work during it — full
 (generation-2) collections and collector seconds, read through
 ``gc.callbacks``.  The survey loop collects only the young generation at
-batch boundaries, so full collections per sweep stay near zero.
+batch boundaries, so full collections per sweep stay near zero.  The row
+also records ``decide_calls``: how often the decision rule ran, counted in a
+separate sweep of a counting subclass so the timed sweep stays
+uninstrumented.  The engine evaluates it once per distinct local state of a
+pass, not once per trie group.
 """
 
 from __future__ import annotations
@@ -94,6 +98,26 @@ def run_comparison():
     return rows
 
 
+class CountingOptMin(OptMin):
+    """Optmin[k] that counts its ``decide`` calls."""
+
+    def __init__(self, k: int) -> None:
+        super().__init__(k)
+        self.calls = 0
+
+    def decide(self, ctx):
+        self.calls += 1
+        return super().decide(ctx)
+
+
+def count_decide_calls() -> int:
+    """``decide`` calls of one Optmin[2] sweep over sweep-n6's space."""
+    protocol = CountingOptMin(2)
+    report = check_protocol(protocol, SWEEP_N6, SWEEP_N6.context.t, symmetry="constructive")
+    assert report.ok
+    return protocol.calls
+
+
 def run_constructive_sweep():
     """The sweep-n6 constructive sweep's wall time and the collector's work during it."""
     collections = [0, 0, 0]
@@ -124,6 +148,7 @@ def run_constructive_sweep():
         "collector_seconds": collector_seconds,
         "collections": collections,
         "full_collections": collections[2],
+        "decide_calls": count_decide_calls(),
     }
 
 
@@ -141,7 +166,7 @@ def test_batch_engine_speedup(benchmark):
     )
     print_table(
         "SWEEP — constructive Optmin[2] sweep, n=6 t=3 crash rounds <= 2 (ungated)",
-        ["orbits", "runs", "wall s", "collector s", "collections (gen 0/1/2)"],
+        ["orbits", "runs", "wall s", "collector s", "collections (gen 0/1/2)", "decide calls"],
         [
             (
                 collector["orbits"],
@@ -149,6 +174,7 @@ def test_batch_engine_speedup(benchmark):
                 f"{collector['wall_seconds']:.2f}",
                 f"{collector['collector_seconds']:.3f}",
                 "/".join(map(str, collector["collections"])),
+                collector["decide_calls"],
             )
         ],
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import CrashEvent, FailurePattern
@@ -169,9 +169,11 @@ def count_adversaries(
 
 
 # ------------------------------------------------------------ orbit streams
-@dataclass(frozen=True)
-class AdversaryOrbit:
+class AdversaryOrbit(NamedTuple):
     """One process-renaming orbit of a restricted adversary space.
+
+    A named tuple: sweeps build one per orbit, and it is immutable without
+    a frozen dataclass's ``object.__setattr__`` per field.
 
     Attributes
     ----------

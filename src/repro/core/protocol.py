@@ -50,6 +50,14 @@ class Protocol(abc.ABC):
     def decide(self, ctx: RoundContext) -> Optional[Value]:
         """The decision rule at a node.
 
+        It must be a deterministic function of the process's local state
+        (what ``ctx`` exposes) and of ``n`` and ``t``.  The batch engine
+        relies on that: it evaluates ``decide`` once per distinct local
+        state in each pass and reuses the result for every run sharing the
+        state, so a rule that keeps side state (such as the instrumented
+        :class:`repro.core.OptMinWithExplanation`) belongs on
+        :class:`repro.model.run.Run`.
+
         Parameters
         ----------
         ctx:

@@ -5,7 +5,7 @@ at a time and is the semantic oracle of this library.  This package is the
 one production path: it schedules a whole family of adversaries on a trie keyed
 by (input vector, crash-event round-prefix), simulates every shared round
 prefix exactly once on flat copy-on-write arrays, and evaluates decision
-rules once per equivalence class instead of once per adversary.
+rules once per distinct local state of a pass instead of once per adversary.
 
 Public surface:
 

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import AbstractSet, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.failure_pattern import CrashEvent
 from ..model.run import evaluate_knows_persist
@@ -82,7 +83,7 @@ class StructLayer:
         "_senders",
         "_round_senders",
         "_ev_view",
-        "_minv",
+        "_seen_getters",
     )
 
     def __init__(
@@ -118,10 +119,11 @@ class StructLayer:
         # The view-materialisation caches (sender sets, View-convention
         # evidence rows) are allocated on first use: plain decision sweeps
         # never touch them, and the scheduler builds thousands of layers.
+        # So is the seen-inputs projection, which only decision passes use.
         self._senders: Optional[List[Optional[FrozenSet[ProcessId]]]] = None
         self._round_senders: Optional[List[Optional[Tuple[FrozenSet[ProcessId], ...]]]] = None
         self._ev_view: Optional[List[Optional[Tuple[float, ...]]]] = None
-        self._minv: Optional[Dict[Tuple[ProcessId, Tuple[Value, ...]], Value]] = None
+        self._seen_getters: Optional[List[Optional[Callable[[Tuple[Value, ...]], object]]]] = None
 
     # ------------------------------------------------------------- factories
     @staticmethod
@@ -272,24 +274,6 @@ class StructLayer:
             cached = cache[process] = evidence_view(self.rows_evidence[process])
         return cached
 
-    def min_seen_value(self, process: ProcessId, values: Tuple[Value, ...]) -> Value:
-        """``Min<process, time>`` under one input vector, cached on the layer.
-
-        Decision rules evaluate ``Min`` against both the current view and the
-        previous one (``BatchContext.previous_view``); the previous layer
-        already computed its answer during its own round, so caching here —
-        instead of per :class:`ArrayView` instance — halves the ``Min`` scans
-        of low/high-classifying protocols across a sweep.
-        """
-        cache = self._minv
-        if cache is None:
-            cache = self._minv = {}
-        key = (process, values)
-        cached = cache.get(key)
-        if cached is None:
-            cached = cache[key] = min(values[j] for j in self.seen_initial(process))
-        return cached
-
     def seen_initial(self, process: ProcessId) -> Tuple[int, ...]:
         """Processes whose time-0 node (hence initial value) the observer has seen."""
         cached = self._seen0[process]
@@ -297,6 +281,19 @@ class StructLayer:
             ls = self.rows_seen[process]
             cached = self._seen0[process] = tuple(j for j in range(self.n) if ls[j] >= 0)
         return cached
+
+    def seen_values_getters(self) -> List[Optional[Callable[[Tuple[Value, ...]], object]]]:
+        """Per process, an ``itemgetter`` of the inputs it has seen
+        (:meth:`seen_initial`; a bare value when that is only its own), or
+        ``None`` without a state here.  Built for the whole layer on first use.
+        """
+        getters = self._seen_getters
+        if getters is None:
+            getters = self._seen_getters = [
+                None if row is None else itemgetter(*self.seen_initial(i))
+                for i, row in enumerate(self.rows_seen)
+            ]
+        return getters
 
     def previous_layer_seen(self, process: ProcessId) -> Tuple[int, ...]:
         """Seen nodes ``<j, time-1>`` with a state in the parent layer (Definition 3)."""
@@ -499,7 +496,8 @@ class ArrayView:
 
     def min_value(self) -> Value:
         if self._min is None:
-            self._min = self._layer.min_seen_value(self._process, self._values)
+            values = self._values
+            self._min = min([values[j] for j in self._layer.seen_initial(self._process)])
         return self._min
 
     def is_low(self, k: int) -> bool:

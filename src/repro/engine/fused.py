@@ -12,7 +12,8 @@ layer twice.
 This module is the single traversal both products come from:
 
 * :func:`run_fused_pass` drives one scheduler over the family and, per trie
-  group and per time, evaluates the protocol's decision rule *and* snapshots
+  group and per time, applies the protocol's decision rule (evaluated once
+  per distinct local state, :func:`_apply_group_decisions`) *and* snapshots
   the canonical view keys of the active processes — the Definition 4
   local-state index materialises while the sweep advances, and branches are
   dropped the moment they stop contributing points (the same early stop the
@@ -167,27 +168,63 @@ class FusedOutcome:
         self.view_index = view_index
 
 
-def _apply_group_decisions(protocol, group: Group, n: int, t: int) -> None:
+#: A pass's decision memo: ``(layer, process, seen inputs)`` -> the
+#: :class:`Decision` the rule made at that local state, or ``None``.
+DecisionMemo = Dict[Tuple[StructLayer, ProcessId, object], Optional[Decision]]
+
+_MISS = object()
+
+
+def _apply_group_decisions(protocol, group: Group, n: int, t: int, memo: DecisionMemo) -> bool:
     """Run the decision rule at every undecided active node of one trie group.
+
+    Returns whether every process still operating here has decided (the
+    early stop).  The rule is evaluated once per distinct local state of
+    the pass: ``memo`` maps ``(layer, process, seen inputs)`` — the inputs
+    at ``layer.seen_initial(process)`` — to the shared, immutable
+    :class:`Decision` (or ``None``), and ``decide`` and its
+    :class:`BatchContext` run only on a miss.  The key is the local state:
+
+    * the layer object fixes the process's rows and its whole parent chain;
+    * every :class:`BatchContext` / :class:`ArrayView` accessor reads inputs
+      only at seen positions (``min_value``, ``values``, ``knows_value``,
+      ``value_of``, ``count_previous_layer_knowers``), and so do the earlier
+      views it reaches (``previous_view``, ``own_view_at``,
+      ``knows_persist``): an earlier view of the process, or a seen
+      ``<j, m-1>``, has seen a subset of what the process has seen now;
+    * ``n``, ``t`` and the protocol are constant within a pass.
+
+    A group fixes the *whole* input vector, so groups differing only in
+    inputs a process has not seen share its entry — at time 0 a batch has
+    only ``n × |domain|`` local states.
 
     Decisions are recorded copy-on-write: the group's dict is replaced, never
     mutated, because sibling groups may still share it.
     """
     layer = group.layer
-    added: Optional[Dict[ProcessId, Decision]] = None
-    time = layer.time
     values = group.values
-    for i in group.undecided_active():
-        ctx = BatchContext(layer, i, values, n, t)
-        value = protocol.decide(ctx)
-        if value is not None:
+    decisions = group.decisions
+    added: Optional[Dict[ProcessId, Decision]] = None
+    all_decided = True
+    for i, seen in enumerate(layer.seen_values_getters()):
+        if seen is None or i in decisions:
+            continue
+        key = (layer, i, seen(values))
+        decision = memo.get(key, _MISS)
+        if decision is _MISS:
+            value = protocol.decide(BatchContext(layer, i, values, n, t))
+            decision = memo[key] = None if value is None else Decision(i, value, layer.time)
+        if decision is None:
+            all_decided = False
+        else:
             if added is None:
                 added = {}
-            added[i] = Decision(i, value, time)
+            added[i] = decision
     if added:
-        decisions = dict(group.decisions)
+        decisions = dict(decisions)
         decisions.update(added)
         group.decisions = decisions
+    return all_decided
 
 
 def _snapshot_group(group: Group, index: ViewIndex) -> None:
@@ -234,6 +271,10 @@ def fused_serial(
     if not prepared:
         return FusedOutcome([], 0, index)
     scheduler = PrefixScheduler(n, prepared)
+    # One decision per distinct local state of this pass (see
+    # _apply_group_decisions); it dies with the pass, so memory stays
+    # O(batch) and nothing crosses batches or worker chunks.
+    memo: DecisionMemo = {}
 
     def finalize(key, group: Group) -> None:
         summary = summarize_decisions(
@@ -250,10 +291,10 @@ def fused_serial(
             scheduler.drop(key)
 
     for key, group in list(scheduler.groups.items()):
-        _apply_group_decisions(protocol, group, n, t)
+        all_decided = _apply_group_decisions(protocol, group, n, t, memo)
         if collect_views:
             _snapshot_group(group, index)
-        if group.all_active_decided():
+        if all_decided:
             finalize(key, group)
 
     for time in range(1, horizon + 1):
@@ -266,10 +307,10 @@ def fused_serial(
                 _snapshot_group(group, index)
                 scheduler.drop(key)
                 continue
-            _apply_group_decisions(protocol, group, n, t)
+            all_decided = _apply_group_decisions(protocol, group, n, t, memo)
             if collect_views:
                 _snapshot_group(group, index)
-            if time == horizon or group.all_active_decided():
+            if all_decided or time == horizon:
                 finalize(key, group)
 
     # Completeness is an engine invariant: every branch must have finalized

@@ -3,7 +3,7 @@
 :class:`SweepRunner` consumes any iterable of adversaries (exhaustive
 enumerations, random ensembles, hand-built scenario lists), schedules them on
 the prefix-sharing trie of :mod:`repro.engine.trie`, evaluates the protocol's
-decision rule once per trie group via the array-backed views of
+decision rule once per distinct local state via the array-backed views of
 :mod:`repro.engine.arrays`, and reports one :class:`BatchRun` per adversary —
 a lightweight object exposing the read API of :class:`repro.model.run.Run`
 (decisions, decision times, decided values) so the property checkers and the
@@ -171,13 +171,15 @@ class SweepReport:
 class SweepRunner:
     """Batch execution of one protocol over many adversaries.
 
-    The decision rule must be a pure function of its context (as every
-    full-information protocol's rule is by definition): the batch engine
-    evaluates ``decide`` once per trie equivalence class — not once per
-    adversary — and in forked workers when ``processes`` is set, so
-    protocols that accumulate side state in ``decide`` (e.g. the
-    instrumented ``OptMinWithExplanation``) observe only group
-    representatives here; run those through :class:`repro.model.run.Run`.
+    The decision rule must be a deterministic function of the local state
+    and ``n``, ``t`` (as every full-information protocol's rule is by
+    definition): the batch engine evaluates ``decide`` once per distinct
+    ``(layer, process, seen inputs)`` of each pass — not once per adversary
+    or trie group; :func:`repro.engine.fused._apply_group_decisions` gives
+    the soundness argument — and in forked workers when ``processes`` is
+    set.  Protocols that accumulate side state in ``decide`` (e.g. the
+    instrumented ``OptMinWithExplanation``) belong on
+    :class:`repro.model.run.Run`.
 
     Parameters
     ----------

@@ -134,18 +134,6 @@ class Group:
         self.decisions = decisions
         self.members = members
 
-    def undecided_active(self) -> List[ProcessId]:
-        """Processes with a state at this node that have not decided yet."""
-        rows = self.layer.rows_seen
-        decisions = self.decisions
-        return [i for i in range(self.layer.n) if rows[i] is not None and i not in decisions]
-
-    def all_active_decided(self) -> bool:
-        """Whether every process still operating here has decided (early stop)."""
-        inactive = self.layer.inactive
-        decisions = self.decisions
-        return all(i in decisions for i in range(self.layer.n) if i not in inactive)
-
 
 class PrefixScheduler:
     """Level-synchronous driver of the prefix trie for one sweep batch."""
