@@ -1,7 +1,7 @@
 """COLD START — engineering benchmark: what a fresh interpreter pays to import each entry point.
 
-Every ``repro`` CLI call, job runner, perfbench set-up probe and
-spawn-started shard worker is a short-lived process that starts by
+Every ``repro`` CLI call, job runner and perfbench set-up probe is a
+short-lived process that starts by
 importing the package, so import time and import memory are paid once per
 process.  For each entry point this benchmark starts :data:`REPEATS` fresh
 interpreters and records

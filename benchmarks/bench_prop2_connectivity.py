@@ -8,9 +8,8 @@ Proposition 2 predicts that no vertex with capacity >= k has a star that
 fails the (k-1)-connectivity proxy; the converse direction (which the paper
 leaves open) is reported as data.
 
-The complexes are built by the fused view-only scheduler pass (the batch
-default — one traversal per family, sharded across workers when
-``PROP2_PROCESSES`` is set on a multi-core runner), every vertex's hidden
+The complexes are built by the fused view-only scheduler pass (one
+traversal per family), every vertex's hidden
 capacity is recovered from its canonical key
 (:func:`repro.topology.vertex_capacity`), and the survey itself runs on the
 **symmetry quotient** (:func:`repro.topology.capacity_connectivity_census`
@@ -31,7 +30,6 @@ rows byte-identical (the packed-kernel acceptance identity).
 
 from __future__ import annotations
 
-import os
 import time as wall
 
 import pytest
@@ -73,20 +71,13 @@ EXPECTED_SHAPES = {
     (7, 2, 2): (14070, 166713),
 }
 
-#: Worker processes for the complex-build pass (0 = serial).  The sharded
-#: pass only pays off with real cores; single-core CI boxes keep the default.
-PROCESSES = int(os.environ.get("PROP2_PROCESSES", "0")) or None
-
-
 def run_survey():
     rows = []
     timings = []
     for n, k, time in CASES:
         context = Context(n=n, t=n - 1, k=k)
         start = wall.perf_counter()
-        pc = build_restricted_complex(
-            context, time=time, max_crashes_per_round=k, processes=PROCESSES
-        )
+        pc = build_restricted_complex(context, time=time, max_crashes_per_round=k)
         build_seconds = wall.perf_counter() - start
         start = wall.perf_counter()
         census = capacity_connectivity_census(pc, k, symmetry="quotient")
@@ -134,7 +125,6 @@ def test_prop2_capacity_implies_connectivity(benchmark):
     record_benchmark(
         "prop2_connectivity",
         {
-            "processes": PROCESSES or 1,
             "symmetry": "quotient",
             "backend": "packed",
             "results": [

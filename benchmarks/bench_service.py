@@ -37,7 +37,7 @@ import time as wall
 
 import pytest
 
-from repro.runtime import CheckpointStore, SupervisionPolicy, resilient_check
+from repro.runtime import CheckpointStore, resilient_check
 from repro.service import JobQueue, JobRunner, job_id, normalize_spec
 from repro.store import ResultStore
 
@@ -65,7 +65,6 @@ def direct_leg(root: str, round_index: int):
         symmetry=SPEC["symmetry"],
         store=store,
         result_store=result_store,
-        policy=SupervisionPolicy(),
     )
     elapsed = (wall.process_time() - cpu0, wall.perf_counter() - wall0)
     result_store.close()

@@ -14,9 +14,9 @@ options of a node are generated once per (processes up, round) and grouped
 into blocks by crash count.  Every option of a block roots a subtree of the
 same size, which depends only on the round and on how many processes are
 up, so ``len()`` is a closed form and ``family[i]`` unranks in a few steps
-per round.  A slice with step 1 is the same tree with a narrower window of
-member positions.  Consumers that only need the tree, like the
-protocol-complex walk of :func:`repro.engine.fused.facet_groups`, read
+per round; a slice is a list of members.  Consumers that only need the
+tree, like the protocol-complex walk of
+:func:`repro.engine.fused.run_facets_pass`, read
 :meth:`PerRoundCrashFamily.branches` and never build one
 :class:`Adversary` per member.
 """
@@ -67,8 +67,7 @@ class PerRoundCrashFamily(Sequence):
         "receiver_policy",
         "max_failures",
         "values",
-        "start",
-        "stop",
+        "size",
         "_receivers",
         "_options",
         "_sizes",
@@ -114,9 +113,8 @@ class PerRoundCrashFamily(Sequence):
         self._sizes: Dict[Tuple[Round, int], int] = {}
         #: Processes up -> crashing runs by length (:meth:`_crashing_runs`).
         self._runs = self._crashing_runs()
-        #: The window of member positions this sequence covers.
-        self.start = 0
-        self.stop = self._subtree(1, n)
+        #: The member count (``len()``, which cannot exceed a machine word).
+        self.size = self._subtree(1, n)
 
     # ------------------------------------------------------------ the tree
     def _crash_counts(self, up: int) -> range:
@@ -179,23 +177,16 @@ class PerRoundCrashFamily(Sequence):
     def branches(
         self, up: Tuple[ProcessId, ...], round_: Round, first: int
     ) -> Iterator[Tuple[int, Tuple[CrashEvent, ...], Tuple[ProcessId, ...]]]:
-        """The options of one node whose subtrees meet the window, in order.
+        """The options of one node, in order.
 
         ``first`` is the position of the node's first member; each option
         comes as ``(position of its first member, events, processes up
-        after it)``.  Positions are absolute, as :attr:`start` is.
+        after it)``.
         """
-        start, stop = self.start, self.stop
         for size, block in self.options(up, round_):
-            span = size * len(block)
-            if first < stop and first + span > start:
-                # The options whose subtrees meet [start, stop): ceil on the right.
-                lo = max(0, (start - first) // size)
-                hi = min(len(block), -((first - stop) // size))
-                for q in range(lo, hi):
-                    events, rest = block[q]
-                    yield first + q * size, events, rest
-            first += span
+            for q, (events, rest) in enumerate(block):
+                yield first + q * size, events, rest
+            first += size * len(block)
 
     def check_crash_bound(self, t: int) -> None:
         """Raise unless every pattern of the family is in ``Crash(t)``.
@@ -213,7 +204,7 @@ class PerRoundCrashFamily(Sequence):
 
     # ------------------------------------------------------------ members
     def patterns(self) -> Iterator[FailurePattern]:
-        """The failure patterns of the window's members, in member order.
+        """The failure patterns of the members, in member order.
 
         The tree is walked depth first with an explicit stack (entry ``r - 1``
         branches round ``r``), not one Python frame per round.
@@ -237,11 +228,10 @@ class PerRoundCrashFamily(Sequence):
                 else:
                     yield FailurePattern(n, events + more)
 
-        # With no rounds the root is the only member, below any window check.
-        return walk() if len(self) else iter(())
+        return walk()
 
     def __len__(self) -> int:
-        return self.stop - self.start
+        return self.size
 
     def __iter__(self) -> Iterator[Adversary]:
         values = self.values
@@ -249,44 +239,20 @@ class PerRoundCrashFamily(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            positions = range(self.start, self.stop)[index]
-            if positions.step != 1:
-                return [self[i - self.start] for i in positions]
-            window = object.__new__(PerRoundCrashFamily)
-            for name in PerRoundCrashFamily.__slots__:
-                setattr(window, name, getattr(self, name))
-            window.start, window.stop = positions.start, max(positions.start, positions.stop)
-            return window
+            return [self[i] for i in range(len(self))[index]]
         index = operator.index(index)
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError(f"family index {index} out of range for {len(self)} members")
-        offset = self.start + index
         up, events = tuple(range(self.n)), ()
         for round_ in range(1, self.rounds + 1):
             for size, block in self.options(up, round_):
                 span = size * len(block)
-                if offset < span:
-                    q, offset = divmod(offset, size)
+                if index < span:
+                    q, index = divmod(index, size)
                     more, up = block[q]
                     events += more
                     break
-                offset -= span
+                index -= span
         return Adversary(self.values, FailurePattern(self.n, events))
-
-    def __reduce__(self):
-        # Workers rebuild the option table instead of unpickling it.
-        family = (
-            self.n,
-            self.rounds,
-            self.max_crashes_per_round,
-            self.values,
-            self.receiver_policy,
-            self.max_failures,
-        )
-        return _restore, (family, self.start, self.stop)
-
-
-def _restore(family, start: int, stop: int) -> PerRoundCrashFamily:
-    return PerRoundCrashFamily(*family)[start:stop]

@@ -84,7 +84,6 @@ def collect(
     adversaries: Sequence[Adversary],
     t: int,
     bound_for: Optional[Callable[[object, Adversary], int]] = None,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Dict[str, ProtocolStatistics]:
     """Run every protocol against every adversary and summarise decision times.
@@ -105,7 +104,7 @@ def collect(
     for protocol in protocols:
         name = getattr(protocol, "name", repr(protocol))
         entry = ProtocolStatistics(protocol=name)
-        times = SweepRunner(protocol, t, processes=processes).decision_times(adversaries)
+        times = SweepRunner(protocol, t).decision_times(adversaries)
         for adversary, last, weight in zip(adversaries, times, weights):
             bound = bound_for(protocol, adversary) if bound_for is not None else None
             entry.record(last, bound, weight=weight)
@@ -118,7 +117,6 @@ def speedup_table(
     references: Sequence,
     adversaries: Sequence[Adversary],
     t: int,
-    processes: Optional[int] = None,
 ) -> Dict[str, Dict[str, float]]:
     """How much earlier ``candidate`` finishes than each reference protocol.
 
@@ -129,12 +127,10 @@ def speedup_table(
     """
     adversaries = list(adversaries)
     table: Dict[str, Dict[str, float]] = {}
-    candidate_times = SweepRunner(candidate, t, processes=processes).decision_times(adversaries)
+    candidate_times = SweepRunner(candidate, t).decision_times(adversaries)
     for reference in references:
         name = getattr(reference, "name", repr(reference))
-        reference_times = SweepRunner(reference, t, processes=processes).decision_times(
-            adversaries
-        )
+        reference_times = SweepRunner(reference, t).decision_times(adversaries)
         saved: List[int] = []
         faster = 0
         for candidate_time, reference_time in zip(candidate_times, reference_times):

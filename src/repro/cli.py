@@ -6,13 +6,11 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
 * ``run``      — execute one protocol against a random or figure adversary and
   print the figure-style run rendering plus the specification check;
 * ``compare``  — decision-time statistics and domination verdicts for several
-  protocols over a random ensemble (``--processes`` shards the sweeps, like
-  ``sweep``);
+  protocols over a random ensemble;
 * ``sweep``    — exhaustively verify a protocol over the enumerated adversary
-  space of a context on the batch engine, with an optional multiprocessing
-  executor; ``--symmetry constructive`` sweeps one
-  *generated* canonical representative per renaming orbit, which opens
-  spaces whose full enumeration is intractable;
+  space of a context on the batch engine; ``--symmetry constructive``
+  sweeps one *generated* canonical representative per renaming orbit,
+  which opens spaces whose full enumeration is intractable;
 * ``count``    — pre-flight tractability guard: closed-form member count plus
   constructive pattern/adversary orbit counts for a restricted space,
   without enumerating it;
@@ -33,11 +31,12 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
 
 ``sweep`` and ``census`` always run on the :mod:`repro.runtime` runners;
 the runtime flags only attach things to them (``--checkpoint DIR`` and
-``--resume``: checkpointed batches; ``--deadline SECONDS``: a budget stop;
-``sweep --max-retries N``: the supervised workers' retry budget;
-``--store PATH``: the durable cross-run result store, administered by
-the ``store`` subcommand: ``inspect`` / ``verify`` / ``gc`` / ``export``);
-see ``docs/robustness.md`` and ``docs/store.md``.  Exit codes: 0 success,
+``--resume``: checkpointed batches; ``--deadline SECONDS``: a budget stop
+at a batch boundary; ``--store PATH``: the durable cross-run result
+store, administered by the ``store`` subcommand: ``inspect`` /
+``verify`` / ``gc`` / ``export``); see ``docs/robustness.md`` and
+``docs/store.md``.  Every subcommand runs its surveys in its own process,
+with no worker pool.  Exit codes: 0 success,
 1 verification failure, 2 usage error (a bad flag, or a parameter out of
 range such as ``-t`` >= ``-n`` or ``-k 0``), 3 budget stop (resumable), 130
 interrupted.
@@ -81,22 +80,6 @@ PROTOCOLS = {
     "early": lambda k: EarlyDecidingKSet(k),
     "uearly": lambda k: UniformEarlyDecidingKSet(k),
 }
-
-
-def _worker_count(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"--processes must be >= 1, got {count}")
-    return count
-
-
-def _retry_budget(value: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"--max-retries must be >= 0 (0 disables retries), got {count}"
-        )
-    return count
 
 
 def _protocol(name: str, k: int):
@@ -194,16 +177,9 @@ def _run_attached(args: argparse.Namespace, survey, *positional, **options):
     Returns ``(outcome, runtime summary lines, seconds)``, or ``None`` once
     an unusable checkpoint has been reported.  ``REPRO_FAULTS`` (a
     FaultPlan JSON document) activates deterministic fault injection on a
-    real CLI run — the chaos CI job drives this; a command with a
-    ``--max-retries`` flag also gets the supervised worker pool.
+    real CLI run — the chaos CI job drives this.
     """
-    from .runtime import (
-        CheckpointError,
-        CheckpointStore,
-        FaultPlan,
-        RunReport,
-        SupervisionPolicy,
-    )
+    from .runtime import CheckpointError, CheckpointStore, FaultPlan, RunReport
 
     faults = FaultPlan.from_env()
     events = RunReport()
@@ -212,8 +188,6 @@ def _run_attached(args: argparse.Namespace, survey, *positional, **options):
         from .store import ResultStore
 
         result_store = ResultStore(args.store, faults=faults, report=events)
-    if hasattr(args, "max_retries"):
-        options["policy"] = SupervisionPolicy(max_retries=args.max_retries, faults=faults)
     start = time.perf_counter()
     try:
         outcome = survey(
@@ -283,27 +257,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         symmetry = "quotient"
     protocols = [_protocol(name, args.k) for name in args.protocols]
-    print(
-        statistics_report(
-            collect(
-                protocols,
-                adversaries,
-                context.t,
-                processes=args.processes,
-                symmetry=symmetry,
-            )
-        )
-    )
+    print(statistics_report(collect(protocols, adversaries, context.t, symmetry=symmetry)))
     print()
     reference_pool = protocols[1:] or [FloodMin(args.k)]
     for reference in reference_pool:
         report = compare_protocols(
-            protocols[0],
-            reference,
-            adversaries,
-            context.t,
-            processes=args.processes,
-            symmetry=symmetry,
+            protocols[0], reference, adversaries, context.t, symmetry=symmetry
         )
         print(report.summary())
     return 0
@@ -374,8 +333,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .runtime import resilient_check
 
     ran = _run_attached(
-        args, resilient_check, protocol, build_space(spec), context.t,
-        symmetry=args.symmetry, processes=args.processes,
+        args, resilient_check, protocol, build_space(spec), context.t, symmetry=args.symmetry
     )
     if ran is None:
         return 2
@@ -484,7 +442,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         normalize_spec, {"kind": "census", "n": args.n, "t": args.t, "k": args.k, "time": args.time}
     )
     build_start = time.perf_counter()
-    pc = build_restricted_complex(context, time=args.time, processes=args.processes)
+    pc = build_restricted_complex(context, time=args.time)
     build_elapsed = time.perf_counter() - build_start
     ran = _run_attached(
         args, resilient_census, pc, context.k, symmetry=args.symmetry,
@@ -613,9 +571,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ceiling=args.ceiling,
         max_depth=args.max_depth,
         runners=args.runners,
-        processes=args.processes,
         batch_size=args.batch_size,
-        max_retries=args.max_retries,
         job_deadline_seconds=args.job_deadline,
         store_path=store_path,
         announce=announce,
@@ -790,12 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=["optmin", "early", "floodmin"],
         choices=sorted(PROTOCOLS),
     )
-    compare_parser.add_argument(
-        "--processes",
-        type=_worker_count,
-        default=None,
-        help="multiprocessing workers, >= 1",
-    )
     _add_symmetry_argument(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
@@ -804,24 +754,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_context_arguments(sweep_parser)
     sweep_parser.add_argument("--protocol", default="optmin", choices=sorted(PROTOCOLS))
-    sweep_parser.add_argument(
-        "--processes",
-        type=_worker_count,
-        default=None,
-        help="multiprocessing workers, >= 1",
-    )
     _add_restriction_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--limit", type=int, default=None, help="truncate the adversary stream (smoke runs)"
     )
     _add_symmetry_argument(sweep_parser)
     _add_runtime_arguments(sweep_parser)
-    sweep_parser.add_argument(
-        "--max-retries",
-        type=_retry_budget,
-        default=2,
-        help="per-chunk retry budget of the supervised executor (default 2)",
-    )
     sweep_parser.set_defaults(func=cmd_sweep)
 
     count_parser = subparsers.add_parser(
@@ -852,12 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
     census_parser.add_argument("-k", type=int, default=2, help="agreement parameter (default 2)")
     census_parser.add_argument(
         "-m", "--time", type=int, default=1, help="protocol-complex round count (default 1)"
-    )
-    census_parser.add_argument(
-        "--processes",
-        type=_worker_count,
-        default=None,
-        help="multiprocessing workers, >= 1",
     )
     _add_symmetry_argument(census_parser)
     _add_runtime_arguments(census_parser)
@@ -944,18 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size", type=int, default=None, help="survey batch size (checkpoint cadence)"
     )
     serve_parser.add_argument(
-        "--processes",
-        type=_worker_count,
-        default=None,
-        help="multiprocessing workers per survey, >= 1",
-    )
-    serve_parser.add_argument(
-        "--max-retries",
-        type=_retry_budget,
-        default=2,
-        help="per-chunk retry budget of the supervised executor (default 2)",
-    )
-    serve_parser.add_argument(
         "--store",
         default="auto",
         metavar="PATH",
@@ -1032,9 +952,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
     flag, or a parameter out of range for the paper's model), 3 budget
-    stop (progress checkpointed, resumable), 130 interrupted (Ctrl-C; pool
-    workers are torn down by the executors' ``finally`` blocks and the last
-    completed batch is already checkpointed when ``--checkpoint`` is given).
+    stop (progress checkpointed, resumable), 130 interrupted (Ctrl-C; the
+    last completed batch is already checkpointed when ``--checkpoint`` is
+    given).
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1049,7 +969,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except KeyboardInterrupt:
         print(
-            "interrupted — workers terminated; partial progress is checkpointed "
+            "interrupted — partial progress is checkpointed "
             "where --checkpoint was given (rerun with --resume)",
             file=sys.stderr,
         )

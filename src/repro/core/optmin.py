@@ -69,9 +69,8 @@ class OptMinWithExplanation(OptMin):
 
     Because ``decide`` mutates ``self.reasons``, run it on the reference
     engine (:class:`repro.model.run.Run`) only: the batch engine evaluates
-    decision rules once per distinct local state of a pass (and in worker
-    processes under multiprocessing), so the recorded reasons would cover
-    only one call per local state.
+    decision rules once per distinct local state of a pass, so the recorded
+    reasons would cover only one call per local state.
     """
 
     name = "Optmin[k] (instrumented)"

@@ -9,14 +9,13 @@ rules once per distinct local state of a pass instead of once per adversary.
 
 Public surface:
 
-* :class:`SweepRunner` / :func:`sweep` — run a batch, optionally on a
-  ``multiprocessing`` pool, and aggregate results;
+* :class:`SweepRunner` / :func:`sweep` — run a batch and aggregate results;
 * :class:`BatchRun` — per-adversary outcome with the ``Run`` read API;
 * :class:`SweepReport` — sharing-factor bookkeeping of the last sweep;
 * :class:`FusedOutcome` / :func:`run_fused_pass` / :func:`struct_view_key` —
   the fused single-pass scheduler core: decisions evaluated and canonical
   views snapshotted in one trie traversal (``SweepRunner.sweep_fused`` is
-  the high-level entry point), sharded across workers when requested;
+  the high-level entry point);
 * :class:`ArrayView`, :class:`BatchContext`, :class:`StructLayer` — the
   array-backed view layer (mostly useful for tests and instrumentation);
 * :class:`LayerViews` — the ``Run`` view surface of one adversary on the
@@ -35,7 +34,6 @@ engine to the oracle (the per-adversary paths live in :mod:`repro.oracles`).
 from .arrays import ArrayView, BatchContext, StructLayer
 from .fused import (
     FusedOutcome,
-    resolve_mp_context,
     run_facets_pass,
     run_fused_pass,
     struct_view_key,
@@ -58,7 +56,6 @@ __all__ = [
     "SweepRunner",
     "batch_system_size",
     "prepare_adversaries",
-    "resolve_mp_context",
     "run_facets_pass",
     "run_fused_pass",
     "struct_view_key",

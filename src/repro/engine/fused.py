@@ -39,7 +39,7 @@ This module is the single traversal both products come from:
   crashes per round" family of the Proposition 2 complexes — is not
   scheduled member by member at all.  Its members are the leaves of a
   crash-option tree whose nodes *are* the trie's groups, so
-  :func:`facet_groups` walks that tree depth first
+  :func:`run_facets_pass` walks that tree depth first
   (:func:`_walk_family`): one :meth:`StructLayer.child` per node of rounds
   ``1 .. time - 1``, then one memo lookup per surviving observer of each
   undominated last-round option (a dominated one only realises a
@@ -47,26 +47,15 @@ This module is the single traversal both products come from:
   :class:`PreparedAdversary` is built per member, and the facets come out
   in member order.
 
-Both passes shard across worker processes: contiguous chunks of the family
-(position-range slices; a slice of a per-round family is a window on the
-same tree) are scheduled on per-worker tries and return pickled payloads — raw
-``(position, decision summary, stop_time)`` outcomes plus the chunk's keyed
-layer snapshot (the view index, or the facet payloads) — which the parent
-merges by offsetting positions.  Chunk-local equivalence classes are subsets
-of the global ones and canonical keys are intrinsic to (prefix, inputs,
-process, time), so the merged products are identical to the serial pass
-(``tests/test_fused_scheduler.py`` pins both the chunk-boundary identity and
-payload pickling on spawn contexts).
-
-The decision-only mode of :func:`run_fused_pass` *is* the sweep engine's
-serial core — :mod:`repro.engine.sweep` delegates here — so every consumer
+Every pass runs in this process.  The decision-only mode of
+:func:`run_fused_pass` *is* the sweep engine's core —
+:mod:`repro.engine.sweep` delegates here — so every consumer
 (checker sweeps, domination/beatability, ``System.from_family``, the complex
 builders) now sits on one scheduler pass implementation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary
@@ -77,8 +66,7 @@ from .arrays import BatchContext, StructLayer, evidence_view
 from .trie import Group, PrefixScheduler, PreparedAdversary, prepare_adversaries
 
 #: A finalised (position, decision summary, stop_time) triple — the decision
-#: half of a fused payload.  Members of one group share one summary object,
-#: which pickling back from worker processes ships once per group.
+#: half of a fused payload.  Members of one group share one summary object.
 RawOutcome = Tuple[int, DecisionSummary, int]
 
 #: A canonical view key (:func:`repro.model.view.view_key` layout).
@@ -96,9 +84,9 @@ FacetVertex = Tuple[ProcessId, ViewKey]
 #: distinct facet, in position order.  Vertices repeat across thousands of
 #: facets and facets across many classes (the n=6 Proposition 2 family has
 #: 260,275 classes, 5,316 distinct local states and 32,298 distinct maximal
-#: facets, the only ones its walk emits), so shipping each distinct key and
-#: facet once, as small int tuples, keeps both the sharded pass's pickling
-#: and the builder's memory per distinct object rather than per member.
+#: facets, the only ones its walk emits), so holding each distinct key and
+#: facet once, as small int tuples, keeps the builder's memory per distinct
+#: object rather than per member.
 FacetPayload = Tuple[List[FacetVertex], List[Tuple[int, Tuple[int, ...]]]]
 
 
@@ -245,7 +233,7 @@ def _snapshot_group(group: Group, index: ViewIndex) -> None:
         setdefault(struct_view_key(layer, i, values), []).extend(positions)
 
 
-def fused_serial(
+def run_fused_pass(
     protocol,
     adversaries: Sequence[Adversary],
     t: int,
@@ -253,7 +241,7 @@ def fused_serial(
     n: Optional[int] = None,
     collect_views: bool = True,
 ) -> FusedOutcome:
-    """The serial fused core: one trie, level-synchronous, both products.
+    """One fused pass over a family: one trie, level-synchronous, both products.
 
     With ``collect_views=False`` this is exactly the decision sweep
     (:mod:`repro.engine.sweep` delegates here): early-stopping per branch,
@@ -273,7 +261,7 @@ def fused_serial(
     scheduler = PrefixScheduler(n, prepared)
     # One decision per distinct local state of this pass (see
     # _apply_group_decisions); it dies with the pass, so memory stays
-    # O(batch) and nothing crosses batches or worker chunks.
+    # O(batch) and nothing crosses batches.
     memo: DecisionMemo = {}
 
     def finalize(key, group: Group) -> None:
@@ -323,205 +311,6 @@ def fused_serial(
             f"adversaries (first missing position: {missing[0]})"
         )
     return FusedOutcome(results, scheduler.layers_computed, index)
-
-
-#: The smallest auto-tuned worker chunk.  Spawning a pool, pickling payloads
-#: and merging results costs on the order of tens of milliseconds; a chunk of
-#: fewer adversaries than this simulates faster than it ships, so the planner
-#: refuses to slice below it and falls back to the serial core when the
-#: family cannot fill even two such chunks (the 1–2-core-runner regime where
-#: the sharded executor used to lose to serial).
-MIN_CHUNK_INPUTS = 512
-
-
-def _plan_chunks(
-    total: int, processes: int, chunk_size: Optional[int]
-) -> Optional[List[Tuple[int, int]]]:
-    """Contiguous ``(start, end)`` chunks, or ``None`` when serial wins.
-
-    Auto-tuned sizing (``chunk_size=None``) aims for two chunks per worker —
-    enumeration order keeps prefix sharing high inside each contiguous chunk
-    — but never slices below :data:`MIN_CHUNK_INPUTS`; a family that fits in
-    one such chunk is returned as ``None``, meaning "skip the pool entirely".
-    An explicit ``chunk_size`` opts out of both the floor and the serial
-    fallback (the chunk-boundary identity tests rely on exact slicing).
-    """
-    auto = chunk_size is None
-    if auto:
-        chunk_size = max(MIN_CHUNK_INPUTS, math.ceil(total / (2 * processes)))
-        if total <= chunk_size:
-            return None
-    ranges = [
-        (start, min(start + chunk_size, total)) for start in range(0, total, chunk_size)
-    ]
-    if auto and len(ranges) >= 2 and ranges[-1][1] - ranges[-1][0] < MIN_CHUNK_INPUTS:
-        # Fold a sub-floor remainder into its neighbour: a tail chunk below
-        # the floor ships (pool task + pickled payload) more than it saves.
-        ranges[-2] = (ranges[-2][0], ranges[-1][1])
-        ranges.pop()
-    if auto and len(ranges) == 1:
-        # One chunk left after folding = the whole family on one worker;
-        # the serial core does the same work without a pool.
-        return None
-    return ranges
-
-
-def resolve_mp_context(mp_context: Optional[str] = None):
-    """Resolve the multiprocessing start method explicitly.
-
-    An explicit ``mp_context`` always wins (``ValueError`` if the platform
-    lacks it — better than silently running a different method than the
-    caller's tests pinned).  The ``None`` default is resolved here, once,
-    instead of leaning on :func:`multiprocessing.get_context`'s
-    platform-dependent default: ``fork`` is chosen only when the platform
-    offers it **and** the parent is single-threaded.  Forking a
-    multi-threaded process copies other threads' locks in an undefined
-    state — CPython 3.12 deprecated it (``DeprecationWarning``) and 3.14
-    switches the Linux default to ``forkserver`` for exactly that reason —
-    so threaded parents (e.g. a future HTTP service layer driving sweeps)
-    get ``spawn``, which the engine already supports end to end: worker
-    inputs ship through the pool initializer and every payload survives
-    real pickling (``tests/test_fused_scheduler.py``).  Single-threaded
-    CLI/batch parents keep fork's cheap copy-on-write input inheritance.
-    """
-    import multiprocessing
-    import threading
-
-    if mp_context:
-        return multiprocessing.get_context(mp_context)
-    if (
-        "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-    ):
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context("spawn")
-
-
-#: This worker process's pass inputs, installed by the pool initializer.
-#: Pool tasks carry only ``(start, end)`` index ranges: under the default
-#: fork start method the initializer argument is inherited, not pickled —
-#: shipping a survey-scale adversary family per task costs more than the
-#: simulation it shards — and under spawn it is pickled exactly once per
-#: worker (the path the payload-pickling tests exercise).  Each pool carries
-#: its own inputs, so overlapping sharded passes cannot trample each other.
-_WORKER_INPUTS = None
-
-
-def _init_worker_inputs(inputs) -> None:
-    """Pool initializer: install the pass inputs in this worker process."""
-    global _WORKER_INPUTS
-    _WORKER_INPUTS = inputs
-
-
-def _run_sharded(worker, inputs, ranges, processes, mp_context, supervision=None, report=None):
-    """Map contiguous index ranges over a pool that owns ``inputs``.
-
-    The one executor both sharded passes use; returns the per-chunk results
-    zipped with their ``(start, end)`` ranges so callers can offset
-    chunk-local positions while merging.  Never spawns more workers than
-    there are chunks — an idle worker still pays interpreter startup and (on
-    spawn contexts) a full pickled copy of the inputs.
-
-    With ``supervision`` set (a :class:`repro.runtime.SupervisionPolicy`)
-    the chunks run on the supervised executor instead of a bare ``Pool``:
-    per-chunk timeouts, bounded retry with backoff, dead-worker detection
-    and respawn, quarantine and serial degradation — recovery events land
-    on ``report``.  Either way the per-chunk payloads come back in range
-    order, so the merge identity is executor-independent.
-    """
-    context = resolve_mp_context(mp_context)
-    workers = min(processes, len(ranges))
-    if supervision is not None:
-        from ..runtime.supervisor import run_supervised
-
-        payloads = run_supervised(
-            worker,
-            ranges,
-            context=context,
-            processes=workers,
-            initializer=_init_worker_inputs,
-            initargs=(inputs,),
-            policy=supervision,
-            report=report,
-        )
-        return list(zip(ranges, payloads))
-    pool = context.Pool(
-        processes=workers, initializer=_init_worker_inputs, initargs=(inputs,)
-    )
-    try:
-        return list(zip(ranges, pool.map(worker, ranges)))
-    finally:
-        # terminate() (not close()) so an exception mid-map — including
-        # KeyboardInterrupt — tears the workers down instead of leaking
-        # them; join() so they are reaped before the parent moves on.
-        pool.terminate()
-        pool.join()
-
-
-def _fused_chunk(bounds) -> Tuple[List[RawOutcome], int, Optional[ViewIndex]]:
-    """Worker entry point for the sharded fused pass."""
-    start, end = bounds
-    protocol, batch, t, horizon, collect_views = _WORKER_INPUTS
-    outcome = fused_serial(protocol, batch[start:end], t, horizon, collect_views=collect_views)
-    return outcome.raw, outcome.layers_computed, outcome.view_index
-
-
-def run_fused_pass(
-    protocol,
-    adversaries: Sequence[Adversary],
-    t: int,
-    horizon: int,
-    n: Optional[int] = None,
-    processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    mp_context: Optional[str] = None,
-    collect_views: bool = True,
-    supervision=None,
-    report=None,
-) -> FusedOutcome:
-    """One fused pass over a family, serial or sharded across workers.
-
-    The parallel executor fans contiguous chunks out to a ``multiprocessing``
-    pool; each worker returns its pickled ``(decisions, layer snapshot)``
-    payload and the parent merges them by offsetting chunk-local positions.
-    ``mp_context`` selects the start method (see :func:`resolve_mp_context`
-    for the explicit default; the spawn path is exercised by the pickling
-    tests).  Chunk sizing is auto-tuned by :func:`_plan_chunks`: families
-    too small to amortise the pool run on the serial core even when
-    ``processes >= 2`` is requested.  ``supervision`` / ``report`` select
-    the supervised executor (see :func:`_run_sharded`).
-    """
-    if processes is None or processes <= 1 or len(adversaries) <= 1:
-        return fused_serial(protocol, adversaries, t, horizon, n, collect_views)
-    ranges = _plan_chunks(len(adversaries), processes, chunk_size)
-    if ranges is None:
-        return fused_serial(protocol, adversaries, t, horizon, n, collect_views)
-    chunk_results = _run_sharded(
-        _fused_chunk,
-        (protocol, adversaries, t, horizon, collect_views),
-        ranges,
-        processes,
-        mp_context,
-        supervision=supervision,
-        report=report,
-    )
-    raw: List[RawOutcome] = []
-    layers = 0
-    index: Optional[ViewIndex] = {} if collect_views else None
-    for (offset, _end), (chunk_raw, chunk_layers, chunk_index) in chunk_results:
-        raw.extend((offset + pos, summary, stop) for pos, summary, stop in chunk_raw)
-        layers += chunk_layers
-        if collect_views:
-            setdefault = index.setdefault
-            for key, positions in chunk_index.items():
-                setdefault(key, []).extend(offset + pos for pos in positions)
-    # Same completeness invariant the serial core enforces: a chunking or
-    # reassembly bug must fail loudly, never shrink an "exhaustive" sweep.
-    if len(raw) != len(adversaries):
-        raise RuntimeError(
-            f"parallel fused pass reassembled {len(raw)} of {len(adversaries)} adversaries"
-        )
-    return FusedOutcome(raw, layers, index)
 
 
 # ------------------------------------------------------------- view-only pass
@@ -642,9 +431,7 @@ class _LastRound(dict):
         return vid
 
 
-def facet_groups(
-    adversaries: Sequence[Adversary], t: int, time: Time, n: Optional[int] = None
-) -> FacetPayload:
+def run_facets_pass(adversaries: Sequence[Adversary], t: int, time: Time) -> FacetPayload:
     """One view-only traversal to ``time`` → the compact facet payload.
 
     The protocol-complex specialisation of the fused pass: no protocol, no
@@ -652,7 +439,7 @@ def facet_groups(
     keyed active processes deduplicated into the vertex table.  Each distinct
     facet appears once, at the smallest position of a member realising it,
     and facets are sorted by that position, which makes the builder's
-    representative bookkeeping deterministic and chunk-independent.
+    representative bookkeeping deterministic.
 
     The trie advances to ``time - 1`` only.  Each group's members are then
     split by their round-``time`` events — the classes a last
@@ -672,7 +459,7 @@ def facet_groups(
 
     if isinstance(adversaries, PerRoundCrashFamily) and adversaries.rounds == time:
         return _walk_family(adversaries, t, time)
-    n, prepared = prepare_adversaries(adversaries, t, n)
+    n, prepared = prepare_adversaries(adversaries, t)
     table: List[FacetVertex] = []
     if not prepared:
         return table, []
@@ -712,7 +499,7 @@ def facet_groups(
 
 
 def _walk_family(family, t: int, time: Time) -> FacetPayload:
-    """:func:`facet_groups` of a per-round crash family, by walking its option tree.
+    """:func:`run_facets_pass` of a per-round crash family, by walking its option tree.
 
     Every node of the tree is one trie group: its crash events of rounds
     ``1 .. r`` are the path to it, and the family has one input vector.  The
@@ -721,7 +508,7 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     its options — one class, one member each — with :class:`_LastRound`,
     whose merged states are resolved across the whole walk.  Members are
     visited in order, so a facet is emitted the first time a member
-    realises it, at a position relative to the family's window.  Dominated
+    realises it, at that member's position.  Dominated
     options (:func:`_dominated`) are skipped: their facets are exactly the
     non-maximal ones, so the payload is the trie's minus those facets, and
     the vertex table of a whole family comes out in the order the trie
@@ -732,10 +519,8 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
     family.check_crash_bound(t)
     table: List[FacetVertex] = []
     facets: List[Tuple[int, Tuple[int, ...]]] = []
-    if not len(family):
-        return table, facets
     intern = _interner(table)
-    n, values, start = family.n, family.values, family.start
+    n, values = family.n, family.values
     root = StructLayer.root(n)
     if time == 0:
         facets.append((0, tuple(intern((i, struct_view_key(root, i, values))) for i in range(n))))
@@ -768,8 +553,7 @@ def _walk_family(family, t: int, time: Time) -> FacetPayload:
                 for _size, block in family.options(up, round_)
                 for events, rest in block
             ]
-        lo, hi = max(0, start - first), min(len(rows), family.stop - first)
-        for position, slots in enumerate(rows[lo:hi], first + lo - start):
+        for position, slots in enumerate(rows, first):
             if slots is not None:
                 facet = last.facet(slots)
                 if facet not in seen:
@@ -800,58 +584,3 @@ def _dominated(events: Sequence[CrashEvent], rest: Tuple[ProcessId, ...]) -> boo
     last-round options").
     """
     return any(event.receivers.issuperset(rest) for event in events)
-
-
-def _facets_chunk(bounds) -> FacetPayload:
-    """Worker entry point for the sharded view-only pass."""
-    start, end = bounds
-    batch, t, time = _WORKER_INPUTS
-    return facet_groups(batch[start:end], t, time)
-
-
-def run_facets_pass(
-    adversaries: Sequence[Adversary],
-    t: int,
-    time: Time,
-    processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    mp_context: Optional[str] = None,
-    supervision=None,
-    report=None,
-) -> FacetPayload:
-    """The facet payload of a family, serial or sharded across workers.
-
-    Either way every distinct facet appears once, at the smallest position
-    of a member realising it, with positions strictly increasing.  Chunks
-    cover increasing position ranges and each chunk's payload already holds
-    its distinct facets in position order, so the merge re-deduplicates the
-    chunk-local vertex tables into one global table and keeps a facet only
-    the first time a chunk brings it: that is its globally smallest
-    position, and no re-sort is needed.
-    """
-    if processes is None or processes <= 1 or len(adversaries) <= 1:
-        return facet_groups(adversaries, t, time)
-    ranges = _plan_chunks(len(adversaries), processes, chunk_size)
-    if ranges is None:
-        return facet_groups(adversaries, t, time)
-    chunk_results = _run_sharded(
-        _facets_chunk,
-        (adversaries, t, time),
-        ranges,
-        processes,
-        mp_context,
-        supervision=supervision,
-        report=report,
-    )
-    table: List[FacetVertex] = []
-    intern = _interner(table)
-    facets: List[Tuple[int, Tuple[int, ...]]] = []
-    seen = set()
-    for (offset, _end), (chunk_table, chunk_facets) in chunk_results:
-        remap = [intern(vertex) for vertex in chunk_table]
-        for pos, vids in chunk_facets:
-            facet = tuple(remap[vid] for vid in vids)
-            if facet not in seen:
-                seen.add(facet)
-                facets.append((offset + pos, facet))
-    return table, facets

@@ -15,13 +15,9 @@ differentially tested against it (``tests/test_engine_differential.py``,
 ``tests/test_exhaustive.py`` and the :mod:`repro.oracles` fixtures) and must
 produce bit-identical decisions and decision times on every adversary.
 
-An optional ``multiprocessing`` executor fans contiguous chunks of the
-adversary stream out to worker processes; chunks stay contiguous because
-enumeration order (patterns outer, input vectors inner) keeps prefix sharing
-high inside each chunk.
-
-The traversal itself lives in :mod:`repro.engine.fused`: the decision sweep
-is the ``collect_views=False`` mode of the fused scheduler pass, and
+Every sweep runs in this process.  The traversal itself lives in
+:mod:`repro.engine.fused`: the decision sweep is the
+``collect_views=False`` mode of the fused scheduler pass, and
 :meth:`SweepRunner.sweep_fused` exposes the full fused product (decisions
 *plus* the canonical-view index) that ``System.from_family`` consumes in a
 single pass.
@@ -176,8 +172,8 @@ class SweepRunner:
     definition): the batch engine evaluates ``decide`` once per distinct
     ``(layer, process, seen inputs)`` of each pass — not once per adversary
     or trie group; :func:`repro.engine.fused._apply_group_decisions` gives
-    the soundness argument — and in forked workers when ``processes`` is
-    set.  Protocols that accumulate side state in ``decide`` (e.g. the
+    the soundness argument.  Protocols that accumulate side state in
+    ``decide`` (e.g. the
     instrumented ``OptMinWithExplanation``) belong on
     :class:`repro.model.run.Run`.
 
@@ -191,53 +187,12 @@ class SweepRunner:
     horizon:
         Simulation horizon; defaults to the protocol's declared worst case
         plus one round of slack, exactly like the reference engine.
-    processes:
-        ``None`` or ``1`` for in-process execution; ``>= 2`` to fan chunks of
-        the sweep out to a ``multiprocessing`` pool.
-    chunk_size:
-        Adversaries per worker task (default: an even split into
-        ``2 × processes`` contiguous chunks, preserving enumeration-order
-        prefix locality).
-    mp_context:
-        ``multiprocessing`` start method for the executor (resolved
-        explicitly by :func:`repro.engine.fused.resolve_mp_context`:
-        ``"fork"`` for single-threaded parents where available, ``"spawn"``
-        otherwise; ``"spawn"`` requires every payload — protocol,
-        adversaries, decisions, view keys — to survive real pickling, which
-        the fused-payload tests exercise).
-    supervision:
-        A :class:`repro.runtime.SupervisionPolicy` to run sharded passes on
-        the supervised executor (per-chunk timeouts, bounded retry with
-        backoff, dead-worker respawn, quarantine, serial degradation)
-        instead of a bare pool; ``None`` (default) keeps the bare pool.
-    runtime_report:
-        The :class:`repro.runtime.RunReport` recovery events are recorded
-        on when ``supervision`` is set.
     """
 
-    def __init__(
-        self,
-        protocol,
-        t: int,
-        horizon: Optional[int] = None,
-        processes: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        mp_context: Optional[str] = None,
-        supervision=None,
-        runtime_report=None,
-    ) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    def __init__(self, protocol, t: int, horizon: Optional[int] = None) -> None:
         self.protocol = protocol
         self.t = t
         self.horizon = horizon
-        self.processes = processes
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
-        self.supervision = supervision
-        self.runtime_report = runtime_report
         self.last_report: Optional[SweepReport] = None
 
     # ------------------------------------------------------------------ sweeps
@@ -274,24 +229,12 @@ class SweepRunner:
         if not batch:
             self.last_report = SweepReport(0, 0, 0)
             return [], ({} if collect_views else None)
-        # Validate homogeneity before any chunking: worker processes only see
-        # their own slice, so a mixed batch aligned with chunk boundaries
-        # would otherwise be accepted with a wrong horizon for part of it.
+        # One system size for the whole batch: it fixes the horizon.
         n = batch_system_size(batch)
         horizon = default_horizon(self.protocol, n, self.t, self.horizon)
 
         outcome = run_fused_pass(
-            self.protocol,
-            batch,
-            self.t,
-            horizon,
-            n=n,
-            processes=self.processes,
-            chunk_size=self.chunk_size,
-            mp_context=self.mp_context,
-            collect_views=collect_views,
-            supervision=self.supervision,
-            report=self.runtime_report,
+            self.protocol, batch, self.t, horizon, n=n, collect_views=collect_views
         )
         runs = [
             BatchRun(self.protocol, batch[pos], self.t, horizon, summary, pos, stop_time)
@@ -301,8 +244,9 @@ class SweepRunner:
         self.last_report = SweepReport(len(runs), outcome.layers_computed, reference_layers)
         index = outcome.view_index
         if index is not None:
-            # Chunked merges append per group; one sort per key restores the
-            # run order the reference System constructor indexes in.
+            # The pass appends per group, in trie order; one sort per key
+            # restores the run order the reference System constructor
+            # indexes in.
             for positions in index.values():
                 positions.sort()
         return runs, index
@@ -320,8 +264,7 @@ def sweep(
     adversaries: Iterable[Adversary],
     t: int,
     horizon: Optional[int] = None,
-    processes: Optional[int] = None,
 ) -> List[BatchRun]:
     """Convenience wrapper: batch-simulate ``protocol`` against ``adversaries``."""
-    return SweepRunner(protocol, t, horizon=horizon, processes=processes).sweep(adversaries)
+    return SweepRunner(protocol, t, horizon=horizon).sweep(adversaries)
 

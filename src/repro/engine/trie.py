@@ -142,8 +142,7 @@ class PrefixScheduler:
     #: construction).  Diagnostics only — it lets tests and benchmarks assert
     #: that a consumer really performs a *single* pass over a family (the
     #: fused ``System.from_family`` acceptance criterion) instead of
-    #: re-walking the trie per product.  Worker processes count their own
-    #: passes; the parent's counter reflects parent-side traversals only.
+    #: re-walking the trie per product.
     passes_started = 0
 
     def __init__(self, n: int, prepared: Sequence[PreparedAdversary]) -> None:

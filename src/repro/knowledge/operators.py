@@ -129,7 +129,6 @@ class System:
         adversaries: Iterable,
         t: int,
         horizon: Optional[int] = None,
-        processes: Optional[int] = None,
         symmetry: str = "none",
     ) -> "System":
         """Build the system of all runs of ``protocol`` over an adversary family.
@@ -140,10 +139,8 @@ class System:
         snapshotted as the same scheduler pass advances — every
         ``(process, time)`` point of every run is keyed once per
         (prefix-class, input-class), not once per adversary, and branches are
-        dropped the moment they stop contributing points.  With
-        ``processes >= 2`` the fused pass shards contiguous chunks of the
-        family across worker processes, so construction is parallel end to
-        end.  The runs of the resulting system are :class:`FamilyRun` facades
+        dropped the moment they stop contributing points.  The runs of the
+        resulting system are :class:`FamilyRun` facades
         whose view surface is served lazily by a shared
         :class:`repro.engine.RunCache`: only the adversaries of points
         actually queried (or of runs whose views a fact inspects) are ever
@@ -177,7 +174,7 @@ class System:
         batch = [adversary for _index, adversary, _weight in items]
         if not batch:
             raise ValueError("a system must contain at least one run")
-        runner = SweepRunner(protocol, t, horizon=horizon, processes=processes)
+        runner = SweepRunner(protocol, t, horizon=horizon)
         swept, index = runner.sweep_fused(batch)
         cache = RunCache()
         system = cls._from_index(tuple(FamilyRun(run, cache) for run in swept), index)

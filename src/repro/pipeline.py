@@ -9,7 +9,8 @@ attachment — a per-item verdict ``memo`` (the durable result store), an
 and budgets, :mod:`repro.runtime`), a resume ``cursor`` — and a plain
 survey attaches nothing.  Items fold in stream order whether their verdict
 was evaluated or memoized, so plain, memoized and resumed folds of one
-stream produce byte-identical aggregates.
+stream produce byte-identical aggregates.  Every batch is evaluated in
+this process, on the one engine core.
 
 Collector policy: the cyclic garbage collector is paused while a batch is
 built, evaluated and folded, and one young-generation ``gc.collect(0)``
@@ -24,9 +25,8 @@ make is held back by at most one batch (the repo's own code makes none,
 however the loop ends; if it was already off on entry (a nested
 :func:`fold_stream`, or a caller's choice), the loop neither collects nor
 re-enables it; the switch is process-wide, so concurrent folds in
-threads share it and leave it on once all have ended.  Workers forked
-inside a batch (``processes=N``) inherit the paused collector for their
-single pass.  :func:`collector_paused` is that pause and restore; the
+threads share it and leave it on once all have ended.
+:func:`collector_paused` is that pause and restore; the
 protocol-complex build (:func:`repro.topology.build_protocol_complex`)
 runs under it too, with no collection of its own: almost everything it
 allocates lives until it returns.

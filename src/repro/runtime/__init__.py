@@ -1,26 +1,22 @@
-"""Fault-tolerant survey runtime: checkpoint/resume, supervision, chaos testing.
+"""Fault-tolerant survey runtime: checkpoint/resume, budgets, chaos testing.
 
-The resilience layer wrapped around the sweep/fused engines:
+The resilience layer wrapped around the sweep/fused engines, all of it in
+the calling process:
 
 * :mod:`repro.runtime.checkpoint` — atomic, checksummed, rotated
   checkpoints of deterministic survey streams (:class:`Checkpoint`,
   :class:`CheckpointStore`, :class:`CheckpointError`);
-* :mod:`repro.runtime.supervisor` — the supervised worker pool the sharded
-  engine passes run on when a :class:`SupervisionPolicy` is configured
-  (per-chunk timeouts, bounded retry with exponential backoff, dead-worker
-  detection and respawn, poison-chunk quarantine, serial degradation,
-  deadline aborts);
 * :mod:`repro.runtime.faults` — the deterministic fault-injection harness
   (:class:`FaultPlan`) that makes every recovery path testable in tier-1;
 * :mod:`repro.runtime.runner` — the resilient consumers: checkpointed
   checker sweeps (:func:`resilient_check`) and Proposition 2 censuses
   (:func:`resilient_census`), with wall-clock/peak-RSS budgets that
-  checkpoint-and-stop instead of dying;
+  checkpoint-and-stop at a batch boundary instead of dying;
 * :mod:`repro.runtime.report` — the structured :class:`RunReport` every
   recovery action is surfaced on.
 
-See ``docs/robustness.md`` for the checkpoint format, the supervision state
-machine, and the fault-injection knobs.
+See ``docs/robustness.md`` for the checkpoint format, the budgets and the
+fault-injection knobs.
 """
 
 from .checkpoint import (
@@ -32,7 +28,7 @@ from .checkpoint import (
     load_checkpoint,
     write_checkpoint,
 )
-from .faults import FAULTS_ENV, FaultPlan, InjectedFault
+from .faults import FAULTS_ENV, FaultPlan
 from .report import EVENT_KINDS, RunReport, RuntimeEvent
 from .runner import (
     DEFAULT_BATCH_SIZE,
@@ -43,12 +39,6 @@ from .runner import (
     resilient_census,
     resilient_check,
 )
-from .supervisor import (
-    DeadlineExceeded,
-    SupervisionError,
-    SupervisionPolicy,
-    run_supervised,
-)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -56,16 +46,12 @@ __all__ = [
     "CheckpointError",
     "CheckpointStore",
     "DEFAULT_BATCH_SIZE",
-    "DeadlineExceeded",
     "EVENT_KINDS",
     "FAULTS_ENV",
     "FaultPlan",
-    "InjectedFault",
     "ResilientOutcome",
     "RunReport",
     "RuntimeEvent",
-    "SupervisionError",
-    "SupervisionPolicy",
     "canonical_json",
     "census_spec",
     "checker_spec",
@@ -73,6 +59,5 @@ __all__ = [
     "peak_rss_kb",
     "resilient_census",
     "resilient_check",
-    "run_supervised",
     "write_checkpoint",
 ]

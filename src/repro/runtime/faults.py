@@ -2,29 +2,22 @@
 
 Fault tolerance that is only exercised by real hardware failures is
 untested fault tolerance.  This module makes every failure mode the
-supervisor and checkpoint layers claim to survive *injectable on demand and
-reproducible by seed*:
+checkpoint, result-store and service layers claim to survive *injectable on
+demand and reproducible by seed*:
 
-* **worker kills** — a worker ``SIGKILL``s itself at chosen chunk indices
-  (the OOM-killer / segfault model: no exception, no cleanup, just a dead
-  process the supervisor must detect);
-* **chunk errors** — a chunk attempt raises :class:`InjectedFault` (the
-  poison-chunk model exercising retry and quarantine);
-* **delays** — a chunk attempt sleeps before executing (the stuck-worker
-  model exercising per-chunk timeouts);
 * **checkpoint sabotage** — a just-written checkpoint file is truncated or
   bit-flipped (the torn-write / bad-disk model exercising checksum
-  rejection and fallback to the previous checkpoint).
+  rejection and fallback to the previous checkpoint);
+* **store sabotage** — committed result rows are damaged and commits fault
+  (busy or disk full);
+* **service sabotage** — a job owner dies mid-job, leases expire,
+  heartbeats drop, queue commits fail.
 
-Faults keyed by chunk index carry an *attempt budget*: ``{3: 1}`` kills
-chunk 3's first attempt only, so its retry succeeds — which is exactly the
-recovery path under test.  A plan is inert unless explicitly passed in (or
-activated through the ``REPRO_FAULTS`` environment variable, whose value is
-the JSON form of a plan), so production runs pay nothing.
-
-Plans are plain picklable data: the supervisor ships them to workers, and
-:func:`FaultPlan.seeded` derives a reproducible plan from ``(seed, chunk
-count)`` for randomized chaos batteries.
+A plan is inert unless explicitly passed in (or activated through the
+``REPRO_FAULTS`` environment variable, whose value is the JSON form of a
+plan), so production runs pay nothing.  :func:`FaultPlan.seeded` derives a
+reproducible checkpoint-fault plan from ``(seed, save count)`` for
+randomized chaos batteries.
 """
 
 from __future__ import annotations
@@ -32,34 +25,23 @@ from __future__ import annotations
 import json
 import os
 import random
-import signal
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
 #: Environment variable holding a JSON fault plan (chaos smoke runs).
 FAULTS_ENV = "REPRO_FAULTS"
 
 
-class InjectedFault(RuntimeError):
-    """The exception a ``fail_chunks`` entry raises inside a worker."""
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A deterministic fault schedule (see module docstring).
 
-    ``kill_chunks`` / ``fail_chunks`` map chunk index → number of attempts
-    to sabotage (attempts beyond the budget run clean); ``delay_chunks``
-    maps chunk index → ``(seconds, attempts)``.  ``truncate_checkpoints`` /
-    ``corrupt_checkpoints`` name checkpoint-save ordinals (0-based, counted
-    per store) to damage after the atomic write completes.
+    ``truncate_checkpoints`` / ``corrupt_checkpoints`` name checkpoint-save
+    ordinals (0-based, counted per store) to damage after the atomic write
+    completes.
     """
 
     seed: Optional[int] = None
-    kill_chunks: Dict[int, int] = field(default_factory=dict)
-    fail_chunks: Dict[int, int] = field(default_factory=dict)
-    delay_chunks: Dict[int, Tuple[float, int]] = field(default_factory=dict)
     truncate_checkpoints: Tuple[int, ...] = ()
     corrupt_checkpoints: Tuple[int, ...] = ()
     #: Result-store sabotage: row-write ordinals to damage after commit
@@ -87,21 +69,6 @@ class FaultPlan:
     expire_lease: Tuple[int, ...] = ()
     delay_heartbeat: Tuple[int, ...] = ()
     drop_job_commit: Tuple[int, ...] = ()
-
-    # ------------------------------------------------------------ chunk side
-    def apply_chunk_faults(self, chunk_id: int, attempt: int) -> None:
-        """Sabotage one chunk attempt (called inside the worker, pre-execution)."""
-        delay = self.delay_chunks.get(chunk_id)
-        if delay is not None and attempt < delay[1]:
-            time.sleep(delay[0])
-        if attempt < self.kill_chunks.get(chunk_id, 0):
-            # The OOM/segfault model: die without unwinding.  SIGKILL cannot
-            # be caught, so the supervisor sees a dead process, not an error.
-            os.kill(os.getpid(), signal.SIGKILL)
-        if attempt < self.fail_chunks.get(chunk_id, 0):
-            raise InjectedFault(
-                f"injected failure on chunk {chunk_id} attempt {attempt}"
-            )
 
     # ------------------------------------------------------- checkpoint side
     def sabotage_checkpoint(self, ordinal: int, path: str) -> Optional[str]:
@@ -159,60 +126,31 @@ class FaultPlan:
     # ------------------------------------------------------------- factories
     @classmethod
     def seeded(
-        cls,
-        seed: int,
-        chunks: int,
-        kills: int = 1,
-        failures: int = 0,
-        delays: int = 0,
-        delay_seconds: float = 0.2,
-        saves: int = 0,
-        truncations: int = 0,
-        corruptions: int = 0,
+        cls, seed: int, saves: int, truncations: int = 0, corruptions: int = 0
     ) -> "FaultPlan":
-        """A reproducible plan: the given number of each fault, placed by seed.
+        """A reproducible plan: the given number of checkpoint faults, placed by seed.
 
-        Chunk faults land on distinct chunk indices drawn without replacement
-        from ``range(chunks)``; checkpoint faults on distinct save ordinals
-        from ``range(saves)``.  Same seed, same plan — the chaos battery's
-        failures replay exactly.
+        Truncations and corruptions land on distinct save ordinals drawn
+        without replacement from ``range(saves)``.  Same seed, same plan —
+        the chaos battery's failures replay exactly.
         """
-        rng = random.Random(seed)
-        chunk_ids = list(range(chunks))
-        rng.shuffle(chunk_ids)
-        picks = iter(chunk_ids)
-        plan = cls(
+        save_ids = list(range(saves))
+        random.Random(seed).shuffle(save_ids)
+        picks = iter(save_ids)
+        return cls(
             seed=seed,
-            kill_chunks={next(picks): 1 for _ in range(min(kills, chunks))},
-            fail_chunks={next(picks): 1 for _ in range(min(failures, chunks))},
-            delay_chunks={
-                next(picks): (delay_seconds, 1) for _ in range(min(delays, chunks))
-            },
+            truncate_checkpoints=tuple(
+                sorted(next(picks) for _ in range(min(truncations, saves)))
+            ),
+            corrupt_checkpoints=tuple(
+                sorted(next(picks) for _ in range(min(corruptions, saves)))
+            ),
         )
-        if saves:
-            save_ids = list(range(saves))
-            rng.shuffle(save_ids)
-            save_picks = iter(save_ids)
-            plan = replace(
-                plan,
-                truncate_checkpoints=tuple(
-                    sorted(next(save_picks) for _ in range(min(truncations, saves)))
-                ),
-                corrupt_checkpoints=tuple(
-                    sorted(next(save_picks) for _ in range(min(corruptions, saves)))
-                ),
-            )
-        return plan
 
     # ---------------------------------------------------------- serialization
     def to_json(self) -> str:
         payload = asdict(self)
         # JSON objects key by string; keep the round-trip lossless.
-        payload["kill_chunks"] = {str(k): v for k, v in self.kill_chunks.items()}
-        payload["fail_chunks"] = {str(k): v for k, v in self.fail_chunks.items()}
-        payload["delay_chunks"] = {
-            str(k): list(v) for k, v in self.delay_chunks.items()
-        }
         payload["truncate_checkpoints"] = list(self.truncate_checkpoints)
         payload["corrupt_checkpoints"] = list(self.corrupt_checkpoints)
         payload["corrupt_store_rows"] = list(self.corrupt_store_rows)
@@ -227,16 +165,15 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        """The plan of a JSON payload; unknown keys (e.g. a retired ``no_numpy``) are ignored."""
+        """The plan of a JSON payload.
+
+        Unknown keys are ignored, among them the retired ``no_numpy`` and
+        worker-chunk faults (``kill_chunks``, ``fail_chunks``,
+        ``delay_chunks``).
+        """
         payload = json.loads(text)
         return cls(
             seed=payload.get("seed"),
-            kill_chunks={int(k): int(v) for k, v in payload.get("kill_chunks", {}).items()},
-            fail_chunks={int(k): int(v) for k, v in payload.get("fail_chunks", {}).items()},
-            delay_chunks={
-                int(k): (float(v[0]), int(v[1]))
-                for k, v in payload.get("delay_chunks", {}).items()
-            },
             truncate_checkpoints=tuple(payload.get("truncate_checkpoints", ())),
             corrupt_checkpoints=tuple(payload.get("corrupt_checkpoints", ())),
             corrupt_store_rows=tuple(payload.get("corrupt_store_rows", ())),

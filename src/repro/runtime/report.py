@@ -1,15 +1,15 @@
 """Structured run reports: what the resilient runtime did to keep a run alive.
 
-Every recovery action the runtime layer takes — a chunk retry, a backoff
-sleep, a worker death, a quarantine, a degradation to serial execution, a
-checkpoint write or rejection, a budget stop — is recorded as one
-:class:`RuntimeEvent` on the :class:`RunReport` threaded through the layer.
-The report is the *observability* half of fault tolerance: a sweep that
-silently survived three worker deaths is indistinguishable from a healthy
-one in its results (that is the point), so the report is where the deaths
-surface — in tests (the chaos battery asserts the events it provoked), in
-the CLI (printed after a resilient ``sweep`` / ``census``), and in the
-structured ``to_dict`` form the service layer will ship.
+Every recovery action the runtime layer takes — a checkpoint write or
+rejection, a resume, a budget stop, a store retry or quarantine — is
+recorded as one :class:`RuntimeEvent` on the :class:`RunReport` threaded
+through the layer.  The report is the *observability* half of fault
+tolerance: a sweep that silently survived a torn checkpoint is
+indistinguishable from a healthy one in its results (that is the point),
+so the report is where the damage surfaces — in tests (the chaos battery
+asserts the events it provoked), in the CLI (printed after a resilient
+``sweep`` / ``census``), and in the structured ``to_dict`` form the
+service layer ships.
 """
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ from typing import Any, Dict, List, Tuple
 #: The event kinds the runtime emits (open set — consumers must tolerate new
 #: kinds — but these are the ones the chaos battery and docs enumerate).
 EVENT_KINDS = (
-    "retry",  # a failed chunk was requeued (detail: chunk, attempt, backoff_seconds, reason)
-    "worker_death",  # a pool worker died mid-chunk (detail: chunk, exitcode)
-    "chunk_timeout",  # a chunk attempt exceeded its timeout (detail: chunk, seconds)
-    "chunk_error",  # a chunk attempt raised inside the worker (detail: chunk, error)
-    "quarantine",  # a chunk exhausted its retries and ran serially in the parent
-    "worker_respawn",  # a replacement worker was started
-    "degrade_serial",  # the pool was declared unrecoverable; remaining chunks run serially
     "checkpoint_saved",  # a checkpoint was flushed (detail: cursor, path)
     "checkpoint_rejected",  # a stored checkpoint failed validation (detail: path, error)
     "resume",  # a run resumed from a checkpoint (detail: cursor)
@@ -72,7 +65,7 @@ class RunReport:
     """The ordered event log of one resilient run (checker sweep or census).
 
     Shared mutably down the stack: the runner, the checkpoint store and the
-    supervised executor all append to the same report, so the final log
+    result store all append to the same report, so the final log
     interleaves their actions in the order they happened.
     """
 

@@ -1,4 +1,4 @@
-"""Resilient survey runners: checkpointed, supervised, budgeted surveys.
+"""Resilient survey runners: checkpointed, budgeted surveys.
 
 There is one survey pipeline per question — the checker's
 (:func:`repro.verification.checker.fold_checks`) and the census's
@@ -6,7 +6,7 @@ There is one survey pipeline per question — the checker's
 deterministic stream through :func:`repro.pipeline.fold_stream`.  The
 runners here are those pipelines with attachments: a checkpoint store
 flushed at every batch boundary, the durable result store as a per-item
-memo, a supervised worker pool, and budgets.  With nothing attached a
+memo, and budgets.  With nothing attached a
 runner's result is the plain survey's.  Because the streams replay
 identically from their specs, a resumed run folds exactly the items an
 uninterrupted run would have folded, in the same order — results are
@@ -15,14 +15,14 @@ batch-boundary == uninterrupted == plain).
 
 Budgets turn hard death into checkpoint-and-stop: a wall-clock
 ``deadline_seconds`` and a peak-RSS ``max_rss_kb`` are checked at batch
-boundaries (and the deadline also bounds the supervised pool mid-batch);
-when either trips, the runner flushes its checkpoint, records the stop on
-the :class:`RunReport`, and returns a partial :class:`ResilientOutcome`
-with ``completed=False`` — resume later with the same spec.
+boundaries (a batch in progress always finishes); when either trips, the
+runner flushes its checkpoint, records the stop on the :class:`RunReport`,
+and returns a partial :class:`ResilientOutcome` with ``completed=False`` —
+resume later with the same spec.
 
 ``KeyboardInterrupt`` gets the same treatment (flush, record, re-raise),
 which is what lets the CLI exit 130 with a resumable run on disk instead of
-leaking pool workers and three hours of work.
+losing three hours of work.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from __future__ import annotations
 import resource
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..pipeline import DEFAULT_BATCH_SIZE
 from .checkpoint import Checkpoint, CheckpointStore
 from .report import RunReport
-from .supervisor import DeadlineExceeded, SupervisionPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..store import ResultStore
@@ -97,12 +96,6 @@ class _Attachments:
         self.spec: Dict[str, Any] = {}
         self.cursor, self.resumed_from = 0, None
 
-    def arm(self, policy: Optional[SupervisionPolicy]) -> Optional[SupervisionPolicy]:
-        """Give the supervised pool the same absolute deadline (mid-batch aborts)."""
-        if policy is None or self.deadline is None or policy.deadline is not None:
-            return policy
-        return replace(policy, deadline=self.deadline)
-
     def open(self, spec: Dict[str, Any], resume: bool) -> Optional[Dict[str, Any]]:
         """Fix the stream spec; the resumed aggregate payload, if any."""
         self.spec = spec
@@ -152,12 +145,6 @@ class _Attachments:
 
         try:
             run_pipeline(cursor=self.cursor, on_boundary=on_boundary)
-        except DeadlineExceeded:
-            # Mid-batch deadline abort from the supervised pool: the batch
-            # was still being swept, so the boundary state is what we flush.
-            self.report.record("deadline_stop", cursor=self.cursor, mid_batch=True)
-            stop_reason = "deadline"
-            flush()
         except KeyboardInterrupt:
             self.report.record("interrupt", cursor=self.cursor)
             flush()
@@ -299,20 +286,16 @@ def resilient_check(
     t: Optional[int] = None,
     *,
     symmetry: str = "constructive",
-    processes: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    mp_context: Optional[str] = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
     result_store: Optional["ResultStore"] = None,
-    policy: Optional[SupervisionPolicy] = None,
     deadline_seconds: Optional[float] = None,
     max_rss_kb: Optional[int] = None,
     enforce_paper_bound: bool = True,
     report: Optional[RunReport] = None,
 ) -> ResilientOutcome:
-    """:func:`repro.verification.check_protocol` with checkpoints, store, budgets, supervision.
+    """:func:`repro.verification.check_protocol` with checkpoints, store and budgets.
 
     ``space`` must be a :class:`repro.adversaries.RestrictedSpace` (the spec
     that makes the stream replayable).  This is the checker's pipeline
@@ -353,15 +336,7 @@ def resilient_check(
             result_store,
             spec_hash(check_store_spec(spec["protocol"], t, space.context.k, enforce_paper_bound)),
         )
-    runner = SweepRunner(
-        protocol,
-        t,
-        processes=processes,
-        chunk_size=chunk_size,
-        mp_context=mp_context,
-        supervision=attachments.arm(policy),
-        runtime_report=attachments.report,
-    )
+    runner = SweepRunner(protocol, t)
     return attachments.fold(
         lambda **hooks: fold_checks(
             aggregate, stream, runner, enforce_paper_bound,

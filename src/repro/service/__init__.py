@@ -1,15 +1,15 @@
-"""Survey-as-a-service: crash-safe job queue, supervised runner, async API.
+"""Survey-as-a-service: crash-safe job queue, job runner, async API.
 
 The service layer composes the repo's resilience stack into a long-running
 daemon: :mod:`repro.service.jobs` is the durable lease/heartbeat queue,
 :mod:`repro.service.specs` the validated job identity and the O(1)
-admission guard, :mod:`repro.service.runner` the supervised executor
-driving the resilient runners, and :mod:`repro.service.api` the
+admission guard, :mod:`repro.service.runner` the job runner driving the
+resilient runners, and :mod:`repro.service.api` the
 stdlib-only async HTTP front end (``repro.cli serve`` / ``repro.cli
 jobs``).
 
 The job stack's names (``JobQueue``, ``JobRunner`` and their siblings,
-which load sqlite3, multiprocessing, :mod:`repro.store` and
+which load sqlite3, :mod:`repro.store` and
 :mod:`repro.runtime`) and the front end's names (``SurveyService``,
 ``serve``, ``request_json``, ``DEFAULT_MAX_DEPTH``) resolve on first
 access (PEP 562).  ``repro --help`` and the admission constant in

@@ -171,9 +171,7 @@ class SurveyService:
         ceiling: int = _specs.DEFAULT_ADMISSION_CEILING,
         max_depth: int = DEFAULT_MAX_DEPTH,
         runners: int = 1,
-        processes: Optional[int] = None,
         batch_size: Optional[int] = None,
-        max_retries: int = 2,
         job_deadline_seconds: Optional[float] = None,
         max_rss_kb: Optional[int] = None,
         store_path: Optional[str] = "auto",
@@ -188,9 +186,7 @@ class SurveyService:
         self.ceiling = ceiling
         self.max_depth = max_depth
         self.runner_count = max(0, runners)
-        self.processes = processes
         self.batch_size = batch_size
-        self.max_retries = max_retries
         self.job_deadline_seconds = job_deadline_seconds
         self.max_rss_kb = max_rss_kb
         self.store_path = store_path
@@ -219,8 +215,6 @@ class SurveyService:
         )
         runner_kwargs: Dict[str, Any] = dict(
             store_path=self.store_path,
-            processes=self.processes,
-            max_retries=self.max_retries,
             job_deadline_seconds=self.job_deadline_seconds,
             max_rss_kb=self.max_rss_kb,
             faults=self.faults,

@@ -1,11 +1,11 @@
-"""The supervised job runner: leases jobs, drives resilient surveys, drains.
+"""The job runner: leases jobs, drives resilient surveys, drains.
 
 One :class:`JobRunner` is the execution half of the service: it claims
 jobs off the :class:`repro.service.jobs.JobQueue`, rebuilds the survey
-each spec describes and drives it through the PR 8 resilient runners —
-checkpointed batches under a :class:`SupervisionPolicy`, every recovery
-event forwarded into the job's durable event log — with the PR 9 result
-store attached so concurrent and repeated jobs share verdicts.
+each spec describes and drives it through the resilient runners —
+checkpointed batches, every recovery event forwarded into the job's
+durable event log — with the result store attached so concurrent and
+repeated jobs share verdicts.
 
 The robustness contract, layer by layer:
 
@@ -46,7 +46,6 @@ from ..runtime import (
     DEFAULT_BATCH_SIZE,
     CheckpointStore,
     RunReport,
-    SupervisionPolicy,
     resilient_census,
     resilient_check,
 )
@@ -124,9 +123,7 @@ class JobRunner:
         *,
         owner: Optional[str] = None,
         store_path: Optional[str] = "auto",
-        processes: Optional[int] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        max_retries: int = 2,
         job_deadline_seconds: Optional[float] = None,
         max_rss_kb: Optional[int] = None,
         heartbeat_interval: Optional[float] = None,
@@ -140,9 +137,7 @@ class JobRunner:
         if store_path == "auto":
             store_path = os.path.join(self.workdir, "results.sqlite")
         self.store_path = store_path
-        self.processes = processes
         self.batch_size = batch_size
-        self.max_retries = max_retries
         self.job_deadline_seconds = job_deadline_seconds
         self.max_rss_kb = max_rss_kb
         self.heartbeat_interval = heartbeat_interval
@@ -283,18 +278,15 @@ class JobRunner:
         if spec["kind"] == "sweep":
             protocol = _specs.build_protocol(spec)
             space = _specs.build_space(spec)
-            policy = SupervisionPolicy(max_retries=self.max_retries, faults=self.faults)
             return resilient_check(
                 protocol,
                 space,
                 spec["t"],
                 symmetry=spec["symmetry"],
-                processes=self.processes,
                 batch_size=self.batch_size,
                 store=store,
                 resume=True,
                 result_store=result_store,
-                policy=policy,
                 deadline_seconds=self.job_deadline_seconds,
                 max_rss_kb=self.max_rss_kb,
                 enforce_paper_bound=spec["enforce_paper_bound"],
@@ -304,7 +296,7 @@ class JobRunner:
         from ..topology import build_restricted_complex
 
         context = Context(n=spec["n"], t=spec["t"], k=spec["k"])
-        pc = build_restricted_complex(context, time=spec["time"], processes=self.processes)
+        pc = build_restricted_complex(context, time=spec["time"])
         return resilient_census(
             pc,
             spec["k"],

@@ -206,8 +206,8 @@ def admission(
         if first_round > ceiling:
             workload, shown = first_round, f"{first_round:,}+"
         else:
-            # stop, not len(): a huge time overflows len()'s machine word.
-            workload = restricted_adversaries(context, spec["time"]).stop
+            # size, not len(): a huge time overflows len()'s machine word.
+            workload = restricted_adversaries(context, spec["time"]).size
             shown = f"{workload:,}"
         unit = "complex-building members"
         remedy = "lower the census 'time', or n, t or k"

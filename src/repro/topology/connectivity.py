@@ -53,7 +53,7 @@ profiles on the exhaustive n=4, t=2 star family).
 
 The complexes this module is pointed at arrive from the fused builder pass
 (:func:`repro.topology.build_restricted_complex`, one view-only scheduler
-traversal, sharded across workers for survey-scale families), and the
+traversal), and the
 Proposition 2 surveys recover each vertex's hidden capacity from its
 canonical key (:func:`repro.topology.protocol_complex.vertex_capacity`) —
 so a capacity-vs-connectivity census simulates nothing beyond that single

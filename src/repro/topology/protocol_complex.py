@@ -18,14 +18,13 @@ the actual one.  Proposition 2: if ``<i, m>`` has hidden capacity at least
 Exhaustive protocol complexes are only tractable for small systems, which is
 all Proposition 2's illustration needs.  The builders below take either an
 explicit adversary family or the standard restricted family "at most ``k``
-crashes per round" used by the lower-bound literature ([15, 22]), plus a
-worker count.  They materialise the whole family's canonical views in one
-view-only scheduler pass (:func:`repro.engine.fused.run_facets_pass`) — one
-facet computation per (prefix-class, input-class) instead of one reference
-``Run`` per adversary, each distinct facet kept once, sharded across worker
-processes when ``processes >= 2``.  The restricted family is a lazy, sized sequence
-(:class:`repro.adversaries.PerRoundCrashFamily`) over its crash-option
-tree: the pass walks that tree depth first instead of scheduling members,
+crashes per round" used by the lower-bound literature ([15, 22]).  They
+materialise the whole family's canonical views in one view-only scheduler
+pass (:func:`repro.engine.fused.run_facets_pass`) — one facet computation
+per (prefix-class, input-class) instead of one reference ``Run`` per
+adversary, each distinct facet kept once.  The restricted family is a
+lazy, sized sequence (:class:`repro.adversaries.PerRoundCrashFamily`) over
+its crash-option tree: the pass walks that tree depth first instead of scheduling members,
 and the builder fetches a member only when one of its facets brings in a
 new vertex (2,598 of 260,275 at n=6, m=2).  The per-adversary builders are the
 :func:`repro.oracles.build_protocol_complex` fixtures; the two produce
@@ -285,21 +284,19 @@ def build_protocol_complex(
     adversaries: Iterable[Adversary],
     time: Time,
     t: int,
-    processes: Optional[int] = None,
 ) -> ProtocolComplex:
     """Build the ``time``-round protocol complex over an explicit adversary family.
 
     Every adversary contributes the facet of the local states at ``time`` of
     its processes still active at ``time``.  One view-only scheduler pass
-    (:func:`repro.engine.fused.run_facets_pass`, sharded across workers when
-    ``processes >= 2``) yields each (prefix-class, input-class) class's keyed
-    active processes once; facets are assembled as bitsets over one shared
-    :class:`VertexPool`, so each ``(process, view key)`` vertex is interned
-    once and every star complex derived later reuses the same pool and ids.
-    The payload holds each distinct facet once, at the smallest position of
-    a member realising it and in position order, so every vertex's
-    representative is the first adversary (in family order) realising it,
-    independent of chunking, and each facet becomes one mask.  Nothing is
+    (:func:`repro.engine.fused.run_facets_pass`) yields each (prefix-class,
+    input-class) class's keyed active processes once; facets are assembled
+    as bitsets over one shared :class:`VertexPool`, so each ``(process, view
+    key)`` vertex is interned once and every star complex derived later
+    reuses the same pool and ids.  The payload holds each distinct facet
+    once, at the smallest position of a member realising it and in position
+    order, so every vertex's representative is the first adversary (in
+    family order) realising it, and each facet becomes one mask.  Nothing is
     kept per member: a sequence is not copied, a member is fetched only for
     a facet that brings in a new vertex — so a lazy family
     (:func:`restricted_adversaries`) builds a few thousand adversaries, not
@@ -311,7 +308,7 @@ def build_protocol_complex(
     """
     with collector_paused():
         family = adversaries if isinstance(adversaries, abc.Sequence) else list(adversaries)
-        table, facets = run_facets_pass(family, t, time, processes=processes)
+        table, facets = run_facets_pass(family, t, time)
         pool = VertexPool()
         # The table is already deduplicated, so each distinct vertex is hashed
         # into the pool exactly once; facet masks assemble from plain int lookups.
@@ -360,17 +357,16 @@ def build_restricted_complex(
     values: Optional[Sequence[Value]] = None,
     max_crashes_per_round: Optional[int] = None,
     receiver_policy: str = "canonical",
-    processes: Optional[int] = None,
 ) -> ProtocolComplex:
     """The ``time``-round protocol complex over "at most ``k`` crashes per round" adversaries.
 
-    The family is :func:`restricted_adversaries`; ``processes`` shards the
-    build (see :func:`build_protocol_complex`).
+    The family is :func:`restricted_adversaries`, built by
+    :func:`build_protocol_complex`.
     """
     adversaries = restricted_adversaries(
         context, time, values, max_crashes_per_round, receiver_policy
     )
-    return build_protocol_complex(adversaries, time, context.t, processes=processes)
+    return build_protocol_complex(adversaries, time, context.t)
 
 
 def restricted_adversaries(
@@ -388,7 +384,7 @@ def restricted_adversaries(
     questions the inputs are irrelevant); it defaults to everyone starting
     with ``k``.  The result is a :class:`repro.adversaries.PerRoundCrashFamily`:
     a sized sequence that builds members only on access, and whose option
-    tree :func:`repro.engine.fused.facet_groups` walks directly.  A negative
+    tree :func:`repro.engine.fused.run_facets_pass` walks directly.  A negative
     ``time`` or cap, or an unknown policy, raises ``ValueError``.
     """
     from ..adversaries.per_round import PerRoundCrashFamily

@@ -141,7 +141,6 @@ def find_agreement_violation(
     adversaries: Iterable[Adversary],
     t: int,
     uniform: bool = False,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Optional[Tuple[int, Adversary]]:
     """Scan an adversary family for a (uniform) k-Agreement violation of ``protocol``.
@@ -185,7 +184,7 @@ def find_agreement_violation(
         indexed = iter_orbit_representatives(adversaries)
     else:
         indexed = enumerate(adversaries)
-    runner = SweepRunner(protocol, t, processes=processes)
+    runner = SweepRunner(protocol, t)
     stream = iter(indexed)
     while True:
         chunk = list(itertools.islice(stream, _VIOLATION_SCAN_CHUNK))

@@ -148,11 +148,11 @@ def fold_checks(
     fold_stream(stream, evaluate, fold, **attachments)
 
 
-def _check(protocol, stream, t, enforce_paper_bound, processes) -> CheckReport:
+def _check(protocol, stream, t, enforce_paper_bound) -> CheckReport:
     from ..engine import SweepRunner
 
     report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-    fold_checks(report, stream, SweepRunner(protocol, t, processes=processes), enforce_paper_bound)
+    fold_checks(report, stream, SweepRunner(protocol, t), enforce_paper_bound)
     return report
 
 
@@ -161,7 +161,6 @@ def check_protocol(
     adversaries: Iterable[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> CheckReport:
     """Run ``protocol`` against every adversary and check its specification.
@@ -176,7 +175,7 @@ def check_protocol(
     :func:`repro.adversaries.enumerate_orbits` stream), which is what makes
     spaces too large to enumerate checkable.
     """
-    return _check(protocol, family_stream(adversaries, symmetry), t, enforce_paper_bound, processes)
+    return _check(protocol, family_stream(adversaries, symmetry), t, enforce_paper_bound)
 
 
 def check_protocols(
@@ -184,7 +183,6 @@ def check_protocols(
     adversaries: List[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> Dict[str, CheckReport]:
     """Check several protocols over the same adversary family.
@@ -195,9 +193,7 @@ def check_protocols(
     """
     stream = list(family_stream(adversaries, symmetry))
     return {
-        getattr(protocol, "name", repr(protocol)): _check(
-            protocol, stream, t, enforce_paper_bound, processes
-        )
+        getattr(protocol, "name", repr(protocol)): _check(protocol, stream, t, enforce_paper_bound)
         for protocol in protocols
     }
 
@@ -209,7 +205,6 @@ def exhaustive_context_check(
     receiver_policy: str = "canonical",
     max_failures: Optional[int] = None,
     limit: Optional[int] = None,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> CheckReport:
     """Check a protocol over the (restricted) exhaustive adversary space of a context.
@@ -231,4 +226,4 @@ def exhaustive_context_check(
         max_failures=max_failures,
         limit=limit,
     )
-    return check_protocol(protocol, space, context.t, processes=processes, symmetry=symmetry)
+    return check_protocol(protocol, space, context.t, symmetry=symmetry)

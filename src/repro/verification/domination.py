@@ -161,7 +161,7 @@ def compare_last_decisions(
         report.rounds_saved += weight * (reference_last - candidate_last)
 
 
-def _compare(candidate, reference, adversaries, t, processes, symmetry, compare, suffix=""):
+def _compare(candidate, reference, adversaries, t, symmetry, compare, suffix=""):
     """Sweep both protocols over :func:`repro.pipeline.family_stream` and fold each pair."""
     from ..engine import SweepRunner
     from ..pipeline import family_stream
@@ -173,8 +173,8 @@ def _compare(candidate, reference, adversaries, t, processes, symmetry, compare,
     items = list(family_stream(adversaries, symmetry))
     family = [adversary for _index, adversary, _weight in items]
     runs = zip(
-        SweepRunner(candidate, t, processes=processes).sweep(family),
-        SweepRunner(reference, t, processes=processes).sweep(family),
+        SweepRunner(candidate, t).sweep(family),
+        SweepRunner(reference, t).sweep(family),
     )
     for (index, _adversary, weight), (candidate_run, reference_run) in zip(items, runs):
         compare(candidate_run, reference_run, index, report, weight)
@@ -186,7 +186,6 @@ def compare_protocols(
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> DominationReport:
     """Compare two protocols' decision times over a family of adversaries.
@@ -197,9 +196,7 @@ def compare_protocols(
     renaming orbit and orbit-weights the aggregate counters (see the module
     docstring).
     """
-    return _compare(
-        candidate, reference, adversaries, t, processes, symmetry, compare_on_adversary
-    )
+    return _compare(candidate, reference, adversaries, t, symmetry, compare_on_adversary)
 
 
 def last_decider_compare(
@@ -207,12 +204,11 @@ def last_decider_compare(
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    processes: Optional[int] = None,
     symmetry: str = "none",
 ) -> DominationReport:
     """Definition 6: compare only the time of the last (correct) decision per run."""
     return _compare(
-        candidate, reference, adversaries, t, processes, symmetry,
+        candidate, reference, adversaries, t, symmetry,
         compare_last_decisions, " [last-decider]",
     )
 
@@ -221,7 +217,6 @@ def decision_time_table(
     protocols: Sequence,
     adversaries: Sequence[Adversary],
     t: int,
-    processes: Optional[int] = None,
 ) -> Dict[str, List[Optional[Time]]]:
     """Last-correct-decision times of several protocols on each adversary.
 
@@ -231,8 +226,8 @@ def decision_time_table(
     from ..engine import SweepRunner
 
     return {
-        getattr(protocol, "name", repr(protocol)): SweepRunner(
-            protocol, t, processes=processes
-        ).decision_times(adversaries)
+        getattr(protocol, "name", repr(protocol)): SweepRunner(protocol, t).decision_times(
+            adversaries
+        )
         for protocol in protocols
     }

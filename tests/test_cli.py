@@ -55,7 +55,7 @@ class TestSweepCommand:
         args = build_parser().parse_args(["sweep"])
         assert args.protocol == "optmin"
         assert "engine" not in vars(args)
-        assert args.processes is None
+        assert "processes" not in vars(args)
 
     def test_batch_sweep_passes(self, capsys):
         code = main(
@@ -80,10 +80,17 @@ class TestSweepCommand:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
-    def test_nonpositive_worker_counts_rejected(self):
-        for bad in ("0", "-8"):
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(["sweep", "--processes", bad])
+    @pytest.mark.parametrize("flag", ["--processes", "--max-retries"])
+    @pytest.mark.parametrize(
+        "command",
+        [["compare"], ["sweep"], ["census"], ["serve", "--queue", "q", "--workdir", "w"]],
+        ids=["compare", "sweep", "census", "serve"],
+    )
+    def test_parallel_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + [flag, "2"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_empty_space_is_not_vacuously_ok(self, capsys):
         # A negative --max-failures empties the adversary space; an

@@ -79,11 +79,7 @@ class TestComplexesIdenticalAcrossEngines:
 
 
 class TestCensusAgainstOracleBuild:
-    """The n=5 t=2 k=2 m=2 census (1,501 adversaries) on both builds.
-
-    At ``processes=2`` the production build splits the family into two
-    chunks, so this also covers the sharded per-observer last round.
-    """
+    """The n=5 t=2 k=2 m=2 census (1,501 adversaries) on both builds."""
 
     CONTEXT = Context(n=5, t=2, k=2)
 
@@ -91,21 +87,18 @@ class TestCensusAgainstOracleBuild:
     def builds(self):
         assert sum(1 for _ in restricted_adversaries(self.CONTEXT, 2)) == 1501
         reference = oracles.build_restricted_complex(self.CONTEXT, time=2)
-        serial = build_restricted_complex(self.CONTEXT, time=2)
-        sharded = build_restricted_complex(self.CONTEXT, time=2, processes=2)
-        return reference, serial, sharded
+        return reference, build_restricted_complex(self.CONTEXT, time=2)
 
     @pytest.mark.parametrize("symmetry", ["none", "quotient"])
     def test_census_matches_oracle_build(self, builds, symmetry):
-        reference, *production = builds
+        reference, pc = builds
         expected = capacity_connectivity_census(reference, 2, symmetry=symmetry)
-        for pc in production:
-            assert pc.complex.vertex_count == reference.complex.vertex_count == 565
-            assert len(pc.complex.facet_masks) == len(reference.complex.facet_masks) == 751
-            assert pc.complex == reference.complex
-            census = capacity_connectivity_census(pc, 2, symmetry=symmetry)
-            assert census.row == expected.row
-            assert census.classes == expected.classes
+        assert pc.complex.vertex_count == reference.complex.vertex_count == 565
+        assert len(pc.complex.facet_masks) == len(reference.complex.facet_masks) == 751
+        assert pc.complex == reference.complex
+        census = capacity_connectivity_census(pc, 2, symmetry=symmetry)
+        assert census.row == expected.row
+        assert census.classes == expected.classes
 
 
 class TestViewSourceAgainstOracle:

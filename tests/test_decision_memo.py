@@ -1,11 +1,11 @@
 """The batch engine decides once per local state of a pass.
 
-:func:`repro.engine.fused.fused_serial` memoises the decision rule per
+:func:`repro.engine.fused.run_fused_pass` memoises the decision rule per
 ``(layer, process, seen inputs)``: a trie group fixes the whole input
 vector, but a process's local state only holds the inputs it has seen, so
 groups that differ elsewhere share one ``decide`` call.  These tests pin
 the call counts, check the memoised decisions run by run against the
-reference :class:`repro.model.run.Run` (serial and sharded), and check that
+reference :class:`repro.model.run.Run`, and check that
 the memo dies with its pass.
 
 Pinned counts, on the constructive n=5 t=3 k=2 space with round-1 crashes
@@ -83,17 +83,14 @@ def test_memoised_decisions_match_reference(k):
     protocols = protocols_for(k) + ([LateOpt0()] if k == 1 else [])
     for protocol in protocols:
         counted, calls = counting(protocol)
-        serial = SweepRunner(counted, context.t).sweep(adversaries)
-        sharded = SweepRunner(protocol, context.t, processes=2, chunk_size=300).sweep(adversaries)
+        runs = SweepRunner(counted, context.t).sweep(adversaries)
         # The memo hit: the root holds one group per input vector, but only
         # n × |domain| local states.
         assert calls[0] <= context.n * len(context.values_domain) < len(set(a.values for a in adversaries))
-        for adversary, batch, shard in zip(adversaries, serial, sharded):
+        for adversary, batch in zip(adversaries, runs):
             reference = Run(protocol, adversary, context.t)
-            expected = reference.decisions()
-            assert batch.decisions() == expected, f"{protocol.name} diverges on {adversary!r}"
-            assert shard.decisions() == expected, f"{protocol.name} (sharded) diverges on {adversary!r}"
-            assert batch.last_decision_time() == shard.last_decision_time() == reference.last_decision_time()
+            assert batch.decisions() == reference.decisions(), f"{protocol.name} diverges on {adversary!r}"
+            assert batch.last_decision_time() == reference.last_decision_time()
 
 
 def _live_layers() -> int:

@@ -12,7 +12,7 @@ semantic oracle.  These tests pin the two together:
 * the array-backed :class:`repro.engine.ArrayView` against the reference
   :class:`repro.model.view.View` on every node of shared runs (structural
   summaries: seen / evidence / hidden profiles / capacities);
-* the multiprocessing executor against the serial path;
+* batch boundaries: a sweep split into batches equals the whole sweep;
 * engine plumbing (ordering, horizon defaults, heterogeneous batches).
 """
 
@@ -33,9 +33,9 @@ from repro.engine import ArrayView, StructLayer, SweepRunner, sweep
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 
 
-def assert_engines_agree(protocol, adversaries, t, processes=None):
+def assert_engines_agree(protocol, adversaries, t):
     """Decisions *and* decision times must match run for run."""
-    batch_runs = SweepRunner(protocol, t, processes=processes).sweep(adversaries)
+    batch_runs = SweepRunner(protocol, t).sweep(adversaries)
     assert [run.index for run in batch_runs] == list(range(len(adversaries)))
     for adversary, batch_run in zip(adversaries, batch_runs):
         reference = Run(protocol, adversary, t)
@@ -149,23 +149,21 @@ class TestArrayViewAgainstView:
                 view.hidden_processes_at(-1)
 
 
-class TestExecutors:
-    def test_multiprocessing_matches_serial(self):
-        context = Context(n=4, t=2, k=2)
-        adversaries = AdversaryGenerator(context, seed=3).sample(40)
-        protocol = UPMin(2)
-        serial = SweepRunner(protocol, context.t).sweep(adversaries)
-        parallel = SweepRunner(protocol, context.t, processes=2).sweep(adversaries)
-        assert [run.decisions() for run in serial] == [run.decisions() for run in parallel]
-        assert [run.index for run in serial] == [run.index for run in parallel]
-
-    def test_chunking_preserves_order_and_results(self):
+class TestBatchBoundaries:
+    @pytest.mark.parametrize("protocol", [UPMin(2), OptMin(2)], ids=["upmin", "optmin"])
+    def test_batches_preserve_order_and_results(self, protocol):
         context = Context(n=4, t=2, k=2)
         adversaries = AdversaryGenerator(context, seed=4).sample(30)
-        protocol = OptMin(2)
-        whole = SweepRunner(protocol, context.t).sweep(adversaries)
-        chunked = SweepRunner(protocol, context.t, processes=2, chunk_size=7).sweep(adversaries)
-        assert [run.decisions() for run in whole] == [run.decisions() for run in chunked]
+        runner = SweepRunner(protocol, context.t)
+        whole = runner.sweep(adversaries)
+        batches = [runner.sweep(adversaries[start : start + 7]) for start in range(0, 30, 7)]
+        assert [run.index for batch in batches for run in batch] == [i % 7 for i in range(30)]
+        batched = [run for batch in batches for run in batch]
+        assert [run.adversary for run in batched] == adversaries
+        assert [run.decisions() for run in batched] == [run.decisions() for run in whole]
+        assert [run.last_decision_time() for run in batched] == [
+            run.last_decision_time() for run in whole
+        ]
 
 
 class TestPlumbing:
@@ -179,26 +177,6 @@ class TestPlumbing:
         a4 = Adversary([0, 1, 1, 1], FailurePattern.failure_free(4))
         with pytest.raises(ValueError, match="homogeneous"):
             sweep(OptMin(1), [a3, a4], t=1)
-
-    def test_mixed_sizes_rejected_across_chunk_boundaries(self):
-        # Regression: validation must happen before chunk dispatch, otherwise
-        # a mixed batch whose sizes align with chunk boundaries slips through
-        # the multiprocessing path with a wrong horizon for part of it.
-        a3 = Adversary([0, 1, 1], FailurePattern.failure_free(3))
-        a4 = Adversary([0, 1, 1, 1], FailurePattern.failure_free(4))
-        runner = SweepRunner(OptMin(1), 1, processes=2, chunk_size=2)
-        with pytest.raises(ValueError, match="homogeneous"):
-            runner.sweep([a3, a3, a4, a4])
-
-    def test_nonpositive_executor_parameters_rejected(self):
-        # Regression: chunk_size <= 0 used to make the parallel path return
-        # zero results silently (an exhaustive check passing vacuously).
-        with pytest.raises(ValueError, match="chunk_size"):
-            SweepRunner(OptMin(2), 2, processes=2, chunk_size=-3)
-        with pytest.raises(ValueError, match="chunk_size"):
-            SweepRunner(OptMin(2), 2, chunk_size=0)
-        with pytest.raises(ValueError, match="processes"):
-            SweepRunner(OptMin(2), 2, processes=0)
 
     def test_protocol_required(self):
         adversary = Adversary([0, 1, 1], FailurePattern.failure_free(3))

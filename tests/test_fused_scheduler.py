@@ -10,19 +10,16 @@ payloads.  This suite pins
   counter: one pass for the fused construction, two for the retained
   baseline);
 * fused == two-pass == reference systems, index entry for index entry;
-* the ``processes >= 2`` executor: chunk-boundary identity with the serial
-  core (chunk sizes that split trie groups mid-class), the fork and spawn
-  start methods, and the pickled payloads themselves;
+* batch boundaries: a family swept in batches that split trie groups
+  mid-class gives the whole pass's runs, and the batches' view indices
+  merge to its index;
 * the canonical-key fast path (:func:`repro.engine.struct_view_key`) against
   the oracle ``view_key``, including the all-seen shortcut;
 * the facet payload of the per-observer last round against a level-by-level
-  oracle, serial and sharded, byte for byte and in order.
+  oracle, byte for byte and in order.
 """
 
 from __future__ import annotations
-
-import os
-import pickle
 
 import pytest
 
@@ -31,14 +28,14 @@ from repro.adversaries import AdversaryGenerator
 from repro.adversaries.enumeration import enumerate_adversaries
 from repro.core import Opt0, OptMin, UPMin
 from repro.engine import PrefixScheduler, SweepRunner, struct_view_key
-from repro.engine.fused import facet_groups, fused_serial, run_facets_pass, run_fused_pass
+from repro.engine.fused import run_facets_pass, run_fused_pass
 from repro.engine.trie import prepare_adversaries
 from repro.engine.views import LayerViews
 from repro.knowledge import System
 from repro.model import Adversary, Context, Run
 from repro.model.run import default_horizon
 from repro.model.view import view_key
-from repro.topology import build_protocol_complex, build_restricted_complex
+from repro.topology import build_protocol_complex
 from repro.topology.protocol_complex import per_round_crash_patterns
 
 
@@ -50,16 +47,6 @@ def family():
     return list(
         enumerate_adversaries(CONTEXT, max_crash_round=2, receiver_policy="canonical", limit=400)
     )
-
-
-def _ensure_child_import_path(monkeypatch):
-    """Make ``repro`` importable in spawn-context children (no fork inheritance)."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = os.environ.get("PYTHONPATH", "")
-    if src not in existing.split(os.pathsep):
-        monkeypatch.setenv("PYTHONPATH", src + (os.pathsep + existing if existing else ""))
 
 
 class TestSinglePassContract:
@@ -101,104 +88,21 @@ class TestFusedSystemIdentity:
         assert fused._index == two_pass._index
 
 
-class TestParallelExecutor:
-    def test_chunk_boundary_identity_with_serial(self, family):
-        """Odd chunk sizes split trie classes mid-group; products must not change."""
-        serial_runs, serial_index = SweepRunner(OptMin(2), CONTEXT.t).sweep_fused(family)
-        for chunk_size in (7, 64):
-            runner = SweepRunner(OptMin(2), CONTEXT.t, processes=2, chunk_size=chunk_size)
-            runs, index = runner.sweep_fused(family)
-            assert index == serial_index
-            assert [run.decisions() for run in runs] == [
-                run.decisions() for run in serial_runs
-            ]
-            assert [run.stop_time for run in runs] == [run.stop_time for run in serial_runs]
-
-    def test_parallel_system_construction(self, family):
-        serial = System.from_family(OptMin(2), family, CONTEXT.t)
-        parallel = System.from_family(OptMin(2), family, CONTEXT.t, processes=2)
-        assert serial._index == parallel._index
-        assert [r.decisions() for r in serial.runs] == [r.decisions() for r in parallel.runs]
-
-    def test_parallel_complex_build(self, family):
-        serial = build_protocol_complex(family, time=2, t=CONTEXT.t)
-        parallel = build_protocol_complex(family, time=2, t=CONTEXT.t, processes=2)
-        reference = oracles.build_protocol_complex(family, time=2, t=CONTEXT.t)
-        assert parallel.complex == serial.complex == reference.complex
-        # The compact payload keeps representative bookkeeping deterministic:
-        # chunking must not change which adversary represents a vertex.
-        assert parallel.vertex_views == serial.vertex_views
-
-    def test_parallel_restricted_complex(self):
-        serial = build_restricted_complex(CONTEXT, time=1)
-        parallel = build_restricted_complex(CONTEXT, time=1, processes=2)
-        assert serial.complex == parallel.complex
-        assert serial.vertex_views == parallel.vertex_views
-
-    def test_spawn_context_round_trips_payloads(self, family, monkeypatch):
-        """The spawn start method pickles everything for real — protocol,
-        adversaries, raw outcomes and the keyed layer snapshot."""
-        _ensure_child_import_path(monkeypatch)
-        small = family[:60]
-        serial_runs, serial_index = SweepRunner(OptMin(2), CONTEXT.t).sweep_fused(small)
-        runner = SweepRunner(
-            OptMin(2), CONTEXT.t, processes=2, chunk_size=25, mp_context="spawn"
-        )
-        runs, index = runner.sweep_fused(small)
-        assert index == serial_index
-        assert [run.decisions() for run in runs] == [run.decisions() for run in serial_runs]
-
-    def test_fused_payloads_survive_pickling(self, family):
-        """The worker payload itself (raw decisions + view index) round-trips."""
-        horizon = default_horizon(OptMin(2), CONTEXT.n, CONTEXT.t, None)
-        outcome = fused_serial(OptMin(2), family[:50], CONTEXT.t, horizon)
-        payload = (outcome.raw, outcome.layers_computed, outcome.view_index)
-        assert pickle.loads(pickle.dumps(payload)) == payload
-
-    def test_facet_payloads_survive_pickling(self, family):
-        payload = facet_groups(family[:50], CONTEXT.t, 2)
-        assert pickle.loads(pickle.dumps(payload)) == payload
-
-
-class TestChunkAutoTune:
-    """The auto-tuned chunk planner: sizing from the input count, serial
-    fallback when the family cannot amortise a worker pool."""
-
-    def test_small_families_fall_back_to_serial(self, family):
-        from repro.engine.fused import MIN_CHUNK_INPUTS, _plan_chunks
-
-        assert len(family) < MIN_CHUNK_INPUTS
-        assert _plan_chunks(len(family), 4, None) is None
-        # Observable end to end: a sharded request on a small family runs on
-        # the in-process core (the parent's pass counter ticks; worker
-        # processes would count their own).
-        before = PrefixScheduler.passes_started
-        runner = SweepRunner(OptMin(2), CONTEXT.t, processes=4)
-        runner.sweep(family)
-        assert PrefixScheduler.passes_started - before == 1
-
-    def test_auto_sizing_respects_floor_and_worker_count(self):
-        from repro.engine.fused import MIN_CHUNK_INPUTS, _plan_chunks
-
-        # Large family, few workers: two chunks per worker.
-        ranges = _plan_chunks(8 * MIN_CHUNK_INPUTS, 4, None)
-        assert len(ranges) == 8
-        assert ranges[0] == (0, MIN_CHUNK_INPUTS)
-        # Barely above the floor: the 1-adversary tail folds into its
-        # neighbour, leaving one chunk — which means serial, no pool.
-        assert _plan_chunks(MIN_CHUNK_INPUTS + 1, 4, None) is None
-        # A remainder at or above the floor stays its own chunk.
-        ranges = _plan_chunks(3 * MIN_CHUNK_INPUTS, 1, None)
-        assert ranges is not None
-        assert ranges[-1][1] == 3 * MIN_CHUNK_INPUTS
-        assert all(end - start >= MIN_CHUNK_INPUTS for start, end in ranges)
-
-    def test_explicit_chunk_size_opts_out(self, family):
-        from repro.engine.fused import _plan_chunks
-
-        # The chunk-boundary identity tests rely on exact small slices.
-        ranges = _plan_chunks(len(family), 2, 7)
-        assert ranges is not None and ranges[0] == (0, 7)
+class TestBatchBoundaries:
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_batches_merge_to_the_whole_pass(self, family, batch_size):
+        """Odd batch sizes split trie classes mid-group; the products must not change."""
+        runner = SweepRunner(OptMin(2), CONTEXT.t)
+        whole_runs, whole_index = runner.sweep_fused(family)
+        runs, index = [], {}
+        for start in range(0, len(family), batch_size):
+            batch_runs, batch_index = runner.sweep_fused(family[start : start + batch_size])
+            runs += batch_runs
+            for key, positions in batch_index.items():
+                index.setdefault(key, []).extend(start + position for position in positions)
+        assert index == whole_index
+        assert [run.decisions() for run in runs] == [run.decisions() for run in whole_runs]
+        assert [run.stop_time for run in runs] == [run.stop_time for run in whole_runs]
 
 
 class TestStructViewKey:
@@ -234,11 +138,11 @@ class TestStructViewKey:
         assert len(outcome.raw) == 20
 
 
-def _oracle_facet_groups(adversaries, t, time, n=None):
+def _oracle_facets_pass(adversaries, t, time, n=None):
     """The facet payload as a full trie advance computes it: every level up
     to ``time`` simulated as layers, then one ``struct_view_key`` per active
     process per class, and each distinct facet kept at its first (smallest)
-    position.  :func:`facet_groups` resolves the last round per observer
+    position.  :func:`run_facets_pass` resolves the last round per observer
     instead and must agree with this exactly, order included."""
     n, prepared = prepare_adversaries(adversaries, t, n)
     table, facets, index = [], [], {}
@@ -295,15 +199,13 @@ def _two_input_family(n, time, cap, policy):
 
 
 class TestFacetPayloadDifferential:
-    """The per-observer last round of :func:`facet_groups` against the
+    """The per-observer last round of :func:`run_facets_pass` against the
     level-by-level oracle: identical ``(table, facets)``, order included."""
 
     @pytest.mark.parametrize("n,time,cap,policy", _restricted_grid())
     def test_restricted_families(self, n, time, cap, policy):
         family = _two_input_family(n, time, cap, policy)
-        expected = _oracle_facet_groups(family, n - 1, time)
-        assert facet_groups(family, n - 1, time) == expected
-        assert run_facets_pass(family, n - 1, time) == expected
+        assert run_facets_pass(family, n - 1, time) == _oracle_facets_pass(family, n - 1, time)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("time", [1, 2, 3])
@@ -313,21 +215,9 @@ class TestFacetPayloadDifferential:
         context = Context(n=5, t=3, k=2)
         family = AdversaryGenerator(context, seed=seed, max_crash_round=3).sample(250)
         family.append(family[17])
-        assert facet_groups(family, context.t, time) == _oracle_facet_groups(
+        assert run_facets_pass(family, context.t, time) == _oracle_facets_pass(
             family, context.t, time
         )
-
-    @pytest.mark.parametrize("chunk_size", [7, 64])
-    def test_sharded_pass(self, monkeypatch, chunk_size):
-        """Sharded payloads merge identically: the oracle patched into the
-        (forked) workers sees the same chunks and merge as the real pass."""
-        import repro.engine.fused as fused
-
-        family = _two_input_family(4, 2, 1, "canonical")[:500]
-        options = dict(processes=2, chunk_size=chunk_size, mp_context="fork")
-        sharded = run_facets_pass(family, 3, 2, **options)
-        monkeypatch.setattr(fused, "facet_groups", _oracle_facet_groups)
-        assert sharded == run_facets_pass(family, 3, 2, **options)
 
     def test_observer_rows_match_child_layers(self):
         """``observer_rows(i, S)`` with the sender set the child layer reports

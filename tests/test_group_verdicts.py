@@ -8,7 +8,7 @@ time, check_run_for_protocol(run))`` of the per-adversary reference run,
 member for member, and its report must equal the ``repro.oracles`` report
 byte for byte — for correct protocols, for broken ones that violate each
 property, under every symmetry mode, with the paper bound on and off, and
-with groups cut across worker chunks.
+with groups cut across batch boundaries.
 """
 
 from __future__ import annotations
@@ -133,13 +133,14 @@ def reference(case: str, symmetry: str, enforce_paper_bound: bool):
     return verdicts, payload
 
 
-#: Serial with the paper bound and the worst-case bound, and sharded into
-#: chunks of 7 adversaries, which cut trie groups across workers (the bound
-#: and the chunking are independent, so the sharded leg takes one bound).
+#: Each leg's paper-bound flag and ``fold_checks`` attachments: the paper
+#: bound and the worst-case bound at the default batch size, and batches of
+#: 7 adversaries, which cut trie groups across batch boundaries (the bound
+#: and the batching are independent, so the batched leg takes one bound).
 RUNNERS = {
     "paper-bound": (True, {}),
     "worst-case": (False, {}),
-    "sharded": (True, {"processes": 2, "chunk_size": 7}),
+    "batched": (True, {"batch_size": 7}),
 }
 
 
@@ -149,13 +150,14 @@ RUNNERS = {
 def test_group_verdicts_equal_per_run_checks(case, symmetry, runner):
     protocol, space, _property = CASES[case]
     t = space.context.t
-    enforce_paper_bound, options = RUNNERS[runner]
+    enforce_paper_bound, attachments = RUNNERS[runner]
     report = RecordingReport(protocol.name)
     fold_checks(
         report,
         family_stream(space, symmetry),
-        SweepRunner(protocol, t, **options),
+        SweepRunner(protocol, t),
         enforce_paper_bound,
+        **attachments,
     )
     verdicts, payload = reference(case, symmetry, enforce_paper_bound)
     assert report.verdicts == verdicts

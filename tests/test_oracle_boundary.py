@@ -11,7 +11,10 @@ the orbit–stabiliser size functions live in the oracles, not in
 point loads numpy, networkx, sympy or the HTTP front end's asyncio and
 ``urllib.request``; networkx and the front end load on first use.  The
 result store's reference key encoder (the recursive ``_jsonable`` walk) is
-one of those fixtures: production neither defines nor names it.
+one of those fixtures: production neither defines nor names it.  Every
+survey pass runs in the calling process: no public callable offers a worker
+count, chunking, a start method or a supervision policy, and no survey
+loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -180,6 +183,14 @@ def test_no_public_callable_offers_a_backend(package_name):
     assert callables_offering(package_name, "backend") == []
 
 
+@pytest.mark.parametrize(
+    "parameter",
+    ["processes", "chunk_size", "mp_context", "supervision", "policy", "runtime_report"],
+)
+def test_no_callable_offers_parallelism(parameter):
+    assert callables_offering("repro", parameter) == []
+
+
 def test_no_orbit_enumerator_offers_a_symmetry():
     assert callables_offering("repro.adversaries", "symmetry") == []
 
@@ -199,15 +210,17 @@ def test_orbit_sizes_are_oracles(name):
 
 #: Modules no entry point may load at import: numpy (production is
 #: stdlib-only), networkx (the optional graph export loads it on first use),
-#: sympy, and the HTTP front end's asyncio and ``urllib.request`` (loaded on
-#: first use of ``repro.service.serve`` and its siblings).
-FORBIDDEN_AT_IMPORT = ("numpy", "networkx", "sympy", "asyncio", "urllib.request")
+#: sympy, the HTTP front end's asyncio and ``urllib.request`` (loaded on
+#: first use of ``repro.service.serve`` and its siblings), and
+#: multiprocessing (nothing uses it).
+FORBIDDEN_AT_IMPORT = (
+    "numpy", "networkx", "sympy", "asyncio", "urllib.request", "multiprocessing"
+)
 
 #: The job stack, which ``repro --help`` and ``import repro.cli`` leave out:
 #: it loads with the subcommand (or the ``repro.service`` name) that uses it.
 JOB_STACK = (
     "sqlite3",
-    "multiprocessing",
     "repro.service.jobs",
     "repro.service.runner",
     "repro.store",
@@ -252,3 +265,27 @@ assert graph.number_of_nodes() == 6 and "networkx" in sys.modules
 """
     result = fresh_interpreter(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_surveys_run_without_multiprocessing(fresh_interpreter, tmp_path):
+    """A job-runner sweep and a census build run to completion in one process."""
+    code = f"""
+import sys
+from repro.model import Context
+from repro.service import JobQueue, JobRunner, job_id, normalize_spec
+from repro.topology import build_restricted_complex
+
+spec = normalize_spec({{"kind": "sweep", "n": 3, "t": 1, "k": 1}})
+queue = JobQueue({str(tmp_path / "queue.sqlite")!r})
+queue.submit(job_id(spec), spec)
+runner = JobRunner(queue, {str(tmp_path / "work")!r})
+assert runner.run_once()["outcome"] == "done", "the sweep job did not complete"
+assert queue.job(job_id(spec))["state"] == "done"
+queue.close()
+pc = build_restricted_complex(Context(n=4, t=3, k=2), time=2, max_crashes_per_round=2)
+assert pc.complex.vertex_count > 0
+print("multiprocessing" in sys.modules)
+"""
+    result = fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -2,28 +2,27 @@
 
 :func:`repro.topology.restricted_adversaries` returns a
 :class:`repro.adversaries.PerRoundCrashFamily`: a sized sequence over the
-crash-option tree, which :func:`repro.engine.fused.facet_groups` walks
+crash-option tree, which :func:`repro.engine.fused.run_facets_pass` walks
 instead of scheduling one adversary at a time.  Over a grid of small
 families (n 2-5, every t, m 0-3, cap 1-2, every receiver policy) this suite
 pins
 
 * the sequence: ``len`` is the member count, iteration is the plain
   recursive enumeration of :func:`repro.oracles.restricted_adversaries`,
-  ``family[i]`` and slices unrank to the same members, and out-of-range
-  indices raise ``IndexError``;
+  ``family[i]`` unranks to the same members, a slice is the list of those
+  members, out-of-range indices raise ``IndexError``, and the positions
+  :meth:`~repro.adversaries.PerRoundCrashFamily.branches` gives tile the
+  members subtree by subtree;
 * the walk: its ``(table, facets)`` payload is the trie's payload over the
   listed members, order included, minus exactly the facets whose
   representative member is *dominated* (a round-``m`` crasher's last
-  message reached every process up at time ``m``), for whole families and
-  for windows, and holds each distinct facet once, at its smallest
-  position;
+  message reached every process up at time ``m``), and holds each
+  distinct facet once, at its smallest position;
 * the theorem behind that pruning, on the trie path alone: a member's
   facet is non-maximal in the complex exactly when the member is
   dominated;
 * the build: the complex, its vertex ids and its ``vertex_views`` are those
   of the per-adversary :func:`repro.oracles.build_restricted_complex`;
-* sharding: chunks that cut subtrees in the middle merge to the serial
-  payload;
 * the checks: crash bound, parameters and input vector fail as the
   per-adversary path fails.
 
@@ -34,7 +33,6 @@ oracle build simulates one ``Run`` per member.
 from __future__ import annotations
 
 import os
-import pickle
 import subprocess
 import sys
 
@@ -44,7 +42,7 @@ import repro
 from repro import oracles
 from repro.adversaries import PerRoundCrashFamily
 from repro.engine import PrefixScheduler, struct_view_key
-from repro.engine.fused import facet_groups, run_facets_pass
+from repro.engine.fused import run_facets_pass
 from repro.engine.trie import prepare_adversaries
 from repro.model import Context
 from repro.topology import SimplicialComplex, build_restricted_complex
@@ -70,8 +68,8 @@ GRID = [
 ]
 WALK_GRID = [case for case in GRID if _size(*case) <= WALK_LIMIT]
 ORACLE_GRID = [case for case in GRID if _size(*case) <= ORACLE_LIMIT]
-#: Multi-round families big enough for three chunks of two workers.
-SHARD_GRID = [
+#: Multi-round families of at least 100 members: several levels of subtrees.
+DEEP_GRID = [
     case for case in WALK_GRID if case[2] >= 2 and case[4] != "none" and _size(*case) >= 100
 ]
 
@@ -96,35 +94,40 @@ class TestSequence:
         assert family[-1] == members[-1]
         third = len(members) // 3
         for window in (slice(third, 2 * third + 1), slice(None, third), slice(-third, None)):
-            assert list(family[window]) == members[window]
-            assert len(family[window]) == len(members[window])
-        assert list(family[1::3]) == members[1::3]
-        assert list(family[5:2]) == []
-        inner = family[third:]
-        assert [inner[i] for i in range(len(inner))] == members[third:]
-        for sequence in (family, inner):
-            for index in (len(sequence), -len(sequence) - 1):
-                with pytest.raises(IndexError):
-                    sequence[index]
+            assert family[window] == members[window]
+        assert family[1::3] == members[1::3]
+        assert family[5:2] == []
+        for index in (len(family), -len(family) - 1):
+            with pytest.raises(IndexError):
+                family[index]
+
+    @pytest.mark.parametrize("case", DEEP_GRID, ids=_ids(DEEP_GRID))
+    def test_branches_tile_the_members(self, case):
+        """Each option's position is the first member of its subtree, and the
+        subtrees of a node's options cover its members in order, down to the
+        leaves, whose crashes are the events collected on the way."""
+        n, _t, m, _cap, _policy = case
+        family = restricted_adversaries(*_args(*case))
+        members = list(family)
+
+        def tile(up, round_, first, events):
+            if round_ > m:
+                assert set(members[first].pattern.crashes) == set(events)
+                return first + 1
+            position = first
+            for start, more, rest in family.branches(up, round_, first):
+                assert start == position
+                assert all(event.round == round_ for event in more)
+                position = tile(rest, round_ + 1, start, events + more)
+            return position
+
+        assert tile(tuple(range(n)), 1, 0, ()) == len(members)
 
     def test_patterns_are_the_per_round_patterns(self):
         for n, m, cap, policy in ((3, 2, 1, "all"), (4, 2, 2, "canonical"), (5, 1, 2, "none")):
             assert list(per_round_crash_patterns(n, m, cap, policy)) == list(
                 oracles.per_round_crash_patterns(n, m, cap, policy)
             )
-
-    def test_pickles_as_its_window(self):
-        family = restricted_adversaries(Context(n=4, t=3, k=2), 2)[100:400]
-        clone = pickle.loads(pickle.dumps(family))
-        assert len(clone) == 300 and list(clone) == list(family)
-
-    def test_spawned_workers_walk_their_windows(self, monkeypatch):
-        """Spawn-context workers get the family pickled (threaded parents use spawn)."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        family = restricted_adversaries(Context(n=4, t=3, k=2), 2)
-        sharded = run_facets_pass(family, 3, 2, processes=2, chunk_size=301, mp_context="spawn")
-        assert sharded == facet_groups(family, 3, 2)
 
 
 def _assert_distinct_in_order(payload):
@@ -143,39 +146,20 @@ def _dominated(adversary, m):
     return any(event.round == m and event.receivers >= alive for event in pattern.crashes)
 
 
-def _resolved(payload):
-    """A payload's facets with vertex-table indices replaced by the vertices."""
-    table, facets = payload
-    return [(position, tuple(table[vid] for vid in vids)) for position, vids in facets]
-
-
 class TestWalk:
     @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
     def test_payload_is_the_trie_payload(self, case):
         """The walk's payload is the trie's over the listed members, minus the
-        facets whose representative is dominated.  A whole family keeps the
-        trie's vertex table: every vertex first appears at an undominated
-        member.  A window's table holds the vertices of its facets in
-        first-appearance order (one of them may first appear, in the
-        window, at a dominated member whose undominated twin precedes it)."""
+        facets whose representative is dominated.  The walk keeps the trie's
+        vertex table: every vertex first appears at an undominated member."""
         n, t, m, _cap, _policy = case
         family = restricted_adversaries(*_args(*case))
         members = list(family)
-        payload = facet_groups(family, t, m)
+        payload = run_facets_pass(family, t, m)
         _assert_distinct_in_order(payload)
-        table, facets = facet_groups(members, t, m)
+        table, facets = run_facets_pass(members, t, m)
         kept = [(pos, vids) for pos, vids in facets if not _dominated(members[pos], m)]
         assert payload == (table, kept)
-        start, stop = len(members) // 3, 2 * len(members) // 3 + 1
-        window = facet_groups(family[start:stop], t, m)
-        _assert_distinct_in_order(window)
-        expected = [
-            (pos, facet)
-            for pos, facet in _resolved(facet_groups(members[start:stop], t, m))
-            if not _dominated(members[start + pos], m)
-        ]
-        assert _resolved(window) == expected
-        assert window[0] == list(dict.fromkeys(v for _pos, facet in expected for v in facet))
 
     @pytest.mark.parametrize("case", WALK_GRID, ids=_ids(WALK_GRID))
     def test_dominated_members_are_the_non_maximal_facets(self, case):
@@ -216,7 +200,7 @@ class TestWalk:
         view_key = fused._view_key
         monkeypatch.setattr(fused, "_view_key", lambda *parts: built.append(1) or view_key(*parts))
         family = restricted_adversaries(Context(n=6, t=5, k=2), 2)
-        payload = facet_groups(family, 5, 2)
+        payload = run_facets_pass(family, 5, 2)
         _assert_distinct_in_order(payload)
         table, facets = payload
         assert (len(family), len(table), len(facets)) == (260275, 5316, 32298)
@@ -253,19 +237,6 @@ print(len(family), len(list(family.patterns())), len(pc.complex.vertices), len(p
         ]
         assert list(production.vertex_views.items()) == list(reference.vertex_views.items())
 
-    @pytest.mark.parametrize("case", SHARD_GRID, ids=_ids(SHARD_GRID))
-    def test_sharded_is_serial(self, case):
-        n, t, m, _cap, _policy = case
-        family = restricted_adversaries(*_args(*case))
-        # An odd chunk a little over a third: three chunks, each boundary
-        # inside some subtree of the first round.
-        chunk_size = len(family) // 3 + 1
-        sharded = run_facets_pass(
-            family, t, m, processes=2, chunk_size=chunk_size, mp_context="fork"
-        )
-        _assert_distinct_in_order(sharded)
-        assert sharded == facet_groups(family, t, m)
-
 
 class TestChecks:
     CONTEXT = Context(n=3, t=1, k=1)
@@ -291,12 +262,12 @@ class TestChecks:
         for t in (1, 2):
             for members in (family, list(family)):
                 with pytest.raises(ValueError, match="exceeding the bound t="):
-                    facet_groups(members, t, 2)
+                    run_facets_pass(members, t, 2)
         with pytest.raises(ValueError, match="0 <= t <= n-1"):
-            facet_groups(family, 4, 2)
+            run_facets_pass(family, 4, 2)
 
     def test_other_time_falls_back_to_the_trie(self):
         """A family simulated past (or short of) its rounds is scheduled member by member."""
         family = restricted_adversaries(Context(n=4, t=3, k=2), 1)
         for time in (0, 2):
-            assert facet_groups(family, 3, time) == facet_groups(list(family), 3, time)
+            assert run_facets_pass(family, 3, time) == run_facets_pass(list(family), 3, time)

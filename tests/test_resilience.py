@@ -1,8 +1,8 @@
 """Resilient runtime: resume identity, corruption rejection, the chaos battery.
 
 The headline contract of ``repro.runtime``: a survey interrupted at any
-batch boundary — by a budget stop, a Ctrl-C, or injected worker
-kills/checkpoint damage — resumes to results *byte-identical* to an
+batch boundary — by a budget stop, a Ctrl-C, or injected checkpoint
+damage — resumes to results *byte-identical* to an
 uninterrupted run (identity checked on the canonical JSON of the serialized
 aggregates).  The one documented exception is the census's
 ``homology_runs`` bookkeeping field, which may exceed the uninterrupted
@@ -22,7 +22,6 @@ from repro.runtime import (
     CheckpointStore,
     FaultPlan,
     RunReport,
-    SupervisionPolicy,
     canonical_json,
     resilient_census,
     resilient_check,
@@ -118,6 +117,49 @@ class TestCheckerResume:
         assert report.count("checkpoint_rejected") >= 1
         plain = check_protocol(OptMin(2), other, CONTEXT.t, symmetry="constructive")
         assert check_signature(outcome.value) == check_signature(plain)
+
+    @pytest.mark.parametrize("expiring_batch", [1, 2, 3])
+    def test_deadline_expiring_mid_batch_stops_at_its_boundary(
+        self, tmp_path, monkeypatch, expiring_batch
+    ):
+        """The deadline is read only at batch boundaries: a batch it expires
+        inside is folded whole and checkpointed before the run stops."""
+        import types
+
+        from repro.runtime import runner
+        from repro.verification import checker
+
+        # The runner's clock stands still except inside the expiring batch.
+        clock = {"now": 0.0}
+        monkeypatch.setattr(runner, "time", types.SimpleNamespace(monotonic=lambda: clock["now"]))
+        space = small_space()
+        real = checker.batch_verdicts
+        calls = {"n": 0}
+
+        def slow(runs, enforce_paper_bound=True):
+            calls["n"] += 1
+            if calls["n"] == expiring_batch:
+                clock["now"] += 60.0
+            return real(runs, enforce_paper_bound)
+
+        monkeypatch.setattr(checker, "batch_verdicts", slow)
+        report = RunReport()
+        store = CheckpointStore(str(tmp_path))
+        stopped = resilient_check(
+            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            batch_size=16, store=store, deadline_seconds=30.0, report=report,
+        )
+        assert not stopped.completed and stopped.stop_reason == "deadline"
+        assert stopped.cursor == store.latest().cursor == 16 * expiring_batch
+        assert report.count("deadline_stop") == 1
+        monkeypatch.setattr(checker, "batch_verdicts", real)
+        resumed = resilient_check(
+            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            batch_size=16, store=CheckpointStore(str(tmp_path)), resume=True,
+        )
+        plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        assert resumed.completed and resumed.resumed_from == 16 * expiring_batch
+        assert check_signature(resumed.value) == check_signature(plain)
 
     def test_keyboard_interrupt_flushes_then_reraises(self, tmp_path, monkeypatch):
         from repro.verification import checker
@@ -259,6 +301,45 @@ class TestCensusResume:
         # connectivity cache, so it may probe homology more often.
         assert outcome.value.homology_runs >= plain.homology_runs
 
+    @pytest.mark.parametrize("expiring_batch", [1, 2, 3])
+    def test_deadline_expiring_mid_batch_stops_at_its_boundary(
+        self, tmp_path, monkeypatch, expiring_batch
+    ):
+        """A census batch the deadline expires inside is folded whole and
+        checkpointed before the run stops."""
+        import types
+
+        from repro.runtime import runner
+        from repro.topology import protocol_complex
+
+        pc = self.build()
+        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        clock = {"now": 0.0}
+        monkeypatch.setattr(runner, "time", types.SimpleNamespace(monotonic=lambda: clock["now"]))
+        real = protocol_complex.vertex_capacity
+        calls = {"n": 0}
+
+        def slow(vertex):
+            calls["n"] += 1
+            if calls["n"] == 2 * expiring_batch - 1:  # the batch's first class
+                clock["now"] += 60.0
+            return real(vertex)
+
+        monkeypatch.setattr(protocol_complex, "vertex_capacity", slow)
+        store = CheckpointStore(str(tmp_path))
+        stopped = resilient_census(
+            pc, 2, symmetry="quotient", batch_size=2, store=store, deadline_seconds=30.0
+        )
+        assert not stopped.completed and stopped.stop_reason == "deadline"
+        assert stopped.cursor == store.latest().cursor == 2 * expiring_batch
+        resumed = resilient_census(
+            pc, 2, symmetry="quotient", batch_size=2,
+            store=CheckpointStore(str(tmp_path)), resume=True,
+        )
+        assert resumed.completed and resumed.resumed_from == 2 * expiring_batch
+        assert resumed.value.row == plain.row
+        assert resumed.value.classes == plain.classes
+
     def test_exhaustive_census_resumes_too(self, tmp_path):
         pc = build_restricted_complex(CONTEXT, time=1, max_crashes_per_round=1)
         plain = capacity_connectivity_census(pc, 2, symmetry="none")
@@ -276,7 +357,7 @@ class TestCensusResume:
 
 
 class TestChaosAcceptance:
-    """The seeded kill-a-worker-and-truncate-the-checkpoint battery (n=5)."""
+    """The seeded truncate-and-corrupt-the-checkpoint battery (n=5)."""
 
     def space(self):
         return RestrictedSpace(
@@ -286,11 +367,9 @@ class TestChaosAcceptance:
             receiver_policy="canonical",
         )
 
-    def test_sigkill_plus_truncated_checkpoint_converges_byte_identical(self, tmp_path):
+    def test_damaged_checkpoints_converge_byte_identical(self, tmp_path):
         space = self.space()
-        baseline = check_protocol(
-            OptMin(2), space, 2, symmetry="constructive", processes=2
-        )
+        baseline = check_protocol(OptMin(2), space, 2, symmetry="constructive")
 
         # Leg 1: one clean batch, then a deterministic budget stop.
         leg1 = resilient_check(
@@ -309,33 +388,35 @@ class TestChaosAcceptance:
         )
         assert leg2.resumed_from == 256 and leg2.cursor == 512
 
-        # Leg 3: the newest checkpoint is damaged, so resume must fall back
-        # to its rotated predecessor; the supervised pool additionally loses
-        # a worker to a seeded SIGKILL and retries a seeded chunk error.
+        # Leg 3: the newest checkpoint is truncated, so resume falls back to
+        # its rotated predecessor, re-folds the batch, and this time the
+        # rewritten checkpoint is bit-flipped mid-file (the bad-disk model).
         report = RunReport()
-        chaos = FaultPlan(seed=20160725, kill_chunks={1: 1}, fail_chunks={2: 1})
+        sabotage = FaultPlan(seed=20160725, corrupt_checkpoints=(0,))
         leg3 = resilient_check(
             OptMin(2), space, 2, symmetry="constructive", batch_size=256,
-            processes=2, chunk_size=64,
-            store=CheckpointStore(str(tmp_path)),
-            resume=True,
-            policy=SupervisionPolicy(faults=chaos, backoff_base=0.01),
-            report=report,
+            store=CheckpointStore(str(tmp_path), faults=sabotage),
+            resume=True, deadline_seconds=0.0, report=report,
         )
+        assert leg3.resumed_from == 256 and leg3.cursor == 512
+        assert report.count("checkpoint_rejected") == 1
+        assert report.count("fault_installed") == 1
 
-        assert leg3.completed
-        assert leg3.resumed_from == 256  # fell back past the truncated file
+        # Leg 4: the corrupted newest checkpoint is rejected too; the run
+        # resumes from the predecessor again and completes.
+        report = RunReport()
+        leg4 = resilient_check(
+            OptMin(2), space, 2, symmetry="constructive", batch_size=256,
+            store=CheckpointStore(str(tmp_path)), resume=True, report=report,
+        )
+        assert leg4.completed
+        assert leg4.resumed_from == 256  # fell back past the corrupted file
         assert report.count("checkpoint_rejected") >= 1
-        assert report.count("worker_death") >= 1
-        assert report.count("worker_respawn") >= 1
-        assert report.count("retry") >= 2
-        for event in report.of_kind("retry"):
-            assert event.detail["backoff_seconds"] > 0
         # The structured report is machine-readable end to end.
         structured = report.to_dict()
-        assert structured["counts"]["retry"] == report.count("retry")
+        assert structured["counts"]["checkpoint_rejected"] == report.count("checkpoint_rejected")
         # And the product is byte-identical to the uninterrupted baseline.
-        assert check_signature(leg3.value) == check_signature(baseline)
+        assert check_signature(leg4.value) == check_signature(baseline)
 
     def test_census_survives_checkpoint_truncation(self, tmp_path):
         pc = build_restricted_complex(
@@ -361,6 +442,56 @@ class TestChaosAcceptance:
         assert leg2.value.row == plain.row and leg2.value.classes == plain.classes
 
 
+def resume_until_complete(survey, store, report):
+    """Run ``survey`` one batch per leg, resuming each time, until it completes."""
+    for _leg in range(200):
+        outcome = survey(store=store, resume=True, deadline_seconds=0.0, report=report)
+        if outcome.completed:
+            return outcome
+    raise AssertionError("the survey did not complete in 200 legs")
+
+
+class TestSeededChaos:
+    """Seeded checkpoint damage over one-batch legs: every damaged save is
+    rejected on the next resume, which falls back to the newest valid
+    checkpoint and re-folds, and the product is the uninterrupted one."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_converges_byte_identical(self, tmp_path, seed):
+        space = RestrictedSpace(
+            CONTEXT, max_crash_round=2, max_failures=2, receiver_policy="canonical"
+        )
+        baseline = check_protocol(OptMin(2), space, 2, symmetry="constructive")
+        plan = FaultPlan.seeded(seed, saves=8, truncations=2, corruptions=2)
+        report = RunReport()
+
+        def survey(**attachments):
+            return resilient_check(
+                OptMin(2), space, 2, symmetry="constructive", batch_size=64, **attachments
+            )
+
+        outcome = resume_until_complete(survey, CheckpointStore(str(tmp_path), faults=plan), report)
+        assert report.count("fault_installed") == report.count("checkpoint_rejected") == 4
+        assert check_signature(outcome.value) == check_signature(baseline)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_census_converges_to_the_plain_row(self, tmp_path, seed):
+        pc = build_restricted_complex(
+            Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1
+        )
+        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plan = FaultPlan.seeded(seed, saves=6, truncations=1, corruptions=1)
+        report = RunReport()
+
+        def survey(**attachments):
+            return resilient_census(pc, 2, symmetry="quotient", batch_size=1, **attachments)
+
+        outcome = resume_until_complete(survey, CheckpointStore(str(tmp_path), faults=plan), report)
+        assert report.count("fault_installed") == report.count("checkpoint_rejected") == 2
+        assert outcome.value.row == plain.row
+        assert outcome.value.classes == plain.classes
+
+
 class TestCliRuntimeFlags:
     def test_deadline_stop_exits_3_and_resume_completes(self, tmp_path, capsys):
         from repro.cli import main
@@ -376,23 +507,6 @@ class TestCliRuntimeFlags:
         assert main(flags + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from cursor" in out
-
-    def test_max_retries_applies_without_other_runtime_flags(self, monkeypatch, capsys):
-        """Supervision is always attached: --max-retries and REPRO_FAULTS act alone."""
-        from repro.cli import main
-        from repro.runtime import FAULTS_ENV
-
-        monkeypatch.setenv(FAULTS_ENV, '{"fail_chunks": {"0": 1}}')
-        flags = [
-            "sweep", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "2",
-            "--symmetry", "constructive", "--processes", "2",
-        ]
-        assert main(flags + ["--max-retries", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "quarantine=1" in out and "retry" not in out
-        assert main(flags) == 0
-        out = capsys.readouterr().out
-        assert "retry=1" in out and "quarantine" not in out
 
     def test_census_checkpoint_round_trip(self, tmp_path, capsys):
         from repro.cli import main

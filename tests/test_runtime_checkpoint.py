@@ -182,40 +182,48 @@ class TestFaultPlanSerialization:
     def test_json_round_trip(self):
         plan = FaultPlan(
             seed=3,
-            kill_chunks={2: 1},
-            fail_chunks={5: 2},
-            delay_chunks={1: (0.25, 1)},
             truncate_checkpoints=(0,),
             corrupt_checkpoints=(3,),
+            corrupt_store_rows=(2,),
+            kill_job_owner={1: 4},
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
-    def test_retired_no_numpy_key_still_parses(self, monkeypatch):
-        """Older fault strings may still carry the retired ``no_numpy`` key."""
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            '"no_numpy": true',
+            '"kill_chunks": {"1": 1}',
+            '"fail_chunks": {"2": 1}',
+            '"delay_chunks": {"1": [0.25, 1]}',
+        ],
+        ids=["no_numpy", "kill_chunks", "fail_chunks", "delay_chunks"],
+    )
+    def test_retired_no_numpy_key_still_parses(self, monkeypatch, retired):
+        """Older fault strings may still carry retired keys: ``no_numpy`` and
+        the worker-chunk faults are ignored."""
         from repro.runtime import FAULTS_ENV
 
-        monkeypatch.setenv(FAULTS_ENV, '{"kill_chunks": {"1": 1}, "no_numpy": true}')
-        assert FaultPlan.from_env() == FaultPlan(kill_chunks={1: 1})
+        monkeypatch.setenv(FAULTS_ENV, '{"truncate_checkpoints": [1], %s}' % retired)
+        assert FaultPlan.from_env() == FaultPlan(truncate_checkpoints=(1,))
 
     def test_from_env(self, monkeypatch):
         from repro.runtime import FAULTS_ENV
 
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULTS_ENV, FaultPlan(kill_chunks={1: 1}).to_json())
-        assert FaultPlan.from_env().kill_chunks == {1: 1}
+        monkeypatch.setenv(FAULTS_ENV, FaultPlan(truncate_checkpoints=(1,)).to_json())
+        assert FaultPlan.from_env().truncate_checkpoints == (1,)
 
     def test_seeded_is_reproducible_and_disjoint(self):
-        a = FaultPlan.seeded(11, chunks=8, kills=2, failures=2, delays=1)
-        b = FaultPlan.seeded(11, chunks=8, kills=2, failures=2, delays=1)
+        a = FaultPlan.seeded(11, saves=8, truncations=2, corruptions=3)
+        b = FaultPlan.seeded(11, saves=8, truncations=2, corruptions=3)
         assert a == b
-        touched = (
-            list(a.kill_chunks) + list(a.fail_chunks) + list(a.delay_chunks)
-        )
+        touched = list(a.truncate_checkpoints) + list(a.corrupt_checkpoints)
         assert len(touched) == len(set(touched)) == 5
 
     def test_seeded_checkpoint_ordinals(self):
-        plan = FaultPlan.seeded(5, chunks=4, kills=0, saves=6, truncations=1, corruptions=1)
+        plan = FaultPlan.seeded(5, saves=6, truncations=1, corruptions=1)
         assert len(plan.truncate_checkpoints) == 1
         assert len(plan.corrupt_checkpoints) == 1
         assert set(plan.truncate_checkpoints).isdisjoint(plan.corrupt_checkpoints)

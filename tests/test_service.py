@@ -692,19 +692,6 @@ class TestServiceCli:
         assert main(["jobs", "status", "--queue", queue_path]) == 2  # missing job id
         capsys.readouterr()
 
-    def test_max_retries_rejects_negative_at_parse_time(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "-n", "3", "-t", "1", "-k", "1", "--max-retries", "-1"])
-        assert excinfo.value.code == 2
-        assert "--max-retries must be >= 0" in capsys.readouterr().err
-        # The census runs no supervised pool, so it has no retry budget.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["census", "--max-retries", "3"])
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments: --max-retries" in capsys.readouterr().err
-
     def test_census_resume_requires_checkpoint_at_parse_time(self, capsys):
         from repro.cli import main
 
