@@ -12,8 +12,8 @@ The complexes are built by the fused view-only scheduler pass (one
 traversal per family), every vertex's hidden
 capacity is recovered from its canonical key
 (:func:`repro.topology.vertex_capacity`), and the survey itself runs on the
-**symmetry quotient** (:func:`repro.topology.capacity_connectivity_census`
-with ``symmetry="quotient"``): vertices are grouped by their canonical
+**symmetry quotient** (:func:`repro.topology.capacity_connectivity_census`,
+which always folds canonical classes): vertices are grouped by their canonical
 view-key class and homology runs once per star-isomorphism class through the
 signature-keyed :class:`repro.topology.ConnectivityCache` — ~35 homology
 computations instead of 5316 on the n=6, k=2, m=2 case.  The
@@ -80,7 +80,7 @@ def run_survey():
         pc = build_restricted_complex(context, time=time, max_crashes_per_round=k)
         build_seconds = wall.perf_counter() - start
         start = wall.perf_counter()
-        census = capacity_connectivity_census(pc, k, symmetry="quotient")
+        census = capacity_connectivity_census(pc, k)
         survey_seconds = wall.perf_counter() - start
         if (n, k, time) == (6, 2, 2):
             # The packed-kernel acceptance identity: the kernel must

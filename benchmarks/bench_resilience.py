@@ -59,7 +59,7 @@ def run_legs(tmp_path):
     for round_index in range(ROUNDS):
         cpu0, wall0 = wall.process_time(), wall.perf_counter()
         plain_report = check_protocol(
-            OptMin(CONTEXT.k), space(), CONTEXT.t, symmetry="constructive"
+            OptMin(CONTEXT.k), space(), CONTEXT.t
         )
         plain_times.append((wall.process_time() - cpu0, wall.perf_counter() - wall0))
 
@@ -70,7 +70,6 @@ def run_legs(tmp_path):
             OptMin(CONTEXT.k),
             space(),
             CONTEXT.t,
-            symmetry="constructive",
             store=CheckpointStore(directory),
             report=events,
         )

@@ -62,7 +62,6 @@ def direct_leg(root: str, round_index: int):
         build_protocol(SPEC),
         build_space(SPEC),
         SPEC["t"],
-        symmetry=SPEC["symmetry"],
         store=store,
         result_store=result_store,
     )

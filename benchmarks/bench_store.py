@@ -73,14 +73,14 @@ def run_legs(tmp_path):
     populated = {}
     for round_index in range(ROUNDS):
         cpu0, wall0 = wall.process_time(), wall.perf_counter()
-        base = resilient_census(pc, CONTEXT.k, symmetry="quotient")
+        base = resilient_census(pc, CONTEXT.k)
         base_times.append((wall.process_time() - cpu0, wall.perf_counter() - wall0))
 
         path = os.path.join(str(tmp_path), f"store-{round_index}.sqlite")
         cold_store = ResultStore(path)
         cpu0, wall0 = wall.process_time(), wall.perf_counter()
         cold = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=cold_store
+            pc, CONTEXT.k, result_store=cold_store
         )
         cold_times.append((wall.process_time() - cpu0, wall.perf_counter() - wall0))
         populated = cold_store.counts()["kinds"]
@@ -89,7 +89,7 @@ def run_legs(tmp_path):
         warm_store = ResultStore(path)
         cpu0, wall0 = wall.process_time(), wall.perf_counter()
         warm = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=warm_store
+            pc, CONTEXT.k, result_store=warm_store
         )
         warm_times.append((wall.process_time() - cpu0, wall.perf_counter() - wall0))
 

@@ -113,7 +113,7 @@ class CountingOptMin(OptMin):
 def count_decide_calls() -> int:
     """``decide`` calls of one Optmin[2] sweep over sweep-n6's space."""
     protocol = CountingOptMin(2)
-    report = check_protocol(protocol, SWEEP_N6, SWEEP_N6.context.t, symmetry="constructive")
+    report = check_protocol(protocol, SWEEP_N6, SWEEP_N6.context.t)
     assert report.ok
     return protocol.calls
 
@@ -136,7 +136,7 @@ def run_constructive_sweep():
     gc.callbacks.append(count)
     try:
         start = time.perf_counter()
-        report = check_protocol(OptMin(2), SWEEP_N6, SWEEP_N6.context.t, symmetry="constructive")
+        report = check_protocol(OptMin(2), SWEEP_N6, SWEEP_N6.context.t)
         wall_seconds = time.perf_counter() - start
     finally:
         gc.callbacks.remove(count)

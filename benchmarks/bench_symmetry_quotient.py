@@ -3,8 +3,8 @@
 The n=6, k=2, m=2 restricted protocol complex has 5316 vertices but only ~35
 canonical vertex classes under process renaming: the exhaustive Proposition 2
 census extracts and homology-probes one star per *vertex*, while the quotient
-census (:func:`repro.topology.capacity_connectivity_census` with
-``symmetry="quotient"``) groups vertices by
+census (:func:`repro.topology.capacity_connectivity_census`, the one
+production census) groups vertices by
 :func:`repro.symmetry.canonical_view_key`, probes one representative star per
 class through the signature-keyed
 :class:`repro.topology.ConnectivityCache`, and weights each verdict by the
@@ -23,7 +23,8 @@ the gate isolates the survey-engine collapse, and the kernel's cone shortcut
 the exhaustive sweep near-free and the ratio meaningless.
 
 A second, ungated section records the verification-layer quotient for
-context: the exhaustive checker sweep vs ``symmetry="quotient"`` on a small
+context: the exhaustive checker sweep vs the batch checker folding the
+hash-dedup stream of :func:`repro.oracles.symmetry_stream` on a small
 restricted space — identical reports (pinned by the differential tests),
 modest batch-engine speedup that grows with ``n``.
 """
@@ -38,9 +39,11 @@ import pytest
 from repro import oracles
 from repro.adversaries import enumerate_adversaries
 from repro.core import OptMin
+from repro.engine import SweepRunner
 from repro.model import Context
 from repro.topology import build_restricted_complex
-from repro.verification import check_protocol
+from repro.verification import CheckReport, check_protocol
+from repro.verification.checker import fold_checks
 
 from conftest import print_table, record_benchmark
 
@@ -120,8 +123,11 @@ def run_checker_section():
     exhaustive = check_protocol(OptMin(CHECKER_CONTEXT.k), adversaries, CHECKER_CONTEXT.t)
     exhaustive_seconds = wall.perf_counter() - start
     start = wall.perf_counter()
-    quotient = check_protocol(
-        OptMin(CHECKER_CONTEXT.k), adversaries, CHECKER_CONTEXT.t, symmetry="quotient"
+    quotient = CheckReport(protocol=OptMin(CHECKER_CONTEXT.k).name)
+    fold_checks(
+        quotient,
+        oracles.symmetry_stream(adversaries, "quotient"),
+        SweepRunner(OptMin(CHECKER_CONTEXT.k), CHECKER_CONTEXT.t),
     )
     quotient_seconds = wall.perf_counter() - start
     assert quotient.ok == exhaustive.ok

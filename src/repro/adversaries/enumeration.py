@@ -296,10 +296,11 @@ class RestrictedSpace:
     of a space instead of a materialised family.  Iterating yields the
     space's adversaries (streaming; ``limit`` truncates exactly like the
     enumerator's); :meth:`orbits` yields one :class:`AdversaryOrbit` per
-    renaming orbit, generated constructively — which is what lets
-    ``symmetry="constructive"`` consumers sweep spaces whose full enumeration
-    is intractable (``limit`` then caps *orbits*, mirroring
-    :func:`enumerate_orbits`).
+    renaming orbit, generated constructively — which is what every survey
+    of a space folds (:func:`repro.pipeline.family_stream`), so spaces
+    whose full enumeration is intractable stay sweepable (``limit`` then
+    caps *orbits*, mirroring :func:`enumerate_orbits`).  Pass
+    ``iter(space)`` to survey the members instead.
     """
 
     context: Context
@@ -347,15 +348,14 @@ class RestrictedSpace:
 
 
 def constructive_orbit_stream(adversaries) -> Iterator[AdversaryOrbit]:
-    """Resolve a ``symmetry="constructive"`` family argument to an orbit stream.
+    """Resolve an orbit family to its orbit stream.
 
     Accepts a :class:`RestrictedSpace` (the orbits are generated from the
     space description) or an iterable that already yields
     :class:`AdversaryOrbit` values (e.g. a pre-built
-    :func:`enumerate_orbits` stream).  A plain adversary family is rejected
-    with guidance: constructive enumeration needs the space's *description*
-    to generate representatives — deduplicating an arbitrary family is what
-    ``symmetry="quotient"`` is for.
+    :func:`enumerate_orbits` stream).  A plain adversary family is rejected:
+    constructive enumeration needs the space's *description* to generate
+    representatives.
     """
     if isinstance(adversaries, RestrictedSpace):
         return adversaries.orbits()
@@ -366,20 +366,18 @@ def constructive_orbit_stream(adversaries) -> Iterator[AdversaryOrbit]:
     if isinstance(first, AdversaryOrbit):
         return itertools.chain([first], iterator)
     raise ValueError(
-        "symmetry='constructive' generates orbit representatives from a space "
-        "description: pass a RestrictedSpace (or a stream of AdversaryOrbit "
-        "from enumerate_orbits) instead of a plain adversary family, or use "
-        "symmetry='quotient' to deduplicate an arbitrary family"
+        "constructive orbits are generated from a space description: pass a "
+        "RestrictedSpace (or a stream of AdversaryOrbit from enumerate_orbits) "
+        "instead of a plain adversary family"
     )
 
 
 def constructive_quotient(adversaries) -> Tuple[List[Adversary], List[int], List[int]]:
     """``(representatives, weights, indices)`` off the constructive stream.
 
-    The same shape :func:`repro.symmetry.quotient_family` returns, so
-    quotient consumers can fold constructive orbits through their existing
-    weighted paths; ``indices`` number the orbits in generation order (there
-    is no underlying exhaustive enumeration to index into).
+    The same shape as the :func:`repro.oracles.quotient_family` fixture;
+    ``indices`` number the orbits in generation order (there is no
+    underlying enumeration to index into).
     """
     representatives: List[Adversary] = []
     weights: List[int] = []

@@ -84,20 +84,20 @@ def collect(
     adversaries: Sequence[Adversary],
     t: int,
     bound_for: Optional[Callable[[object, Adversary], int]] = None,
-    symmetry: str = "none",
 ) -> Dict[str, ProtocolStatistics]:
     """Run every protocol against every adversary and summarise decision times.
 
     ``bound_for(protocol, adversary)`` may supply a per-run decision-time
     bound (e.g. Proposition 1's ``⌊f/k⌋ + 1``); violations are counted in the
-    returned statistics.  ``symmetry="quotient"`` / ``"constructive"`` sweep
-    one representative per renaming orbit (:func:`repro.pipeline.family_stream`)
-    and orbit-weight the statistics — histograms and means equal the
-    exhaustive ones (paper bounds depend only on ``f``, constant on orbits).
+    returned statistics.  A :class:`repro.adversaries.RestrictedSpace` is
+    swept one representative per renaming orbit
+    (:func:`repro.pipeline.family_stream`) with orbit-weighted statistics —
+    histograms and means equal the member-by-member ones (paper bounds
+    depend only on ``f``, constant on orbits).
     """
     from ..pipeline import family_stream
 
-    items = list(family_stream(adversaries, symmetry))
+    items = list(family_stream(adversaries))
     adversaries = [adversary for _index, adversary, _weight in items]
     weights = [weight for _index, _adversary, weight in items]
     stats: Dict[str, ProtocolStatistics] = {}

@@ -7,10 +7,10 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
   print the figure-style run rendering plus the specification check;
 * ``compare``  — decision-time statistics and domination verdicts for several
   protocols over a random ensemble;
-* ``sweep``    — exhaustively verify a protocol over the enumerated adversary
-  space of a context on the batch engine; ``--symmetry constructive``
-  sweeps one *generated* canonical representative per renaming orbit,
-  which opens spaces whose full enumeration is intractable;
+* ``sweep``    — exhaustively verify a protocol over the adversary space of
+  a context on the batch engine, one *generated* canonical representative
+  per renaming orbit (orbit-weighted reports), which opens spaces whose
+  full enumeration is intractable;
 * ``count``    — pre-flight tractability guard: closed-form member count plus
   constructive pattern/adversary orbit counts for a restricted space,
   without enumerating it;
@@ -19,8 +19,7 @@ Installed as the ``repro-set-consensus`` console script (also runnable as
 * ``surgery``  — apply the Lemma 2 surgery on the Fig. 2 adversary and print
   the verification outcome and the Lemma 3 confrontation;
 * ``census``   — the Proposition 2 capacity-vs-connectivity census over the
-  restricted protocol complex, with ``--symmetry quotient`` collapsing the
-  survey to canonical vertex classes;
+  restricted protocol complex, one star probed per canonical vertex class;
 * ``serve``    — the survey service: a crash-safe job queue plus a stdlib
   async HTTP API (submit/status/result/cancel/events) over the resilient
   runtime; drains gracefully on SIGTERM/SIGINT (exit 130) or ``--deadline``
@@ -108,20 +107,6 @@ def _add_context_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-t", type=int, default=4, help="crash bound (default 4)")
     parser.add_argument("-k", type=int, default=2, help="agreement parameter (default 2)")
     parser.add_argument("--seed", type=int, default=0, help="adversary generator seed")
-
-
-def _add_symmetry_argument(parser: argparse.ArgumentParser) -> None:
-    from .symmetry import SYMMETRIES
-
-    parser.add_argument(
-        "--symmetry",
-        default=SYMMETRIES[0],
-        choices=list(SYMMETRIES),
-        help="'quotient' sweeps one representative per process-renaming orbit "
-        "(orbit-weighted reports; identical verdicts); 'constructive' "
-        "generates the representatives directly from the space description "
-        "(no full enumeration — use `count` to size a space first)",
-    )
 
 
 def _add_restriction_arguments(parser: argparse.ArgumentParser) -> None:
@@ -246,25 +231,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     context = _checked(Context, n=args.n, t=args.t, k=args.k)
     adversaries = AdversaryGenerator(context, seed=args.seed).sample(args.samples)
-    symmetry = args.symmetry
-    if symmetry == "constructive":
-        # The compare ensemble is randomly sampled — there is no enumerated
-        # space description to generate representatives from, so the
-        # hash-dedup quotient is the orbit front for this command.
-        print(
-            "note: compare samples a random ensemble; constructive generation "
-            "needs an enumerated space — using symmetry='quotient' on the sample"
-        )
-        symmetry = "quotient"
     protocols = [_protocol(name, args.k) for name in args.protocols]
-    print(statistics_report(collect(protocols, adversaries, context.t, symmetry=symmetry)))
+    print(statistics_report(collect(protocols, adversaries, context.t)))
     print()
     reference_pool = protocols[1:] or [FloodMin(args.k)]
     for reference in reference_pool:
-        report = compare_protocols(
-            protocols[0], reference, adversaries, context.t, symmetry=symmetry
-        )
-        print(report.summary())
+        print(compare_protocols(protocols[0], reference, adversaries, context.t).summary())
     return 0
 
 
@@ -277,20 +249,6 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     print(
         f"Fig. 4 adversary: n={adversary.n}, t=f={t}, deadline ⌊t/k⌋+1={t // args.k + 1}"
     )
-    if args.symmetry != "none":
-        # Decision times are constant on renaming orbits, so the canonical
-        # representative reproduces the figure; print the certificate so the
-        # per-process times can be lifted back by hand if wanted.  A single
-        # concrete adversary has no space description, so 'constructive'
-        # shares this canonicalisation path.
-        from .symmetry import canonical_adversary
-
-        canonical = canonical_adversary(adversary)
-        adversary = canonical.representative
-        print(
-            f"  ({args.symmetry}: canonical representative via "
-            f"π={list(canonical.permutation)})"
-        )
     for name in ("upmin", "optmin", "uearly", "early", "floodmin"):
         protocol = _protocol(name, args.k)
         (run,) = sweep(protocol, [adversary], t)
@@ -305,7 +263,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     protocol = _protocol(args.protocol, args.k)
     spec = {
         "kind": "sweep", "n": args.n, "t": args.t, "k": args.k,
-        "protocol": args.protocol, "symmetry": args.symmetry,
+        "protocol": args.protocol,
         "max_crash_round": args.max_crash_round,
         "receiver_policy": args.receiver_policy,
         "max_failures": args.max_failures, "limit": args.limit,
@@ -316,25 +274,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "restrict it with --max-crash-round / --max-failures / "
             "--receiver-policy none"
         )
-        if verdict["unit"] == "orbit representatives":
-            print(
-                f"refusing to sweep >{verdict['ceiling']:,} orbit representatives "
-                f"without --limit; size the space first with "
-                f"`repro-set-consensus count`, {restrict}, or cap it with --limit"
-            )
-        else:
-            print(
-                f"refusing to enumerate ~{verdict['workload']:,} adversaries without "
-                f"--limit (threshold {verdict['ceiling']:,}); size the space with "
-                f"`repro-set-consensus count`, {restrict}, cap it with --limit, "
-                f"or sweep its orbits with --symmetry constructive"
-            )
+        print(
+            f"refusing to sweep >{verdict['ceiling']:,} orbit representatives "
+            f"without --limit; size the space first with "
+            f"`repro-set-consensus count`, {restrict}, or cap it with --limit"
+        )
         return 2
     from .runtime import resilient_check
 
-    ran = _run_attached(
-        args, resilient_check, protocol, build_space(spec), context.t, symmetry=args.symmetry
-    )
+    ran = _run_attached(args, resilient_check, protocol, build_space(spec), context.t)
     if ran is None:
         return 2
     outcome, summaries, elapsed = ran
@@ -346,9 +294,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         + (f" (resumed from cursor {outcome.resumed_from})" if outcome.resumed_from else "")
     )
     print(report.summary())
-    print(
-        f"symmetry={args.symmetry}, {elapsed:.2f}s ({rate:,.0f} adversaries/s)"
-    )
+    print(f"{elapsed:.2f}s ({rate:,.0f} adversaries/s)")
     for line in summaries:
         print(line)
     for index, violation in report.violations[:10]:
@@ -388,16 +334,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     if orbits:
         print(f"  orbit reduction factor  : {members / orbits:,.1f}x")
     print(f"  counted in {elapsed:.2f}s (constructive; no members materialised)")
-    exhaustive_ok = members <= DEFAULT_ADMISSION_CEILING
-    constructive_ok = orbits <= DEFAULT_ADMISSION_CEILING
     print(
-        f"  sweep (exhaustive)      : "
-        f"{'tractable' if exhaustive_ok else 'needs --limit'} "
-        f"(threshold {DEFAULT_ADMISSION_CEILING:,} members)"
-    )
-    print(
-        f"  sweep --symmetry constructive: "
-        f"{'tractable' if constructive_ok else 'needs --limit'} "
+        f"  sweep                   : "
+        f"{'tractable' if orbits <= DEFAULT_ADMISSION_CEILING else 'needs --limit'} "
         f"(threshold {DEFAULT_ADMISSION_CEILING:,} orbits)"
     )
     return 0
@@ -445,7 +384,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     pc = build_restricted_complex(context, time=args.time)
     build_elapsed = time.perf_counter() - build_start
     ran = _run_attached(
-        args, resilient_census, pc, context.k, symmetry=args.symmetry,
+        args, resilient_census, pc, context.k,
         # The engine field is fixed (there is one engine) so that census
         # checkpoints written when it was an option still resume.
         spec_extra={"n": args.n, "t": args.t, "engine": "batch"},
@@ -456,8 +395,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     census = outcome.value
     complex_ = pc.complex
     print(
-        f"Proposition 2 census over n={args.n}, t={args.t}, k={args.k}, m={args.time} "
-        f"(symmetry={args.symmetry})"
+        f"Proposition 2 census over n={args.n}, t={args.t}, k={args.k}, m={args.time}"
         + (f" (resumed from cursor {outcome.resumed_from})" if outcome.resumed_from else "")
     )
     print(
@@ -621,7 +559,6 @@ def cmd_jobs(args: argparse.Namespace) -> int:
                     ("t", args.t),
                     ("k", args.k),
                     ("protocol", args.protocol),
-                    ("symmetry", args.symmetry),
                     ("limit", args.limit),
                     ("time", args.time),
                 ):
@@ -746,19 +683,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=["optmin", "early", "floodmin"],
         choices=sorted(PROTOCOLS),
     )
-    _add_symmetry_argument(compare_parser)
     compare_parser.set_defaults(func=cmd_compare)
 
     sweep_parser = subparsers.add_parser(
-        "sweep", help="exhaustively verify a protocol over an enumerated adversary space"
+        "sweep", help="exhaustively verify a protocol over an adversary space, orbit by orbit"
     )
     _add_context_arguments(sweep_parser)
     sweep_parser.add_argument("--protocol", default="optmin", choices=sorted(PROTOCOLS))
     _add_restriction_arguments(sweep_parser)
     sweep_parser.add_argument(
-        "--limit", type=int, default=None, help="truncate the adversary stream (smoke runs)"
+        "--limit", type=int, default=None, help="cap the orbit stream (smoke runs)"
     )
-    _add_symmetry_argument(sweep_parser)
     _add_runtime_arguments(sweep_parser)
     sweep_parser.set_defaults(func=cmd_sweep)
 
@@ -774,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure4_parser = subparsers.add_parser("figure4", help="regenerate the Fig. 4 comparison")
     figure4_parser.add_argument("-k", type=int, default=3)
     figure4_parser.add_argument("--rounds", type=int, default=4, help="the adversary's ⌊t/k⌋")
-    _add_symmetry_argument(figure4_parser)
     figure4_parser.set_defaults(func=cmd_figure4)
 
     surgery_parser = subparsers.add_parser("surgery", help="run the Lemma 2 surgery demonstration")
@@ -791,7 +725,6 @@ def build_parser() -> argparse.ArgumentParser:
     census_parser.add_argument(
         "-m", "--time", type=int, default=1, help="protocol-complex round count (default 1)"
     )
-    _add_symmetry_argument(census_parser)
     _add_runtime_arguments(census_parser)
     census_parser.set_defaults(func=cmd_census)
 
@@ -911,11 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_parser.add_argument("-k", type=int, default=None, help="submit: agreement parameter")
     jobs_parser.add_argument(
         "--protocol", default=None, choices=sorted(PROTOCOLS), help="submit: sweep protocol"
-    )
-    from .symmetry import SYMMETRIES as _symmetries
-
-    jobs_parser.add_argument(
-        "--symmetry", default=None, choices=list(_symmetries), help="submit: sweep symmetry"
     )
     jobs_parser.add_argument(
         "--time", type=int, default=None, help="submit: census round count"

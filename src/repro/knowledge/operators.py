@@ -129,7 +129,6 @@ class System:
         adversaries: Iterable,
         t: int,
         horizon: Optional[int] = None,
-        symmetry: str = "none",
     ) -> "System":
         """Build the system of all runs of ``protocol`` over an adversary family.
 
@@ -149,28 +148,26 @@ class System:
         The fused pass is pinned to the eager ``Run`` system and the two-pass
         construction it replaced (the :mod:`repro.oracles` fixtures).
 
-        ``symmetry="quotient"`` builds the *quotient* system: the family is
-        grouped by process-renaming orbit
-        (:func:`repro.symmetry.quotient_family`), one representative run is
-        built per orbit (the fused pass sees only representatives, so
-        decision evaluation and view snapshotting happen once per class),
-        and the Definition 4 index is keyed by the **canonical** view-key
-        class (:func:`repro.symmetry.canonical_view_key`) so that local
-        states of renamed runs coincide.  For renaming-invariant facts over
-        a renaming-closed family, ``knows`` on the quotient system equals
+        A :class:`repro.adversaries.RestrictedSpace` (or an
+        :func:`repro.adversaries.enumerate_orbits` stream) builds the
+        *quotient* system: one representative run per process-renaming
+        orbit, generated from the space (:func:`repro.pipeline.family_stream`,
+        so the fused pass sees only representatives), and the Definition 4
+        index keyed by the **canonical** view-key class
+        (:func:`repro.symmetry.canonical_view_key`) so that local states of
+        renamed runs coincide.  For renaming-invariant facts over a
+        renaming-closed family, ``knows`` on the quotient system equals
         ``knows`` on the full system (pinned by
         ``tests/test_quotient_differential.py``); :attr:`orbit_weights`
-        records how many family members each run stands for.
-
-        ``symmetry="constructive"`` builds the same system from representatives
-        generated from a :class:`repro.adversaries.RestrictedSpace`
-        (:func:`repro.pipeline.family_stream`), never enumerating the family.
+        records how many family members each run stands for.  Any other
+        family builds the full system, one run per member.
         """
         from ..engine.sweep import SweepRunner
         from ..engine.views import RunCache
-        from ..pipeline import family_stream
+        from ..pipeline import family_stream, split_family
 
-        items = list(family_stream(adversaries, symmetry))
+        orbits, family = split_family(adversaries)
+        items = list(family_stream(family))
         batch = [adversary for _index, adversary, _weight in items]
         if not batch:
             raise ValueError("a system must contain at least one run")
@@ -178,8 +175,8 @@ class System:
         swept, index = runner.sweep_fused(batch)
         cache = RunCache()
         system = cls._from_index(tuple(FamilyRun(run, cache) for run in swept), index)
-        if symmetry != "none":
-            system._quotient_index(tuple(weight for _i, _a, weight in items), symmetry)
+        if orbits:
+            system._quotient_index(tuple(weight for _i, _a, weight in items), "constructive")
         return system
 
     @classmethod
@@ -192,14 +189,15 @@ class System:
         system._orbit_weights = None
         return system
 
-    def _quotient_index(self, weights: Tuple[int, ...], symmetry: str = "quotient") -> None:
+    def _quotient_index(self, weights: Tuple[int, ...], symmetry: str) -> None:
         """Re-key the Definition 4 index by canonical view-key classes.
 
         Points whose local states differ only by a process renaming fall into
         one class, which is what makes quotient knowledge of
         renaming-invariant facts agree with the full system's.  ``symmetry``
-        records which front produced the representatives (``"quotient"`` or
-        ``"constructive"``); the index transform is identical.
+        records which front produced the representatives (``"constructive"``,
+        or the hash-dedup ``"quotient"`` of the :mod:`repro.oracles`
+        fixture); the index transform is identical.
         """
         from ..symmetry import canonical_view_key
 

@@ -15,13 +15,20 @@ shortcut-free big-int Betti stream and the seed's dense face-lattice
 algorithm, plus a census that runs on either.  Orbits have one production
 front, the constructive stream of :func:`repro.adversaries.enumerate_orbits`;
 its hash-dedup twin (:func:`dedup_orbits`,
-:func:`dedup_pattern_and_orbit_counts`) and the orbit–stabiliser sizes
-(:func:`adversary_orbit_size`, :func:`automorphism_count`,
-:func:`view_key_orbit_size`) live here.  Only ``tests/`` and
-``benchmarks/`` import this module — ``tests/test_oracle_boundary.py``
-enforces that, and that no public callable of the production packages has
-an ``engine`` or ``backend`` parameter, nor one of :mod:`repro.adversaries`
-a ``symmetry`` parameter.  docs/engine.md
+:func:`dedup_pattern_and_orbit_counts`), the hash-dedup quotient of an
+arbitrary family (:func:`quotient_family`, :func:`iter_orbit_representatives`)
+and the orbit–stabiliser sizes (:func:`adversary_orbit_size`,
+:func:`automorphism_count`, :func:`view_key_orbit_size`) live here.  A
+production survey's family type picks its stream
+(:func:`repro.pipeline.family_stream`); the check, compare and system
+oracles here also take a ``symmetry`` choice (:func:`symmetry_stream`) that
+forces the member-by-member (``"none"``), hash-dedup (``"quotient"``) or
+constructive stream, and the census oracle a per-vertex (``"none"``) or
+class (``"quotient"``) stream.  Only ``tests/`` and ``benchmarks/`` import
+this module — ``tests/test_oracle_boundary.py`` enforces that, and that no
+public callable of the production packages has an ``engine``, ``backend``
+or (outside two retained benchmark keywords) ``symmetry`` parameter.
+docs/engine.md
 ("Oracles") maps each entry to the production path it pins and the battery
 that runs it.
 """
@@ -32,7 +39,12 @@ import itertools
 import math
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .adversaries.enumeration import AdversaryOrbit, _receiver_subsets, enumerate_adversaries
+from .adversaries.enumeration import (
+    AdversaryOrbit,
+    _receiver_subsets,
+    constructive_quotient,
+    enumerate_adversaries,
+)
 from .adversaries.surgery import SurgeryCheck, SurgeryResult, check_surgery
 from .engine.arrays import ArrayView, StructLayer
 from .engine.sweep import SweepRunner
@@ -44,9 +56,10 @@ from .model.failure_pattern import CrashEvent, FailurePattern
 from .model.run import Run
 from .model.types import ProcessId, Time, Value
 from .model.view import view_key
-from .pipeline import family_stream
-from .symmetry import canonical_adversary, iter_orbit_representatives, renaming_star_signature
+from .pipeline import family_stream, split_family
+from .symmetry import canonical_adversary, renaming_star_signature
 from .symmetry.canonical import (
+    PatternCanon,
     _initial_colors,
     _normal_events,
     _refine,
@@ -98,16 +111,96 @@ class ReferenceRunner:
         return (Run(self.protocol, adversary, self.t) for adversary in adversaries)
 
 
+# ---------------------------------------------------------------- streams
+def iter_orbit_representatives(
+    adversaries: Iterable[Adversary], group: str = "process"
+) -> Iterator[Tuple[int, Adversary]]:
+    """Lazily deduplicate a family to one first-seen member per orbit.
+
+    Yields ``(original index, adversary)`` pairs in input order, keeping the
+    first member of each canonical class and dropping the rest.  Nothing
+    beyond the canonical keys is materialised.
+    """
+    seen = set()
+    pattern_cache: Dict[FailurePattern, PatternCanon] = {}
+    for index, adversary in enumerate(adversaries):
+        key = canonical_adversary(adversary, group, pattern_cache=pattern_cache).key
+        if key in seen:
+            continue
+        seen.add(key)
+        yield index, adversary
+
+
+def quotient_family(
+    adversaries: Iterable[Adversary], group: str = "process"
+) -> Tuple[List[Adversary], List[int], List[int]]:
+    """Group a family by canonical form: representatives, weights, indices.
+
+    Returns ``(representatives, weights, first_indices)`` where
+    ``representatives[c]`` is the first-seen member of class ``c``,
+    ``weights[c]`` counts the family members in the class and
+    ``first_indices[c]`` is the representative's position in the input.
+
+    Weights are exact for **any** family — they count members rather than
+    applying the orbit–stabiliser formula — so quotient verdicts weighted by
+    them reproduce the member-by-member censuses byte for byte even on
+    families that are not closed under the group.
+    """
+    slots: Dict[Tuple, int] = {}
+    representatives: List[Adversary] = []
+    weights: List[int] = []
+    first_indices: List[int] = []
+    pattern_cache: Dict[FailurePattern, PatternCanon] = {}
+    for index, adversary in enumerate(adversaries):
+        key = canonical_adversary(adversary, group, pattern_cache=pattern_cache).key
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = len(representatives)
+            representatives.append(adversary)
+            weights.append(1)
+            first_indices.append(index)
+        else:
+            weights[slot] += 1
+    return representatives, weights, first_indices
+
+
+def symmetry_stream(adversaries, symmetry: Optional[str] = None) -> Iterator[Tuple[int, Any, int]]:
+    """The ``(index, adversary, weight)`` stream of an oracle, by choice.
+
+    ``None`` is production's :func:`repro.pipeline.family_stream` (the
+    family's type decides).  ``"none"`` streams every member of
+    ``iter(adversaries)`` at weight 1 — a space's members.  ``"quotient"``
+    streams the first-seen member of each renaming class at its family
+    position, weighted by the members in the class (:func:`quotient_family`).
+    ``"constructive"`` streams the generated orbits of a space or orbit
+    stream (:func:`repro.adversaries.enumeration.constructive_quotient`,
+    which refuses a plain family).
+    """
+    if symmetry is None:
+        return family_stream(adversaries)
+    if symmetry == "none":
+        return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
+    if symmetry == "quotient":
+        representatives, weights, indices = quotient_family(adversaries)
+    elif symmetry == "constructive":
+        representatives, weights, indices = constructive_quotient(adversaries)
+    else:
+        raise ValueError(
+            f"unknown symmetry {symmetry!r}; choose None, 'none', 'quotient' or 'constructive'"
+        )
+    return zip(indices, representatives, weights)
+
+
 def check_protocol(
     protocol,
     adversaries,
     t: int,
     enforce_paper_bound: bool = True,
-    symmetry: str = "none",
+    symmetry: Optional[str] = None,
 ) -> CheckReport:
     """:func:`repro.verification.check_protocol` with one ``Run`` per stream item."""
     report = CheckReport(protocol=_name(protocol, "protocol"))
-    stream = family_stream(adversaries, symmetry)
+    stream = symmetry_stream(adversaries, symmetry)
     fold_checks(report, stream, ReferenceRunner(protocol, t), enforce_paper_bound)
     return report
 
@@ -117,19 +210,23 @@ def _compare(candidate, reference, adversaries, t, symmetry, compare, suffix="")
         candidate=_name(candidate, "candidate") + suffix,
         reference=_name(reference, "reference") + suffix,
     )
-    for index, adversary, weight in family_stream(adversaries, symmetry):
+    for index, adversary, weight in symmetry_stream(adversaries, symmetry):
         candidate_run = Run(candidate, adversary, t)
         reference_run = Run(reference, adversary, t)
         compare(candidate_run, reference_run, index, report, weight)
     return report
 
 
-def compare_protocols(candidate, reference, adversaries, t: int, symmetry: str = "none"):
+def compare_protocols(
+    candidate, reference, adversaries, t: int, symmetry: Optional[str] = None
+):
     """:func:`repro.verification.compare_protocols` with one ``Run`` pair per item."""
     return _compare(candidate, reference, adversaries, t, symmetry, compare_on_adversary)
 
 
-def last_decider_compare(candidate, reference, adversaries, t: int, symmetry: str = "none"):
+def last_decider_compare(
+    candidate, reference, adversaries, t: int, symmetry: Optional[str] = None
+):
     """:func:`repro.verification.last_decider_compare` with one ``Run`` pair per item."""
     return _compare(
         candidate, reference, adversaries, t, symmetry, compare_last_decisions, " [last-decider]"
@@ -395,16 +492,24 @@ def capacity_connectivity_census(
 ) -> CapacityCensus:
     """:func:`repro.topology.capacity_connectivity_census` on a homology oracle.
 
-    The production class stream and fold, with every star profile computed
-    by the ``homology`` oracle (``"bigint"`` or ``"dense"``) — memoised on
-    the quotient paths under the production cache key, so ``classes`` and
-    ``homology_runs`` match the production census along with its row.
+    Every star profile is computed by the ``homology`` oracle (``"bigint"``
+    or ``"dense"``).  ``symmetry="none"`` folds every vertex at weight 1 —
+    the per-vertex census the production class stream is pinned to
+    (``classes`` is the vertex count, one profile per vertex).
+    ``symmetry="quotient"`` folds the production class stream
+    (:func:`repro.topology.protocol_complex.census_classes`), memoised under
+    the production cache key, so ``classes`` and ``homology_runs`` match the
+    production census along with its row.
     """
     profile_of = HOMOLOGY_ORACLES[homology][1]
-    groups, _profile, cache = census_classes(pc, k, symmetry=symmetry)
-    if cache is not None:
+    if symmetry == "none":
+        groups, cache = [(vertex, 1) for vertex in pc.vertex_views], None
+    elif symmetry == "quotient":
+        groups, _profile, _cache = census_classes(pc, k)
         cache = _OracleProfileCache(profile_of)
         profile_of = cache.profile
+    else:
+        raise ValueError(f"unknown census symmetry {symmetry!r}; choose 'none' or 'quotient'")
     census = CapacityCensus(classes=len(groups))
     fold_census(pc, k, groups, lambda star: profile_of(star, max_q=k - 1), cache, census)
     return census
@@ -416,14 +521,18 @@ def system_from_family(
     adversaries,
     t: int,
     horizon: Optional[int] = None,
-    symmetry: str = "none",
+    symmetry: Optional[str] = None,
 ) -> System:
     """:meth:`repro.knowledge.System.from_family` as one eager ``Run`` per stream item.
 
-    The quotient systems re-key the directly iterated index by canonical
+    The orbit systems (a space, or ``symmetry="quotient"`` /
+    ``"constructive"``) re-key the directly iterated index by canonical
     view-key class, exactly as the production quotient does.
     """
-    items = list(family_stream(adversaries, symmetry))
+    if symmetry is None:
+        orbits, adversaries = split_family(adversaries)
+        symmetry = "constructive" if orbits else "none"
+    items = list(symmetry_stream(adversaries, symmetry))
     system = System([Run(protocol, adversary, t, horizon=horizon) for _i, adversary, _w in items])
     if symmetry != "none":
         system._quotient_index(tuple(weight for _i, _a, weight in items), symmetry)

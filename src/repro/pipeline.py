@@ -46,38 +46,51 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 DEFAULT_BATCH_SIZE = 8192
 
 
-def family_stream(adversaries, symmetry: str = "none") -> Iterator[Tuple[int, Any, int]]:
+def split_family(family) -> Tuple[bool, Iterable]:
+    """Whether ``family`` is an orbit family, and an iterable over all of it.
+
+    A :class:`repro.adversaries.RestrictedSpace`, or an iterable whose first
+    item is an :class:`repro.adversaries.AdversaryOrbit` (an
+    :func:`repro.adversaries.enumerate_orbits` stream), is an orbit family;
+    any other iterable is a family of members.  A space comes back as
+    itself; an iterable comes back as an iterator that still yields the
+    item peeked at.
+    """
+    from .adversaries.enumeration import AdversaryOrbit, RestrictedSpace
+
+    if isinstance(family, RestrictedSpace):
+        return True, family
+    items = iter(family)
+    first = next(items, None)
+    if first is None:
+        return False, ()
+    return isinstance(first, AdversaryOrbit), itertools.chain([first], items)
+
+
+def family_stream(family) -> Iterator[Tuple[int, Any, int]]:
     """The ``(index, adversary, weight)`` stream a survey folds over a family.
 
-    ``symmetry="none"`` streams every member with weight 1.
-    ``symmetry="quotient"`` streams the first-seen member of each renaming
-    class (:func:`repro.symmetry.quotient_family`) at its family position,
-    weighted by the members in the class.  ``symmetry="constructive"``
-    streams the generated canonical representatives
+    The family's type decides (:func:`split_family`).  An orbit family
+    streams its generated canonical representatives
     (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
-    in generation order and weighted by orbit size.  The checker, the
-    domination comparisons, ``collect`` and ``System.from_family`` all read
-    their families through it.  Every stream is lazy: a quotient is
-    computed on the first ``next()``, so a survey computes it inside
-    :func:`fold_stream`'s first batch, with the collector paused.
+    in generation order and weighted by orbit size; any other family
+    streams every member at weight 1.  The checker, the domination
+    comparisons, ``collect`` and ``System.from_family`` all read their
+    families through it.  The orbits are generated on the first ``next()``,
+    so a survey generates them inside :func:`fold_stream`'s first batch,
+    with the collector paused.  The hash-dedup quotient of an arbitrary
+    family is the :func:`repro.oracles.quotient_family` fixture.
     """
-    from .symmetry import validate_symmetry_choice
-
-    validate_symmetry_choice(symmetry)
-    if symmetry == "none":
-        return ((index, adversary, 1) for index, adversary in enumerate(adversaries))
-    return _quotient_stream(adversaries, symmetry)
+    orbits, items = split_family(family)
+    if orbits:
+        return _orbit_stream(items)
+    return zip(itertools.count(), items, itertools.repeat(1))
 
 
-def _quotient_stream(adversaries, symmetry: str) -> Iterator[Tuple[int, Any, int]]:
-    if symmetry == "constructive":
-        from .adversaries.enumeration import constructive_quotient
+def _orbit_stream(family) -> Iterator[Tuple[int, Any, int]]:
+    from .adversaries import enumeration
 
-        representatives, weights, indices = constructive_quotient(adversaries)
-    else:
-        from .symmetry import quotient_family
-
-        representatives, weights, indices = quotient_family(adversaries)
+    representatives, weights, indices = enumeration.constructive_quotient(family)
     yield from zip(indices, representatives, weights)
 
 

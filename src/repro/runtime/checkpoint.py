@@ -7,7 +7,7 @@ from their *descriptions*.  That turns crash safety into bookkeeping — a
 checkpoint is just
 
 * the **spec**: a JSON description of the stream (context, restriction
-  flags, symmetry choice, RNG seeds where a stream uses them) that resume
+  flags, fixed identity fields, RNG seeds where a stream uses them) that resume
   validates before trusting a stored cursor;
 * the **cursor**: how many stream items have been folded into the
   aggregates;

@@ -250,12 +250,10 @@ def _census_class_memo(result_store: "ResultStore", spec_h: str) -> _StoreMemo:
 
 
 # --------------------------------------------------------------- checker runs
-def checker_spec(
-    protocol, space, t: int, symmetry: str, enforce_paper_bound: bool
-) -> Dict[str, Any]:
+def checker_spec(protocol, space, t: int, enforce_paper_bound: bool) -> Dict[str, Any]:
     """The stream-identity spec a checker checkpoint must match to resume."""
     context = space.context
-    spec = {
+    return {
         "kind": "check",
         "schema_note": "cursor counts stream items (orbits or adversaries)",
         "protocol": getattr(protocol, "name", type(protocol).__name__),
@@ -266,18 +264,13 @@ def checker_spec(
         "receiver_policy": space.receiver_policy,
         "max_failures": space.max_failures,
         "limit": space.limit,
-        "symmetry": symmetry,
-        # Fixed: there is one engine, but the field stays so that
-        # checkpoints written when the engine was an option still resume.
+        # Fixed, like "engine": the stream is always the space's orbits, but
+        # the fields stay so that checkpoints written when they were options
+        # still resume.
+        "symmetry": "constructive",
         "engine": "batch",
         "enforce_paper_bound": enforce_paper_bound,
     }
-    if symmetry == "quotient":
-        # The quotient stream is the first-seen family quotient (``limit``
-        # caps members); checkpoints of the former orbit-stream order must
-        # not resume into it.
-        spec["stream"] = "quotient_family"
-    return spec
 
 
 def resilient_check(
@@ -285,7 +278,6 @@ def resilient_check(
     space,
     t: Optional[int] = None,
     *,
-    symmetry: str = "constructive",
     batch_size: int = DEFAULT_BATCH_SIZE,
     store: Optional[CheckpointStore] = None,
     resume: bool = False,
@@ -299,29 +291,24 @@ def resilient_check(
 
     ``space`` must be a :class:`repro.adversaries.RestrictedSpace` (the spec
     that makes the stream replayable).  This is the checker's pipeline
-    (:func:`repro.verification.checker.fold_checks`) with the attachments
-    given here, so a completed outcome's ``value`` is the
-    :class:`CheckReport` ``check_protocol(protocol, space, t,
-    symmetry=symmetry)`` produces; the constructive stream is generated
-    lazily (``space.orbits()``).  ``result_store`` is the durable cross-run
-    verdict memo (:class:`repro.store.ResultStore`), flushed at the same
-    batch boundaries as the checkpoint; its key excludes symmetry (a
-    verdict is a property of the adversary), so any sweep warms any other.
+    (:func:`repro.verification.checker.fold_checks`) over the space's
+    orbits with the attachments given here, so a completed outcome's
+    ``value`` is the :class:`CheckReport` ``check_protocol(protocol, space,
+    t)`` produces; the orbits are generated lazily (``space.orbits()``).
+    ``result_store`` is the durable cross-run verdict memo
+    (:class:`repro.store.ResultStore`), flushed at the same batch
+    boundaries as the checkpoint; its key is the adversary alone, so any
+    sweep warms any other.
     """
     from ..engine import SweepRunner
-    from ..pipeline import family_stream
     from ..verification.checker import CheckReport, fold_checks
 
     if t is None:
         t = space.context.t
-    if symmetry == "constructive":
-        stream = (
-            (index, orbit.representative, orbit.size)
-            for index, orbit in enumerate(space.orbits())
-        )
-    else:
-        stream = family_stream(space, symmetry)
-    spec = checker_spec(protocol, space, t, symmetry, enforce_paper_bound)
+    stream = (
+        (index, orbit.representative, orbit.size) for index, orbit in enumerate(space.orbits())
+    )
+    spec = checker_spec(protocol, space, t, enforce_paper_bound)
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     payload = attachments.open(spec, resume)
     name = getattr(protocol, "name", "protocol")
@@ -348,21 +335,22 @@ def resilient_check(
 
 
 # ---------------------------------------------------------------- census runs
-def census_spec(pc, k: int, symmetry: str, extra: Optional[Dict] = None) -> Dict:
+def census_spec(pc, k: int, extra: Optional[Dict] = None) -> Dict:
     """The stream-identity spec of a census run.
 
     The class stream is derived from the built complex, so the spec
     fingerprints the complex (vertex/facet counts, round count) alongside
-    the survey knobs; ``extra`` lets the CLI and the service add the build
-    description (context) for defence in depth.  ``backend`` is fixed: there
-    is one homology kernel, and the field stays so that checkpoints written
-    when it was an option still resume.
+    ``k``; ``extra`` lets the CLI and the service add the build description
+    (context) for defence in depth.  ``symmetry`` and ``backend`` are fixed:
+    the census always folds canonical classes on one homology kernel, and
+    the fields stay so that checkpoints written when they were options
+    still resume.
     """
     spec = {
         "kind": "census",
         "schema_note": "cursor counts canonical vertex classes",
         "k": k,
-        "symmetry": symmetry,
+        "symmetry": "quotient",
         "backend": "packed",
         "time": pc.time,
         "vertices": pc.complex.vertex_count,
@@ -377,7 +365,6 @@ def resilient_census(
     pc,
     k: int,
     *,
-    symmetry: str = "quotient",
     spec_extra: Optional[Dict[str, Any]] = None,
     batch_size: int = 64,
     store: Optional[CheckpointStore] = None,
@@ -412,27 +399,24 @@ def resilient_census(
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     memo = None
     if result_store is not None:
-        from ..store import census_class_store_spec, census_row_key, spec_hash
+        from ..store import CENSUS_ROW_KEY, census_class_store_spec, spec_hash
 
         class_spec_h = spec_hash(census_class_store_spec(pc, k))
-        row_key = census_row_key(symmetry)
         if result_store.available:
             # The coarsest memo tier: the whole census row.  A hit answers
             # the survey without even grouping the vertices into classes —
             # the warm-census fast path `bench_store.py` gates.  A damaged
             # row is quarantined by the read and the census falls through
             # to the per-class tier below (which heals it on completion).
-            row_hit = result_store.get("census_row", class_spec_h, row_key)
+            row_hit = result_store.get("census_row", class_spec_h, CENSUS_ROW_KEY)
             if row_hit is not None:
                 census = protocol_complex.CapacityCensus(*row_hit["counters"], row_hit["classes"])
                 return ResilientOutcome(
                     census, attachments.report, True, None, row_hit["classes"], None
                 )
         memo = _census_class_memo(result_store, class_spec_h)
-    groups, profile, cache = protocol_complex.census_classes(
-        pc, k, symmetry=symmetry, result_store=result_store
-    )
-    spec = census_spec(pc, k, symmetry, spec_extra)
+    groups, profile, cache = protocol_complex.census_classes(pc, k, result_store=result_store)
+    spec = census_spec(pc, k, spec_extra)
     spec["classes"] = len(groups)
     payload = attachments.open(spec, resume)
     census = protocol_complex.CapacityCensus(
@@ -451,7 +435,7 @@ def resilient_census(
         result_store.put(
             "census_row",
             class_spec_h,
-            row_key,
+            CENSUS_ROW_KEY,
             {"counters": list(census.row), "classes": len(groups)},
         )
         result_store.flush()

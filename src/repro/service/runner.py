@@ -269,6 +269,9 @@ class JobRunner:
 
     def _run_survey(self, job, events, result_store, boundary_hook):
         spec = job["spec"]
+        # A spec queued before its symmetry was retired fails here, with
+        # normalize_spec's error, instead of running a different survey.
+        _specs.refuse_retired(spec)
         store = _HookedCheckpointStore(
             self.checkpoint_dir(job["id"]),
             boundary_hook,
@@ -282,7 +285,6 @@ class JobRunner:
                 protocol,
                 space,
                 spec["t"],
-                symmetry=spec["symmetry"],
                 batch_size=self.batch_size,
                 store=store,
                 resume=True,
@@ -300,9 +302,6 @@ class JobRunner:
         return resilient_census(
             pc,
             spec["k"],
-            # Census "constructive" normalizes to "quotient"; this fold keeps
-            # jobs queued before that normalization on their checkpoint spec.
-            symmetry="none" if spec["symmetry"] == "none" else "quotient",
             # The fixed engine field keeps the CLI's census checkpoint spec.
             spec_extra={"n": spec["n"], "t": spec["t"], "engine": "batch"},
             store=store,

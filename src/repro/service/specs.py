@@ -55,8 +55,30 @@ _CENSUS_DEFAULTS: Dict[str, Any] = {
 }
 
 
+#: The one ``symmetry`` a spec of each kind runs, and the values it may no
+#: longer name.  The field stays because job ids hash the normalized spec.
+_SYMMETRY = {"sweep": "constructive", "census": "quotient"}
+_RETIRED_SYMMETRIES = {"sweep": ("none", "quotient"), "census": ("none",)}
+
+
 class SpecError(ValueError):
     """A job spec failed validation (HTTP 400 at the API, exit 2 at the CLI)."""
+
+
+def refuse_retired(spec: Dict[str, Any]) -> None:
+    """Raise :class:`SpecError` if ``spec`` names a retired ``symmetry``.
+
+    A sweep always folds its space's orbits and a census its canonical
+    vertex classes, so a spec naming another stream is refused — at submit
+    time by :func:`normalize_spec`, and by the job runner for a spec queued
+    before the value was retired — rather than run as a different survey.
+    """
+    kind, value = spec.get("kind"), spec.get("symmetry")
+    if value in _RETIRED_SYMMETRIES.get(kind, ()):
+        raise SpecError(
+            f"spec field 'symmetry' value {value!r} is retired for kind={kind!r}: "
+            f"a {kind} always runs symmetry={_SYMMETRY[kind]!r}"
+        )
 
 
 def _require_int(spec: Dict[str, Any], field: str, minimum: int = 0) -> int:
@@ -90,15 +112,15 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
     """The canonical form of a job spec: validated, defaults filled, fixed keys.
 
     Raises :class:`SpecError` on anything malformed — unknown kind, missing
-    context, unknown protocol/symmetry, an engine other than ``"batch"``, a
-    census backend other than ``"packed"``,
-    negative bounds, a non-boolean ``enforce_paper_bound``, unexpected
-    fields.  The returned dict is identity material: equal surveys, equal
-    dicts — so a census asking for ``"constructive"`` symmetry, which the
-    census runs as ``"quotient"``, normalizes to ``"quotient"``.
+    context, unknown protocol, a retired or unknown symmetry (a sweep runs
+    ``"constructive"``, a census ``"quotient"``; :func:`refuse_retired`), an
+    engine other than ``"batch"``, a census backend other than
+    ``"packed"``, negative bounds, a non-boolean ``enforce_paper_bound``,
+    unexpected fields.  The returned dict is identity material: equal
+    surveys, equal dicts — so a census asking for ``"constructive"``
+    symmetry, which the census runs as ``"quotient"``, normalizes to
+    ``"quotient"``.
     """
-    from ..symmetry import SYMMETRIES
-
     if not isinstance(raw, dict):
         raise SpecError(f"job spec must be a JSON object, got {type(raw).__name__}")
     kind = raw.get("kind")
@@ -120,9 +142,12 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
     except (ValueError, AssertionError) as error:
         raise SpecError(f"invalid context n={spec['n']}, t={spec['t']}, k={spec['k']}: {error}")
     _choice(spec, "engine", ("batch",))
+    refuse_retired(spec)
+    if kind == "census" and spec["symmetry"] == "constructive":
+        spec["symmetry"] = "quotient"
+    _choice(spec, "symmetry", (_SYMMETRY[kind],))
     if kind == "sweep":
         _choice(spec, "protocol", protocol_names())
-        _choice(spec, "symmetry", tuple(SYMMETRIES))
         _choice(spec, "receiver_policy", ("all", "canonical", "none"))
         spec["max_crash_round"] = _optional_int(spec, "max_crash_round", minimum=0)
         spec["max_failures"] = _optional_int(spec, "max_failures", minimum=0)
@@ -134,8 +159,6 @@ def normalize_spec(raw: Dict[str, Any]) -> Dict[str, Any]:
             )
     else:
         spec["time"] = _require_int(spec, "time", minimum=1)
-        if _choice(spec, "symmetry", tuple(SYMMETRIES)) == "constructive":
-            spec["symmetry"] = "quotient"
         if spec["backend"] is not None:
             _choice(spec, "backend", ("packed",))
     return {key: spec[key] for key in sorted(spec)}
@@ -155,11 +178,10 @@ def admission(
 
     Returns ``{"admit": bool, "reason": str | None, "workload": int,
     "unit": str, "ceiling": int}``.  The workload is what the job would
-    actually fold: constructive sweeps are measured in orbit
-    representatives (the bounded ``pattern_and_orbit_counts`` probe stops
-    as soon as the ceiling is exceeded), other sweeps in closed-form
-    members, and censuses in members of the family their complex is built
-    over (``len`` of
+    actually fold: sweeps are measured in orbit representatives (the
+    bounded ``pattern_and_orbit_counts`` probe stops as soon as the ceiling
+    is exceeded), and censuses in members of the family their complex is
+    built over (``len`` of
     :func:`repro.topology.protocol_complex.restricted_adversaries`, also a
     closed form).  An explicit ``limit`` caps a sweep's stream and always
     admits.  Nothing is enumerated either way.
@@ -178,18 +200,12 @@ def admission(
                 "admit": True, "reason": None, "workload": spec["limit"],
                 "unit": "capped stream items", "ceiling": ceiling,
             }
-        if spec["symmetry"] == "constructive":
-            _patterns, workload = pattern_and_orbit_counts(
-                context, ceiling=ceiling, **restrictions
-            )
-            unit = "orbit representatives"
-        else:
-            workload = estimate_adversary_count(context, **restrictions)
-            unit = "enumerated members"
+        _patterns, workload = pattern_and_orbit_counts(context, ceiling=ceiling, **restrictions)
+        unit = "orbit representatives"
         shown = f"{workload:,}+"
         remedy = (
-            "restrict the space (max_crash_round / max_failures / receiver_policy), "
-            "cap it with 'limit', or sweep orbits with symmetry='constructive'"
+            "restrict the space (max_crash_round / max_failures / receiver_policy) "
+            "or cap it with 'limit'"
         )
     else:
         from ..topology.protocol_complex import restricted_adversaries

@@ -1,13 +1,13 @@
 """Durable, self-healing result store (see :mod:`repro.store.sqlite`)."""
 
 from .keys import (
+    CENSUS_ROW_KEY,
     PROFILE_SPEC_HASH,
     PROFILE_STORE_SPEC,
     EncodedPayload,
     adversary_key,
     adversary_keys,
     census_class_store_spec,
-    census_row_key,
     check_store_spec,
     profile_key,
     spec_hash,
@@ -17,6 +17,7 @@ from .keys import (
 from .sqlite import STORE_SCHEMA, ResultStore, row_digest
 
 __all__ = [
+    "CENSUS_ROW_KEY",
     "PROFILE_SPEC_HASH",
     "PROFILE_STORE_SPEC",
     "EncodedPayload",
@@ -25,7 +26,6 @@ __all__ = [
     "adversary_key",
     "adversary_keys",
     "census_class_store_spec",
-    "census_row_key",
     "check_store_spec",
     "profile_key",
     "row_digest",

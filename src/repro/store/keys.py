@@ -172,18 +172,11 @@ def census_class_store_spec(pc, k: int) -> Dict:
     }
 
 
-def census_row_key(symmetry: str) -> str:
-    """The key of one memoized *whole-census* row.
-
-    The counter row itself is symmetry-invariant (the quotient census
-    reproduces the exhaustive one exactly, by the pinned identity), but the
-    ``classes`` bookkeeping a census reports is not — the exhaustive fold
-    has one class per vertex, the quotient one per canonical view-key class
-    — so the key separates the two fold shapes.  ``"constructive"`` *is*
-    the quotient shape on a built complex (same grouping, by construction)
-    and shares its key.
-    """
-    return stable_key(["census_row", "none" if symmetry == "none" else "quotient"])
+#: The key of the memoized *whole-census* row.  The census always folds
+#: canonical view-key classes, so there is one fold shape; the bytes are
+#: those of the former quotient key, so a store written when the fold shape
+#: was an option still answers a census from its row tier.
+CENSUS_ROW_KEY = stable_key(["census_row", "quotient"])
 
 
 #: Connectivity profiles are a pure function of the star's isomorphism

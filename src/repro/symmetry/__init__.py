@@ -24,13 +24,11 @@ This package provides:
   :func:`apply_to_view_key`) and certificate permutations;
 * :func:`canonical_adversary` — canonical orbit representative plus the
   certificate ``π`` with ``rep = π·α``;
-* :func:`quotient_family` — streaming canonical-form grouping of an
-  arbitrary adversary family (first-seen representatives + member counts);
 * :mod:`repro.symmetry.constructive` — canonical augmentation: generate one
   canonical pattern per orbit directly (no dedup set) and enumerate input
   vectors up to the pattern stabiliser, sized in closed form — the one
   production orbit front, behind :func:`repro.adversaries.enumerate_orbits`
-  and ``symmetry="constructive"``;
+  and every survey of a :class:`repro.adversaries.RestrictedSpace`;
 * :func:`canonical_view_key` — the induced action on canonical view keys
   (protocol-complex vertices);
 * :func:`star_signature` — an exact canonical form of a simplicial
@@ -38,8 +36,9 @@ This package provides:
   :class:`repro.topology.connectivity.ConnectivityCache`.
 
 The orbit–stabiliser size functions (``adversary_orbit_size``,
-``automorphism_count``, ``view_key_orbit_size``) and the hash-dedup orbit
-stream are test fixtures in :mod:`repro.oracles`.
+``automorphism_count``, ``view_key_orbit_size``) and the hash-dedup
+quotient of an arbitrary family (``quotient_family``,
+``iter_orbit_representatives``) are test fixtures in :mod:`repro.oracles`.
 
 See ``docs/symmetry.md`` for the architecture notes and the soundness
 argument per consumer.
@@ -47,7 +46,6 @@ argument per consumer.
 
 from .canonical import (
     GROUPS,
-    SYMMETRIES,
     CanonicalAdversary,
     PatternCanon,
     apply_to_adversary,
@@ -59,9 +57,6 @@ from .canonical import (
     canonical_view_key,
     identity_permutation,
     invert_permutation,
-    iter_orbit_representatives,
-    quotient_family,
-    validate_symmetry_choice,
 )
 from .constructive import (
     CanonicalPatternNode,
@@ -76,7 +71,6 @@ from .signature import renaming_star_signature, star_signature
 
 __all__ = [
     "GROUPS",
-    "SYMMETRIES",
     "CanonicalAdversary",
     "CanonicalPatternNode",
     "PatternCanon",
@@ -92,12 +86,9 @@ __all__ = [
     "invert_permutation",
     "iter_canonical_patterns",
     "iter_canonical_vectors",
-    "iter_orbit_representatives",
-    "quotient_family",
     "renaming_star_signature",
     "root_pattern_node",
     "stabiliser_generators",
     "star_signature",
-    "validate_symmetry_choice",
     "vector_orbit_size",
 ]

@@ -44,21 +44,8 @@ Permutation = Tuple[int, ...]
 #: A normalised crash event: ``(round, process, sorted receivers)``.
 NormalEvent = Tuple[int, int, Tuple[int, ...]]
 
-#: The symmetry modes every quotient-capable entry point accepts.
-SYMMETRIES = ("none", "quotient", "constructive")
-
 #: The symmetry groups canonical forms can be computed under.
 GROUPS = ("process", "full")
-
-
-def validate_symmetry_choice(symmetry: str) -> None:
-    """Validate a ``symmetry=`` selection (single owner of the dispatch rule)."""
-    if symmetry not in SYMMETRIES:
-        raise ValueError(
-            f"unknown symmetry {symmetry!r}; choose 'none' (exhaustive), "
-            f"'quotient' (hash-dedup orbit representatives) or 'constructive' "
-            f"(orbit representatives generated directly from a space description)"
-        )
 
 
 def _validate_group(group: str) -> None:
@@ -508,8 +495,7 @@ def canonical_adversary(
     vector is then minimised over the pattern's automorphism group in
     near-linear time — so sweeps that enumerate many input vectors per
     pattern pay the search once per pattern, not once per adversary
-    (``pattern_cache`` holds the per-pattern results across calls;
-    :func:`quotient_family` supplies one automatically).
+    (``pattern_cache`` holds the per-pattern results across calls).
 
     ``group="full"`` additionally quotients by value permutations (sound for
     structural consumers only; see the module docstring).
@@ -565,63 +551,6 @@ def canonical_adversary(
         ),
     )
     return CanonicalAdversary(representative, certificate, (canon.events, best_values))
-
-
-# ---------------------------------------------------------- family quotients
-def iter_orbit_representatives(
-    adversaries: Iterable[Adversary], group: str = "process"
-) -> Iterator[Tuple[int, Adversary]]:
-    """Lazily deduplicate a family to one first-seen member per orbit.
-
-    Yields ``(original index, adversary)`` pairs in input order, keeping the
-    first member of each canonical class and dropping the rest — the
-    streaming front of every ``symmetry="quotient"`` scan that wants an early
-    exit (the beatability violation search).  Nothing beyond the canonical
-    keys is materialised.
-    """
-    _validate_group(group)
-    seen = set()
-    pattern_cache: Dict[FailurePattern, PatternCanon] = {}
-    for index, adversary in enumerate(adversaries):
-        key = canonical_adversary(adversary, group, pattern_cache=pattern_cache).key
-        if key in seen:
-            continue
-        seen.add(key)
-        yield index, adversary
-
-
-def quotient_family(
-    adversaries: Iterable[Adversary], group: str = "process"
-) -> Tuple[List[Adversary], List[int], List[int]]:
-    """Group a family by canonical form: representatives, weights, indices.
-
-    Returns ``(representatives, weights, first_indices)`` where
-    ``representatives[c]`` is the first-seen member of class ``c``,
-    ``weights[c]`` counts the family members in the class and
-    ``first_indices[c]`` is the representative's position in the input.
-
-    Weights are exact for **any** family — they count members rather than
-    applying the orbit–stabiliser formula — so quotient verdicts weighted by
-    them reproduce the exhaustive censuses byte for byte even on families
-    that are not closed under the group.
-    """
-    _validate_group(group)
-    slots: Dict[Tuple, int] = {}
-    representatives: List[Adversary] = []
-    weights: List[int] = []
-    first_indices: List[int] = []
-    pattern_cache: Dict[FailurePattern, PatternCanon] = {}
-    for index, adversary in enumerate(adversaries):
-        key = canonical_adversary(adversary, group, pattern_cache=pattern_cache).key
-        slot = slots.get(key)
-        if slot is None:
-            slots[key] = len(representatives)
-            representatives.append(adversary)
-            weights.append(1)
-            first_indices.append(index)
-        else:
-            weights[slot] += 1
-    return representatives, weights, first_indices
 
 
 # ------------------------------------------------------------------ view keys

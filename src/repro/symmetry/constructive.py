@@ -1,8 +1,8 @@
 """Constructive orbit enumeration: one object generated per renaming orbit.
 
-The hash-dedup quotient (:func:`repro.symmetry.iter_orbit_representatives`)
-canonicalises every member of an enumerated space and keeps the first of each
-canonical key, so its cost is proportional to the *space*, not to the set of
+The hash-dedup quotient (the :func:`repro.oracles.iter_orbit_representatives`
+fixture) canonicalises every member of an enumerated space and keeps the
+first of each canonical key, so its cost is proportional to the *space*, not to the set of
 orbits — at n=6 with two crash rounds that is a ~150x overhead, and the
 unbounded ``seen`` set grows with the orbit count.  This module generates the
 canonical representatives *directly* (classic orderly generation / canonical

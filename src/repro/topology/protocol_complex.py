@@ -30,6 +30,11 @@ new vertex (2,598 of 260,275 at n=6, m=2).  The per-adversary builders are the
 :func:`repro.oracles.build_protocol_complex` fixtures; the two produce
 vertex-for-vertex, facet-for-facet identical complexes
 (``tests/test_complex_differential.py``, ``tests/test_fused_scheduler.py``).
+
+The Proposition 2 census (:func:`capacity_connectivity_census`) has one
+stream: canonical view-key classes, one star probed per class and each
+verdict weighted by the class size.  The per-vertex census it is pinned to
+is the :func:`repro.oracles.capacity_connectivity_census` fixture.
 """
 
 from __future__ import annotations
@@ -112,9 +117,9 @@ class CapacityCensus:
     ``consistent == high_capacity``); ``connected_stars`` /
     ``connected_high`` tabulate the converse direction.  ``classes`` is the
     number of canonical vertex classes the survey actually eliminated
-    homology for (equals ``vertices`` on the exhaustive path), and
+    homology for (``vertices`` on the per-vertex oracle path), and
     ``homology_runs`` the number of connectivity profiles computed from
-    scratch (cache misses on the quotient path).
+    scratch (cache misses).
     """
 
     vertices: int = 0
@@ -149,107 +154,86 @@ class CapacityCensus:
                 self.connected_high += weight
 
 
-def census_classes(
-    pc: ProtocolComplex,
-    k: int,
-    symmetry: str = "none",
-    result_store=None,
-):
+def census_classes(pc: ProtocolComplex, k: int, result_store=None):
     """The deterministic class stream a Proposition 2 census folds over.
 
     Returns ``(groups, profile, cache)``: ``groups`` is the materialised
     list of ``(representative_vertex, weight)`` pairs in the census's fold
-    order (every vertex with weight 1 for ``symmetry="none"``; one canonical
-    view-key class representative with the class size for the quotient /
-    constructive paths), ``profile`` maps a star to its connectivity level
+    order — one canonical view-key class representative per class, with the
+    class size — ``profile`` maps a star to its connectivity level
     ``max_q = k - 1``, and ``cache`` is the backing
-    :class:`repro.topology.connectivity.ConnectivityCache` (``None`` on the
-    exhaustive path).
+    :class:`repro.topology.connectivity.ConnectivityCache`.
 
     Exposed separately from :func:`fold_census` so the resilient runtime
     (:func:`repro.runtime.resilient_census`) can fingerprint the stream
     before folding it in checkpointed batches: a checkpoint cursor is an
-    index into ``groups``, which is why the list order must be deterministic — it
-    follows ``pc.vertex_views`` generation order (first-seen order of the
-    canonical classes on the symmetry paths).
+    index into ``groups``, which is why the list order must be
+    deterministic — it is the first-seen order of the canonical classes in
+    ``pc.vertex_views`` generation order.
 
     ``result_store`` threads a :class:`repro.store.ResultStore` into the
-    :class:`ConnectivityCache` as its persistent tier (symmetry paths only —
-    the exhaustive path computes profiles directly; its durable memo lives
-    one level up, in the per-class rows of :func:`resilient_census`).
+    :class:`ConnectivityCache` as its persistent tier.  The per-vertex
+    stream (every vertex at weight 1) is the
+    :func:`repro.oracles.capacity_connectivity_census` fixture.
     """
-    from ..symmetry import canonical_view_key, validate_symmetry_choice
+    from ..symmetry import canonical_view_key, renaming_star_signature
+    from .connectivity import ConnectivityCache
 
-    validate_symmetry_choice(symmetry)
-    cache = None
-    if symmetry == "none":
-        from .connectivity import connectivity_profile
-
-        groups: List[Tuple[ComplexVertex, int]] = [
-            (vertex, 1) for vertex in pc.vertex_views
-        ]
-        profile = lambda star: connectivity_profile(star, max_q=k - 1)  # noqa: E731
-    else:
-        from ..symmetry import renaming_star_signature
-        from .connectivity import ConnectivityCache
-
-        grouped: Dict[Tuple, List[ComplexVertex]] = {}
-        for vertex in pc.vertex_views:
-            grouped.setdefault(canonical_view_key(vertex[1]), []).append(vertex)
-        for members in grouped.values():
-            facet_counts = {pc.complex.star_facet_count(member) for member in members}
-            if len(facet_counts) > 1:
-                raise ValueError(
-                    f"capacity_connectivity_census(symmetry={symmetry!r}) requires "
-                    "a family closed under process renaming: vertices of one "
-                    "canonical class have stars of different sizes "
-                    f"({sorted(facet_counts)} facets) in this complex"
-                )
-        groups = [(members[0], len(members)) for members in grouped.values()]
-        cache = ConnectivityCache(signature=renaming_star_signature, store=result_store)
-        profile = lambda star: cache.profile(star, max_q=k - 1)  # noqa: E731
+    grouped: Dict[Tuple, List[ComplexVertex]] = {}
+    for vertex in pc.vertex_views:
+        grouped.setdefault(canonical_view_key(vertex[1]), []).append(vertex)
+    for members in grouped.values():
+        facet_counts = {pc.complex.star_facet_count(member) for member in members}
+        if len(facet_counts) > 1:
+            raise ValueError(
+                "the Proposition 2 census requires a family closed under process "
+                "renaming: vertices of one canonical class have stars of different "
+                f"sizes ({sorted(facet_counts)} facets) in this complex"
+            )
+    groups = [(members[0], len(members)) for members in grouped.values()]
+    cache = ConnectivityCache(signature=renaming_star_signature, store=result_store)
+    profile = lambda star: cache.profile(star, max_q=k - 1)  # noqa: E731
     return groups, profile, cache
 
 
 def capacity_connectivity_census(
-    pc: ProtocolComplex, k: int, symmetry: str = "none"
+    pc: ProtocolComplex, k: int, symmetry: str = "quotient"
 ) -> CapacityCensus:
     """Cross-tabulate hidden capacity against star ``(k-1)``-connectivity.
 
-    The Proposition 2 survey over a protocol complex.  Every star profile
-    comes from :func:`repro.topology.connectivity_profile`; the census rows
-    equal those of the :func:`repro.oracles.capacity_connectivity_census`
-    homology oracles (``benchmarks/bench_prop2_connectivity.py`` pins the
-    big-int oracle's row byte-for-byte at survey scale).  ``symmetry="none"``
-    probes every vertex's star (the exhaustive path).  ``symmetry="quotient"``
-    groups the vertices by their canonical view-key class
+    The Proposition 2 survey over a protocol complex.  The vertices are
+    grouped by their canonical view-key class
     (:func:`repro.symmetry.canonical_view_key` — exact orbit ids, valid
     because renaming a renaming-closed family's execution is an automorphism
     of its complex, so same-class vertices have isomorphic stars and equal
-    capacities), probes one representative star per class through a
+    capacities), one representative star per class is probed through a
     :class:`repro.topology.connectivity.ConnectivityCache` keyed by
-    :func:`repro.symmetry.renaming_star_signature`, and weights each verdict
-    by the class size — the returned counts are identical to the exhaustive
-    ones (pinned by ``tests/test_quotient_differential.py`` and gated at
-    survey scale by ``benchmarks/bench_symmetry_quotient.py``).
-    ``symmetry="constructive"`` is accepted as an alias of the quotient
-    survey: the census operates on an already-built complex, where the
-    canonical view-key grouping *is* the constructive front (exact orbit ids,
-    one homology probe per class) — constructive generation matters upstream,
-    in the family the complex is built from
-    (:func:`repro.adversaries.enumerate_orbits`).
+    :func:`repro.symmetry.renaming_star_signature`, and each verdict is
+    weighted by the class size.  The returned counts equal the per-vertex
+    census of the :func:`repro.oracles.capacity_connectivity_census`
+    fixture (pinned by ``tests/test_quotient_differential.py`` and gated at
+    survey scale by ``benchmarks/bench_symmetry_quotient.py``), and its
+    homology oracles' rows (``benchmarks/bench_prop2_connectivity.py``).
+    ``symmetry`` accepts only ``"quotient"``, which changes nothing: the
+    repository benchmark still passes it.
 
-    Quotient soundness requires the complex's family to be closed under
-    process renaming, which holds for :func:`build_restricted_complex`
+    Soundness requires the complex's family to be closed under process
+    renaming, which holds for :func:`build_restricted_complex`
     (renaming-invariant pattern restrictions, constant input vector).  The
-    quotient path guards the precondition with a cheap necessary condition —
+    census guards the precondition with a cheap necessary condition —
     every class member's star must have the representative's facet count (a
     renaming maps stars facet-for-facet) — so a census over a non-closed
     family raises instead of silently weighting a wrong profile; the guard
     cannot catch every violation (equal counts, different homology), which
     is why closure remains a documented requirement.
     """
-    groups, profile, cache = census_classes(pc, k, symmetry=symmetry)
+    if symmetry != "quotient":
+        raise ValueError(
+            "capacity_connectivity_census takes no symmetry choice (it always folds "
+            "canonical vertex classes); only the retained symmetry='quotient' is "
+            f"accepted, got {symmetry!r}"
+        )
+    groups, profile, cache = census_classes(pc, k)
     census = CapacityCensus(classes=len(groups))
     fold_census(pc, k, groups, profile, cache, census)
     return census
@@ -260,7 +244,7 @@ def fold_census(pc: ProtocolComplex, k: int, groups, profile, cache, census, **a
 
     Class verdicts are ``(capacity, star level)``; ``census.homology_runs``
     counts the profiles computed so far (cache misses, or every evaluated
-    class on the exhaustive path).
+    class when ``cache`` is ``None``, as on the per-vertex oracle path).
     ``attachments`` pass through to :func:`repro.pipeline.fold_stream`.
     """
     resumed_runs = census.homology_runs

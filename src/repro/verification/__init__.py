@@ -7,7 +7,7 @@ from .beatability import (
     demonstrate_unbeatability_mechanism,
     find_agreement_violation,
 )
-from .checker import CheckReport, check_protocol, check_protocols, exhaustive_context_check
+from .checker import CheckReport, check_protocol, check_protocols
 from .domination import (
     DecisionProfile,
     DominationReport,
@@ -50,7 +50,6 @@ __all__ = [
     "compare_protocols",
     "decision_time_table",
     "demonstrate_unbeatability_mechanism",
-    "exhaustive_context_check",
     "find_agreement_violation",
     "last_decider_compare",
     "proposition1_bound",

@@ -141,7 +141,6 @@ def find_agreement_violation(
     adversaries: Iterable[Adversary],
     t: int,
     uniform: bool = False,
-    symmetry: str = "none",
 ) -> Optional[Tuple[int, Adversary]]:
     """Scan an adversary family for a (uniform) k-Agreement violation of ``protocol``.
 
@@ -150,40 +149,26 @@ def find_agreement_violation(
     family is swept through :class:`repro.engine.SweepRunner` in bounded
     chunks, so the scan keeps the trie's sharing *and* the early exit.
 
-    ``symmetry="quotient"`` deduplicates the stream to one first-seen member
-    per process-renaming orbit before scanning
-    (:func:`repro.symmetry.iter_orbit_representatives`, lazily — the early
-    exit is preserved).  A violation is constant on orbits, so the scan
-    verdict (found vs not found) is identical to the exhaustive one; the
-    returned index is the representative's position in the *original* stream
-    and the returned adversary is a true family member.
-
-    ``symmetry="constructive"`` scans one *generated* representative per
-    orbit — ``adversaries`` must be a
-    :class:`repro.adversaries.RestrictedSpace` (or an
-    :func:`repro.adversaries.enumerate_orbits` stream); the early exit is
-    preserved and the returned index numbers orbits in generation order.
+    A :class:`repro.adversaries.RestrictedSpace` (or an
+    :func:`repro.adversaries.enumerate_orbits` stream) is scanned one
+    generated representative per process-renaming orbit, lazily; the
+    returned index numbers orbits in generation order.  A violation is
+    constant on orbits, so the verdict (found vs not found) is the
+    member-by-member one.  Any other family is scanned member by member.
     """
     import itertools
 
+    from ..adversaries.enumeration import constructive_orbit_stream
     from ..engine import SweepRunner
-    from ..symmetry import validate_symmetry_choice
+    from ..pipeline import split_family
 
-    validate_symmetry_choice(symmetry)
     check = check_uniform_agreement if uniform else check_agreement
-    if symmetry == "constructive":
-        from ..adversaries.enumeration import constructive_orbit_stream
-
-        indexed: Iterable[Tuple[int, Adversary]] = (
-            (index, orbit.representative)
-            for index, orbit in enumerate(constructive_orbit_stream(adversaries))
-        )
-    elif symmetry == "quotient":
-        from ..symmetry import iter_orbit_representatives
-
-        indexed = iter_orbit_representatives(adversaries)
-    else:
-        indexed = enumerate(adversaries)
+    orbits, family = split_family(adversaries)
+    indexed: Iterable[Tuple[int, Adversary]] = enumerate(
+        (orbit.representative for orbit in constructive_orbit_stream(family))
+        if orbits
+        else family
+    )
     runner = SweepRunner(protocol, t)
     stream = iter(indexed)
     while True:

@@ -12,16 +12,19 @@ Every entry point runs on the prefix-sharing batch engine of
 per-adversary :class:`repro.model.run.Run` path it is differentially tested
 against is the :func:`repro.oracles.check_protocol` fixture.
 
-``symmetry="quotient"`` quotients the family by process
-renaming before the sweep (:func:`repro.symmetry.quotient_family`): one
-representative per orbit is simulated and checked, and its outcome is folded
-into the report with the orbit size as weight.  Every recorded quantity —
-violation existence, the decision-time histogram, the maximum decision time —
-is constant on renaming orbits (decision times transport along the renaming,
-decision values are untouched), so the quotient report reproduces the
-exhaustive census exactly; ``tests/test_quotient_differential.py`` pins the
-identity.  Violations are reported once per orbit (the representative is the
-concrete counterexample; the rest of the orbit is its renamings).
+A family's type picks its stream (:func:`repro.pipeline.family_stream`).
+A :class:`repro.adversaries.RestrictedSpace` (or an
+:func:`repro.adversaries.enumerate_orbits` stream) is swept one generated
+representative per process-renaming orbit, its outcome folded into the
+report with the orbit size as weight.  Every recorded quantity — violation
+existence, the decision-time histogram, the maximum decision time — is
+constant on renaming orbits (decision times transport along the renaming,
+decision values are untouched), so the orbit report reproduces the
+member-by-member census exactly; ``tests/test_constructive_enumeration.py``
+and ``tests/test_quotient_differential.py`` pin the identity.  Violations
+are reported once per orbit (the representative is the concrete
+counterexample; the rest of the orbit is its renamings).  Any other
+iterable — ``iter(space)``, a list, a sample — is checked member by member.
 
 Every entry point only turns its family into an ``(index, adversary,
 weight)`` stream (:func:`repro.pipeline.family_stream`) and folds it through
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..model.adversary import Adversary, Context
+from ..model.adversary import Adversary
 from ..pipeline import family_stream, fold_stream
 # ``check_run_for_protocol`` is re-exported: the repository benchmark's
 # tracer (perfbench/layers.py) wraps it under this module too.
@@ -161,69 +164,38 @@ def check_protocol(
     adversaries: Iterable[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    symmetry: str = "none",
+    symmetry: str = "constructive",
 ) -> CheckReport:
     """Run ``protocol`` against every adversary and check its specification.
 
-    ``symmetry="quotient"`` checks one representative per process-renaming
-    orbit and weights its outcome by the orbit's member count; the report's
-    census fields equal the exhaustive ones (see the module docstring).
-    ``symmetry="constructive"`` does the same but *generates* the
-    representatives from a space description instead of deduplicating the
-    family — ``adversaries`` must then be a
-    :class:`repro.adversaries.RestrictedSpace` (or a pre-built
-    :func:`repro.adversaries.enumerate_orbits` stream), which is what makes
-    spaces too large to enumerate checkable.
+    A :class:`repro.adversaries.RestrictedSpace` is checked one generated
+    representative per process-renaming orbit, each outcome weighted by its
+    orbit's member count; the report's census fields equal the member-by-member
+    ones (see the module docstring).  Pass ``iter(space)`` to check every
+    member.  ``symmetry`` accepts only ``"constructive"``, which changes
+    nothing: the repository benchmark still passes it.
     """
-    return _check(protocol, family_stream(adversaries, symmetry), t, enforce_paper_bound)
+    if symmetry != "constructive":
+        raise ValueError(
+            f"check_protocol takes no symmetry choice (the family's type picks the "
+            f"stream); only the retained symmetry='constructive' is accepted, got {symmetry!r}"
+        )
+    return _check(protocol, family_stream(adversaries), t, enforce_paper_bound)
 
 
 def check_protocols(
     protocols: Iterable,
-    adversaries: List[Adversary],
+    adversaries: Iterable[Adversary],
     t: int,
     enforce_paper_bound: bool = True,
-    symmetry: str = "none",
 ) -> Dict[str, CheckReport]:
     """Check several protocols over the same adversary family.
 
-    The stream — and with it the quotient or the constructive orbit front —
-    is built once and shared across protocols (orbits do not depend on the
-    protocol under check).
+    The stream — and with it the orbit front — is built once and shared
+    across protocols (orbits do not depend on the protocol under check).
     """
-    stream = list(family_stream(adversaries, symmetry))
+    stream = list(family_stream(adversaries))
     return {
         getattr(protocol, "name", repr(protocol)): _check(protocol, stream, t, enforce_paper_bound)
         for protocol in protocols
     }
-
-
-def exhaustive_context_check(
-    protocol,
-    context: Context,
-    max_crash_round: Optional[int] = None,
-    receiver_policy: str = "canonical",
-    max_failures: Optional[int] = None,
-    limit: Optional[int] = None,
-    symmetry: str = "none",
-) -> CheckReport:
-    """Check a protocol over the (restricted) exhaustive adversary space of a context.
-
-    With ``symmetry="quotient"`` the enumerated space is quotiented by
-    process renaming before the sweep; the restricted spaces are closed under
-    renaming for every restriction flag, so the report still accounts for the
-    full space (``runs_checked`` and the histogram are orbit-weighted).
-    ``symmetry="constructive"`` skips the enumeration entirely and generates
-    one representative per orbit from the restriction flags themselves
-    (``limit`` then caps *orbits* rather than adversaries).
-    """
-    from ..adversaries.enumeration import RestrictedSpace
-
-    space = RestrictedSpace(
-        context,
-        max_crash_round=max_crash_round,
-        receiver_policy=receiver_policy,
-        max_failures=max_failures,
-        limit=limit,
-    )
-    return check_protocol(protocol, space, context.t, symmetry=symmetry)

@@ -22,10 +22,10 @@ evidence for unbeatability lives in :mod:`repro.verification.beatability`.
 
 Every comparison here is a family sweep on the batch engine
 (:class:`repro.engine.SweepRunner`), pinned to the per-adversary ``Run``
-loops of :mod:`repro.oracles`.  ``symmetry="quotient"`` /
-``"constructive"`` compare only orbit representatives
-(:func:`repro.pipeline.family_stream`).  Because both protocols are
-symmetric, a per-process comparison on a renamed adversary is the renamed
+loops of :mod:`repro.oracles`.  A
+:class:`repro.adversaries.RestrictedSpace` is compared on its orbit
+representatives only (:func:`repro.pipeline.family_stream`); any other
+family member by member.  Because both protocols are symmetric, a per-process comparison on a renamed adversary is the renamed
 comparison — so the domination verdict, ``adversaries_checked`` and
 ``rounds_saved`` are orbit-weighted back to exact full-family figures, while
 the ``counterexamples`` / ``improvements`` lists carry one exemplar entry
@@ -161,7 +161,7 @@ def compare_last_decisions(
         report.rounds_saved += weight * (reference_last - candidate_last)
 
 
-def _compare(candidate, reference, adversaries, t, symmetry, compare, suffix=""):
+def _compare(candidate, reference, adversaries, t, compare, suffix=""):
     """Sweep both protocols over :func:`repro.pipeline.family_stream` and fold each pair."""
     from ..engine import SweepRunner
     from ..pipeline import family_stream
@@ -170,7 +170,7 @@ def _compare(candidate, reference, adversaries, t, symmetry, compare, suffix="")
         candidate=getattr(candidate, "name", "candidate") + suffix,
         reference=getattr(reference, "name", "reference") + suffix,
     )
-    items = list(family_stream(adversaries, symmetry))
+    items = list(family_stream(adversaries))
     family = [adversary for _index, adversary, _weight in items]
     runs = zip(
         SweepRunner(candidate, t).sweep(family),
@@ -186,17 +186,16 @@ def compare_protocols(
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    symmetry: str = "none",
 ) -> DominationReport:
     """Compare two protocols' decision times over a family of adversaries.
 
     Both protocols are executed against exactly the same adversaries (the
     definition of domination compares performance on the same behaviours of
-    the adversary).  ``symmetry="quotient"`` compares one representative per
-    renaming orbit and orbit-weights the aggregate counters (see the module
+    the adversary).  A space is compared one representative per renaming
+    orbit, with orbit-weighted aggregate counters (see the module
     docstring).
     """
-    return _compare(candidate, reference, adversaries, t, symmetry, compare_on_adversary)
+    return _compare(candidate, reference, adversaries, t, compare_on_adversary)
 
 
 def last_decider_compare(
@@ -204,12 +203,10 @@ def last_decider_compare(
     reference,
     adversaries: Iterable[Adversary],
     t: int,
-    symmetry: str = "none",
 ) -> DominationReport:
     """Definition 6: compare only the time of the last (correct) decision per run."""
     return _compare(
-        candidate, reference, adversaries, t, symmetry,
-        compare_last_decisions, " [last-decider]",
+        candidate, reference, adversaries, t, compare_last_decisions, " [last-decider]"
     )
 
 

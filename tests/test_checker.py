@@ -1,9 +1,10 @@
-"""Unit tests for bulk checking (CheckReport, exhaustive context checks)."""
+"""Unit tests for bulk checking (CheckReport, exhaustive space checks)."""
 
 from repro import FloodMin, OptMin, UPMin, oracles
 from repro.model import Adversary, Context, FailurePattern, Run, RoundContext
 from repro.core.protocol import Protocol
-from repro.verification import CheckReport, check_protocol, check_protocols, exhaustive_context_check
+from repro.adversaries import RestrictedSpace
+from repro.verification import CheckReport, check_protocol, check_protocols
 
 
 class AlwaysZero(Protocol):
@@ -66,24 +67,25 @@ class TestCheckProtocol:
 
 
 class TestExhaustiveContextCheck:
+    """``check_protocol`` over every member of a restricted space (``iter(space)``)."""
+
     def test_tiny_consensus_context_is_clean_for_optmin(self):
         context = Context(n=3, t=2, k=1, max_value=1)
-        report = exhaustive_context_check(
-            OptMin(1), context, max_crash_round=2, receiver_policy="canonical"
-        )
+        space = RestrictedSpace(context, max_crash_round=2, receiver_policy="canonical")
+        report = check_protocol(OptMin(1), iter(space), context.t)
         assert report.ok
         assert report.runs_checked > 500
 
     def test_tiny_context_is_clean_for_upmin(self):
         context = Context(n=3, t=2, k=1, max_value=1)
-        report = exhaustive_context_check(
-            UPMin(1), context, max_crash_round=2, receiver_policy="canonical"
-        )
+        space = RestrictedSpace(context, max_crash_round=2, receiver_policy="canonical")
+        report = check_protocol(UPMin(1), iter(space), context.t)
         assert report.ok
 
     def test_limit_is_respected(self):
         context = Context(n=3, t=2, k=1, max_value=1)
-        report = exhaustive_context_check(
-            OptMin(1), context, max_crash_round=2, receiver_policy="canonical", limit=100
+        space = RestrictedSpace(
+            context, max_crash_round=2, receiver_policy="canonical", limit=100
         )
+        report = check_protocol(OptMin(1), iter(space), context.t)
         assert report.runs_checked == 100

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import UPMin
 
 
 class TestParser:
@@ -58,14 +59,15 @@ class TestSweepCommand:
         assert "processes" not in vars(args)
 
     def test_batch_sweep_passes(self, capsys):
+        # --limit caps orbits: the first 1,500 orbits hold 31,329 members.
         code = main(
             ["sweep", "-n", "4", "-t", "2", "-k", "2",
              "--max-crash-round", "2", "--limit", "1500"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "OK over 1500 runs" in out
-        assert "symmetry=none" in out
+        assert "OK over 31329 runs" in out
+        assert "symmetry" not in out
         assert "engine" not in out
 
     @pytest.mark.parametrize("command", ["compare", "sweep", "figure4", "surgery", "census"])
@@ -99,68 +101,41 @@ class TestSweepCommand:
         assert code == 2
         assert "nothing was verified" in capsys.readouterr().out
 
-    def test_unbounded_sweep_of_huge_space_refused(self, capsys):
-        # The default n=7, t=4 context enumerates an astronomically large
-        # space; without --limit the command must refuse instead of hanging.
-        assert main(["sweep"]) == 2
-        out = capsys.readouterr().out
-        assert "refusing to enumerate" in out
-        assert "--limit" in out
+    @pytest.mark.parametrize(
+        "command",
+        [["compare"], ["sweep"], ["figure4"], ["census"], ["jobs", "submit", "--queue", "q"]],
+        ids=["compare", "sweep", "figure4", "census", "jobs-submit"],
+    )
+    @pytest.mark.parametrize("value", ["none", "quotient", "constructive"])
+    def test_symmetry_flag_is_gone(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--symmetry", value])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --symmetry" in capsys.readouterr().err
 
-    def test_quotient_sweep_reports_full_space(self, capsys):
-        # --symmetry quotient verifies one representative per renaming orbit
-        # but the report must still account for every enumerated adversary.
-        code = main(
-            ["sweep", "-n", "4", "-t", "2", "-k", "2",
-             "--max-crash-round", "2", "--limit", "1500", "--symmetry", "quotient"]
-        )
+    def test_sweep_reports_full_space(self, capsys):
+        # One generated representative per orbit, straight from the space
+        # description; the report still accounts for every member.
+        code = main(["sweep", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "2"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "OK over 1500 runs" in out
-        assert "symmetry=quotient" in out
+        assert "OK over 51921 runs" in capsys.readouterr().out
 
-    def test_unknown_symmetry_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--symmetry", "orbit"])
-
-    def test_constructive_sweep_reports_full_space(self, capsys):
-        # --symmetry constructive generates one representative per orbit
-        # straight from the space description; the report still accounts for
-        # every member of the space.
-        code = main(
-            ["sweep", "-n", "4", "-t", "2", "-k", "2",
-             "--max-crash-round", "2", "--symmetry", "constructive"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "OK over 51921 runs" in out
-        assert "symmetry=constructive" in out
-
-    def test_constructive_sweep_opens_refused_spaces(self, capsys):
-        # n=5, t=2, mcr=2 has 364,743 members (> the unbounded threshold, so
-        # the exhaustive guard refuses) but only 4,926 orbits — constructive
-        # sweeps it without --limit.
+    def test_sweep_opens_spaces_past_the_member_ceiling(self, capsys):
+        # n=5, t=2, mcr=2 has 364,743 members (past the 200,000 ceiling) but
+        # only 4,926 orbits, so it is swept without --limit.
         args = ["sweep", "-n", "5", "-t", "2", "-k", "2", "--max-crash-round", "2"]
-        assert main(args) == 2
-        assert "refusing to enumerate" in capsys.readouterr().out
-        assert main(args + ["--symmetry", "constructive"]) == 0
+        assert main(args) == 0
         assert "OK over 364743 runs" in capsys.readouterr().out
 
-    def test_constructive_refusal_counts_orbits(self, capsys):
-        # The default n=7, t=4 space has astronomically many orbits too; the
-        # constructive guard must refuse on the orbit count without hanging.
-        assert main(["sweep", "--symmetry", "constructive"]) == 2
+    def test_refusal_counts_orbits(self, capsys):
+        # The default n=7, t=4 space has astronomically many orbits; the
+        # guard must refuse on the orbit count without hanging.
+        assert main(["sweep"]) == 2
         out = capsys.readouterr().out
+        assert "refusing to sweep" in out
         assert "orbit representatives" in out
         assert "count" in out
-
-    def test_constructive_empty_space_is_not_vacuously_ok(self, capsys):
-        code = main(
-            ["sweep", "-n", "3", "-t", "1", "-k", "1",
-             "--max-failures", "-1", "--symmetry", "constructive"]
-        )
-        assert code == 2
-        assert "nothing was verified" in capsys.readouterr().out
+        assert "--limit" in out
 
     def test_sweep_matches_reference_oracle(self, capsys):
         """The CLI's report line is the per-adversary ``Run`` oracle's."""
@@ -181,35 +156,26 @@ class TestSweepCommand:
 
 
 #: The spaces of the CLI/admission agreement test: the default n=7 t=4
-#: context, and n=5 t=2 mcr=2 (364,743 members, 4,926 orbits), each with the
-#: symmetries whose verdicts differ there.
+#: context (refused), and n=5 t=2 mcr=2 (364,743 members, 4,926 orbits,
+#: admitted).
 ADMISSION_CASES = [
-    ({"n": 7, "t": 4, "k": 2, "max_crash_round": None}, "none"),
-    ({"n": 7, "t": 4, "k": 2, "max_crash_round": None}, "constructive"),
-    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "none"),
-    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "quotient"),
-    ({"n": 5, "t": 2, "k": 2, "max_crash_round": 2}, "constructive"),
+    {"n": 7, "t": 4, "k": 2, "max_crash_round": None},
+    {"n": 5, "t": 2, "k": 2, "max_crash_round": 2},
 ]
 
 
 class TestSweepAdmission:
     @pytest.mark.parametrize("limit", [None, 10])
     @pytest.mark.parametrize(
-        "space, symmetry",
-        ADMISSION_CASES,
-        ids=[f"n{space['n']}t{space['t']}-{symmetry}" for space, symmetry in ADMISSION_CASES],
+        "space", ADMISSION_CASES, ids=[f"n{space['n']}t{space['t']}" for space in ADMISSION_CASES]
     )
-    def test_refuses_exactly_when_admission_rejects(self, space, symmetry, limit, capsys):
-        from repro.service import admission
+    def test_refuses_exactly_when_admission_rejects(self, space, limit, capsys):
+        from repro.service import admission, normalize_spec
 
         verdict = admission(
-            {
-                "kind": "sweep", **space, "protocol": "optmin", "symmetry": symmetry,
-                "receiver_policy": "canonical", "max_failures": None, "limit": limit,
-            }
+            normalize_spec({"kind": "sweep", **space, "protocol": "optmin", "limit": limit})
         )
         argv = ["sweep", "-n", str(space["n"]), "-t", str(space["t"]), "-k", str(space["k"])]
-        argv += ["--symmetry", symmetry]
         if space["max_crash_round"] is not None:
             argv += ["--max-crash-round", str(space["max_crash_round"])]
         if limit is not None:
@@ -258,13 +224,15 @@ class TestCountCommand:
         assert "adversary orbits        : 2,601" in out
         assert "tractable" in out
 
-    def test_count_flags_intractable_exhaustive_sweep(self, capsys):
-        # 364,743 members > the unbounded-sweep threshold, 4,926 orbits below
-        # it: the verdicts must disagree, pointing at --symmetry constructive.
+    def test_count_prints_one_tractability_line(self, capsys):
+        # A sweep folds orbits, so the verdict counts orbits: 364,743 members
+        # but 4,926 orbits is tractable; 643,776 orbits needs --limit.
         assert main(["count", "-n", "5", "-t", "2", "-k", "2", "--max-crash-round", "2"]) == 0
         out = capsys.readouterr().out
-        assert "sweep (exhaustive)      : needs --limit" in out
-        assert "sweep --symmetry constructive: tractable" in out
+        assert "  sweep                   : tractable (threshold 200,000 orbits)" in out
+        assert "exhaustive" not in out and "symmetry" not in out
+        assert main(["count", "-n", "5", "-t", "3", "-k", "2"]) == 0
+        assert "  sweep                   : needs --limit" in capsys.readouterr().out
 
     def test_count_accepts_restriction_flags(self, capsys):
         assert main(
@@ -282,17 +250,16 @@ class TestFigure4Command:
         assert "time 2" in out
         assert "time 5" in out
 
-    def test_figure4_quotient_reproduces_times(self, capsys):
+    def test_figure4_prints_the_given_adversary(self, capsys):
+        from repro.adversaries import figure4_scenario
+        from repro.engine import sweep
+
         assert main(["figure4", "-k", "3", "--rounds", "4"]) == 0
-        exhaustive = capsys.readouterr().out
-        assert main(["figure4", "-k", "3", "--rounds", "4", "--symmetry", "quotient"]) == 0
-        quotient = capsys.readouterr().out
-        assert "canonical representative" in quotient
-        # Decision times are constant on renaming orbits: every protocol's
-        # reported last-decision time must match the exhaustive run.
-        for line in exhaustive.splitlines():
-            if "last correct decision" in line:
-                assert line in quotient
+        out = capsys.readouterr().out
+        assert "canonical representative" not in out
+        scenario = figure4_scenario(k=3, rounds=4)
+        (run,) = sweep(UPMin(3), [scenario.adversary], scenario.context.t)
+        assert f"last correct decision at time {run.last_decision_time()}" in out
 
 
 class TestSurgeryCommand:

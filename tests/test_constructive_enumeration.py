@@ -13,7 +13,7 @@ every tractable restriction combination.  This suite pins
   :func:`repro.adversaries.enumerate_orbits` / ``count_orbits``;
 * :class:`repro.adversaries.RestrictedSpace` as a space description (its
   iterator vs the enumerator, its counts vs the closed forms);
-* every ``symmetry="constructive"`` consumer against its exhaustive and
+* every consumer of a space's orbits against its exhaustive and
   quotient verdicts: checker reports, the beatability scan, domination,
   decision-time statistics, knowledge systems, and the census alias;
 * the plain-family rejection (constructive generation needs a space
@@ -277,22 +277,20 @@ class TestRestrictedSpace:
         assert len(list(space.orbits())) == 11
 
     def test_plain_family_rejected(self):
+        """Orbits need a space description; a plain family is checked member by member."""
         family = list(SPACE)[:20]
         with pytest.raises(ValueError, match="RestrictedSpace"):
-            check_protocol(OptMin(2), family, CONTEXT.t, symmetry="constructive")
+            oracles.check_protocol(OptMin(2), family, CONTEXT.t, symmetry="constructive")
+        assert check_protocol(OptMin(2), family, CONTEXT.t).runs_checked == 20
 
     def test_empty_stream_is_accepted(self):
-        report = check_protocol(
-            OptMin(2),
-            RestrictedSpace(CONTEXT, max_failures=-1),
-            CONTEXT.t,
-            symmetry="constructive",
-        )
+        report = check_protocol(OptMin(2), RestrictedSpace(CONTEXT, max_failures=-1), CONTEXT.t)
         assert report.runs_checked == 0
+        assert check_protocol(OptMin(2), [], CONTEXT.t).runs_checked == 0
 
 
 class TestConsumerDifferentials:
-    """Every ``symmetry="constructive"`` consumer vs exhaustive/quotient."""
+    """Every consumer of a space's orbits vs exhaustive/quotient."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -301,9 +299,7 @@ class TestConsumerDifferentials:
     @pytest.mark.parametrize("protocol_factory", [lambda: OptMin(2), lambda: UPMin(2)])
     def test_checker_reports_identical(self, family, protocol_factory):
         exhaustive = check_protocol(protocol_factory(), family, CONTEXT.t)
-        constructive = check_protocol(
-            protocol_factory(), SPACE, CONTEXT.t, symmetry="constructive"
-        )
+        constructive = check_protocol(protocol_factory(), SPACE, CONTEXT.t)
         assert constructive.ok == exhaustive.ok
         assert constructive.runs_checked == exhaustive.runs_checked == len(family)
         assert (
@@ -314,16 +310,13 @@ class TestConsumerDifferentials:
     def test_checker_reference_engine(self):
         space = RestrictedSpace(CONTEXT, max_crash_round=1, receiver_policy="none")
         exhaustive = oracles.check_protocol(OptMin(2), list(space), CONTEXT.t)
-        constructive = oracles.check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        constructive = oracles.check_protocol(OptMin(2), space, CONTEXT.t)
         assert constructive.decision_time_histogram == exhaustive.decision_time_histogram
         assert constructive.runs_checked == exhaustive.runs_checked
 
     def test_beatability_scan_verdict(self, family):
         assert find_agreement_violation(OptMin(2), family, CONTEXT.t) is None
-        assert (
-            find_agreement_violation(OptMin(2), SPACE, CONTEXT.t, symmetry="constructive")
-            is None
-        )
+        assert find_agreement_violation(OptMin(2), SPACE, CONTEXT.t) is None
 
     def test_beatability_violation_found(self):
         import itertools
@@ -349,9 +342,7 @@ class TestConsumerDifferentials:
         )
         stream = itertools.chain(space.orbits(), [witness_orbit])
         eager = EagerOptMin(2, witness.eager_time)
-        constructive = find_agreement_violation(
-            eager, stream, witness.context.t, symmetry="constructive"
-        )
+        constructive = find_agreement_violation(eager, stream, witness.context.t)
         assert constructive is not None
         index, adversary = constructive
         assert 0 <= index <= 50  # generation order; 50 = the appended orbit
@@ -360,9 +351,7 @@ class TestConsumerDifferentials:
 
     def test_domination_verdicts_and_aggregates(self, family):
         exhaustive = compare_protocols(OptMin(2), FloodMin(2), family, CONTEXT.t)
-        constructive = compare_protocols(
-            OptMin(2), FloodMin(2), SPACE, CONTEXT.t, symmetry="constructive"
-        )
+        constructive = compare_protocols(OptMin(2), FloodMin(2), SPACE, CONTEXT.t)
         assert constructive.dominates == exhaustive.dominates
         assert constructive.strictly_dominates == exhaustive.strictly_dominates
         assert constructive.adversaries_checked == exhaustive.adversaries_checked
@@ -371,7 +360,7 @@ class TestConsumerDifferentials:
     def test_collect_statistics_identical(self, family):
         protocols = [OptMin(2), FloodMin(2)]
         exhaustive = collect(protocols, family, CONTEXT.t)
-        constructive = collect(protocols, SPACE, CONTEXT.t, symmetry="constructive")
+        constructive = collect(protocols, SPACE, CONTEXT.t)
         for name in exhaustive:
             assert constructive[name].histogram == exhaustive[name].histogram
             assert constructive[name].runs == exhaustive[name].runs
@@ -380,12 +369,10 @@ class TestConsumerDifferentials:
 
     def test_system_matches_quotient_system(self):
         space = RestrictedSpace(CONTEXT, max_crash_round=1, receiver_policy="canonical")
-        quotient = System.from_family(
+        quotient = oracles.system_from_family(
             OptMin(2), list(space), CONTEXT.t, symmetry="quotient"
         )
-        constructive = System.from_family(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive"
-        )
+        constructive = System.from_family(OptMin(2), space, CONTEXT.t)
         assert constructive.symmetry == "constructive"
         assert sum(constructive.orbit_weights) == sum(quotient.orbit_weights)
         assert sum(constructive.orbit_weights) == space.estimated_size()
@@ -411,9 +398,7 @@ class TestConsumerDifferentials:
         from repro.topology import build_restricted_complex, capacity_connectivity_census
 
         pc = build_restricted_complex(CONTEXT, time=2, max_crashes_per_round=2)
-        exhaustive = capacity_connectivity_census(pc, CONTEXT.k, symmetry="none")
-        constructive = capacity_connectivity_census(
-            pc, CONTEXT.k, symmetry="constructive"
-        )
+        exhaustive = oracles.capacity_connectivity_census(pc, CONTEXT.k, symmetry="none")
+        constructive = capacity_connectivity_census(pc, CONTEXT.k)
         assert constructive.row == exhaustive.row
         assert constructive.classes < exhaustive.vertices

@@ -66,7 +66,7 @@ def counting(protocol):
 def test_decide_call_counts(protocol, expected):
     counted, calls = counting(protocol)
     passes = PrefixScheduler.passes_started
-    report = check_protocol(counted, PIN_SPACE, PIN_SPACE.context.t, symmetry="constructive")
+    report = check_protocol(counted, PIN_SPACE, PIN_SPACE.context.t)
     passes = PrefixScheduler.passes_started - passes
     assert report.ok
     assert dict(calls) == expected

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet, oracles
-from repro.adversaries import AdversaryGenerator, figure4_scenario
+from repro.adversaries import AdversaryGenerator, RestrictedSpace, figure4_scenario
 from repro.model import Adversary, Context, FailurePattern, Run
 from repro.verification import (
     DecisionProfile,
@@ -94,22 +94,31 @@ class TestDecisionTimeTable:
 class TestAgainstReferenceOracle:
     """The batch comparisons equal the per-adversary ``Run`` loops of ``repro.oracles``."""
 
-    @pytest.mark.parametrize("symmetry", ["none", "quotient"])
+    @pytest.mark.parametrize("symmetry", ["none", "quotient", "constructive"])
     @pytest.mark.parametrize(
         "compare",
         ["compare_protocols", "last_decider_compare"],
     )
     def test_reports_identical(self, small_context, random_adversaries, compare, symmetry):
-        family = random_adversaries[:40]
+        """Production over members (a list) or orbits (a space) equals the oracle.
+
+        The hash-dedup quotient has no production path: its oracle report
+        must carry the member-by-member aggregates.
+        """
         production = {
             "compare_protocols": compare_protocols,
             "last_decider_compare": last_decider_compare,
         }[compare]
-        batch = production(UPMin(2), FloodMin(2), family, small_context.t, symmetry=symmetry)
-        reference = getattr(oracles, compare)(
-            UPMin(2), FloodMin(2), family, small_context.t, symmetry=symmetry
-        )
-        assert batch == reference
+        family, t = random_adversaries[:40], small_context.t
+        if symmetry == "constructive":
+            family, t = RestrictedSpace(Context(n=4, t=3, k=2), max_crash_round=2, limit=300), 3
+        batch = production(UPMin(2), FloodMin(2), family, t)
+        reference = getattr(oracles, compare)(UPMin(2), FloodMin(2), family, t, symmetry=symmetry)
+        if symmetry == "quotient":
+            for field in ("dominates", "strictly_dominates", "adversaries_checked", "rounds_saved"):
+                assert getattr(reference, field) == getattr(batch, field)
+        else:
+            assert batch == reference
         assert batch.improvements
 
     def test_decision_time_table_identical(self, small_context, random_adversaries):

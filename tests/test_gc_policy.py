@@ -38,7 +38,7 @@ from repro.verification import check_protocol
 """,
         """
 space = RestrictedSpace(Context(n=5, t=2, k=2), max_crash_round=2, receiver_policy="canonical")
-assert check_protocol(OptMin(2), space, 2, symmetry="constructive").ok
+assert check_protocol(OptMin(2), space, 2).ok
 """,
     ),
     "resilient-check-with-store": (
@@ -66,7 +66,7 @@ from repro.topology import build_restricted_complex, capacity_connectivity_censu
 """,
         """
 pc = build_restricted_complex(Context(n=5, t=4, k=2), 2, max_crashes_per_round=2)
-census = capacity_connectivity_census(pc, 2, symmetry="quotient")
+census = capacity_connectivity_census(pc, 2)
 assert census.row == (1360, 0, 0, 1360, 0) and census.classes == 28
 """,
     ),

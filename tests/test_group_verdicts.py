@@ -7,8 +7,9 @@ the members it flags.  Its verdicts must equal ``(last correct decision
 time, check_run_for_protocol(run))`` of the per-adversary reference run,
 member for member, and its report must equal the ``repro.oracles`` report
 byte for byte — for correct protocols, for broken ones that violate each
-property, under every symmetry mode, with the paper bound on and off, and
-with groups cut across batch boundaries.
+property, over members, hash-dedup representatives and generated orbits
+(:func:`repro.oracles.symmetry_stream`), with the paper bound on and off,
+and with groups cut across batch boundaries.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core import Opt0, OptMin, UOpt0, UPMin
 from repro.core.protocol import Protocol
 from repro.engine import SweepRunner
 from repro.model import Context
-from repro.pipeline import family_stream
 from repro.verification import check_run_for_protocol
 from repro.verification.checker import CheckReport, fold_checks
 
@@ -122,7 +122,7 @@ def reference(case: str, symmetry: str, enforce_paper_bound: bool):
     protocol, space, _property = CASES[case]
     t = space.context.t
     runner = oracles.ReferenceRunner(protocol, t)
-    stream = list(family_stream(space, symmetry))
+    stream = list(oracles.symmetry_stream(space, symmetry))
     verdicts = [
         (index, run.last_decision_time(correct_only=True), check_run_for_protocol(run, enforce_paper_bound))
         for (index, _adversary, _weight), run in zip(
@@ -154,7 +154,7 @@ def test_group_verdicts_equal_per_run_checks(case, symmetry, runner):
     report = RecordingReport(protocol.name)
     fold_checks(
         report,
-        family_stream(space, symmetry),
+        oracles.symmetry_stream(space, symmetry),
         SweepRunner(protocol, t),
         enforce_paper_bound,
         **attachments,

@@ -32,11 +32,11 @@ from repro.runtime import CheckpointStore, resilient_check
 from repro.runtime.runner import _census_class_memo, _check_memo
 from repro.service import JobQueue, JobRunner, job_id, normalize_spec
 from repro.store import (
+    CENSUS_ROW_KEY,
     PROFILE_SPEC_HASH,
     ResultStore,
     adversary_key,
     census_class_store_spec,
-    census_row_key,
     check_store_spec,
     profile_key,
     row_digest,
@@ -90,14 +90,10 @@ BENCHMARK_JOB_IDS = {
     "warm-upmin-n5t2-mcr2": "77076335fb888c40922d90418ab29db494b852dd56e911b7e5bc2fe14e4035a4",
 }
 
-#: Spec hashes of the checker checkpoint (n=3 t=1 k=1, every adversary).
-CHECKER_SPEC_HASHES = {
-    "none": "c100c7b18e2458e2eeb3e78e3f12262097817eb4a4afaaed0d18aa4b8bf1d4d2",
-    "quotient": "413e79fc47c0a445e8ddec4957b520963de3a89f7f168cb169218fa0d5e93a06",
-    "constructive": "e4c62c7c6762694ef3eefabd5f730741da2b862de15d0a87e344984cc2f94f28",
-}
+#: Spec hash of the checker checkpoint (n=3 t=1 k=1, every orbit).
+CHECKER_SPEC_HASH = "e4c62c7c6762694ef3eefabd5f730741da2b862de15d0a87e344984cc2f94f28"
 
-#: Spec hashes of the census checkpoint at n=3 t=1 k=1 m=1, symmetry quotient.
+#: Spec hashes of the census checkpoint at n=3 t=1 k=1 m=1.
 CENSUS_SPEC_HASHES = {
     "cli": "ac971dbba01e5241ea8d45a218c8778efb1f809f78156396e7338d227eab46d5",
     "service": "ac971dbba01e5241ea8d45a218c8778efb1f809f78156396e7338d227eab46d5",
@@ -209,17 +205,14 @@ class TestQueueRows:
 
 
 class TestCheckpointSpecs:
-    @pytest.mark.parametrize("symmetry", sorted(CHECKER_SPEC_HASHES))
-    def test_checker_spec(self, tmp_path, symmetry):
+    def test_checker_spec(self, tmp_path):
         space = RestrictedSpace(Context(n=3, t=1, k=1))
-        outcome = resilient_check(
-            OptMin(1), space, 1, symmetry=symmetry, store=CheckpointStore(str(tmp_path))
-        )
+        outcome = resilient_check(OptMin(1), space, 1, store=CheckpointStore(str(tmp_path)))
         assert outcome.completed
-        assert latest_spec_hash(tmp_path) == CHECKER_SPEC_HASHES[symmetry]
+        assert latest_spec_hash(tmp_path) == CHECKER_SPEC_HASH
 
     def test_cli_census_spec(self, tmp_path, capsys):
-        argv = ["census", "-n", "3", "-t", "1", "-k", "1", "--symmetry", "quotient"]
+        argv = ["census", "-n", "3", "-t", "1", "-k", "1"]
         assert main(argv + ["--checkpoint", str(tmp_path)]) == 0
         capsys.readouterr()
         assert latest_spec_hash(tmp_path) == CENSUS_SPEC_HASHES["cli"]
@@ -254,7 +247,7 @@ class TestStoreRows:
             ),
             "census-class": (vertex_key(CENSUS_VERTEX), {"capacity": 1, "level": -1}),
             "census-row": (
-                census_row_key("quotient"),
+                CENSUS_ROW_KEY,
                 {"counters": [12, 6, 6, 9, 6], "classes": 4},
             ),
         }

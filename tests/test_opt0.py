@@ -132,7 +132,7 @@ class TestPaperBounds:
     @pytest.mark.parametrize("protocol", [Opt0(), UOpt0()], ids=["opt0", "uopt0"])
     def test_exhaustive_constructive(self, protocol, n, t):
         space = RestrictedSpace(Context(n=n, t=t, k=1))
-        report = check_protocol(protocol, space, t, symmetry="constructive")
+        report = check_protocol(protocol, space, t)
         assert report.ok, report.summary()
         assert report.runs_checked == space.estimated_size()
         assert report.max_decision_time == t + 1
@@ -140,7 +140,7 @@ class TestPaperBounds:
     def test_late_opt0_is_flagged(self):
         context = Context(n=4, t=2, k=1)
         report = check_protocol(
-            LateOpt0(), RestrictedSpace(context), context.t, symmetry="constructive"
+            LateOpt0(), RestrictedSpace(context), context.t
         )
         assert not report.ok
         assert {v.property_name for _index, v in report.violations} == {"decision-time"}

@@ -4,10 +4,12 @@ Production runs one engine.  The per-adversary paths it is pinned to live in
 :mod:`repro.oracles`, which only tests and benchmarks import.  This suite
 enforces both halves: no production module imports the oracles, and no
 public callable of the production packages offers an ``engine`` or a
-``backend`` parameter.  Orbits have one production front: no public
-callable of :mod:`repro.adversaries` offers a ``symmetry`` parameter, and
-the orbit–stabiliser size functions live in the oracles, not in
-:mod:`repro.symmetry`.  Production is also stdlib-only at import: no entry
+``backend`` parameter.  A family's type picks its survey stream: no public
+callable of the production packages or of :mod:`repro.pipeline` offers a
+``symmetry`` parameter, except two retained keywords the repository
+benchmark still passes, which accept their one value only; the hash-dedup
+quotient and the orbit–stabiliser size functions live in the oracles, not
+in :mod:`repro.symmetry`.  Production is also stdlib-only at import: no entry
 point loads numpy, networkx, sympy or the HTTP front end's asyncio and
 ``urllib.request``; networkx and the front end load on first use.  The
 result store's reference key encoder (the recursive ``_jsonable`` walk) is
@@ -191,8 +193,62 @@ def test_no_callable_offers_parallelism(parameter):
     assert callables_offering("repro", parameter) == []
 
 
-def test_no_orbit_enumerator_offers_a_symmetry():
-    assert callables_offering("repro.adversaries", "symmetry") == []
+#: The production packages and modules whose public callables may not offer
+#: a ``symmetry`` choice.
+SYMMETRY_FREE = (
+    "repro.adversaries",
+    "repro.verification",
+    "repro.analysis",
+    "repro.knowledge",
+    "repro.topology",
+    "repro.runtime",
+    "repro.service",
+    "repro.pipeline",
+)
+
+#: The two retained ``symmetry`` keywords (the repository benchmark passes
+#: them), each with the one value it accepts.
+SYMMETRY_KEYWORDS = {
+    "repro.verification.checker.check_protocol": "constructive",
+    "repro.topology.protocol_complex.capacity_connectivity_census": "quotient",
+}
+
+
+@pytest.mark.parametrize("package_name", SYMMETRY_FREE)
+def test_no_public_callable_offers_a_symmetry(package_name):
+    offering = callables_offering(package_name, "symmetry")
+    assert [name for name in offering if name not in SYMMETRY_KEYWORDS] == []
+
+
+def test_the_retained_symmetry_keywords_are_the_only_ones():
+    offering = {
+        name for package in SYMMETRY_FREE for name in callables_offering(package, "symmetry")
+    }
+    assert offering == set(SYMMETRY_KEYWORDS)
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRY_KEYWORDS))
+@pytest.mark.parametrize("value", ["none", "quotient", "constructive", "orbit"])
+def test_retained_symmetry_keywords_accept_their_one_value(name, value):
+    from repro.adversaries import RestrictedSpace
+    from repro.core import OptMin
+    from repro.model import Context
+    from repro.topology import build_restricted_complex
+
+    module_name, _, function_name = name.rpartition(".")
+    function = getattr(importlib.import_module(module_name), function_name)
+    accepted = SYMMETRY_KEYWORDS[name]
+    assert inspect.signature(function).parameters["symmetry"].default == accepted
+    context = Context(n=3, t=1, k=1)
+    if function_name == "check_protocol":
+        args = (OptMin(1), RestrictedSpace(context), 1)
+    else:
+        args = (build_restricted_complex(context, time=1), 1)
+    if value == accepted:
+        assert function(*args, symmetry=value) == function(*args)
+    else:
+        with pytest.raises(ValueError, match="symmetry"):
+            function(*args, symmetry=value)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +262,28 @@ def test_orbit_sizes_are_oracles(name):
     ]
     assert [module.__name__ for module in modules if hasattr(module, name)] == []
     assert callable(getattr(importlib.import_module("repro.oracles"), name))
+
+
+#: Names that left :mod:`repro.symmetry`, and whether the oracles hold them:
+#: the hash-dedup quotient moved there; the mode list and its validator are gone.
+RETIRED_SYMMETRY_NAMES = {
+    "quotient_family": True,
+    "iter_orbit_representatives": True,
+    "SYMMETRIES": False,
+    "validate_symmetry_choice": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED_SYMMETRY_NAMES))
+def test_the_hash_dedup_quotient_is_an_oracle(name):
+    package = importlib.import_module("repro.symmetry")
+    modules = [package] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(package.__path__, "repro.symmetry.")
+    ]
+    assert [module.__name__ for module in modules if hasattr(module, name)] == []
+    oracles = importlib.import_module("repro.oracles")
+    assert hasattr(oracles, name) == RETIRED_SYMMETRY_NAMES[name]
 
 
 #: Modules no entry point may load at import: numpy (production is

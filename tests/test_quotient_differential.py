@@ -1,8 +1,12 @@
-"""Differential harness pinning every ``symmetry="quotient"`` path to exhaustive.
+"""Differential harness pinning the hash-dedup quotient to the exhaustive surveys.
 
 The quotient layer's contract is *identity*, not approximation: a quotient
 sweep must reproduce the exhaustive verdicts and censuses byte for byte
-(with orbit weights standing in for repeated members).  This suite pins
+(with orbit weights standing in for repeated members).  The hash-dedup
+quotient of an arbitrary family (:func:`repro.oracles.quotient_family`) has
+no production path; this suite pins its oracle folds against production's
+member-by-member folds of the same family, and the production class census
+against the per-vertex census oracle.  It pins
 
 * checker reports (violation existence, orbit-weighted histograms, counts)
   for correct and violating protocols, on both engines;
@@ -13,7 +17,7 @@ sweep must reproduce the exhaustive verdicts and censuses byte for byte
 * the signature-keyed homology cache against the retained dense oracle on
   the exhaustive n=4, t=2 star family (both signature flavours), and the
   quotient Proposition 2 census against the exhaustive census;
-* quotient-system knowledge (``System.from_family(symmetry="quotient")``)
+* quotient-system knowledge (the hash-dedup ``oracles.system_from_family``)
   against full-system knowledge for renaming-invariant facts;
 * certificate lifting: decision times transport along the canonical
   permutation.
@@ -25,7 +29,8 @@ import pytest
 
 from repro import oracles
 from repro.adversaries import enumerate_adversaries
-from repro.analysis import collect
+from repro.analysis import ProtocolStatistics, collect
+from repro.engine import SweepRunner
 from repro.core import Opt0, OptMin, UPMin
 from repro.baselines import FloodMin
 from repro.knowledge import System
@@ -39,6 +44,7 @@ from repro.topology import (
 )
 from repro.symmetry import renaming_star_signature
 from repro.verification import (
+    CheckReport,
     EagerOptMin,
     check_protocol,
     compare_protocols,
@@ -46,8 +52,48 @@ from repro.verification import (
     last_decider_compare,
 )
 from repro.verification.beatability import beating_attempt_witness
+from repro.verification.checker import fold_checks
 
 CONTEXT = Context(n=4, t=2, k=2)
+
+
+def quotient_items(family):
+    return list(oracles.symmetry_stream(family, "quotient"))
+
+
+def quotient_check(protocol, family, t, enforce_paper_bound=True):
+    """The batch checker folding the hash-dedup stream of ``family``."""
+    report = CheckReport(protocol=protocol.name)
+    fold_checks(report, quotient_items(family), SweepRunner(protocol, t), enforce_paper_bound)
+    return report
+
+
+def quotient_scan(protocol, family, t):
+    """``find_agreement_violation`` over one first-seen member per orbit."""
+    pairs = list(oracles.iter_orbit_representatives(family))
+    found = find_agreement_violation(protocol, [adversary for _index, adversary in pairs], t)
+    return None if found is None else (pairs[found[0]][0], found[1])
+
+
+def quotient_collect(protocols, family, t):
+    """``collect``'s statistics folded over the hash-dedup stream of ``family``."""
+    items = quotient_items(family)
+    stats = {}
+    for protocol in protocols:
+        entry = ProtocolStatistics(protocol=protocol.name)
+        times = SweepRunner(protocol, t).decision_times([a for _i, a, _w in items])
+        for (_index, _adversary, weight), last in zip(items, times):
+            entry.record(last, None, weight=weight)
+        stats[protocol.name] = entry
+    return stats
+
+
+def quotient_system(protocol, family, t):
+    """The fused batch system over the hash-dedup representatives, class-indexed."""
+    items = quotient_items(family)
+    system = System.from_family(protocol, [a for _i, a, _w in items], t)
+    system._quotient_index(tuple(w for _i, _a, w in items), "quotient")
+    return system
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +107,7 @@ class TestCheckerQuotient:
     @pytest.mark.parametrize("protocol_factory", [lambda: OptMin(2), lambda: UPMin(2), Opt0])
     def test_reports_identical(self, family, protocol_factory):
         exhaustive = check_protocol(protocol_factory(), family, CONTEXT.t)
-        quotient = check_protocol(protocol_factory(), family, CONTEXT.t, symmetry="quotient")
+        quotient = quotient_check(protocol_factory(), family, CONTEXT.t)
         assert quotient.ok == exhaustive.ok
         assert quotient.runs_checked == exhaustive.runs_checked == len(family)
         assert quotient.decision_time_histogram == exhaustive.decision_time_histogram
@@ -83,23 +129,21 @@ class TestCheckerQuotient:
         ) + [witness.adversary]
         eager = EagerOptMin(2, witness.eager_time)
         exhaustive = check_protocol(eager, family, witness.context.t, enforce_paper_bound=False)
-        quotient = check_protocol(
-            eager, family, witness.context.t, enforce_paper_bound=False, symmetry="quotient"
-        )
+        quotient = quotient_check(eager, family, witness.context.t, enforce_paper_bound=False)
         assert not exhaustive.ok
         assert quotient.ok == exhaustive.ok
 
     def test_unknown_symmetry_rejected(self, family):
         with pytest.raises(ValueError, match="symmetry"):
             check_protocol(OptMin(2), family[:5], CONTEXT.t, symmetry="orbit")
+        with pytest.raises(ValueError, match="symmetry"):
+            oracles.check_protocol(OptMin(2), family[:5], CONTEXT.t, symmetry="orbit")
 
 
 class TestBeatabilityQuotient:
     def test_no_violation_on_correct_protocol(self, family):
         assert find_agreement_violation(OptMin(2), family, CONTEXT.t) is None
-        assert (
-            find_agreement_violation(OptMin(2), family, CONTEXT.t, symmetry="quotient") is None
-        )
+        assert quotient_scan(OptMin(2), family, CONTEXT.t) is None
 
     def test_violation_found_and_witness_valid(self):
         witness = beating_attempt_witness(2, depth=2)
@@ -110,9 +154,7 @@ class TestBeatabilityQuotient:
         ) + [witness.adversary]
         eager = EagerOptMin(2, witness.eager_time)
         exhaustive = find_agreement_violation(eager, family, witness.context.t)
-        quotient = find_agreement_violation(
-            eager, family, witness.context.t, symmetry="quotient"
-        )
+        quotient = quotient_scan(eager, family, witness.context.t)
         assert exhaustive is not None and quotient is not None
         index, adversary = quotient
         # The returned witness is a true family member at the returned index
@@ -125,7 +167,7 @@ class TestBeatabilityQuotient:
 class TestDominationQuotient:
     def test_verdicts_and_aggregates(self, family):
         exhaustive = compare_protocols(OptMin(2), FloodMin(2), family, CONTEXT.t)
-        quotient = compare_protocols(
+        quotient = oracles.compare_protocols(
             OptMin(2), FloodMin(2), family, CONTEXT.t, symmetry="quotient"
         )
         assert quotient.dominates == exhaustive.dominates
@@ -135,7 +177,7 @@ class TestDominationQuotient:
 
     def test_last_decider(self, family):
         exhaustive = last_decider_compare(OptMin(2), FloodMin(2), family, CONTEXT.t)
-        quotient = last_decider_compare(
+        quotient = oracles.last_decider_compare(
             OptMin(2), FloodMin(2), family, CONTEXT.t, symmetry="quotient"
         )
         assert quotient.dominates == exhaustive.dominates
@@ -148,7 +190,7 @@ class TestCollectQuotient:
     def test_statistics_identical(self, family):
         protocols = [OptMin(2), FloodMin(2)]
         exhaustive = collect(protocols, family, CONTEXT.t)
-        quotient = collect(protocols, family, CONTEXT.t, symmetry="quotient")
+        quotient = quotient_collect(protocols, family, CONTEXT.t)
         for name in exhaustive:
             assert quotient[name].histogram == exhaustive[name].histogram
             assert quotient[name].runs == exhaustive[name].runs
@@ -178,8 +220,8 @@ class TestHomologyCacheDifferential:
         assert cache.misses < len(complex_.vertex_views)
 
     def test_census_quotient_equals_exhaustive(self, complex_):
-        exhaustive = capacity_connectivity_census(complex_, CONTEXT.k, symmetry="none")
-        quotient = capacity_connectivity_census(complex_, CONTEXT.k, symmetry="quotient")
+        exhaustive = oracles.capacity_connectivity_census(complex_, CONTEXT.k, symmetry="none")
+        quotient = capacity_connectivity_census(complex_, CONTEXT.k)
         assert quotient.row == exhaustive.row
         assert quotient.classes < exhaustive.vertices
         assert quotient.homology_runs <= quotient.classes
@@ -198,7 +240,7 @@ class TestHomologyCacheDifferential:
         ]
         pc = build_protocol_complex(broken, time=2, t=CONTEXT.t)
         with pytest.raises(ValueError, match="closed under process renaming"):
-            capacity_connectivity_census(pc, CONTEXT.k, symmetry="quotient")
+            capacity_connectivity_census(pc, CONTEXT.k)
 
 
 class TestSystemQuotient:
@@ -214,7 +256,7 @@ class TestSystemQuotient:
     def test_quotient_knowledge_matches_full(self, small_family, fact_factory):
         fact = fact_factory()
         full = System.from_family(OptMin(2), small_family, CONTEXT.t)
-        quotient = System.from_family(OptMin(2), small_family, CONTEXT.t, symmetry="quotient")
+        quotient = quotient_system(OptMin(2), small_family, CONTEXT.t)
         assert sum(quotient.orbit_weights) == len(small_family)
         by_adversary = {run.adversary: run for run in full.runs}
         checked = 0
@@ -231,7 +273,7 @@ class TestSystemQuotient:
         assert checked > 100
 
     def test_quotient_system_reference_engine(self, small_family):
-        batch = System.from_family(OptMin(2), small_family, CONTEXT.t, symmetry="quotient")
+        batch = quotient_system(OptMin(2), small_family, CONTEXT.t)
         reference = oracles.system_from_family(
             OptMin(2), small_family, CONTEXT.t, symmetry="quotient"
         )

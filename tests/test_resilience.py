@@ -27,7 +27,7 @@ from repro.runtime import (
     resilient_check,
 )
 from repro.topology import build_restricted_complex, capacity_connectivity_census
-from repro.verification import CheckReport, check_protocol
+from repro.verification import check_protocol
 
 CONTEXT = Context(n=4, t=2, k=2)
 
@@ -50,23 +50,23 @@ class TestCheckerResume:
     def test_uninterrupted_equals_plain_checker(self, tmp_path):
         space = small_space()
         outcome = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            OptMin(2), space, CONTEXT.t,
             batch_size=32, store=CheckpointStore(str(tmp_path)),
         )
         assert outcome.completed and outcome.stop_reason is None
-        plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        plain = check_protocol(OptMin(2), space, CONTEXT.t)
         assert check_signature(outcome.value) == check_signature(plain)
 
     def test_interrupted_at_every_batch_boundary(self, tmp_path):
         """One-batch legs (deadline already expired) walk every boundary."""
         space = small_space()
-        plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        plain = check_protocol(OptMin(2), space, CONTEXT.t)
         total = space.orbit_count()
         boundaries = []
         outcome = None
         for _leg in range(1000):
             outcome = resilient_check(
-                OptMin(2), space, CONTEXT.t, symmetry="constructive",
+                OptMin(2), space, CONTEXT.t,
                 batch_size=16, store=CheckpointStore(str(tmp_path)),
                 resume=True, deadline_seconds=0.0,
             )
@@ -80,27 +80,10 @@ class TestCheckerResume:
         assert boundaries == list(range(16, total, 16)) + [total, total]
         assert check_signature(outcome.value) == check_signature(plain)
 
-    def test_symmetry_none_stream_resumes(self, tmp_path):
-        space = RestrictedSpace(
-            CONTEXT, max_crash_round=1, max_failures=1, receiver_policy="none"
-        )
-        plain = check_protocol(OptMin(2), space, CONTEXT.t)
-        first = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="none", batch_size=8,
-            store=CheckpointStore(str(tmp_path)), deadline_seconds=0.0,
-        )
-        assert not first.completed and first.stop_reason == "deadline"
-        second = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="none", batch_size=8,
-            store=CheckpointStore(str(tmp_path)), resume=True,
-        )
-        assert second.completed and second.resumed_from == first.cursor
-        assert check_signature(second.value) == check_signature(plain)
-
     def test_spec_mismatch_starts_fresh(self, tmp_path):
         space = small_space()
         resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive", batch_size=16,
+            OptMin(2), space, CONTEXT.t, batch_size=16,
             store=CheckpointStore(str(tmp_path)), deadline_seconds=0.0,
         )
         report = RunReport()
@@ -110,12 +93,12 @@ class TestCheckerResume:
             CONTEXT, max_crash_round=1, max_failures=None, receiver_policy="canonical"
         )
         outcome = resilient_check(
-            OptMin(2), other, CONTEXT.t, symmetry="constructive", batch_size=64,
+            OptMin(2), other, CONTEXT.t, batch_size=64,
             store=CheckpointStore(str(tmp_path)), resume=True, report=report,
         )
         assert outcome.resumed_from is None
         assert report.count("checkpoint_rejected") >= 1
-        plain = check_protocol(OptMin(2), other, CONTEXT.t, symmetry="constructive")
+        plain = check_protocol(OptMin(2), other, CONTEXT.t)
         assert check_signature(outcome.value) == check_signature(plain)
 
     @pytest.mark.parametrize("expiring_batch", [1, 2, 3])
@@ -146,7 +129,7 @@ class TestCheckerResume:
         report = RunReport()
         store = CheckpointStore(str(tmp_path))
         stopped = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            OptMin(2), space, CONTEXT.t,
             batch_size=16, store=store, deadline_seconds=30.0, report=report,
         )
         assert not stopped.completed and stopped.stop_reason == "deadline"
@@ -154,10 +137,10 @@ class TestCheckerResume:
         assert report.count("deadline_stop") == 1
         monkeypatch.setattr(checker, "batch_verdicts", real)
         resumed = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            OptMin(2), space, CONTEXT.t,
             batch_size=16, store=CheckpointStore(str(tmp_path)), resume=True,
         )
-        plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        plain = check_protocol(OptMin(2), space, CONTEXT.t)
         assert resumed.completed and resumed.resumed_from == 16 * expiring_batch
         assert check_signature(resumed.value) == check_signature(plain)
 
@@ -179,7 +162,7 @@ class TestCheckerResume:
         store = CheckpointStore(str(tmp_path))
         with pytest.raises(KeyboardInterrupt):
             resilient_check(
-                OptMin(2), space, CONTEXT.t, symmetry="constructive",
+                OptMin(2), space, CONTEXT.t,
                 batch_size=16, store=store, report=report,
             )
         assert report.count("interrupt") == 1
@@ -188,10 +171,10 @@ class TestCheckerResume:
         assert saved is not None and saved.cursor == 32
         monkeypatch.setattr(checker, "batch_verdicts", real)
         resumed = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive",
+            OptMin(2), space, CONTEXT.t,
             batch_size=16, store=CheckpointStore(str(tmp_path)), resume=True,
         )
-        plain = check_protocol(OptMin(2), space, CONTEXT.t, symmetry="constructive")
+        plain = check_protocol(OptMin(2), space, CONTEXT.t)
         assert resumed.completed and resumed.resumed_from == 32
         assert check_signature(resumed.value) == check_signature(plain)
 
@@ -212,10 +195,9 @@ class TestPlainEqualsResilient:
     """A plain check is the resilient runner's pipeline with nothing attached.
 
     Same stream, same fold: indices, weights and the histogram's fold order
-    all match byte for byte, for every symmetry mode and ``limit``
-    (which caps members on the quotient stream and orbits on the
-    constructive one), with violations in the report.  The plain leg runs
-    on the batch engine and on the per-adversary ``Run`` oracle.
+    all match byte for byte, with and without a ``limit`` (which caps
+    orbits), with violations in the report.  The plain leg runs on the
+    batch engine and on the per-adversary ``Run`` oracle.
     """
 
     CONSENSUS = Context(n=4, t=2, k=1)
@@ -223,50 +205,24 @@ class TestPlainEqualsResilient:
     @pytest.mark.parametrize("protocol", [OptMin(1), EagerMin(1)], ids=["optmin", "eager"])
     @pytest.mark.parametrize("limit", [None, 50])
     @pytest.mark.parametrize("engine", ["batch", "reference"])
-    @pytest.mark.parametrize("symmetry", ["none", "quotient", "constructive"])
-    def test_check_payloads_identical(self, tmp_path, symmetry, engine, limit, protocol):
+    def test_check_payloads_identical(self, tmp_path, engine, limit, protocol):
         space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=limit)
-        plain = CHECKERS[engine](protocol, space, 2, symmetry=symmetry)
+        plain = CHECKERS[engine](protocol, space, 2)
         outcome = resilient_check(
-            protocol, space, 2, symmetry=symmetry, batch_size=16,
-            store=CheckpointStore(str(tmp_path)),
+            protocol, space, 2, batch_size=16, store=CheckpointStore(str(tmp_path))
         )
         assert outcome.completed
         assert check_signature(outcome.value) == check_signature(plain)
         assert plain.ok == (protocol.name != "EagerMin")
 
-    @pytest.mark.parametrize("symmetry", ["none", "quotient"])
-    def test_census_identical(self, tmp_path, symmetry):
+    def test_census_identical(self, tmp_path):
         pc = build_restricted_complex(Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1)
-        plain = capacity_connectivity_census(pc, 2, symmetry=symmetry)
-        outcome = resilient_census(
-            pc, 2, symmetry=symmetry, batch_size=4, store=CheckpointStore(str(tmp_path))
-        )
+        plain = capacity_connectivity_census(pc, 2)
+        outcome = resilient_census(pc, 2, batch_size=4, store=CheckpointStore(str(tmp_path)))
         assert outcome.completed
         assert outcome.value.row == plain.row
         assert outcome.value.classes == plain.classes
         assert outcome.value.homology_runs == plain.homology_runs
-
-    def test_stale_quotient_checkpoint_is_rejected(self, tmp_path):
-        """A checkpoint of the former quotient stream order must not be resumed."""
-        from repro.runtime import Checkpoint, checker_spec
-
-        space = RestrictedSpace(self.CONSENSUS, max_crash_round=1, limit=50)
-        spec = checker_spec(OptMin(1), space, 2, "quotient", True)
-        stale = {key: value for key, value in spec.items() if key != "stream"}
-        store = CheckpointStore(str(tmp_path))
-        store.save(Checkpoint(spec=stale, cursor=16, payload=CheckReport("Optmin[k]").to_payload()))
-        report = RunReport()
-        outcome = resilient_check(
-            OptMin(1), space, 2, symmetry="quotient", batch_size=16,
-            store=CheckpointStore(str(tmp_path)), resume=True, report=report,
-        )
-        assert outcome.completed and outcome.resumed_from is None
-        assert report.count("checkpoint_rejected") == 1
-        plain = check_protocol(OptMin(1), space, 2, symmetry="quotient")
-        assert check_signature(outcome.value) == check_signature(plain)
-        assert plain.runs_checked == 50
-
 
 class TestCensusResume:
     def build(self):
@@ -276,20 +232,20 @@ class TestCensusResume:
 
     def test_uninterrupted_equals_plain_census(self, tmp_path):
         pc = self.build()
-        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, 2)
         outcome = resilient_census(
-            pc, 2, symmetry="quotient", batch_size=4, store=CheckpointStore(str(tmp_path))
+            pc, 2, batch_size=4, store=CheckpointStore(str(tmp_path))
         )
         assert outcome.completed
         assert outcome.value == plain
 
     def test_interrupted_census_rows_are_identical(self, tmp_path):
         pc = self.build()
-        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, 2)
         outcome = None
         for _leg in range(100):
             outcome = resilient_census(
-                pc, 2, symmetry="quotient", batch_size=2,
+                pc, 2, batch_size=2,
                 store=CheckpointStore(str(tmp_path)), resume=True, deadline_seconds=0.0,
             )
             if outcome.completed:
@@ -313,7 +269,7 @@ class TestCensusResume:
         from repro.topology import protocol_complex
 
         pc = self.build()
-        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, 2)
         clock = {"now": 0.0}
         monkeypatch.setattr(runner, "time", types.SimpleNamespace(monotonic=lambda: clock["now"]))
         real = protocol_complex.vertex_capacity
@@ -328,33 +284,17 @@ class TestCensusResume:
         monkeypatch.setattr(protocol_complex, "vertex_capacity", slow)
         store = CheckpointStore(str(tmp_path))
         stopped = resilient_census(
-            pc, 2, symmetry="quotient", batch_size=2, store=store, deadline_seconds=30.0
+            pc, 2, batch_size=2, store=store, deadline_seconds=30.0
         )
         assert not stopped.completed and stopped.stop_reason == "deadline"
         assert stopped.cursor == store.latest().cursor == 2 * expiring_batch
         resumed = resilient_census(
-            pc, 2, symmetry="quotient", batch_size=2,
+            pc, 2, batch_size=2,
             store=CheckpointStore(str(tmp_path)), resume=True,
         )
         assert resumed.completed and resumed.resumed_from == 2 * expiring_batch
         assert resumed.value.row == plain.row
         assert resumed.value.classes == plain.classes
-
-    def test_exhaustive_census_resumes_too(self, tmp_path):
-        pc = build_restricted_complex(CONTEXT, time=1, max_crashes_per_round=1)
-        plain = capacity_connectivity_census(pc, 2, symmetry="none")
-        first = resilient_census(
-            pc, 2, symmetry="none", batch_size=8,
-            store=CheckpointStore(str(tmp_path)), deadline_seconds=0.0,
-        )
-        assert not first.completed
-        second = resilient_census(
-            pc, 2, symmetry="none", batch_size=8,
-            store=CheckpointStore(str(tmp_path)), resume=True,
-        )
-        assert second.completed
-        assert second.value == plain
-
 
 class TestChaosAcceptance:
     """The seeded truncate-and-corrupt-the-checkpoint battery (n=5)."""
@@ -369,11 +309,11 @@ class TestChaosAcceptance:
 
     def test_damaged_checkpoints_converge_byte_identical(self, tmp_path):
         space = self.space()
-        baseline = check_protocol(OptMin(2), space, 2, symmetry="constructive")
+        baseline = check_protocol(OptMin(2), space, 2)
 
         # Leg 1: one clean batch, then a deterministic budget stop.
         leg1 = resilient_check(
-            OptMin(2), space, 2, symmetry="constructive", batch_size=256,
+            OptMin(2), space, 2, batch_size=256,
             store=CheckpointStore(str(tmp_path)), deadline_seconds=0.0,
         )
         assert not leg1.completed and leg1.cursor == 256
@@ -382,7 +322,7 @@ class TestChaosAcceptance:
         # mid-file (the torn-write model) right after the atomic rename.
         sabotage = FaultPlan(seed=20160725, truncate_checkpoints=(0,))
         leg2 = resilient_check(
-            OptMin(2), space, 2, symmetry="constructive", batch_size=256,
+            OptMin(2), space, 2, batch_size=256,
             store=CheckpointStore(str(tmp_path), faults=sabotage),
             resume=True, deadline_seconds=0.0,
         )
@@ -394,7 +334,7 @@ class TestChaosAcceptance:
         report = RunReport()
         sabotage = FaultPlan(seed=20160725, corrupt_checkpoints=(0,))
         leg3 = resilient_check(
-            OptMin(2), space, 2, symmetry="constructive", batch_size=256,
+            OptMin(2), space, 2, batch_size=256,
             store=CheckpointStore(str(tmp_path), faults=sabotage),
             resume=True, deadline_seconds=0.0, report=report,
         )
@@ -406,7 +346,7 @@ class TestChaosAcceptance:
         # resumes from the predecessor again and completes.
         report = RunReport()
         leg4 = resilient_check(
-            OptMin(2), space, 2, symmetry="constructive", batch_size=256,
+            OptMin(2), space, 2, batch_size=256,
             store=CheckpointStore(str(tmp_path)), resume=True, report=report,
         )
         assert leg4.completed
@@ -422,17 +362,17 @@ class TestChaosAcceptance:
         pc = build_restricted_complex(
             Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1
         )
-        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, 2)
         sabotage = FaultPlan(truncate_checkpoints=(0,))
         leg1 = resilient_census(
-            pc, 2, symmetry="quotient", batch_size=4,
+            pc, 2, batch_size=4,
             store=CheckpointStore(str(tmp_path), faults=sabotage),
             deadline_seconds=0.0,
         )
         assert not leg1.completed
         report = RunReport()
         leg2 = resilient_census(
-            pc, 2, symmetry="quotient", batch_size=4,
+            pc, 2, batch_size=4,
             store=CheckpointStore(str(tmp_path)), resume=True, report=report,
         )
         # The only checkpoint was truncated, so the run starts fresh — and
@@ -461,13 +401,13 @@ class TestSeededChaos:
         space = RestrictedSpace(
             CONTEXT, max_crash_round=2, max_failures=2, receiver_policy="canonical"
         )
-        baseline = check_protocol(OptMin(2), space, 2, symmetry="constructive")
+        baseline = check_protocol(OptMin(2), space, 2)
         plan = FaultPlan.seeded(seed, saves=8, truncations=2, corruptions=2)
         report = RunReport()
 
         def survey(**attachments):
             return resilient_check(
-                OptMin(2), space, 2, symmetry="constructive", batch_size=64, **attachments
+                OptMin(2), space, 2, batch_size=64, **attachments
             )
 
         outcome = resume_until_complete(survey, CheckpointStore(str(tmp_path), faults=plan), report)
@@ -479,12 +419,12 @@ class TestSeededChaos:
         pc = build_restricted_complex(
             Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1
         )
-        plain = capacity_connectivity_census(pc, 2, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, 2)
         plan = FaultPlan.seeded(seed, saves=6, truncations=1, corruptions=1)
         report = RunReport()
 
         def survey(**attachments):
-            return resilient_census(pc, 2, symmetry="quotient", batch_size=1, **attachments)
+            return resilient_census(pc, 2, batch_size=1, **attachments)
 
         outcome = resume_until_complete(survey, CheckpointStore(str(tmp_path), faults=plan), report)
         assert report.count("fault_installed") == report.count("checkpoint_rejected") == 2
@@ -498,7 +438,7 @@ class TestCliRuntimeFlags:
 
         flags = [
             "sweep", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "1",
-            "--max-failures", "1", "--symmetry", "constructive",
+            "--max-failures", "1",
             "--checkpoint", str(tmp_path / "ck"),
         ]
         assert main(flags + ["--deadline", "1e-9"]) == 3
@@ -512,7 +452,7 @@ class TestCliRuntimeFlags:
         from repro.cli import main
 
         flags = [
-            "census", "-n", "4", "-t", "2", "-k", "2", "--symmetry", "quotient",
+            "census", "-n", "4", "-t", "2", "-k", "2",
             "--checkpoint", str(tmp_path / "ck"),
         ]
         assert main(flags) == 0

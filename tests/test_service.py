@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -86,6 +87,10 @@ class TestSpecs:
             ({"kind": "census", "n": 3, "t": 1, "k": 1, "backend": "array"}, "backend"),
             ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "backend": "packed"}, "unknown spec fields"),
             ([1, 2], "JSON object"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "symmetry": "none"}, "retired"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "symmetry": "quotient"}, "retired"),
+            ({"kind": "census", "n": 3, "t": 1, "k": 1, "symmetry": "none"}, "retired"),
+            ({"kind": "sweep", "n": 3, "t": 1, "k": 1, "symmetry": "orbit"}, "symmetry"),
         ],
     )
     def test_malformed_specs_are_rejected(self, raw, complaint):
@@ -137,9 +142,7 @@ class TestSpecs:
         # verdict must arrive from the closed form, not an enumeration —
         # seconds would already mean something is being materialized.
         start = time.perf_counter()
-        huge = admission(
-            normalize_spec({"kind": "sweep", "n": 8, "t": 7, "k": 1, "symmetry": "none"})
-        )
+        huge = admission(normalize_spec({"kind": "sweep", "n": 8, "t": 7, "k": 1}))
         assert time.perf_counter() - start < 5.0
         assert not huge["admit"]
         assert huge["workload"] > huge["ceiling"]
@@ -186,9 +189,7 @@ class TestSpecs:
 
     def test_admission_always_admits_capped_streams(self):
         capped = admission(
-            normalize_spec(
-                {"kind": "sweep", "n": 8, "t": 7, "k": 1, "symmetry": "none", "limit": 10}
-            )
+            normalize_spec({"kind": "sweep", "n": 8, "t": 7, "k": 1, "limit": 10})
         )
         assert capped["admit"] and capped["workload"] == 10
 
@@ -379,9 +380,7 @@ class TestJobRunner:
             job = queue.job(job_id(spec))
         assert outcome == {"job": job_id(spec), "outcome": "done"}
         assert job["state"] == "done"
-        direct = check_protocol(
-            OptMin(1), RestrictedSpace(Context(n=3, t=1, k=1)), 1, symmetry="constructive"
-        )
+        direct = check_protocol(OptMin(1), RestrictedSpace(Context(n=3, t=1, k=1)), 1)
         assert job["result"]["ok"] == direct.ok
         assert job["result"]["report"]["runs_checked"] == direct.runs_checked
 
@@ -413,6 +412,26 @@ class TestJobRunner:
             job = queue.job("poisoned")
         assert job["state"] == "failed"
         assert "no-such-protocol" in job["error"]
+
+    @pytest.mark.parametrize(
+        "kind, value", [("sweep", "none"), ("sweep", "quotient"), ("census", "none")]
+    )
+    def test_queued_spec_with_a_retired_symmetry_fails(self, tmp_path, kind, value):
+        # A spec queued before its symmetry was retired must fail with
+        # normalize_spec's error, not run a different survey under its id.
+        spec = normalize_spec({"kind": kind, "n": 3, "t": 1, "k": 1})
+        spec["symmetry"] = value
+        with pytest.raises(SpecError) as refused:
+            normalize_spec(spec)
+        with JobQueue(tmp_path / "q.sqlite") as queue:
+            queue.submit("retired", spec)
+            runner = JobRunner(queue, tmp_path / "work")
+            assert runner.run_once()["outcome"] == "failed"
+            job = queue.job("retired")
+            checkpoints = runner.checkpoint_dir("retired")
+            assert not os.path.isdir(checkpoints) or not os.listdir(checkpoints)
+        assert job["state"] == "failed" and job["result"] is None
+        assert str(refused.value) in job["error"]
 
     def test_drain_releases_at_a_batch_boundary_and_resume_is_identical(self, tmp_path):
         spec = sweep_spec(n=4, t=2, k=2)
@@ -559,8 +578,12 @@ class TestServiceApi:
             assert status == 400 and "backend" in payload["error"]
 
             status, payload = harness.request(
-                "POST", "/jobs",
-                {"kind": "sweep", "n": 8, "t": 7, "k": 1, "symmetry": "none"},
+                "POST", "/jobs", {"kind": "sweep", "n": 3, "t": 1, "k": 1, "symmetry": "none"},
+            )
+            assert status == 400 and "retired" in payload["error"]
+
+            status, payload = harness.request(
+                "POST", "/jobs", {"kind": "sweep", "n": 8, "t": 7, "k": 1},
             )
             assert status == 422
             assert "intractable" in payload["error"]
@@ -683,10 +706,12 @@ class TestServiceCli:
 
         queue_path = str(tmp_path / "q.sqlite")
         assert main(
-            ["jobs", "submit", "--queue", queue_path,
-             "-n", "8", "-t", "7", "-k", "1", "--symmetry", "none"]
+            ["jobs", "submit", "--queue", queue_path, "-n", "8", "-t", "7", "-k", "1"]
         ) == 2
         assert "intractable" in capsys.readouterr().err
+        retired = '{"kind": "sweep", "n": 3, "t": 1, "k": 1, "symmetry": "quotient"}'
+        assert main(["jobs", "submit", "--queue", queue_path, "--spec", retired]) == 2
+        assert "retired" in capsys.readouterr().err
         assert main(["jobs", "submit", "--queue", queue_path, "--spec", "{not json"]) == 2
         capsys.readouterr()
         assert main(["jobs", "status", "--queue", queue_path]) == 2  # missing job id

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -311,27 +312,6 @@ class TestCheckerMemo:
         assert warm_store.hits == space.orbit_count() and warm_store.misses == 0
         warm_store.close()
 
-    def test_exhaustive_sweep_shares_quotient_verdicts(self, tmp_path):
-        """The store spec excludes symmetry: orbit sweeps warm exhaustive ones."""
-        space = small_space()
-        path = str(tmp_path / "memo.sqlite")
-        quotient_store = ResultStore(path)
-        resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive",
-            batch_size=32, result_store=quotient_store,
-        )
-        quotient_store.close()
-        shared = ResultStore(path)
-        exhaustive = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="none",
-            batch_size=32, result_store=shared,
-        )
-        plain = resilient_check(OptMin(2), space, CONTEXT.t, symmetry="none", batch_size=32)
-        assert check_signature(exhaustive.value) == check_signature(plain.value)
-        # Every orbit representative the exhaustive stream revisits is a hit.
-        assert shared.hits >= space.orbit_count()
-        shared.close()
-
     def test_chaos_leg_self_heals_byte_identical(self, tmp_path):
         """Corrupted rows + truncated checkpoints mid-run: converges identical."""
         from repro.runtime import CheckpointStore
@@ -388,11 +368,11 @@ class TestCensusMemo:
 
     def test_cold_then_warm_byte_identical(self, tmp_path):
         pc = self.build()
-        plain = capacity_connectivity_census(pc, CONTEXT.k, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, CONTEXT.k)
         path = str(tmp_path / "census.sqlite")
         cold_store = ResultStore(path)
         cold = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=cold_store
+            pc, CONTEXT.k, result_store=cold_store
         )
         assert cold.value.row == plain.row and cold.value.classes == plain.classes
         counts = cold_store.counts()
@@ -402,7 +382,7 @@ class TestCensusMemo:
         cold_store.close()
         warm_store = ResultStore(path)
         warm = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=warm_store
+            pc, CONTEXT.k, result_store=warm_store
         )
         assert warm.value.row == plain.row and warm.value.classes == plain.classes
         # The coarsest tier answers the repeat survey in a single read.
@@ -413,10 +393,10 @@ class TestCensusMemo:
 
     def test_class_tier_serves_when_row_tier_is_absent(self, tmp_path):
         pc = self.build()
-        plain = capacity_connectivity_census(pc, CONTEXT.k, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, CONTEXT.k)
         path = str(tmp_path / "census.sqlite")
         cold_store = ResultStore(path)
-        resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=cold_store)
+        resilient_census(pc, CONTEXT.k, result_store=cold_store)
         cold_store.close()
         conn = sqlite3.connect(path)
         conn.execute("DELETE FROM results WHERE kind = 'census_row'")
@@ -424,7 +404,7 @@ class TestCensusMemo:
         conn.close()
         warm_store = ResultStore(path)
         warm = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=warm_store
+            pc, CONTEXT.k, result_store=warm_store
         )
         assert warm.value.row == plain.row
         # One missed row-tier read, then every class served from disk.
@@ -434,54 +414,29 @@ class TestCensusMemo:
         assert warm_store.counts()["kinds"]["census_row"] == 1
         warm_store.close()
 
-    def test_exhaustive_census_memoizes_per_vertex(self, tmp_path):
-        pc = self.build()
-        plain = capacity_connectivity_census(pc, CONTEXT.k, symmetry="none")
-        path = str(tmp_path / "census.sqlite")
-        store = ResultStore(path)
-        resilient_census(pc, CONTEXT.k, symmetry="none", result_store=store)
-        store.close()
-        conn = sqlite3.connect(path)
-        conn.execute("DELETE FROM results WHERE kind = 'census_row'")
-        conn.commit()
-        conn.close()
-        warm = ResultStore(path)
-        again = resilient_census(pc, CONTEXT.k, symmetry="none", result_store=warm)
-        assert again.value.row == plain.row
-        assert warm.hits == pc.complex.vertex_count
-        warm.close()
+    def test_row_tier_has_one_fold_shape(self, tmp_path):
+        # The census always folds canonical classes: one row key, which a
+        # rerun hits instead of writing a second row.
+        from repro.store import CENSUS_ROW_KEY
 
-    def test_row_tier_is_keyed_by_fold_shape(self, tmp_path):
-        # A quotient census's row memo must not answer an exhaustive query:
-        # the counter row would match, but the ``classes`` bookkeeping (and
-        # the checkpoint cursor space) would not.
         pc = self.build()
         path = str(tmp_path / "census.sqlite")
         store = ResultStore(path)
-        quotient = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=store
-        )
-        exhaustive = resilient_census(
-            pc, CONTEXT.k, symmetry="none", result_store=store
-        )
-        assert exhaustive.value.row == quotient.value.row
-        assert exhaustive.value.classes == pc.complex.vertex_count
-        assert quotient.value.classes < exhaustive.value.classes
-        assert store.counts()["kinds"]["census_row"] == 2
-        # ``constructive`` is the quotient fold on a built complex and
-        # shares its row memo.
-        alias = resilient_census(
-            pc, CONTEXT.k, symmetry="constructive", result_store=store
-        )
-        assert alias.value.classes == quotient.value.classes
-        assert store.counts()["kinds"]["census_row"] == 2
+        first = resilient_census(pc, CONTEXT.k, result_store=store)
+        again = resilient_census(pc, CONTEXT.k, result_store=store)
+        assert again.value.row == first.value.row
+        assert again.value.classes == first.value.classes < pc.complex.vertex_count
+        assert store.counts()["kinds"]["census_row"] == 1
         store.close()
+        with closing(sqlite3.connect(path)) as conn:
+            keys = conn.execute("SELECT item_key FROM results WHERE kind = 'census_row'")
+            assert [key for (key,) in keys] == [CENSUS_ROW_KEY]
 
     def test_profile_tier_serves_without_row_and_class_tiers(self, tmp_path):
         pc = self.build()
         path = str(tmp_path / "census.sqlite")
         first = ResultStore(path)
-        one = resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=first).value
+        one = resilient_census(pc, CONTEXT.k, result_store=first).value
         assert first.counts()["kinds"].get("profile") == one.homology_runs
         first.close()
         conn = sqlite3.connect(path)
@@ -489,7 +444,7 @@ class TestCensusMemo:
         conn.commit()
         conn.close()
         second = ResultStore(path)
-        two = resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=second).value
+        two = resilient_census(pc, CONTEXT.k, result_store=second).value
         assert two.row == one.row
         # Every profile served from the store: no homology was re-run.
         assert two.homology_runs == 0 and second.hits == one.homology_runs
@@ -497,7 +452,7 @@ class TestCensusMemo:
 
     def test_census_chaos_leg_converges(self, tmp_path):
         pc = self.build()
-        plain = capacity_connectivity_census(pc, CONTEXT.k, symmetry="quotient")
+        plain = capacity_connectivity_census(pc, CONTEXT.k)
         path = str(tmp_path / "census.sqlite")
         report = RunReport()
         chaos_store = ResultStore(
@@ -505,7 +460,7 @@ class TestCensusMemo:
             report=report,
         )
         chaos = resilient_census(
-            pc, CONTEXT.k, symmetry="quotient", result_store=chaos_store, report=report
+            pc, CONTEXT.k, result_store=chaos_store, report=report
         )
         assert chaos.value.row == plain.row
         chaos_store.close()
@@ -518,7 +473,7 @@ class TestCensusMemo:
         conn.commit()
         conn.close()
         heal = ResultStore(path, report=report)
-        healed = resilient_census(pc, CONTEXT.k, symmetry="quotient", result_store=heal)
+        healed = resilient_census(pc, CONTEXT.k, result_store=heal)
         assert healed.value.row == plain.row
         # The warm run heals every damaged row it actually reads (the row
         # memo, plus the fault-damaged rows its class sweep touches); a
@@ -544,7 +499,7 @@ class TestCliStore:
         store_path = str(tmp_path / "cli.sqlite")
         base_args = [
             "census", "-n", "4", "-t", "2", "-k", "2", "-m", "2",
-            "--symmetry", "quotient", "--store", store_path,
+            "--store", store_path,
         ]
         assert self.run_cli(*base_args) == 0
         cold_out = capsys.readouterr().out
@@ -571,7 +526,7 @@ class TestCliStore:
         store_path = str(tmp_path / "cli.sqlite")
         argv = [
             "sweep", "-n", "4", "-t", "2", "-k", "2", "--max-crash-round", "1",
-            "--max-failures", "1", "--symmetry", "constructive",
+            "--max-failures", "1",
             "--store", store_path,
         ]
         assert self.run_cli(*argv) == 0

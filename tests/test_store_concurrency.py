@@ -39,7 +39,6 @@ def _sweep_worker(store_path: str, queue) -> None:
             OptMin(2),
             _space(),
             CONTEXT.t,
-            symmetry="constructive",
             batch_size=8,  # small batches: many commits, real interleaving
             result_store=store,
         )
@@ -62,7 +61,7 @@ class TestConcurrentStoreAccess:
         store_path = str(tmp_path / "shared.sqlite")
         space = _space()
         plain = resilient_check(
-            OptMin(2), space, CONTEXT.t, symmetry="constructive", batch_size=8
+            OptMin(2), space, CONTEXT.t, batch_size=8
         )
         plain_signature = canonical_json(plain.value.to_payload())
         orbits = space.orbit_count()
@@ -124,13 +123,10 @@ class TestConcurrentStoreAccess:
             OptMin(2),
             _space(),
             CONTEXT.t,
-            symmetry="constructive",
             batch_size=8,
             result_store=store,
         )
-        plain = resilient_check(
-            OptMin(2), _space(), CONTEXT.t, symmetry="constructive", batch_size=8
-        )
+        plain = resilient_check(OptMin(2), _space(), CONTEXT.t, batch_size=8)
         assert canonical_json(outcome.value.to_payload()) == canonical_json(
             plain.value.to_payload()
         )

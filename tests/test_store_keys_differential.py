@@ -28,7 +28,7 @@ sites are:
 
 * ``repro.store.keys``: ``adversary_key`` / ``adversary_keys`` (lists),
   ``vertex_key`` and ``profile_key`` (nested tuples, frozensets, ints,
-  ``inf``, ``None``), ``census_row_key`` (a list of str), ``spec_hash`` over
+  ``inf``, ``None``), ``CENSUS_ROW_KEY`` (a list of str), ``spec_hash`` over
   ``check_store_spec``, ``census_class_store_spec`` and
   ``PROFILE_STORE_SPEC`` (str-keyed dicts);
 * ``repro.store.sqlite``: ``ResultStore.put`` payloads — ``check``

@@ -21,15 +21,19 @@ from repro.adversaries import (
     enumerate_orbits,
 )
 from repro.model import Adversary, Context, CrashEvent, FailurePattern
-from repro.oracles import adversary_orbit_size, automorphism_count, view_key_orbit_size
+from repro.oracles import (
+    adversary_orbit_size,
+    automorphism_count,
+    quotient_family,
+    symmetry_stream,
+    view_key_orbit_size,
+)
 from repro.symmetry import (
     apply_to_adversary,
     apply_to_view_key,
     canonical_adversary,
     canonical_view_key,
-    quotient_family,
     star_signature,
-    validate_symmetry_choice,
 )
 from repro.topology import SimplicialComplex, build_restricted_complex, sphere_complex
 
@@ -104,11 +108,11 @@ class TestCanonicalAdversary:
         with pytest.raises(ValueError, match="group"):
             canonical_adversary(sample[0], group="bogus")
 
-    def test_validate_symmetry_choice(self):
-        validate_symmetry_choice("none")
-        validate_symmetry_choice("quotient")
+    def test_oracle_stream_rejects_unknown_symmetry(self, sample):
+        assert len(list(symmetry_stream(sample, "none"))) == len(sample)
+        assert sum(w for _i, _a, w in symmetry_stream(sample, "quotient")) == len(sample)
         with pytest.raises(ValueError, match="symmetry"):
-            validate_symmetry_choice("orbits")
+            symmetry_stream(sample, "orbits")
 
 
 class TestOrbitSizes:
