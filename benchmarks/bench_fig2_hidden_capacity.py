@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import OptMin
 from repro.adversaries import figure2_scenario
 from repro.core import OptMinWithExplanation
 from repro.model import Run

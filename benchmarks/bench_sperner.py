@@ -14,7 +14,6 @@ import pytest
 
 from repro.topology import (
     census,
-    count_top_simplices,
     paper_subdivision,
     random_sperner_coloring,
     sperner_lemma_holds,

@@ -18,12 +18,22 @@ also records ``decide_calls``: how often the decision rule ran, counted in a
 separate sweep of a counting subclass so the timed sweep stays
 uninstrumented.  The engine evaluates it once per distinct local state of a
 pass, not once per trie group.
+
+Two more ungated rows record the peak memory of Optmin[2] sweeps too large
+for a front held whole: the uncapped n=6 t=3 space (1,297,098 orbits) and
+n=7 t=4 with crash rounds <= 2 (1,606,284 orbits).  Each runs in a fresh
+interpreter, whose own peak RSS (``VmHWM``, as in ``bench_cold_start.py``)
+is the row's ``peak_rss_mb``; the orbit stream is generated one batch at a
+time, so it stays near the sweep-n6 figure.
 """
 
 from __future__ import annotations
 
 import gc
+import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -49,6 +59,35 @@ MIN_SPEEDUP = float(os.environ.get("SWEEP_ENGINE_MIN_SPEEDUP", "3.0"))
 SWEEP_N6 = RestrictedSpace(
     Context(n=6, t=3, k=2), max_crash_round=2, max_failures=3, receiver_policy="canonical"
 )
+
+
+#: The ungated peak-memory rows: ``(name, n, t, max crash round)``.
+MEMORY_SWEEPS = (
+    ("n=6 t=3 uncapped", 6, 3, None),
+    ("n=7 t=4 crash rounds <= 2", 7, 4, 2),
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+_MEMORY_PROBE = """
+import json, resource, sys, time
+from repro.adversaries.enumeration import RestrictedSpace
+from repro.core import OptMin
+from repro.model import Context
+from repro.verification import check_protocol
+space = RestrictedSpace(Context(n={n}, t={t}, k=2), max_crash_round={max_crash_round!r})
+start = time.perf_counter()
+report = check_protocol(OptMin(2), space, {t})
+wall = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as status:
+        rss = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rss //= 1024 if sys.platform == "darwin" else 1
+print(json.dumps({{"ok": report.ok, "runs_checked": report.runs_checked,
+                  "wall_seconds": wall, "peak_rss_mb": rss / 1024}}))
+"""
 
 
 def _adversaries():
@@ -152,10 +191,28 @@ def run_constructive_sweep():
     }
 
 
+def run_memory_sweep(name, n, t, max_crash_round):
+    """One Optmin[2] sweep in a fresh interpreter: its wall time and peak RSS."""
+    code = _MEMORY_PROBE.format(n=n, t=t, max_crash_round=max_crash_round)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    row = json.loads(result.stdout.splitlines()[-1])
+    assert row.pop("ok"), f"{name}: Optmin[2] sweep reported violations"
+    space = RestrictedSpace(Context(n=n, t=t, k=2), max_crash_round=max_crash_round)
+    return {"name": name, "orbits": space.orbit_count(), **row}
+
+
 @pytest.mark.benchmark(group="sweep-engine")
 def test_batch_engine_speedup(benchmark):
     rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     collector = run_constructive_sweep()
+    memory = [run_memory_sweep(*sweep) for sweep in MEMORY_SWEEPS]
     print_table(
         f"SWEEP — batch vs reference engine on exhaustive n={CONTEXT.n}, t={CONTEXT.t} sweeps",
         ["protocol", "adversaries", "reference s", "batch s", "speedup", "layer sharing"],
@@ -178,11 +235,26 @@ def test_batch_engine_speedup(benchmark):
             )
         ],
     )
+    print_table(
+        "SWEEP — Optmin[2] sweep peak memory, fresh interpreter (ungated)",
+        ["space", "orbits", "runs", "wall s", "peak RSS MB"],
+        [
+            (
+                row["name"],
+                row["orbits"],
+                row["runs_checked"],
+                f"{row['wall_seconds']:.1f}",
+                f"{row['peak_rss_mb']:.1f}",
+            )
+            for row in memory
+        ],
+    )
     record_benchmark(
         "sweep_engine",
         {
             "context": {"n": CONTEXT.n, "t": CONTEXT.t, "k": CONTEXT.k},
             "constructive_sweep": collector,
+            "memory_sweeps": memory,
             "min_speedup_gate": MIN_SPEEDUP,
             "results": [
                 {

@@ -31,11 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import CrashEvent, FailurePattern
-from ..model.types import ProcessId, Round, Value
+from ..model.types import ProcessId, Value
 
 
 def enumerate_input_vectors(context: Context) -> Iterator[Tuple[Value, ...]]:
@@ -219,6 +219,13 @@ def enumerate_orbits(
     sizes come in closed form from the factored stabiliser.  The hash-dedup
     stream this is pinned to is :func:`repro.oracles.dedup_orbits`.
 
+    A pattern's vector orbits depend only on its stabiliser shape
+    (``twin_classes``, ``kernel``), so each shape's ``(vector, size)`` list
+    is generated and checked (:meth:`Adversary.checked_values`) once per
+    stream, and every representative is built with
+    :meth:`Adversary.trusted`; the cache dies with the stream (sweep-n6's
+    276 patterns have 25 shapes).
+
     The orbits partition the space: ``sum(orbit.size) ==
     count_adversaries(...)`` under the same restrictions.  ``limit`` caps the
     number of *orbits* yielded (a smoke-run device, like the adversary-level
@@ -226,18 +233,38 @@ def enumerate_orbits(
     """
     if limit is not None and limit <= 0:
         return
-    from ..symmetry import iter_canonical_patterns, iter_canonical_vectors
+    from ..symmetry import iter_canonical_patterns
 
     max_round, failures = _resolve_restrictions(context, max_crash_round, max_failures)
     domain = tuple(context.values_domain)
+    vectors_by_shape: Dict[Tuple, List[Tuple[Tuple[Value, ...], int]]] = {}
     produced = 0
     for node in iter_canonical_patterns(context.n, max_round, receiver_policy, failures):
         pattern = node.pattern()
-        for values, size in iter_canonical_vectors(node, domain):
-            yield AdversaryOrbit(Adversary(values, pattern), size)
+        shape = (node.twin_classes, node.kernel)
+        vectors = vectors_by_shape.get(shape)
+        if vectors is None:
+            vectors = vectors_by_shape[shape] = checked_shape_vectors(node, domain)
+        for values, size in vectors:
+            yield AdversaryOrbit(Adversary.trusted(values, pattern), size)
             produced += 1
             if limit is not None and produced >= limit:
                 return
+
+
+def checked_shape_vectors(node, domain) -> List[Tuple[Tuple[Value, ...], int]]:
+    """The ``(vector, orbit size)`` list of a pattern node's stabiliser shape.
+
+    :func:`repro.symmetry.iter_canonical_vectors` drained, each vector put
+    through :meth:`Adversary.checked_values` (so a bad vector raises the
+    constructor's ``ValueError``) and ready for :meth:`Adversary.trusted`.
+    """
+    from ..symmetry import iter_canonical_vectors
+
+    return [
+        (Adversary.checked_values(values, node.n), size)
+        for values, size in iter_canonical_vectors(node, domain)
+    ]
 
 
 def count_orbits(
@@ -372,18 +399,20 @@ def constructive_orbit_stream(adversaries) -> Iterator[AdversaryOrbit]:
     )
 
 
-def constructive_quotient(adversaries) -> Tuple[List[Adversary], List[int], List[int]]:
+def constructive_quotient(adversaries) -> Tuple[List[Adversary], List[int], range]:
     """``(representatives, weights, indices)`` off the constructive stream.
 
     The same shape as the :func:`repro.oracles.quotient_family` fixture;
-    ``indices`` number the orbits in generation order (there is no
-    underlying enumeration to index into).
+    ``indices`` number the given orbits from 0 (there is no underlying
+    enumeration to index into), as a ``range`` that holds no int per orbit.
+    The surveys call it once per chunk of at most
+    :data:`repro.pipeline.DEFAULT_BATCH_SIZE` orbits and offset the indices
+    (:func:`repro.pipeline.family_stream`); on a whole space it holds the
+    whole orbit front.
     """
     representatives: List[Adversary] = []
     weights: List[int] = []
-    indices: List[int] = []
-    for index, orbit in enumerate(constructive_orbit_stream(adversaries)):
+    for orbit in constructive_orbit_stream(adversaries):
         representatives.append(orbit.representative)
         weights.append(orbit.size)
-        indices.append(index)
-    return representatives, weights, indices
+    return representatives, weights, range(len(weights))

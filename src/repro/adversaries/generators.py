@@ -18,7 +18,7 @@ The benchmarks and property tests need large families of adversaries
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import CrashEvent, FailurePattern

@@ -24,7 +24,7 @@ benchmarks and several integration tests consume these scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..model.adversary import Adversary, Context
 from ..model.failure_pattern import CrashEvent, FailurePattern

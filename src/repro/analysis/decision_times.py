@@ -93,23 +93,33 @@ def collect(
     swept one representative per renaming orbit
     (:func:`repro.pipeline.family_stream`) with orbit-weighted statistics —
     histograms and means equal the member-by-member ones (paper bounds
-    depend only on ``f``, constant on orbits).
+    depend only on ``f``, constant on orbits).  One
+    :func:`repro.pipeline.fold_stream` pass sweeps every protocol on each
+    batch, so memory stays O(batch).
     """
-    from ..pipeline import family_stream
+    from ..pipeline import family_stream, fold_stream
 
-    items = list(family_stream(adversaries))
-    adversaries = [adversary for _index, adversary, _weight in items]
-    weights = [weight for _index, _adversary, weight in items]
-    stats: Dict[str, ProtocolStatistics] = {}
-    for protocol in protocols:
-        name = getattr(protocol, "name", repr(protocol))
-        entry = ProtocolStatistics(protocol=name)
-        times = SweepRunner(protocol, t).decision_times(adversaries)
-        for adversary, last, weight in zip(adversaries, times, weights):
+    protocols = list(protocols)
+    if not protocols:
+        return {}
+    entries = [
+        ProtocolStatistics(protocol=getattr(protocol, "name", repr(protocol)))
+        for protocol in protocols
+    ]
+    runners = [SweepRunner(protocol, t) for protocol in protocols]
+
+    def evaluate(items):
+        family = [adversary for _index, adversary, _weight in items]
+        return zip(*[runner.decision_times(family) for runner in runners])
+
+    def fold(item, times):
+        _index, adversary, weight = item
+        for protocol, entry, last in zip(protocols, entries, times):
             bound = bound_for(protocol, adversary) if bound_for is not None else None
             entry.record(last, bound, weight=weight)
-        stats[name] = entry
-    return stats
+
+    fold_stream(family_stream(adversaries), evaluate, fold)
+    return {entry.protocol: entry for entry in entries}
 
 
 def speedup_table(

@@ -8,7 +8,7 @@ annotations).  Everything here is dependency-free string formatting.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..model.run import Run
 from ..model.types import Time

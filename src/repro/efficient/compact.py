@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..model.adversary import Adversary
 from ..model.run import Run
-from ..model.types import ProcessId, Round, Time, Value
+from ..model.types import ProcessId, Time, Value
 
 
 def _id_bits(n: int) -> int:

@@ -29,7 +29,7 @@ batch engine's :class:`repro.engine.ArrayView` slices (as materialised by
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple
 
 from ..model.types import ProcessId, ProcessTimeNode, Time
 

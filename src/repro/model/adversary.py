@@ -39,16 +39,39 @@ class Adversary:
     __slots__ = ("_values", "_pattern", "_hash")
 
     def __init__(self, values: Sequence[Value], pattern: FailurePattern) -> None:
-        values = tuple(map(int, values))
-        if len(values) != pattern.n:
-            raise ValueError(
-                f"input vector has {len(values)} entries but the failure pattern has n={pattern.n}"
-            )
-        if min(values) < 0:
-            raise ValueError(f"initial values must be non-negative, got {values}")
+        values = self.checked_values(values, pattern.n)
         self._values: Tuple[Value, ...] = values
         self._pattern = pattern
         self._hash = hash((values, pattern))
+
+    @staticmethod
+    def checked_values(values: Sequence[Value], n: int) -> Tuple[Value, ...]:
+        """``values`` as an input vector of ``n`` processes, or ``ValueError``.
+
+        The checks the constructor makes: ``n`` entries, non-negative ints.
+        """
+        values = tuple(map(int, values))
+        if len(values) != n:
+            raise ValueError(
+                f"input vector has {len(values)} entries but the failure pattern has n={n}"
+            )
+        if min(values) < 0:
+            raise ValueError(f"initial values must be non-negative, got {values}")
+        return values
+
+    @classmethod
+    def trusted(cls, values: Tuple[Value, ...], pattern: FailurePattern) -> "Adversary":
+        """The adversary ``(values, pattern)``, with no check of ``values``.
+
+        ``values`` must be a result of :meth:`checked_values` for
+        ``pattern.n``: the orbit enumerator checks each of its vectors once
+        and reuses it for every pattern of the same stabiliser shape.
+        """
+        adversary = cls.__new__(cls)
+        adversary._values = values
+        adversary._pattern = pattern
+        adversary._hash = hash((values, pattern))
+        return adversary
 
     # ------------------------------------------------------------------ basic
     @property

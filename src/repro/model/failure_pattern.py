@@ -31,7 +31,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
 from .types import ProcessId, Round, Time, validate_crash_bound, validate_system_size
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CrashEvent:
     """The crash of a single process.
 
@@ -46,11 +46,17 @@ class CrashEvent:
         The processes that successfully receive the crashing process's
         round-``c`` message.  May be any subset of the other processes
         (including the empty set and the full set).
+
+    The hash is the dataclass one, computed once at construction: the
+    sweep engine's trie hashes tuples of events on every round.  It is not
+    part of the pickled state, which is the ``{field: value}`` dict a
+    plain dataclass pickles.
     """
 
     process: ProcessId
     round: Round
     receivers: FrozenSet[ProcessId] = field(default_factory=frozenset)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.round < 1:
@@ -60,6 +66,18 @@ class CrashEvent:
             # access to its own previous state regardless of crashing.
             raise ValueError("a crash event must not list the crashing process as receiver")
         object.__setattr__(self, "receivers", frozenset(self.receivers))
+        object.__setattr__(self, "_hash", hash((self.process, self.round, self.receivers)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"process": self.process, "round": self.round, "receivers": self.receivers}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((self.process, self.round, self.receivers)))
 
     def delivers_to(self, receiver: ProcessId) -> bool:
         """Whether the crashing-round message to ``receiver`` is delivered."""

@@ -19,13 +19,11 @@ throughout the tests, examples and benchmarks.
 
 from __future__ import annotations
 
-import math
 from typing import (
     Dict,
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,

@@ -35,9 +35,8 @@ the *knows-persist* predicate (Definition 3).
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .adversary import Adversary
 from .types import ProcessId, ProcessTimeNode, Time, Value
 
 #: Sentinel meaning "the observer has no proof this process ever crashed".

@@ -18,9 +18,9 @@ runs at each batch boundary.  A batch's objects (prepared adversaries,
 trie groups, runs, verdicts) live for exactly one batch and are freed by
 reference counting when the next one replaces them; left to its
 allocation-count trigger, the collector would instead promote them and
-rescan every live object — the whole orbit front — in a full collection
-almost once per batch.  Cyclic garbage an ``evaluate`` or ``fold`` might
-make is held back by at most one batch (the repo's own code makes none,
+rescan every live object in a full collection almost once per batch.
+Cyclic garbage an ``evaluate`` or ``fold`` might make is held back by at
+most one batch (the repo's own code makes none,
 ``tests/test_gc_policy.py``).  The collector's prior state is restored
 however the loop ends; if it was already off on entry (a nested
 :func:`fold_stream`, or a caller's choice), the loop neither collects nor
@@ -75,11 +75,15 @@ def family_stream(family) -> Iterator[Tuple[int, Any, int]]:
     (:func:`repro.adversaries.enumeration.constructive_quotient`), numbered
     in generation order and weighted by orbit size; any other family
     streams every member at weight 1.  The checker, the domination
-    comparisons, ``collect`` and ``System.from_family`` all read their
-    families through it.  The orbits are generated on the first ``next()``,
-    so a survey generates them inside :func:`fold_stream`'s first batch,
-    with the collector paused.  The hash-dedup quotient of an arbitrary
-    family is the :func:`repro.oracles.quotient_family` fixture.
+    comparisons, ``collect``, :func:`repro.runtime.resilient_check` and
+    ``System.from_family`` all read their families through it.
+
+    The orbit stream is lazy and chunked: each ``next()`` that runs out of
+    orbits generates the next :data:`DEFAULT_BATCH_SIZE` of them (inside
+    :func:`fold_stream`'s batch, with the collector paused), so a survey
+    holds O(batch) orbits, never the whole front.  The hash-dedup quotient
+    of an arbitrary family is the :func:`repro.oracles.quotient_family`
+    fixture.
     """
     orbits, items = split_family(family)
     if orbits:
@@ -88,10 +92,29 @@ def family_stream(family) -> Iterator[Tuple[int, Any, int]]:
 
 
 def _orbit_stream(family) -> Iterator[Tuple[int, Any, int]]:
+    """:func:`repro.adversaries.enumeration.constructive_quotient` chunk by chunk.
+
+    A chunk's indices are ``range(len(chunk))``; offset by the orbits
+    before the chunk, they are generation-order numbers over the whole
+    stream.
+    """
     from .adversaries import enumeration
 
-    representatives, weights, indices = enumeration.constructive_quotient(family)
-    yield from zip(indices, representatives, weights)
+    orbits = enumeration.constructive_orbit_stream(family)
+    offset = 0
+    while True:
+        representatives, weights, indices = enumeration.constructive_quotient(
+            itertools.islice(orbits, DEFAULT_BATCH_SIZE)
+        )
+        if not indices:
+            return
+        items = zip(range(offset, offset + len(indices)), representatives, weights)
+        offset += len(indices)
+        # Only ``items`` holds the chunk, and it is dropped before the next
+        # chunk is generated: one chunk is alive at a time.
+        del representatives, weights, indices
+        yield from items
+        del items
 
 
 @contextlib.contextmanager

@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..pipeline import DEFAULT_BATCH_SIZE
+from ..pipeline import DEFAULT_BATCH_SIZE, family_stream
 from .checkpoint import Checkpoint, CheckpointStore
 from .report import RunReport
 
@@ -294,7 +294,8 @@ def resilient_check(
     (:func:`repro.verification.checker.fold_checks`) over the space's
     orbits with the attachments given here, so a completed outcome's
     ``value`` is the :class:`CheckReport` ``check_protocol(protocol, space,
-    t)`` produces; the orbits are generated lazily (``space.orbits()``).
+    t)`` produces; it folds the same lazy, chunked orbit stream
+    (:func:`repro.pipeline.family_stream`).
     ``result_store`` is the durable cross-run verdict memo
     (:class:`repro.store.ResultStore`), flushed at the same batch
     boundaries as the checkpoint; its key is the adversary alone, so any
@@ -305,9 +306,7 @@ def resilient_check(
 
     if t is None:
         t = space.context.t
-    stream = (
-        (index, orbit.representative, orbit.size) for index, orbit in enumerate(space.orbits())
-    )
+    stream = family_stream(space)
     spec = checker_spec(protocol, space, t, enforce_paper_bound)
     attachments = _Attachments(store, result_store, deadline_seconds, max_rss_kb, report)
     payload = attachments.open(spec, resume)

@@ -44,7 +44,7 @@ import os
 import sqlite3
 import time
 from json import loads as _json_loads
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .keys import EncodedPayload, stable_key, spec_hash
 

@@ -21,7 +21,7 @@ used by the FIG3/SPERNER benchmarks and the topology tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping
 
 from .complexes import Simplex
 from .subdivision import SubdividedSimplex, SubdivisionVertex

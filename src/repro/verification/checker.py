@@ -27,9 +27,11 @@ counterexample; the rest of the orbit is its renamings).  Any other
 iterable — ``iter(space)``, a list, a sample — is checked member by member.
 
 Every entry point only turns its family into an ``(index, adversary,
-weight)`` stream (:func:`repro.pipeline.family_stream`) and folds it through
-:func:`fold_checks`; :func:`repro.runtime.resilient_check` is the same
-pipeline with checkpoint, result-store and budget attachments.
+weight)`` stream (:func:`repro.pipeline.family_stream`, lazy and chunked)
+and folds it through :func:`fold_checks` — :func:`check_protocols` through
+one :func:`repro.pipeline.fold_stream` pass that sweeps every protocol on
+each batch; :func:`repro.runtime.resilient_check` is the same pipeline with
+checkpoint, result-store and budget attachments.
 """
 
 from __future__ import annotations
@@ -151,14 +153,6 @@ def fold_checks(
     fold_stream(stream, evaluate, fold, **attachments)
 
 
-def _check(protocol, stream, t, enforce_paper_bound) -> CheckReport:
-    from ..engine import SweepRunner
-
-    report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
-    fold_checks(report, stream, SweepRunner(protocol, t), enforce_paper_bound)
-    return report
-
-
 def check_protocol(
     protocol,
     adversaries: Iterable[Adversary],
@@ -180,7 +174,11 @@ def check_protocol(
             f"check_protocol takes no symmetry choice (the family's type picks the "
             f"stream); only the retained symmetry='constructive' is accepted, got {symmetry!r}"
         )
-    return _check(protocol, family_stream(adversaries), t, enforce_paper_bound)
+    from ..engine import SweepRunner
+
+    report = CheckReport(protocol=getattr(protocol, "name", "protocol"))
+    fold_checks(report, family_stream(adversaries), SweepRunner(protocol, t), enforce_paper_bound)
+    return report
 
 
 def check_protocols(
@@ -191,11 +189,29 @@ def check_protocols(
 ) -> Dict[str, CheckReport]:
     """Check several protocols over the same adversary family.
 
-    The stream — and with it the orbit front — is built once and shared
-    across protocols (orbits do not depend on the protocol under check).
+    One :func:`repro.pipeline.fold_stream` pass: each batch of the family's
+    stream is generated once and swept by every protocol (orbits do not
+    depend on the protocol under check), so memory stays O(batch).  Each
+    report equals the one :func:`check_protocol` gives.
     """
-    stream = list(family_stream(adversaries))
+    from ..engine import SweepRunner
+
+    protocols = list(protocols)
+    if not protocols:
+        return {}
+    reports = [CheckReport(protocol=getattr(protocol, "name", "protocol")) for protocol in protocols]
+    runners = [SweepRunner(protocol, t) for protocol in protocols]
+
+    def evaluate(items):
+        family = [adversary for _index, adversary, _weight in items]
+        return zip(*[batch_verdicts(runner.sweep(family), enforce_paper_bound) for runner in runners])
+
+    def fold(item, verdicts):
+        for report, (decision_time, violations) in zip(reports, verdicts):
+            report.record(item[0], decision_time, violations, item[2])
+
+    fold_stream(family_stream(adversaries), evaluate, fold)
     return {
-        getattr(protocol, "name", repr(protocol)): _check(protocol, stream, t, enforce_paper_bound)
-        for protocol in protocols
+        getattr(protocol, "name", repr(protocol)): report
+        for protocol, report in zip(protocols, reports)
     }

@@ -162,22 +162,28 @@ def compare_last_decisions(
 
 
 def _compare(candidate, reference, adversaries, t, compare, suffix=""):
-    """Sweep both protocols over :func:`repro.pipeline.family_stream` and fold each pair."""
+    """Sweep both protocols over :func:`repro.pipeline.family_stream` and fold each pair.
+
+    One :func:`repro.pipeline.fold_stream` pass: both protocols sweep each
+    batch, so memory stays O(batch).
+    """
     from ..engine import SweepRunner
-    from ..pipeline import family_stream
+    from ..pipeline import family_stream, fold_stream
 
     report = DominationReport(
         candidate=getattr(candidate, "name", "candidate") + suffix,
         reference=getattr(reference, "name", "reference") + suffix,
     )
-    items = list(family_stream(adversaries))
-    family = [adversary for _index, adversary, _weight in items]
-    runs = zip(
-        SweepRunner(candidate, t).sweep(family),
-        SweepRunner(reference, t).sweep(family),
-    )
-    for (index, _adversary, weight), (candidate_run, reference_run) in zip(items, runs):
-        compare(candidate_run, reference_run, index, report, weight)
+    candidate_runner, reference_runner = SweepRunner(candidate, t), SweepRunner(reference, t)
+
+    def evaluate(items):
+        family = [adversary for _index, adversary, _weight in items]
+        return zip(candidate_runner.sweep(family), reference_runner.sweep(family))
+
+    def fold(item, runs):
+        compare(runs[0], runs[1], item[0], report, item[2])
+
+    fold_stream(family_stream(adversaries), evaluate, fold)
     return report
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the analysis / reporting helpers."""
 
-import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin
 from repro.analysis import (

@@ -11,7 +11,6 @@ from repro import (
     UniformEarlyStoppingConsensus,
 )
 from repro.adversaries import AdversaryGenerator, block_crash_adversary, figure2_scenario
-from repro.baselines import new_failures_perceived
 from repro.model import Adversary, Context, FailurePattern, Run
 from repro.verification import check_nonuniform_run, check_uniform_run
 

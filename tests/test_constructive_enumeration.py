@@ -84,6 +84,14 @@ class TestStreamIdentity:
         for representative, orbit in constructive.items():
             assert orbit.size == dedup[representative].size
 
+    @pytest.mark.parametrize("combo", COMBOS, ids=[str(c) for c in COMBOS])
+    def test_trusted_representatives_equal_checked_ones(self, combo):
+        for orbit in enumerate_orbits(CONTEXT, **combo):
+            adversary = orbit.representative
+            checked = Adversary(adversary.values, adversary.pattern)
+            assert type(adversary) is Adversary
+            assert adversary == checked and hash(adversary) == hash(checked)
+
     @pytest.mark.parametrize("combo", COMBOS[:4], ids=[str(c) for c in COMBOS[:4]])
     def test_orbit_sizes_partition_the_space(self, combo):
         total = sum(

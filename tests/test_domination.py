@@ -3,7 +3,7 @@
 import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet, oracles
-from repro.adversaries import AdversaryGenerator, RestrictedSpace, figure4_scenario
+from repro.adversaries import RestrictedSpace, figure4_scenario
 from repro.model import Adversary, Context, FailurePattern, Run
 from repro.verification import (
     DecisionProfile,

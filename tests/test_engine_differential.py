@@ -18,7 +18,6 @@ semantic oracle.  These tests pin the two together:
 
 from __future__ import annotations
 
-import math
 
 import pytest
 

@@ -59,6 +59,23 @@ with tempfile.TemporaryDirectory() as directory:
     store.close()
 """,
     ),
+    "multi-protocol-surveys": (
+        """
+from repro.adversaries.enumeration import RestrictedSpace
+from repro.analysis import collect
+from repro.baselines import FloodMin
+from repro.core import OptMin, UPMin
+from repro.model import Context
+from repro.verification import check_protocols, compare_protocols, last_decider_compare
+""",
+        """
+space = RestrictedSpace(Context(n=5, t=2, k=2), max_crash_round=2, receiver_policy="canonical")
+assert all(report.ok for report in check_protocols([OptMin(2), UPMin(2)], space, 2).values())
+assert compare_protocols(OptMin(2), FloodMin(2), space, 2).dominates
+assert last_decider_compare(OptMin(2), FloodMin(2), space, 2).dominates
+assert collect([OptMin(2), FloodMin(2)], space, 2)[OptMin(2).name].runs == space.estimated_size()
+""",
+    ),
     "complex-build-and-census": (
         """
 from repro.model import Context

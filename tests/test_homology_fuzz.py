@@ -23,7 +23,6 @@ complexes, deeper protocol complexes) is marked ``slow`` and runs with
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import FloodMin, OptMin, UPMin
-from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run, RoundContext
+from repro.model import Adversary, CrashEvent, FailurePattern, Run, RoundContext
 from repro.core.protocol import Protocol
 from repro.verification import (
     check_agreement,

@@ -8,7 +8,6 @@ from repro.topology import (
     build_restricted_complex,
     is_homologically_q_connected,
     per_round_crash_patterns,
-    reduced_betti_numbers,
 )
 
 

@@ -36,7 +36,7 @@ from repro.baselines import FloodMin
 from repro.knowledge import System
 from repro.knowledge.operators import at_most_low_values_decided, exists_value
 from repro.model import Context, Run
-from repro.symmetry import canonical_adversary, invert_permutation
+from repro.symmetry import canonical_adversary
 from repro.topology import (
     ConnectivityCache,
     build_restricted_complex,

@@ -4,7 +4,6 @@ import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet
 from repro.adversaries import figure1_scenario, figure2_scenario, figure4_scenario
-from repro.baselines import new_failures_perceived
 from repro.model import Run
 from repro.verification import check_run_for_protocol
 

@@ -24,9 +24,7 @@ from repro.core import OptMin
 from repro.model import Context
 from repro.runtime import FaultPlan, RunReport, canonical_json, resilient_census, resilient_check
 from repro.store import (
-    PROFILE_SPEC_HASH,
     ResultStore,
-    STORE_SCHEMA,
     adversary_key,
     check_store_spec,
     row_digest,
