@@ -17,9 +17,9 @@ interpreters and records
   ``ru_maxrss`` elsewhere.
 
 It asserts, for every child, that none of :data:`FORBIDDEN_AT_IMPORT` was
-loaded: production is stdlib-only at import, networkx (the optional graph
-export) and the HTTP front end's asyncio and ``urllib.request`` load on
-first use.  The timings are recorded, not gated (``BENCH_cold_start.json``;
+loaded: production is stdlib-only at import (it depends on neither numpy
+nor networkx), and the HTTP front end's asyncio and ``urllib.request`` load
+on first use.  The timings are recorded, not gated (``BENCH_cold_start.json``;
 ``compare_bench.py`` diffs its ``*_seconds`` leaves).  The last row runs
 ``repro --help`` end to end.
 

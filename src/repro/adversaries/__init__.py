@@ -6,7 +6,6 @@ from .enumeration import (
     RestrictedSpace,
     constructive_orbit_stream,
     constructive_quotient,
-    count_adversaries,
     count_orbits,
     enumerate_adversaries,
     enumerate_failure_patterns,
@@ -17,10 +16,7 @@ from .enumeration import (
 )
 from .generators import (
     AdversaryGenerator,
-    block_crash_adversary,
-    crash_chain_adversary,
     crash_chain_events,
-    failure_free_adversaries,
 )
 from .per_round import PerRoundCrashFamily
 from .scenarios import Scenario, figure1_scenario, figure2_scenario, figure4_scenario
@@ -34,19 +30,15 @@ __all__ = [
     "Scenario",
     "SurgeryCheck",
     "SurgeryResult",
-    "block_crash_adversary",
     "constructive_orbit_stream",
     "constructive_quotient",
-    "count_adversaries",
     "count_orbits",
-    "crash_chain_adversary",
     "crash_chain_events",
     "enumerate_adversaries",
     "enumerate_failure_patterns",
     "enumerate_input_vectors",
     "enumerate_orbits",
     "estimate_adversary_count",
-    "failure_free_adversaries",
     "pattern_and_orbit_counts",
     "figure1_scenario",
     "figure2_scenario",

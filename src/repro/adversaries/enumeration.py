@@ -153,21 +153,6 @@ def estimate_adversary_count(
     return patterns * len(context.values_domain) ** n
 
 
-def count_adversaries(
-    context: Context,
-    max_crash_round: Optional[int] = None,
-    receiver_policy: str = "canonical",
-    max_failures: Optional[int] = None,
-) -> int:
-    """The size of the restricted adversary space (by direct counting)."""
-    return sum(
-        1
-        for _ in enumerate_adversaries(
-            context, max_crash_round, receiver_policy, max_failures
-        )
-    )
-
-
 # ------------------------------------------------------------ orbit streams
 class AdversaryOrbit(NamedTuple):
     """One process-renaming orbit of a restricted adversary space.
@@ -227,7 +212,7 @@ def enumerate_orbits(
     276 patterns have 25 shapes).
 
     The orbits partition the space: ``sum(orbit.size) ==
-    count_adversaries(...)`` under the same restrictions.  ``limit`` caps the
+    repro.oracles.count_adversaries(...)`` under the same restrictions.  ``limit`` caps the
     number of *orbits* yielded (a smoke-run device, like the adversary-level
     ``limit``).
     """
@@ -353,15 +338,6 @@ class RestrictedSpace:
             receiver_policy=self.receiver_policy,
             max_failures=self.max_failures,
             limit=self.limit,
-        )
-
-    def estimated_size(self) -> int:
-        """Closed-form member count of the (un-truncated) space."""
-        return estimate_adversary_count(
-            self.context,
-            max_crash_round=self.max_crash_round,
-            receiver_policy=self.receiver_policy,
-            max_failures=self.max_failures,
         )
 
     def orbit_count(self) -> int:

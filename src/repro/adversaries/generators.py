@@ -7,12 +7,10 @@ The benchmarks and property tests need large families of adversaries
   with knobs controlling how adversarial the failure patterns are (how many
   crashes, how they spread over rounds, how selective the crashing-round
   deliveries are);
-* :func:`crash_chain_adversary` — the "hidden chain" building block: a
+* :func:`crash_chain_events` — the "hidden chain" building block: a
   sequence of processes each crashing one round after the other, every crash
   delivering only to the next process in the chain (the pattern behind
-  Figs. 1 and 2 and behind every lower-bound construction in this area);
-* :func:`block_crash_adversary` — ``k`` crashes per round with configurable
-  visibility, the worst-case pattern for the failure-counting baselines.
+  Figs. 1 and 2 and behind every lower-bound construction in this area).
 """
 
 from __future__ import annotations
@@ -131,76 +129,3 @@ def crash_chain_events(
         )
     return events
 
-
-def crash_chain_adversary(
-    n: int,
-    chain: Sequence[ProcessId],
-    chain_value: Value,
-    default_value: Value,
-) -> Adversary:
-    """An adversary with a single hidden chain carrying ``chain_value``.
-
-    All processes start with ``default_value`` except ``chain[0]``, which
-    starts with ``chain_value``; the chain members crash one per round, each
-    delivering only to its successor (so the value silently travels down the
-    chain).  This is the Fig. 1 pattern for consensus.
-    """
-    values = [default_value] * n
-    values[chain[0]] = chain_value
-    pattern = FailurePattern(n, crash_chain_events(chain))
-    return Adversary(values, pattern)
-
-
-def block_crash_adversary(
-    n: int,
-    k: int,
-    rounds: int,
-    values: Optional[Sequence[Value]] = None,
-    visible: bool = True,
-) -> Adversary:
-    """``k`` crashes in each of the first ``rounds`` rounds.
-
-    When ``visible`` is ``True``, crashing processes deliver to nobody, so
-    every surviving process perceives exactly ``k`` new failures per round —
-    the worst case for the failure-counting baselines (they cannot decide
-    before time ``rounds + 1``).  When ``False``, crashing processes deliver
-    to everybody, so nobody perceives the failures until one round later.
-
-    The crashing processes are ``0 .. k*rounds - 1`` in round-major order;
-    ``values`` defaults to everyone holding ``k``.
-    """
-    if k * rounds > n - 1:
-        raise ValueError(
-            f"cannot crash {k} processes in each of {rounds} rounds with n={n} (need at least one survivor)"
-        )
-    if values is None:
-        values = [k] * n
-    events = []
-    process = 0
-    for round_ in range(1, rounds + 1):
-        for _ in range(k):
-            receivers = frozenset() if visible else frozenset(
-                q for q in range(n) if q != process
-            )
-            events.append(CrashEvent(process, round_, receivers))
-            process += 1
-    return Adversary(values, FailurePattern(n, events))
-
-
-def failure_free_adversaries(context: Context) -> Iterator[Adversary]:
-    """All failure-free adversaries of a context (one per input vector).
-
-    The number of vectors is ``(d+1)^n``; callers are expected to use this
-    only for small contexts (it is handy for exhaustive Validity checks).
-    """
-    domain = list(context.values_domain)
-    n = context.n
-
-    def rec(prefix: List[Value]) -> Iterator[Adversary]:
-        if len(prefix) == n:
-            yield Adversary.failure_free(prefix)
-            return
-        for v in domain:
-            yield from rec(prefix + [v])
-
-    yield from rec([])

@@ -1,12 +1,11 @@
 """Analysis and reporting helpers used by the examples and the benchmark harness."""
 
 from .decision_times import ProtocolStatistics, collect, speedup_table
-from .reporting import decision_time_report, format_table, render_run, statistics_report
+from .reporting import format_table, render_run, statistics_report
 
 __all__ = [
     "ProtocolStatistics",
     "collect",
-    "decision_time_report",
     "format_table",
     "render_run",
     "speedup_table",

@@ -12,9 +12,7 @@ processes decide.  This module provides the shared machinery:
 * :func:`speedup_table` — pairwise rounds-saved summary between protocols.
 
 Both experiment drivers run on the batch sweep engine (:mod:`repro.engine`),
-which amortises simulation across the ensemble; the per-adversary
-:class:`repro.model.run.Run` loop it is pinned to is
-:func:`repro.oracles.decision_time_table`.
+which amortises simulation across the ensemble.
 """
 
 from __future__ import annotations

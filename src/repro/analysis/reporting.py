@@ -65,17 +65,6 @@ def render_run(run: Run, max_time: Optional[Time] = None) -> str:
     return format_table(headers, rows, title=f"run of {getattr(run.protocol, 'name', 'fip')}")
 
 
-def decision_time_report(table: Mapping[str, Sequence[Optional[Time]]]) -> str:
-    """Render the protocol-vs-adversary decision-time table of the DOM benchmark."""
-    protocols = list(table)
-    count = len(next(iter(table.values()))) if table else 0
-    headers = ["adversary"] + protocols
-    rows = []
-    for index in range(count):
-        rows.append([f"#{index}"] + [table[name][index] for name in protocols])
-    return format_table(headers, rows, title="last correct decision time per adversary")
-
-
 def statistics_report(stats: Mapping[str, object]) -> str:
     """Render a mapping of :class:`repro.analysis.decision_times.ProtocolStatistics`."""
     headers = ["protocol", "runs", "mean", "worst", "undecided", "bound violations"]

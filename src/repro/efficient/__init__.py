@@ -4,8 +4,6 @@ from .compact import (
     CompactComparison,
     CompactMessage,
     CompactSimulation,
-    bits_sent_per_channel,
-    compact_equals_fip,
     compare_compact_to_fip,
     nlogn_bound,
 )
@@ -14,8 +12,6 @@ __all__ = [
     "CompactComparison",
     "CompactMessage",
     "CompactSimulation",
-    "bits_sent_per_channel",
-    "compact_equals_fip",
     "compare_compact_to_fip",
     "nlogn_bound",
 ]

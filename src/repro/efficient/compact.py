@@ -19,8 +19,8 @@ This module simulates that compact message discipline explicitly:
   of every process, and which round messages it received from whom), from
   which ``Vals``, ``Min``, known failures and the hidden capacity can be
   recomputed;
-* :func:`bits_sent_per_channel` — the accounting used by the APPE benchmark
-  to confirm the ``O(n log n)`` claim;
+* :attr:`CompactSimulation.bits_sent` and :func:`nlogn_bound` — the
+  accounting the APPE benchmark uses to confirm the ``O(n log n)`` claim;
 * :func:`compare_compact_to_fip` — the equivalence harness comparing the
   decision-relevant quantities (``Vals``, ``Min``, known failures, hidden
   capacity) between the full-information engine and the compact
@@ -183,10 +183,6 @@ class CompactSimulation:
         """``HC<process, time>`` reconstructed from compact messages."""
         return min(self.hidden_count_at(process, time, layer) for layer in range(time + 1))
 
-    def total_bits(self) -> int:
-        """Total bits sent over all channels."""
-        return sum(self.bits_sent.values())
-
     def max_bits_per_channel(self) -> int:
         """The largest total over any single (sender, receiver) channel."""
         return max(self.bits_sent.values(), default=0)
@@ -272,11 +268,6 @@ class CompactSimulation:
             self._states = next_states
 
 
-def bits_sent_per_channel(adversary: Adversary, t: int, horizon: Optional[int] = None) -> Dict[Tuple[int, int], int]:
-    """Per-channel bit totals of the compact implementation on one adversary."""
-    return CompactSimulation(adversary, t, horizon).bits_sent
-
-
 def nlogn_bound(n: int, horizon: int, max_value: int, constant: int = 8) -> int:
     """An explicit ``O(n log n)`` budget per channel used by the APPE benchmark.
 
@@ -303,11 +294,6 @@ class CompactComparison:
     #: Number of nodes at which the two hidden capacities differ (the
     #: conservative over-estimation discussed in the module docstring).
     capacity_mismatches: int
-
-    @property
-    def exact(self) -> bool:
-        """Whether every decision-relevant quantity matched at every node."""
-        return self.values_match and self.failures_match and self.capacity_mismatches == 0
 
     @property
     def sound(self) -> bool:
@@ -357,7 +343,3 @@ def compare_compact_to_fip(adversary: Adversary, t: int) -> CompactComparison:
         capacity_mismatches=capacity_mismatches,
     )
 
-
-def compact_equals_fip(adversary: Adversary, t: int) -> bool:
-    """Whether the compact reconstruction matched the fip exactly on this adversary."""
-    return compare_compact_to_fip(adversary, t).exact

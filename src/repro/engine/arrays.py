@@ -439,9 +439,6 @@ class ArrayView:
     def is_guaranteed_crashed(self, node: ProcessTimeNode) -> bool:
         return self._layer.rows_evidence[self._process][node.process] <= node.time
 
-    def is_hidden(self, node: ProcessTimeNode) -> bool:
-        return not self.is_seen(node) and not self.is_guaranteed_crashed(node)
-
     def hidden_processes_at(self, layer: Time) -> FrozenSet[ProcessId]:
         if layer < 0:
             raise ValueError(f"layer must be >= 0, got {layer}")
@@ -462,10 +459,6 @@ class ArrayView:
 
     def hidden_profile(self) -> Tuple[int, ...]:
         return tuple(self.hidden_count_at(layer) for layer in range(self.time + 1))
-
-    def seen_processes_at(self, layer: Time) -> FrozenSet[ProcessId]:
-        ls = self._layer.rows_seen[self._process]
-        return frozenset(j for j in range(self._layer.n) if ls[j] >= layer)
 
     def known_crashed_processes(self) -> FrozenSet[ProcessId]:
         ev = self._layer.rows_evidence[self._process]
@@ -491,9 +484,6 @@ class ArrayView:
             return None
         return self._values[process]
 
-    def lows(self, k: int) -> FrozenSet[Value]:
-        return frozenset(v for v in self.values() if v < k)
-
     def min_value(self) -> Value:
         if self._min is None:
             values = self._values
@@ -503,15 +493,9 @@ class ArrayView:
     def is_low(self, k: int) -> bool:
         return self.min_value() < k
 
-    def is_high(self, k: int) -> bool:
-        return not self.is_low(k)
-
     # ------------------------------------------------------- hidden capacity
     def hidden_capacity(self) -> int:
         return self._layer.hidden_capacity(self._process)
-
-    def has_hidden_path(self) -> bool:
-        return self.hidden_capacity() >= 1
 
 
 class BatchContext:

@@ -125,10 +125,6 @@ class BatchRun:
                 return d.time
         return None
 
-    def all_correct_decided(self) -> bool:
-        decided = self._summary.decided
-        return all(decided >> p & 1 for p in self.correct_processes())
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"BatchRun(#{self.index}, n={self.n}, decisions={len(self._summary.decisions)}, "
@@ -223,7 +219,7 @@ class SweepRunner:
             # protocol-less sweep could only ever return empty results.
             raise ValueError(
                 "SweepRunner requires a protocol; for bare full-information "
-                "runs (views, no decisions) use repro.model.Run / execute_many"
+                "runs (views, no decisions) use repro.model.Run"
             )
         batch = adversaries if isinstance(adversaries, (list, tuple)) else list(adversaries)
         if not batch:

@@ -1,19 +1,15 @@
-"""Hidden nodes, hidden paths, hidden capacity and epistemic operators.
+"""Hidden capacity, disjoint hidden chains and epistemic operators.
 
 The combinatorial layer between the raw model (:mod:`repro.model`) and the
 protocols (:mod:`repro.core`): everything the paper builds on views — hidden
-capacity (Definition 2), hidden paths (Section 3), knowledge (Appendix A).
+capacity and its witnesses (Definition 2), the disjoint hidden chains Lemma 2
+turns into crash chains, and knowledge over systems of runs (Appendix A).
 """
 
 from .hidden import (
-    capacity_profile,
     classify_layer,
     disjoint_hidden_chains,
-    first_time_capacity_below,
-    has_hidden_path,
     hidden_capacity,
-    hidden_nodes_by_layer,
-    hidden_path,
     witness_matrix,
 )
 from .operators import (
@@ -32,15 +28,10 @@ __all__ = [
     "FamilyRun",
     "System",
     "at_most_low_values_decided",
-    "capacity_profile",
     "classify_layer",
     "disjoint_hidden_chains",
     "exists_value",
-    "first_time_capacity_below",
-    "has_hidden_path",
     "hidden_capacity",
-    "hidden_nodes_by_layer",
-    "hidden_path",
     "knowledge_of_precondition_holds",
     "no_correct_process_decides",
     "value_persists",

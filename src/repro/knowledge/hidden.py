@@ -10,21 +10,16 @@ capacity* ``HC<i, m>`` (Definition 2): the maximum ``c`` such that every layer
 :class:`repro.model.view.View` already computes the per-layer hidden sets and
 the capacity itself; this module adds the *structural* notions built on top of
 them that the protocols, the Lemma 2 run surgery and the topological analysis
-need:
-
-* explicit hidden paths (sequences of process ids, one per layer);
-* disjoint systems of hidden paths witnessing a capacity of ``c`` — the
-  object Lemma 2 turns into an adversary in which ``c`` arbitrary values are
-  each carried by its own crash chain;
-* hidden-capacity profiles over time for whole runs.
+need: disjoint systems of hidden paths witnessing a capacity of ``c`` — the
+object Lemma 2 turns into an adversary in which ``c`` arbitrary values are
+each carried by its own crash chain (a single hidden path is the ``c = 1``
+case) — and the seen / crashed / hidden partition of a layer.
 
 Everything here operates on the *view read API* — the :class:`ViewLike`
 protocol below — not on the concrete :class:`repro.model.view.View` class,
 so the same helpers serve the reference engine's ``View`` objects and the
 batch engine's :class:`repro.engine.ArrayView` slices (as materialised by
-:class:`repro.engine.LayerViews`) interchangeably.  Likewise the run-profile helpers only need the
-``has_view`` / ``view`` lookup surface, which both ``Run`` and
-``LayerViews`` provide.
+:class:`repro.engine.LayerViews`) interchangeably.
 """
 
 from __future__ import annotations
@@ -57,31 +52,9 @@ class ViewLike(Protocol):
     def is_guaranteed_crashed(self, node: ProcessTimeNode) -> bool: ...
 
 
-class RunViewsLike(Protocol):
-    """The view-lookup surface of a run — ``Run`` or ``LayerViews``."""
-
-    def has_view(self, process: ProcessId, time: Time) -> bool: ...
-
-    def view(self, process: ProcessId, time: Time) -> ViewLike: ...
-
-
-def hidden_nodes_by_layer(view: ViewLike) -> List[Tuple[ProcessId, ...]]:
-    """The hidden processes of every layer ``0 .. m`` w.r.t. the view's node.
-
-    Returns a list indexed by layer; entry ``ℓ`` is the (sorted) tuple of
-    processes ``j`` such that ``<j, ℓ>`` is hidden from the observer.
-    """
-    return [tuple(sorted(view.hidden_processes_at(layer))) for layer in range(view.time + 1)]
-
-
 def hidden_capacity(view: ViewLike) -> int:
     """``HC<i, m>`` — re-exported for symmetry with the paper's notation."""
     return view.hidden_capacity()
-
-
-def has_hidden_path(view: ViewLike) -> bool:
-    """Whether a hidden path w.r.t. the observer exists (``HC >= 1``)."""
-    return view.hidden_capacity() >= 1
 
 
 def witness_matrix(view: ViewLike, capacity: Optional[int] = None) -> List[Tuple[ProcessId, ...]]:
@@ -156,48 +129,6 @@ def disjoint_hidden_chains(view: ViewLike, capacity: Optional[int] = None) -> Li
         for b in range(c):
             chains[b].append(assignment[b])
     return chains
-
-
-def hidden_path(view: ViewLike) -> Optional[List[ProcessId]]:
-    """A single hidden path w.r.t. the observer, or ``None`` if none exists.
-
-    This is the ``k = 1`` specialisation used by the Opt0 analysis (Section 3,
-    Fig. 1): a sequence of processes, one per layer ``0 .. m``, whose layer
-    nodes are all hidden from ``<i, m>``.
-    """
-    if view.hidden_capacity() < 1:
-        return None
-    return disjoint_hidden_chains(view, 1)[0]
-
-
-def capacity_profile(run: RunViewsLike, process: ProcessId) -> List[int]:
-    """The hidden capacity of ``process`` at every time it is active in ``run``.
-
-    Remark 1 of the paper notes that the hidden capacity of a process is
-    weakly decreasing over time; the property tests assert this on the
-    profiles returned here.
-    """
-    profile: List[int] = []
-    time = 0
-    while run.has_view(process, time):
-        profile.append(run.view(process, time).hidden_capacity())
-        time += 1
-    return profile
-
-
-def first_time_capacity_below(run: RunViewsLike, process: ProcessId, k: int) -> Optional[Time]:
-    """The first time at which ``process``'s hidden capacity drops below ``k``.
-
-    Returns ``None`` if that never happens within the simulated horizon (in
-    particular for processes that crash while still maintaining capacity
-    ``>= k``).
-    """
-    time = 0
-    while run.has_view(process, time):
-        if run.view(process, time).hidden_capacity() < k:
-            return time
-        time += 1
-    return None
 
 
 def classify_layer(view: ViewLike, layer: Time) -> Dict[str, Tuple[ProcessId, ...]]:

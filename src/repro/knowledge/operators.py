@@ -102,13 +102,16 @@ class System:
     *read API*, not the concrete ``View`` class — so queries may come from
     either engine's views (a batch :class:`repro.engine.ArrayView` of the same
     local state produces the identical key).
+
+    ``class_keyed`` is ``True`` for an orbit-quotient system, whose index is
+    keyed by canonical view-key class instead of by view key.
     """
 
     def __init__(self, runs: Sequence[Run]) -> None:
         if not runs:
             raise ValueError("a system must contain at least one run")
         self._runs: Tuple[Run, ...] = tuple(runs)
-        self._symmetry = "none"
+        self.class_keyed = False
         self._orbit_weights: Optional[Tuple[int, ...]] = None
         # Index: canonical view key (which embeds process and time) -> list of
         # run indices whose owner has that local state at that point.
@@ -176,7 +179,7 @@ class System:
         cache = RunCache()
         system = cls._from_index(tuple(FamilyRun(run, cache) for run in swept), index)
         if orbits:
-            system._quotient_index(tuple(weight for _i, _a, weight in items), "constructive")
+            system._quotient_index(tuple(weight for _i, _a, weight in items))
         return system
 
     @classmethod
@@ -185,19 +188,18 @@ class System:
         system = cls.__new__(cls)
         system._runs = runs
         system._index = index
-        system._symmetry = "none"
+        system.class_keyed = False
         system._orbit_weights = None
         return system
 
-    def _quotient_index(self, weights: Tuple[int, ...], symmetry: str) -> None:
+    def _quotient_index(self, weights: Tuple[int, ...]) -> None:
         """Re-key the Definition 4 index by canonical view-key classes.
 
         Points whose local states differ only by a process renaming fall into
         one class, which is what makes quotient knowledge of
-        renaming-invariant facts agree with the full system's.  ``symmetry``
-        records which front produced the representatives (``"constructive"``,
-        or the hash-dedup ``"quotient"`` of the :mod:`repro.oracles`
-        fixture); the index transform is identical.
+        renaming-invariant facts agree with the full system's, whichever
+        front (constructive, or the hash-dedup :mod:`repro.oracles` fixture)
+        produced the representatives.
         """
         from ..symmetry import canonical_view_key
 
@@ -207,13 +209,8 @@ class System:
         for indices in merged.values():
             indices.sort()
         self._index = merged
-        self._symmetry = symmetry
+        self.class_keyed = True
         self._orbit_weights = weights
-
-    @property
-    def symmetry(self) -> str:
-        """``"none"`` for a full system, ``"quotient"``/``"constructive"`` for an orbit-quotiented one."""
-        return self._symmetry
 
     @property
     def orbit_weights(self) -> Optional[Tuple[int, ...]]:
@@ -236,7 +233,7 @@ class System:
         system realises the state.
         """
         key = view_key(view)
-        if self._symmetry in ("quotient", "constructive"):
+        if self.class_keyed:
             from ..symmetry import canonical_view_key
 
             key = canonical_view_key(key)

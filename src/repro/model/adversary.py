@@ -14,7 +14,7 @@ definitions (Definitions 1 and 6) quantify over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .failure_pattern import FailurePattern
 from .types import (
@@ -118,10 +118,6 @@ class Adversary:
         """A copy of this adversary with a different input vector."""
         return Adversary(values, self._pattern)
 
-    def with_pattern(self, pattern: FailurePattern) -> "Adversary":
-        """A copy of this adversary with a different failure pattern."""
-        return Adversary(self._values, pattern)
-
     @staticmethod
     def failure_free(values: Sequence[Value]) -> "Adversary":
         """The failure-free adversary with the given input vector."""
@@ -171,30 +167,7 @@ class Context:
                 f"adversary uses values {sorted(set(bad))} outside the domain 0..{self.max_value}"
             )
 
-    def admits(self, adversary: Adversary) -> bool:
-        """Whether ``adversary`` belongs to this context."""
-        try:
-            self.validate(adversary)
-        except ValueError:
-            return False
-        return True
-
-    def worst_case_nonuniform_bound(self, f: int | None = None) -> int:
-        """The nonuniform decision-time bound ``⌊f/k⌋ + 1`` (Proposition 1)."""
-        f = self.t if f is None else f
-        return f // self.k + 1
-
-    def worst_case_uniform_bound(self, f: int | None = None) -> int:
-        """The uniform decision-time bound ``min(⌊t/k⌋+1, ⌊f/k⌋+2)`` (Theorem 3)."""
-        f = self.t if f is None else f
-        return min(self.t // self.k + 1, f // self.k + 2)
-
     def horizon(self) -> int:
         """A safe simulation horizon: no protocol in this library decides later."""
         return max(self.t + 2, self.t // self.k + 2, 2)
 
-
-def check_adversaries(context: Context, adversaries: Iterable[Adversary]) -> None:
-    """Validate a whole collection of adversaries against a context."""
-    for adversary in adversaries:
-        context.validate(adversary)

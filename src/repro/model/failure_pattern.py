@@ -26,7 +26,7 @@ library needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .types import ProcessId, Round, Time, validate_crash_bound, validate_system_size
 
@@ -177,14 +177,6 @@ class FailurePattern:
         """All processes active at ``time``."""
         return frozenset(p for p in range(self._n) if self.is_active(p, time))
 
-    def failures_by(self, time: Time) -> int:
-        """Number of processes whose crash round is ``<= time``."""
-        return sum(1 for e in self._crashes.values() if e.round <= time)
-
-    def crashes_in_round(self, round_: Round) -> FrozenSet[ProcessId]:
-        """The processes whose crashing round is exactly ``round_``."""
-        return frozenset(p for p, e in self._crashes.items() if e.round == round_)
-
     def max_crash_round(self) -> Round:
         """The latest crashing round (0 if the pattern is failure-free)."""
         return max((e.round for e in self._crashes.values()), default=0)
@@ -220,21 +212,6 @@ class FailurePattern:
             if sender != receiver and self.delivered(sender, receiver, round_)
         )
 
-    def receivers_of(self, sender: ProcessId, round_: Round) -> FrozenSet[ProcessId]:
-        """All processes ``j != sender`` that receive ``sender``'s round-``round_`` message."""
-        return frozenset(
-            receiver
-            for receiver in range(self._n)
-            if receiver != sender and self.delivered(sender, receiver, round_)
-        )
-
-    def edges(self, round_: Round) -> Iterator[Tuple[ProcessId, ProcessId]]:
-        """Iterate over all delivered ``(sender, receiver)`` pairs of ``round_`` (excluding self-edges)."""
-        for sender in range(self._n):
-            for receiver in range(self._n):
-                if sender != receiver and self.delivered(sender, receiver, round_):
-                    yield sender, receiver
-
     # ------------------------------------------------------------ validation
     def check_crash_bound(self, t: int) -> None:
         """Raise if this pattern has more than ``t`` failures (membership in ``Crash(t)``)."""
@@ -249,22 +226,3 @@ class FailurePattern:
     def failure_free(n: int) -> "FailurePattern":
         """The failure-free pattern on ``n`` processes."""
         return FailurePattern(n, ())
-
-    @staticmethod
-    def from_crash_rounds(
-        n: int,
-        crash_rounds: Mapping[ProcessId, Round],
-        receivers: Mapping[ProcessId, Sequence[ProcessId]] | None = None,
-    ) -> "FailurePattern":
-        """Build a pattern from crash rounds and optional crash-round receiver sets.
-
-        Processes absent from ``crash_rounds`` are correct.  Processes absent
-        from ``receivers`` deliver their crashing-round message to nobody
-        (the harshest variant).
-        """
-        receivers = receivers or {}
-        events = [
-            CrashEvent(p, r, frozenset(receivers.get(p, ())))
-            for p, r in crash_rounds.items()
-        ]
-        return FailurePattern(n, events)

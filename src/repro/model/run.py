@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -31,7 +30,7 @@ from typing import (
 )
 
 from .adversary import Adversary
-from .types import Decision, ProcessId, ProcessTimeNode, Time, Value
+from .types import Decision, ProcessId, Time, Value
 from .view import NEVER_SEEN, NO_EVIDENCE, View
 
 
@@ -305,10 +304,6 @@ class Run:
         ]
         return max(times) if times else None
 
-    def all_correct_decided(self) -> bool:
-        """Whether every correct process decided within the horizon."""
-        return all(p in self._decisions for p in self.correct_processes())
-
     # ------------------------------------------------------- derived queries
     def count_previous_layer_knowers(self, process: ProcessId, time: Time, value: Value) -> int:
         """Count seen nodes ``<j, time-1>`` that have seen ``value`` (Definition 3)."""
@@ -325,15 +320,6 @@ class Run:
     def hidden_capacity(self, process: ProcessId, time: Time) -> int:
         """``HC<process, time>`` in this run (convenience wrapper over the view)."""
         return self._views[(process, time)].hidden_capacity()
-
-    def node_status(self, observer: ProcessTimeNode, target: ProcessTimeNode) -> str:
-        """Classify ``target`` w.r.t. ``observer`` as ``"seen"``, ``"crashed"`` or ``"hidden"``."""
-        view = self._views[(observer.process, observer.time)]
-        if view.is_seen(target):
-            return "seen"
-        if view.is_guaranteed_crashed(target):
-            return "crashed"
-        return "hidden"
 
     # -------------------------------------------------------------- simulation
     def _simulate(self) -> None:
@@ -418,16 +404,3 @@ def execute(protocol, adversary: Adversary, t: int, horizon: Optional[int] = Non
     """Convenience wrapper: simulate ``protocol`` against ``adversary`` and return the run."""
     return Run(protocol, adversary, t, horizon)
 
-
-def execute_many(
-    protocol, adversaries: Iterable[Adversary], t: int, horizon: Optional[int] = None
-) -> List[Run]:
-    """Simulate ``protocol`` against every adversary in ``adversaries``.
-
-    ``horizon`` is forwarded to every :class:`Run` (it used to be silently
-    dropped, so bare full-information sweeps could not extend past the
-    default ``t + 2`` rounds).  For large families swept under a protocol,
-    prefer :class:`repro.engine.SweepRunner`, which shares work across
-    adversaries; bare ``protocol=None`` runs (views, no decisions) stay here.
-    """
-    return [Run(protocol, adversary, t, horizon) for adversary in adversaries]

@@ -58,16 +58,6 @@ class ProcessTimeNode:
         if self.time < 0:
             raise ValueError(f"time must be non-negative, got {self.time}")
 
-    def predecessor(self) -> "ProcessTimeNode":
-        """Return ``<i, m-1>``, the same process one time step earlier."""
-        if self.time == 0:
-            raise ValueError(f"node {self} at time 0 has no predecessor")
-        return ProcessTimeNode(self.process, self.time - 1)
-
-    def successor(self) -> "ProcessTimeNode":
-        """Return ``<i, m+1>``, the same process one time step later."""
-        return ProcessTimeNode(self.process, self.time + 1)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.process},{self.time}>"
 

@@ -35,7 +35,7 @@ the *knows-persist* predicate (Definition 3).
 from __future__ import annotations
 
 import math
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .types import ProcessId, ProcessTimeNode, Time, Value
 
@@ -176,10 +176,6 @@ class View:
         """Whether the observer has proof that ``node.process`` crashed before ``node.time``."""
         return self._earliest_evidence[node.process] <= node.time
 
-    def is_hidden(self, node: ProcessTimeNode) -> bool:
-        """Whether ``node`` is hidden from the observer (neither seen nor guaranteed crashed)."""
-        return not self.is_seen(node) and not self.is_guaranteed_crashed(node)
-
     def hidden_processes_at(self, layer: Time) -> FrozenSet[ProcessId]:
         """The processes ``j`` whose node ``<j, layer>`` is hidden from the observer."""
         if layer < 0:
@@ -197,10 +193,6 @@ class View:
     def hidden_profile(self) -> Tuple[int, ...]:
         """The vector ``(#hidden at layer 0, .., #hidden at layer m)``."""
         return tuple(self.hidden_count_at(layer) for layer in range(self._time + 1))
-
-    def seen_processes_at(self, layer: Time) -> FrozenSet[ProcessId]:
-        """The processes whose node at ``layer`` is seen by the observer."""
-        return frozenset(j for j in range(self._n) if self._latest_seen[j] >= layer)
 
     def known_crashed_processes(self) -> FrozenSet[ProcessId]:
         """Processes the observer knows to have crashed (it holds some crash evidence)."""
@@ -229,10 +221,6 @@ class View:
             return None
         return self._initial_values[process]
 
-    def lows(self, k: int) -> FrozenSet[Value]:
-        """``Lows<i,m>``: the seen values that are low, i.e. ``< k`` (Definition 5)."""
-        return frozenset(v for v in self.values() if v < k)
-
     def min_value(self) -> Value:
         """``Min<i,m>``: the minimal value the observer has seen.
 
@@ -248,10 +236,6 @@ class View:
         """Whether the observer is *low* at this time: ``Min<i,m> < k``."""
         return self.min_value() < k
 
-    def is_high(self, k: int) -> bool:
-        """Whether the observer is *high* at this time (not low)."""
-        return not self.is_low(k)
-
     # ------------------------------------------------------- hidden capacity
     def hidden_capacity(self) -> int:
         """``HC<i,m>``: the hidden capacity of the observer (Definition 2).
@@ -261,45 +245,6 @@ class View:
         layers of the hidden-node count.
         """
         return min(self.hidden_count_at(layer) for layer in range(self._time + 1))
-
-    def hidden_capacity_witnesses(self) -> List[Tuple[ProcessId, ...]]:
-        """Witness processes for the hidden capacity, one tuple per layer.
-
-        Returns, for each layer ``ℓ in 0..m``, a tuple of exactly
-        ``HC<i,m>`` distinct processes whose layer-``ℓ`` nodes are hidden from
-        the observer (Definition 2 calls these nodes the *witnesses*).  The
-        choice is deterministic (smallest process ids first).
-        """
-        capacity = self.hidden_capacity()
-        witnesses: List[Tuple[ProcessId, ...]] = []
-        for layer in range(self._time + 1):
-            hidden = sorted(self.hidden_processes_at(layer))
-            witnesses.append(tuple(hidden[:capacity]))
-        return witnesses
-
-    def has_hidden_path(self) -> bool:
-        """Whether a hidden path w.r.t. the observer exists (hidden capacity >= 1)."""
-        return self.hidden_capacity() >= 1
-
-    # ------------------------------------------------------------ persistence
-    def sees_value_at_previous_layer(self, value: Value) -> int:
-        """How many distinct seen nodes ``<j, m-1>`` have seen ``value``.
-
-        This is the quantity compared against ``t - d`` in the second clause
-        of Definition 3.  It needs the values known to *other* processes at
-        time ``m-1``; since in an fip seeing ``<j, m-1>`` means knowing
-        ``Gα(j, m-1)``, the count can be computed from this view alone: a seen
-        ``<j, m-1>`` has seen ``value`` iff some time-0 node carrying
-        ``value`` lies in ``Gα(j, m-1)``.  The run engine precomputes this via
-        :meth:`repro.model.run.Run.count_previous_layer_knowers` which is the
-        method protocols should call; this method is kept for introspection
-        and testing and requires the full run for exactness, so it is
-        implemented in the run engine.  See ``Run.count_previous_layer_knowers``.
-        """
-        raise NotImplementedError(
-            "use Run.count_previous_layer_knowers(process, time, value); "
-            "the count depends on other processes' views"
-        )
 
     # ------------------------------------------------------------- rendering
     def describe(self) -> str:

@@ -16,10 +16,15 @@ algorithm, plus a census that runs on either.  Orbits have one production
 front, the constructive stream of :func:`repro.adversaries.enumerate_orbits`;
 its hash-dedup twin (:func:`dedup_orbits`,
 :func:`dedup_pattern_and_orbit_counts`), the hash-dedup quotient of an
-arbitrary family (:func:`quotient_family`, :func:`iter_orbit_representatives`)
-and the orbit–stabiliser sizes (:func:`adversary_orbit_size`,
-:func:`automorphism_count`, :func:`view_key_orbit_size`) live here.  A
-production survey's family type picks its stream
+arbitrary family (:func:`quotient_family`, :func:`iter_orbit_representatives`),
+the orbit–stabiliser sizes (:func:`adversary_orbit_size`,
+:func:`automorphism_count`, :func:`view_key_orbit_size`), the per-adversary
+canonical form (:func:`canonical_adversary`) and the direct space count
+(:func:`count_adversaries`) live here.  So do the first-principles view,
+graph reachability over ``<i, m>`` nodes (:func:`seen_nodes`,
+:func:`latest_seen_per_process`), and the homology kernel's cheap
+cross-checks (:func:`euler_characteristic` over the dense face lattice
+:func:`simplices`).  A production survey's family type picks its stream
 (:func:`repro.pipeline.family_stream`); the check, compare and system
 oracles here also take a ``symmetry`` choice (:func:`symmetry_stream`) that
 forces the member-by-member (``"none"``), hash-dedup (``"quotient"``) or
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .adversaries.enumeration import (
@@ -54,18 +60,23 @@ from .knowledge.operators import FamilyRun, System
 from .model.adversary import Adversary, Context
 from .model.failure_pattern import CrashEvent, FailurePattern
 from .model.run import Run
-from .model.types import ProcessId, Time, Value
+from .model.types import ProcessId, ProcessTimeNode, Time, Value
 from .model.view import view_key
 from .pipeline import family_stream, split_family
-from .symmetry import canonical_adversary, renaming_star_signature
+from .symmetry import canonical_pattern, renaming_star_signature
 from .symmetry.canonical import (
+    GROUPS,
+    Permutation,
     PatternCanon,
     _initial_colors,
     _normal_events,
     _refine,
+    _search_canonical,
     _twin_fixing_automorphisms,
     _twin_partition,
+    _twin_sorted,
     _view_key_rows,
+    apply_to_values,
 )
 from .topology.complexes import Simplex, SimplicialComplex, VertexPool
 from .topology.connectivity import (
@@ -233,17 +244,43 @@ def last_decider_compare(
     )
 
 
-def decision_time_table(
-    protocols: Sequence, adversaries: Sequence[Adversary], t: int
-) -> Dict[str, List[Optional[Time]]]:
-    """:func:`repro.verification.decision_time_table` with one ``Run`` per adversary."""
-    return {
-        _name(protocol, repr(protocol)): [
-            Run(protocol, adversary, t).last_decision_time(correct_only=True)
-            for adversary in adversaries
-        ]
-        for protocol in protocols
-    }
+# ----------------------------------------------- views by graph reachability
+def seen_nodes(adversary: Adversary, node: ProcessTimeNode) -> FrozenSet[ProcessTimeNode]:
+    """``Gα(i, m)``: every node with a Lamport message chain to ``node``.
+
+    The from-first-principles view: a breadth-first search backwards over
+    the layered communication graph, whose nodes are the ``<j, ℓ>`` at which
+    ``j`` is still active and whose edges ``<j, ℓ-1> -> <r, ℓ>`` are the
+    self edge and every delivered round-``ℓ`` message.  Raises ``KeyError``
+    for a node of a process that is no longer active.
+    """
+    pattern = adversary.pattern
+    if not pattern.is_active(node.process, node.time):
+        raise KeyError(f"{node} is not a node of the communication graph")
+    seen = {node}
+    frontier = [node]
+    while frontier:
+        receiver = frontier.pop()
+        if receiver.time == 0:
+            continue
+        senders = pattern.senders_to(receiver.process, receiver.time) | {receiver.process}
+        for sender in senders:
+            source = ProcessTimeNode(sender, receiver.time - 1)
+            if source not in seen and pattern.is_active(sender, source.time):
+                seen.add(source)
+                frontier.append(source)
+    return frozenset(seen)
+
+
+def latest_seen_per_process(adversary: Adversary, node: ProcessTimeNode) -> Tuple[int, ...]:
+    """Per process, the latest time whose node ``node`` sees (-1 if none).
+
+    The reachability twin of :attr:`repro.model.view.View.latest_seen`.
+    """
+    latest = [-1] * adversary.n
+    for seen in seen_nodes(adversary, node):
+        latest[seen.process] = max(latest[seen.process], seen.time)
+    return tuple(latest)
 
 
 # ---------------------------------------------------------------- complexes
@@ -394,10 +431,25 @@ def bigint_connectivity_profile(
     return limit
 
 
+def simplices(complex_: SimplicialComplex, dimension: Optional[int] = None) -> FrozenSet[Simplex]:
+    """The dense face lattice: every face of every facet (of one dimension, or all)."""
+    faces = set()
+    for facet in complex_.facets:
+        sizes = range(1, len(facet) + 1) if dimension is None else (dimension + 1,)
+        for size in sizes:
+            faces.update(frozenset(face) for face in itertools.combinations(facet, size))
+    return frozenset(faces)
+
+
+def euler_characteristic(complex_: SimplicialComplex) -> int:
+    """The Euler characteristic (a cheap cross-check for the homology code)."""
+    return sum((-1) ** (len(face) - 1) for face in simplices(complex_))
+
+
 def _dense_simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simplex]]:
     """The seed grouping: the full face lattice, materialised as frozensets."""
     grouped: Dict[int, List[Simplex]] = {}
-    for s in complex_.simplices():
+    for s in simplices(complex_):
         grouped.setdefault(len(s) - 1, []).append(s)
     for dim in grouped:
         grouped[dim].sort(key=lambda s: tuple(sorted(map(repr, s))))
@@ -527,7 +579,8 @@ def system_from_family(
 
     The orbit systems (a space, or ``symmetry="quotient"`` /
     ``"constructive"``) re-key the directly iterated index by canonical
-    view-key class, exactly as the production quotient does.
+    view-key class and set ``class_keyed``, exactly as the production
+    quotient does.
     """
     if symmetry is None:
         orbits, adversaries = split_family(adversaries)
@@ -535,7 +588,7 @@ def system_from_family(
     items = list(symmetry_stream(adversaries, symmetry))
     system = System([Run(protocol, adversary, t, horizon=horizon) for _i, adversary, _w in items])
     if symmetry != "none":
-        system._quotient_index(tuple(weight for _i, _a, weight in items), symmetry)
+        system._quotient_index(tuple(weight for _i, _a, weight in items))
     return system
 
 
@@ -578,6 +631,122 @@ def system_from_family_two_pass(
 
 
 # ------------------------------------------- orbits: hash-dedup and sizes
+def count_adversaries(
+    context: Context,
+    max_crash_round: Optional[int] = None,
+    receiver_policy: str = "canonical",
+    max_failures: Optional[int] = None,
+) -> int:
+    """The size of the restricted adversary space (by direct counting)."""
+    return sum(
+        1 for _ in enumerate_adversaries(context, max_crash_round, receiver_policy, max_failures)
+    )
+
+
+@dataclass(frozen=True)
+class CanonicalAdversary:
+    """The canonical form of an adversary orbit.
+
+    Attributes
+    ----------
+    representative:
+        The canonical orbit representative ``rep = π·α`` (an adversary of the
+        same context; the enumerated spaces are closed under renaming).
+    permutation:
+        The certificate ``π`` with ``rep = π·α``: process ``i`` of the input
+        adversary plays the role of process ``π[i]`` in the representative,
+        so decision times and views lift back through ``π``.
+    key:
+        The hashable canonical encoding — equal for two adversaries iff they
+        lie in the same orbit of the chosen group.
+    """
+
+    representative: Adversary
+    permutation: Permutation
+    key: Tuple
+
+
+def _compose(outer: Permutation, inner: Permutation) -> Permutation:
+    """``outer ∘ inner``: apply ``inner`` first."""
+    return tuple(outer[target] for target in inner)
+
+
+def canonical_adversary(
+    adversary: Adversary,
+    group: str = "process",
+    pattern_cache: Optional[Dict[FailurePattern, PatternCanon]] = None,
+) -> CanonicalAdversary:
+    """Canonical representative + certificate of ``adversary``'s renaming orbit.
+
+    The hash-dedup key of :func:`dedup_orbits` and :func:`quotient_family`,
+    and the reference the constructive generator's representatives equal.
+
+    ``group="process"`` (default) quotients by process renaming only — the
+    symmetry every verdict of the verification layer is constant under.  Its
+    canonical form factors through the failure pattern: the pattern is
+    canonicalised once (:func:`repro.symmetry.canonical_pattern`) and the
+    value vector is then minimised over the pattern's automorphism group —
+    so sweeps that enumerate many input vectors per pattern pay the search
+    once per pattern (``pattern_cache`` holds the per-pattern results across
+    calls).
+
+    ``group="full"`` additionally quotients by value permutations (sound for
+    structural consumers only; see :mod:`repro.symmetry`).
+    """
+    if group not in GROUPS:
+        raise ValueError(f"unknown symmetry group {group!r}; choose 'process' or 'full'")
+    n = adversary.n
+    values = adversary.values
+    if group == "full":
+        events = _normal_events(adversary)
+        colors, in_from, receivers, value_classes = _initial_colors(adversary, group)
+        colors = _refine(n, colors, in_from, receivers, value_classes)
+        encoding, perm = _search_canonical(
+            n, values, events, colors, in_from, receivers, value_classes, group
+        )
+        out_values, out_events = encoding
+        representative = Adversary(
+            out_values,
+            FailurePattern(
+                n,
+                [
+                    CrashEvent(process, round_, frozenset(receivers_))
+                    for round_, process, receivers_ in out_events
+                ],
+            ),
+        )
+        return CanonicalAdversary(representative, perm, encoding)
+
+    pattern = adversary.pattern
+    canon = pattern_cache.get(pattern) if pattern_cache is not None else None
+    if canon is None:
+        canon = canonical_pattern(pattern)
+        if pattern_cache is not None:
+            pattern_cache[pattern] = canon
+    relabelled = apply_to_values(values, canon.permutation)
+    best_values: Optional[Tuple[int, ...]] = None
+    best_perm: Optional[Permutation] = None
+    for automorphism in canon.kernel:
+        candidate, twin_perm = _twin_sorted(
+            apply_to_values(relabelled, automorphism), canon.twin_classes
+        )
+        if best_values is None or candidate < best_values:
+            best_values = candidate
+            best_perm = _compose(twin_perm, automorphism)
+    certificate = _compose(best_perm, canon.permutation)
+    representative = Adversary(
+        best_values,
+        FailurePattern(
+            n,
+            [
+                CrashEvent(process, round_, frozenset(receivers_))
+                for round_, process, receivers_ in canon.events
+            ],
+        ),
+    )
+    return CanonicalAdversary(representative, certificate, (canon.events, best_values))
+
+
 def automorphism_count(adversary: Adversary) -> int:
     """``|Aut(α)|`` under process renaming (the stabiliser of the orbit map).
 

@@ -15,16 +15,13 @@ demand and reproducible by seed*:
 
 A plan is inert unless explicitly passed in (or activated through the
 ``REPRO_FAULTS`` environment variable, whose value is the JSON form of a
-plan), so production runs pay nothing.  :func:`FaultPlan.seeded` derives a
-reproducible checkpoint-fault plan from ``(seed, save count)`` for
-randomized chaos batteries.
+plan), so production runs pay nothing.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -122,30 +119,6 @@ class FaultPlan:
     def job_commit_dropped(self, ordinal: int) -> bool:
         """Whether this queue commit fails non-transiently."""
         return ordinal in self.drop_job_commit
-
-    # ------------------------------------------------------------- factories
-    @classmethod
-    def seeded(
-        cls, seed: int, saves: int, truncations: int = 0, corruptions: int = 0
-    ) -> "FaultPlan":
-        """A reproducible plan: the given number of checkpoint faults, placed by seed.
-
-        Truncations and corruptions land on distinct save ordinals drawn
-        without replacement from ``range(saves)``.  Same seed, same plan —
-        the chaos battery's failures replay exactly.
-        """
-        save_ids = list(range(saves))
-        random.Random(seed).shuffle(save_ids)
-        picks = iter(save_ids)
-        return cls(
-            seed=seed,
-            truncate_checkpoints=tuple(
-                sorted(next(picks) for _ in range(min(truncations, saves)))
-            ),
-            corrupt_checkpoints=tuple(
-                sorted(next(picks) for _ in range(min(corruptions, saves)))
-            ),
-        )
 
     # ---------------------------------------------------------- serialization
     def to_json(self) -> str:

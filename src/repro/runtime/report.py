@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 #: The event kinds the runtime emits (open set — consumers must tolerate new
 #: kinds — but these are the ones the chaos battery and docs enumerate).
@@ -85,9 +85,6 @@ class RunReport:
         for event in self.events:
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
-
-    def of_kind(self, kind: str) -> Tuple[RuntimeEvent, ...]:
-        return tuple(event for event in self.events if event.kind == kind)
 
     def to_dict(self) -> Dict[str, Any]:
         """The machine-readable form (event list + histogram)."""

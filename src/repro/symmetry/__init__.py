@@ -22,8 +22,8 @@ This package provides:
 
 * the group action (:func:`apply_to_adversary`, :func:`apply_to_pattern`,
   :func:`apply_to_view_key`) and certificate permutations;
-* :func:`canonical_adversary` — canonical orbit representative plus the
-  certificate ``π`` with ``rep = π·α``;
+* :func:`canonical_pattern` — the canonical form of a failure pattern and
+  its automorphism structure;
 * :mod:`repro.symmetry.constructive` — canonical augmentation: generate one
   canonical pattern per orbit directly (no dedup set) and enumerate input
   vectors up to the pattern stabiliser, sized in closed form — the one
@@ -36,9 +36,10 @@ This package provides:
   :class:`repro.topology.connectivity.ConnectivityCache`.
 
 The orbit–stabiliser size functions (``adversary_orbit_size``,
-``automorphism_count``, ``view_key_orbit_size``) and the hash-dedup
-quotient of an arbitrary family (``quotient_family``,
-``iter_orbit_representatives``) are test fixtures in :mod:`repro.oracles`.
+``automorphism_count``, ``view_key_orbit_size``), the per-adversary
+canonical form (``canonical_adversary``) and the hash-dedup quotient of an
+arbitrary family (``quotient_family``, ``iter_orbit_representatives``) are
+test fixtures in :mod:`repro.oracles`.
 
 See ``docs/symmetry.md`` for the architecture notes and the soundness
 argument per consumer.
@@ -46,13 +47,11 @@ argument per consumer.
 
 from .canonical import (
     GROUPS,
-    CanonicalAdversary,
     PatternCanon,
     apply_to_adversary,
     apply_to_pattern,
     apply_to_values,
     apply_to_view_key,
-    canonical_adversary,
     canonical_pattern,
     canonical_view_key,
     identity_permutation,
@@ -71,14 +70,12 @@ from .signature import renaming_star_signature, star_signature
 
 __all__ = [
     "GROUPS",
-    "CanonicalAdversary",
     "CanonicalPatternNode",
     "PatternCanon",
     "apply_to_adversary",
     "apply_to_pattern",
     "apply_to_values",
     "apply_to_view_key",
-    "canonical_adversary",
     "canonical_pattern",
     "canonical_view_key",
     "count_canonical_vectors",

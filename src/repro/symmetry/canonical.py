@@ -26,7 +26,9 @@ cell)`` times a backtracked kernel over the (few) structurally-entangled
 processes; :mod:`repro.symmetry.constructive` sizes its generated orbits
 from that factorisation.  The orbit–stabiliser size functions it is pinned
 to (``adversary_orbit_size``, ``automorphism_count``, ``view_key_orbit_size``)
-are test fixtures in :mod:`repro.oracles`, built on the private helpers here.
+and the per-adversary canonical form (``canonical_adversary``, the
+hash-dedup key) are test fixtures in :mod:`repro.oracles`, built on the
+private helpers here.
 """
 
 from __future__ import annotations
@@ -46,11 +48,6 @@ NormalEvent = Tuple[int, int, Tuple[int, ...]]
 
 #: The symmetry groups canonical forms can be computed under.
 GROUPS = ("process", "full")
-
-
-def _validate_group(group: str) -> None:
-    if group not in GROUPS:
-        raise ValueError(f"unknown symmetry group {group!r}; choose 'process' or 'full'")
 
 
 # ------------------------------------------------------------------ the action
@@ -268,34 +265,6 @@ def _encode(
 
 
 @dataclass(frozen=True)
-class CanonicalAdversary:
-    """The canonical form of an adversary orbit.
-
-    Attributes
-    ----------
-    representative:
-        The canonical orbit representative ``rep = π·α`` (an adversary of the
-        same context; the enumerated spaces are closed under renaming).
-    permutation:
-        The certificate ``π`` with ``rep = π·α``: process ``i`` of the input
-        adversary plays the role of process ``π[i]`` in the representative,
-        so decision times and views lift back through ``π``.
-    key:
-        The hashable canonical encoding — equal for two adversaries iff they
-        lie in the same orbit of the chosen group.
-    """
-
-    representative: Adversary
-    permutation: Permutation
-    key: Tuple
-
-
-def _compose(outer: Permutation, inner: Permutation) -> Permutation:
-    """``outer ∘ inner``: apply ``inner`` first."""
-    return tuple(outer[target] for target in inner)
-
-
-@dataclass(frozen=True)
 class PatternCanon:
     """The canonical form of a failure pattern plus its automorphism structure.
 
@@ -479,78 +448,6 @@ def _twin_sorted(
             out[target] = values[source]
             perm[source] = target
     return tuple(out), tuple(perm)
-
-
-def canonical_adversary(
-    adversary: Adversary,
-    group: str = "process",
-    pattern_cache: Optional[Dict[FailurePattern, PatternCanon]] = None,
-) -> CanonicalAdversary:
-    """Canonical representative + certificate of ``adversary``'s renaming orbit.
-
-    ``group="process"`` (default) quotients by process renaming only — the
-    symmetry every verdict of the verification layer is constant under.  Its
-    canonical form factors through the failure pattern: the pattern is
-    canonicalised once (searched over the coloured digraph) and the value
-    vector is then minimised over the pattern's automorphism group in
-    near-linear time — so sweeps that enumerate many input vectors per
-    pattern pay the search once per pattern, not once per adversary
-    (``pattern_cache`` holds the per-pattern results across calls).
-
-    ``group="full"`` additionally quotients by value permutations (sound for
-    structural consumers only; see the module docstring).
-    """
-    _validate_group(group)
-    n = adversary.n
-    values = adversary.values
-    if group == "full":
-        events = _normal_events(adversary)
-        colors, in_from, receivers, value_classes = _initial_colors(adversary, group)
-        colors = _refine(n, colors, in_from, receivers, value_classes)
-        encoding, perm = _search_canonical(
-            n, values, events, colors, in_from, receivers, value_classes, group
-        )
-        out_values, out_events = encoding
-        representative = Adversary(
-            out_values,
-            FailurePattern(
-                n,
-                [
-                    CrashEvent(process, round_, frozenset(receivers_))
-                    for round_, process, receivers_ in out_events
-                ],
-            ),
-        )
-        return CanonicalAdversary(representative, perm, encoding)
-
-    pattern = adversary.pattern
-    canon = pattern_cache.get(pattern) if pattern_cache is not None else None
-    if canon is None:
-        canon = canonical_pattern(pattern)
-        if pattern_cache is not None:
-            pattern_cache[pattern] = canon
-    relabelled = apply_to_values(values, canon.permutation)
-    best_values: Optional[Tuple[int, ...]] = None
-    best_perm: Optional[Permutation] = None
-    for automorphism in canon.kernel:
-        candidate, twin_perm = _twin_sorted(
-            apply_to_values(relabelled, automorphism), canon.twin_classes
-        )
-        if best_values is None or candidate < best_values:
-            best_values = candidate
-            best_perm = _compose(twin_perm, automorphism)
-    certificate = _compose(best_perm, canon.permutation)
-    representative = Adversary(
-        best_values,
-        FailurePattern(
-            n,
-            [
-                CrashEvent(process, round_, frozenset(receivers_))
-                for round_, process, receivers_ in canon.events
-            ],
-        ),
-    )
-    return CanonicalAdversary(representative, certificate, (canon.events, best_values))
 
 
 # ------------------------------------------------------------------ view keys

@@ -28,7 +28,7 @@ number of orbits and the memory to the recursion depth:
    sort), free assignments on the entangled cells, and — only when the
    kernel is non-trivial — a minimality test over the kernel.  This yields
    exactly the canonical vector of each ``(pattern, vector)`` orbit, the
-   same representative :func:`repro.symmetry.canonical_adversary` computes,
+   same representative :func:`repro.oracles.canonical_adversary` computes,
    with the orbit size in closed form from the factored stabiliser.
 
 Why each crash event is identified with its crasher: a process crashes at
@@ -94,13 +94,6 @@ class CanonicalPatternNode:
     def faulty(self) -> frozenset:
         """The crashers of the canonical pattern."""
         return frozenset(process for _round, process, _receivers in self.events)
-
-    def automorphism_order(self) -> int:
-        """``|Aut(pattern)| = ∏ |twin cell|! · |kernel|`` (unique factorisation)."""
-        order = len(self.kernel)
-        for cell in self.twin_classes:
-            order *= math.factorial(len(cell))
-        return order
 
 
 def root_pattern_node(n: int) -> CanonicalPatternNode:
@@ -282,7 +275,7 @@ def iter_canonical_vectors(
     Candidates are the fixed points of the within-twin-class sort (weakly
     increasing per twin cell, free on the entangled positions); a candidate
     is the orbit's canonical vector iff no kernel element twin-sorts below it
-    — the exact minimisation :func:`repro.symmetry.canonical_adversary`
+    — the exact minimisation :func:`repro.oracles.canonical_adversary`
     performs, restricted to the candidates that can win it.  With a trivial
     kernel (the common case) every candidate is emitted with no test at all,
     and its adversary orbit has ``n! / ∏ multiplicity!`` members (the

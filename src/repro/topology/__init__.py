@@ -1,7 +1,16 @@
 """Combinatorial-topology substrate: complexes, subdivisions, Sperner, protocol complexes.
 
 The machinery behind the paper's topological unbeatability proof (Appendix
-B.1) and Proposition 2's connectivity statement.
+B.1) and Proposition 2's connectivity statement: bitset simplicial complexes
+and their stars and joins (:mod:`.complexes`), the star homology kernel and
+its cache (:mod:`.connectivity`), the paper's ``Div σ`` subdivision and
+Sperner colorings of it (:mod:`.subdivision`, :mod:`.sperner`), and the
+protocol complexes of Proposition 2 with their capacity census
+(:mod:`.protocol_complex`).
+
+The known-answer and dense references the homology kernel is pinned to
+(the Euler characteristic, the full face lattice, the big-int and dense
+Betti streams) are test fixtures in :mod:`repro.oracles`.
 """
 
 from .complexes import (
@@ -9,18 +18,12 @@ from .complexes import (
     VertexPool,
     boundary_of_simplex,
     full_simplex,
-    klein_bottle_complex,
-    projective_plane_complex,
-    simplex,
     sphere_complex,
 )
 from .connectivity import (
     ConnectivityCache,
     connectivity_profile,
-    euler_characteristic,
-    is_homologically_q_connected,
     reduced_betti_numbers,
-    simplices_by_dimension,
 )
 from .protocol_complex import (
     CapacityCensus,
@@ -34,7 +37,6 @@ from .protocol_complex import (
 )
 from .sperner import (
     census,
-    coloring_from_decisions,
     first_vertex_coloring,
     fully_colored_simplices,
     is_sperner_coloring,
@@ -43,8 +45,6 @@ from .sperner import (
 )
 from .subdivision import (
     SubdividedSimplex,
-    barycentric_subdivision,
-    count_top_simplices,
     paper_subdivision,
 )
 
@@ -55,30 +55,21 @@ __all__ = [
     "SimplicialComplex",
     "SubdividedSimplex",
     "VertexPool",
-    "barycentric_subdivision",
     "boundary_of_simplex",
     "build_protocol_complex",
     "build_restricted_complex",
     "capacity_connectivity_census",
     "census_classes",
     "census",
-    "coloring_from_decisions",
     "connectivity_profile",
-    "count_top_simplices",
-    "euler_characteristic",
     "first_vertex_coloring",
     "full_simplex",
     "fully_colored_simplices",
-    "is_homologically_q_connected",
     "is_sperner_coloring",
-    "klein_bottle_complex",
     "paper_subdivision",
     "per_round_crash_patterns",
-    "projective_plane_complex",
     "random_sperner_coloring",
     "reduced_betti_numbers",
-    "simplex",
-    "simplices_by_dimension",
     "sperner_lemma_holds",
     "vertex_capacity",
     "sphere_complex",

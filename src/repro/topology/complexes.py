@@ -15,32 +15,24 @@ Lemma 1 and Proposition 2 reason about:
 Vertices may be arbitrary hashable objects — protocol-complex vertices are
 ``(process, view key)`` pairs — but internally every vertex is *interned*
 into a :class:`VertexPool` (vertex → small consecutive integer) and every
-simplex is a Python-int **bitset** over those ids.  Containment, star/link
-extraction, induced subcomplexes, skeleta and joins are then single-word-ish
-mask operations, and the maximality filter applied at construction only
-compares a candidate against already-accepted, larger facets that share one
+simplex is a Python-int **bitset** over those ids.  Containment, star
+extraction, joins and boundaries are then single-word-ish mask operations,
+and the maximality filter applied at construction only compares a candidate against already-accepted, larger facets that share one
 of its vertices (near-linear in practice, instead of the quadratic all-pairs
 scan of the dense set-of-frozensets representation this replaces).
 
-Pools are shared downward: a star, link, induced subcomplex or skeleton
-reuses its parent's pool, so a survey that extracts thousands of stars from
-one protocol complex interns each ``(process, view)`` vertex exactly once.
+Pools are shared downward: a star or join reuses its parent's pool, so a
+survey that extracts thousands of stars from one protocol complex interns each ``(process, view)`` vertex exactly once.
 The public API is unchanged — ``facets`` / ``vertices`` still materialise
 frozensets of the original vertex objects (lazily, on first access).
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 Vertex = Hashable
 Simplex = FrozenSet[Vertex]
-
-
-def simplex(*vertices: Vertex) -> Simplex:
-    """Convenience constructor for a simplex from its vertices."""
-    return frozenset(vertices)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -55,8 +47,8 @@ class VertexPool:
     """Interns vertices to consecutive small integer ids.
 
     One pool is shared by a complex and everything derived from it (stars,
-    links, induced subcomplexes, skeleta, joins), so a vertex is hashed into
-    the pool once however many subcomplexes mention it.  Ids are assigned in
+    joins, boundaries), so a vertex is hashed into the pool once however
+    many subcomplexes mention it.  Ids are assigned in
     interning order and never reused, which also gives the connectivity
     kernel a canonical, ``repr``-free ordering of simplexes (two distinct
     vertices always have distinct ids, however their ``repr`` collides).
@@ -221,7 +213,7 @@ class SimplicialComplex:
 
     def _star_index(self) -> Dict[int, List[int]]:
         """vertex id -> facet masks containing it; built lazily on the first
-        star/link/contains (the hot operations of the Proposition 2 surveys)
+        star/contains (the hot operations of the Proposition 2 surveys)
         and shared by all subsequent extractions."""
         index = self._star_bits
         if index is None:
@@ -281,39 +273,6 @@ class SimplicialComplex:
     def dimension(self) -> int:
         """``dim K``: the maximal dimension of any simplex (-1 for the empty complex)."""
         return max((mask.bit_count() - 1 for mask in self._facet_bits), default=-1)
-
-    def is_pure(self) -> bool:
-        """Whether all facets have the same dimension."""
-        dims = {mask.bit_count() for mask in self._facet_bits}
-        return len(dims) <= 1
-
-    def simplices(self, dimension: Optional[int] = None) -> Set[Simplex]:
-        """All simplexes (of the given dimension, or of every dimension)."""
-        unmask = self._pool.unmask
-        return {unmask(mask) for mask in self.simplex_masks(dimension)}
-
-    def simplex_masks(self, dimension: Optional[int] = None) -> Set[int]:
-        """All simplex bitsets (of the given dimension, or every dimension).
-
-        The kernel form of :meth:`simplices`: faces are enumerated as bit
-        combinations of the facet masks and deduplicated across facets as
-        plain integers.  The connectivity module builds its chain groups this
-        way, one dimension at a time.
-        """
-        out: Set[int] = set()
-        for mask in self._facet_bits:
-            bits = [1 << vid for vid in iter_bits(mask)]
-            if dimension is None:
-                sizes: Iterable[int] = range(1, len(bits) + 1)
-            else:
-                size = dimension + 1
-                if size < 1 or size > len(bits):
-                    continue
-                sizes = (size,)
-            for size in sizes:
-                for combo in itertools.combinations(bits, size):
-                    out.add(sum(combo))
-        return out
 
     def contains(self, candidate: Iterable[Vertex]) -> bool:
         """Whether the given vertex set is a simplex of the complex."""
@@ -375,50 +334,6 @@ class SimplicialComplex:
         masks = self._facets_with_bit(vid) if vid is not None else ()
         return SimplicialComplex.from_masks(self._pool, masks, maximal=True)
 
-    def link(self, vertex: Vertex) -> "SimplicialComplex":
-        """``Lk(v, K)``: faces of star simplexes that do not contain ``v``.
-
-        If ``F1 - {v} ⊆ F2 - {v}`` for star facets ``F1, F2 ∋ v`` then
-        ``F1 ⊆ F2``, so stripping ``v``'s bit preserves pairwise
-        incomparability and the fast path applies here too.
-        """
-        vid = self._pool.id_of(vertex)
-        if vid is None:
-            return SimplicialComplex.from_masks(self._pool, (), maximal=True)
-        strip = ~(1 << vid)
-        return SimplicialComplex.from_masks(
-            self._pool,
-            (mask & strip for mask in self._facets_with_bit(vid)),
-            maximal=True,
-        )
-
-    def induced(self, vertices: Iterable[Vertex]) -> "SimplicialComplex":
-        """The full subcomplex induced by a vertex subset."""
-        keep = 0
-        id_of = self._pool.id_of
-        for vertex in vertices:
-            vid = id_of(vertex)
-            if vid is not None:
-                keep |= 1 << vid
-        return SimplicialComplex.from_masks(
-            self._pool, (mask & keep for mask in self._facet_bits)
-        )
-
-    def skeleton(self, dimension: int) -> "SimplicialComplex":
-        """The ``dimension``-skeleton: all simplexes of dimension at most ``dimension``."""
-        if dimension < 0:
-            return SimplicialComplex(pool=self._pool)
-        size = dimension + 1
-        out: Set[int] = set()
-        for mask in self._facet_bits:
-            if mask.bit_count() <= size:
-                out.add(mask)
-            else:
-                bits = [1 << vid for vid in iter_bits(mask)]
-                for combo in itertools.combinations(bits, size):
-                    out.add(sum(combo))
-        return SimplicialComplex.from_masks(self._pool, out)
-
     def join(self, other: "SimplicialComplex") -> "SimplicialComplex":
         """``K * L``: the join of two vertex-disjoint complexes."""
         if self.is_empty():
@@ -457,14 +372,6 @@ class SimplicialComplex:
                     out.add(face)
         return SimplicialComplex.from_masks(self._pool, out)
 
-    def facet_count_by_dimension(self) -> Dict[int, int]:
-        """Histogram of facet dimensions (useful for diagnostics)."""
-        histogram: Dict[int, int] = {}
-        for mask in self._facet_bits:
-            dim = mask.bit_count() - 1
-            histogram[dim] = histogram.get(dim, 0) + 1
-        return histogram
-
 
 def full_simplex(vertices: Iterable[Vertex], pool: Optional[VertexPool] = None) -> SimplicialComplex:
     """The full simplex on the given vertices (all subsets are simplexes)."""
@@ -484,40 +391,3 @@ def sphere_complex(dimension: int) -> SimplicialComplex:
     """
     return boundary_of_simplex(range(dimension + 2))
 
-
-def projective_plane_complex() -> SimplicialComplex:
-    """The minimal 6-vertex triangulation of the real projective plane RP².
-
-    The antipodal quotient of the icosahedron boundary: 6 vertices, 15 edges
-    (the complete graph K₆), 10 triangles, every edge in exactly two
-    triangles, χ = 1.  Its GF(2) reduced Betti numbers are ``[0, 1, 1]`` —
-    over the rationals ``b̃₁ = b̃₂ = 0``, so this is the canonical space that
-    catches a homology kernel silently computing over the wrong field.
-    """
-    return SimplicialComplex(
-        [
-            (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
-            (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
-        ]
-    )
-
-
-def klein_bottle_complex() -> SimplicialComplex:
-    """A 16-vertex triangulation of the Klein bottle.
-
-    A 4×4 triangulated grid glued as a torus in one direction and with a
-    flip in the other: 16 vertices, 48 edges, 32 triangles, χ = 0.  GF(2)
-    reduced Betti numbers ``[0, 2, 1]`` (integrally ``H₁ = Z ⊕ Z/2``, so the
-    2-torsion doubles ``b̃₁`` and creates ``b̃₂ = 1`` over GF(2)) — the
-    second standard field-sensitivity probe next to RP².
-    """
-    return SimplicialComplex(
-        [
-            (0, 1, 5), (0, 1, 15), (0, 3, 4), (0, 3, 12), (0, 4, 5), (0, 12, 15),
-            (1, 2, 6), (1, 2, 14), (1, 5, 6), (1, 14, 15), (2, 3, 7), (2, 3, 13),
-            (2, 6, 7), (2, 13, 14), (3, 4, 7), (3, 12, 13), (4, 5, 9), (4, 7, 8),
-            (4, 8, 9), (5, 6, 10), (5, 9, 10), (6, 7, 11), (6, 10, 11), (7, 8, 11),
-            (8, 9, 13), (8, 11, 12), (8, 12, 13), (9, 10, 14), (9, 13, 14),
-            (10, 11, 15), (10, 14, 15), (11, 12, 15),
-        ]
-    )

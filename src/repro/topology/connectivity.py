@@ -68,7 +68,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .complexes import SimplicialComplex, Simplex, iter_bits
+from .complexes import SimplicialComplex, iter_bits
 
 
 def rank_of_int_rows(rows: Iterable[int]) -> int:
@@ -268,25 +268,6 @@ def _betti_stream(complex_: SimplicialComplex, top: int) -> Iterator[int]:
         rank_down = rank_up
 
 
-def simplices_by_dimension(complex_: SimplicialComplex) -> Dict[int, List[Simplex]]:
-    """All simplexes of the complex grouped (and deterministically ordered) by dimension.
-
-    The order within a dimension is by the simplex's bitset over interned
-    vertex ids — canonical even when distinct vertices share a ``repr``
-    (which used to collapse the former ``repr``-keyed sort ordering).
-    """
-    grouped: Dict[int, List[Simplex]] = {}
-    facet_masks, vertices = _local_facets(complex_)
-    for dim in range(complex_.dimension + 1):
-        masks = _masks_at_dimension(facet_masks, dim)
-        if masks:
-            grouped[dim] = [
-                frozenset(vertices[position] for position in iter_bits(mask))
-                for mask in masks
-            ]
-    return grouped
-
-
 def reduced_betti_numbers(
     complex_: SimplicialComplex,
     max_dimension: int | None = None,
@@ -303,21 +284,6 @@ def reduced_betti_numbers(
     if top < 0:
         return []
     return list(_betti_stream(complex_, top))
-
-
-def is_homologically_q_connected(complex_: SimplicialComplex, q: int) -> bool:
-    """The homological proxy for ``q``-connectivity.
-
-    ``True`` iff the complex is non-empty and its reduced GF(2) homology
-    vanishes in every dimension ``0 .. q``.  For ``q = -1`` this is just
-    non-emptiness (the usual convention); for ``q = 0`` it coincides with
-    path-connectedness.
-    """
-    if complex_.is_empty():
-        return False
-    if q < 0:
-        return True
-    return connectivity_profile(complex_, max_q=q) >= q
 
 
 def connectivity_profile(complex_: SimplicialComplex, max_q: int | None = None) -> int:
@@ -438,11 +404,3 @@ class ConnectivityCache:
         self._profiles[key] = level
         return level
 
-
-def euler_characteristic(complex_: SimplicialComplex) -> int:
-    """The Euler characteristic (a cheap cross-check for the homology code)."""
-    facet_masks, _ = _local_facets(complex_)
-    return sum(
-        ((-1) ** dim) * len(_masks_at_dimension(facet_masks, dim))
-        for dim in range(complex_.dimension + 1)
-    )

@@ -21,7 +21,7 @@ used by the FIG3/SPERNER benchmarks and the topology tests.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Mapping
+from typing import Dict, Hashable, List, Mapping
 
 from .complexes import Simplex
 from .subdivision import SubdividedSimplex, SubdivisionVertex
@@ -83,22 +83,6 @@ def random_sperner_coloring(
     return {
         v: rng.choice(sorted(subdivision.carrier(v))) for v in subdivision.vertices()
     }
-
-
-def coloring_from_decisions(
-    subdivision: SubdividedSimplex,
-    decision_of: Callable[[SubdivisionVertex], Hashable],
-) -> Dict[SubdivisionVertex, Hashable]:
-    """Build a coloring by asking a decision oracle for every subdivision vertex.
-
-    ``decision_of`` maps a subdivision vertex (interpreted, as in the paper's
-    proof, as "the local state of the process that heard from exactly the
-    crashers in this set") to the value that process decides.  The resulting
-    coloring is returned as-is; callers should check
-    :func:`is_sperner_coloring` — in the paper's argument this is exactly the
-    step where Validity of the protocol enters.
-    """
-    return {v: decision_of(v) for v in subdivision.vertices()}
 
 
 def census(subdivision: SubdividedSimplex, coloring: Coloring) -> Dict[str, int]:

@@ -1,15 +1,15 @@
-"""Subdivisions of a simplex: barycentric and the paper's ``Div σ`` variant.
+"""Subdivisions of a simplex: the paper's ``Div σ``.
 
 Appendix B.1.1 defines subdivisions combinatorially.  The barycentric
 subdivision ``Bary σ`` introduces one new vertex per face and cones it over
-the subdivided boundary of that face; its simplexes correspond to chains of
-faces ordered by inclusion.  The paper's topological proof of Lemma 1 uses a
-*variant* ``Div σ`` (Fig. 5) that only subdivides the faces containing the
-distinguished vertex ``k`` (and is the identity elsewhere), so that the
-subdivision's vertices can be mapped to the process states arising when
-subsets of the processes ``i_0 .. i_{k-1}`` crash in the last round.
+the subdivided boundary of that face.  The paper's topological proof of
+Lemma 1 uses a *variant* ``Div σ`` (Fig. 5) that only subdivides the faces
+containing the distinguished vertex ``k`` (and is the identity elsewhere),
+so that the subdivision's vertices can be mapped to the process states
+arising when subsets of the processes ``i_0 .. i_{k-1}`` crash in the last
+round.
 
-Both subdivisions are represented with vertices that are frozensets of
+The subdivision is represented with vertices that are frozensets of
 original vertices: the original vertex ``x`` appears as ``frozenset({x})``
 and the new vertex introduced for a face ``σ'`` appears as ``frozenset(σ')``.
 The *carrier* of a subdivision vertex is therefore simply the face it is a
@@ -20,19 +20,12 @@ by an element of its carrier) immediate to check.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Set, Tuple
 
-from .complexes import SimplicialComplex, Simplex, VertexPool
+from .complexes import SimplicialComplex, Simplex
 
 #: A vertex of a subdivision: the set of original vertices it "averages".
 SubdivisionVertex = FrozenSet[Hashable]
-
-
-def _chains_of_faces(faces: Sequence[FrozenSet], length: int) -> Iterable[Tuple[FrozenSet, ...]]:
-    """All strictly increasing (by inclusion) chains of the given length."""
-    for combo in itertools.permutations(faces, length):
-        if all(combo[i] < combo[i + 1] for i in range(length - 1)):
-            yield combo
 
 
 class SubdividedSimplex:
@@ -79,44 +72,6 @@ class SubdividedSimplex:
         """``len(top_simplices())`` straight off the facet bitsets."""
         size = self.dimension + 1
         return sum(1 for mask in self.complex.facet_masks if mask.bit_count() == size)
-
-    def is_valid_subdivision(self) -> bool:
-        """Structural sanity: pure of the right dimension and carrier-consistent."""
-        if self.complex.dimension != self.dimension:
-            return False
-        if self.top_simplex_count() == 0:
-            return False
-        size = self.dimension + 1
-        for mask in self.complex.facet_masks:
-            if mask.bit_count() != size:
-                return False
-        for vertex in self.complex.vertices:
-            if not vertex <= frozenset(self.base_vertices):
-                return False
-        return True
-
-
-def barycentric_subdivision(base_vertices: Sequence[Hashable]) -> SubdividedSimplex:
-    """The barycentric subdivision ``Bary σ``.
-
-    Vertices are the non-empty faces of ``σ`` (as frozensets) and simplexes
-    are the chains of faces totally ordered by inclusion; the facets are the
-    maximal chains, one per permutation of the original vertices.  The chains
-    are interned straight into one shared :class:`VertexPool` and handed to
-    the kernel as bitsets — maximal chains all have ``n`` vertices and are
-    pairwise distinct, so the maximality filter is skipped outright.
-    """
-    pool = VertexPool()
-    n = len(base_vertices)
-    masks: List[int] = []
-    for order in itertools.permutations(base_vertices):
-        mask = 0
-        for i in range(n):
-            mask |= 1 << pool.intern(frozenset(order[: i + 1]))
-        masks.append(mask)
-    return SubdividedSimplex(
-        base_vertices, SimplicialComplex.from_masks(pool, masks, maximal=True)
-    )
 
 
 def paper_subdivision(k: int) -> SubdividedSimplex:
@@ -179,7 +134,3 @@ def paper_subdivision(k: int) -> SubdividedSimplex:
 
     return SubdividedSimplex(sigma, SimplicialComplex(div[frozenset(sigma)]))
 
-
-def count_top_simplices(subdivision: SubdividedSimplex) -> int:
-    """Number of top-dimensional simplexes of a subdivision."""
-    return len(subdivision.top_simplices())

@@ -7,12 +7,10 @@ from .beatability import (
     demonstrate_unbeatability_mechanism,
     find_agreement_violation,
 )
-from .checker import CheckReport, check_protocol, check_protocols
+from .checker import CheckReport, check_protocol
 from .domination import (
-    DecisionProfile,
     DominationReport,
     compare_protocols,
-    decision_time_table,
     last_decider_compare,
 )
 from .properties import (
@@ -32,7 +30,6 @@ from .properties import (
 __all__ = [
     "BeatabilityWitness",
     "CheckReport",
-    "DecisionProfile",
     "DominationReport",
     "EagerOptMin",
     "Violation",
@@ -42,13 +39,11 @@ __all__ = [
     "check_decision_times",
     "check_nonuniform_run",
     "check_protocol",
-    "check_protocols",
     "check_run_for_protocol",
     "check_uniform_agreement",
     "check_uniform_run",
     "check_validity",
     "compare_protocols",
-    "decision_time_table",
     "demonstrate_unbeatability_mechanism",
     "find_agreement_violation",
     "last_decider_compare",

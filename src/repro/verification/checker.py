@@ -28,10 +28,8 @@ iterable — ``iter(space)``, a list, a sample — is checked member by member.
 
 Every entry point only turns its family into an ``(index, adversary,
 weight)`` stream (:func:`repro.pipeline.family_stream`, lazy and chunked)
-and folds it through :func:`fold_checks` — :func:`check_protocols` through
-one :func:`repro.pipeline.fold_stream` pass that sweeps every protocol on
-each batch; :func:`repro.runtime.resilient_check` is the same pipeline with
-checkpoint, result-store and budget attachments.
+and folds it through :func:`fold_checks`; :func:`repro.runtime.resilient_check`
+is the same pipeline with checkpoint, result-store and budget attachments.
 """
 
 from __future__ import annotations
@@ -180,38 +178,3 @@ def check_protocol(
     fold_checks(report, family_stream(adversaries), SweepRunner(protocol, t), enforce_paper_bound)
     return report
 
-
-def check_protocols(
-    protocols: Iterable,
-    adversaries: Iterable[Adversary],
-    t: int,
-    enforce_paper_bound: bool = True,
-) -> Dict[str, CheckReport]:
-    """Check several protocols over the same adversary family.
-
-    One :func:`repro.pipeline.fold_stream` pass: each batch of the family's
-    stream is generated once and swept by every protocol (orbits do not
-    depend on the protocol under check), so memory stays O(batch).  Each
-    report equals the one :func:`check_protocol` gives.
-    """
-    from ..engine import SweepRunner
-
-    protocols = list(protocols)
-    if not protocols:
-        return {}
-    reports = [CheckReport(protocol=getattr(protocol, "name", "protocol")) for protocol in protocols]
-    runners = [SweepRunner(protocol, t) for protocol in protocols]
-
-    def evaluate(items):
-        family = [adversary for _index, adversary, _weight in items]
-        return zip(*[batch_verdicts(runner.sweep(family), enforce_paper_bound) for runner in runners])
-
-    def fold(item, verdicts):
-        for report, (decision_time, violations) in zip(reports, verdicts):
-            report.record(item[0], decision_time, violations, item[2])
-
-    fold_stream(family_stream(adversaries), evaluate, fold)
-    return {
-        getattr(protocol, "name", repr(protocol)): report
-        for protocol, report in zip(protocols, reports)
-    }

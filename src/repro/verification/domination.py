@@ -35,35 +35,11 @@ per orbit (indexed by the representative's position in the input family).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..model.adversary import Adversary
 from ..model.run import Run
 from ..model.types import ProcessId, Time
-
-
-@dataclass(frozen=True)
-class DecisionProfile:
-    """Decision times of one protocol on one adversary.
-
-    ``times[p]`` is the decision time of process ``p`` or ``None`` if it never
-    decides (processes that crash before deciding are recorded as ``None`` as
-    well — domination only compares processes that decide under the dominated
-    protocol, matching Definition 1).
-    """
-
-    protocol_name: str
-    times: Tuple[Optional[Time], ...]
-    last_correct_decision: Optional[Time]
-
-    @staticmethod
-    def from_run(run: Run) -> "DecisionProfile":
-        times = tuple(run.decision_time(p) for p in range(run.n))
-        return DecisionProfile(
-            protocol_name=getattr(run.protocol, "name", "protocol"),
-            times=times,
-            last_correct_decision=run.last_decision_time(correct_only=True),
-        )
 
 
 @dataclass
@@ -215,22 +191,3 @@ def last_decider_compare(
         candidate, reference, adversaries, t, compare_last_decisions, " [last-decider]"
     )
 
-
-def decision_time_table(
-    protocols: Sequence,
-    adversaries: Sequence[Adversary],
-    t: int,
-) -> Dict[str, List[Optional[Time]]]:
-    """Last-correct-decision times of several protocols on each adversary.
-
-    Returns a mapping ``protocol name -> [time per adversary]``; the DOM
-    benchmark prints this as the paper-style comparison table.
-    """
-    from ..engine import SweepRunner
-
-    return {
-        getattr(protocol, "name", repr(protocol)): SweepRunner(protocol, t).decision_times(
-            adversaries
-        )
-        for protocol in protocols
-    }

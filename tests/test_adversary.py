@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model import Adversary, Context, CrashEvent, FailurePattern, check_adversaries
+from repro.model import Adversary, Context, CrashEvent, FailurePattern
 
 
 class TestAdversary:
@@ -56,13 +56,6 @@ class TestAdversary:
         assert other.values == (1, 1, 1)
         assert other.pattern == adversary.pattern
 
-    def test_with_pattern(self):
-        adversary = Adversary([0, 0, 0], FailurePattern.failure_free(3))
-        new_pattern = FailurePattern(3, [CrashEvent(0, 1)])
-        other = adversary.with_pattern(new_pattern)
-        assert other.pattern == new_pattern
-        assert other.values == adversary.values
-
     def test_equality_and_hash(self):
         a = Adversary([0, 1], FailurePattern.failure_free(2))
         b = Adversary([0, 1], FailurePattern.failure_free(2))
@@ -93,7 +86,6 @@ class TestContext:
         context = Context(n=4, t=2, k=2)
         adversary = Adversary([0, 1, 2, 2], FailurePattern(4, [CrashEvent(0, 1)]))
         context.validate(adversary)
-        assert context.admits(adversary)
 
     def test_validate_rejects_wrong_n(self):
         context = Context(n=4, t=2, k=2)
@@ -103,28 +95,14 @@ class TestContext:
     def test_validate_rejects_too_many_failures(self):
         context = Context(n=4, t=1, k=2)
         pattern = FailurePattern(4, [CrashEvent(0, 1), CrashEvent(1, 1)])
-        assert not context.admits(Adversary([0, 1, 2, 2], pattern))
+        with pytest.raises(ValueError):
+            context.validate(Adversary([0, 1, 2, 2], pattern))
 
     def test_validate_rejects_out_of_domain_values(self):
         context = Context(n=3, t=1, k=1)
-        assert not context.admits(Adversary([0, 5, 1], FailurePattern.failure_free(3)))
-
-    def test_bounds(self):
-        context = Context(n=9, t=6, k=2)
-        assert context.worst_case_nonuniform_bound() == 4
-        assert context.worst_case_nonuniform_bound(f=3) == 2
-        assert context.worst_case_uniform_bound() == 4
-        assert context.worst_case_uniform_bound(f=2) == 3
+        with pytest.raises(ValueError):
+            context.validate(Adversary([0, 5, 1], FailurePattern.failure_free(3)))
 
     def test_horizon_is_at_least_two(self):
         assert Context(n=3, t=0, k=1).horizon() >= 2
 
-    def test_check_adversaries_helper(self):
-        context = Context(n=3, t=1, k=1)
-        adversaries = [Adversary([0, 1, 1], FailurePattern.failure_free(3))]
-        check_adversaries(context, adversaries)
-        with pytest.raises(ValueError):
-            check_adversaries(
-                context,
-                [Adversary([0, 3, 1], FailurePattern.failure_free(3))],
-            )

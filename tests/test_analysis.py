@@ -5,7 +5,6 @@ from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin
 from repro.analysis import (
     ProtocolStatistics,
     collect,
-    decision_time_report,
     format_table,
     render_run,
     speedup_table,
@@ -13,7 +12,6 @@ from repro.analysis import (
 )
 from repro.adversaries import figure4_scenario
 from repro.model import Adversary, FailurePattern, Run
-from repro.verification import decision_time_table
 
 
 class TestProtocolStatistics:
@@ -100,12 +98,6 @@ class TestReporting:
         run = Run(OptMin(1), Adversary([0, 1, 1], FailurePattern.failure_free(3)), t=1)
         text = render_run(run)
         assert "p0" in text and "*0" in text
-
-    def test_decision_time_report(self, small_context, random_adversaries):
-        table = decision_time_table([OptMin(2), FloodMin(2)], random_adversaries[:5], small_context.t)
-        text = decision_time_report(table)
-        assert "Optmin[k]" in text and "FloodMin" in text
-        assert "#4" in text
 
     def test_statistics_report(self, small_context, random_adversaries):
         stats = collect([OptMin(2)], random_adversaries[:10], small_context.t)

@@ -10,9 +10,20 @@ from repro import (
     UniformEarlyDecidingKSet,
     UniformEarlyStoppingConsensus,
 )
-from repro.adversaries import AdversaryGenerator, block_crash_adversary, figure2_scenario
-from repro.model import Adversary, Context, FailurePattern, Run
+from repro.adversaries import AdversaryGenerator, figure2_scenario
+from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.verification import check_nonuniform_run, check_uniform_run
+
+
+def silent_block_crashes(n, k, rounds):
+    """``k`` crashes in each of the first ``rounds`` rounds, each delivering to nobody.
+
+    Processes ``0 .. k*rounds - 1`` crash in round-major order and everyone
+    holds ``k``: every survivor perceives exactly ``k`` new failures per
+    round, the worst case for the failure-counting baselines.
+    """
+    events = [CrashEvent(process, process // k + 1) for process in range(k * rounds)]
+    return Adversary([k] * n, FailurePattern(n, events))
 
 
 class TestFloodMin:
@@ -59,7 +70,7 @@ class TestEarlyDecidingKSet:
     def test_blocked_while_k_new_failures_per_round(self):
         # k silent crashes per round keep the protocol undecided until the
         # crashes stop.
-        adversary = block_crash_adversary(n=10, k=2, rounds=3)
+        adversary = silent_block_crashes(n=10, k=2, rounds=3)
         run = Run(EarlyDecidingKSet(2), adversary, t=6)
         assert run.last_decision_time() == 4
 
@@ -103,7 +114,7 @@ class TestUniformEarlyDecidingKSet:
         assert run.last_decision_time() == 2
 
     def test_deadline_caps_decision_time(self):
-        adversary = block_crash_adversary(n=12, k=2, rounds=4)
+        adversary = silent_block_crashes(n=12, k=2, rounds=4)
         run = Run(UniformEarlyDecidingKSet(2), adversary, t=8)
         assert run.last_decision_time() == 5  # ⌊8/2⌋ + 1
 

@@ -56,7 +56,7 @@ class TestWitnessAdversary:
         witness = beating_attempt_witness(k=3, depth=2)
         run = Run(None, witness.adversary, witness.context.t, horizon=2)
         view = run.view(witness.observer, 2)
-        assert view.is_high(3)
+        assert not view.is_low(3)
         assert view.hidden_capacity() >= 3
 
 

@@ -4,7 +4,7 @@ from repro import FloodMin, OptMin, UPMin, oracles
 from repro.model import Adversary, Context, FailurePattern, Run, RoundContext
 from repro.core.protocol import Protocol
 from repro.adversaries import RestrictedSpace
-from repro.verification import CheckReport, check_protocol, check_protocols
+from repro.verification import CheckReport, check_protocol
 
 
 class AlwaysZero(Protocol):
@@ -57,13 +57,6 @@ class TestCheckProtocol:
         assert batch.decision_time_histogram == reference.decision_time_histogram
         assert batch.runs_checked == reference.runs_checked
         assert batch.ok == reference.ok
-
-    def test_check_protocols_maps_by_name(self, small_context, random_adversaries):
-        reports = check_protocols(
-            [OptMin(2), FloodMin(2)], random_adversaries[:20], small_context.t
-        )
-        assert set(reports) == {"Optmin[k]", "FloodMin"}
-        assert all(r.ok for r in reports.values())
 
 
 class TestExhaustiveContextCheck:

@@ -6,12 +6,20 @@ from repro.adversaries import AdversaryGenerator, figure2_scenario, figure4_scen
 from repro.efficient import (
     CompactMessage,
     CompactSimulation,
-    bits_sent_per_channel,
-    compact_equals_fip,
     compare_compact_to_fip,
     nlogn_bound,
 )
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
+
+
+def compact_equals_fip(adversary, t):
+    """Whether every decision-relevant quantity matched the fip at every node."""
+    comparison = compare_compact_to_fip(adversary, t)
+    return (
+        comparison.values_match
+        and comparison.failures_match
+        and comparison.capacity_mismatches == 0
+    )
 
 
 class TestCompactMessage:
@@ -72,7 +80,7 @@ class TestReconstruction:
 
 class TestBitAccounting:
     def test_bits_are_counted_per_channel(self, single_silent_crash):
-        bits = bits_sent_per_channel(single_silent_crash, t=1)
+        bits = CompactSimulation(single_silent_crash, t=1).bits_sent
         assert bits
         assert all(isinstance(total, int) and total > 0 for total in bits.values())
 

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
+from repro import oracles
 from repro.topology import (
     SimplicialComplex,
     VertexPool,
     boundary_of_simplex,
     full_simplex,
-    simplex,
     sphere_complex,
 )
 from repro.topology.complexes import _maximal_masks
@@ -31,18 +31,12 @@ class TestConstruction:
 
     def test_dimension_and_purity(self):
         assert full_simplex(range(4)).dimension == 3
-        assert full_simplex(range(4)).is_pure()
-        assert not SimplicialComplex([{1, 2, 3}, {4, 5}]).is_pure()
 
     def test_equality_and_hash(self):
         a = SimplicialComplex([{1, 2}, {2, 3}])
         b = SimplicialComplex([{2, 3}, {1, 2}])
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_simplex_helper(self):
-        assert simplex(1, 2, 3) == frozenset({1, 2, 3})
-
 
 class TestQueries:
     def test_contains(self):
@@ -54,14 +48,10 @@ class TestQueries:
 
     def test_simplices_by_dimension(self):
         complex_ = full_simplex(range(3))
-        assert len(complex_.simplices(0)) == 3
-        assert len(complex_.simplices(1)) == 3
-        assert len(complex_.simplices(2)) == 1
-        assert len(complex_.simplices()) == 7
-
-    def test_facet_count_by_dimension(self):
-        complex_ = SimplicialComplex([{1, 2, 3}, {4, 5}])
-        assert complex_.facet_count_by_dimension() == {2: 1, 1: 1}
+        assert len(oracles.simplices(complex_, 0)) == 3
+        assert len(oracles.simplices(complex_, 1)) == 3
+        assert len(oracles.simplices(complex_, 2)) == 1
+        assert len(oracles.simplices(complex_)) == 7
 
 
 class TestOperations:
@@ -73,24 +63,6 @@ class TestOperations:
     def test_star_of_missing_vertex_is_empty(self):
         complex_ = SimplicialComplex([{1, 2}])
         assert complex_.star(9).is_empty()
-
-    def test_link(self):
-        complex_ = SimplicialComplex([{1, 2, 3}, {3, 4}])
-        link = complex_.link(3)
-        assert set(link.facets) == {frozenset({1, 2}), frozenset({4})}
-
-    def test_induced_subcomplex(self):
-        complex_ = SimplicialComplex([{1, 2, 3}, {3, 4}])
-        induced = complex_.induced({1, 2, 4})
-        assert set(induced.facets) == {frozenset({1, 2}), frozenset({4})}
-
-    def test_skeleton(self):
-        skeleton = full_simplex(range(4)).skeleton(1)
-        assert skeleton.dimension == 1
-        assert len(skeleton.simplices(1)) == 6
-
-    def test_skeleton_negative_dimension_is_empty(self):
-        assert full_simplex(range(3)).skeleton(-1).is_empty()
 
     def test_join_of_disjoint_complexes(self):
         left = SimplicialComplex([{1}, {2}])
@@ -119,7 +91,6 @@ class TestOperations:
         sphere = sphere_complex(2)
         assert sphere.dimension == 2
         assert len(sphere.facets) == 4
-        assert sphere.is_pure()
 
 
 class TestBitsetKernel:
@@ -143,9 +114,6 @@ class TestBitsetKernel:
         complex_ = SimplicialComplex([{1, 2, 3}, {3, 4}, {5}])
         for derived in (
             complex_.star(3),
-            complex_.link(3),
-            complex_.induced({1, 2}),
-            complex_.skeleton(1),
             complex_.boundary_complex(),
         ):
             assert derived.pool is complex_.pool
@@ -235,29 +203,17 @@ class TestBitsetKernel:
         assert set(joined.facets) == {frozenset({1, "a"}), frozenset({2, "a"})}
 
     def test_operations_agree_with_definitions_on_random_complexes(self):
-        """star/link/induced/skeleton cross-checked against their set-level
-        definitions (computed by brute force over the simplices)."""
+        """star cross-checked against its set-level definition (computed by
+        brute force over the dense face lattice)."""
         rng = random.Random(13)
         for _ in range(10):
             complex_ = SimplicialComplex(
                 frozenset(rng.sample(range(7), rng.randint(1, 4))) for _ in range(8)
             )
-            simplices = complex_.simplices()
+            simplices = oracles.simplices(complex_)
             vertex = rng.randrange(7)
-            assert complex_.star(vertex).simplices() == {
+            assert oracles.simplices(complex_.star(vertex)) == {
                 s
                 for s in simplices
                 if any(vertex in other and s <= other for other in simplices)
-            }
-            assert complex_.link(vertex).simplices() == {
-                s - {vertex}
-                for s in simplices
-                if vertex in s and s != {vertex}
-            }
-            keep = set(rng.sample(range(7), 4))
-            assert complex_.induced(keep).simplices() == {
-                s for s in simplices if s <= keep
-            }
-            assert complex_.skeleton(1).simplices() == {
-                s for s in simplices if len(s) <= 2
             }

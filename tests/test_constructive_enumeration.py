@@ -30,19 +30,18 @@ import pytest
 from repro import oracles
 from repro.adversaries import (
     RestrictedSpace,
-    count_adversaries,
     count_orbits,
     enumerate_adversaries,
     enumerate_orbits,
+    estimate_adversary_count,
 )
 from repro.analysis import collect
 from repro.baselines import FloodMin
 from repro.core import OptMin, UPMin
 from repro.knowledge import System
 from repro.model import Adversary, Context
-from repro.oracles import adversary_orbit_size
+from repro.oracles import adversary_orbit_size, canonical_adversary, count_adversaries
 from repro.symmetry import (
-    canonical_adversary,
     iter_canonical_patterns,
     iter_canonical_vectors,
     vector_orbit_size,
@@ -269,7 +268,9 @@ class TestRestrictedSpace:
         )
 
     def test_counts_match_closed_forms(self):
-        assert SPACE.estimated_size() == count_adversaries(
+        assert estimate_adversary_count(
+            CONTEXT, max_crash_round=2, receiver_policy="canonical"
+        ) == count_adversaries(
             CONTEXT, max_crash_round=2, receiver_policy="canonical"
         )
         assert SPACE.orbit_count() == count_orbits(
@@ -381,9 +382,11 @@ class TestConsumerDifferentials:
             OptMin(2), list(space), CONTEXT.t, symmetry="quotient"
         )
         constructive = System.from_family(OptMin(2), space, CONTEXT.t)
-        assert constructive.symmetry == "constructive"
+        assert constructive.class_keyed
         assert sum(constructive.orbit_weights) == sum(quotient.orbit_weights)
-        assert sum(constructive.orbit_weights) == space.estimated_size()
+        assert sum(constructive.orbit_weights) == count_adversaries(
+            CONTEXT, max_crash_round=1, receiver_policy="canonical"
+        )
         # Same orbits with the same weights: the quotient keeps the
         # first-seen member per orbit while the constructive path emits the
         # canonical representative, so compare under the canonical key.

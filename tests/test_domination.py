@@ -4,22 +4,8 @@ import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet, oracles
 from repro.adversaries import RestrictedSpace, figure4_scenario
-from repro.model import Adversary, Context, FailurePattern, Run
-from repro.verification import (
-    DecisionProfile,
-    compare_protocols,
-    decision_time_table,
-    last_decider_compare,
-)
-
-
-class TestDecisionProfile:
-    def test_from_run(self):
-        run = Run(OptMin(1), Adversary([0, 1, 1], FailurePattern.failure_free(3)), t=1)
-        profile = DecisionProfile.from_run(run)
-        assert profile.protocol_name == "Optmin[k]"
-        assert profile.times == (0, 1, 1)
-        assert profile.last_correct_decision == 1
+from repro.model import Context
+from repro.verification import compare_protocols, last_decider_compare
 
 
 class TestCompareProtocols:
@@ -79,18 +65,6 @@ class TestLastDecider:
             assert entry[1] == -1
 
 
-class TestDecisionTimeTable:
-    def test_table_shape(self, small_context, random_adversaries):
-        protocols = [OptMin(2), FloodMin(2)]
-        table = decision_time_table(protocols, random_adversaries[:15], small_context.t)
-        assert set(table) == {"Optmin[k]", "FloodMin"}
-        assert all(len(column) == 15 for column in table.values())
-
-    def test_floodmin_column_is_constant(self, small_context, random_adversaries):
-        table = decision_time_table([FloodMin(2)], random_adversaries[:15], small_context.t)
-        assert set(table["FloodMin"]) == {small_context.t // 2 + 1}
-
-
 class TestAgainstReferenceOracle:
     """The batch comparisons equal the per-adversary ``Run`` loops of ``repro.oracles``."""
 
@@ -120,10 +94,3 @@ class TestAgainstReferenceOracle:
         else:
             assert batch == reference
         assert batch.improvements
-
-    def test_decision_time_table_identical(self, small_context, random_adversaries):
-        protocols = [OptMin(2), UPMin(2), FloodMin(2)]
-        family = random_adversaries[:30]
-        assert decision_time_table(protocols, family, small_context.t) == (
-            oracles.decision_time_table(protocols, family, small_context.t)
-        )

@@ -26,7 +26,8 @@ from __future__ import annotations
 import pytest
 
 from repro import oracles
-from repro.adversaries.enumeration import count_adversaries, enumerate_adversaries
+from repro.adversaries.enumeration import enumerate_adversaries
+from repro.oracles import count_adversaries
 from repro.baselines import EarlyDecidingKSet, UniformEarlyDecidingKSet
 from repro.core import Opt0, OptMin, UOpt0, UPMin
 from repro.engine import SweepRunner

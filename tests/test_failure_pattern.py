@@ -52,15 +52,6 @@ class TestFailurePatternConstruction:
         with pytest.raises(ValueError):
             FailurePattern(2, [CrashEvent(0, 1), CrashEvent(1, 1)])
 
-    def test_from_crash_rounds(self):
-        pattern = FailurePattern.from_crash_rounds(
-            4, {0: 1, 2: 2}, receivers={0: [1]}
-        )
-        assert pattern.crash_round(0) == 1
-        assert pattern.crash_round(2) == 2
-        assert pattern.delivered(0, 1, 1)
-        assert not pattern.delivered(0, 3, 1)
-
     def test_equality_and_hash(self):
         a = FailurePattern(3, [CrashEvent(0, 1, frozenset({1}))])
         b = FailurePattern(3, [CrashEvent(0, 1, frozenset({1}))])
@@ -96,16 +87,6 @@ class TestFailurePatternQueries:
         assert pattern.active_processes(1) == frozenset({1, 2, 3})
         assert pattern.active_processes(2) == frozenset({1, 3})
 
-    def test_failures_by(self, pattern):
-        assert pattern.failures_by(0) == 0
-        assert pattern.failures_by(1) == 1
-        assert pattern.failures_by(2) == 2
-
-    def test_crashes_in_round(self, pattern):
-        assert pattern.crashes_in_round(1) == frozenset({0})
-        assert pattern.crashes_in_round(2) == frozenset({2})
-        assert pattern.crashes_in_round(3) == frozenset()
-
     def test_max_crash_round(self, pattern):
         assert pattern.max_crash_round() == 2
         assert FailurePattern.failure_free(3).max_crash_round() == 0
@@ -129,16 +110,6 @@ class TestFailurePatternQueries:
         assert pattern.senders_to(1, 1) == frozenset({0, 2, 3})
         assert pattern.senders_to(3, 1) == frozenset({1, 2})
         assert pattern.senders_to(3, 2) == frozenset({1})
-
-    def test_receivers_of(self, pattern):
-        assert pattern.receivers_of(0, 1) == frozenset({1})
-        assert pattern.receivers_of(2, 2) == frozenset()
-        assert pattern.receivers_of(1, 1) == frozenset({0, 2, 3})
-
-    def test_edges(self, pattern):
-        edges = set(pattern.edges(2))
-        assert (1, 3) in edges
-        assert (2, 3) not in edges
 
     def test_check_crash_bound(self, pattern):
         pattern.check_crash_bound(2)

@@ -61,19 +61,21 @@ with tempfile.TemporaryDirectory() as directory:
     ),
     "multi-protocol-surveys": (
         """
-from repro.adversaries.enumeration import RestrictedSpace
+from repro.adversaries.enumeration import RestrictedSpace, estimate_adversary_count
 from repro.analysis import collect
 from repro.baselines import FloodMin
 from repro.core import OptMin, UPMin
 from repro.model import Context
-from repro.verification import check_protocols, compare_protocols, last_decider_compare
+from repro.verification import check_protocol, compare_protocols, last_decider_compare
 """,
         """
 space = RestrictedSpace(Context(n=5, t=2, k=2), max_crash_round=2, receiver_policy="canonical")
-assert all(report.ok for report in check_protocols([OptMin(2), UPMin(2)], space, 2).values())
+assert all(check_protocol(protocol, space, 2).ok for protocol in (OptMin(2), UPMin(2)))
 assert compare_protocols(OptMin(2), FloodMin(2), space, 2).dominates
 assert last_decider_compare(OptMin(2), FloodMin(2), space, 2).dominates
-assert collect([OptMin(2), FloodMin(2)], space, 2)[OptMin(2).name].runs == space.estimated_size()
+assert collect([OptMin(2), FloodMin(2)], space, 2)[OptMin(2).name].runs == estimate_adversary_count(
+    space.context, max_crash_round=2, receiver_policy="canonical"
+)
 """,
     ),
     "complex-build-and-census": (

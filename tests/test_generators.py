@@ -1,22 +1,19 @@
-"""Unit tests for adversary generators (random, chains, block-crash)."""
+"""Unit tests for adversary generators (random, crash chains)."""
 
 import pytest
 
-from repro.adversaries import (
-    AdversaryGenerator,
-    block_crash_adversary,
-    crash_chain_adversary,
-    crash_chain_events,
-    failure_free_adversaries,
-)
-from repro.model import Context, Run
+from repro.adversaries import AdversaryGenerator, crash_chain_events
+from repro.model import Adversary, FailurePattern, Run
+
+#: The Fig. 1 chain on 5 processes: 1 -> 2 -> 3 carries the only 0.
+CHAIN_ADVERSARY = Adversary([1, 0, 1, 1, 1], FailurePattern(5, crash_chain_events([1, 2, 3])))
 
 
 class TestAdversaryGenerator:
     def test_adversaries_respect_context(self, small_context):
         generator = AdversaryGenerator(small_context, seed=1)
         for adversary in generator.sample(100):
-            assert small_context.admits(adversary)
+            small_context.validate(adversary)
 
     def test_determinism_given_seed(self, small_context):
         a = AdversaryGenerator(small_context, seed=42).sample(20)
@@ -64,7 +61,7 @@ class TestCrashChains:
         assert events[1].process == 2 and events[1].round == 2 and events[1].receivers == {3}
 
     def test_crash_chain_adversary_hides_value(self):
-        adversary = crash_chain_adversary(5, chain=[1, 2, 3], chain_value=0, default_value=1)
+        adversary = CHAIN_ADVERSARY
         run = Run(None, adversary, t=2, horizon=2)
         # Observer 0 never learns the 0 through time 2 ...
         assert not run.view(0, 2).knows_value(0)
@@ -72,39 +69,6 @@ class TestCrashChains:
         assert run.view(3, 2).knows_value(0)
 
     def test_chain_creates_hidden_capacity_one(self):
-        adversary = crash_chain_adversary(5, chain=[1, 2, 3], chain_value=0, default_value=1)
+        adversary = CHAIN_ADVERSARY
         run = Run(None, adversary, t=2, horizon=2)
         assert run.view(0, 2).hidden_capacity() == 1
-
-
-class TestBlockCrashAdversary:
-    def test_failure_count_and_rounds(self):
-        adversary = block_crash_adversary(n=10, k=3, rounds=2)
-        assert adversary.num_failures == 6
-        assert adversary.pattern.crashes_in_round(1) == frozenset({0, 1, 2})
-        assert adversary.pattern.crashes_in_round(2) == frozenset({3, 4, 5})
-
-    def test_visible_crashes_deliver_nothing(self):
-        adversary = block_crash_adversary(n=8, k=2, rounds=2, visible=True)
-        for event in adversary.pattern.crashes:
-            assert event.receivers == frozenset()
-
-    def test_invisible_crashes_deliver_to_everyone(self):
-        adversary = block_crash_adversary(n=8, k=2, rounds=1, visible=False)
-        event = adversary.pattern.crashes[0]
-        assert len(event.receivers) == 7
-
-    def test_survivor_required(self):
-        with pytest.raises(ValueError):
-            block_crash_adversary(n=5, k=2, rounds=3)
-
-
-class TestFailureFreeEnumeration:
-    def test_count_matches_domain_size(self):
-        context = Context(n=3, t=1, k=1, max_value=1)
-        assert sum(1 for _ in failure_free_adversaries(context)) == 8
-
-    def test_all_are_failure_free(self):
-        context = Context(n=3, t=1, k=2)
-        for adversary in failure_free_adversaries(context):
-            assert adversary.num_failures == 0

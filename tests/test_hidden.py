@@ -4,17 +4,12 @@ import pytest
 
 from repro.adversaries import figure1_scenario, figure2_scenario
 from repro.knowledge import (
-    capacity_profile,
     classify_layer,
     disjoint_hidden_chains,
-    first_time_capacity_below,
-    has_hidden_path,
     hidden_capacity,
-    hidden_nodes_by_layer,
-    hidden_path,
     witness_matrix,
 )
-from repro.model import Adversary, CrashEvent, FailurePattern, Run
+from repro.model import Adversary, FailurePattern, Run
 
 
 def chain_run():
@@ -29,14 +24,6 @@ def capacity_run(k=3, depth=2):
 
 
 class TestHiddenNodes:
-    def test_hidden_nodes_by_layer_matches_view(self):
-        run, scenario = chain_run()
-        view = run.view(scenario.observer, 2)
-        layers = hidden_nodes_by_layer(view)
-        assert len(layers) == 3
-        for layer, nodes in enumerate(layers):
-            assert set(nodes) == set(view.hidden_processes_at(layer))
-
     def test_classify_layer_is_a_partition(self):
         run, scenario = chain_run()
         view = run.view(scenario.observer, 2)
@@ -52,9 +39,8 @@ class TestHiddenPath:
     def test_hidden_path_exists_along_the_chain(self):
         run, scenario = chain_run()
         view = run.view(scenario.observer, 2)
-        assert has_hidden_path(view)
-        path = hidden_path(view)
-        assert path is not None
+        assert view.hidden_capacity() >= 1
+        (path,) = disjoint_hidden_chains(view, 1)
         assert len(path) == 3
         for layer, process in enumerate(path):
             assert process in view.hidden_processes_at(layer)
@@ -62,8 +48,9 @@ class TestHiddenPath:
     def test_no_hidden_path_in_failure_free_run(self):
         run = Run(None, Adversary([0, 1, 1], FailurePattern.failure_free(3)), t=1, horizon=1)
         view = run.view(0, 1)
-        assert not has_hidden_path(view)
-        assert hidden_path(view) is None
+        assert view.hidden_capacity() == 0
+        with pytest.raises(ValueError):
+            disjoint_hidden_chains(view, 1)
 
 
 class TestWitnessesAndChains:
@@ -110,19 +97,11 @@ class TestWitnessesAndChains:
 class TestCapacityProfiles:
     def test_capacity_profile_is_weakly_decreasing(self):
         run, scenario = capacity_run(k=3, depth=2)
-        profile = capacity_profile(run, scenario.observer)
+        profile = [
+            run.view(scenario.observer, time).hidden_capacity()
+            for time in range(run.horizon + 1)
+            if run.has_view(scenario.observer, time)
+        ]
         assert len(profile) >= 3
         assert all(profile[i] >= profile[i + 1] for i in range(len(profile) - 1))
 
-    def test_first_time_capacity_below(self):
-        run, scenario = capacity_run(k=3, depth=2)
-        # Capacity stays >= 3 through time 2 and drops at time 3.
-        assert first_time_capacity_below(run, scenario.observer, 3) == 3
-        assert first_time_capacity_below(run, scenario.observer, 100) == 0
-
-    def test_first_time_capacity_below_none_when_never(self):
-        # Observer 0 crashes in round 1 — its only view is at time 0 where the
-        # hidden count is n-1 >= 1, so capacity never drops below 1.
-        adversary = Adversary([0, 1, 1], FailurePattern(3, [CrashEvent(0, 1)]))
-        run = Run(None, adversary, t=1, horizon=1)
-        assert first_time_capacity_below(run, 0, 1) is None

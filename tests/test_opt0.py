@@ -3,7 +3,12 @@
 import pytest
 
 from repro import Opt0, OptMin, UOpt0, UPMin
-from repro.adversaries import AdversaryGenerator, RestrictedSpace, figure1_scenario
+from repro.adversaries import (
+    AdversaryGenerator,
+    RestrictedSpace,
+    estimate_adversary_count,
+    figure1_scenario,
+)
 from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.verification import (
     check_nonuniform_run,
@@ -134,7 +139,7 @@ class TestPaperBounds:
         space = RestrictedSpace(Context(n=n, t=t, k=1))
         report = check_protocol(protocol, space, t)
         assert report.ok, report.summary()
-        assert report.runs_checked == space.estimated_size()
+        assert report.runs_checked == estimate_adversary_count(space.context)
         assert report.max_decision_time == t + 1
 
     def test_late_opt0_is_flagged(self):

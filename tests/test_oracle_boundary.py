@@ -11,7 +11,7 @@ benchmark still passes, which accept their one value only; the hash-dedup
 quotient and the orbit–stabiliser size functions live in the oracles, not
 in :mod:`repro.symmetry`.  Production is also stdlib-only at import: no entry
 point loads numpy, networkx, sympy or the HTTP front end's asyncio and
-``urllib.request``; networkx and the front end load on first use.  The
+``urllib.request``; the front end loads on first use.  The
 result store's reference key encoder (the recursive ``_jsonable`` walk) is
 one of those fixtures: production neither defines nor names it.  Every
 survey pass runs in the calling process: no public callable offers a worker
@@ -265,10 +265,13 @@ def test_orbit_sizes_are_oracles(name):
 
 
 #: Names that left :mod:`repro.symmetry`, and whether the oracles hold them:
-#: the hash-dedup quotient moved there; the mode list and its validator are gone.
+#: the hash-dedup quotient and its per-adversary canonical form moved there;
+#: the mode list and its validator are gone.
 RETIRED_SYMMETRY_NAMES = {
     "quotient_family": True,
     "iter_orbit_representatives": True,
+    "canonical_adversary": True,
+    "CanonicalAdversary": True,
     "SYMMETRIES": False,
     "validate_symmetry_choice": False,
 }
@@ -286,9 +289,8 @@ def test_the_hash_dedup_quotient_is_an_oracle(name):
     assert hasattr(oracles, name) == RETIRED_SYMMETRY_NAMES[name]
 
 
-#: Modules no entry point may load at import: numpy (production is
-#: stdlib-only), networkx (the optional graph export loads it on first use),
-#: sympy, the HTTP front end's asyncio and ``urllib.request`` (loaded on
+#: Modules no entry point may load at import: numpy and networkx
+#: (production is stdlib-only and depends on neither), sympy, the HTTP front end's asyncio and ``urllib.request`` (loaded on
 #: first use of ``repro.service.serve`` and its siblings), and
 #: multiprocessing (nothing uses it).
 FORBIDDEN_AT_IMPORT = (
@@ -332,14 +334,10 @@ def test_optional_dependencies_load_on_first_use(fresh_interpreter):
     code = """
 import sys
 import repro.service
-from repro.model import Adversary, FailurePattern, communication_graph
 assert "asyncio" not in sys.modules and "urllib.request" not in sys.modules
 from repro.service import serve
 assert callable(serve)
 assert "asyncio" in sys.modules and "urllib.request" in sys.modules
-assert "networkx" not in sys.modules
-graph = communication_graph(Adversary([0, 1, 1], FailurePattern(3, [])), horizon=1)
-assert graph.number_of_nodes() == 6 and "networkx" in sys.modules
 """
     result = fresh_interpreter(code)
     assert result.returncode == 0, result.stderr

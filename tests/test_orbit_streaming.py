@@ -11,10 +11,9 @@ O(batch) orbits.  This suite pins
 * the shape-cached vectors: a vector that fails the hoisted check raises
   the constructor's ``ValueError`` (generated vectors always have ``n``
   entries, so the negative-value check is the one a shape can fail);
-* the batched multi-protocol consumers (``check_protocols``,
-  ``compare_protocols``, ``last_decider_compare``, ``collect``) against
-  their per-protocol results and the ``Run`` oracles on a space larger
-  than one batch.
+* the batched multi-protocol consumers (``compare_protocols``,
+  ``last_decider_compare``, ``collect``) against the ``Run`` oracles on a
+  space larger than one batch.
 """
 
 from __future__ import annotations
@@ -26,14 +25,12 @@ from repro.adversaries import RestrictedSpace
 from repro.adversaries.enumeration import checked_shape_vectors, constructive_quotient
 from repro.analysis import ProtocolStatistics, collect
 from repro.baselines import FloodMin
-from repro.core import OptMin, UPMin
+from repro.core import OptMin
 from repro.model import Adversary, Context, FailurePattern, Run
 from repro.pipeline import DEFAULT_BATCH_SIZE, family_stream
 from repro.symmetry.constructive import CanonicalPatternNode
 from repro.verification import (
     DominationReport,
-    check_protocol,
-    check_protocols,
     compare_protocols,
     last_decider_compare,
 )
@@ -103,14 +100,6 @@ def oracle_runs():
 
 def test_space_spans_two_batches(oracle_runs):
     assert DEFAULT_BATCH_SIZE < len(oracle_runs) == SPACE.orbit_count() < 2 * DEFAULT_BATCH_SIZE
-
-
-def test_check_protocols_equals_per_protocol_checks():
-    protocols = [OptMin(2), UPMin(2), FloodMin(2)]
-    reports = check_protocols(protocols, SPACE, 2)
-    assert list(reports) == [protocol.name for protocol in protocols]
-    for protocol in protocols:
-        assert reports[protocol.name].to_payload() == check_protocol(protocol, SPACE, 2).to_payload()
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,8 @@ from repro.adversaries import lemma2_surgery, verify_surgery
 from repro.efficient import compare_compact_to_fip
 from repro.model import Adversary, CrashEvent, FailurePattern, Run
 from repro.topology import (
-    barycentric_subdivision,
     is_sperner_coloring,
+    paper_subdivision,
     random_sperner_coloring,
     sperner_lemma_holds,
 )
@@ -145,7 +145,11 @@ def test_node_classification_is_a_partition(adversary):
         for j in range(adversary.n):
             for layer in range(3):
                 node = ProcessTimeNode(j, layer)
-                statuses = [view.is_seen(node), view.is_guaranteed_crashed(node), view.is_hidden(node)]
+                statuses = [
+                    view.is_seen(node),
+                    view.is_guaranteed_crashed(node),
+                    j in view.hidden_processes_at(layer),
+                ]
                 assert sum(statuses) == 1
 
 
@@ -214,9 +218,9 @@ def test_compact_reconstruction_is_sound(adversary):
 
 
 @settings(max_examples=30, deadline=None)
-@given(dim=st.integers(1, 3), seed=st.integers(0, 1000))
-def test_sperner_lemma_parity(dim, seed):
-    subdivision = barycentric_subdivision(range(dim + 1))
+@given(k=st.integers(1, 4), seed=st.integers(0, 1000))
+def test_sperner_lemma_parity(k, seed):
+    subdivision = paper_subdivision(k)
     coloring = random_sperner_coloring(subdivision, seed)
     assert is_sperner_coloring(subdivision, coloring)
     assert sperner_lemma_holds(subdivision, coloring)

@@ -6,7 +6,7 @@ from repro.model import Adversary, Context, CrashEvent, FailurePattern, Run
 from repro.topology import (
     build_protocol_complex,
     build_restricted_complex,
-    is_homologically_q_connected,
+    connectivity_profile,
     per_round_crash_patterns,
 )
 
@@ -30,7 +30,7 @@ class TestPatternEnumeration:
         patterns = list(per_round_crash_patterns(4, rounds=2, max_crashes_per_round=1, receiver_policy="none"))
         for pattern in patterns:
             for round_ in (1, 2):
-                assert len(pattern.crashes_in_round(round_)) <= 1
+                assert sum(1 for event in pattern.crashes if event.round == round_) <= 1
 
     def test_includes_failure_free_pattern(self):
         patterns = list(per_round_crash_patterns(3, rounds=1, max_crashes_per_round=1, receiver_policy="none"))
@@ -45,7 +45,7 @@ class TestPatternEnumeration:
 class TestProtocolComplexStructure:
     def test_whole_complex_is_connected(self, consensus_complex):
         _, pc = consensus_complex
-        assert is_homologically_q_connected(pc.complex, 0)
+        assert connectivity_profile(pc.complex, max_q=0) >= 0
 
     def test_facets_correspond_to_executions(self, consensus_complex):
         context, pc = consensus_complex
@@ -79,7 +79,7 @@ class TestStarComplexes:
         adversary = Adversary([2] * context.n, FailurePattern.failure_free(context.n))
         star = pc.star_of(adversary, 0, context.t)
         assert not star.is_empty()
-        assert is_homologically_q_connected(star, 0)
+        assert connectivity_profile(star, max_q=0) >= 0
 
     def test_star_contains_only_simplices_with_the_vertex(self, kset_complex):
         context, pc = kset_complex
@@ -102,7 +102,7 @@ class TestProposition2:
         run = Run(None, adversary, context.t, horizon=1)
         assert run.view(0, 1).hidden_capacity() >= 2
         star = pc.star_of(adversary, 0, context.t)
-        assert is_homologically_q_connected(star, 1)
+        assert connectivity_profile(star, max_q=1) >= 1
 
     def test_k1_capacity_implies_connected_star(self, consensus_complex):
         context, pc = consensus_complex
@@ -112,7 +112,7 @@ class TestProposition2:
         run = Run(None, adversary, context.t, horizon=1)
         assert run.view(0, 1).hidden_capacity() >= 1
         star = pc.star_of(adversary, 0, context.t)
-        assert is_homologically_q_connected(star, 0)
+        assert connectivity_profile(star, max_q=0) >= 0
 
     def test_all_high_capacity_vertices_have_connected_stars(self, kset_complex):
         """Sweep every execution of the restricted family and check the implication."""
@@ -125,6 +125,6 @@ class TestProposition2:
             if run.view(process, 1).hidden_capacity() < 2:
                 continue
             star = pc.star_of(adversary, process, context.t)
-            assert is_homologically_q_connected(star, 1)
+            assert connectivity_profile(star, max_q=1) >= 1
             checked += 1
         assert checked > 0

@@ -28,6 +28,7 @@ from __future__ import annotations
 import pytest
 
 from repro import oracles
+from repro.oracles import canonical_adversary
 from repro.adversaries import enumerate_adversaries
 from repro.analysis import ProtocolStatistics, collect
 from repro.engine import SweepRunner
@@ -36,7 +37,6 @@ from repro.baselines import FloodMin
 from repro.knowledge import System
 from repro.knowledge.operators import at_most_low_values_decided, exists_value
 from repro.model import Context, Run
-from repro.symmetry import canonical_adversary
 from repro.topology import (
     ConnectivityCache,
     build_restricted_complex,
@@ -92,7 +92,7 @@ def quotient_system(protocol, family, t):
     """The fused batch system over the hash-dedup representatives, class-indexed."""
     items = quotient_items(family)
     system = System.from_family(protocol, [a for _i, a, _w in items], t)
-    system._quotient_index(tuple(w for _i, _a, w in items), "quotient")
+    system._quotient_index(tuple(w for _i, _a, w in items))
     return system
 
 

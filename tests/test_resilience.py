@@ -11,6 +11,8 @@ run's because a resumed process re-misses its connectivity cache.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import oracles
@@ -382,6 +384,18 @@ class TestChaosAcceptance:
         assert leg2.value.row == plain.row and leg2.value.classes == plain.classes
 
 
+def seeded_plan(seed, saves, truncations, corruptions):
+    """A reproducible plan: checkpoint faults on distinct save ordinals, placed by seed."""
+    save_ids = list(range(saves))
+    random.Random(seed).shuffle(save_ids)
+    picks = iter(save_ids)
+    return FaultPlan(
+        seed=seed,
+        truncate_checkpoints=tuple(sorted(next(picks) for _ in range(min(truncations, saves)))),
+        corrupt_checkpoints=tuple(sorted(next(picks) for _ in range(min(corruptions, saves)))),
+    )
+
+
 def resume_until_complete(survey, store, report):
     """Run ``survey`` one batch per leg, resuming each time, until it completes."""
     for _leg in range(200):
@@ -402,7 +416,7 @@ class TestSeededChaos:
             CONTEXT, max_crash_round=2, max_failures=2, receiver_policy="canonical"
         )
         baseline = check_protocol(OptMin(2), space, 2)
-        plan = FaultPlan.seeded(seed, saves=8, truncations=2, corruptions=2)
+        plan = seeded_plan(seed, saves=8, truncations=2, corruptions=2)
         report = RunReport()
 
         def survey(**attachments):
@@ -420,7 +434,7 @@ class TestSeededChaos:
             Context(n=5, t=2, k=2), time=2, max_crashes_per_round=1
         )
         plain = capacity_connectivity_census(pc, 2)
-        plan = FaultPlan.seeded(seed, saves=6, truncations=1, corruptions=1)
+        plan = seeded_plan(seed, saves=6, truncations=1, corruptions=1)
         report = RunReport()
 
         def survey(**attachments):

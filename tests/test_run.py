@@ -3,7 +3,7 @@
 import pytest
 
 from repro import FloodMin, OptMin
-from repro.model import Adversary, CrashEvent, FailurePattern, ProcessTimeNode, Run, execute, execute_many
+from repro.model import Adversary, CrashEvent, FailurePattern, ProcessTimeNode, Run, execute
 
 
 def adversary(values, events, n=None):
@@ -47,10 +47,10 @@ class TestSimulationStructure:
     def test_node_status_classification(self):
         events = [CrashEvent(1, 1, frozenset({2}))]
         run = Run(None, adversary([1, 0, 1], events), t=1, horizon=2)
-        observer = ProcessTimeNode(0, 1)
-        assert run.node_status(observer, ProcessTimeNode(1, 0)) == "hidden"
-        assert run.node_status(observer, ProcessTimeNode(1, 1)) == "crashed"
-        assert run.node_status(observer, ProcessTimeNode(2, 0)) == "seen"
+        view = run.view(0, 1)
+        assert 1 in view.hidden_processes_at(0)
+        assert view.is_guaranteed_crashed(ProcessTimeNode(1, 1))
+        assert view.is_seen(ProcessTimeNode(2, 0))
 
 
 class TestDecisions:
@@ -78,7 +78,7 @@ class TestDecisions:
 
     def test_all_correct_decided(self):
         run = Run(OptMin(1), adversary([0, 1, 1], []), t=1)
-        assert run.all_correct_decided()
+        assert all(run.decision_time(p) is not None for p in run.correct_processes())
 
     def test_simulation_stops_once_everyone_decided(self):
         run = Run(OptMin(1), adversary([0, 0, 0, 0], []), t=3)
@@ -109,20 +109,5 @@ class TestExecuteHelpers:
     def test_execute(self):
         run = execute(OptMin(1), adversary([0, 1, 1], []), t=1)
         assert isinstance(run, Run)
-        assert run.all_correct_decided()
+        assert all(run.decision_time(p) is not None for p in run.correct_processes())
 
-    def test_execute_many(self):
-        adversaries = [adversary([0, 1, 1], []), adversary([1, 1, 1], [])]
-        runs = execute_many(OptMin(1), adversaries, t=1)
-        assert len(runs) == 2
-        assert all(r.all_correct_decided() for r in runs)
-
-    def test_execute_many_forwards_horizon(self):
-        # Regression: the horizon parameter used to be silently dropped, so
-        # bare full-information sweeps could not extend past the t+2 default.
-        adversaries = [adversary([0, 1, 1], []), adversary([1, 1, 1], [])]
-        runs = execute_many(None, adversaries, t=1, horizon=5)
-        assert all(r.horizon == 5 for r in runs)
-        assert all(r.has_view(0, 5) for r in runs)
-        # And the default without a protocol stays the historical t + 2.
-        assert all(r.horizon == 3 for r in execute_many(None, adversaries, t=1))

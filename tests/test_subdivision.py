@@ -1,56 +1,50 @@
-"""Unit tests for barycentric and paper (Div σ) subdivisions."""
-
-import math
+"""Unit tests for the paper's ``Div σ`` subdivision."""
 
 import pytest
 
-from repro.topology import barycentric_subdivision, count_top_simplices, paper_subdivision
+from repro.topology import paper_subdivision
 
 
-class TestBarycentric:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_top_simplex_count_is_factorial(self, dim):
-        subdivision = barycentric_subdivision(range(dim + 1))
-        assert count_top_simplices(subdivision) == math.factorial(dim + 1)
+def top_simplex_count(subdivision):
+    return len(subdivision.top_simplices())
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_vertices_are_faces(self, dim):
-        subdivision = barycentric_subdivision(range(dim + 1))
-        # One vertex per non-empty face of the simplex.
-        assert len(subdivision.vertices()) == 2 ** (dim + 1) - 1
 
-    def test_validity(self):
-        assert barycentric_subdivision(range(3)).is_valid_subdivision()
-
+class TestCarrier:
     def test_carrier_is_the_face_itself(self):
-        subdivision = barycentric_subdivision(range(3))
+        subdivision = paper_subdivision(2)
         vertex = frozenset({0, 1})
         assert subdivision.carrier(vertex) == frozenset({0, 1})
 
     def test_carrier_rejects_foreign_vertex(self):
-        subdivision = barycentric_subdivision(range(3))
+        subdivision = paper_subdivision(2)
         with pytest.raises(ValueError):
             subdivision.carrier(frozenset({9}))
 
     def test_dimension(self):
-        assert barycentric_subdivision(range(4)).dimension == 3
+        assert paper_subdivision(3).dimension == 3
 
 
 class TestPaperSubdivision:
     def test_k1_is_the_plain_edge(self):
         subdivision = paper_subdivision(1)
-        assert count_top_simplices(subdivision) == 1
+        assert top_simplex_count(subdivision) == 1
         assert len(subdivision.vertices()) == 2
 
     def test_k2_matches_figure5(self):
         """Fig. 5 (center): 5 vertices, 4 triangles for σ = {0, 1, 2}."""
         subdivision = paper_subdivision(2)
         assert len(subdivision.vertices()) == 5
-        assert count_top_simplices(subdivision) == 4
+        assert top_simplex_count(subdivision) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_validity(self, k):
-        assert paper_subdivision(k).is_valid_subdivision()
+        """Pure of dimension ``k``, every vertex inside the base simplex."""
+        subdivision = paper_subdivision(k)
+        assert subdivision.complex.dimension == k
+        assert top_simplex_count(subdivision) > 0
+        assert all(len(facet) == k + 1 for facet in subdivision.complex.facets)
+        base = frozenset(subdivision.base_vertices)
+        assert all(vertex <= base for vertex in subdivision.vertices())
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_only_faces_containing_k_get_new_vertices(self, k):
@@ -73,6 +67,4 @@ class TestPaperSubdivision:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_growth_with_k(self, k):
-        assert count_top_simplices(paper_subdivision(k)) > count_top_simplices(
-            paper_subdivision(k - 1)
-        )
+        assert top_simplex_count(paper_subdivision(k)) > top_simplex_count(paper_subdivision(k - 1))

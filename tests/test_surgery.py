@@ -34,7 +34,8 @@ class TestSurgeryConstruction:
         for chain in result.chains:
             for layer in range(2):
                 assert pattern.crash_round(chain[layer]) == layer + 1
-                assert pattern.receivers_of(chain[layer], layer + 1) == frozenset({chain[layer + 1]})
+                (event,) = [e for e in pattern.crashes if e.process == chain[layer]]
+                assert event.receivers == frozenset({chain[layer + 1]})
 
     def test_requesting_more_chains_than_capacity_rejected(self):
         scenario, run = fig2_base(k=2, depth=2)

@@ -16,7 +16,6 @@ import random
 import pytest
 
 from repro.adversaries import (
-    count_adversaries,
     enumerate_adversaries,
     enumerate_orbits,
 )
@@ -24,6 +23,8 @@ from repro.model import Adversary, Context, CrashEvent, FailurePattern
 from repro.oracles import (
     adversary_orbit_size,
     automorphism_count,
+    canonical_adversary,
+    count_adversaries,
     quotient_family,
     symmetry_stream,
     view_key_orbit_size,
@@ -31,7 +32,6 @@ from repro.oracles import (
 from repro.symmetry import (
     apply_to_adversary,
     apply_to_view_key,
-    canonical_adversary,
     canonical_view_key,
     star_signature,
 )
@@ -66,7 +66,7 @@ class TestGroupAction:
     def test_action_preserves_context_membership(self, sample):
         for adversary in sample:
             for sigma in PERMS[:6]:
-                assert CONTEXT.admits(apply_to_adversary(adversary, sigma))
+                CONTEXT.validate(apply_to_adversary(adversary, sigma))
 
 
 class TestCanonicalAdversary:

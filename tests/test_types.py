@@ -26,16 +26,6 @@ class TestProcessTimeNode:
         with pytest.raises(ValueError):
             ProcessTimeNode(0, -2)
 
-    def test_predecessor(self):
-        assert ProcessTimeNode(2, 4).predecessor() == ProcessTimeNode(2, 3)
-
-    def test_predecessor_at_time_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessTimeNode(2, 0).predecessor()
-
-    def test_successor(self):
-        assert ProcessTimeNode(2, 4).successor() == ProcessTimeNode(2, 5)
-
     def test_ordering_is_lexicographic(self):
         assert ProcessTimeNode(1, 5) < ProcessTimeNode(2, 0)
         assert ProcessTimeNode(1, 2) < ProcessTimeNode(1, 3)
