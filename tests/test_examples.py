@@ -7,14 +7,9 @@ interpreter against this checkout's ``repro`` and must exit 0.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
-
-import repro
 
 EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.py"))
 
@@ -24,14 +19,6 @@ def test_examples_are_found():
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=[path.name for path in EXAMPLES])
-def test_example_exits_cleanly(script):
-    source_root = str(Path(repro.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, str(script)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+def test_example_exits_cleanly(script, fresh_interpreter):
+    result = fresh_interpreter(f"import runpy; runpy.run_path({str(script)!r}, run_name='__main__')")
     assert result.returncode == 0, result.stderr
