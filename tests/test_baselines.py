@@ -26,6 +26,31 @@ def silent_block_crashes(n, k, rounds):
     return Adversary([k] * n, FailurePattern(n, events))
 
 
+class TestSilentBlockCrashes:
+    """The worst-case fixture above has the shape its docstring promises."""
+
+    def test_failure_count_and_rounds(self):
+        adversary = silent_block_crashes(n=10, k=3, rounds=2)
+        assert adversary.num_failures == 6
+        by_round = {}
+        for event in adversary.pattern.crashes:
+            by_round.setdefault(event.round, set()).add(event.process)
+        assert by_round == {1: {0, 1, 2}, 2: {3, 4, 5}}
+
+    def test_crashes_deliver_nothing(self):
+        adversary = silent_block_crashes(n=8, k=2, rounds=2)
+        for event in adversary.pattern.crashes:
+            assert event.receivers == frozenset()
+        assert adversary.values == (2,) * 8
+
+    def test_survivors_see_k_new_failures_per_round(self):
+        adversary = silent_block_crashes(n=10, k=2, rounds=3)
+        run = Run(None, adversary, t=6, horizon=3)
+        for time in range(4):
+            for view in run.views_at(time).values():
+                assert view.known_failure_count() == 2 * time
+
+
 class TestFloodMin:
     def test_decides_exactly_at_deadline(self):
         context = Context(n=6, t=4, k=2)

@@ -228,6 +228,28 @@ class TestDenseOracle:
         for _ in range(25):
             self.assert_agree(random_complex(rng))
 
+    def test_ordering_survives_repr_collisions(self):
+        """Two distinct vertices with an identical repr used to collide in the
+        repr-keyed sort ordering; the kernel orders by interned vertex id."""
+
+        class Opaque:
+            __slots__ = ("tag",)
+
+            def __init__(self, tag):
+                self.tag = tag
+
+            def __repr__(self):
+                return "<opaque>"
+
+        a, b, c = Opaque("a"), Opaque("b"), Opaque("c")
+        path = SimplicialComplex([{a, b}, {b, c}])
+        cycle = SimplicialComplex([{a, b}, {b, c}, {c, a}])
+        assert len(oracles.simplices(path, 0)) == 3 and len(oracles.simplices(path, 1)) == 2
+        assert reduced_betti_numbers(path) == [0, 0]
+        assert reduced_betti_numbers(cycle) == [0, 1]
+        for complex_ in (path, cycle):
+            self.assert_agree(complex_)
+
     def test_agreement_with_truncation(self):
         sphere = sphere_complex(3)
         for q in range(4):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import EarlyDecidingKSet, FloodMin, OptMin, UPMin, UniformEarlyDecidingKSet, oracles
 from repro.adversaries import RestrictedSpace, figure4_scenario
+from repro.engine import SweepRunner
 from repro.model import Context
 from repro.verification import compare_protocols, last_decider_compare
 
@@ -65,6 +66,20 @@ class TestLastDecider:
             assert entry[1] == -1
 
 
+class TestDecisionTimeTable:
+    """``SweepRunner.decision_times``: one last correct decision time per adversary."""
+
+    def test_table_shape(self, small_context, random_adversaries):
+        for protocol in (OptMin(2), FloodMin(2)):
+            times = SweepRunner(protocol, small_context.t).decision_times(random_adversaries[:15])
+            assert len(times) == 15
+            assert all(time is not None for time in times)
+
+    def test_floodmin_column_is_constant(self, small_context, random_adversaries):
+        times = SweepRunner(FloodMin(2), small_context.t).decision_times(random_adversaries[:15])
+        assert set(times) == {small_context.t // 2 + 1}
+
+
 class TestAgainstReferenceOracle:
     """The batch comparisons equal the per-adversary ``Run`` loops of ``repro.oracles``."""
 
@@ -94,3 +109,14 @@ class TestAgainstReferenceOracle:
         else:
             assert batch == reference
         assert batch.improvements
+
+    @pytest.mark.parametrize("correct_only", [True, False])
+    def test_decision_time_table_identical(self, small_context, random_adversaries, correct_only):
+        family, t = random_adversaries[:30], small_context.t
+        for protocol in (OptMin(2), UPMin(2), FloodMin(2)):
+            batch = SweepRunner(protocol, t).decision_times(family, correct_only=correct_only)
+            reference = [
+                run.last_decision_time(correct_only=correct_only)
+                for run in oracles.ReferenceRunner(protocol, t).sweep(family)
+            ]
+            assert batch == reference

@@ -3,13 +3,16 @@
 A deleted or moved name left in an ``__all__`` list breaks
 ``from repro.<package> import *`` for users while every direct import
 still works.  This check star-imports each package in a fresh interpreter
-(so the lazily resolved names of :mod:`repro.service` load there, not in
-the test process) and resolves every ``__all__`` entry.
+of its own (so the lazily resolved names of :mod:`repro.service` load
+there, not in the test process, and no package's imports mask another's
+missing name) and resolves every ``__all__`` entry.
 """
 
 from __future__ import annotations
 
 import pkgutil
+
+import pytest
 
 import repro
 
@@ -40,8 +43,9 @@ def test_packages_are_found():
     assert "repro.model" in PACKAGES and "repro.topology" in PACKAGES
 
 
-def test_star_import_binds_every_exported_name(fresh_interpreter):
+@pytest.mark.parametrize("package", PACKAGES)
+def test_star_import_binds_every_exported_name(package, fresh_interpreter):
     result = fresh_interpreter(
-        f"import sys; sys.argv[1:] = {PACKAGES!r}; exec({SCRIPT!r})"
+        f"import sys; sys.argv[1:] = {[package]!r}; exec({SCRIPT!r})"
     )
     assert result.returncode == 0, result.stdout + result.stderr

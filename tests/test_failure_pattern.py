@@ -111,6 +111,38 @@ class TestFailurePatternQueries:
         assert pattern.senders_to(3, 1) == frozenset({1, 2})
         assert pattern.senders_to(3, 2) == frozenset({1})
 
+    def test_failures_by(self, pattern):
+        rounds = [pattern.crash_round(j) for j in range(4)]
+        for time, crashed in enumerate([0, 1, 2, 2]):
+            assert sum(r is not None and r <= time for r in rounds) == crashed
+            assert 4 - len(pattern.active_processes(time)) == crashed
+
+    def test_crashes_in_round(self, pattern):
+        rounds = {event.process: event.round for event in pattern.crashes}
+        assert rounds == {0: 1, 2: 2}
+        assert {j: pattern.crash_round(j) for j in range(4)} == {0: 1, 1: None, 2: 2, 3: None}
+
+    def test_receivers_of(self, pattern):
+        def receivers(sender, round_):
+            return {j for j in range(4) if j != sender and pattern.delivered(sender, j, round_)}
+
+        assert receivers(0, 1) == {1}
+        assert receivers(2, 2) == set()
+        assert receivers(1, 1) == {0, 2, 3}
+        for event in pattern.crashes:
+            assert receivers(event.process, event.round) == set(event.receivers)
+
+    def test_edges(self, pattern):
+        edges = {
+            (sender, receiver)
+            for receiver in range(4)
+            for sender in pattern.senders_to(receiver, 2)
+        }
+        assert (1, 3) in edges
+        assert (2, 3) not in edges
+        # A process crashed in round 1 sends nothing in round 2.
+        assert not any(sender == 0 for sender, _receiver in edges)
+
     def test_check_crash_bound(self, pattern):
         pattern.check_crash_bound(2)
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.adversaries import AdversaryGenerator, crash_chain_events
-from repro.model import Adversary, FailurePattern, Run
+from repro.adversaries import AdversaryGenerator, crash_chain_events, enumerate_adversaries
+from repro.model import Adversary, Context, FailurePattern, Run
 
 #: The Fig. 1 chain on 5 processes: 1 -> 2 -> 3 carries the only 0.
 CHAIN_ADVERSARY = Adversary([1, 0, 1, 1, 1], FailurePattern(5, crash_chain_events([1, 2, 3])))
@@ -72,3 +72,18 @@ class TestCrashChains:
         adversary = CHAIN_ADVERSARY
         run = Run(None, adversary, t=2, horizon=2)
         assert run.view(0, 2).hidden_capacity() == 1
+
+
+class TestFailureFreeEnumeration:
+    """``max_crash_round=0`` restricts the enumeration to the failure-free runs."""
+
+    def test_count_matches_domain_size(self):
+        context = Context(n=3, t=1, k=1, max_value=1)
+        assert sum(1 for _ in enumerate_adversaries(context, max_crash_round=0)) == 8
+
+    def test_all_are_failure_free(self):
+        context = Context(n=3, t=1, k=2)
+        adversaries = list(enumerate_adversaries(context, max_crash_round=0))
+        assert len({adversary.values for adversary in adversaries}) == len(adversaries) == 27
+        for adversary in adversaries:
+            assert adversary.num_failures == 0

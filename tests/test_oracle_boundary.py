@@ -330,6 +330,41 @@ def test_production_imports_leave_numpy_out(fresh_interpreter):
         assert result.returncode == 0, result.stderr or f"importing {modules} loaded {result.stdout}"
 
 
+#: Each benchmark workload's ``imports`` (``perfbench/workloads.py``) with
+#: the ``repro`` subpackages that importing them may load.  ``setup_s``
+#: times exactly this import in a fresh interpreter, so a subpackage joining
+#: the set (``repro.oracles`` alone costs ~47 ms) is a setup regression.
+WORKLOAD_IMPORTS = {
+    "sweep-n6": (
+        ("repro.core", "repro.verification.checker"),
+        {"adversaries", "baselines", "core", "engine", "knowledge", "model", "pipeline",
+         "verification"},
+    ),
+    "census-n6m2": (
+        ("repro.topology.protocol_complex",),
+        {"baselines", "core", "engine", "model", "pipeline", "topology"},
+    ),
+    "jobs-mixed": (
+        ("repro.service", "repro.store"),
+        {"baselines", "core", "engine", "model", "service", "store"},
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_IMPORTS))
+def test_workload_imports_do_not_grow(workload, fresh_interpreter):
+    modules, allowed = WORKLOAD_IMPORTS[workload]
+    code = (
+        f"import sys; import {', '.join(modules)}; "
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules if m.startswith('repro.')})))"
+    )
+    result = fresh_interpreter(code)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "oracles" not in loaded
+    assert loaded <= allowed, f"importing {modules} now loads {sorted(loaded - allowed)}"
+
+
 def test_optional_dependencies_load_on_first_use(fresh_interpreter):
     code = """
 import sys

@@ -396,6 +396,24 @@ def seeded_plan(seed, saves, truncations, corruptions):
     )
 
 
+class TestSeededPlan:
+    """The chaos battery's plans: reproducible, and never two faults on one save."""
+
+    def test_seeded_is_reproducible_and_disjoint(self):
+        a = seeded_plan(11, saves=8, truncations=2, corruptions=3)
+        b = seeded_plan(11, saves=8, truncations=2, corruptions=3)
+        assert a == b
+        touched = list(a.truncate_checkpoints) + list(a.corrupt_checkpoints)
+        assert len(touched) == len(set(touched)) == 5
+
+    def test_seeded_checkpoint_ordinals(self):
+        plan = seeded_plan(5, saves=6, truncations=1, corruptions=1)
+        assert len(plan.truncate_checkpoints) == 1
+        assert len(plan.corrupt_checkpoints) == 1
+        assert set(plan.truncate_checkpoints).isdisjoint(plan.corrupt_checkpoints)
+        assert all(0 <= ordinal < 6 for ordinal in plan.truncate_checkpoints + plan.corrupt_checkpoints)
+
+
 def resume_until_complete(survey, store, report):
     """Run ``survey`` one batch per leg, resuming each time, until it completes."""
     for _leg in range(200):
